@@ -1,8 +1,8 @@
 """Benchmark: compiled normal-form kernels against the pure-Python twins.
 
 Times Hermite and Smith reductions on random integer matrices of a few
-shapes, then an end-to-end torsion-unit pipeline run in a subprocess per
-implementation (the kernel is chosen at import time).
+shapes, importing both implementations directly.  The end-to-end
+benchmark is ``perfbench/run.py``.
 
 Usage: python bench/bench_kernels.py [--quick]
 """
@@ -10,7 +10,6 @@ Usage: python bench/bench_kernels.py [--quick]
 import argparse
 import os
 import random
-import subprocess
 import sys
 import time
 
@@ -67,28 +66,6 @@ def bench_kernels(quick):
                   f"{t_pure / t_fast:>8.2f}x")
 
 
-PIPELINE = r"""
-import time
-import ordroots
-
-t0 = time.perf_counter()
-A = ordroots.order_from_poly([-1] + [0] * 11 + [1])
-pres = ordroots.mu_a_presentation(A)
-assert pres.invariant_factors == [2, 12]
-print("%s %.3f" % (ordroots.ACTIVE_IMPL, time.perf_counter() - t0))
-"""
-
-
-def bench_pipeline():
-    print("\nend-to-end torsion units of Z[X]/(X^12-1):")
-    for pure in ("0", "1"):
-        env = dict(os.environ, ORDROOTS_PURE=pure)
-        out = subprocess.run([sys.executable, "-c", PIPELINE], env=env,
-                             capture_output=True, text=True, check=True)
-        impl, secs = out.stdout.split()
-        print(f"  {impl:<8} {float(secs):.3f} s")
-
-
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--quick", action="store_true", help="smaller shapes, fewer repeats")
@@ -96,7 +73,6 @@ def main():
     if _speedups is None:
         print("note: compiled kernels not built; showing pure-Python timings only")
     bench_kernels(args.quick)
-    bench_pipeline()
 
 
 if __name__ == "__main__":

@@ -25,6 +25,56 @@ class NotInGroup(Exception):
     """An element fed to a presentation is outside the presented group."""
 
 
+def power(mul, inv, one, x, e: int):
+    """x^e by square-and-multiply; a negative e inverts x first."""
+    if e < 0:
+        x = inv(x)
+        e = -e
+    acc = one
+    while e:
+        if e & 1:
+            acc = mul(acc, x)
+        x = mul(x, x)
+        e >>= 1
+    return acc
+
+
+def cyclic_dlog(mul, one, gen, order, x):
+    """Least a in [0, order) with one * gen^a == x, or None."""
+    acc = one
+    for a in range(order):
+        if acc == x:
+            return a
+        acc = mul(acc, gen)
+    return None
+
+
+def cyclic_order(mul, one, x, bound):
+    """Multiplicative order of x if at most bound, else None."""
+    a = cyclic_dlog(mul, x, x, bound, one)
+    return None if a is None else a + 1
+
+
+def cyclic_powers(mul, one, gen):
+    """[1, gen, gen^2, ...] up to the first power equal to 1."""
+    out = [one]
+    acc = gen
+    while acc != one:
+        out.append(acc)
+        acc = mul(acc, gen)
+    return out
+
+
+def cyclic_relations(orders) -> tuple:
+    """Defining relations of a product of cyclic groups of the given orders."""
+    rels = []
+    for i, w in enumerate(orders):
+        r = [0] * len(orders)
+        r[i] = w
+        rels.append(tuple(r))
+    return tuple(rels)
+
+
 @dataclass(frozen=True)
 class GroupOps:
     """Element operations of an ambient abelian group."""
@@ -35,16 +85,7 @@ class GroupOps:
     eq: Callable = field(default=lambda a, b: a == b)
 
     def power(self, x, e: int):
-        if e < 0:
-            x = self.inv(x)
-            e = -e
-        acc = self.identity
-        while e:
-            if e & 1:
-                acc = self.mul(acc, x)
-            x = self.mul(x, x)
-            e >>= 1
-        return acc
+        return power(self.mul, self.inv, self.identity, x, e)
 
     def product(self, elems: Sequence, exps: Sequence[int]):
         acc = self.identity

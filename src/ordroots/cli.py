@@ -67,7 +67,7 @@ def cmd_idempotents(args) -> int:
 
 def cmd_units(args) -> int:
     order, _ = _load_order(args.file)
-    pres = mu_a_presentation(order, naive=args.naive_lift)
+    pres = mu_a_presentation(order)
     _emit({
         "generators": [format_vector(g) for g in pres.generators],
         "relations": [[str(e) for e in r] for r in pres.relations],
@@ -209,9 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("units", help="generators and relations of the torsion units")
     p.add_argument("file", help="order document (JSON)")
-    p.add_argument("--naive-lift", action="store_true",
-                   help="use the pair-enumeration reference path when growing "
-                        "component torsion groups")
     p.set_defaults(func=cmd_units)
 
     p = sub.add_parser("dlog", help="discrete log in a subgroup of the torsion units")

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from .abgroup import EffPresentation, GroupOps
+from .abgroup import EffPresentation, GroupOps, power
 from .linalg import (
     IntMatrix,
     Lattice,
@@ -25,6 +25,7 @@ from .linalg import (
     preimage_lattice,
     solve_int,
 )
+from .qalgebra import check_table, table_mul, table_mul_basis
 
 
 class FiniteRing:
@@ -48,29 +49,14 @@ class FiniteRing:
         # relation lattice (multiplication descends to the quotient)
         for r in self.rel.basis.cols:
             for j in range(self.ngens):
-                v = self._raw_mul_basis(list(r), j)
-                if not self.rel.contains(v):
+                if not self.rel.contains(table_mul_basis(self.table, r, j)):
                     raise ValueError("multiplication not well-defined mod relations")
-        for i in range(self.ngens):
-            for j in range(i):
-                if self.table[i][j] != self.table[j][i]:
-                    raise ValueError("multiplication table not symmetric")
+        check_table(self.table, self.reduce)
         one = self.one
         for j in range(self.ngens):
             g = self.basis_vec(j)
             if self.mul(one, g) != self.reduce(g):
                 raise ValueError("identity does not fix a generator")
-        # associativity on generator triples
-        for i in range(self.ngens):
-            for j in range(self.ngens):
-                tij = list(self.table[i][j])
-                for k2 in range(i, self.ngens):
-                    left = self.reduce(self._raw_mul_basis(tij, k2))
-                    right = self.reduce(
-                        self._raw_mul(self.basis_vec(i), list(self.table[j][k2]))
-                    )
-                    if left != right:
-                        raise ValueError("multiplication not associative")
 
     # -- elements -------------------------------------------------------------
 
@@ -92,53 +78,26 @@ class FiniteRing:
     def sub(self, a, b):
         return self.reduce([x - y for x, y in zip(a, b)])
 
-    def _raw_mul_basis(self, x, j):
-        out = [0] * self.ngens
-        for i, a in enumerate(x):
-            if a:
-                for t, c in enumerate(self.table[i][j]):
-                    if c:
-                        out[t] += a * c
-        return out
-
-    def _raw_mul(self, x, y):
-        out = [0] * self.ngens
-        for i, a in enumerate(x):
-            if a:
-                ti = self.table[i]
-                for j, b in enumerate(y):
-                    if b:
-                        ab = a * b
-                        for t, c in enumerate(ti[j]):
-                            if c:
-                                out[t] += ab * c
-        return out
-
     def mul(self, a, b):
-        return self.reduce(self._raw_mul(list(a), list(b)))
+        return self.reduce(table_mul(self.table, a, b))
 
     def unit_inverse(self, a):
         """b with a*b = 1, or None if a is not a unit."""
-        cols = [self._raw_mul_basis(list(a), j) for j in range(self.ngens)]
+        cols = [table_mul_basis(self.table, a, j) for j in range(self.ngens)]
         m = IntMatrix(self.ngens, cols).hstack(self.rel.basis)
         sol = solve_int(m, list(self.one))
         if sol is None:
             return None
         return self.reduce(sol[: self.ngens])
 
+    def inv(self, a):
+        out = self.unit_inverse(a)
+        if out is None:
+            raise ArithmeticError("element is not a unit")
+        return out
+
     def power(self, a, e):
-        if e < 0:
-            inv = self.unit_inverse(a)
-            if inv is None:
-                raise ArithmeticError("negative power of a non-unit")
-            return self.power(inv, -e)
-        acc = self.one
-        while e:
-            if e & 1:
-                acc = self.mul(acc, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return acc
+        return power(self.mul, self.inv, self.one, a, e)
 
     def order(self) -> int:
         out = 1
@@ -181,7 +140,7 @@ class RingIdeal:
                 raise ValueError("ideal lattice must contain the relation lattice")
             for b in lattice.basis.cols:
                 for j in range(ring.ngens):
-                    if not lattice.contains(ring._raw_mul_basis(list(b), j)):
+                    if not lattice.contains(table_mul_basis(ring.table, b, j)):
                         raise ValueError("lattice is not an ideal")
 
     @classmethod
@@ -193,7 +152,7 @@ class RingIdeal:
             extra = []
             for b in lat.basis.cols:
                 for j in range(ring.ngens):
-                    v = ring._raw_mul_basis(list(b), j)
+                    v = table_mul_basis(ring.table, b, j)
                     if not lat.contains(v):
                         extra.append(v)
             if not extra:
@@ -218,7 +177,7 @@ class RingIdeal:
         gens = [list(c) for c in ring.rel.basis.cols]
         for a in self.lattice.basis.cols:
             for b in other.lattice.basis.cols:
-                gens.append(ring._raw_mul(list(a), list(b)))
+                gens.append(table_mul(ring.table, a, b))
         return RingIdeal(ring, Lattice(ring.ngens, gens), check=False)
 
     def __eq__(self, other):
@@ -397,13 +356,7 @@ def unipotent_presentation(ring: FiniteRing, ideal: RingIdeal) -> EffPresentatio
     gens = tuple(ring.add(ring.one, b) for b in filtration.all_gens)
     rels = tuple(tuple(r) for r in unipotent_relations(filtration))
 
-    def inv(a):
-        out = ring.unit_inverse(a)
-        if out is None:
-            raise ArithmeticError("non-unit in unipotent group")
-        return out
-
-    ops = GroupOps(mul=ring.mul, inv=inv, identity=ring.one)
+    ops = GroupOps(mul=ring.mul, inv=ring.inv, identity=ring.one)
 
     def dlog(gamma):
         x = ring.sub(gamma, ring.one)

@@ -1,24 +1,17 @@
-"""Kernel selection: compiled extension if built, pure Python otherwise.
-
-Set ``ORDROOTS_PURE=1`` to force the pure-Python implementation (used by
-the benchmark and the equivalence tests).
+"""Kernel selection: the compiled extension when it imports, the
+bit-identical pure-Python twins otherwise.  ``ACTIVE_IMPL`` names the
+one in use ("c" or "python").
 """
-
-import os
 
 from . import _pykernels
 
-if os.environ.get("ORDROOTS_PURE") == "1":
+try:
+    from . import _speedups as _impl  # type: ignore[no-redef]
+
+    ACTIVE_IMPL = "c"
+except ImportError:
     _impl = _pykernels
     ACTIVE_IMPL = "python"
-else:
-    try:
-        from . import _speedups as _impl  # type: ignore[no-redef]
-
-        ACTIVE_IMPL = "c"
-    except ImportError:
-        _impl = _pykernels
-        ACTIVE_IMPL = "python"
 
 hnf_cols = _impl.hnf_cols
 snf_cols = _impl.snf_cols

@@ -65,9 +65,6 @@ class IntMatrix:
     def entry(self, i: int, j: int):
         return self.cols[j][i]
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.ncols, self.to_rows())
-
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
@@ -331,12 +328,6 @@ class Lattice:
     def rank(self) -> int:
         return self.basis.ncols
 
-    def _pivot_rows(self):
-        rows = []
-        for c in self.basis.cols:
-            rows.append(next(i for i, e in enumerate(c) if e))
-        return rows
-
     def coords(self, vec):
         """Integer coordinates of vec in the basis, or None if vec is not
         in the lattice."""
@@ -386,9 +377,6 @@ class Lattice:
 
     def element(self, coords):
         return self.basis.apply(coords)
-
-    def is_subset_of(self, other: "Lattice") -> bool:
-        return all(other.contains(c) for c in self.basis.cols)
 
     def __eq__(self, other):
         return (
@@ -486,26 +474,6 @@ def preimage_lattice(m: IntMatrix, lat: Lattice) -> Lattice:
     return Lattice(m.ncols, gens)
 
 
-def _solve_pivots(h, v, dim):
-    # helper: consume v along HNF columns h; return list of Fraction
-    # coefficients or None when v is outside the span
-    out = []
-    v = [Fraction(e) for e in v]
-    for c in h:
-        if not any(c):
-            out.append(Fraction(0))
-            continue
-        r = next(i for i, e in enumerate(c) if e)
-        q = v[r] / c[r]
-        out.append(q)
-        if q:
-            for i in range(r, dim):
-                v[i] -= q * c[i]
-    if any(v):
-        return None
-    return out
-
-
 class QLattice:
     """Finitely generated subgroup of Q^dim: (1/den) * L for an integer
     lattice L.  Canonical: den > 0 and gcd(den, content(L)) = 1."""
@@ -596,11 +564,6 @@ def _common_den_lattices(a: QLattice, b: QLattice):
 def qlat_sum(a: QLattice, b: QLattice) -> QLattice:
     d, la, lb = _common_den_lattices(a, b)
     return QLattice(a.dim, d, sum_lattices(la, lb))
-
-
-def qlat_intersect(a: QLattice, b: QLattice) -> QLattice:
-    d, la, lb = _common_den_lattices(a, b)
-    return QLattice(a.dim, d, intersect_lattices(la, lb))
 
 
 def qlat_index(sub: QLattice, sup: QLattice) -> int:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .abgroup import power
 from .polyfactor import (
     cyclotomic,
     euler_phi,
@@ -124,28 +125,7 @@ class NumberField:
         return self.from_poly(s)
 
     def pow(self, x, e):
-        if e < 0:
-            return self.pow(self.inv(x), -e)
-        acc = self.one()
-        base = x
-        while e:
-            if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return acc
-
-    def is_rational(self, x):
-        return all(c == 0 for c in x[1:])
-
-    def element_order(self, x, bound):
-        """Multiplicative order of x if at most bound, else None."""
-        acc = x
-        for k in range(1, bound + 1):
-            if acc == self.one():
-                return k
-            acc = self.mul(acc, x)
-        return None
+        return power(self.mul, self.inv, self.one(), x, e)
 
     def torsion_generator(self):
         """(zeta, w): a generator of the group of roots of unity and its
@@ -199,10 +179,6 @@ def nfp_add(f, g, K):
     return nfp_strip(out)
 
 
-def nfp_sub(f, g, K):
-    return nfp_add(f, [K.neg(c) for c in g], K)
-
-
 def nfp_mul(f, g, K):
     if not f or not g:
         return []
@@ -213,10 +189,6 @@ def nfp_mul(f, g, K):
                 if any(b):
                     out[i + j] = K.add(out[i + j], K.mul(a, b))
     return nfp_strip(out)
-
-
-def nfp_scale(f, c, K):
-    return nfp_strip([K.mul(a, c) for a in f])
 
 
 def nfp_divmod(f, g, K):

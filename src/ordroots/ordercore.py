@@ -19,7 +19,15 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional, Tuple
 
-from .abgroup import EffPresentation, GroupOps
+from .abgroup import (
+    EffPresentation,
+    GroupOps,
+    cyclic_dlog,
+    cyclic_order,
+    cyclic_powers,
+    cyclic_relations,
+    power,
+)
 from .finitering import FiniteRing
 from .linalg import (
     IntMatrix,
@@ -33,7 +41,14 @@ from .linalg import (
 )
 from .numfield import NumberField
 from .polyfactor import factor_q, qp, qp_divmod, qp_mul, resultant
-from .qalgebra import AlgebraError, QAlgebra, SpecDecomposition, decompose, _num
+from .qalgebra import (
+    AlgebraError,
+    QAlgebra,
+    SpecDecomposition,
+    _num,
+    decompose,
+    tensor_table,
+)
 
 
 class Order:
@@ -53,13 +68,7 @@ class Order:
 
     @classmethod
     def from_tensor(cls, n, flat):
-        if len(flat) != n * n * n:
-            raise AlgebraError("tensor has wrong size")
-        table = [
-            [[flat[(i * n + j) * n + k] for k in range(n)] for j in range(n)]
-            for i in range(n)
-        ]
-        return cls(table)
+        return cls(tensor_table(n, flat))
 
     def mul(self, x, y):
         return self.algebra.mul(x, y)
@@ -120,15 +129,7 @@ class ProductRing:
         )
 
     def power(self, u, e):
-        if e < 0:
-            return self.power(self.inv(u), -e)
-        acc = self.one()
-        while e:
-            if e & 1:
-                acc = self.mul(acc, u)
-            u = self.mul(u, u)
-            e >>= 1
-        return acc
+        return power(self.mul, self.inv, self.one(), u, e)
 
     def sub_ring(self, comps) -> "ProductRing":
         return ProductRing([self.fields[i] for i in comps])
@@ -497,6 +498,7 @@ def mu_b_presentation(ctx: OrderContext, p: Optional[int] = None) -> EffPresenta
     """Presentation of the unit torsion of the residue product, or of its
     p-power part when p is given.  One cyclic generator per component."""
     gens = []
+    thetas = []
     orders = []
     for i, K in enumerate(ctx.dec.components):
         rt = ctx.residue_torsion(i)
@@ -507,36 +509,22 @@ def mu_b_presentation(ctx: OrderContext, p: Optional[int] = None) -> EffPresenta
             w = rt.p_part_order(p)
         blocks = [theta if j == i else Kj.one() for j, Kj in enumerate(ctx.dec.components)]
         gens.append(ctx.ambient.from_blocks(blocks))
+        thetas.append(theta)
         orders.append(w)
-    rels = []
-    for i, w in enumerate(orders):
-        r = [0] * len(orders)
-        r[i] = w
-        rels.append(tuple(r))
 
     amb = ctx.ambient
 
     def dlog(gamma):
         out = []
         for i, K in enumerate(ctx.dec.components):
-            rt = ctx.residue_torsion(i)
-            theta = rt.theta if p is None else rt.theta_p.get(p, K.one())
-            w = rt.order if p is None else rt.p_part_order(p)
-            blk = amb.block(gamma, i)
-            acc = K.one()
-            a = None
-            for e in range(w):
-                if acc == blk:
-                    a = e
-                    break
-                acc = K.mul(acc, theta)
+            a = cyclic_dlog(K.mul, K.one(), thetas[i], orders[i], amb.block(gamma, i))
             if a is None:
                 return None
             out.append(a)
         return out
 
     ops = GroupOps(mul=amb.mul, inv=amb.inv, identity=amb.one())
-    return EffPresentation(ops=ops, gens=tuple(gens), rels=tuple(rels), dlog=dlog)
+    return EffPresentation(ops=ops, gens=tuple(gens), rels=cyclic_relations(orders), dlog=dlog)
 
 
 # ---------------------------------------------------------------------------
@@ -551,10 +539,6 @@ class SaturationTower:
     c_order: EmbeddedOrder
     index_c_over_sep: int  # a power of the prime
     index_b_over_c: int  # coprime to the prime
-
-    @property
-    def equals_sep(self):
-        return self.index_c_over_sep == 1
 
 
 def build_saturation(ctx: OrderContext, p: int) -> SaturationTower:
@@ -604,15 +588,6 @@ class MuCPData:
     pres: EffPresentation
 
 
-def _cyclic_order(mul_one, elem, identity, bound):
-    acc = elem
-    for k in range(1, bound + 1):
-        if acc == identity:
-            return k
-        acc = mul_one(acc, elem)
-    raise AssertionError("order exceeds bound")
-
-
 def mu_c_p_presentation(ctx: OrderContext, p: int,
                         tower: Optional[SaturationTower] = None,
                         naive: bool = False) -> MuCPData:
@@ -632,63 +607,43 @@ def mu_c_p_presentation(ctx: OrderContext, p: int,
     generators = []
     orders = []
     groups = []
+    factors = []  # (components, sub-product ring, generator there, order)
     for comp in graph.components:
         elems, gen = _mu_c_component(ctx, p, c_order, graph, comp, naive)
         sub = ctx.ambient.sub_ring(comp)
-        order = _cyclic_order(sub.mul, gen, sub.one(), 2 * ctx.order.rank + 2) \
-            if gen != sub.one() else 1
+        order = cyclic_order(sub.mul, sub.one(), gen, 2 * ctx.order.rank + 2)
+        assert order is not None, "order exceeds bound"
         # every element of the group must be a power of the generator
-        powers = {sub.one()}
-        acc = gen
-        while acc not in powers:
-            powers.add(acc)
-            acc = sub.mul(acc, gen)
+        powers = set(cyclic_powers(sub.mul, sub.one(), gen))
         assert set(elems) == powers, "component torsion group is not cyclic"
         assert len(powers) == order
         # the generator must keep its order in every single residue
         for i, m in enumerate(comp):
             K = ctx.dec.components[m]
-            blk = sub.block(gen, i)
-            if order > 1:
-                assert K.element_order(blk, order) == order, \
-                    "generator loses order in a single residue"
+            assert cyclic_order(K.mul, K.one(), sub.block(gen, i), order) == order, \
+                "generator loses order in a single residue"
         generators.append(_assemble_full(ctx, comp, gen))
         orders.append(order)
         groups.append(sorted(powers))
+        factors.append((comp, sub, gen, order))
     for g in generators:
         assert c_order.contains(g), "assembled generator is not in C"
-    rels = []
-    for i, w in enumerate(orders):
-        r = [0] * len(orders)
-        r[i] = w
-        rels.append(tuple(r))
     amb = ctx.ambient
-    comp_list = [list(c) for c in graph.components]
-    gen_list = list(generators)
-    order_list = list(orders)
 
     def dlog(gamma):
         if not c_order.contains(gamma):
             return None
         out = []
-        for comp, gen, w in zip(comp_list, gen_list, order_list):
-            sub = ctx.ambient.sub_ring(comp)
-            target = ctx.ambient.project(gamma, comp)
-            acc = sub.one()
-            gproj = ctx.ambient.project(gen, comp)
-            a = None
-            for e in range(w):
-                if acc == target:
-                    a = e
-                    break
-                acc = sub.mul(acc, gproj)
+        for comp, sub, gen, w in factors:
+            a = cyclic_dlog(sub.mul, sub.one(), gen, w, amb.project(gamma, comp))
             if a is None:
                 return None
             out.append(a)
         return out
 
     ops = GroupOps(mul=amb.mul, inv=amb.inv, identity=amb.one())
-    pres = EffPresentation(ops=ops, gens=tuple(generators), rels=tuple(rels), dlog=dlog)
+    pres = EffPresentation(ops=ops, gens=tuple(generators), rels=cyclic_relations(orders),
+                           dlog=dlog)
     pres.verify_exact()
     return MuCPData(prime=p, tower=tower, graph=graph, generators=generators,
                     orders=orders, groups=groups, pres=pres)
@@ -721,13 +676,7 @@ def _mu_c_component(ctx: OrderContext, p, c_order, graph, comp, naive):
         rt = ctx.residue_torsion(m)
         K = ctx.dec.components[m]
         theta = rt.theta_p.get(p, K.one())
-        w = rt.p_part_order(p)
-        elems = []
-        acc = K.one()
-        for _ in range(w):
-            elems.append(acc)
-            acc = K.mul(acc, theta)
-        res_groups[m] = (theta, w, elems)
+        res_groups[m] = (theta, rt.p_part_order(p), cyclic_powers(K.mul, K.one(), theta))
     # start at the residue with minimal p-torsion, ties by index
     m1 = min(comp, key=lambda m: (res_groups[m][1], m))
     chain = [m1]
@@ -763,8 +712,8 @@ def _mu_c_component(ctx: OrderContext, p, c_order, graph, comp, naive):
             sub = ctx.ambient.sub_ring(new_comps)
             best = None
             for x in sorted(members):
-                o = _cyclic_order(sub.mul, x, sub.one(), 2 * ctx.order.rank + 2) \
-                    if x != sub.one() else 1
+                o = cyclic_order(sub.mul, sub.one(), x, 2 * ctx.order.rank + 2)
+                assert o is not None, "order exceeds bound"
                 if best is None or o > best[0]:
                     best = (o, x)
             cur_elems = members
@@ -805,10 +754,6 @@ def _climb_p_roots(ctx, p, image, cur_comps, cur_elems, m_new, relems, new_comps
     one_prev = sub_prev.one()
     identity = sub_new.one()
 
-    def order_of(elem, sub):
-        return _cyclic_order(sub.mul, elem, sub.one(), 2 * ctx.order.rank + 2) \
-            if elem != sub.one() else 1
-
     if len(cur_elems) == 1:
         return [identity], identity
     # an element of order p in the previous group
@@ -845,9 +790,4 @@ def _climb_p_roots(ctx, p, image, cur_comps, cur_elems, m_new, relems, new_comps
             break
         found = nxt
     gen = _merge_elem(ctx, cur_comps, found[0], m_new, found[1], new_comps)
-    elems = [identity]
-    acc = gen
-    while acc != identity:
-        elems.append(acc)
-        acc = sub_new.mul(acc, gen)
-    return sorted(elems), gen
+    return sorted(cyclic_powers(sub_new.mul, identity, gen)), gen

@@ -14,6 +14,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt
 
+from .abgroup import power
+
 
 # ---------------------------------------------------------------------------
 # polynomials over Q
@@ -116,13 +118,6 @@ def qp_xgcd(f, g):
 
 def qp_deriv(f):
     return _strip([i * c for i, c in enumerate(f)][1:])
-
-
-def qp_eval(f, x):
-    acc = Fraction(0)
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
 
 
 def squarefree_part(f):
@@ -284,14 +279,10 @@ def fp_deriv(f, p):
 
 
 def fp_pow_mod(f, e, m, p):
-    acc = [1]
-    base = fp_divmod(f, m, p)[1]
-    while e:
-        if e & 1:
-            acc = fp_divmod(fp_mul(acc, base, p), m, p)[1]
-        base = fp_divmod(fp_mul(base, base, p), m, p)[1]
-        e >>= 1
-    return acc
+    def mul_mod(a, b):
+        return fp_divmod(fp_mul(a, b, p), m, p)[1]
+
+    return power(mul_mod, None, [1], fp_divmod(f, m, p)[1], e)
 
 
 def _fp_nullspace(mat, n, p):

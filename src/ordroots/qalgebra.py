@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .abgroup import EffPresentation, GroupOps
+from .abgroup import EffPresentation, GroupOps, cyclic_dlog, cyclic_relations, power
 from .linalg import RatMatrix, kernel_int, solve_rat
 from .numfield import NumberField
 from .polyfactor import factor_q, qp, qp_degree, qp_deriv, qp_gcd
@@ -31,6 +31,70 @@ class AlgebraError(ValueError):
 def _num(c):
     f = Fraction(c)
     return int(f) if f.denominator == 1 else f
+
+
+# -- structure tables ---------------------------------------------------------
+# A table t of dimension n has t[i][j] = coordinates of e_i * e_j.  The
+# products below are unnormalized coordinate lists; each ring applies its
+# own normal form (exact rationals over Q, coset representatives over Z/L).
+
+
+def tensor_table(n, flat):
+    """Structure table from the row-major (i, j, k) flattening."""
+    if len(flat) != n * n * n:
+        raise AlgebraError("tensor has wrong size")
+    return [
+        [[flat[(i * n + j) * n + k] for k in range(n)] for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def table_mul(table, x, y):
+    """x * y."""
+    out = [0] * len(table)
+    for i, a in enumerate(x):
+        if a:
+            ti = table[i]
+            for j, b in enumerate(y):
+                if b:
+                    ab = a * b
+                    for k, c in enumerate(ti[j]):
+                        if c:
+                            out[k] += ab * c
+    return out
+
+
+def table_mul_basis(table, x, j):
+    """x * e_j."""
+    out = [0] * len(table)
+    for i, a in enumerate(x):
+        if a:
+            for k, c in enumerate(table[i][j]):
+                if c:
+                    out[k] += a * c
+    return out
+
+
+def check_table(table, normalize=lambda v: v):
+    """Raise AlgebraError unless the table is commutative and associative
+    on basis elements, comparing products after ``normalize``."""
+    n = len(table)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if table[i][j] != table[j][i]:
+                raise AlgebraError(
+                    f"multiplication not commutative at basis pair ({i}, {j})"
+                )
+    for i in range(n):
+        for j in range(n):
+            vij = table[i][j]
+            for k in range(i, n):  # (e_i e_j) e_k == (e_j e_k) e_i; symmetric in i, k
+                left = normalize(table_mul_basis(table, vij, k))
+                right = normalize(table_mul_basis(table, table[j][k], i))
+                if left != right:
+                    raise AlgebraError(
+                        f"multiplication not associative at triple ({i}, {j}, {k})"
+                    )
 
 
 class QAlgebra:
@@ -48,18 +112,12 @@ class QAlgebra:
             for j in range(n):
                 if len(self.table[i][j]) != n:
                     raise AlgebraError("structure table is not cubic")
-        self._validate()
+        check_table(self.table)
         self.one = self._find_identity()
 
     @classmethod
     def from_tensor(cls, n, flat):
-        if len(flat) != n * n * n:
-            raise AlgebraError("tensor has wrong size")
-        table = [
-            [[flat[(i * n + j) * n + k] for k in range(n)] for j in range(n)]
-            for i in range(n)
-        ]
-        return cls(table)
+        return cls(tensor_table(n, flat))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -70,30 +128,11 @@ class QAlgebra:
         return tuple(int(k == i) for k in range(self.dim))
 
     def mul(self, x, y):
-        n = self.dim
-        out = [0] * n
-        tab = self.table
-        for i, a in enumerate(x):
-            if a:
-                ti = tab[i]
-                for j, b in enumerate(y):
-                    if b:
-                        ab = a * b
-                        for k, c in enumerate(ti[j]):
-                            if c:
-                                out[k] += ab * c
-        return tuple(_num(v) for v in out)
+        return tuple(_num(v) for v in table_mul(self.table, x, y))
 
     def mul_basis(self, x, j):
         """x * e_j."""
-        n = self.dim
-        out = [0] * n
-        for i, a in enumerate(x):
-            if a:
-                for k, c in enumerate(self.table[i][j]):
-                    if c:
-                        out[k] += a * c
-        return tuple(_num(v) for v in out)
+        return tuple(_num(v) for v in table_mul_basis(self.table, x, j))
 
     def mult_matrix(self, x) -> RatMatrix:
         """Matrix of multiplication by x."""
@@ -106,15 +145,7 @@ class QAlgebra:
         return tuple(_num(c) for c in sol)
 
     def power(self, x, e):
-        if e < 0:
-            return self.power(self.inv(x), -e)
-        acc = self.one
-        while e:
-            if e & 1:
-                acc = self.mul(acc, x)
-            x = self.mul(x, x)
-            e >>= 1
-        return acc
+        return power(self.mul, self.inv, self.one, x, e)
 
     def eval_poly(self, f, x):
         """f(x) for a rational polynomial f (lowest degree first)."""
@@ -125,27 +156,7 @@ class QAlgebra:
                 acc = tuple(_num(a + c * o) for a, o in zip(acc, self.one))
         return acc
 
-    # -- validation ----------------------------------------------------------
-
-    def _validate(self):
-        n = self.dim
-        tab = self.table
-        for i in range(n):
-            for j in range(i + 1, n):
-                if tab[i][j] != tab[j][i]:
-                    raise AlgebraError(
-                        f"multiplication not commutative at basis pair ({i}, {j})"
-                    )
-        for i in range(n):
-            for j in range(n):
-                vij = tab[i][j]
-                for k in range(i, n):  # (e_i e_j) e_k == e_i (e_j e_k); symmetric in i, k
-                    left = self.mul_basis(vij, k)
-                    right = self.mul(self.basis_vec(i), tab[j][k])
-                    if left != right:
-                        raise AlgebraError(
-                            f"multiplication not associative at triple ({i}, {j}, {k})"
-                        )
+    # -- identity ------------------------------------------------------------
 
     def _find_identity(self):
         n = self.dim
@@ -435,16 +446,6 @@ class TorsionData:
     component_orders: List[int]
 
 
-def _component_dlog(K: NumberField, zeta, order, x):
-    """a with zeta^a = x in [0, order), or None."""
-    acc = K.one()
-    for a in range(order):
-        if acc == x:
-            return a
-        acc = K.mul(acc, zeta)
-    return None
-
-
 def mu_dlog_explain(tor: TorsionData, gamma):
     """(exponent vector, None) or (None, failure reason)."""
     dec = tor.dec
@@ -454,7 +455,7 @@ def mu_dlog_explain(tor: TorsionData, gamma):
     out = []
     for i, K in enumerate(dec.components):
         img = dec.component_of(gamma, i)
-        a = _component_dlog(K, tor.component_roots[i], tor.component_orders[i], img)
+        a = cyclic_dlog(K.mul, K.one(), tor.component_roots[i], tor.component_orders[i], img)
         if a is None:
             return None, "component-not-root-of-unity"
         out.append(a)
@@ -485,11 +486,7 @@ def mu_presentation(E: QAlgebra, dec: Optional[SpecDecomposition] = None) -> Tor
         for j, K in enumerate(dec.components):
             v.extend(roots[i] if j == i else K.one())
         gens.append(dec.from_components(v))
-    rels = []
-    for i in range(ncomp):
-        r = [0] * ncomp
-        r[i] = orders[i]
-        rels.append(tuple(r))
+    rels = cyclic_relations(orders)
 
     ops = GroupOps(mul=E.mul, inv=E.inv, identity=E.one)
     holder = {}
@@ -497,7 +494,7 @@ def mu_presentation(E: QAlgebra, dec: Optional[SpecDecomposition] = None) -> Tor
     def dlog(gamma):
         return mu_dlog_explain(holder["tor"], gamma)[0]
 
-    pres = EffPresentation(ops=ops, gens=tuple(gens), rels=tuple(rels), dlog=dlog)
+    pres = EffPresentation(ops=ops, gens=tuple(gens), rels=rels, dlog=dlog)
     tor = TorsionData(dec=dec, pres=pres, component_roots=roots, component_orders=orders)
     holder["tor"] = tor
     for g, w in zip(gens, orders):

@@ -138,12 +138,11 @@ def psi_kernel(cond: ConductorData, mu_c: MuCPData) -> List[List[int]]:
 
 
 def mu_a_p_generators(ctx: OrderContext, p: int,
-                      mu_c: Optional[MuCPData] = None,
-                      naive: bool = False) -> List[tuple]:
+                      mu_c: Optional[MuCPData] = None) -> List[tuple]:
     """Generators of the p-power torsion of the order's unit group, as
     integer coordinate vectors on the order's basis."""
     if mu_c is None:
-        mu_c = mu_c_p_presentation(ctx, p, naive=naive)
+        mu_c = mu_c_p_presentation(ctx, p)
     if not mu_c.generators or all(w == 1 for w in mu_c.orders):
         return []
     cond = conductor(ctx, mu_c)
@@ -160,13 +159,13 @@ def mu_a_p_generators(ctx: OrderContext, p: int,
     return out
 
 
-def mu_a_generators(A_or_ctx, naive: bool = False) -> List[tuple]:
+def mu_a_generators(A_or_ctx) -> List[tuple]:
     """Generators of the full torsion of the unit group: the union of the
     p-power generators over the primes dividing the residue torsion."""
     ctx = A_or_ctx if isinstance(A_or_ctx, OrderContext) else build_context(A_or_ctx)
     out = []
     for p in ctx.torsion_primes():
-        out.extend(mu_a_p_generators(ctx, p, naive=naive))
+        out.extend(mu_a_p_generators(ctx, p))
     return out
 
 
@@ -183,9 +182,9 @@ class MuAPresentation:
     pres: EffPresentation  # subgroup presentation inside the ambient torsion
 
 
-def mu_a_presentation(A_or_ctx, naive: bool = False) -> MuAPresentation:
+def mu_a_presentation(A_or_ctx) -> MuAPresentation:
     ctx = A_or_ctx if isinstance(A_or_ctx, OrderContext) else build_context(A_or_ctx)
-    gens = mu_a_generators(ctx, naive=naive)
+    gens = mu_a_generators(ctx)
     pres_b = mu_b_presentation(ctx)
     targets = [ctx.to_ambient(g) for g in gens]
     sub = subgroup_presentation(pres_b, targets)

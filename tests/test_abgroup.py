@@ -12,12 +12,17 @@ import pytest
 
 from ordroots.abgroup import (
     NotInGroup,
+    cyclic_dlog,
+    cyclic_order,
     kernel_mod_subgroup,
     membership_dlog,
     subgroup_presentation,
     subgroup_relations,
 )
 from ordroots.linalg import Lattice
+from ordroots.numfield import NumberField
+from ordroots.ordercore import ProductRing
+from ordroots.polyfactor import cyclotomic
 from util import (
     quotient_coset_normalizer,
     quotient_group,
@@ -136,3 +141,29 @@ def test_round_trip_random_exponents():
         sol = membership_dlog(pres, targets, g)
         assert sol is not None
         assert pres.ops.product(targets, sol) == g
+
+
+def test_cyclic_dlog_in_number_field():
+    K = NumberField(cyclotomic(12))
+    zeta, w = K.torsion_generator()
+    assert w == 12
+    assert cyclic_order(K.mul, K.one(), zeta, 2 * w) == w
+    assert cyclic_order(K.mul, K.one(), zeta, w - 1) is None
+    assert cyclic_order(K.mul, K.one(), K.from_rational(2), 2 * w) is None
+    gen = K.pow(zeta, 2)  # generates the 6th roots of unity
+    for a in range(6):
+        assert cyclic_dlog(K.mul, K.one(), gen, 6, K.pow(gen, a)) == a
+    assert cyclic_dlog(K.mul, K.one(), gen, 6, zeta) is None
+    assert cyclic_dlog(K.mul, K.one(), gen, 6, K.from_rational(2)) is None
+
+
+def test_cyclic_dlog_in_product_ring():
+    Qi = NumberField([1, 0, 1])
+    R = ProductRing([Qi, NumberField([0, 1])])
+    i = Qi.gen()
+    gen = R.from_blocks([i, (-1,)])
+    assert cyclic_order(R.mul, R.one(), gen, 8) == 4
+    for a in range(4):
+        assert cyclic_dlog(R.mul, R.one(), gen, 4, R.power(gen, a)) == a
+    # a root of unity of the product outside the cyclic subgroup
+    assert cyclic_dlog(R.mul, R.one(), gen, 4, R.from_blocks([i, (1,)])) is None

@@ -95,15 +95,6 @@ def test_units_cmd(capsys, x4_doc):
     assert "torsion unit group" in err
 
 
-def test_units_naive_lift_agrees(capsys, x4_doc):
-    code, out, _ = run(capsys, ["units", x4_doc])
-    code2, out2, _ = run(capsys, ["units", x4_doc, "--naive-lift"])
-    assert code == code2 == 0
-    a, b = json.loads(out), json.loads(out2)
-    assert a["invariant_factors"] == b["invariant_factors"]
-    assert a["group_order"] == b["group_order"]
-
-
 def test_dlog_cmd(capsys, x4_doc):
     code, out, _ = run(capsys, [
         "dlog", x4_doc,

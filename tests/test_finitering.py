@@ -49,6 +49,19 @@ def test_ring_rejects_bad_multiplication():
                    [[[1, 0], [0, 1]], [[0, 1], [1, 0]]], [1, 0])
 
 
+def test_ring_rejects_non_commutative_and_non_associative_tables():
+    # the bad tables of the rational-algebra validation test, over (Z/5)^n
+    with pytest.raises(ValueError, match="commutative"):
+        FiniteRing(Lattice(2, [[5, 0], [0, 5]]),
+                   [[[1, 0], [0, 1]], [[1, 0], [0, 1]]], [1, 0])
+    # (e1 e1) e2 = 0 but e1 (e1 e2) = e1, nonzero mod 5
+    with pytest.raises(ValueError, match="associative"):
+        FiniteRing(Lattice(3, [[5 * (i == j) for i in range(3)] for j in range(3)]),
+                   [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                    [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+                    [[0, 0, 1], [1, 0, 0], [0, 0, 0]]], [1, 0, 0])
+
+
 def test_ring_basics():
     R = zmod(12)
     assert R.order() == 12
