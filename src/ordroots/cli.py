@@ -25,6 +25,7 @@ from .orderdoc import (
     poly_order_document,
 )
 from .ordercore import build_context, graph_mod_p, primitive_idempotents_ctx
+from .polyfactor import _is_prime
 from .qalgebra import AlgebraError
 from .rou import mu_a_presentation, mu_e_subgroup_dlog
 
@@ -109,19 +110,18 @@ def cmd_dlog(args) -> int:
 
 
 def cmd_graph(args) -> int:
+    prime = args.prime
+    if prime is not None and not _is_prime(prime):
+        raise DocumentError(f"--prime must be a prime, got {prime}")
     order, _ = _load_order(args.file)
     ctx = build_context(order)
-    if args.prime is None:
+    if prime is None:
         if ctx.dec.nil_basis:
             raise DocumentError(
                 "order is not separable; the graph is defined for separable orders"
             )
         graph = ctx.graph()
-        prime = None
     else:
-        prime = int(args.prime)
-        if prime < 2:
-            raise DocumentError("prime must be at least 2")
         graph = graph_mod_p(ctx, prime)
     doc = {
         "vertices": [

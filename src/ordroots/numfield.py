@@ -8,20 +8,32 @@ Root finding over K goes through the classical norm trick: shift the
 argument by an integer multiple of the generator until the norm (a
 resultant with the minimal polynomial) is squarefree, factor the norm
 over Q, and pull each factor back with a gcd over K.
+
+The roots of unity of K are found one prime power at a time: a root of
+Phi_ell is climbed through roots of X^ell - zeta_(ell^k).  Primes ell are
+skipped, and climbs cut short, by a bound read off the residue fields:
+the degrees of the factors of the minimal polynomial modulo a few small
+primes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
+from math import gcd
 
 from .abgroup import power
 from .polyfactor import (
+    _good_primes,
+    _next_prime,
     cyclotomic,
     euler_phi,
     factor_q,
+    fp_factor_squarefree,
     is_irreducible_q,
     qp,
     qp_add,
+    qp_clear_denoms,
     qp_degree,
     qp_deriv,
     qp_divmod,
@@ -32,6 +44,10 @@ from .polyfactor import (
     qp_xgcd,
     resultant,
 )
+
+# residue primes per torsion bound: a few suffice in practice, and each
+# costs one Berlekamp factorization of the minimal polynomial
+_RESIDUE_PRIMES = 4
 
 
 class NumberField:
@@ -59,6 +75,7 @@ class NumberField:
             table.append(tuple(cur))
         self._high_powers = table
         self._torsion = None
+        self._residues = None
 
     # -- element constructors ------------------------------------------------
 
@@ -127,29 +144,112 @@ class NumberField:
     def pow(self, x, e):
         return power(self.mul, self.inv, self.one(), x, e)
 
+    def residue_bound(self, ell):
+        """An upper bound for v_ell(w), w the number of roots of unity in K.
+
+        At a prime p that divides no denominator of the minimal polynomial
+        m and keeps m squarefree, the roots of unity of order prime to p
+        embed in every residue field F_(p^f) above p, f running over the
+        degrees of the irreducible factors of m mod p.  So the prime-to-p
+        part of w divides gcd_f(p^f - 1).  The bound is the least ell-adic
+        valuation of that gcd over the first few such primes p != ell.
+        """
+        if self._residues is None:
+            ipart, _ = qp_clear_denoms(list(self.min_poly))
+            self._residues = [
+                (p, _residue_gcd(ipart, p))
+                for p in islice(_good_primes(ipart), _RESIDUE_PRIMES + 1)
+            ]
+        gcds = [g for p, g in self._residues if p != ell][:_RESIDUE_PRIMES]
+        return min(_valuation(g, ell) for g in gcds)
+
     def torsion_generator(self):
         """(zeta, w): a generator of the group of roots of unity and its
         order w.  Deterministic: the lexicographically smallest root of
-        the w-th cyclotomic polynomial."""
+        the w-th cyclotomic polynomial.
+
+        w is found one prime at a time.  For each prime ell with
+        ell - 1 | deg and a nonzero residue bound, a root of Phi_ell is
+        climbed through roots of X^ell - zeta_(ell^k) until there is none,
+        the degree of Q(zeta_(ell^(k+1))) does not divide deg, or the
+        bound is reached.  zeta_w is the product of the climbed roots.
+        """
         if self._torsion is None:
             n = self.deg
-            found = {1: [self.one()]}
-            for d in range(2, 2 * n * n + 1):
-                if euler_phi(d) > n:
-                    continue
-                roots = roots_in_field(nfp_from_qp(cyclotomic(d), self), self)
-                if roots:
-                    found[d] = roots
-            w = max(found)
-            # the orders present must be exactly the divisors of w
-            assert sorted(found) == [d for d in range(1, w + 1) if w % d == 0]
-            assert sum(len(found[d]) for d in found) == w
-            zeta = min(found[w])
-            self._torsion = (zeta, w)
+            one = self.one()
+            zeta, w = one, 1
+            primes = []  # the primes dividing w
+            ell = 2
+            while ell <= n + 1:
+                if n % (ell - 1) == 0:
+                    bound = self.residue_bound(ell)
+                    z, k, stop = _climb(self, ell, bound)
+                    assert k <= bound
+                    assert stop in ("no root", "degree") or k == bound
+                    if k:
+                        primes.append(ell)
+                        zeta, w = self.mul(zeta, z), w * ell ** k
+                ell = _next_prime(ell)
+            # prime-to-p part of w divides every residue gcd
+            for p, g in self._residues:
+                assert g % (w // p ** _valuation(w, p)) == 0
+            # Q(zeta_w) is a subfield of K
+            assert n % euler_phi(w) == 0
+            # implied by phi(w) | deg, since phi(w) >= sqrt(w/2)
+            assert w <= 2 * n * n
+            # zeta has exact order w (zeta^w = 1 is checked below)
+            for ell in primes:
+                assert self.pow(zeta, w // ell) != one
+            prims = set()
+            acc = one
+            for j in range(1, w + 1):
+                acc = self.mul(acc, zeta)
+                if gcd(j, w) == 1:
+                    prims.add(acc)
+            assert acc == one
+            assert len(prims) == euler_phi(w)
+            self._torsion = (min(prims), w)
         return self._torsion
 
     def __repr__(self):
         return f"NumberField(deg={self.deg}, min_poly={[str(c) for c in self.min_poly]})"
+
+
+def _residue_gcd(f, p):
+    """gcd_f(p^f - 1) over the degrees f of the factors of f mod p."""
+    g = 0
+    for h in fp_factor_squarefree(f, p):
+        g = gcd(g, p ** qp_degree(h) - 1)
+    return g
+
+
+def _valuation(n, ell):
+    k = 0
+    while n % ell == 0:
+        n //= ell
+        k += 1
+    return k
+
+
+def _climb(K, ell, bound):
+    """(z, k, stop): z of exact order ell^k in K, climbed from a root of
+    Phi_ell through roots of X^ell - z.  stop says why the climb ended:
+    "no root" (none of the ell^(k+1)-th roots of unity is in K), "degree"
+    (phi(ell^(k+1)) does not divide deg K) or "bound" (k reached it)."""
+    z, k = K.one(), 0
+    while k < bound:
+        if K.deg % euler_phi(ell ** (k + 1)):
+            return z, k, "degree"
+        if k == 0 and ell == 2:
+            roots = [K.from_rational(-1)]
+        elif k == 0:
+            roots = roots_in_field(nfp_from_qp(cyclotomic(ell), K), K)
+        else:
+            roots = roots_in_field([K.neg(z)] + [K.zero()] * (ell - 1) + [K.one()], K)
+        if not roots:
+            return z, k, "no root"
+        z, k = roots[0], k + 1
+    return z, k, "bound"
 
 
 # ---------------------------------------------------------------------------

@@ -486,15 +486,16 @@ def hensel_lift(p, f, modular_factors, k):
 # ---------------------------------------------------------------------------
 # Zassenhaus factorization over Z
 
-def _good_prime(f):
-    """Smallest prime p with p not dividing lc(f) and f squarefree mod p."""
+def _good_primes(f):
+    """The primes p with p not dividing lc(f) and f squarefree mod p, in
+    increasing order."""
     p = 2
     while True:
         if f[-1] % p:
             fp = fp_norm(f, p)
             if qp_degree(fp) == qp_degree(f):
                 if qp_degree(fp_gcd(fp, fp_deriv(fp, p), p)) == 0:
-                    return p
+                    yield p
         p = _next_prime(p)
 
 
@@ -531,7 +532,7 @@ def factor_squarefree_z(f):
     n = qp_degree(f)
     if n == 1:
         return [ip_primitive(f)[1]]
-    p = _good_prime(f)
+    p = next(_good_primes(f))
     modular = fp_factor_squarefree(f, p)
     if len(modular) == 1:
         return [ip_primitive(f)[1]]

@@ -21,7 +21,6 @@ from .abgroup import EffPresentation, GroupOps, cyclic_dlog, cyclic_relations, p
 from .linalg import RatMatrix, kernel_int, solve_rat
 from .numfield import NumberField
 from .polyfactor import factor_q, qp, qp_degree, qp_deriv, qp_gcd
-from . import polyfactor
 
 
 class AlgebraError(ValueError):
@@ -475,8 +474,6 @@ def mu_presentation(E: QAlgebra, dec: Optional[SpecDecomposition] = None) -> Tor
     orders = []
     for K in dec.components:
         z, w = K.torsion_generator()
-        assert polyfactor.euler_phi(w) <= K.deg
-        assert w <= 2 * K.deg * K.deg  # sanity ceiling for the order search
         roots.append(z)
         orders.append(w)
     gens = []

@@ -156,6 +156,14 @@ def test_graph_cmd(capsys, tmp_path):
     assert "separable" in err
 
 
+def test_graph_rejects_a_prime_that_is_not_prime(capsys, x4_doc):
+    for bad in ("4", "1", "-3"):
+        code, out, err = run(capsys, ["graph", x4_doc, "--prime", bad])
+        assert code == 2
+        assert out == ""
+        assert "must be a prime" in err
+
+
 def test_decompose_cmd(capsys, x4_doc):
     code, out, _ = run(capsys, ["decompose", x4_doc])
     assert code == 0

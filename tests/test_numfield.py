@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import gcd, lcm
+
 import pytest
 
 from ordroots.numfield import (
@@ -10,6 +13,8 @@ from ordroots.numfield import (
     roots_in_field,
 )
 from ordroots.polyfactor import cyclotomic
+
+from util import sweep_torsion_generator
 
 
 def QQ():
@@ -97,6 +102,61 @@ def test_torsion_in_real_field():
     K = NumberField([-2, 0, 1])  # Q(sqrt 2): only +-1
     z, w = K.torsion_generator()
     assert w == 2 and z == K.from_rational(-1)
+
+
+def _valuation(n, ell):
+    k = 0
+    while n % ell == 0:
+        n //= ell
+        k += 1
+    return k
+
+
+SWEEP_FIELDS = {
+    "Q": [0, 1],
+    "Q(sqrt2)": [-2, 0, 1],
+    "Q(sqrt-5)": [5, 0, 1],
+    "Q(sqrt-3)": [3, 0, 1],
+    "X^2+1/4": [Fraction(1, 4), 0, 1],
+    "X^3-2": [-2, 0, 0, 1],
+    "X^4-2": [-2, 0, 0, 0, 1],
+    "X^4+X+1": [1, 1, 0, 0, 1],
+    "Q(zeta5)": cyclotomic(5),
+    "Q(zeta8)": cyclotomic(8),
+    "Q(zeta12)": cyclotomic(12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_FIELDS))
+def test_torsion_climb_agrees_with_the_cyclotomic_sweep(name):
+    m = SWEEP_FIELDS[name]
+    K = NumberField(m)
+    zeta, w = K.torsion_generator()
+    assert (zeta, w) == sweep_torsion_generator(NumberField(m))
+    for ell in (2, 3, 5, 7):
+        assert K.residue_bound(ell) >= _valuation(w, ell)
+
+
+def test_residue_bound_rules_out_3_and_5_in_q_zeta7():
+    K = NumberField(cyclotomic(7))
+    assert K.residue_bound(3) == 0
+    assert K.residue_bound(5) == 0
+    assert K.residue_bound(7) >= 1
+
+
+@pytest.mark.parametrize("d", [15, 16, 20, 24])
+def test_torsion_of_degree_8_cyclotomic_fields(d):
+    K = NumberField(cyclotomic(d))
+    zeta, w = K.torsion_generator()
+    assert w == lcm(2, d)
+    one = K.one()
+    assert K.pow(zeta, w) == one
+    for ell in (2, 3, 5):
+        if w % ell == 0:
+            assert K.pow(zeta, w // ell) != one
+    # closed form: the primitive w-th roots are the powers of +-gen
+    x = K.gen() if d % 2 == 0 else K.neg(K.gen())
+    assert zeta == min(K.pow(x, j) for j in range(1, w) if gcd(j, w) == 1)
 
 
 def test_nfp_gcd():

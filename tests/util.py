@@ -318,6 +318,28 @@ def brute_force_torsion_in_order(ctx):
     return out
 
 
+def sweep_torsion_generator(K):
+    """(zeta, w) by the cyclotomic sweep: search K for roots of Phi_d for
+    every d <= 2 deg^2 with phi(d) <= deg.  w is the largest d with a root
+    and zeta the least root of Phi_w.  Slow beyond degree 4."""
+    from ordroots.numfield import nfp_from_qp, roots_in_field
+    from ordroots.polyfactor import cyclotomic, euler_phi
+
+    n = K.deg
+    found = {1: [K.one()]}
+    for d in range(2, 2 * n * n + 1):
+        if euler_phi(d) > n:
+            continue
+        roots = roots_in_field(nfp_from_qp(cyclotomic(d), K), K)
+        if roots:
+            found[d] = roots
+    w = max(found)
+    # the orders present are exactly the divisors of w
+    assert sorted(found) == [d for d in range(1, w + 1) if w % d == 0]
+    assert sum(len(found[d]) for d in found) == w
+    return min(found[w]), w
+
+
 def quotient_coset_normalizer(rel_lattice, modulo_vectors):
     """Coset labels in Z^k/(rel + <modulo>) for groups presented as
     Z^k modulo a relation lattice, via canonical lattice reduction."""
