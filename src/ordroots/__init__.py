@@ -61,7 +61,6 @@ from .qalgebra import (
     QAlgebra,
     decompose,
     minimal_polynomial,
-    mu_dlog,
     mu_presentation,
 )
 from .rou import (
@@ -115,7 +114,6 @@ __all__ = [
     "mu_a_presentation",
     "mu_b_presentation",
     "mu_c_p_presentation",
-    "mu_dlog",
     "mu_e_subgroup_dlog",
     "mu_presentation",
     "order_from_poly",

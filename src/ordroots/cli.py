@@ -3,7 +3,9 @@
 Reads an order from a JSON document, runs one pipeline, prints a
 machine-readable JSON result to stdout and a one-line summary to stderr.
 Exit codes: 0 success, 1 mathematical "no" (discrete-log non-membership),
-2 invalid input.  Identical inputs produce byte-identical output.
+2 invalid input, 3 internal error (a self-check of the library failed;
+nothing is printed to stdout).  Identical inputs produce byte-identical
+output.
 
 Set ORDROOTS_VERBOSE=1 for slightly chattier stderr.
 """
@@ -247,6 +249,9 @@ def main(argv=None) -> int:
     except NotInGroup as e:
         _say(f"error: {e}")
         return 2
+    except AssertionError as e:
+        _say(f"internal error: {e or 'a self-check failed'}")
+        return 3
 
 
 if __name__ == "__main__":

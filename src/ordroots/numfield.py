@@ -1,8 +1,12 @@
-"""Number fields Q[X]/(m) and polynomial arithmetic over them.
+"""Number fields Q[X]/(m), their finite products, and polynomial
+arithmetic over them.
 
 Field elements are coordinate tuples of Fractions in the power basis
 1, a, ..., a^(d-1) of the generator a.  Polynomials over a field K are
-lists of such tuples, lowest degree first.
+lists of such tuples, lowest degree first.  An element of a product of
+fields is the concatenation of its components; the torsion groups that
+are products of cyclic groups, one generator per factor, are presented
+there (``ProductRing.cyclic_presentation``).
 
 Root finding over K goes through the classical norm trick: shift the
 argument by an integer multiple of the generator until the norm (a
@@ -21,8 +25,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice
 from math import gcd
+from typing import List
 
-from .abgroup import power
+from .abgroup import EffPresentation, GroupOps, cyclic_dlog, cyclic_relations, power
 from .polyfactor import (
     _good_primes,
     _next_prime,
@@ -213,6 +218,85 @@ class NumberField:
 
     def __repr__(self):
         return f"NumberField(deg={self.deg}, min_poly={[str(c) for c in self.min_poly]})"
+
+
+class ProductRing:
+    """Product of number fields; elements are concatenated Fraction tuples."""
+
+    def __init__(self, fields: List[NumberField]):
+        self.fields = list(fields)
+        self.offsets = [0]
+        for K in self.fields:
+            self.offsets.append(self.offsets[-1] + K.deg)
+        self.dim = self.offsets[-1]
+
+    def block(self, v, i):
+        return tuple(v[self.offsets[i]:self.offsets[i + 1]])
+
+    def from_blocks(self, blocks):
+        out = []
+        for b in blocks:
+            out.extend(b)
+        return tuple(out)
+
+    def one(self):
+        return self.from_blocks([K.one() for K in self.fields])
+
+    def mul(self, u, v):
+        return self.from_blocks(
+            [K.mul(self.block(u, i), self.block(v, i)) for i, K in enumerate(self.fields)]
+        )
+
+    def inv(self, u):
+        return self.from_blocks(
+            [K.inv(self.block(u, i)) for i, K in enumerate(self.fields)]
+        )
+
+    def power(self, u, e):
+        return power(self.mul, self.inv, self.one(), u, e)
+
+    def sub_ring(self, comps) -> "ProductRing":
+        return ProductRing([self.fields[i] for i in comps])
+
+    def project(self, v, comps):
+        out = []
+        for i in comps:
+            out.extend(self.block(v, i))
+        return tuple(out)
+
+    def cyclic_presentation(self, factors) -> EffPresentation:
+        """Presentation of a product of cyclic groups, one per factor.
+
+        A factor is (components, generator over those components, order).
+        The generator is 1 on the other components, the relations are the
+        cyclic orders, and the discrete log is a cyclic search in each
+        factor's sub-product ring.  Every relation is multiplied back,
+        which checks that each generator has its order.
+        """
+        gens = []
+        searches = []
+        for comps, gen, w in factors:
+            sub = self.sub_ring(comps)
+            blocks = [K.one() for K in self.fields]
+            for pos, i in enumerate(comps):
+                blocks[i] = sub.block(gen, pos)
+            gens.append(self.from_blocks(blocks))
+            searches.append((comps, sub.mul, sub.one(), gen, w))
+
+        def dlog(gamma):
+            out = []
+            for comps, mul, one, gen, w in searches:
+                a = cyclic_dlog(mul, one, gen, w, self.project(gamma, comps))
+                if a is None:
+                    return None
+                out.append(a)
+            return out
+
+        ops = GroupOps(mul=self.mul, inv=self.inv, identity=self.one())
+        rels = cyclic_relations([w for _, _, w in factors])
+        pres = EffPresentation(ops=ops, gens=tuple(gens), rels=rels, dlog=dlog)
+        pres.verify_exact()
+        return pres
 
 
 def _residue_gcd(f, p):

@@ -14,20 +14,12 @@ orders are QLattice-backed subrings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional, Tuple
 
-from .abgroup import (
-    EffPresentation,
-    GroupOps,
-    cyclic_dlog,
-    cyclic_order,
-    cyclic_powers,
-    cyclic_relations,
-    power,
-)
+from .abgroup import EffPresentation, cyclic_order, cyclic_powers
 from .finitering import FiniteRing
 from .linalg import (
     IntMatrix,
@@ -39,14 +31,16 @@ from .linalg import (
     qlat_index,
     sum_lattices,
 )
-from .numfield import NumberField
+from .numfield import ProductRing
 from .polyfactor import factor_q, qp, qp_divmod, qp_mul, resultant
 from .qalgebra import (
     AlgebraError,
     QAlgebra,
     SpecDecomposition,
+    TorsionData,
     _num,
     decompose,
+    mu_presentation,
     tensor_table,
 )
 
@@ -91,54 +85,6 @@ def order_from_poly(f) -> Order:
             row.append([int(r[k]) if k < len(r) else 0 for k in range(n)])
         table.append(row)
     return Order(table)
-
-
-class ProductRing:
-    """Product of number fields; elements are concatenated Fraction tuples."""
-
-    def __init__(self, fields: List[NumberField]):
-        self.fields = list(fields)
-        self.offsets = [0]
-        for K in self.fields:
-            self.offsets.append(self.offsets[-1] + K.deg)
-        self.dim = self.offsets[-1]
-
-    def block(self, v, i):
-        return tuple(v[self.offsets[i]:self.offsets[i + 1]])
-
-    def from_blocks(self, blocks):
-        out = []
-        for b in blocks:
-            out.extend(b)
-        return tuple(out)
-
-    def one(self):
-        return self.from_blocks([K.one() for K in self.fields])
-
-    def zero(self):
-        return (Fraction(0),) * self.dim
-
-    def mul(self, u, v):
-        return self.from_blocks(
-            [K.mul(self.block(u, i), self.block(v, i)) for i, K in enumerate(self.fields)]
-        )
-
-    def inv(self, u):
-        return self.from_blocks(
-            [K.inv(self.block(u, i)) for i, K in enumerate(self.fields)]
-        )
-
-    def power(self, u, e):
-        return power(self.mul, self.inv, self.one(), u, e)
-
-    def sub_ring(self, comps) -> "ProductRing":
-        return ProductRing([self.fields[i] for i in comps])
-
-    def project(self, v, comps):
-        out = []
-        for i in comps:
-            out.extend(self.block(v, i))
-        return tuple(out)
 
 
 class EmbeddedOrder:
@@ -323,6 +269,7 @@ class OrderContext:
     index_b_over_sep: int
     _graph: Optional[WeightedGraph] = None
     _restors: Optional[List[ResidueTorsion]] = None
+    _field_torsion: Optional[TorsionData] = None
 
     def to_ambient(self, x):
         return self.dec.to_components(x)
@@ -342,6 +289,12 @@ class OrderContext:
         if self._graph is None:
             self._graph = order_graph(self.sep_order)
         return self._graph
+
+    def field_torsion(self) -> TorsionData:
+        """Roots of unity of the rational algebra, built on first use."""
+        if self._field_torsion is None:
+            self._field_torsion = mu_presentation(self.order.algebra, self.dec)
+        return self._field_torsion
 
     def residue_torsion(self, i) -> ResidueTorsion:
         if self._restors is None:
@@ -497,34 +450,14 @@ def divisor_idempotent(f, g) -> List[int]:
 def mu_b_presentation(ctx: OrderContext, p: Optional[int] = None) -> EffPresentation:
     """Presentation of the unit torsion of the residue product, or of its
     p-power part when p is given.  One cyclic generator per component."""
-    gens = []
-    thetas = []
-    orders = []
+    factors = []
     for i, K in enumerate(ctx.dec.components):
         rt = ctx.residue_torsion(i)
         if p is None:
-            theta, w = rt.theta, rt.order
+            factors.append(([i], rt.theta, rt.order))
         else:
-            theta = rt.theta_p.get(p, K.one())
-            w = rt.p_part_order(p)
-        blocks = [theta if j == i else Kj.one() for j, Kj in enumerate(ctx.dec.components)]
-        gens.append(ctx.ambient.from_blocks(blocks))
-        thetas.append(theta)
-        orders.append(w)
-
-    amb = ctx.ambient
-
-    def dlog(gamma):
-        out = []
-        for i, K in enumerate(ctx.dec.components):
-            a = cyclic_dlog(K.mul, K.one(), thetas[i], orders[i], amb.block(gamma, i))
-            if a is None:
-                return None
-            out.append(a)
-        return out
-
-    ops = GroupOps(mul=amb.mul, inv=amb.inv, identity=amb.one())
-    return EffPresentation(ops=ops, gens=tuple(gens), rels=cyclic_relations(orders), dlog=dlog)
+            factors.append(([i], rt.theta_p.get(p, K.one()), rt.p_part_order(p)))
+    return ctx.ambient.cyclic_presentation(factors)
 
 
 # ---------------------------------------------------------------------------
@@ -604,67 +537,38 @@ def mu_c_p_presentation(ctx: OrderContext, p: int,
         tower = build_saturation(ctx, p)
     graph = graph_mod_p(ctx, p)
     c_order = tower.c_order
-    generators = []
-    orders = []
     groups = []
-    factors = []  # (components, sub-product ring, generator there, order)
+    factors = []  # (components, generator over them, order)
     for comp in graph.components:
         elems, gen = _mu_c_component(ctx, p, c_order, graph, comp, naive)
         sub = ctx.ambient.sub_ring(comp)
         order = cyclic_order(sub.mul, sub.one(), gen, 2 * ctx.order.rank + 2)
-        assert order is not None, "order exceeds bound"
+        if order is None:
+            raise AssertionError("order exceeds bound")
         # every element of the group must be a power of the generator
         powers = set(cyclic_powers(sub.mul, sub.one(), gen))
-        assert set(elems) == powers, "component torsion group is not cyclic"
-        assert len(powers) == order
+        if set(elems) != powers:
+            raise AssertionError("component torsion group is not cyclic")
+        if len(powers) != order:
+            raise AssertionError("generator order disagrees with its power count")
         # the generator must keep its order in every single residue
         for i, m in enumerate(comp):
             K = ctx.dec.components[m]
-            assert cyclic_order(K.mul, K.one(), sub.block(gen, i), order) == order, \
-                "generator loses order in a single residue"
-        generators.append(_assemble_full(ctx, comp, gen))
-        orders.append(order)
+            if cyclic_order(K.mul, K.one(), sub.block(gen, i), order) != order:
+                raise AssertionError("generator loses order in a single residue")
         groups.append(sorted(powers))
-        factors.append((comp, sub, gen, order))
-    for g in generators:
-        assert c_order.contains(g), "assembled generator is not in C"
-    amb = ctx.ambient
+        factors.append((comp, gen, order))
+    pres = ctx.ambient.cyclic_presentation(factors)
+    for g in pres.gens:
+        if not c_order.contains(g):
+            raise AssertionError("assembled generator is not in C")
 
-    def dlog(gamma):
-        if not c_order.contains(gamma):
-            return None
-        out = []
-        for comp, sub, gen, w in factors:
-            a = cyclic_dlog(sub.mul, sub.one(), gen, w, amb.project(gamma, comp))
-            if a is None:
-                return None
-            out.append(a)
-        return out
+    def dlog(gamma, _dlog=pres.dlog):
+        return _dlog(gamma) if c_order.contains(gamma) else None
 
-    ops = GroupOps(mul=amb.mul, inv=amb.inv, identity=amb.one())
-    pres = EffPresentation(ops=ops, gens=tuple(generators), rels=cyclic_relations(orders),
-                           dlog=dlog)
-    pres.verify_exact()
-    return MuCPData(prime=p, tower=tower, graph=graph, generators=generators,
-                    orders=orders, groups=groups, pres=pres)
-
-
-def _assemble_full(ctx: OrderContext, comp, elem):
-    """Element of the full product: ``elem`` on the given components,
-    1 elsewhere."""
-    blocks = []
-    pos = 0
-    sub_offsets = {}
-    for i in comp:
-        sub_offsets[i] = pos
-        pos += ctx.dec.components[i].deg
-    for i, K in enumerate(ctx.dec.components):
-        if i in sub_offsets:
-            lo = sub_offsets[i]
-            blocks.append(tuple(elem[lo:lo + K.deg]))
-        else:
-            blocks.append(K.one())
-    return ctx.ambient.from_blocks(blocks)
+    return MuCPData(prime=p, tower=tower, graph=graph, generators=list(pres.gens),
+                    orders=[w for _, _, w in factors], groups=groups,
+                    pres=replace(pres, dlog=dlog))
 
 
 def _mu_c_component(ctx: OrderContext, p, c_order, graph, comp, naive):

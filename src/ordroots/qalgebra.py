@@ -8,7 +8,10 @@ generators, relations, and discrete logarithms of the group of roots of
 unity.
 
 Elements are coordinate tuples; entries are ints or Fractions (exact
-either way).
+either way).  The roots of unity are presented in component coordinates,
+on the product of the number fields, where a product costs one field
+multiplication per component; ``to_components`` and ``from_components``
+convert at the boundary.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .abgroup import EffPresentation, GroupOps, cyclic_dlog, cyclic_relations, power
+from .abgroup import EffPresentation, power
 from .linalg import RatMatrix, kernel_int, solve_rat
-from .numfield import NumberField
+from .numfield import NumberField, ProductRing
 from .polyfactor import factor_q, qp, qp_degree, qp_deriv, qp_gcd
 
 
@@ -435,70 +438,46 @@ def _check_projections_multiplicative(dec: SpecDecomposition):
 
 @dataclass
 class TorsionData:
-    """Roots-of-unity presentation of an algebra, one generator per
-    component (the component's torsion generator routed through the
-    section), with cyclic relations."""
+    """Roots of unity of an algebra: a product of cyclic groups, one per
+    residue field, generated by that field's torsion generator.
+
+    ``pres`` lives in component coordinates, on the product of
+    ``dec.components``; ``generators`` are its generators in algebra
+    coordinates.  ``mu_dlog_explain`` converts between the two."""
 
     dec: SpecDecomposition
     pres: EffPresentation
+    generators: List[tuple]
     component_roots: List[tuple]  # torsion generator of each component
     component_orders: List[int]
 
 
 def mu_dlog_explain(tor: TorsionData, gamma):
-    """(exponent vector, None) or (None, failure reason)."""
+    """(exponent vector, None) or (None, failure reason) for an element in
+    algebra coordinates."""
     dec = tor.dec
     gamma = tuple(_num(c) for c in gamma)
     if not dec.is_separable_element(gamma):
         return None, "not-separable"
-    out = []
-    for i, K in enumerate(dec.components):
-        img = dec.component_of(gamma, i)
-        a = cyclic_dlog(K.mul, K.one(), tor.component_roots[i], tor.component_orders[i], img)
-        if a is None:
-            return None, "component-not-root-of-unity"
-        out.append(a)
+    out = tor.pres.dlog(dec.to_components(gamma))
+    if out is None:
+        return None, "component-not-root-of-unity"
     return out, None
 
 
 def mu_presentation(E: QAlgebra, dec: Optional[SpecDecomposition] = None) -> TorsionData:
     """Generators, relations, and discrete log for the roots of unity.
 
-    One generator per component: the element mapping to the component's
-    torsion generator there and to 1 elsewhere.  Relations are the
-    cyclic orders; the discrete log is componentwise exponent search.
+    One generator per component: the component's torsion generator
+    there and 1 elsewhere.  The presentation is built on the product of
+    the components; only ``generators`` are carried back to the algebra.
     """
     if dec is None:
         dec = decompose(E)
-    roots = []
-    orders = []
-    for K in dec.components:
-        z, w = K.torsion_generator()
-        roots.append(z)
-        orders.append(w)
-    gens = []
-    ncomp = len(dec.components)
-    for i in range(ncomp):
-        v = []
-        for j, K in enumerate(dec.components):
-            v.extend(roots[i] if j == i else K.one())
-        gens.append(dec.from_components(v))
-    rels = cyclic_relations(orders)
-
-    ops = GroupOps(mul=E.mul, inv=E.inv, identity=E.one)
-    holder = {}
-
-    def dlog(gamma):
-        return mu_dlog_explain(holder["tor"], gamma)[0]
-
-    pres = EffPresentation(ops=ops, gens=tuple(gens), rels=rels, dlog=dlog)
-    tor = TorsionData(dec=dec, pres=pres, component_roots=roots, component_orders=orders)
-    holder["tor"] = tor
-    for g, w in zip(gens, orders):
-        assert E.power(g, w) == E.one
-    return tor
-
-
-def mu_dlog(tor: TorsionData, gamma):
-    """Exponent vector over the torsion generators, or None."""
-    return mu_dlog_explain(tor, gamma)[0]
+    tors = [K.torsion_generator() for K in dec.components]
+    factors = [([i], z, w) for i, (z, w) in enumerate(tors)]
+    pres = ProductRing(dec.components).cyclic_presentation(factors)
+    return TorsionData(
+        dec=dec, pres=pres, generators=[dec.from_components(g) for g in pres.gens],
+        component_roots=[z for z, _ in tors], component_orders=[w for _, w in tors],
+    )

@@ -11,7 +11,6 @@ Z^M -> (1+I)/(1+I') maps onto the p-power torsion of A.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional
 
 from .abgroup import (
@@ -30,7 +29,7 @@ from .ordercore import (
     mu_b_presentation,
     mu_c_p_presentation,
 )
-from .qalgebra import mu_dlog_explain, mu_presentation
+from .qalgebra import _num, mu_dlog_explain
 
 
 @dataclass
@@ -210,20 +209,22 @@ def mu_e_subgroup_dlog(ctx_or_order, targets, zeta):
     Returns (exponents, None) on success, (None, reason) otherwise, with
     reason 'not-root-of-unity' when zeta is no root of unity at all and
     'not-in-subgroup' when it is one but lies outside <targets>.
-    Raises ValueError when some target is not a root of unity."""
+    Raises ValueError when some target is not a root of unity.
+
+    The torsion presentation is the context's, built once; the
+    membership and its checking products run in component coordinates."""
     ctx = ctx_or_order if isinstance(ctx_or_order, OrderContext) else build_context(ctx_or_order)
-    tor = mu_presentation(ctx.order.algebra, ctx.dec)
+    tor = ctx.field_torsion()
+    targets = [tuple(_num(c) for c in t) for t in targets]
+    zeta = tuple(_num(c) for c in zeta)
     for t in targets:
         if mu_dlog_explain(tor, t)[0] is None:
             raise ValueError("target is not a root of unity in the rational algebra")
-    vec, reason = mu_dlog_explain(tor, zeta)
-    if vec is None:
+    if mu_dlog_explain(tor, zeta)[0] is None:
         return None, "not-root-of-unity"
-    from .qalgebra import _num
-
-    zt = tuple(_num(Fraction(c)) for c in zeta)
     try:
-        sol = membership_dlog(tor.pres, [tuple(_num(Fraction(c)) for c in t) for t in targets], zt)
+        sol = membership_dlog(tor.pres, [ctx.to_ambient(t) for t in targets],
+                              ctx.to_ambient(zeta))
     except NotInGroup:
         return None, "not-root-of-unity"
     if sol is None:

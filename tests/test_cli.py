@@ -133,6 +133,24 @@ def test_dlog_cmd(capsys, x4_doc):
     assert "root of unity" in err
 
 
+def test_failed_self_check_is_an_internal_error(capsys, x4_doc, monkeypatch):
+    # a self-check that fails is neither a "no" (1) nor bad input (2)
+    from ordroots.abgroup import EffPresentation
+
+    def broken(self):
+        raise AssertionError("relation does not hold")
+
+    monkeypatch.setattr(EffPresentation, "verify_exact", broken)
+    code, out, err = run(capsys, [
+        "dlog", x4_doc,
+        "--targets", '[["0","1","0","0"]]',
+        "--element", '["0","0","0","1"]',
+    ])
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: relation does not hold\n"
+
+
 def test_graph_cmd(capsys, tmp_path):
     path = tmp_path / "x12.json"
     path.write_text(dump_canonical(poly_order_document([-1] + [0] * 11 + [1])), "utf-8")
@@ -229,3 +247,32 @@ def test_cli_subprocess_entry(tmp_path):
     assert r1.returncode == 0
     assert r1.stdout == r2.stdout
     assert json.loads(r1.stdout)["invariant_factors"] == ["2", "4"]
+
+
+X12 = [-1] + [0] * 11 + [1]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["units"], 0),
+    (["dlog", "--targets", '[["0","1","0","0","0","0","0","0","0","0","0","0"]]',
+      "--element", '["0","0","0","0","0","0","0","0","0","1","0","0"]'], 0),
+    (["dlog", "--targets", '[["0","0","0","0","0","0","1","0","0","0","0","0"]]',
+      "--element", '["0","0","0","0","1","0","0","0","0","0","0","0"]'], 1),
+], ids=["units", "dlog-member", "dlog-not-in-subgroup"])
+def test_same_answers_under_optimize(tmp_path, argv, code):
+    # python -O drops assert statements; the answers must not depend on them
+    import os
+    import subprocess
+    import sys
+
+    path = tmp_path / "x12.json"
+    path.write_text(dump_canonical(poly_order_document(X12)), "utf-8")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    cmd = ["-m", "ordroots.cli", argv[0], str(path)] + argv[1:]
+    plain = subprocess.run([sys.executable] + cmd, capture_output=True, text=True, env=env)
+    opt = subprocess.run([sys.executable, "-O"] + cmd, capture_output=True, text=True, env=env)
+    assert plain.returncode == code, plain.stderr
+    assert opt.returncode == code, opt.stderr
+    assert opt.stdout == plain.stdout != ""

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordroots.linalg import Lattice
 from ordroots.ordercore import (
@@ -10,6 +12,7 @@ from ordroots.ordercore import (
     order_from_poly,
 )
 from ordroots.polyfactor import cyclotomic, euler_phi
+from ordroots.qalgebra import mu_dlog_explain
 from ordroots.rou import (
     conductor,
     mu_a_generators,
@@ -224,3 +227,82 @@ def test_mu_e_subgroup_dlog_fractional_coordinates():
     sol, reason = mu_e_subgroup_dlog(ctx, [i_coords], [-1, 0])
     assert sol is not None and reason is None
     assert sol[0] % 4 == 2
+
+
+X12 = [-1] + [0] * 11 + [1]
+
+
+def test_mu_e_subgroup_dlog_builds_the_field_torsion_once(monkeypatch):
+    from ordroots import ordercore
+
+    A = order_from_poly(X12)
+
+    def mono(k, c=1):
+        return [c if i == k else 0 for i in range(12)]
+
+    # X on the components where X^6 = 1, 1 on the others: a root of
+    # unity of the rational algebra with fractional coordinates
+    u = [Fraction(c, 2) for c in (1, 1, 0, 0, 0, 0, -1, 1, 0, 0, 0, 0)]
+    queries = [
+        ([mono(1)], mono(5)),
+        ([mono(4), mono(0, -1)], mono(8, -1)),
+        ([mono(2), mono(3)], mono(1)),
+        ([], mono(0)),
+        ([u, mono(6)], u),
+        ([mono(6)], mono(4)),
+        ([mono(3)], mono(2)),
+        ([mono(1)], u),
+        ([mono(1)], [1, 1] + [0] * 10),
+        ([], mono(0, 2)),
+    ]
+    ctx = build_context(A)
+    calls = []
+    built = ordercore.mu_presentation
+    monkeypatch.setattr(ordercore, "mu_presentation",
+                        lambda *args: calls.append(args) or built(*args))
+    answers = [mu_e_subgroup_dlog(ctx, t, z) for t, z in queries]
+    assert len(calls) == 1
+    assert {reason for _, reason in answers} == {None, "not-in-subgroup", "not-root-of-unity"}
+    for (t, z), got in zip(queries, answers):
+        assert got == mu_e_subgroup_dlog(build_context(A), t, z)
+    with pytest.raises(ValueError):
+        mu_e_subgroup_dlog(ctx, [mono(1)[:11]], mono(0))
+    with pytest.raises(ValueError):
+        mu_e_subgroup_dlog(ctx, [mono(1)], mono(0) + [0])
+
+
+_CONTEXTS = {}
+
+
+def _context(f):
+    if f not in _CONTEXTS:
+        _CONTEXTS[f] = build_context(order_from_poly(list(f)))
+    return _CONTEXTS[f]
+
+
+@settings(max_examples=30, deadline=None)
+@given(f=st.sampled_from([tuple(X12), (0, 0, 1, 1)]), data=st.data())
+def test_component_answers_multiply_back_in_the_algebra(f, data):
+    # Q[X]/(X^12 - 1), and Q[X]/(X^2 (X + 1)) with its nilradical
+    ctx = _context(f)
+    E = ctx.order.algebra
+    tor = ctx.field_torsion()
+    orders = tor.component_orders
+    exps = data.draw(st.lists(st.integers(-24, 24), min_size=len(orders),
+                              max_size=len(orders)))
+
+    def product(exps):
+        acc = E.one
+        for g, e in zip(tor.generators, exps):
+            acc = E.mul(acc, E.power(g, e))
+        return acc
+
+    zeta = product(exps)
+    assert mu_dlog_explain(tor, zeta) == ([e % w for e, w in zip(exps, orders)], None)
+    sol, reason = mu_e_subgroup_dlog(ctx, tor.generators, zeta)
+    assert reason is None and product(sol) == zeta
+    for n in ctx.dec.nil_basis:
+        c = data.draw(st.integers(1, 5)) * data.draw(st.sampled_from([1, -1]))
+        bad = tuple(z + c * e for z, e in zip(zeta, n))
+        assert mu_dlog_explain(tor, bad) == (None, "not-separable")
+        assert mu_e_subgroup_dlog(ctx, tor.generators, bad) == (None, "not-root-of-unity")
