@@ -26,16 +26,20 @@ class NotInGroup(Exception):
 
 
 def power(mul, inv, one, x, e: int):
-    """x^e by square-and-multiply; a negative e inverts x first."""
+    """x^e by left-to-right square-and-multiply; a negative e inverts x
+    first.  The loop starts at the leading bit, so x^1 is x itself and
+    x^e takes bit_length(e) - 1 squarings plus one product per further
+    set bit."""
     if e < 0:
         x = inv(x)
         e = -e
-    acc = one
-    while e:
-        if e & 1:
+    if not e:
+        return one
+    acc = x
+    for bit in bin(e)[3:]:
+        acc = mul(acc, acc)
+        if bit == "1":
             acc = mul(acc, x)
-        x = mul(x, x)
-        e >>= 1
     return acc
 
 

@@ -9,20 +9,30 @@ is tuple comparison.
 The unipotent machinery works along the filtration 1+I, 1+I^2, 1+I^4,
 ... whose layers are isomorphic to the additive groups I^(2^i)/I^(2^(i+1))
 via x -> 1+x; discrete logs peel one layer at a time, and relations are
-assembled by descending induction over the layers.
+assembled by descending induction over the layers.  A discrete log is
+asked for many times against one filtration, so the filtration holds
+what every peel needs: one prepared integer solver per level and the
+inverse of each layer generator 1+b, summed as the finite series
+sum (-b)^i because b is nilpotent.  Peeling then multiplies and reduces,
+and runs no Hermite form and no general unit inverse.
+
+Self-checks raise AssertionError explicitly, so they also run under
+``python -O``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List
 
 from .abgroup import EffPresentation, GroupOps, power
 from .linalg import (
     IntMatrix,
+    IntSolver,
     Lattice,
     lattice_index,
     preimage_lattice,
+    snf,
     solve_int,
 )
 from .qalgebra import check_table, table_mul, table_mul_basis
@@ -67,7 +77,7 @@ class FiniteRing:
         return tuple(int(t == i) for t in range(self.ngens))
 
     def reduce(self, v):
-        return tuple(self.rel.reduce(list(v)))
+        return tuple(self.rel.reduce(v))
 
     def add(self, a, b):
         return self.reduce([x + y for x, y in zip(a, b)])
@@ -101,19 +111,15 @@ class FiniteRing:
 
     def order(self) -> int:
         out = 1
-        for c in self.rel.basis.cols:
-            r = next(i for i, e in enumerate(c) if e)
+        for c, r in zip(self.rel.basis.cols, self.rel.pivots):
             out *= c[r]
         return out
 
     def elements(self):
         """All canonical representatives (the HNF box)."""
-        diag = []
-        for c in self.rel.basis.cols:
-            r = next(i for i, e in enumerate(c) if e)
-            diag.append((r, c[r]))
-        diag.sort()
-        assert [r for r, _ in diag] == list(range(self.ngens))
+        diag = sorted((r, c[r]) for c, r in zip(self.rel.basis.cols, self.rel.pivots))
+        if [r for r, _ in diag] != list(range(self.ngens)):
+            raise AssertionError("relation lattice has not one pivot per row")
         idx = [0] * self.ngens
         while True:
             yield self.reduce(idx)
@@ -208,12 +214,12 @@ def quotient_presentation(ring: FiniteRing, big: RingIdeal, small: RingIdeal) ->
         identity=ring.zero(),
         eq=lambda a, b: small.contains([x - y for x, y in zip(a, b)]),
     )
-    solver = gmat.hstack(small.lattice.basis)
+    solver = IntSolver(gmat.hstack(small.lattice.basis))
 
     def dlog(y):
         if not big.contains(y):
             return None
-        sol = solve_int(solver, list(y))
+        sol = solver.solve(y)
         if sol is None:
             return None
         return sol[: gmat.ncols]
@@ -225,6 +231,25 @@ def quotient_presentation(ring: FiniteRing, big: RingIdeal, small: RingIdeal) ->
 # unipotent groups 1 + I
 
 
+def series_inverse(ring: FiniteRing, b, terms: int):
+    """(1 + b)^-1 = sum (-b)^i for i < terms, where b^terms = 0.
+
+    The series stops at its first zero term and needs no linear algebra;
+    one product checks the result.
+    """
+    zero = ring.zero()
+    nb = ring.neg(b)
+    acc, term = ring.one, nb
+    for _ in range(terms - 1):
+        if term == zero:
+            break
+        acc = ring.add(acc, term)
+        term = ring.mul(term, nb)
+    if ring.mul(ring.add(ring.one, b), acc) != ring.one:
+        raise AssertionError("nilpotent series is not the inverse of 1 + b")
+    return acc
+
+
 @dataclass
 class Filtration:
     """Ideal powers I, I^2, I^4, ... with layer generating sets.
@@ -232,17 +257,42 @@ class Filtration:
     levels[i] is (ideal I^(2^i), B_i) where B_i lifts a minimal
     generating set of the additive layer I^(2^i)/I^(2^(i+1)); the last
     listed level has I^(2^(i+1)) = 0.
+
+    Built once, read by every discrete log: ``solvers[i]`` solves over
+    the fixed matrix [B_i | I^(2^(i+1))], so a layer costs no Hermite
+    form; ``units[i]`` and ``inverses[i]`` are 1 + b and its series
+    inverse for each b in B_i, so peeling needs no unit inverse.
+    ``terms`` = 2^len(levels) bounds the nilpotency index of I.
     """
 
     ring: FiniteRing
     levels: List[tuple]
+    solvers: List[IntSolver] = field(init=False, repr=False)
+    units: List[list] = field(init=False, repr=False)
+    inverses: List[list] = field(init=False, repr=False)
+    terms: int = field(init=False)
 
-    @property
-    def all_gens(self):
-        out = []
-        for _, bs in self.levels:
-            out.extend(bs)
-        return out
+    def __post_init__(self):
+        ring = self.ring
+        self.terms = 1 << len(self.levels)
+        self.solvers, self.units, self.inverses = [], [], []
+        for li, (_, bs) in enumerate(self.levels):
+            nxt = self.levels[li + 1][0].lattice if li + 1 < len(self.levels) else ring.rel
+            bmat = IntMatrix(ring.ngens, [list(b) for b in bs])
+            self.solvers.append(IntSolver(bmat.hstack(nxt.basis)))
+            self.units.append([ring.add(ring.one, b) for b in bs])
+            self.inverses.append([series_inverse(ring, b, self.terms) for b in bs])
+
+    def layer_product(self, li, exps, acc):
+        """acc * prod (1 + b)^e over the generators b of level li; a
+        negative e raises the stored inverse."""
+        ring = self.ring
+        for u, u_inv, e in zip(self.units[li], self.inverses[li], exps):
+            if e > 0:
+                acc = ring.mul(acc, ring.power(u, e))
+            elif e < 0:
+                acc = ring.mul(acc, ring.power(u_inv, -e))
+        return acc
 
 
 def filtration_generators(ring: FiniteRing, ideal: RingIdeal) -> Filtration:
@@ -267,21 +317,21 @@ def _layer_generators(ring: FiniteRing, big: RingIdeal, small: RingIdeal):
     """Lift a Smith-form generating set of big/small into the ring."""
     coords = []
     for c in small.lattice.basis.cols:
-        x = big.lattice.coords(list(c))
-        assert x is not None
+        x = big.lattice.coords(c)
+        if x is None:
+            raise AssertionError("small ideal is not inside the big one")
         coords.append(x)
     m = IntMatrix(big.lattice.rank, coords)
-    from .linalg import snf  # local import to keep module top tidy
-
-    d, u, v = snf(m)
+    d, u, _ = snf(m)
+    u_solver = IntSolver(u)
     out = []
     for t in range(big.lattice.rank):
         dt = d.entry(t, t) if t < min(d.nrows, d.ncols) else 0
         if dt == 1:
             continue
-        e = [int(i == t) for i in range(big.lattice.rank)]
-        x = solve_int(u, e)
-        assert x is not None
+        x = u_solver.solve([int(i == t) for i in range(big.lattice.rank)])
+        if x is None:
+            raise AssertionError("Smith transform is not unimodular")
         out.append(ring.reduce(big.lattice.element(x)))
     return out
 
@@ -290,33 +340,30 @@ def unipotent_dlog(filtration: Filtration, x, start_level=0):
     """Exponents (m_b) over the filtration generators with
     1 + x = prod (1+b)^(m_b), for x in the level's ideal.
 
-    Peels one additive layer per level: solve for the layer exponents,
-    divide off the corresponding product, recurse into the next level.
+    Peels one additive layer per level: solve for the layer exponents
+    with the level's solver, divide off the corresponding product
+    through the stored inverses, go on to the next level.
     """
     ring = filtration.ring
-    levels = filtration.levels[start_level:]
-    if not levels:
+    levels = filtration.levels
+    if start_level >= len(levels):
         if tuple(x) != ring.zero():
             raise ValueError("element outside the unipotent group")
         return []
-    if not levels[0][0].contains(x):
+    if not levels[start_level][0].contains(x):
         raise ValueError("element outside the unipotent group")
     out = []
     cur = tuple(x)
-    for li, (ideal, bs) in enumerate(levels):
-        nxt = levels[li + 1][0].lattice if li + 1 < len(levels) else ring.rel
-        bmat = IntMatrix(ring.ngens, [list(b) for b in bs])
-        sol = solve_int(bmat.hstack(nxt.basis), list(cur))
-        assert sol is not None, "layer generators do not generate the layer"
-        ms = sol[: len(bs)]
+    for li in range(start_level, len(levels)):
+        sol = filtration.solvers[li].solve(cur)
+        if sol is None:
+            raise AssertionError("layer generators do not generate the layer")
+        ms = sol[: len(levels[li][1])]
         out.extend(ms)
-        prod = ring.one
-        for b, m in zip(bs, ms):
-            if m:
-                prod = ring.mul(prod, ring.power(ring.add(ring.one, b), -m))
-        nxt_elem = ring.sub(ring.mul(ring.add(ring.one, cur), prod), ring.one)
-        cur = nxt_elem
-    assert cur == ring.zero(), "unipotent peeling left a residue"
+        unit = filtration.layer_product(li, [-m for m in ms], ring.add(ring.one, cur))
+        cur = ring.sub(unit, ring.one)
+    if cur != ring.zero():
+        raise AssertionError("unipotent peeling left a residue")
     return out
 
 
@@ -335,14 +382,10 @@ def unipotent_relations(filtration: Filtration):
         tail_len = sum(len(levels[t][1]) for t in range(j + 1, nlev))
         new_rels = []
         for n in addrel.basis.cols:
-            prod = ring.one
-            for b, e in zip(bs, n):
-                if e:
-                    prod = ring.mul(prod, ring.power(ring.add(ring.one, b), e))
-            z = ring.sub(prod, ring.one)
+            z = ring.sub(filtration.layer_product(j, n, ring.one), ring.one)
+            if not tail_len and z != ring.zero():
+                raise AssertionError("last-level relation does not multiply to 1")
             ms = unipotent_dlog(filtration, z, start_level=j + 1) if tail_len else []
-            if not tail_len:
-                assert z == ring.zero()
             new_rels.append(list(n) + [-m for m in ms])
         for r in rels_tail:
             new_rels.append([0] * len(bs) + r)
@@ -353,10 +396,16 @@ def unipotent_relations(filtration: Filtration):
 def unipotent_presentation(ring: FiniteRing, ideal: RingIdeal) -> EffPresentation:
     """Efficient presentation of the multiplicative group 1 + I."""
     filtration = filtration_generators(ring, ideal)
-    gens = tuple(ring.add(ring.one, b) for b in filtration.all_gens)
+    gens = tuple(u for units in filtration.units for u in units)
     rels = tuple(tuple(r) for r in unipotent_relations(filtration))
 
-    ops = GroupOps(mul=ring.mul, inv=ring.inv, identity=ring.one)
+    def inv(gamma):
+        x = ring.sub(gamma, ring.one)
+        if not ideal.contains(x):
+            raise ValueError("element outside the unipotent group")
+        return series_inverse(ring, x, filtration.terms)
+
+    ops = GroupOps(mul=ring.mul, inv=inv, identity=ring.one)
 
     def dlog(gamma):
         x = ring.sub(gamma, ring.one)
@@ -366,6 +415,6 @@ def unipotent_presentation(ring: FiniteRing, ideal: RingIdeal) -> EffPresentatio
 
     pres = EffPresentation(ops=ops, gens=gens, rels=rels, dlog=dlog)
     pres.verify_exact()
-    if gens:
-        assert pres.group_order() == ideal.size(), "unipotent group order mismatch"
+    if gens and pres.group_order() != ideal.size():
+        raise AssertionError("unipotent group order mismatch")
     return pres

@@ -299,7 +299,7 @@ def invariant_factors(m: IntMatrix):
 class Lattice:
     """Subgroup of Z^dim given by independent basis columns in canonical HNF."""
 
-    __slots__ = ("dim", "basis")
+    __slots__ = ("dim", "basis", "pivots")
 
     def __init__(self, dim: int, gens):
         """gens: iterable of integer vectors (the generators, need not be
@@ -312,9 +312,20 @@ class Lattice:
             if len(c) != dim:
                 raise ValueError("generator has wrong length")
         h, _ = kernels.hnf_cols(cols, dim)
-        nz = [c for c in h if any(c)]
+        self._set_hnf(dim, [c for c in h if any(c)])
+
+    @classmethod
+    def _from_hnf(cls, dim: int, cols) -> "Lattice":
+        """Lattice on nonzero columns already in canonical HNF."""
+        lat = cls.__new__(cls)
+        lat._set_hnf(dim, cols)
+        return lat
+
+    def _set_hnf(self, dim, cols):
         self.dim = dim
-        self.basis = IntMatrix(dim, nz)
+        self.basis = IntMatrix(dim, cols)
+        # pivot row of each basis column: its first nonzero entry
+        self.pivots = [next(i for i, e in enumerate(c) if e) for c in self.basis.cols]
 
     @classmethod
     def zero(cls, dim: int) -> "Lattice":
@@ -333,8 +344,7 @@ class Lattice:
         in the lattice."""
         v = list(vec)
         out = []
-        for c in self.basis.cols:
-            r = next(i for i, e in enumerate(c) if e)
+        for c, r in zip(self.basis.cols, self.pivots):
             if v[r] % c[r] != 0:
                 return None
             q = v[r] // c[r]
@@ -350,8 +360,7 @@ class Lattice:
         """Rational coordinates of vec in span_Q(basis), or None."""
         v = [Fraction(e) for e in vec]
         out = []
-        for c in self.basis.cols:
-            r = next(i for i, e in enumerate(c) if e)
+        for c, r in zip(self.basis.cols, self.pivots):
             q = v[r] / c[r]
             out.append(q)
             if q:
@@ -367,8 +376,7 @@ class Lattice:
     def reduce(self, vec):
         """Canonical coset representative of vec modulo the lattice."""
         v = list(vec)
-        for c in self.basis.cols:
-            r = next(i for i, e in enumerate(c) if e)
+        for c, r in zip(self.basis.cols, self.pivots):
             q = v[r] // c[r]
             if q:
                 for i in range(r, self.dim):
@@ -434,31 +442,31 @@ def lattice_index(sub: Lattice, sup: Lattice) -> int:
     return abs(d)
 
 
+class IntSolver:
+    """Integer solutions of m*x = v for one fixed matrix m.
+
+    The Hermite form h = m*u is computed once: its nonzero columns are
+    the canonical basis of the image of m, and the matching columns of u
+    carry coordinates in that basis back to a solution x.
+    """
+
+    __slots__ = ("image", "transform")
+
+    def __init__(self, m: IntMatrix):
+        h, u = kernels.hnf_cols(m.cols, m.nrows)
+        rank = sum(1 for c in h if any(c))  # zero columns trail
+        self.image = Lattice._from_hnf(m.nrows, h[:rank])
+        self.transform = IntMatrix(m.ncols, u[:rank])
+
+    def solve(self, vec):
+        """One integer solution x of m*x = vec, or None."""
+        y = self.image.coords(vec)
+        return None if y is None else self.transform.apply(y)
+
+
 def solve_int(m: IntMatrix, vec):
     """One integer solution x of m*x = vec, or None."""
-    h, u = kernels.hnf_cols(m.cols, m.nrows)
-    v = list(vec)
-    y = [0] * len(h)
-    for j, c in enumerate(h):
-        if not any(c):
-            break
-        r = next(i for i, e in enumerate(c) if e)
-        # entries above r in c are zero, and previous pivots cleared v there
-        if v[r] % c[r] != 0:
-            return None
-        q = v[r] // c[r]
-        y[j] = q
-        if q:
-            for i in range(r, m.nrows):
-                v[i] -= q * c[i]
-    if any(v):
-        return None
-    x = [0] * m.ncols
-    for j, q in enumerate(y):
-        if q:
-            for i, e in enumerate(u[j]):
-                x[i] += q * e
-    return x
+    return IntSolver(m).solve(vec)
 
 
 def preimage_lattice(m: IntMatrix, lat: Lattice) -> Lattice:

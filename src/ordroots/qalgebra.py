@@ -420,15 +420,15 @@ def decompose(E: QAlgebra) -> SpecDecomposition:
 
 
 def _check_projections_multiplicative(dec: SpecDecomposition):
+    """pi_i(e_a e_b) = pi_i(e_a) pi_i(e_b) for every component i and basis
+    pair; pi_i(e_a) is column a of the projection, e_a e_b a table cell."""
     E = dec.algebra
-    for i, K in enumerate(dec.components):
-        for a in range(E.dim):
-            for b in range(a, E.dim):
-                x = E.basis_vec(a)
-                y = E.basis_vec(b)
-                lhs = dec.component_of(E.mul(x, y), i)
-                rhs = K.mul(dec.component_of(x, i), dec.component_of(y, i))
-                if tuple(lhs) != tuple(rhs):
+    for a in range(E.dim):
+        for b in range(a, E.dim):
+            ab = E.table[a][b]
+            for i, K in enumerate(dec.components):
+                cols = dec.projections[i].cols
+                if dec.component_of(ab, i) != K.mul(cols[a], cols[b]):
                     raise AssertionError("component projection is not a ring map")
 
 

@@ -7,6 +7,7 @@ machinery.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,13 +17,15 @@ from ordroots.abgroup import (
     cyclic_order,
     kernel_mod_subgroup,
     membership_dlog,
+    power,
     subgroup_presentation,
     subgroup_relations,
 )
+from ordroots.finitering import FiniteRing
 from ordroots.linalg import Lattice
 from ordroots.numfield import NumberField
 from ordroots.ordercore import ProductRing
-from ordroots.polyfactor import cyclotomic
+from ordroots.polyfactor import cyclotomic, fp_divmod, fp_mul, fp_pow_mod
 from util import (
     quotient_coset_normalizer,
     quotient_group,
@@ -167,3 +170,55 @@ def test_cyclic_dlog_in_product_ring():
         assert cyclic_dlog(R.mul, R.one(), gen, 4, R.power(gen, a)) == a
     # a root of unity of the product outside the cyclic subgroup
     assert cyclic_dlog(R.mul, R.one(), gen, 4, R.from_blocks([i, (1,)])) is None
+
+
+def _power_cases():
+    """(name, mul, inv, one, x) with x a unit of the ring."""
+    z81 = FiniteRing(Lattice(1, [[81]]), [[[1]]], [1])
+    m = 4  # F_3[e]/(e^4) on the basis 1, e, e^2, e^3
+    eps = FiniteRing(
+        Lattice(m, [[3 * (i == j) for i in range(m)] for j in range(m)]),
+        [[[int(k == i + j) for k in range(m)] for j in range(m)] for i in range(m)],
+        [1, 0, 0, 0])
+    K = NumberField([1, 0, 1])
+    R = ProductRing([K, NumberField([-2, 0, 1])])
+    return [
+        ("Z/81", z81.mul, z81.inv, z81.one, (2,)),
+        ("F_3[e]/(e^4)", eps.mul, eps.inv, eps.one, eps.reduce([2, 1, 0, 1])),
+        ("Q(i)", K.mul, K.inv, K.one(), K.from_poly([Fraction(1, 2), 1])),
+        ("Q(i) x Q(sqrt 2)", R.mul, R.inv, R.one(),
+         R.from_blocks([K.from_poly([1, 1]), R.fields[1].from_poly([1, Fraction(1, 3)])])),
+    ]
+
+
+@pytest.mark.parametrize("name, mul, inv, one, x", _power_cases(),
+                         ids=[c[0] for c in _power_cases()])
+def test_power_agrees_with_repeated_multiplication(name, mul, inv, one, x):
+    products = [0]
+
+    def counted(a, b):
+        products[0] += 1
+        return mul(a, b)
+
+    for e in range(-6, 33):
+        naive = one
+        for _ in range(abs(e)):
+            naive = mul(naive, x if e > 0 else inv(x))
+        products[0] = 0
+        got = power(counted, inv, one, x, e)
+        assert got == naive == mul(one, naive), (name, e)
+        # square-and-multiply from the leading bit: no product by one, no
+        # squaring after the last bit
+        n = abs(e)
+        assert products[0] == (n.bit_length() - 1 + bin(n).count("1") - 1 if n else 0)
+
+
+def test_fp_pow_mod_agrees_with_repeated_multiplication():
+    p, m = 5, [2, 0, 1, 1]  # modulus X^3 + X^2 + 2 over F_5
+    f = [3, 4, 1, 2, 1]  # reduced modulo m first
+    for e in range(0, 33):
+        naive = [1]
+        for _ in range(e):
+            naive = fp_divmod(fp_mul(naive, f, p), m, p)[1]
+        got = fp_pow_mod(f, e, m, p)
+        assert got == naive == fp_divmod(fp_mul([1], naive, p), m, p)[1], e

@@ -250,23 +250,26 @@ def test_cli_subprocess_entry(tmp_path):
 
 
 X12 = [-1] + [0] * 11 + [1]
+# X(X-1)(X-2)(X+1)(X+2)(X-3): split over Q, its units descend through 1 + I
+SPLIT6 = [0, -12, 4, 15, -5, -3, 1]
 
 
-@pytest.mark.parametrize("argv, code", [
-    (["units"], 0),
-    (["dlog", "--targets", '[["0","1","0","0","0","0","0","0","0","0","0","0"]]',
-      "--element", '["0","0","0","0","0","0","0","0","0","1","0","0"]'], 0),
-    (["dlog", "--targets", '[["0","0","0","0","0","0","1","0","0","0","0","0"]]',
-      "--element", '["0","0","0","0","1","0","0","0","0","0","0","0"]'], 1),
-], ids=["units", "dlog-member", "dlog-not-in-subgroup"])
-def test_same_answers_under_optimize(tmp_path, argv, code):
+@pytest.mark.parametrize("poly, argv, code", [
+    (X12, ["units"], 0),
+    (X12, ["dlog", "--targets", '[["0","1","0","0","0","0","0","0","0","0","0","0"]]',
+           "--element", '["0","0","0","0","0","0","0","0","0","1","0","0"]'], 0),
+    (X12, ["dlog", "--targets", '[["0","0","0","0","0","0","1","0","0","0","0","0"]]',
+           "--element", '["0","0","0","0","1","0","0","0","0","0","0","0"]'], 1),
+    (SPLIT6, ["units"], 0),
+], ids=["units", "dlog-member", "dlog-not-in-subgroup", "units-split"])
+def test_same_answers_under_optimize(tmp_path, poly, argv, code):
     # python -O drops assert statements; the answers must not depend on them
     import os
     import subprocess
     import sys
 
-    path = tmp_path / "x12.json"
-    path.write_text(dump_canonical(poly_order_document(X12)), "utf-8")
+    path = tmp_path / "order.json"
+    path.write_text(dump_canonical(poly_order_document(poly)), "utf-8")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordroots.finitering import (
     FiniteRing,
@@ -11,6 +13,7 @@ from ordroots.finitering import (
     unipotent_presentation,
 )
 from ordroots.linalg import Lattice
+from util import resolving_unipotent_dlog
 
 
 def zmod(n):
@@ -215,6 +218,48 @@ def test_one_plus_i_size_matches_ideal():
         for x in sorted(members)[:50]:
             v = unipotent_dlog(fil, x)
             assert pres.evaluate(v) == ring.add(ring.one, x)
+
+
+@st.composite
+def nilpotent_ideals(draw):
+    """(ring, ideal, x in the ideal) over Z/p^k, F_p[e]/(e^m) and
+    Z/p^k[X]/(X^2), the ideal generated by random elements of the
+    maximal ideal."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    kind = draw(st.sampled_from(["zmod", "eps", "dual"]))
+    if kind == "zmod":
+        ring = zmod(p ** draw(st.integers(1, 4 if p < 5 else 3)))
+        into_max = lambda v: [p * v[0]]  # noqa: E731
+    elif kind == "eps":
+        ring = eps_ring(p, draw(st.integers(2, 4)))
+        into_max = lambda v: [0] + v[1:]  # noqa: E731
+    else:
+        ring = galois_ring(p ** draw(st.integers(1, 2)), (0, 0))
+        into_max = lambda v: [p * v[0], v[1]]  # noqa: E731
+    vecs = st.lists(st.integers(-30, 30), min_size=ring.ngens, max_size=ring.ngens)
+    gens = [ring.reduce(into_max(v)) for v in draw(st.lists(vecs, min_size=1, max_size=2))]
+    ideal = RingIdeal.generated_by(ring, gens)
+    coeffs = draw(st.lists(st.integers(-30, 30), min_size=ideal.lattice.rank,
+                           max_size=ideal.lattice.rank))
+    return ring, ideal, ring.reduce(ideal.lattice.element(coeffs))
+
+
+@given(nilpotent_ideals())
+@settings(max_examples=80, deadline=None)
+def test_descent_matches_resolving_reference(case):
+    ring, ideal, x = case
+    filt = filtration_generators(ring, ideal)
+    assert unipotent_dlog(filt, x) == resolving_unipotent_dlog(filt, x)
+    for units, inverses in zip(filt.units, filt.inverses):
+        for u, u_inv in zip(units, inverses):
+            assert ring.mul(u, u_inv) == ring.one
+            assert u_inv == ring.inv(u)
+    pres = unipotent_presentation(ring, ideal)
+    g = ring.add(ring.one, x)
+    assert pres.ops.inv(g) == ring.inv(g)
+    with pytest.raises(ValueError):
+        pres.ops.inv(ring.zero())  # 0 - 1 is a unit, outside the ideal
+    assert pres.evaluate(unipotent_dlog(filt, x)) == g
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ordroots.linalg import (
     IntMatrix,
+    IntSolver,
     Lattice,
     QLattice,
     RatMatrix,
@@ -25,7 +26,7 @@ from ordroots.linalg import (
     solve_rat,
     sum_lattices,
 )
-from util import cofactor_det
+from util import cofactor_det, rescan_coords, rescan_reduce, rescan_solve_int
 
 
 small_matrices = st.integers(0, 5).flatmap(
@@ -252,6 +253,24 @@ def test_solve_int_and_rat():
     rm2 = RatMatrix.from_rows([[1, 1], [2, 2]])
     assert solve_rat(rm2, [1, 3]) is None
     assert solve_rat(rm2, [1, 2]) is not None
+
+
+@given(small_matrices, st.data())
+@settings(max_examples=150, deadline=None)
+def test_stored_pivots_and_prepared_solver_match_rescans(m, data):
+    vectors = st.lists(st.integers(-60, 60), min_size=m.nrows, max_size=m.nrows)
+    lat = Lattice(m.nrows, m)
+    solver = IntSolver(m)
+    assert lat.pivots == [next(i for i, e in enumerate(c) if e) for c in lat.basis.cols]
+    assert solver.image == lat
+    coeffs = data.draw(st.lists(st.integers(-4, 4), min_size=m.ncols, max_size=m.ncols))
+    # a vector of the image, one of a scaled image, and an arbitrary one
+    for v in (m.apply(coeffs), [2 * e + 1 for e in m.apply(coeffs)], data.draw(vectors)):
+        assert lat.reduce(v) == rescan_reduce(lat, v)
+        assert lat.coords(v) == rescan_coords(lat, v)
+        x = solver.solve(v)
+        assert x == rescan_solve_int(m, v) == solve_int(m, v)
+        assert x is None or m.apply(x) == v
 
 
 def test_preimage_lattice():

@@ -352,3 +352,78 @@ def quotient_coset_normalizer(rel_lattice, modulo_vectors):
         return tuple(big.reduce(list(x)))
 
     return norm
+
+
+# ---------------------------------------------------------------------------
+# references that redo the linear algebra on every call
+
+
+def rescan_pivot(col):
+    """Pivot row of a nonzero HNF column, by scanning it."""
+    return next(i for i, e in enumerate(col) if e)
+
+
+def rescan_reduce(lat, vec):
+    """Lattice.reduce, rescanning every basis column for its pivot."""
+    v = list(vec)
+    for c in lat.basis.cols:
+        r = rescan_pivot(c)
+        q = v[r] // c[r]
+        v = [a - q * b for a, b in zip(v, c)]
+    return v
+
+
+def rescan_coords(lat, vec):
+    """Lattice.coords, rescanning every basis column for its pivot."""
+    v = list(vec)
+    out = []
+    for c in lat.basis.cols:
+        r = rescan_pivot(c)
+        if v[r] % c[r]:
+            return None
+        q = v[r] // c[r]
+        out.append(q)
+        v = [a - q * b for a, b in zip(v, c)]
+    return out if not any(v) else None
+
+
+def rescan_solve_int(m, vec):
+    """One integer solution of m*x = vec from a fresh Hermite form h = m*u,
+    rescanning its columns for pivots; None if there is none."""
+    from ordroots import kernels
+
+    h, u = kernels.hnf_cols(m.cols, m.nrows)
+    v = list(vec)
+    x = [0] * m.ncols
+    for c, uc in zip(h, u):
+        if not any(c):
+            break
+        r = rescan_pivot(c)
+        if v[r] % c[r]:
+            return None
+        q = v[r] // c[r]
+        v = [a - q * b for a, b in zip(v, c)]
+        x = [a + q * b for a, b in zip(x, uc)]
+    return x if not any(v) else None
+
+
+def resolving_unipotent_dlog(filtration, x, start_level=0):
+    """unipotent_dlog that builds and solves each level's matrix afresh and
+    divides off (1+b)^m through the ring's general unit inverse."""
+    from ordroots.linalg import IntMatrix, solve_int
+
+    ring = filtration.ring
+    levels = filtration.levels[start_level:]
+    out = []
+    cur = tuple(x)
+    for li, (_, bs) in enumerate(levels):
+        nxt = levels[li + 1][0].lattice if li + 1 < len(levels) else ring.rel
+        bmat = IntMatrix(ring.ngens, [list(b) for b in bs])
+        ms = solve_int(bmat.hstack(nxt.basis), list(cur))[: len(bs)]
+        out.extend(ms)
+        unit = ring.add(ring.one, cur)
+        for b, m in zip(bs, ms):
+            unit = ring.mul(unit, ring.power(ring.add(ring.one, b), -m))
+        cur = ring.sub(unit, ring.one)
+    assert cur == ring.zero()
+    return out
