@@ -6,7 +6,9 @@ Field elements are coordinate tuples of Fractions in the power basis
 lists of such tuples, lowest degree first.  An element of a product of
 fields is the concatenation of its components; the torsion groups that
 are products of cyclic groups, one generator per factor, are presented
-there (``ProductRing.cyclic_presentation``).
+there (``ProductRing.cyclic_presentation``).  Each factor's powers are
+tabulated once when the presentation is built, so a discrete log is a
+projection and one dictionary lookup per factor.
 
 Root finding over K goes through the classical norm trick: shift the
 argument by an integer multiple of the generator until the norm (a
@@ -27,7 +29,7 @@ from itertools import islice
 from math import gcd
 from typing import List
 
-from .abgroup import EffPresentation, GroupOps, cyclic_dlog, cyclic_relations, power
+from .abgroup import EffPresentation, GroupOps, cyclic_relations, power
 from .polyfactor import (
     _good_primes,
     _next_prime,
@@ -189,30 +191,38 @@ class NumberField:
                 if n % (ell - 1) == 0:
                     bound = self.residue_bound(ell)
                     z, k, stop = _climb(self, ell, bound)
-                    assert k <= bound
-                    assert stop in ("no root", "degree") or k == bound
+                    if k > bound:
+                        raise AssertionError("climb passed its residue bound")
+                    if stop not in ("no root", "degree") and k != bound:
+                        raise AssertionError("climb stopped early without a reason")
                     if k:
                         primes.append(ell)
                         zeta, w = self.mul(zeta, z), w * ell ** k
                 ell = _next_prime(ell)
             # prime-to-p part of w divides every residue gcd
             for p, g in self._residues:
-                assert g % (w // p ** _valuation(w, p)) == 0
+                if g % (w // p ** _valuation(w, p)):
+                    raise AssertionError("torsion order does not divide a residue gcd")
             # Q(zeta_w) is a subfield of K
-            assert n % euler_phi(w) == 0
+            if n % euler_phi(w):
+                raise AssertionError("Q(zeta_w) is not a subfield")
             # implied by phi(w) | deg, since phi(w) >= sqrt(w/2)
-            assert w <= 2 * n * n
+            if w > 2 * n * n:
+                raise AssertionError("torsion order exceeds 2 deg^2")
             # zeta has exact order w (zeta^w = 1 is checked below)
             for ell in primes:
-                assert self.pow(zeta, w // ell) != one
+                if self.pow(zeta, w // ell) == one:
+                    raise AssertionError("torsion generator order is too small")
             prims = set()
             acc = one
             for j in range(1, w + 1):
                 acc = self.mul(acc, zeta)
                 if gcd(j, w) == 1:
                     prims.add(acc)
-            assert acc == one
-            assert len(prims) == euler_phi(w)
+            if acc != one:
+                raise AssertionError("torsion generator power w is not 1")
+            if len(prims) != euler_phi(w):
+                raise AssertionError("primitive powers are not distinct")
             self._torsion = (min(prims), w)
         return self._torsion
 
@@ -264,39 +274,65 @@ class ProductRing:
             out.extend(self.block(v, i))
         return tuple(out)
 
-    def cyclic_presentation(self, factors) -> EffPresentation:
-        """Presentation of a product of cyclic groups, one per factor.
+    def cyclic_presentation(self, factors):
+        """(presentation, power lists) of a product of cyclic groups, one
+        per factor.
 
-        A factor is (components, generator over those components, order).
-        The generator is 1 on the other components, the relations are the
-        cyclic orders, and the discrete log is a cyclic search in each
-        factor's sub-product ring.  Every relation is multiplied back,
-        which checks that each generator has its order.
+        A factor is (components, generator over those components, order w);
+        the factors' component lists partition the components.  The
+        generator is 1 on the other components and the relations are the
+        cyclic orders.  Each factor's powers 1, g, ..., g^(w-1) are
+        tabulated once in its sub-product ring.  They must be distinct,
+        and every relation is multiplied back, so g^w = 1 and w is the
+        exact order.  The discrete log projects onto each factor and looks
+        the projection up in its table; the inverse of a member is read
+        from the tables too.  The power lists are returned with the
+        presentation.
         """
+        covered = sorted(i for comps, _, _ in factors for i in comps)
+        if covered != list(range(len(self.fields))):
+            raise ValueError("the factors do not partition the components")
         gens = []
-        searches = []
+        tables = []  # (components, sub-ring, powers, exponent of each power)
         for comps, gen, w in factors:
             sub = self.sub_ring(comps)
+            powers = [sub.one()]
+            for _ in range(w - 1):
+                powers.append(sub.mul(powers[-1], gen))
+            index = {x: a for a, x in enumerate(powers)}
+            if len(index) != w:
+                raise AssertionError("generator order is less than its stated order")
             blocks = [K.one() for K in self.fields]
             for pos, i in enumerate(comps):
                 blocks[i] = sub.block(gen, pos)
             gens.append(self.from_blocks(blocks))
-            searches.append((comps, sub.mul, sub.one(), gen, w))
+            tables.append((comps, sub, powers, index))
 
         def dlog(gamma):
             out = []
-            for comps, mul, one, gen, w in searches:
-                a = cyclic_dlog(mul, one, gen, w, self.project(gamma, comps))
+            for comps, _, _, index in tables:
+                a = index.get(self.project(gamma, comps))
                 if a is None:
                     return None
                 out.append(a)
             return out
 
-        ops = GroupOps(mul=self.mul, inv=self.inv, identity=self.one())
+        def inv(x):
+            exps = dlog(x)
+            if exps is None:
+                return self.inv(x)
+            blocks = [None] * len(self.fields)
+            for a, (comps, sub, powers, _) in zip(exps, tables):
+                y = powers[-a % len(powers)]
+                for pos, i in enumerate(comps):
+                    blocks[i] = sub.block(y, pos)
+            return self.from_blocks(blocks)
+
+        ops = GroupOps(mul=self.mul, inv=inv, identity=self.one())
         rels = cyclic_relations([w for _, _, w in factors])
         pres = EffPresentation(ops=ops, gens=tuple(gens), rels=rels, dlog=dlog)
         pres.verify_exact()
-        return pres
+        return pres, [powers for _, _, powers, _ in tables]
 
 
 def _residue_gcd(f, p):
@@ -496,19 +532,22 @@ def roots_in_field(f, K: NumberField):
             if qp_degree(qp_gcd(norm, qp_deriv(norm))) == 0:
                 shift = s
                 break
-        assert shift is not None, "no squarefree shift found"
+        if shift is None:
+            raise AssertionError("no squarefree shift found")
         g = nfp_compose_shift(fs, shift, K)
         _, factors = factor_q(norm)
         roots = []
         for fac, _ in factors:
             piece = nfp_gcd(g, nfp_from_qp(fac, K), K)
-            assert nfp_degree(piece) >= 1
+            if nfp_degree(piece) < 1:
+                raise AssertionError("norm factor does not pull back")
             if nfp_degree(piece) == 1:
                 r_shifted = K.neg(piece[0])
                 root = K.sub(r_shifted, K.mul(K.gen(), K.from_rational(shift)))
                 roots.append(root)
     for r in roots:
-        assert all(c == 0 for c in nfp_eval(f, r, K)), "root does not verify"
-    if separable:
-        assert len(roots) <= nfp_degree(f)
+        if any(nfp_eval(f, r, K)):
+            raise AssertionError("root does not verify")
+    if separable and len(roots) > nfp_degree(f):
+        raise AssertionError("more roots than the degree")
     return sorted(roots)

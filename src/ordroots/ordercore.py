@@ -457,7 +457,7 @@ def mu_b_presentation(ctx: OrderContext, p: Optional[int] = None) -> EffPresenta
             factors.append(([i], rt.theta, rt.order))
         else:
             factors.append(([i], rt.theta_p.get(p, K.one()), rt.p_part_order(p)))
-    return ctx.ambient.cyclic_presentation(factors)
+    return ctx.ambient.cyclic_presentation(factors)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -537,28 +537,28 @@ def mu_c_p_presentation(ctx: OrderContext, p: int,
         tower = build_saturation(ctx, p)
     graph = graph_mod_p(ctx, p)
     c_order = tower.c_order
-    groups = []
+    elem_lists = []
     factors = []  # (components, generator over them, order)
     for comp in graph.components:
         elems, gen = _mu_c_component(ctx, p, c_order, graph, comp, naive)
-        sub = ctx.ambient.sub_ring(comp)
-        order = cyclic_order(sub.mul, sub.one(), gen, 2 * ctx.order.rank + 2)
-        if order is None:
+        if len(elems) > 2 * ctx.order.rank + 2:
             raise AssertionError("order exceeds bound")
+        elem_lists.append(elems)
+        factors.append((comp, gen, len(elems)))
+    # cyclic_presentation checks that each generator has exactly its stated order
+    pres, power_lists = ctx.ambient.cyclic_presentation(factors)
+    groups = []
+    for (comp, gen, order), elems, powers in zip(factors, elem_lists, power_lists):
         # every element of the group must be a power of the generator
-        powers = set(cyclic_powers(sub.mul, sub.one(), gen))
-        if set(elems) != powers:
+        if set(elems) != set(powers):
             raise AssertionError("component torsion group is not cyclic")
-        if len(powers) != order:
-            raise AssertionError("generator order disagrees with its power count")
         # the generator must keep its order in every single residue
+        sub = ctx.ambient.sub_ring(comp)
         for i, m in enumerate(comp):
             K = ctx.dec.components[m]
             if cyclic_order(K.mul, K.one(), sub.block(gen, i), order) != order:
                 raise AssertionError("generator loses order in a single residue")
         groups.append(sorted(powers))
-        factors.append((comp, gen, order))
-    pres = ctx.ambient.cyclic_presentation(factors)
     for g in pres.gens:
         if not c_order.contains(g):
             raise AssertionError("assembled generator is not in C")

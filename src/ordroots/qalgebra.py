@@ -476,7 +476,7 @@ def mu_presentation(E: QAlgebra, dec: Optional[SpecDecomposition] = None) -> Tor
         dec = decompose(E)
     tors = [K.torsion_generator() for K in dec.components]
     factors = [([i], z, w) for i, (z, w) in enumerate(tors)]
-    pres = ProductRing(dec.components).cyclic_presentation(factors)
+    pres, _ = ProductRing(dec.components).cyclic_presentation(factors)
     return TorsionData(
         dec=dec, pres=pres, generators=[dec.from_components(g) for g in pres.gens],
         component_roots=[z for z, _ in tors], component_orders=[w for _, w in tors],

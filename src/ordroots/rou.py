@@ -29,7 +29,7 @@ from .ordercore import (
     mu_b_presentation,
     mu_c_p_presentation,
 )
-from .qalgebra import _num, mu_dlog_explain
+from .qalgebra import _num
 
 
 @dataclass
@@ -61,7 +61,8 @@ def conductor(ctx: OrderContext, mu_c: MuCPData) -> ConductorData:
     emb_cols = []
     for b in sep.basis:
         x = c_order.coords(b)
-        assert x is not None
+        if x is None:
+            raise AssertionError("separable part is not inside C")
         emb_cols.append(x)
     embed = IntMatrix(d, emb_cols)
     a_in_c = image_int(embed)
@@ -84,9 +85,11 @@ def conductor(ctx: OrderContext, mu_c: MuCPData) -> ConductorData:
             block_cols.append(col)
     target = Lattice(d * d, block_cols)
     ff = preimage_lattice(stacked, target)
-    assert ff.rank == d
+    if ff.rank != d:
+        raise AssertionError("conductor is not of full rank")
     for c in ff.basis.cols:
-        assert a_in_c.contains(list(c))
+        if not a_in_c.contains(list(c)):
+            raise AssertionError("conductor is not inside the separable part")
     index_in_c = abs_det(ff)
     ring_c = c_order.finite_quotient(ff)
     # conductor in separable-part coordinates
@@ -94,14 +97,16 @@ def conductor(ctx: OrderContext, mu_c: MuCPData) -> ConductorData:
     for c in ff.basis.cols:
         v = c_order.element(list(c))
         x = sep.coords(v)
-        assert x is not None
+        if x is None:
+            raise AssertionError("conductor element is not in the separable part")
         ff_in_a.append(x)
     ring_a = sep.finite_quotient(Lattice(d, ff_in_a))
     # ideal generated by zeta - 1 over the mu(C)_p generators
     gens = []
     for z in mu_c.generators:
         x = c_order.coords(z)
-        assert x is not None, "torsion generator is not in C"
+        if x is None:
+            raise AssertionError("torsion generator is not in C")
         gens.append(ring_c.sub(ring_c.reduce(x), ring_c.one))
     ideal_i = RingIdeal.generated_by(ring_c, gens)
     # its intersection with the subring, in subring coordinates
@@ -153,7 +158,8 @@ def mu_a_p_generators(ctx: OrderContext, p: int,
             if e:
                 v = ctx.ambient.mul(v, ctx.ambient.power(z, e))
         coords = ctx.from_ambient(v)
-        assert coords is not None, "descended generator is not in the order"
+        if coords is None:
+            raise AssertionError("descended generator is not in the order")
         out.append(tuple(coords))
     return out
 
@@ -211,20 +217,30 @@ def mu_e_subgroup_dlog(ctx_or_order, targets, zeta):
     'not-in-subgroup' when it is one but lies outside <targets>.
     Raises ValueError when some target is not a root of unity.
 
-    The torsion presentation is the context's, built once; the
-    membership and its checking products run in component coordinates."""
+    The torsion presentation is the context's, built once.  Each vector
+    is mapped to component coordinates once, after its separability test;
+    the root-of-unity tests, the membership and its checking products all
+    run on that component vector, where a dlog is a table lookup."""
     ctx = ctx_or_order if isinstance(ctx_or_order, OrderContext) else build_context(ctx_or_order)
     tor = ctx.field_torsion()
     targets = [tuple(_num(c) for c in t) for t in targets]
     zeta = tuple(_num(c) for c in zeta)
+
+    def components(x):
+        # None for an element with a nilpotent part: no root of unity
+        return ctx.to_ambient(x) if ctx.dec.is_separable_element(x) else None
+
+    vecs = []
     for t in targets:
-        if mu_dlog_explain(tor, t)[0] is None:
+        v = components(t)
+        if v is None or tor.pres.dlog(v) is None:
             raise ValueError("target is not a root of unity in the rational algebra")
-    if mu_dlog_explain(tor, zeta)[0] is None:
+        vecs.append(v)
+    gamma = components(zeta)
+    if gamma is None:
         return None, "not-root-of-unity"
     try:
-        sol = membership_dlog(tor.pres, [ctx.to_ambient(t) for t in targets],
-                              ctx.to_ambient(zeta))
+        sol = membership_dlog(tor.pres, vecs, gamma)
     except NotInGroup:
         return None, "not-root-of-unity"
     if sol is None:

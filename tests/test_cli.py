@@ -260,8 +260,11 @@ SPLIT6 = [0, -12, 4, 15, -5, -3, 1]
            "--element", '["0","0","0","0","0","0","0","0","0","1","0","0"]'], 0),
     (X12, ["dlog", "--targets", '[["0","0","0","0","0","0","1","0","0","0","0","0"]]',
            "--element", '["0","0","0","0","1","0","0","0","0","0","0","0"]'], 1),
+    (X12, ["dlog", "--targets", '[["0","1","0","0","0","0","0","0","0","0","0","0"]]',
+           "--element", '["2","0","0","0","0","0","0","0","0","0","0","0"]'], 1),
     (SPLIT6, ["units"], 0),
-], ids=["units", "dlog-member", "dlog-not-in-subgroup", "units-split"])
+], ids=["units", "dlog-member", "dlog-not-in-subgroup", "dlog-not-root-of-unity",
+        "units-split"])
 def test_same_answers_under_optimize(tmp_path, poly, argv, code):
     # python -O drops assert statements; the answers must not depend on them
     import os

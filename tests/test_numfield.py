@@ -2,9 +2,13 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from ordroots.abgroup import cyclic_dlog
 from ordroots.numfield import (
     NumberField,
+    ProductRing,
     nfp_degree,
     nfp_eval,
     nfp_from_qp,
@@ -166,3 +170,90 @@ def test_nfp_gcd():
     d = nfp_gcd(f, g, K)
     assert nfp_degree(d) == 1
     assert d[1] == K.one()
+
+
+# products of small fields, each with the component lists of its cyclic
+# factors; a factor's generator is the torsion generator of every field
+# it covers, as mu_c_p_presentation joins residues into one factor
+CYCLIC_PRODUCTS = {
+    "one factor per field": ([[0, 1], [1, 0, 1], [1, 1, 1]], [[0], [1], [2]]),
+    "one factor over two fields": ([[1, 0, 1], [1, 0, 1], [1, 1, 1]], [[0, 1], [2]]),
+    "two fields of different orders": ([[1, 1, 1], [0, 1], [1, 0, 1]], [[1], [0, 2]]),
+    "a field with only -1": ([[1, 0, 1], [-2, 0, 1]], [[0], [1]]),
+}
+_PRODUCTS = {}
+
+
+def _cyclic_product(name):
+    if name not in _PRODUCTS:
+        polys, comps_list = CYCLIC_PRODUCTS[name]
+        ring = ProductRing([NumberField(m) for m in polys])
+        factors = []
+        for comps in comps_list:
+            tors = [ring.fields[i].torsion_generator() for i in comps]
+            gen = tuple(c for z, _ in tors for c in z)
+            factors.append((comps, gen, lcm(*(w for _, w in tors))))
+        _PRODUCTS[name] = ring, factors
+    return _PRODUCTS[name]
+
+
+def _search_dlog(ring, factors, x):
+    """The discrete log by a cyclic search in every factor."""
+    out = []
+    for comps, gen, w in factors:
+        sub = ring.sub_ring(comps)
+        a = cyclic_dlog(sub.mul, sub.one(), gen, w, ring.project(x, comps))
+        if a is None:
+            return None
+        out.append(a)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(CYCLIC_PRODUCTS)), data=st.data())
+def test_table_dlog_and_inverse_match_the_search(name, data):
+    ring, factors = _cyclic_product(name)
+    pres, powers = ring.cyclic_presentation(factors)
+    assert [len(p) for p in powers] == [w for _, _, w in factors]
+
+    def check(x):
+        assert pres.dlog(x) == _search_dlog(ring, factors, x)
+        assert pres.ops.inv(x) == ring.inv(x)
+
+    for g, (_, _, w) in zip(pres.gens, factors):
+        x = ring.one()
+        for _ in range(w):
+            check(x)
+            x = ring.mul(x, g)
+    exps = data.draw(st.lists(st.integers(-30, 30), min_size=len(factors),
+                              max_size=len(factors)))
+    member = pres.evaluate(exps)
+    assert pres.dlog(member) == [e % w for e, (_, _, w) in zip(exps, factors)]
+    check(member)
+    # 2, and a member moved by a nonzero rational on one field
+    check(ring.from_blocks([K.from_rational(2) for K in ring.fields]))
+    i = data.draw(st.integers(0, len(ring.fields) - 1))
+    c = data.draw(st.fractions(-3, 3, max_denominator=4).filter(bool))
+    blocks = [ring.block(member, j) for j in range(len(ring.fields))]
+    blocks[i] = (blocks[i][0] + c,) + blocks[i][1:]
+    assume(all(any(b) for b in blocks))
+    check(ring.from_blocks(blocks))
+
+
+@pytest.mark.parametrize("name", sorted(CYCLIC_PRODUCTS))
+def test_table_builder_rejects_an_order_that_is_not_exact(name):
+    ring, factors = _cyclic_product(name)
+    for k, (comps, gen, w) in enumerate(factors):
+        ell = min(q for q in range(2, w + 1) if w % q == 0)
+        for wrong in (2 * w, w // ell):
+            bad = list(factors)
+            bad[k] = (comps, gen, wrong)
+            with pytest.raises(AssertionError):
+                ring.cyclic_presentation(bad)
+
+
+def test_table_builder_rejects_factors_that_do_not_partition_the_fields():
+    ring, factors = _cyclic_product("one factor per field")
+    for bad in (factors[:-1], factors + factors[:1]):
+        with pytest.raises(ValueError):
+            ring.cyclic_presentation(bad)

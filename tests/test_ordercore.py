@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ordroots.abgroup import cyclic_powers
 from ordroots.linalg import Lattice
 from ordroots.ordercore import (
     Order,
@@ -275,6 +276,23 @@ def test_mu_c_p_both_paths_agree():
             got = fast.pres.dlog(elem)
             assert got is not None
             assert fast.pres.evaluate(got) == elem
+
+
+@pytest.mark.parametrize("f", [
+    [-1] + [0] * 11 + [1],
+    [0, -12, 4, 15, -5, -3, 1],  # X(X-1)(X-2)(X+1)(X+2)(X-3)
+], ids=["x12", "split"])
+def test_mu_c_p_groups_are_the_powers_of_each_generator(f):
+    ctx = build_context(order_from_poly(f))
+    for p in ctx.torsion_primes():
+        mu = mu_c_p_presentation(ctx, p)
+        comps = mu.graph.components
+        assert len(mu.groups) == len(comps) == len(mu.generators)
+        for comp, gen, w, group in zip(comps, mu.generators, mu.orders, mu.groups):
+            sub = ctx.ambient.sub_ring(comp)
+            want = sorted(cyclic_powers(sub.mul, sub.one(), ctx.ambient.project(gen, comp)))
+            assert group == want
+            assert len(group) == w
 
 
 def test_mu_c_p_x12_matches_paper_groups():

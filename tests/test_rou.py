@@ -271,6 +271,32 @@ def test_mu_e_subgroup_dlog_builds_the_field_torsion_once(monkeypatch):
         mu_e_subgroup_dlog(ctx, [mono(1)], mono(0) + [0])
 
 
+def test_mu_e_subgroup_dlog_maps_each_vector_to_components_once(monkeypatch):
+    from ordroots.qalgebra import SpecDecomposition
+
+    def mono(k, c=1):
+        return [c if i == k else 0 for i in range(12)]
+
+    u = [Fraction(c, 2) for c in (1, 1, 0, 0, 0, 0, -1, 1, 0, 0, 0, 0)]
+    queries = [
+        ([mono(4), mono(0, -1)], mono(8, -1), None),
+        ([mono(6)], mono(4), "not-in-subgroup"),
+        ([mono(1)], [1, 1] + [0] * 10, "not-root-of-unity"),
+        ([], mono(0), None),
+        ([u, mono(6), mono(3)], u, None),
+    ]
+    ctx = build_context(order_from_poly(X12))
+    ctx.field_torsion()
+    calls = []
+    mapped = SpecDecomposition.to_components
+    monkeypatch.setattr(SpecDecomposition, "to_components",
+                        lambda self, x: calls.append(x) or mapped(self, x))
+    for targets, zeta, reason in queries:
+        calls.clear()
+        assert mu_e_subgroup_dlog(ctx, targets, zeta)[1] == reason
+        assert len(calls) == len(targets) + 1
+
+
 _CONTEXTS = {}
 
 
