@@ -1,8 +1,12 @@
-"""Benchmark: compiled normal-form kernels against the pure-Python twins.
+"""Benchmark: compiled normal-form kernels against the pure-Python twins,
+and the exact products and maps of the number-field layer.
 
 Times Hermite and Smith reductions on random integer matrices of a few
-shapes, importing both implementations directly.  The end-to-end
-benchmark is ``perfbench/run.py``.
+shapes, importing both implementations directly.  Then times one
+``NumberField.mul`` on Q, on the Q(zeta_12) component of Z[X]/(X^12 - 1)
+and on Q[X]/(X^2 + X/2 + 1/3), and one ``SpecDecomposition.to_components``
+of Z[X]/(X^12 - 1), per call.  The end-to-end benchmark is
+``perfbench/run.py``.
 
 Usage: python bench/bench_kernels.py [--quick]
 """
@@ -15,7 +19,12 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from fractions import Fraction  # noqa: E402
+
 from ordroots import _pykernels  # noqa: E402
+from ordroots.numfield import NumberField  # noqa: E402
+from ordroots.ordercore import order_from_poly  # noqa: E402
+from ordroots.qalgebra import decompose  # noqa: E402
 
 try:
     from ordroots import _speedups
@@ -66,6 +75,30 @@ def bench_kernels(quick):
                   f"{t_pure / t_fast:>8.2f}x")
 
 
+def random_element(rng, deg, span):
+    return tuple(Fraction(rng.randint(-span, span), rng.randint(1, 12)) for _ in range(deg))
+
+
+def bench_products(quick):
+    rng = random.Random(20261018)
+    calls = 200 if quick else 2000
+    repeat = 3 if quick else 5
+    dec = decompose(order_from_poly([-1] + [0] * 11 + [1]).algebra)
+    z12 = next(K for K in dec.components if K.deg == 4)
+    fields = [("Q", NumberField([0, 1])),
+              ("Q(zeta12)", z12),
+              ("X^2+X/2+1/3", NumberField([Fraction(1, 3), Fraction(1, 2), 1]))]
+    print(f"\n{'operation':<28} {'us/call':>9}")
+    for name, K in fields:
+        args = [(random_element(rng, K.deg, 99), random_element(rng, K.deg, 99))
+                for _ in range(calls)]
+        t = time_fn(K.mul, args, repeat) / len(args)
+        print(f"{'mul in ' + name:<28} {t * 1e6:>9.2f}")
+    vecs = [([rng.randint(-9, 9) for _ in range(12)],) for _ in range(calls)]
+    t = time_fn(dec.to_components, vecs, repeat) / len(vecs)
+    print(f"{'to_components, X^12-1':<28} {t * 1e6:>9.2f}")
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--quick", action="store_true", help="smaller shapes, fewer repeats")
@@ -73,6 +106,7 @@ def main():
     if _speedups is None:
         print("note: compiled kernels not built; showing pure-Python timings only")
     bench_kernels(args.quick)
+    bench_products(args.quick)
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ from .orderdoc import (
     DocumentError,
     dump_canonical,
     format_vector,
+    parse_int,
     parse_order_document,
     parse_vector,
     poly_order_document,
@@ -182,14 +183,7 @@ def cmd_from_poly(args) -> int:
         raise DocumentError(f"invalid JSON argument: {e}") from None
     if not isinstance(coeffs, list) or len(coeffs) < 2:
         raise DocumentError("coefficients must be a JSON list, lowest degree first")
-    ints = []
-    for c in coeffs:
-        if isinstance(c, str):
-            c = c.strip()
-        try:
-            ints.append(int(c))
-        except (TypeError, ValueError):
-            raise DocumentError(f"not an integer coefficient: {c!r}") from None
+    ints = [parse_int(c) for c in coeffs]
     if ints[-1] != 1:
         raise DocumentError("defining polynomial must be monic")
     _emit(poly_order_document(ints))

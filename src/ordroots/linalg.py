@@ -12,7 +12,7 @@ form, so two equal lattices compare equal as matrices.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import kernels
 
@@ -207,6 +207,16 @@ class RatMatrix:
 
     def __repr__(self):
         return f"RatMatrix({self.nrows}x{self.ncols})"
+
+
+def clear_vector(vec):
+    """(numerators, d): integers with vec = numerators / d, d > 0 the least
+    common denominator.  Entries may be ints or Fractions."""
+    dens = [e.denominator for e in vec]
+    d = lcm(*dens)
+    if d == 1:
+        return [e.numerator for e in vec], 1
+    return [e.numerator * (d // f) for e, f in zip(vec, dens)], d
 
 
 def solve_rat(m: RatMatrix, vec):

@@ -2,7 +2,13 @@
 arithmetic over them.
 
 Field elements are coordinate tuples of Fractions in the power basis
-1, a, ..., a^(d-1) of the generator a.  Polynomials over a field K are
+1, a, ..., a^(d-1) of the generator a.  Products compute on integer
+numerators over one denominator: each operand's denominators are cleared
+once, the convolution and the reduction by the minimal polynomial run in
+integers (the reduced powers a^d, ..., a^(2d-2) are integer rows over one
+denominator), and one Fraction is built per output coordinate.  The
+decomposition maps of ``qalgebra`` are held the same way, while elements
+stay Fraction tuples.  Polynomials over a field K are
 lists of such tuples, lowest degree first.  An element of a product of
 fields is the concatenation of its components; the torsion groups that
 are products of cyclic groups, one generator per factor, are presented
@@ -30,6 +36,7 @@ from math import gcd
 from typing import List
 
 from .abgroup import EffPresentation, GroupOps, cyclic_relations, power
+from .linalg import RatMatrix, clear_vector
 from .polyfactor import (
     _good_primes,
     _next_prime,
@@ -68,19 +75,19 @@ class NumberField:
             raise ValueError("minimal polynomial is reducible")
         self.min_poly = tuple(m)
         self.deg = qp_degree(m)
-        # powers a^deg .. a^(2*deg-2) reduced, for fast products
+        # powers a^deg .. a^(2*deg-2) reduced, as integer rows over one
+        # denominator, for products on integer numerators
         table = []
-        cur = list(m[:-1])
-        cur = [-c for c in cur]  # a^deg = -(lower terms)
-        table.append(tuple(cur))
+        cur = [-c for c in m[:-1]]  # a^deg = -(lower terms)
+        table.append(cur)
         for _ in range(self.deg - 2):
-            cur = [Fraction(0)] + cur
-            lead = cur[self.deg] if len(cur) > self.deg else Fraction(0)
-            cur = cur[: self.deg]
+            lead = cur[-1]
+            cur = [Fraction(0)] + cur[:-1]
             if lead:
                 cur = [c + lead * t for c, t in zip(cur, table[0])]
-            table.append(tuple(cur))
-        self._high_powers = table
+            table.append(cur)
+        ints, self._high_den = RatMatrix.from_rows(table).clear_denominators()
+        self._high_rows = ints.to_rows()
         self._torsion = None
         self._residues = None
 
@@ -121,21 +128,29 @@ class NumberField:
         return tuple(-a for a in x)
 
     def mul(self, x, y):
+        """x * y on integer numerators: one common denominator per operand,
+        integer convolution and reduction, one Fraction per coordinate."""
         d = self.deg
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(x):
+        if d == 1:
+            p = x[0] * y[0]
+            return (p if type(p) is Fraction else Fraction(p),)
+        xn, dx = clear_vector(x)
+        yn, dy = clear_vector(y)
+        prod = [0] * (2 * d - 1)
+        for i, a in enumerate(xn):
             if a:
-                for j, b in enumerate(y):
+                for j, b in enumerate(yn):
                     if b:
                         prod[i + j] += a * b
-        out = prod[:d]
-        for k in range(d, 2 * d - 1):
-            c = prod[k]
+        hd = self._high_den
+        out = [c * hd for c in prod[:d]]
+        for c, row in zip(prod[d:], self._high_rows):
             if c:
-                hp = self._high_powers[k - d]
-                for j, t in enumerate(hp):
-                    out[j] += c * t
-        return tuple(out)
+                for j, t in enumerate(row):
+                    if t:
+                        out[j] += c * t
+        den = dx * dy * hd
+        return tuple(Fraction(c, den) for c in out)
 
     def inv(self, x):
         fx = list(x)

@@ -341,7 +341,7 @@ def separable_part(A: Order):
 def build_context(A: Order) -> OrderContext:
     dec = decompose(A.algebra)
     n = A.rank
-    pi2_int, _ = dec.pi2.clear_denominators()
+    pi2_int, _ = dec.pi2
     sep_lat = kernel_int(pi2_int)
     assert sep_lat.contains(list(A.one))
     ambient = ProductRing(dec.components)

@@ -21,7 +21,9 @@ class DocumentError(ValueError):
     """Malformed order document or element vector."""
 
 
-def _parse_int(v):
+def parse_int(v):
+    """An integer entry: a JSON integer or a decimal string, never a
+    boolean or a float."""
     if isinstance(v, bool):
         raise DocumentError("booleans are not integers")
     if isinstance(v, int):
@@ -45,13 +47,13 @@ def parse_order_document(text: str):
         raise DocumentError("document must be a JSON object")
     if "rank" not in doc or "table" not in doc:
         raise DocumentError("document needs 'rank' and 'table'")
-    n = _parse_int(doc["rank"])
+    n = parse_int(doc["rank"])
     if n < 0:
         raise DocumentError("rank must be nonnegative")
     table = doc["table"]
     if not isinstance(table, list) or len(table) != n * n * n:
         raise DocumentError(f"table must be a flat list of {n}^3 entries")
-    flat = [_parse_int(v) for v in table]
+    flat = [parse_int(v) for v in table]
     labels = doc.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or len(labels) != n or \

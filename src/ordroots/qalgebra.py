@@ -11,7 +11,7 @@ Elements are coordinate tuples; entries are ints or Fractions (exact
 either way).  The roots of unity are presented in component coordinates,
 on the product of the number fields, where a product costs one field
 multiplication per component; ``to_components`` and ``from_components``
-convert at the boundary.
+convert at the boundary, as integer matrices over one denominator.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .abgroup import EffPresentation, power
-from .linalg import RatMatrix, kernel_int, solve_rat
+from .linalg import IntMatrix, RatMatrix, clear_vector, kernel_int, solve_rat
 from .numfield import NumberField, ProductRing
 from .polyfactor import factor_q, qp, qp_degree, qp_deriv, qp_gcd
 
@@ -198,6 +198,19 @@ class QAlgebra:
         return RatMatrix(n, cols)
 
 
+# a rational linear map N/d: integer matrix N, denominator d > 0
+IntMap = Tuple[IntMatrix, int]
+
+
+def _apply(m: IntMap, x):
+    """N x / d for m = (N, d), on integer numerators; coordinates as
+    ``_num`` gives them (int where integral)."""
+    mat, d = m
+    xn, dx = clear_vector(x)
+    den = d * dx
+    return tuple(c // den if c % den == 0 else Fraction(c, den) for c in mat.apply(xn))
+
+
 @dataclass
 class SpecDecomposition:
     """Splitting data of a commutative Q-algebra.
@@ -205,7 +218,10 @@ class SpecDecomposition:
     ``components`` are the residue number fields; ``projections[i]``
     maps algebra coordinates onto component i; ``section`` maps stacked
     component coordinates back into the algebra (landing in the maximal
-    subalgebra without nilpotents, whose basis is ``power_basis``).
+    subalgebra without nilpotents, whose basis is ``power_basis``);
+    ``pi1`` and ``pi2`` project onto that subalgebra and onto the
+    nilradical.  Each map is held as integer rows over one denominator,
+    a pair (IntMatrix N, int d) for the map N/d.
     """
 
     algebra: QAlgebra
@@ -215,10 +231,10 @@ class SpecDecomposition:
     alpha: tuple
     components: List[NumberField]
     factors: List[Tuple[Fraction, ...]]
-    projections: List[RatMatrix]
-    section: RatMatrix
-    pi1: RatMatrix
-    pi2: RatMatrix
+    projections: List[IntMap]
+    section: IntMap
+    pi1: IntMap
+    pi2: IntMap
 
     @property
     def sep_dim(self) -> int:
@@ -232,7 +248,7 @@ class SpecDecomposition:
         return out
 
     def component_of(self, x, i):
-        return tuple(_num(c) for c in self.projections[i].apply(list(x)))
+        return _apply(self.projections[i], x)
 
     def to_components(self, x):
         out = []
@@ -241,13 +257,13 @@ class SpecDecomposition:
         return tuple(out)
 
     def from_components(self, v):
-        return tuple(_num(c) for c in self.section.apply(list(v)))
+        return _apply(self.section, v)
 
     def separable_projection(self, x):
-        return tuple(_num(c) for c in self.pi1.apply(list(x)))
+        return _apply(self.pi1, x)
 
     def nil_projection(self, x):
-        return tuple(_num(c) for c in self.pi2.apply(list(x)))
+        return _apply(self.pi2, x)
 
     def is_separable_element(self, x) -> bool:
         return all(c == 0 for c in self.nil_projection(x))
@@ -263,7 +279,8 @@ def _quotient_by_nil(E: QAlgebra, nil_cols):
         pivot_rows.add(next(i for i, e in enumerate(c) if e))
     comp_rows = [i for i in range(n) if i not in pivot_rows]
     q = len(comp_rows)
-    assert q == n - k
+    if q != n - k:
+        raise AssertionError("nilradical pivots are not distinct rows")
     cols = [[Fraction(int(i == r)) for i in range(n)] for r in comp_rows]
     cols += [[Fraction(e) for e in c] for c in nil_cols]
     mfull = RatMatrix(n, cols)
@@ -322,11 +339,11 @@ def decompose(E: QAlgebra) -> SpecDecomposition:
     """
     n = E.dim
     if n == 0:
-        ident = RatMatrix(0, [])
+        empty = (IntMatrix(0, []), 1)
         return SpecDecomposition(
-            algebra=E, nil_basis=[], power_basis=ident, min_poly=(),
+            algebra=E, nil_basis=[], power_basis=RatMatrix(0, []), min_poly=(),
             alpha=(), components=[], factors=[], projections=[],
-            section=ident, pi1=ident, pi2=ident,
+            section=empty, pi1=empty, pi2=empty,
         )
     gram_int, _ = E.trace_gram().clear_denominators()
     nil = kernel_int(gram_int)
@@ -362,7 +379,8 @@ def decompose(E: QAlgebra) -> SpecDecomposition:
         if not all(c == 0 for c in E.eval_poly(m, alpha)):
             raise AssertionError("newton lift did not reach an exact root")
 
-    assert qp_degree(qp_gcd(m, qp_deriv(m))) == 0, "minimal polynomial not squarefree"
+    if qp_degree(qp_gcd(m, qp_deriv(m))) != 0:
+        raise AssertionError("minimal polynomial not squarefree")
 
     powers = []
     cur = E.one
@@ -377,7 +395,8 @@ def decompose(E: QAlgebra) -> SpecDecomposition:
     bottom = RatMatrix.from_rows(full_inv.to_rows()[q:])
 
     const, facs = factor_q(list(m))
-    assert all(mult == 1 for _, mult in facs)
+    if any(mult != 1 for _, mult in facs):
+        raise AssertionError("squarefree minimal polynomial has a repeated factor")
     factors = [tuple(f) for f, _ in facs]
     components = [NumberField(list(f)) for f in factors]
 
@@ -387,7 +406,7 @@ def decompose(E: QAlgebra) -> SpecDecomposition:
         for t in range(n):
             p = [top.entry(i, t) for i in range(q)]
             cols.append(list(K.from_poly(p)))
-        projections.append(RatMatrix(K.deg, cols))
+        projections.append(RatMatrix(K.deg, cols).clear_denominators())
 
     # section: stacked component coordinates -> algebra coordinates
     blocks = []
@@ -402,33 +421,38 @@ def decompose(E: QAlgebra) -> SpecDecomposition:
     section = power_mat.mul(phi.inverse())
 
     nil_mat = RatMatrix(n, [[Fraction(e) for e in c] for c in nil_cols])
-    pi1 = power_mat.mul(top)
-    pi2 = nil_mat.mul(bottom) if k else RatMatrix(n, [[Fraction(0)] * n for _ in range(n)])
-    ident = RatMatrix.identity(n)
-    got = RatMatrix(n, [[a + b for a, b in zip(ca, cb)] for ca, cb in zip(pi1.cols, pi2.cols)])
-    assert got == ident, "projections do not sum to the identity"
-    zero = pi1.mul(pi2)
-    assert all(all(e == 0 for e in c) for c in zero.cols), "projections not orthogonal"
+    pi1 = power_mat.mul(top).clear_denominators()
+    pi2 = nil_mat.mul(bottom).clear_denominators() if k else (IntMatrix.zeros(n, n), 1)
 
     dec = SpecDecomposition(
         algebra=E, nil_basis=nil_cols, power_basis=power_mat, min_poly=tuple(m),
         alpha=alpha, components=components, factors=factors,
-        projections=projections, section=section, pi1=pi1, pi2=pi2,
+        projections=projections, section=section.clear_denominators(),
+        pi1=pi1, pi2=pi2,
     )
-    _check_projections_multiplicative(dec)
+    _check_maps(dec)
     return dec
 
 
-def _check_projections_multiplicative(dec: SpecDecomposition):
-    """pi_i(e_a e_b) = pi_i(e_a) pi_i(e_b) for every component i and basis
-    pair; pi_i(e_a) is column a of the projection, e_a e_b a table cell."""
+def _check_maps(dec: SpecDecomposition):
+    """The stored maps split the algebra: pi1 + pi2 is the identity,
+    pi1 pi2 = 0, and each component projection is a ring map,
+    pi_i(e_a e_b) = pi_i(e_a) pi_i(e_b) for every basis pair (e_a e_b is
+    a table cell)."""
     E = dec.algebra
-    for a in range(E.dim):
-        for b in range(a, E.dim):
-            ab = E.table[a][b]
-            for i, K in enumerate(dec.components):
-                cols = dec.projections[i].cols
-                if dec.component_of(ab, i) != K.mul(cols[a], cols[b]):
+    n = E.dim
+    (p1, d1), (p2, d2) = dec.pi1, dec.pi2
+    for j, (c1, c2) in enumerate(zip(p1.cols, p2.cols)):
+        for i, (a, b) in enumerate(zip(c1, c2)):
+            if a * d2 + b * d1 != d1 * d2 * (i == j):
+                raise AssertionError("projections do not sum to the identity")
+    if any(any(c) for c in p1.mul(p2).cols):
+        raise AssertionError("projections not orthogonal")
+    for i, K in enumerate(dec.components):
+        cols = [dec.component_of(E.basis_vec(a), i) for a in range(n)]
+        for a in range(n):
+            for b in range(a, n):
+                if dec.component_of(E.table[a][b], i) != K.mul(cols[a], cols[b]):
                     raise AssertionError("component projection is not a ring map")
 
 

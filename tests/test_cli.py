@@ -72,6 +72,18 @@ def test_from_poly_rejects_nonmonic(capsys):
     assert "monic" in err
 
 
+@pytest.mark.parametrize("coeffs", ["[1.5, 1]", "[true, 1]", "[1, 1.0]"])
+def test_from_poly_rejects_floats_and_booleans(capsys, coeffs):
+    code, out, err = run(capsys, ["from-poly", coeffs])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_from_poly_accepts_decimal_strings(capsys):
+    assert run(capsys, ["from-poly", '["-1", " 0 ", 1]']) == run(capsys, ["from-poly", "[-1, 0, 1]"])
+
+
 def test_idempotents_cmd(capsys, x4_doc, tmp_path):
     code, out, err = run(capsys, ["idempotents", x4_doc])
     assert code == 0

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -16,9 +17,11 @@ from ordroots.numfield import (
     nfp_mul,
     roots_in_field,
 )
+from ordroots.ordercore import order_from_poly
 from ordroots.polyfactor import cyclotomic
+from ordroots.qalgebra import decompose
 
-from util import sweep_torsion_generator
+from util import schoolbook_field_mul, sweep_torsion_generator
 
 
 def QQ():
@@ -257,3 +260,73 @@ def test_table_builder_rejects_factors_that_do_not_partition_the_fields():
     for bad in (factors[:-1], factors + factors[:1]):
         with pytest.raises(ValueError):
             ring.cyclic_presentation(bad)
+
+
+# ---------------------------------------------------------------------------
+# products on integer numerators against the schoolbook product
+
+_FIELDS = {}
+
+
+def _field(min_poly):
+    key = tuple(min_poly)
+    if key not in _FIELDS:
+        try:
+            _FIELDS[key] = NumberField(list(min_poly))
+        except ValueError:
+            _FIELDS[key] = None
+    return _FIELDS[key]
+
+
+def _z12_quartic():
+    """The degree-4 component of Q[X]/(X^12 - 1); its minimal polynomial,
+    X^4 - 1260 X^3 + ..., has 14-digit coefficients."""
+    dec = decompose(order_from_poly([-1] + [0] * 11 + [1]).algebra)
+    return next(K.min_poly for K in dec.components if K.deg == 4)
+
+
+_COEFF = st.fractions(-6, 6, max_denominator=6)
+_MIN_POLYS = st.one_of(
+    st.sampled_from([
+        (Fraction(1, 3), Fraction(1, 2), 1),  # X^2 + X/2 + 1/3
+        (Fraction(-2, 7), 1),
+        (1, 0, 1),
+        (2, 0, 0, 1),
+        (1, 1, 1, 1, 1),
+    ]),
+    st.integers(1, 6).flatmap(
+        lambda d: st.lists(_COEFF, min_size=d, max_size=d).map(lambda c: tuple(c) + (1,))
+    ),
+)
+_COORD = st.one_of(st.integers(-40, 40), st.fractions(-40, 40, max_denominator=24))
+
+
+def _assert_same_product(K, x, y):
+    got = K.mul(x, y)
+    want = schoolbook_field_mul(K, x, y)
+    assert got == want and hash(got) == hash(want)
+    assert len(got) == K.deg
+    assert all(type(c) is Fraction for c in got)
+
+
+@settings(max_examples=80, deadline=None)
+@given(min_poly=_MIN_POLYS, data=st.data())
+def test_product_matches_the_schoolbook_product(min_poly, data):
+    K = _field(min_poly)
+    assume(K is not None)
+    vec = st.lists(_COORD, min_size=K.deg, max_size=K.deg).map(tuple)
+    x, y = data.draw(vec), data.draw(vec)
+    _assert_same_product(K, x, y)
+    _assert_same_product(K, x, (0,) * K.deg)
+    _assert_same_product(K, K.zero(), y)
+    _assert_same_product(K, x, K.gen())
+
+
+def test_product_in_the_z12_quartic_matches_the_schoolbook_product():
+    K = _field(_z12_quartic())
+    rng = random.Random(12)
+    for _ in range(30):
+        x = tuple(Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 99)) for _ in range(4))
+        y = tuple(rng.randint(-9, 9) for _ in range(4))
+        _assert_same_product(K, x, y)
+        _assert_same_product(K, x, x)

@@ -2,12 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ordroots import qalgebra
+from ordroots.linalg import IntMatrix, RatMatrix
 from ordroots.ordercore import order_from_poly
 from ordroots.polyfactor import euler_phi, qp, qp_divmod
 from ordroots.qalgebra import (
     AlgebraError,
     QAlgebra,
+    _num,
     decompose,
     mu_dlog_explain,
     mu_presentation,
@@ -176,3 +181,89 @@ def test_minimal_polynomial():
     # but factors
     E4 = poly_algebra([-1, 0, 0, 0, 1])
     assert minimal_polynomial(E4, (0, 1, 0, 0)) == qp([-1, 0, 0, 0, 1])
+
+
+# ---------------------------------------------------------------------------
+# the decomposition maps, held as integer rows over one denominator
+
+MAP_ORDERS = {
+    "X^2": [0, 0, 1],
+    "X^3": [0, 0, 0, 1],
+    "X^2 (X^2 + 1)": [0, 0, 1, 0, 1],
+    "X^4 - 1": [-1, 0, 0, 0, 1],
+    "X^3 - X - 1": [-1, -1, 0, 1],
+    # its Q(zeta_12) component has the minimal polynomial
+    # X^4 - 1260 X^3 + ..., with 14-digit coefficients
+    "X^12 - 1": [-1] + [0] * 11 + [1],
+}
+_DECS = {}
+
+
+def _dec(name):
+    if name not in _DECS:
+        _DECS[name] = decompose(poly_algebra(MAP_ORDERS[name]))
+    return _DECS[name]
+
+
+def _rat_apply(m, x):
+    """The map (N, d) as a RatMatrix N/d, applied and read through _num."""
+    mat, d = m
+    rat = RatMatrix(mat.nrows, [[Fraction(e, d) for e in c] for c in mat.cols])
+    return tuple(_num(c) for c in rat.apply(list(x)))
+
+
+def _same(got, want):
+    assert got == want
+    assert [type(c) for c in got] == [type(c) for c in want]
+
+
+_COORD = st.one_of(st.integers(-20, 20), st.fractions(-20, 20, max_denominator=12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(MAP_ORDERS)), data=st.data())
+def test_maps_match_the_rational_matrices(name, data):
+    dec = _dec(name)
+    n = dec.algebra.dim
+    x = data.draw(st.lists(_COORD, min_size=n, max_size=n).map(tuple))
+    comps = ()
+    for i in range(len(dec.components)):
+        got = dec.component_of(x, i)
+        _same(got, _rat_apply(dec.projections[i], x))
+        comps += got
+    _same(dec.to_components(x), comps)
+    _same(dec.separable_projection(x), _rat_apply(dec.pi1, x))
+    _same(dec.nil_projection(x), _rat_apply(dec.pi2, x))
+    v = data.draw(st.lists(_COORD, min_size=dec.sep_dim, max_size=dec.sep_dim))
+    _same(dec.from_components(v), _rat_apply(dec.section, v))
+    # components reassemble through the section
+    assert dec.from_components(dec.to_components(x)) == dec.separable_projection(x)
+
+
+@pytest.mark.parametrize("broken", ["sum", "orthogonal"])
+def test_decompose_rejects_broken_projections(monkeypatch, broken):
+    """decompose checks pi1 + pi2 = 1 and pi1 pi2 = 0 on the maps it keeps;
+    a decomposition whose pi1 is altered after construction must fail."""
+
+    class Broken(qalgebra.SpecDecomposition):
+        def __init__(self, **kw):
+            super().__init__(**kw)
+            p1, d1 = self.pi1
+            if broken == "sum":
+                p1 = p1.scaled(1)
+                p1.cols[0][0] += 1
+                self.pi1 = (p1, d1)
+            else:
+                # 2 pi1 and 1 - 2 pi1 still sum to 1 but do not annihilate
+                self.pi1 = (p1.scaled(2), d1)
+                n = p1.nrows
+                self.pi2 = (
+                    IntMatrix(n, [[d1 * (i == j) - 2 * e for i, e in enumerate(c)]
+                                 for j, c in enumerate(p1.cols)]),
+                    d1,
+                )
+
+    monkeypatch.setattr(qalgebra, "SpecDecomposition", Broken)
+    message = {"sum": "sum to the identity", "orthogonal": "not orthogonal"}[broken]
+    with pytest.raises(AssertionError, match=message):
+        decompose(poly_algebra([0, 0, 1]))

@@ -2,8 +2,9 @@
 
 Everything here is deliberately implemented by a different route than
 the library code it checks: cofactor determinants, Sylvester matrices,
-Kronecker interpolation factoring, Schreier-style breadth-first kernel
-generators, and plain brute-force enumeration.
+schoolbook number-field products, Kronecker interpolation factoring,
+Schreier-style breadth-first kernel generators, and plain brute-force
+enumeration.
 """
 
 from fractions import Fraction
@@ -42,6 +43,24 @@ def sylvester_resultant(f, g):
     for i in range(m):
         rows.append([0] * i + list(reversed(g)) + [0] * (size - n - 1 - i))
     return cofactor_det(rows)
+
+
+# ---------------------------------------------------------------------------
+# number-field products, the schoolbook way
+
+def schoolbook_field_mul(K, x, y):
+    """x * y in K = Q[X]/(m): the product polynomial in Fractions, reduced
+    by long division by the monic minimal polynomial m."""
+    d = K.deg
+    prod = [Fraction(0)] * (2 * d - 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            prod[i + j] += Fraction(a) * b
+    for k in range(2 * d - 2, d - 1, -1):
+        c = prod[k]
+        for j, t in enumerate(K.min_poly):
+            prod[k - d + j] -= c * t
+    return tuple(prod[:d])
 
 
 # ---------------------------------------------------------------------------
