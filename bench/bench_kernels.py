@@ -1,12 +1,11 @@
-"""Benchmark: compiled normal-form kernels against the pure-Python twins,
-and the exact products and maps of the number-field layer.
+"""Benchmark: the normal-form kernels and the exact products and maps of
+the number-field layer.
 
 Times Hermite and Smith reductions on random integer matrices of a few
-shapes, importing both implementations directly.  Then times one
-``NumberField.mul`` on Q, on the Q(zeta_12) component of Z[X]/(X^12 - 1)
-and on Q[X]/(X^2 + X/2 + 1/3), and one ``SpecDecomposition.to_components``
-of Z[X]/(X^12 - 1), per call.  The end-to-end benchmark is
-``perfbench/run.py``.
+shapes.  Then times one ``NumberField.mul`` on Q, on the Q(zeta_12)
+component of Z[X]/(X^12 - 1) and on Q[X]/(X^2 + X/2 + 1/3), and one
+``SpecDecomposition.to_components`` of Z[X]/(X^12 - 1), per call.  The
+end-to-end benchmark is ``perfbench/run.py``.
 
 Usage: python bench/bench_kernels.py [--quick]
 """
@@ -21,15 +20,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from fractions import Fraction  # noqa: E402
 
-from ordroots import _pykernels  # noqa: E402
+from ordroots import kernels  # noqa: E402
 from ordroots.numfield import NumberField  # noqa: E402
 from ordroots.ordercore import order_from_poly  # noqa: E402
 from ordroots.qalgebra import decompose  # noqa: E402
-
-try:
-    from ordroots import _speedups
-except ImportError:
-    _speedups = None
 
 
 def random_cols(rng, nrows, ncols, span):
@@ -56,23 +50,13 @@ def bench_kernels(quick):
         hnf_shapes.extend([(40, 44, 999), (64, 70, 999)])
         snf_shapes.append((40, 44, 999))
     repeat = 2 if quick else 3
-    jobs = [("hnf", _pykernels.hnf_cols,
-             _speedups.hnf_cols if _speedups else None, hnf_shapes),
-            ("snf", _pykernels.snf_cols,
-             _speedups.snf_cols if _speedups else None, snf_shapes)]
-    print(f"{'kernel':<10} {'shape':<12} {'pure (s)':>10} {'compiled (s)':>13} {'speedup':>9}")
-    for name, pure_fn, fast_fn, shapes in jobs:
+    jobs = [("hnf", kernels.hnf_cols, hnf_shapes),
+            ("snf", kernels.snf_cols, snf_shapes)]
+    print(f"{'kernel':<10} {'shape':<12} {'time (s)':>10}")
+    for name, fn, shapes in jobs:
         for nrows, ncols, span in shapes:
             mats = [(random_cols(rng, nrows, ncols, span), nrows) for _ in range(3)]
-            t_pure = time_fn(pure_fn, mats, repeat)
-            if fast_fn is None:
-                print(f"{name:<10} {nrows}x{ncols:<9} {t_pure:>10.4f} {'n/a':>13} {'n/a':>9}")
-                continue
-            for cols, nr in mats:
-                assert pure_fn(cols, nr) == fast_fn(cols, nr)
-            t_fast = time_fn(fast_fn, mats, repeat)
-            print(f"{name:<10} {nrows}x{ncols:<9} {t_pure:>10.4f} {t_fast:>13.4f} "
-                  f"{t_pure / t_fast:>8.2f}x")
+            print(f"{name:<10} {nrows}x{ncols:<9} {time_fn(fn, mats, repeat):>10.4f}")
 
 
 def random_element(rng, deg, span):
@@ -103,8 +87,6 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--quick", action="store_true", help="smaller shapes, fewer repeats")
     args = ap.parse_args()
-    if _speedups is None:
-        print("note: compiled kernels not built; showing pure-Python timings only")
     bench_kernels(args.quick)
     bench_products(args.quick)
 

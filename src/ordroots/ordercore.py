@@ -308,11 +308,14 @@ class OrderContext:
             while not emb.contains(power):
                 power = K.mul(power, zeta)
                 j += 1
-                assert j <= w, "no torsion power lies in the residue order"
-            assert w % j == 0
+                if j > w:
+                    raise AssertionError("no torsion power lies in the residue order")
+            if w % j:
+                raise AssertionError("residue torsion index does not divide the torsion order w")
             order = w // j
             fac = _factor_small(order)
-            assert all(p <= 1 + self.order.rank for p in fac)
+            if any(p > 1 + self.order.rank for p in fac):
+                raise AssertionError("residue torsion has a prime above rank + 1")
             theta_p = {p: K.pow(power, order // p ** k) for p, k in fac.items()}
             self._restors[i] = ResidueTorsion(
                 component=i, theta=power, order=order, factorization=fac,
@@ -343,7 +346,8 @@ def build_context(A: Order) -> OrderContext:
     n = A.rank
     pi2_int, _ = dec.pi2
     sep_lat = kernel_int(pi2_int)
-    assert sep_lat.contains(list(A.one))
+    if not sep_lat.contains(list(A.one)):
+        raise AssertionError("separable part does not contain 1")
     ambient = ProductRing(dec.components)
     sep_cols = [list(dec.to_components(c)) for c in sep_lat.basis.cols]
     sep_order = EmbeddedOrder(ambient, sep_cols)
@@ -386,17 +390,21 @@ def primitive_idempotents_ctx(ctx: OrderContext) -> List[Tuple[int, ...]]:
             blocks.append(K.one() if i in comp else K.zero())
         v = ctx.ambient.from_blocks(blocks)
         e = ctx.from_ambient(v)
-        assert e is not None, "component idempotent is not integral"
+        if e is None:
+            raise AssertionError("component idempotent is not integral")
         out.append(tuple(e))
     alg = ctx.order.algebra
     total = alg.zero()
     for e in out:
-        assert alg.mul(e, e) == tuple(_num(c) for c in e)
+        if alg.mul(e, e) != tuple(_num(c) for c in e):
+            raise AssertionError("component idempotent is not idempotent")
         total = tuple(_num(a + b) for a, b in zip(total, e))
-    assert total == tuple(_num(c) for c in alg.one)
+    if total != tuple(_num(c) for c in alg.one):
+        raise AssertionError("component idempotents do not sum to 1")
     for i in range(len(out)):
         for j in range(i + 1, len(out)):
-            assert all(c == 0 for c in alg.mul(out[i], out[j]))
+            if any(alg.mul(out[i], out[j])):
+                raise AssertionError("component idempotents are not orthogonal")
     return sorted(out)
 
 
@@ -406,9 +414,11 @@ def idempotent_divisor_oracle(f) -> List[List[int]]:
     Brute-force over subsets of the irreducible factors; the test suites
     use this as the independent oracle for idempotent computations."""
     f = [int(c) for c in f]
-    assert f[-1] == 1
+    if f[-1] != 1:
+        raise AssertionError("oracle polynomial is not monic")
     _, facs = factor_q(f)
-    assert all(m == 1 for _, m in facs)
+    if any(m != 1 for _, m in facs):
+        raise AssertionError("oracle polynomial is not squarefree")
     parts = [fac for fac, _ in facs]
     out = []
     for mask in range(1 << len(parts)):
@@ -432,13 +442,15 @@ def divisor_idempotent(f, g) -> List[int]:
     g = qp(g)
     h = qp_divmod(f, g)[0]
     d, s, _ = qp_xgcd(g, h)
-    assert d == [Fraction(1)]
+    if d != [Fraction(1)]:
+        raise AssertionError("divisor and cofactor are not coprime")
     e = qp_divmod(qp_mul(s, g), f)[1]
     n = len(f) - 1
     out = []
     for k in range(n):
         c = e[k] if k < len(e) else Fraction(0)
-        assert c.denominator == 1, "divisor does not give an integral idempotent"
+        if c.denominator != 1:
+            raise AssertionError("divisor does not give an integral idempotent")
         out.append(int(c))
     return out
 
@@ -487,8 +499,10 @@ def build_saturation(ctx: OrderContext, p: int) -> SaturationTower:
     c_order.mult_table()
     ics = qlat_index(ctx.sep_order.qlat, c_order.qlat)
     ibc = qlat_index(c_order.qlat, ctx.b_order.qlat)
-    assert ics == p_part, "index of C over the separable part is not the p-part"
-    assert ibc == t and gcd(ibc, p) == 1
+    if ics != p_part:
+        raise AssertionError("index of C over the separable part is not the p-part")
+    if ibc != t or gcd(ibc, p) != 1:
+        raise AssertionError("index of B over C is not the prime-to-p part")
     return SaturationTower(prime=p, c_order=c_order,
                            index_c_over_sep=ics, index_b_over_c=ibc)
 
@@ -597,7 +611,8 @@ def _mu_c_component(ctx: OrderContext, p, c_order, graph, comp, naive):
         nxt.sort()
         chain.extend(nxt)
         frontier = nxt
-    assert set(chain) == set(comp), "graph component is not connected by its edges"
+    if set(chain) != set(comp):
+        raise AssertionError("graph component is not connected by its edges")
 
     cur_comps = [m1]
     cur_elems = list(res_groups[m1][2])
@@ -617,7 +632,8 @@ def _mu_c_component(ctx: OrderContext, p, c_order, graph, comp, naive):
             best = None
             for x in sorted(members):
                 o = cyclic_order(sub.mul, sub.one(), x, 2 * ctx.order.rank + 2)
-                assert o is not None, "order exceeds bound"
+                if o is None:
+                    raise AssertionError("order exceeds bound")
                 if best is None or o > best[0]:
                     best = (o, x)
             cur_elems = members
@@ -666,7 +682,8 @@ def _climb_p_roots(ctx, p, image, cur_comps, cur_elems, m_new, relems, new_comps
         if x != one_prev and sub_prev.power(x, p) == one_prev:
             a1 = x
             break
-    assert a1 is not None
+    if a1 is None:
+        raise AssertionError("previous group has no element of order p")
     b_layer = sorted(b for b in relems
                      if b != K_new.one() and K_new.pow(b, p) == K_new.one())
     found = None

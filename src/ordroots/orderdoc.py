@@ -88,24 +88,28 @@ def poly_order_document(coeffs) -> dict:
     return order_document(order, labels)
 
 
+def parse_rational(v) -> Fraction:
+    """A rational entry: an integer entry, or a string "p/q" of two
+    decimal integers with q nonzero.  Exponent and decimal-point forms are
+    refused, since a short exponent can stand for an enormous integer."""
+    try:
+        if isinstance(v, str) and "/" in v:
+            p, q = v.split("/", 1)
+            p, q = parse_int(p), parse_int(q)
+        else:
+            p, q = parse_int(v), 1
+    except DocumentError:
+        raise DocumentError(f"not a rational number: {v!r}") from None
+    if q == 0:
+        raise DocumentError(f"zero denominator: {v!r}")
+    return Fraction(p, q)
+
+
 def parse_vector(v, rank: int):
     """Coordinate vector with integer or fraction entries."""
     if not isinstance(v, list) or len(v) != rank:
         raise DocumentError(f"vector must be a list of {rank} entries")
-    out = []
-    for e in v:
-        if isinstance(e, bool):
-            raise DocumentError("booleans are not numbers")
-        if isinstance(e, int):
-            out.append(Fraction(e))
-        elif isinstance(e, str):
-            try:
-                out.append(Fraction(e.strip()))
-            except (ValueError, ZeroDivisionError):
-                raise DocumentError(f"not a rational number: {e!r}") from None
-        else:
-            raise DocumentError(f"not a rational entry: {e!r}")
-    return out
+    return [parse_rational(e) for e in v]
 
 
 def format_vector(v) -> List[str]:

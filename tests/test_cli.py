@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -7,6 +8,7 @@ from ordroots.orderdoc import (
     DocumentError,
     dump_canonical,
     parse_order_document,
+    parse_vector,
     poly_order_document,
 )
 
@@ -143,6 +145,31 @@ def test_dlog_cmd(capsys, x4_doc):
     ])
     assert code == 2
     assert "root of unity" in err
+
+
+def test_dlog_element_entries(capsys, x4_doc):
+    import time
+
+    def dlog(element):
+        return run(capsys, ["dlog", x4_doc, "--targets", '[["0","1","0","0"]]',
+                            "--element", json.dumps(element)])
+
+    # an exponent entry stands for a huge integer: refused, not expanded
+    t0 = time.perf_counter()
+    code, _, err = dlog(["1e10000000", "0", "0", "0"])
+    assert time.perf_counter() - t0 < 1
+    assert code == 2 and "1e10000000" in err
+    code, _, err = dlog(["3/0", "0", "0", "0"])
+    assert code == 2 and "3/0" in err
+    # p/q entries still parse: 1/2 is a rational element, not a root of unity
+    code, out, _ = dlog(["1/2", "0", "0", "0"])
+    assert code == 1
+    assert json.loads(out) == {"member": False, "reason": "not-root-of-unity"}
+    assert parse_vector(["1/2", "-3/2", 7, " 4 "], 4) == [
+        Fraction(1, 2), Fraction(-3, 2), Fraction(7), Fraction(4)]
+    for bad in ["1.5", "1/2/3", "/2", "2/", "", True, 1.5]:
+        with pytest.raises(DocumentError):
+            parse_vector([bad], 1)
 
 
 def test_failed_self_check_is_an_internal_error(capsys, x4_doc, monkeypatch):

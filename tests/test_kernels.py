@@ -1,42 +1,13 @@
-"""The compiled kernels must match the pure-Python twins bit for bit."""
+"""The extended gcd behind the normal-form kernels.  Hermite and Smith
+forms are checked against their contracts in ``test_linalg.py``."""
 
-import random
-
-import pytest
-
-from ordroots import _pykernels
-
-try:
-    from ordroots import _speedups
-except ImportError:
-    _speedups = None
+from ordroots.kernels import xgcd
 
 
 def test_xgcd_basic():
     for a, b in [(0, 0), (0, 5), (5, 0), (12, 18), (-12, 18), (7, -3), (-4, -6)]:
-        g, x, y = _pykernels.xgcd(a, b)
+        g, x, y = xgcd(a, b)
         assert g >= 0
         assert x * a + y * b == g
         if a or b:
             assert a % g == 0 and b % g == 0
-
-
-@pytest.mark.skipif(_speedups is None, reason="compiled kernels not built")
-def test_hnf_snf_bit_identical_random():
-    rng = random.Random(20240817)
-    for _ in range(300):
-        nr = rng.randint(0, 6)
-        nc = rng.randint(0, 6)
-        cols = [[rng.randint(-40, 40) for _ in range(nr)] for _ in range(nc)]
-        assert _pykernels.hnf_cols(cols, nr) == _speedups.hnf_cols(cols, nr)
-        assert _pykernels.snf_cols(cols, nr) == _speedups.snf_cols(cols, nr)
-
-
-@pytest.mark.skipif(_speedups is None, reason="compiled kernels not built")
-def test_bit_identical_big_entries():
-    rng = random.Random(7)
-    for _ in range(30):
-        n = 4
-        cols = [[rng.randint(-10**50, 10**50) for _ in range(n)] for _ in range(n)]
-        assert _pykernels.hnf_cols(cols, n) == _speedups.hnf_cols(cols, n)
-        assert _pykernels.snf_cols(cols, n) == _speedups.snf_cols(cols, n)

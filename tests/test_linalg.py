@@ -37,6 +37,13 @@ small_matrices = st.integers(0, 5).flatmap(
         ).map(lambda cols: IntMatrix(nr, cols))
     )
 )
+# entries near 10**50: pivots must stay exact far past machine words
+big_matrices = st.integers(1, 5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-10**50, 10**50), min_size=n, max_size=n),
+        min_size=n, max_size=n,
+    ).map(lambda cols: IntMatrix(n, cols))
+)
 
 
 def test_hnf_identity_and_zero():
@@ -57,7 +64,7 @@ def test_hnf_det_invariant():
     assert m.mul(u) == h
 
 
-@given(small_matrices)
+@given(small_matrices | big_matrices)
 @settings(max_examples=120, deadline=None)
 def test_hnf_contract(m):
     h, u = hnf(m)
@@ -168,7 +175,7 @@ def test_sum_intersect_examples():
     assert i == Lattice(2, [[6, 0], [0, 6]])
 
 
-@given(small_matrices)
+@given(small_matrices | big_matrices)
 @settings(max_examples=80, deadline=None)
 def test_snf_contract(m):
     d, u, v = snf(m)
