@@ -4,8 +4,11 @@ the number-field layer.
 Times Hermite and Smith reductions on random integer matrices of a few
 shapes.  Then times one ``NumberField.mul`` on Q, on the Q(zeta_12)
 component of Z[X]/(X^12 - 1) and on Q[X]/(X^2 + X/2 + 1/3), and one
-``SpecDecomposition.to_components`` of Z[X]/(X^12 - 1), per call.  The
-end-to-end benchmark is ``perfbench/run.py``.
+``SpecDecomposition.to_components`` of Z[X]/(X^12 - 1), per call.  Last,
+it replays the ``RatMatrix.inverse`` and ``solve_rat`` calls that
+``decompose`` makes on Z[X]/(X^12 - 1) and on the split order
+Z[X]/((X + 5)(X + 4) ... (X - 5)) of rank 11, and times them per
+decomposition.  The end-to-end benchmark is ``perfbench/run.py``.
 
 Usage: python bench/bench_kernels.py [--quick]
 """
@@ -20,7 +23,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from fractions import Fraction  # noqa: E402
 
-from ordroots import kernels  # noqa: E402
+from ordroots import kernels, linalg, qalgebra  # noqa: E402
 from ordroots.numfield import NumberField  # noqa: E402
 from ordroots.ordercore import order_from_poly  # noqa: E402
 from ordroots.qalgebra import decompose  # noqa: E402
@@ -83,12 +86,51 @@ def bench_products(quick):
     print(f"{'to_components, X^12-1':<28} {t * 1e6:>9.2f}")
 
 
+def decompose_calls(f):
+    """Arguments of the RatMatrix.inverse and solve_rat calls that
+    decompose makes on Z[X]/(f)."""
+    algebra = order_from_poly(f).algebra
+    inverses, solves = [], []
+    inverse, solve = linalg.RatMatrix.inverse, qalgebra.solve_rat
+
+    def record_inverse(m):
+        inverses.append((m,))
+        return inverse(m)
+
+    def record_solve(m, vec):
+        solves.append((m, vec))
+        return solve(m, vec)
+
+    linalg.RatMatrix.inverse, qalgebra.solve_rat = record_inverse, record_solve
+    try:
+        decompose(algebra)
+    finally:
+        linalg.RatMatrix.inverse, qalgebra.solve_rat = inverse, solve
+    return inverses, solves
+
+
+def bench_rational(quick):
+    repeat = 3 if quick else 5
+    split11 = [1]
+    for a in range(-5, 6):
+        split11 = [x - a * y for x, y in zip([0] + split11, split11 + [0])]
+    orders = [("X^12-1", [-1] + [0] * 11 + [1]), ("rank-11 split", split11)]
+    print(f"\n{'decompose calls':<28} {'calls':>6} {'ms/decomposition':>17}")
+    for name, f in orders:
+        inverses, solves = decompose_calls(f)
+        for label, fn, args in (("inverse", linalg.RatMatrix.inverse, inverses),
+                                ("solve_rat", linalg.solve_rat, solves)):
+            t = time_fn(fn, args, repeat)
+            print(f"{label + ', ' + name:<28} {len(args):>6} {t * 1e3:>17.2f}")
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--quick", action="store_true", help="smaller shapes, fewer repeats")
     args = ap.parse_args()
     bench_kernels(args.quick)
     bench_products(args.quick)
+    bench_rational(args.quick)
 
 
 if __name__ == "__main__":

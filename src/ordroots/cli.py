@@ -13,7 +13,6 @@ Set ORDROOTS_VERBOSE=1 for slightly chattier stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -22,6 +21,7 @@ from .orderdoc import (
     DocumentError,
     dump_canonical,
     format_vector,
+    load_json,
     parse_int,
     parse_order_document,
     parse_vector,
@@ -90,11 +90,8 @@ def cmd_units(args) -> int:
 
 def cmd_dlog(args) -> int:
     order, _ = _load_order(args.file)
-    try:
-        targets_raw = json.loads(args.targets)
-        element_raw = json.loads(args.element)
-    except json.JSONDecodeError as e:
-        raise DocumentError(f"invalid JSON argument: {e}") from None
+    targets_raw = load_json(args.targets)
+    element_raw = load_json(args.element)
     if not isinstance(targets_raw, list):
         raise DocumentError("targets must be a JSON list of vectors")
     targets = [parse_vector(t, order.rank) for t in targets_raw]
@@ -177,10 +174,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_from_poly(args) -> int:
-    try:
-        coeffs = json.loads(args.coeffs)
-    except json.JSONDecodeError as e:
-        raise DocumentError(f"invalid JSON argument: {e}") from None
+    coeffs = load_json(args.coeffs)
     if not isinstance(coeffs, list) or len(coeffs) < 2:
         raise DocumentError("coefficients must be a JSON list, lowest degree first")
     ints = [parse_int(c) for c in coeffs]

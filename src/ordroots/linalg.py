@@ -1,8 +1,10 @@
 """Exact integer and rational linear algebra.
 
 Everything here is arbitrary precision: integer matrices hold Python
-ints, rational matrices hold ``fractions.Fraction``.  No floating point
-anywhere.  Matrices are immutable by convention (constructors copy their
+ints, and a rational matrix is an integer matrix of numerators over one
+denominator.  No floating point anywhere.  Rational systems are solved
+and inverted by one fraction-free Gauss-Jordan elimination on integer
+rows.  Matrices are immutable by convention (constructors copy their
 input, methods return new objects) and may therefore be shared freely.
 
 Lattices are stored through a canonical column-style Hermite normal
@@ -102,24 +104,44 @@ class IntMatrix:
 
 
 class RatMatrix:
-    """Dense matrix over Q, stored column-major with Fraction entries."""
+    """Dense matrix over Q: an IntMatrix ``num`` of numerators over one
+    denominator ``den > 0``, in lowest terms, so that equal matrices have
+    equal numerators and denominators."""
 
-    __slots__ = ("nrows", "cols")
+    __slots__ = ("num", "den")
 
     def __init__(self, nrows: int, cols):
-        self.nrows = nrows
-        self.cols = [[Fraction(e) for e in c] for c in cols]
-        for c in self.cols:
+        """Columns of ints or Fractions."""
+        cols = [list(c) for c in cols]
+        for c in cols:
             if len(c) != nrows:
                 raise ValueError("ragged matrix")
+        nums, self.den = clear_vector([e for c in cols for e in c])
+        self.num = IntMatrix(nrows, [nums[j * nrows:(j + 1) * nrows] for j in range(len(cols))])
+
+    @classmethod
+    def over(cls, num: IntMatrix, den: int) -> "RatMatrix":
+        """num / den for a nonzero integer den, brought to lowest terms."""
+        g = gcd(den, *(e for c in num.cols for e in c))
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = IntMatrix(num.nrows, [[e // g for e in c] for c in num.cols])
+        m = cls.__new__(cls)
+        m.num, m.den = num, den // g
+        return m
+
+    @property
+    def nrows(self) -> int:
+        return self.num.nrows
 
     @property
     def ncols(self) -> int:
-        return len(self.cols)
+        return self.num.ncols
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        return cls(n, [[1 if i == j else 0 for i in range(n)] for j in range(n)])
+        return cls.over(IntMatrix.identity(n), 1)
 
     @classmethod
     def from_rows(cls, rows) -> "RatMatrix":
@@ -128,85 +150,36 @@ class RatMatrix:
         ncols = len(rows[0]) if rows else 0
         return cls(nrows, [[rows[i][j] for i in range(nrows)] for j in range(ncols)])
 
-    @classmethod
-    def from_cols(cls, cols, nrows: int) -> "RatMatrix":
-        return cls(nrows, cols)
-
-    def col(self, j: int):
-        return list(self.cols[j])
-
-    def row(self, i: int):
-        return [c[i] for c in self.cols]
-
-    def to_rows(self):
-        return [self.row(i) for i in range(self.nrows)]
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.cols[j][i]
+    def row_block(self, lo: int, hi: int) -> "RatMatrix":
+        """Rows lo, ..., hi - 1."""
+        return RatMatrix.over(IntMatrix(hi - lo, [c[lo:hi] for c in self.num.cols]), self.den)
 
     def apply(self, vec):
-        if len(vec) != self.ncols:
-            raise ValueError("shape mismatch")
-        out = [Fraction(0)] * self.nrows
-        for x, col in zip(vec, self.cols):
-            if x:
-                for i, e in enumerate(col):
-                    if e:
-                        out[i] += x * e
-        return out
+        """self * vec on integer numerators; a coordinate is an int where it
+        is integral, a Fraction otherwise."""
+        xn, dx = clear_vector(vec)
+        den = self.den * dx
+        return tuple(c // den if c % den == 0 else Fraction(c, den) for c in self.num.apply(xn))
 
     def mul(self, other: "RatMatrix") -> "RatMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        return RatMatrix(self.nrows, [self.apply(c) for c in other.cols])
-
-    def clear_denominators(self):
-        """Return (IntMatrix n, int d) with self = n/d and d > 0."""
-        d = 1
-        for c in self.cols:
-            for e in c:
-                d = d * e.denominator // gcd(d, e.denominator)
-        n = IntMatrix(
-            self.nrows,
-            [[int(e * d) for e in c] for c in self.cols],
-        )
-        return n, d
-
-    def solve(self, vec):
-        """One solution x of self*x = vec over Q, or None if inconsistent."""
-        return solve_rat(self, vec)
+        return RatMatrix.over(self.num.mul(other.num), self.den * other.den)
 
     def inverse(self) -> "RatMatrix":
-        if self.nrows != self.ncols:
-            raise ValueError("not square")
         n = self.nrows
-        a = self.to_rows()
-        inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        for k in range(n):
-            piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-            if piv is None:
-                raise ValueError("matrix is singular")
-            a[k], a[piv] = a[piv], a[k]
-            inv[k], inv[piv] = inv[piv], inv[k]
-            p = a[k][k]
-            a[k] = [e / p for e in a[k]]
-            inv[k] = [e / p for e in inv[k]]
-            for i in range(n):
-                if i != k and a[i][k]:
-                    f = a[i][k]
-                    a[i] = [e - f * g for e, g in zip(a[i], a[k])]
-                    inv[i] = [e - f * g for e, g in zip(inv[i], inv[k])]
-        return RatMatrix.from_rows(inv)
+        if n != self.ncols:
+            raise ValueError("not square")
+        rows = [r + [int(i == j) for j in range(n)] for i, r in enumerate(self.num.to_rows())]
+        pivots, d = _gauss_jordan(rows, n)
+        if len(pivots) < n:
+            raise ValueError("matrix is singular")
+        # num^-1 = R / d for the right half R, so (num / den)^-1 = den R / d
+        return RatMatrix.over(IntMatrix.from_rows([self.den * e for e in r[n:]] for r in rows), d)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, RatMatrix)
-            and self.nrows == other.nrows
-            and self.cols == other.cols
-        )
+        return isinstance(other, RatMatrix) and self.den == other.den and self.num == other.num
 
     def __repr__(self):
-        return f"RatMatrix({self.nrows}x{self.ncols})"
+        return f"RatMatrix({self.nrows}x{self.ncols}, den={self.den})"
 
 
 def clear_vector(vec):
@@ -219,33 +192,60 @@ def clear_vector(vec):
     return [e.numerator * (d // f) for e, f in zip(vec, dens)], d
 
 
-def solve_rat(m: RatMatrix, vec):
-    """A particular rational solution of m*x = vec, or None."""
-    nr, nc = m.nrows, m.ncols
-    a = [list(r) + [Fraction(v)] for r, v in zip(m.to_rows(), vec)]
-    piv_cols = []
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        p = a[r][c]
-        a[r] = [e / p for e in a[r]]
-        for i in range(nr):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [e - f * g for e, g in zip(a[i], a[r])]
-        piv_cols.append(c)
-        r += 1
+def _gauss_jordan(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination of integer rows on their
+    first ``ncols`` columns, in place; later columns are carried along.
+
+    Column by column, the pivot is the first row from the current one down
+    with a nonzero entry there.  Each step replaces every other row by
+    (p * row - f * pivot row) / q, p the new pivot, f the row's entry in
+    the pivot column and q the previous pivot.  The division is exact: the
+    entries stay minors of the input (Bareiss 1968; Cohen, *A Course in
+    Computational Algebraic Number Theory*, 2.2).  Each row stays a nonzero
+    multiple of the row that elimination over Q with the same pivots
+    holds.  Returns (pivot columns, d): row i of the first len(pivots)
+    holds d times row i of the reduced row echelon form.
+    """
+    nr = len(rows)
+    pivots = []
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
         if r == nr:
             break
-    for i in range(r, nr):
-        if a[i][nc] != 0:
-            return None
+        piv = next((i for i in range(r, nr) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        p = prow[c]
+        for i, row in enumerate(rows):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                rows[i] = [(p * e - f * g) // prev for e, g in zip(row, prow)]
+            elif p != prev:
+                rows[i] = [p * e // prev for e in row]
+        pivots.append(c)
+        prev = p
+    return pivots, prev
+
+
+def solve_rat(m: RatMatrix, vec):
+    """A particular rational solution of m*x = vec, the unknowns off the
+    pivot columns zero, or None if there is none."""
+    nc = m.ncols
+    b, db = clear_vector(vec)
+    # m x = vec  <=>  num y = den * b  for  y = db * x
+    rows = [r + [m.den * e] for r, e in zip(m.num.to_rows(), b)]
+    pivots, d = _gauss_jordan(rows, nc)
+    if any(r[nc] for r in rows[len(pivots):]):
+        return None
     x = [Fraction(0)] * nc
-    for i, c in enumerate(piv_cols):
-        x[c] = a[i][nc]
+    d *= db
+    for r, c in zip(rows, pivots):
+        x[c] = Fraction(r[nc], d)
     return x
 
 
@@ -515,13 +515,8 @@ class QLattice:
 
     @classmethod
     def from_cols(cls, cols, dim: int) -> "QLattice":
-        den = 1
-        fcols = [[Fraction(e) for e in c] for c in cols]
-        for c in fcols:
-            for e in c:
-                den = den * e.denominator // gcd(den, e.denominator)
-        icols = [[int(e * den) for e in c] for c in fcols]
-        return cls(dim, den, Lattice(dim, icols))
+        m = RatMatrix(dim, cols)
+        return cls(dim, m.den, Lattice(dim, m.num))
 
     @property
     def rank(self) -> int:

@@ -5,16 +5,15 @@ Field elements are coordinate tuples of Fractions in the power basis
 1, a, ..., a^(d-1) of the generator a.  Products compute on integer
 numerators over one denominator: each operand's denominators are cleared
 once, the convolution and the reduction by the minimal polynomial run in
-integers (the reduced powers a^d, ..., a^(2d-2) are integer rows over one
-denominator), and one Fraction is built per output coordinate.  The
-decomposition maps of ``qalgebra`` are held the same way, while elements
-stay Fraction tuples.  Polynomials over a field K are
-lists of such tuples, lowest degree first.  An element of a product of
-fields is the concatenation of its components; the torsion groups that
-are products of cyclic groups, one generator per factor, are presented
-there (``ProductRing.cyclic_presentation``).  Each factor's powers are
-tabulated once when the presentation is built, so a discrete log is a
-projection and one dictionary lookup per factor.
+integers (the reduced powers a^d, ..., a^(2d-2) are a ``RatMatrix``,
+integer rows over one denominator), and one Fraction is built per output
+coordinate, so elements stay Fraction tuples.  Polynomials over a field
+K are lists of such tuples, lowest degree first.  An element of a
+product of fields is the concatenation of its components; the torsion
+groups that are products of cyclic groups, one generator per factor, are
+presented there (``ProductRing.cyclic_presentation``).  Each factor's
+powers are tabulated once when the presentation is built, so a discrete
+log is a projection and one dictionary lookup per factor.
 
 Root finding over K goes through the classical norm trick: shift the
 argument by an integer multiple of the generator until the norm (a
@@ -47,7 +46,6 @@ from .polyfactor import (
     is_irreducible_q,
     qp,
     qp_add,
-    qp_clear_denoms,
     qp_degree,
     qp_deriv,
     qp_divmod,
@@ -86,8 +84,8 @@ class NumberField:
             if lead:
                 cur = [c + lead * t for c, t in zip(cur, table[0])]
             table.append(cur)
-        ints, self._high_den = RatMatrix.from_rows(table).clear_denominators()
-        self._high_rows = ints.to_rows()
+        high = RatMatrix.from_rows(table)
+        self._high_rows, self._high_den = high.num.to_rows(), high.den
         self._torsion = None
         self._residues = None
 
@@ -177,7 +175,7 @@ class NumberField:
         valuation of that gcd over the first few such primes p != ell.
         """
         if self._residues is None:
-            ipart, _ = qp_clear_denoms(list(self.min_poly))
+            ipart, _ = clear_vector(self.min_poly)
             self._residues = [
                 (p, _residue_gcd(ipart, p))
                 for p in islice(_good_primes(ipart), _RESIDUE_PRIMES + 1)

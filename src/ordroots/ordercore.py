@@ -22,9 +22,9 @@ from typing import Dict, List, Optional, Tuple
 from .abgroup import EffPresentation, cyclic_order, cyclic_powers
 from .finitering import FiniteRing
 from .linalg import (
-    IntMatrix,
     Lattice,
     QLattice,
+    RatMatrix,
     det_int,
     invariant_factors,
     kernel_int,
@@ -136,13 +136,7 @@ class EmbeddedOrder:
     def component_kernel(self, i) -> Lattice:
         """{x in Z^rank : component i of (basis * x) = 0}, in basis coords."""
         lo, hi = self.ambient.offsets[i], self.ambient.offsets[i + 1]
-        cols = [[Fraction(e) for e in b[lo:hi]] for b in self.basis]
-        den = 1
-        for c in cols:
-            for e in c:
-                den = den * e.denominator // gcd(den, e.denominator)
-        icols = [[int(e * den) for e in c] for c in cols]
-        return kernel_int(IntMatrix(hi - lo, icols))
+        return kernel_int(RatMatrix(hi - lo, [b[lo:hi] for b in self.basis]).num)
 
     def image_in(self, comps) -> "EmbeddedOrder":
         """Image order in the product over a subset of components."""
@@ -344,8 +338,7 @@ def separable_part(A: Order):
 def build_context(A: Order) -> OrderContext:
     dec = decompose(A.algebra)
     n = A.rank
-    pi2_int, _ = dec.pi2
-    sep_lat = kernel_int(pi2_int)
+    sep_lat = kernel_int(dec.pi2.num)
     if not sep_lat.contains(list(A.one)):
         raise AssertionError("separable part does not contain 1")
     ambient = ProductRing(dec.components)
@@ -536,16 +529,13 @@ class MuCPData:
 
 
 def mu_c_p_presentation(ctx: OrderContext, p: int,
-                        tower: Optional[SaturationTower] = None,
-                        naive: bool = False) -> MuCPData:
+                        tower: Optional[SaturationTower] = None) -> MuCPData:
     """Cyclic generator of the p-power unit torsion of each connected
     component of the graph of C, assembled into a presentation.
 
     Per component the group is grown one vertex at a time along a
-    breadth-first chain; candidate elements are tested for membership in
-    the image order.  The default path climbs p-th roots layer by layer;
-    ``naive=True`` enumerates all ordered pairs instead (the reference
-    path; both must agree).
+    breadth-first chain, climbing p-th roots layer by layer; candidate
+    elements are tested for membership in the image order.
     """
     if tower is None:
         tower = build_saturation(ctx, p)
@@ -554,7 +544,7 @@ def mu_c_p_presentation(ctx: OrderContext, p: int,
     elem_lists = []
     factors = []  # (components, generator over them, order)
     for comp in graph.components:
-        elems, gen = _mu_c_component(ctx, p, c_order, graph, comp, naive)
+        elems, gen = _mu_c_component(ctx, p, c_order, graph, comp)
         if len(elems) > 2 * ctx.order.rank + 2:
             raise AssertionError("order exceeds bound")
         elem_lists.append(elems)
@@ -585,7 +575,7 @@ def mu_c_p_presentation(ctx: OrderContext, p: int,
                     pres=replace(pres, dlog=dlog))
 
 
-def _mu_c_component(ctx: OrderContext, p, c_order, graph, comp, naive):
+def _mu_c_component(ctx: OrderContext, p, c_order, graph, comp):
     """(group elements, generator) of the p-power torsion of the image of
     C in the product over one graph component."""
     # residue p-torsion element lists
@@ -620,27 +610,8 @@ def _mu_c_component(ctx: OrderContext, p, c_order, graph, comp, naive):
     for m_new in chain[1:]:
         new_comps = sorted(cur_comps + [m_new])
         image = c_order.image_in(new_comps)
-        theta, w, relems = res_groups[m_new]
-        if naive:
-            members = []
-            for a in cur_elems:
-                for b in relems:
-                    cand = _merge_elem(ctx, cur_comps, a, m_new, b, new_comps)
-                    if image.contains(cand):
-                        members.append(cand)
-            sub = ctx.ambient.sub_ring(new_comps)
-            best = None
-            for x in sorted(members):
-                o = cyclic_order(sub.mul, sub.one(), x, 2 * ctx.order.rank + 2)
-                if o is None:
-                    raise AssertionError("order exceeds bound")
-                if best is None or o > best[0]:
-                    best = (o, x)
-            cur_elems = members
-            cur_gen = best[1]
-        else:
-            cur_elems, cur_gen = _climb_p_roots(
-                ctx, p, image, cur_comps, cur_elems, m_new, relems, new_comps)
+        cur_elems, cur_gen = _climb_p_roots(
+            ctx, p, image, cur_comps, cur_elems, m_new, res_groups[m_new][2], new_comps)
         cur_comps = new_comps
     return cur_elems, cur_gen
 
@@ -663,7 +634,7 @@ def _merge_elem(ctx, comps_a, a, m_new, b, new_comps):
 
 
 def _climb_p_roots(ctx, p, image, cur_comps, cur_elems, m_new, relems, new_comps):
-    """The faster path: find the group by climbing p-th roots.
+    """Find the group by climbing p-th roots.
 
     The group injects into the previous one and is cyclic, so a generator
     is found by fixing an order-p element and extending it one p-layer at

@@ -1,16 +1,18 @@
 """Order documents: the JSON file format the CLI reads and writes.
 
 A document is a rank plus the flattened structure-constant tensor in
-row-major (i, j, k) order.  Integer entries are decimal strings so that
-arbitrary precision survives serialization; the parser also accepts
-plain JSON integers.  Canonical serialization (sorted keys, two-space
-indent, trailing newline) is byte-stable under parse/serialize round
-trips.
+row-major (i, j, k) order.  Integer entries are decimal strings; the
+parser also accepts plain JSON integers.  Either way an entry has at
+most ``sys.get_int_max_str_digits()`` digits (4300 by default), Python's
+limit on converting between int and decimal text; a longer one is bad
+input.  Canonical serialization (sorted keys, two-space indent, trailing
+newline) is byte-stable under parse/serialize round trips.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from typing import List, Optional
 
@@ -19,6 +21,32 @@ from .ordercore import Order, order_from_poly
 
 class DocumentError(ValueError):
     """Malformed order document or element vector."""
+
+
+def _echo(v) -> str:
+    """repr of an offending entry, cut to a short prefix when long."""
+    r = repr(v)
+    if len(r) <= 40:
+        return r
+    return f"{r[:24]}... ({len(v) if isinstance(v, str) else len(r)} characters)"
+
+
+def _decimal(n: int) -> str:
+    """str(n), or DocumentError when n has more digits than the limit."""
+    try:
+        return str(n)
+    except ValueError:
+        raise DocumentError(
+            f"an output integer has more than {sys.get_int_max_str_digits()} digits") from None
+
+
+def load_json(text: str):
+    """json.loads, raising DocumentError on malformed text and on an
+    integer longer than the conversion limit."""
+    try:
+        return json.loads(text)
+    except ValueError as e:  # JSONDecodeError is one, and so is the digit limit
+        raise DocumentError(f"invalid JSON: {e}") from None
 
 
 def parse_int(v):
@@ -33,16 +61,15 @@ def parse_int(v):
         try:
             return int(s, 10)
         except ValueError:
-            raise DocumentError(f"not a decimal integer: {v!r}") from None
-    raise DocumentError(f"not an integer entry: {v!r}")
+            raise DocumentError(
+                f"not a decimal integer of at most {sys.get_int_max_str_digits()} "
+                f"digits: {_echo(v)}") from None
+    raise DocumentError(f"not an integer entry: {_echo(v)}")
 
 
 def parse_order_document(text: str):
     """(Order, labels) from document text."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise DocumentError(f"invalid JSON: {e}") from None
+    doc = load_json(text)
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
     if "rank" not in doc or "table" not in doc:
@@ -69,7 +96,7 @@ def order_document(order: Order, labels: Optional[List[str]] = None) -> dict:
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                flat.append(str(int(order.algebra.table[i][j][k])))
+                flat.append(_decimal(int(order.algebra.table[i][j][k])))
     doc = {"rank": n, "table": flat}
     if labels is not None:
         doc["labels"] = list(labels)
@@ -99,9 +126,11 @@ def parse_rational(v) -> Fraction:
         else:
             p, q = parse_int(v), 1
     except DocumentError:
-        raise DocumentError(f"not a rational number: {v!r}") from None
+        raise DocumentError(
+            f"not a rational number p or p/q of decimal integers of at most "
+            f"{sys.get_int_max_str_digits()} digits: {_echo(v)}") from None
     if q == 0:
-        raise DocumentError(f"zero denominator: {v!r}")
+        raise DocumentError(f"zero denominator: {_echo(v)}")
     return Fraction(p, q)
 
 
@@ -116,5 +145,6 @@ def format_vector(v) -> List[str]:
     out = []
     for e in v:
         f = Fraction(e)
-        out.append(str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}")
+        num = _decimal(f.numerator)
+        out.append(num if f.denominator == 1 else f"{num}/{_decimal(f.denominator)}")
     return out

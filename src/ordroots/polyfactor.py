@@ -15,6 +15,7 @@ from itertools import combinations
 from math import gcd, isqrt
 
 from .abgroup import power
+from .linalg import clear_vector
 
 
 # ---------------------------------------------------------------------------
@@ -210,14 +211,6 @@ def ip_divides(g, f):
     if any(c.denominator != 1 for c in q):
         return None
     return [int(c) for c in q]
-
-
-def qp_clear_denoms(f):
-    """(integer poly, den) with f = poly/den."""
-    den = 1
-    for c in f:
-        den = den * c.denominator // gcd(den, c.denominator)
-    return [int(c * den) for c in f], den
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +577,7 @@ def factor_q(f):
     monic = qp_monic(f)
     out = []
     for part, mult in _yun_squarefree(monic):
-        ipart, _ = qp_clear_denoms(part)
+        ipart, _ = clear_vector(part)
         ipart = ip_primitive(ipart)[1]
         for fac in factor_squarefree_z(ipart):
             out.append((qp_monic(qp(fac)), mult))
@@ -719,7 +712,7 @@ def resultant(f, g):
     f, g = qp(f), qp(g)
     if not f or not g:
         return Fraction(0)
-    fi, fd = qp_clear_denoms(f)
-    gi, gd = qp_clear_denoms(g)
+    fi, fd = clear_vector(f)
+    gi, gd = clear_vector(g)
     r = ip_resultant(fi, gi)
     return Fraction(r, fd ** qp_degree(g) * gd ** qp_degree(f))

@@ -5,13 +5,18 @@ coordinate vector of e_i * e_j).  The decomposition machinery splits the
 algebra into its nilradical and a maximal subalgebra without nilpotents,
 and splits the latter into number fields; on top of that sit the
 generators, relations, and discrete logarithms of the group of roots of
-unity.
+unity.  The splitting works in the algebra itself: its primitive element
+is searched and Newton-lifted there, on the rows that hold no pivot of
+the nilradical, so no quotient algebra is built.
 
 Elements are coordinate tuples; entries are ints or Fractions (exact
 either way).  The roots of unity are presented in component coordinates,
 on the product of the number fields, where a product costs one field
 multiplication per component; ``to_components`` and ``from_components``
-convert at the boundary, as integer matrices over one denominator.
+convert at the boundary.  These and the projections onto the separable
+part and the nilradical are ``RatMatrix`` maps: integer numerators over
+one denominator, applied as one integer matrix-vector product and one
+division per coordinate.
 """
 
 from __future__ import annotations
@@ -21,9 +26,9 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .abgroup import EffPresentation, power
-from .linalg import IntMatrix, RatMatrix, clear_vector, kernel_int, solve_rat
+from .linalg import RatMatrix, kernel_int, solve_rat
 from .numfield import NumberField, ProductRing
-from .polyfactor import factor_q, qp, qp_degree, qp_deriv, qp_gcd
+from .polyfactor import factor_q, qp, qp_degree, qp_deriv, qp_gcd, squarefree_part
 
 
 class AlgebraError(ValueError):
@@ -198,30 +203,16 @@ class QAlgebra:
         return RatMatrix(n, cols)
 
 
-# a rational linear map N/d: integer matrix N, denominator d > 0
-IntMap = Tuple[IntMatrix, int]
-
-
-def _apply(m: IntMap, x):
-    """N x / d for m = (N, d), on integer numerators; coordinates as
-    ``_num`` gives them (int where integral)."""
-    mat, d = m
-    xn, dx = clear_vector(x)
-    den = d * dx
-    return tuple(c // den if c % den == 0 else Fraction(c, den) for c in mat.apply(xn))
-
-
 @dataclass
 class SpecDecomposition:
     """Splitting data of a commutative Q-algebra.
 
-    ``components`` are the residue number fields; ``projections[i]``
-    maps algebra coordinates onto component i; ``section`` maps stacked
-    component coordinates back into the algebra (landing in the maximal
-    subalgebra without nilpotents, whose basis is ``power_basis``);
-    ``pi1`` and ``pi2`` project onto that subalgebra and onto the
-    nilradical.  Each map is held as integer rows over one denominator,
-    a pair (IntMatrix N, int d) for the map N/d.
+    ``components`` are the residue number fields; ``projection`` maps
+    algebra coordinates onto the stacked component coordinates;
+    ``section`` maps stacked component coordinates back into the algebra
+    (landing in the maximal subalgebra without nilpotents, whose basis is
+    ``power_basis``); ``pi1`` and ``pi2`` project onto that subalgebra and
+    onto the nilradical.
     """
 
     algebra: QAlgebra
@@ -231,73 +222,29 @@ class SpecDecomposition:
     alpha: tuple
     components: List[NumberField]
     factors: List[Tuple[Fraction, ...]]
-    projections: List[IntMap]
-    section: IntMap
-    pi1: IntMap
-    pi2: IntMap
+    projection: RatMatrix
+    section: RatMatrix
+    pi1: RatMatrix
+    pi2: RatMatrix
 
     @property
     def sep_dim(self) -> int:
         return self.power_basis.ncols
 
-    @property
-    def offsets(self) -> List[int]:
-        out = [0]
-        for K in self.components:
-            out.append(out[-1] + K.deg)
-        return out
-
-    def component_of(self, x, i):
-        return _apply(self.projections[i], x)
-
     def to_components(self, x):
-        out = []
-        for i in range(len(self.components)):
-            out.extend(self.component_of(x, i))
-        return tuple(out)
+        return self.projection.apply(x)
 
     def from_components(self, v):
-        return _apply(self.section, v)
+        return self.section.apply(v)
 
     def separable_projection(self, x):
-        return _apply(self.pi1, x)
+        return self.pi1.apply(x)
 
     def nil_projection(self, x):
-        return _apply(self.pi2, x)
+        return self.pi2.apply(x)
 
     def is_separable_element(self, x) -> bool:
         return all(c == 0 for c in self.nil_projection(x))
-
-
-def _quotient_by_nil(E: QAlgebra, nil_cols):
-    """Structure table of E modulo its nilradical, with the complement
-    basis (unit vectors away from the pivot rows of the nilradical)."""
-    n = E.dim
-    k = len(nil_cols)
-    pivot_rows = set()
-    for c in nil_cols:
-        pivot_rows.add(next(i for i, e in enumerate(c) if e))
-    comp_rows = [i for i in range(n) if i not in pivot_rows]
-    q = len(comp_rows)
-    if q != n - k:
-        raise AssertionError("nilradical pivots are not distinct rows")
-    cols = [[Fraction(int(i == r)) for i in range(n)] for r in comp_rows]
-    cols += [[Fraction(e) for e in c] for c in nil_cols]
-    mfull = RatMatrix(n, cols)
-    minv = mfull.inverse()
-
-    def quot_coords(x):
-        y = minv.apply(list(x))
-        return [_num(c) for c in y[:q]]
-
-    table = []
-    for a in range(q):
-        row = []
-        for b in range(q):
-            prod = E.table[comp_rows[a]][comp_rows[b]]
-            row.append(quot_coords(prod))
-        table.append(row)
-    return table, comp_rows
 
 
 def minimal_polynomial(alg: QAlgebra, x):
@@ -316,83 +263,68 @@ def minimal_polynomial(alg: QAlgebra, x):
     raise AssertionError("minimal polynomial search exceeded the dimension")
 
 
-def _primitive_element(alg: QAlgebra):
-    """Element whose minimal polynomial has degree = dim, by the
-    deterministic search over t -> sum_i t^(i-1) e_i."""
-    n = alg.dim
-    for t in range(n * n * n + n + 2):
-        x = tuple(_num(Fraction(t) ** i) for i in range(n))
-        m = minimal_polynomial(alg, x)
-        if qp_degree(m) == n:
-            return x, m
+def _primitive_element(alg: QAlgebra, rows):
+    """(x, m): the first x = sum_i t^i e_(rows[i]), t = 0, 1, ..., whose
+    minimal polynomial has a radical m of degree len(rows)."""
+    q = len(rows)
+    for t in range(q * q * q + q + 2):
+        x = [0] * alg.dim
+        for i, r in enumerate(rows):
+            x[r] = t ** i
+        m = squarefree_part(minimal_polynomial(alg, x))
+        if qp_degree(m) == q:
+            return tuple(x), m
     raise AssertionError("primitive element search failed")
 
 
 def decompose(E: QAlgebra) -> SpecDecomposition:
     """Split E into nilradical and number-field components.
 
-    The nilradical is the kernel of the trace form.  A primitive element
-    of the quotient is Newton-lifted into E until its squarefree minimal
-    polynomial vanishes exactly; its powers span a complement of the
-    nilradical, and factoring the minimal polynomial yields the
-    components with their projection and section matrices.
+    The nilradical N is the kernel of the trace form.  The minimal
+    polynomial of an element of E and that of its image in the reduced
+    algebra E/N have the same radical, so a primitive element of E/N is
+    searched in E itself, on the rows that hold no pivot of N's basis,
+    and Newton-lifted until the radical vanishes exactly.  Its powers span
+    a complement of N, and factoring the radical yields the components
+    with their projection and section matrices.
     """
     n = E.dim
     if n == 0:
-        empty = (IntMatrix(0, []), 1)
+        empty = RatMatrix(0, [])
         return SpecDecomposition(
-            algebra=E, nil_basis=[], power_basis=RatMatrix(0, []), min_poly=(),
-            alpha=(), components=[], factors=[], projections=[],
-            section=empty, pi1=empty, pi2=empty,
+            algebra=E, nil_basis=[], power_basis=empty, min_poly=(), alpha=(),
+            components=[], factors=[], projection=empty, section=empty,
+            pi1=empty, pi2=empty,
         )
-    gram_int, _ = E.trace_gram().clear_denominators()
-    nil = kernel_int(gram_int)
+    nil = kernel_int(E.trace_gram().num)
     nil_cols = [list(c) for c in nil.basis.cols]
-    k = len(nil_cols)
-    q = n - k
+    q = n - len(nil_cols)
+    rows = [i for i in range(n) if i not in nil.pivots]
+    if len(rows) != q:
+        raise AssertionError("nilradical pivots are not distinct rows")
 
-    if k == 0:
-        alpha_bar, mbar = _primitive_element(E)
-        alpha = alpha_bar
-        m = mbar
+    alpha, m = _primitive_element(E, rows)
+    dm = qp_deriv(m)
+    for _ in range(n.bit_length() + 2):
+        val = E.eval_poly(m, alpha)
+        if not any(val):
+            break
+        dval = E.eval_poly(dm, alpha)
+        alpha = tuple(_num(a - b) for a, b in zip(alpha, E.mul(val, E.inv(dval))))
     else:
-        qtable, comp_rows = _quotient_by_nil(E, nil_cols)
-        qalg = QAlgebra(qtable)
-        alpha_bar, m = _primitive_element(qalg)
-        # lift the quotient element into E along the complement rows
-        alpha = [Fraction(0)] * n
-        for idx, r in enumerate(comp_rows):
-            alpha[r] = Fraction(alpha_bar[idx])
-        alpha = tuple(_num(c) for c in alpha)
-        dm = qp_deriv(m)
-        for _ in range(n.bit_length() + 2):
-            val = E.eval_poly(m, alpha)
-            if all(c == 0 for c in val):
-                break
-            dval = E.eval_poly(dm, alpha)
-            alpha = tuple(
-                _num(a - b)
-                for a, b in zip(alpha, E.mul(val, E.inv(dval)))
-            )
-        else:
-            raise AssertionError("newton lift did not converge")
-        if not all(c == 0 for c in E.eval_poly(m, alpha)):
-            raise AssertionError("newton lift did not reach an exact root")
-
-    if qp_degree(qp_gcd(m, qp_deriv(m))) != 0:
+        raise AssertionError("newton lift did not converge")
+    if qp_degree(qp_gcd(m, dm)) != 0:
         raise AssertionError("minimal polynomial not squarefree")
 
     powers = []
     cur = E.one
     for _ in range(q):
-        powers.append(list(cur))
+        powers.append(cur)
         cur = E.mul(cur, alpha)
     power_mat = RatMatrix(n, powers)
-
-    full = RatMatrix(n, powers + [[Fraction(e) for e in c] for c in nil_cols])
-    full_inv = full.inverse()
-    top = RatMatrix.from_rows(full_inv.to_rows()[:q])
-    bottom = RatMatrix.from_rows(full_inv.to_rows()[q:])
+    # rows :q give coordinates along the powers of alpha, rows q: along N
+    full_inv = RatMatrix(n, powers + nil_cols).inverse()
+    top = full_inv.row_block(0, q)
 
     const, facs = factor_q(list(m))
     if any(mult != 1 for _, mult in facs):
@@ -400,35 +332,21 @@ def decompose(E: QAlgebra) -> SpecDecomposition:
     factors = [tuple(f) for f, _ in facs]
     components = [NumberField(list(f)) for f in factors]
 
-    projections = []
+    # phi: a polynomial in alpha of degree < q -> its stacked component
+    # coordinates; column j stacks the powers a^j of the fields' generators
+    blocks = [[] for _ in range(q)]
     for K in components:
-        cols = []
-        for t in range(n):
-            p = [top.entry(i, t) for i in range(q)]
-            cols.append(list(K.from_poly(p)))
-        projections.append(RatMatrix(K.deg, cols).clear_denominators())
-
-    # section: stacked component coordinates -> algebra coordinates
-    blocks = []
-    for j in range(q):
-        xj = [Fraction(0)] * q
-        xj[j] = Fraction(1)
-        col = []
-        for K in components:
-            col.extend(K.from_poly(xj))
-        blocks.append(col)
+        cur, a = K.one(), K.gen()
+        for col in blocks:
+            col.extend(cur)
+            cur = K.mul(cur, a)
     phi = RatMatrix(q, blocks)
-    section = power_mat.mul(phi.inverse())
-
-    nil_mat = RatMatrix(n, [[Fraction(e) for e in c] for c in nil_cols])
-    pi1 = power_mat.mul(top).clear_denominators()
-    pi2 = nil_mat.mul(bottom).clear_denominators() if k else (IntMatrix.zeros(n, n), 1)
 
     dec = SpecDecomposition(
         algebra=E, nil_basis=nil_cols, power_basis=power_mat, min_poly=tuple(m),
         alpha=alpha, components=components, factors=factors,
-        projections=projections, section=section.clear_denominators(),
-        pi1=pi1, pi2=pi2,
+        projection=phi.mul(top), section=power_mat.mul(phi.inverse()),
+        pi1=power_mat.mul(top), pi2=RatMatrix(n, nil_cols).mul(full_inv.row_block(q, n)),
     )
     _check_maps(dec)
     return dec
@@ -436,24 +354,24 @@ def decompose(E: QAlgebra) -> SpecDecomposition:
 
 def _check_maps(dec: SpecDecomposition):
     """The stored maps split the algebra: pi1 + pi2 is the identity,
-    pi1 pi2 = 0, and each component projection is a ring map,
-    pi_i(e_a e_b) = pi_i(e_a) pi_i(e_b) for every basis pair (e_a e_b is
-    a table cell)."""
+    pi1 pi2 = 0, and the projection is a ring map onto the product of the
+    components, pi(e_a e_b) = pi(e_a) pi(e_b) for every basis pair (e_a e_b
+    is a table cell)."""
     E = dec.algebra
     n = E.dim
-    (p1, d1), (p2, d2) = dec.pi1, dec.pi2
+    p1, d1, p2, d2 = dec.pi1.num, dec.pi1.den, dec.pi2.num, dec.pi2.den
     for j, (c1, c2) in enumerate(zip(p1.cols, p2.cols)):
         for i, (a, b) in enumerate(zip(c1, c2)):
             if a * d2 + b * d1 != d1 * d2 * (i == j):
                 raise AssertionError("projections do not sum to the identity")
     if any(any(c) for c in p1.mul(p2).cols):
         raise AssertionError("projections not orthogonal")
-    for i, K in enumerate(dec.components):
-        cols = [dec.component_of(E.basis_vec(a), i) for a in range(n)]
-        for a in range(n):
-            for b in range(a, n):
-                if dec.component_of(E.table[a][b], i) != K.mul(cols[a], cols[b]):
-                    raise AssertionError("component projection is not a ring map")
+    ring = ProductRing(dec.components)
+    cols = [dec.to_components(E.basis_vec(a)) for a in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            if dec.to_components(E.table[a][b]) != ring.mul(cols[a], cols[b]):
+                raise AssertionError("component projection is not a ring map")
 
 
 # ---------------------------------------------------------------------------

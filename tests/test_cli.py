@@ -321,3 +321,29 @@ def test_same_answers_under_optimize(tmp_path, poly, argv, code):
     assert plain.returncode == code, plain.stderr
     assert opt.returncode == code, opt.stderr
     assert opt.stdout == plain.stdout != ""
+
+
+BIG = "1" + "0" * 5000  # past Python's 4300-digit limit on int <-> str
+
+
+@pytest.mark.parametrize("argv, document", [
+    (["from-poly", f"[{BIG}, 1]"], None),
+    (["from-poly", f'["{BIG}", 1]'], None),
+    # fits the limit, but X^4 mod f has twice as many digits
+    (["from-poly", f'[-1, 0, "-{"7" * 3000}", 1]'], None),
+    (["dlog", "--targets", f"[[{BIG}, 0, 0, 0]]", "--element", "[1, 0, 0, 0]"], X4),
+    (["dlog", "--targets", f'[["{BIG}/3", 0, 0, 0]]', "--element", "[1, 0, 0, 0]"], X4),
+    (["units"], '{"rank": 1, "table": [' + BIG + "]}"),
+], ids=["from-poly-int", "from-poly-string", "from-poly-output", "dlog-int", "dlog-string",
+        "units-int"])
+def test_big_integers_are_bad_input(capsys, tmp_path, argv, document):
+    if document is not None:
+        path = tmp_path / "order.json"
+        text = document if isinstance(document, str) else dump_canonical(poly_order_document(document))
+        path.write_text(text, "utf-8")
+        argv = argv[:1] + [str(path)] + argv[1:]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.encode()) < 200
+    assert "Traceback" not in err

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ordroots.linalg import (
@@ -26,7 +26,16 @@ from ordroots.linalg import (
     solve_rat,
     sum_lattices,
 )
-from util import cofactor_det, rescan_coords, rescan_reduce, rescan_solve_int
+from ordroots.linalg import _gauss_jordan, clear_vector
+from util import (
+    cofactor_det,
+    fraction_gauss_jordan,
+    fraction_inverse,
+    fraction_solve,
+    rescan_coords,
+    rescan_reduce,
+    rescan_solve_int,
+)
 
 
 small_matrices = st.integers(0, 5).flatmap(
@@ -308,3 +317,80 @@ def test_rat_matrix_inverse():
     assert m.mul(inv) == RatMatrix.identity(2)
     with pytest.raises(ValueError):
         RatMatrix.from_rows([[1, 2], [2, 4]]).inverse()
+
+
+# ---------------------------------------------------------------------------
+# rational systems against Gauss-Jordan over Fractions
+
+_RAT = st.one_of(st.just(0), st.integers(-6, 6), st.fractions(-6, 6, max_denominator=12))
+
+
+@st.composite
+def rational_systems(draw):
+    """(rows, vec): 1..5 x 1..5 rational rows and a right-hand side, with
+    dependent rows and consistent right-hand sides drawn often."""
+    nr, nc = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(_RAT, min_size=nc, max_size=nc), min_size=nr, max_size=nr))
+    if nr > 1 and draw(st.booleans()):
+        # row j a multiple of row i
+        i = draw(st.integers(0, nr - 1))
+        j = (i + draw(st.integers(1, nr - 1))) % nr
+        k = draw(_RAT)
+        rows[j] = [k * e for e in rows[i]]
+    if draw(st.booleans()):
+        y = draw(st.lists(_RAT, min_size=nc, max_size=nc))
+        vec = [sum(Fraction(a) * b for a, b in zip(r, y)) for r in rows]
+    else:
+        vec = draw(st.lists(_RAT, min_size=nr, max_size=nr))
+    return rows, vec
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_systems())
+@example(([[1, 1], [2, 2]], [1, 3]))  # inconsistent
+@example(([[1, 2, 3]], [Fraction(1, 2)]))  # underdetermined
+@example(([[0, 0], [0, 0]], [0, 0]))  # singular, every x solves
+@example(([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 4), Fraction(1, 2)]], [1, 1]))  # singular
+@example(([[1], [2], [3]], [2, 4, 6]))  # overdetermined, consistent
+def test_solve_and_inverse_match_the_fraction_reference(system):
+    rows, vec = system
+    m = RatMatrix.from_rows(rows)
+    x = solve_rat(m, vec)
+    assert x == fraction_solve(rows, vec)
+    if x is not None:
+        assert list(m.apply(x)) == vec
+    if len(rows) != len(rows[0]):
+        with pytest.raises(ValueError, match="not square"):
+            m.inverse()
+        return
+    try:
+        want = fraction_inverse(rows)
+    except ValueError:
+        with pytest.raises(ValueError, match="singular"):
+            m.inverse()
+        return
+    inv = m.inverse()
+    assert inv == RatMatrix.from_rows(want)
+    assert m.mul(inv) == RatMatrix.identity(len(rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_systems())
+def test_fraction_free_rows_are_multiples_of_the_rational_rows(system):
+    """The integer elimination pivots on the same rows as elimination over
+    Q, so each of its rows is a nonzero multiple of the rational one, and
+    the pivot entries all equal the returned denominator."""
+    rows, vec = system
+    ints = [clear_vector(list(r) + [v])[0] for r, v in zip(rows, vec)]
+    ref, ref_pivots = fraction_gauss_jordan(ints, len(rows[0]))
+    pivots, d = _gauss_jordan(ints, len(rows[0]))
+    assert pivots == ref_pivots
+    for i, (got, want) in enumerate(zip(ints, ref)):
+        j = next((j for j, e in enumerate(want) if e), None)
+        if j is None:
+            assert not any(got)
+            continue
+        k = Fraction(got[j]) / want[j]
+        assert k != 0 and got == [k * e for e in want]
+        if i < len(pivots):
+            assert got[pivots[i]] == d

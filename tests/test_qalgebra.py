@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordroots import qalgebra
-from ordroots.linalg import IntMatrix, RatMatrix
+from ordroots.linalg import RatMatrix
 from ordroots.ordercore import order_from_poly
-from ordroots.polyfactor import euler_phi, qp, qp_divmod
+from ordroots.polyfactor import euler_phi, qp, qp_divmod, qp_mul
 from ordroots.qalgebra import (
     AlgebraError,
     QAlgebra,
@@ -184,7 +184,7 @@ def test_minimal_polynomial():
 
 
 # ---------------------------------------------------------------------------
-# the decomposition maps, held as integer rows over one denominator
+# the decomposition maps, rational matrices on integer numerators
 
 MAP_ORDERS = {
     "X^2": [0, 0, 1],
@@ -205,11 +205,11 @@ def _dec(name):
     return _DECS[name]
 
 
-def _rat_apply(m, x):
-    """The map (N, d) as a RatMatrix N/d, applied and read through _num."""
-    mat, d = m
-    rat = RatMatrix(mat.nrows, [[Fraction(e, d) for e in c] for c in mat.cols])
-    return tuple(_num(c) for c in rat.apply(list(x)))
+def _fraction_apply(m, x):
+    """The map m applied by a plain Fraction product of its entries
+    num[i][j] / den with x, read through _num."""
+    return tuple(_num(sum(Fraction(e, m.den) * Fraction(c) for e, c in zip(row, x)))
+                 for row in m.num.to_rows())
 
 
 def _same(got, want):
@@ -226,16 +226,11 @@ def test_maps_match_the_rational_matrices(name, data):
     dec = _dec(name)
     n = dec.algebra.dim
     x = data.draw(st.lists(_COORD, min_size=n, max_size=n).map(tuple))
-    comps = ()
-    for i in range(len(dec.components)):
-        got = dec.component_of(x, i)
-        _same(got, _rat_apply(dec.projections[i], x))
-        comps += got
-    _same(dec.to_components(x), comps)
-    _same(dec.separable_projection(x), _rat_apply(dec.pi1, x))
-    _same(dec.nil_projection(x), _rat_apply(dec.pi2, x))
+    _same(dec.to_components(x), _fraction_apply(dec.projection, x))
+    _same(dec.separable_projection(x), _fraction_apply(dec.pi1, x))
+    _same(dec.nil_projection(x), _fraction_apply(dec.pi2, x))
     v = data.draw(st.lists(_COORD, min_size=dec.sep_dim, max_size=dec.sep_dim))
-    _same(dec.from_components(v), _rat_apply(dec.section, v))
+    _same(dec.from_components(v), _fraction_apply(dec.section, v))
     # components reassemble through the section
     assert dec.from_components(dec.to_components(x)) == dec.separable_projection(x)
 
@@ -248,22 +243,58 @@ def test_decompose_rejects_broken_projections(monkeypatch, broken):
     class Broken(qalgebra.SpecDecomposition):
         def __init__(self, **kw):
             super().__init__(**kw)
-            p1, d1 = self.pi1
+            n = self.algebra.dim
+            p1 = [[Fraction(e, self.pi1.den) for e in c] for c in self.pi1.num.cols]
             if broken == "sum":
-                p1 = p1.scaled(1)
-                p1.cols[0][0] += 1
-                self.pi1 = (p1, d1)
+                p1[0][0] += 1
+                self.pi1 = RatMatrix(n, p1)
             else:
                 # 2 pi1 and 1 - 2 pi1 still sum to 1 but do not annihilate
-                self.pi1 = (p1.scaled(2), d1)
-                n = p1.nrows
-                self.pi2 = (
-                    IntMatrix(n, [[d1 * (i == j) - 2 * e for i, e in enumerate(c)]
-                                 for j, c in enumerate(p1.cols)]),
-                    d1,
-                )
+                self.pi1 = RatMatrix(n, [[2 * e for e in c] for c in p1])
+                self.pi2 = RatMatrix(n, [[int(i == j) - 2 * e for i, e in enumerate(c)]
+                                         for j, c in enumerate(p1)])
 
     monkeypatch.setattr(qalgebra, "SpecDecomposition", Broken)
     message = {"sum": "sum to the identity", "orthogonal": "not orthogonal"}[broken]
     with pytest.raises(AssertionError, match=message):
         decompose(poly_algebra([0, 0, 1]))
+
+
+# ---------------------------------------------------------------------------
+# primitive elements of non-reduced algebras: searched on the rows that hold
+# no pivot of the nilradical, t = 0, 1, ...; pinned to the values of the
+# search in the reduced quotient that it replaced
+
+
+def _prod(*fs):
+    out = qp([1])
+    for f in fs:
+        out = qp_mul(out, qp(f))
+    return [int(c) for c in out]
+
+
+_X, F = [0, 1], Fraction
+NON_REDUCED = {
+    "X^2": (_prod(_X, _X), (1, 0), [-1, 1]),
+    "X^3": (_prod(_X, _X, _X), (1, 0, 0), [-1, 1]),
+    "(X^2+1)^2": (_prod([1, 0, 1], [1, 0, 1]), (-1, F(-3, 2), 0, F(-1, 2)), [2, 2, 1]),
+    "(X^2-2)^2 (X+1)": (_prod([-2, 0, 1], [-2, 0, 1], [1, 1]),
+                        (-4, 3, 10, F(-1, 2), F(-5, 2)), [-28, 40, -13, 1]),
+    "X^2 (X-1)": (_prod(_X, _X, [-1, 1]), (1, 0, 1), [2, -3, 1]),
+    "Phi_3^2 X": (_prod([1, 1, 1], [1, 1, 1], _X), (1, F(-2, 3), -3, -2, F(-4, 3)), [-3, 6, -4, 1]),
+    "(X+1)^3 (X-1)": (_prod([1, 1], [1, 1], [1, 1], [-1, 1]),
+                      (F(1, 4), F(3, 4), F(3, 4), F(1, 4)), [0, -2, 1]),
+    "Phi_5 X^2": (_prod([1, 1, 1, 1, 1], _X, _X), (1, 0, 1, 1, 1, 1), [-5, 15, -20, 15, -6, 1]),
+    "(X^2+3)^2 X": (_prod([3, 0, 1], [3, 0, 1], _X), (1, F(-9, 2), -6, F(-1, 2), -1),
+                    [-127, 147, -21, 1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_REDUCED))
+def test_primitive_element_of_non_reduced_algebras(name):
+    f, alpha, min_poly = NON_REDUCED[name]
+    dec = decompose(poly_algebra(f))
+    assert dec.nil_basis
+    assert dec.alpha == alpha
+    assert [type(c) for c in dec.alpha] == [type(c) for c in alpha]
+    assert dec.min_poly == tuple(qp(min_poly))

@@ -2,9 +2,9 @@
 
 Everything here is deliberately implemented by a different route than
 the library code it checks: cofactor determinants, Sylvester matrices,
-schoolbook number-field products, Kronecker interpolation factoring,
-Schreier-style breadth-first kernel generators, and plain brute-force
-enumeration.
+Gauss-Jordan elimination over Fractions, schoolbook number-field
+products, Kronecker interpolation factoring, Schreier-style breadth-first
+kernel generators, and plain brute-force enumeration.
 """
 
 from fractions import Fraction
@@ -61,6 +61,58 @@ def schoolbook_field_mul(K, x, y):
         for j, t in enumerate(K.min_poly):
             prod[k - d + j] -= c * t
     return tuple(prod[:d])
+
+
+# ---------------------------------------------------------------------------
+# rational linear systems by Gauss-Jordan elimination over Fractions
+
+def fraction_gauss_jordan(rows, ncols):
+    """(rows, pivot columns): Gauss-Jordan over Q on the first ``ncols``
+    columns, pivoting on the first row from the current one down with a
+    nonzero entry; pivot rows are scaled to 1."""
+    a = [[Fraction(e) for e in r] for r in rows]
+    nr = len(a)
+    piv_cols = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nr) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        p = a[r][c]
+        a[r] = [e / p for e in a[r]]
+        for i in range(nr):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [e - f * g for e, g in zip(a[i], a[r])]
+        piv_cols.append(c)
+        r += 1
+        if r == nr:
+            break
+    return a, piv_cols
+
+
+def fraction_solve(rows, vec):
+    """The solution of rows * x = vec with the unknowns off the pivot
+    columns zero, or None."""
+    nc = len(rows[0])
+    a, piv_cols = fraction_gauss_jordan([list(r) + [v] for r, v in zip(rows, vec)], nc)
+    if any(r[nc] != 0 for r in a[len(piv_cols):]):
+        return None
+    x = [Fraction(0)] * nc
+    for r, c in zip(a, piv_cols):
+        x[c] = r[nc]
+    return x
+
+
+def fraction_inverse(rows):
+    """Inverse as Fraction rows; ValueError if singular."""
+    n = len(rows)
+    a, piv_cols = fraction_gauss_jordan(
+        [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)], n)
+    if len(piv_cols) < n:
+        raise ValueError("matrix is singular")
+    return [r[n:] for r in a]
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +409,30 @@ def sweep_torsion_generator(K):
     assert sorted(found) == [d for d in range(1, w + 1) if w % d == 0]
     assert sum(len(found[d]) for d in found) == w
     return min(found[w]), w
+
+
+def all_pairs_mu_c_p(ctx, p):
+    """Sorted element list of the p-power torsion of the image of C in the
+    product over each component of the graph mod p, by enumerating all
+    pairs: the group over vertices m_1 < ... < m_j is every pair of an
+    element over m_1 ... m_(j-1) and a p-power root of unity of residue
+    m_j whose concatenation lies in the image of C."""
+    from ordroots.abgroup import cyclic_powers
+    from ordroots.ordercore import build_saturation, graph_mod_p
+
+    c_order = build_saturation(ctx, p).c_order
+    out = []
+    for comp in graph_mod_p(ctx, p).components:
+        comp = sorted(comp)
+        elems = [()]
+        for j, m in enumerate(comp):
+            K = ctx.dec.components[m]
+            theta = ctx.residue_torsion(m).theta_p.get(p, K.one())
+            image = c_order.image_in(comp[:j + 1])
+            elems = [a + b for a in elems for b in cyclic_powers(K.mul, K.one(), theta)
+                     if image.contains(a + b)]
+        out.append(sorted(elems))
+    return out
 
 
 def quotient_coset_normalizer(rel_lattice, modulo_vectors):
