@@ -27,7 +27,7 @@ from .orderdoc import (
     parse_vector,
     poly_order_document,
 )
-from .ordercore import build_context, graph_mod_p, primitive_idempotents_ctx
+from .ordercore import build_context, build_saturation, graph_mod_p, primitive_idempotents_ctx
 from .polyfactor import _is_prime
 from .qalgebra import AlgebraError
 from .rou import mu_a_presentation, mu_e_subgroup_dlog
@@ -151,8 +151,6 @@ def cmd_decompose(args) -> int:
     primes = ctx.torsion_primes()
     local = []
     for p in primes:
-        from .ordercore import build_saturation
-
         tow = build_saturation(ctx, p)
         local.append({
             "prime": p,

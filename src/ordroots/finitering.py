@@ -41,7 +41,7 @@ from .qalgebra import check_table, table_mul, table_mul_basis
 class FiniteRing:
     """Commutative ring, finite as an additive group."""
 
-    def __init__(self, rel_lattice: Lattice, mult_table, one_coords, check=True):
+    def __init__(self, rel_lattice: Lattice, mult_table, one_coords):
         k = rel_lattice.dim
         if rel_lattice.rank != k:
             raise ValueError("relation lattice must have full rank (finite ring)")
@@ -51,8 +51,7 @@ class FiniteRing:
             tuple(tuple(int(e) for e in cell) for cell in row) for row in mult_table
         )
         self.one = self.reduce(one_coords)
-        if check:
-            self._check_well_defined()
+        self._check_well_defined()
 
     def _check_well_defined(self):
         # products of generators with relation vectors must land in the
@@ -151,19 +150,13 @@ class RingIdeal:
 
     @classmethod
     def generated_by(cls, ring: FiniteRing, elems) -> "RingIdeal":
+        """The ideal generated by ``elems``: spanned by the relation
+        lattice and the products e * e_j with the ring's generators,
+        which contain e = e * 1 because the ring has an identity.  The
+        constructor's check verifies the closure."""
         gens = [list(c) for c in ring.rel.basis.cols]
-        gens += [list(e) for e in elems]
-        lat = Lattice(ring.ngens, gens)
-        while True:
-            extra = []
-            for b in lat.basis.cols:
-                for j in range(ring.ngens):
-                    v = table_mul_basis(ring.table, b, j)
-                    if not lat.contains(v):
-                        extra.append(v)
-            if not extra:
-                return cls(ring, lat, check=False)
-            lat = Lattice(ring.ngens, [list(c) for c in lat.basis.cols] + extra)
+        gens += [table_mul_basis(ring.table, e, j) for e in elems for j in range(ring.ngens)]
+        return cls(ring, Lattice(ring.ngens, gens))
 
     @classmethod
     def zero(cls, ring: FiniteRing) -> "RingIdeal":

@@ -366,20 +366,6 @@ class Lattice:
             return None
         return out
 
-    def rat_coords(self, vec):
-        """Rational coordinates of vec in span_Q(basis), or None."""
-        v = [Fraction(e) for e in vec]
-        out = []
-        for c, r in zip(self.basis.cols, self.pivots):
-            q = v[r] / c[r]
-            out.append(q)
-            if q:
-                for i in range(r, self.dim):
-                    v[i] -= q * c[i]
-        if any(v):
-            return None
-        return out
-
     def contains(self, vec) -> bool:
         return self.coords(vec) is not None
 
@@ -546,10 +532,6 @@ class QLattice:
         if s is None:
             return None
         return self.lat.coords(s)
-
-    def rat_coords(self, vec):
-        v = [Fraction(e) * self.den for e in vec]
-        return self.lat.rat_coords(v)
 
     def element(self, coords):
         v = self.lat.element(coords)

@@ -517,8 +517,10 @@ def _norm_poly(f, K):
 def roots_in_field(f, K: NumberField):
     """All roots in K of a nonzero f in K[X], sorted by coordinates.
 
-    Every returned root is re-verified exactly; for separable f the root
-    count is checked against deg f.
+    One path serves every degree: over a field of degree 1 the norm of
+    the shifted polynomial is that polynomial itself.  Every returned
+    root is re-verified exactly; for separable f the root count is
+    checked against deg f.
     """
     f = nfp_strip(list(f))
     if not f:
@@ -529,35 +531,27 @@ def roots_in_field(f, K: NumberField):
     g0 = nfp_gcd(fm, nfp_deriv(fm, K), K)
     separable = nfp_degree(g0) == 0
     fs = nfp_monic(nfp_divmod(fm, g0, K)[0], K)
-    if K.deg == 1:
-        # ground field: roots come straight from the rational factorization
-        roots = []
-        _, factors = factor_q([c[0] for c in fs])
-        for fac, _ in factors:
-            if qp_degree(fac) == 1:
-                roots.append((-fac[0],))
-    else:
-        shift = None
-        norm = None
-        for s in range(32 * K.deg * nfp_degree(fs) + 8):
-            g = nfp_compose_shift(fs, s, K)
-            norm = _norm_poly(g, K)
-            if qp_degree(qp_gcd(norm, qp_deriv(norm))) == 0:
-                shift = s
-                break
-        if shift is None:
-            raise AssertionError("no squarefree shift found")
-        g = nfp_compose_shift(fs, shift, K)
-        _, factors = factor_q(norm)
-        roots = []
-        for fac, _ in factors:
-            piece = nfp_gcd(g, nfp_from_qp(fac, K), K)
-            if nfp_degree(piece) < 1:
-                raise AssertionError("norm factor does not pull back")
-            if nfp_degree(piece) == 1:
-                r_shifted = K.neg(piece[0])
-                root = K.sub(r_shifted, K.mul(K.gen(), K.from_rational(shift)))
-                roots.append(root)
+    shift = None
+    norm = None
+    for s in range(32 * K.deg * nfp_degree(fs) + 8):
+        g = nfp_compose_shift(fs, s, K)
+        norm = _norm_poly(g, K)
+        if qp_degree(qp_gcd(norm, qp_deriv(norm))) == 0:
+            shift = s
+            break
+    if shift is None:
+        raise AssertionError("no squarefree shift found")
+    g = nfp_compose_shift(fs, shift, K)
+    _, factors = factor_q(norm)
+    roots = []
+    for fac, _ in factors:
+        piece = nfp_gcd(g, nfp_from_qp(fac, K), K)
+        if nfp_degree(piece) < 1:
+            raise AssertionError("norm factor does not pull back")
+        if nfp_degree(piece) == 1:
+            r_shifted = K.neg(piece[0])
+            root = K.sub(r_shifted, K.mul(K.gen(), K.from_rational(shift)))
+            roots.append(root)
     for r in roots:
         if any(nfp_eval(f, r, K)):
             raise AssertionError("root does not verify")

@@ -32,7 +32,7 @@ from .linalg import (
     sum_lattices,
 )
 from .numfield import ProductRing
-from .polyfactor import factor_q, qp, qp_divmod, qp_mul, resultant
+from .polyfactor import factor_q, qp, qp_divmod, qp_mul, qp_xgcd, resultant
 from .qalgebra import (
     AlgebraError,
     QAlgebra,
@@ -429,8 +429,6 @@ def idempotent_divisor_oracle(f) -> List[List[int]]:
 def divisor_idempotent(f, g) -> List[int]:
     """The idempotent of Z[X]/(f) vanishing mod g and 1 mod f/g, as an
     integer coordinate vector on the power basis."""
-    from .polyfactor import qp_xgcd
-
     f = qp(f)
     g = qp(g)
     h = qp_divmod(f, g)[0]
@@ -528,8 +526,7 @@ class MuCPData:
     pres: EffPresentation
 
 
-def mu_c_p_presentation(ctx: OrderContext, p: int,
-                        tower: Optional[SaturationTower] = None) -> MuCPData:
+def mu_c_p_presentation(ctx: OrderContext, p: int) -> MuCPData:
     """Cyclic generator of the p-power unit torsion of each connected
     component of the graph of C, assembled into a presentation.
 
@@ -537,8 +534,7 @@ def mu_c_p_presentation(ctx: OrderContext, p: int,
     breadth-first chain, climbing p-th roots layer by layer; candidate
     elements are tested for membership in the image order.
     """
-    if tower is None:
-        tower = build_saturation(ctx, p)
+    tower = build_saturation(ctx, p)
     graph = graph_mod_p(ctx, p)
     c_order = tower.c_order
     elem_lists = []
@@ -616,21 +612,11 @@ def _mu_c_component(ctx: OrderContext, p, c_order, graph, comp):
     return cur_elems, cur_gen
 
 
-def _merge_elem(ctx, comps_a, a, m_new, b, new_comps):
-    """Concatenate a (over comps_a) with b (at m_new) in new_comps order."""
-    pos = 0
-    offs = {}
-    for i in comps_a:
-        offs[i] = pos
-        pos += ctx.dec.components[i].deg
-    out = []
-    for i in new_comps:
-        if i == m_new:
-            out.extend(b)
-        else:
-            lo = offs[i]
-            out.extend(a[lo:lo + ctx.dec.components[i].deg])
-    return tuple(out)
+def _merge_elem(sub_prev, a, pos, b):
+    """The element a of sub_prev with the block b inserted at position pos."""
+    blocks = [sub_prev.block(a, i) for i in range(len(sub_prev.fields))]
+    blocks.insert(pos, b)
+    return sub_prev.from_blocks(blocks)
 
 
 def _climb_p_roots(ctx, p, image, cur_comps, cur_elems, m_new, relems, new_comps):
@@ -644,6 +630,7 @@ def _climb_p_roots(ctx, p, image, cur_comps, cur_elems, m_new, relems, new_comps
     K_new = ctx.dec.components[m_new]
     one_prev = sub_prev.one()
     identity = sub_new.one()
+    pos = new_comps.index(m_new)  # cur_comps and new_comps are sorted
 
     if len(cur_elems) == 1:
         return [identity], identity
@@ -659,7 +646,7 @@ def _climb_p_roots(ctx, p, image, cur_comps, cur_elems, m_new, relems, new_comps
                      if b != K_new.one() and K_new.pow(b, p) == K_new.one())
     found = None
     for b1 in b_layer:
-        cand = _merge_elem(ctx, cur_comps, a1, m_new, b1, new_comps)
+        cand = _merge_elem(sub_prev, a1, pos, b1)
         if image.contains(cand):
             found = (a1, b1)
             break
@@ -672,7 +659,7 @@ def _climb_p_roots(ctx, p, image, cur_comps, cur_elems, m_new, relems, new_comps
         nxt = None
         for a2 in roots_a:
             for b2 in roots_b:
-                cand = _merge_elem(ctx, cur_comps, a2, m_new, b2, new_comps)
+                cand = _merge_elem(sub_prev, a2, pos, b2)
                 if image.contains(cand):
                     nxt = (a2, b2)
                     break
@@ -681,5 +668,5 @@ def _climb_p_roots(ctx, p, image, cur_comps, cur_elems, m_new, relems, new_comps
         if nxt is None:
             break
         found = nxt
-    gen = _merge_elem(ctx, cur_comps, found[0], m_new, found[1], new_comps)
+    gen = _merge_elem(sub_prev, found[0], pos, found[1])
     return sorted(cyclic_powers(sub_new.mul, identity, gen)), gen

@@ -595,6 +595,8 @@ def is_irreducible_q(f):
     f = qp(f)
     if qp_degree(f) < 1:
         return False
+    if qp_degree(f) == 1:
+        return True
     _, factors = factor_q(f)
     return len(factors) == 1 and factors[0][1] == 1
 

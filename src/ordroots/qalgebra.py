@@ -188,7 +188,7 @@ class QAlgebra:
     def trace_vector(self):
         """tau with trace(mult by x) = tau . x."""
         n = self.dim
-        return [sum(Fraction(self.table[t][k][k]) for k in range(n)) for t in range(n)]
+        return [sum(self.table[t][k][k] for k in range(n)) for t in range(n)]
 
     def trace_gram(self) -> RatMatrix:
         """Gram matrix of (x, y) -> trace(mult by x*y)."""

@@ -3,15 +3,20 @@ the order itself, and the top-level drivers.
 
 For a fixed prime p the generators of the p-power torsion of C are known;
 what survives inside A is decided in the finite ring C modulo the
-conductor (the largest ideal of C inside the separable part), where the
-question becomes a unipotent discrete-log problem: the kernel of
-Z^M -> (1+I)/(1+I') maps onto the p-power torsion of A.
+conductor ff = {x in C : xC <= A}, where the question becomes a
+unipotent discrete-log problem: the kernel of Z^M -> (1+I)/(1+I') maps
+onto the p-power torsion of A.  The conductor is the intersection of the
+preimages of A under multiplication by each basis element of C; like
+every other lattice of the descent it is computed by the library's own
+lattice operations, in canonical Hermite form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from functools import reduce
+from math import prod
+from typing import List
 
 from .abgroup import (
     EffPresentation,
@@ -21,7 +26,7 @@ from .abgroup import (
     subgroup_presentation,
 )
 from .finitering import FiniteRing, RingIdeal, unipotent_presentation
-from .linalg import IntMatrix, Lattice, image_int, preimage_lattice
+from .linalg import IntMatrix, Lattice, image_int, intersect_lattices, preimage_lattice
 from .ordercore import (
     MuCPData,
     OrderContext,
@@ -43,6 +48,7 @@ class ConductorData:
     ring_c: FiniteRing  # C modulo the conductor
     ring_a: FiniteRing  # separable part modulo the conductor
     embed_a_in_c: IntMatrix  # basis of the separable part in C coordinates
+    zetas: List[tuple]  # the mu(C)_p generators in C/ff
     ideal_i: RingIdeal  # sum of (zeta - 1) C/ff over the mu(C)_p generators
     ideal_i_sub: RingIdeal  # its intersection with the subring
 
@@ -50,11 +56,13 @@ class ConductorData:
 def conductor(ctx: OrderContext, mu_c: MuCPData) -> ConductorData:
     """Conductor and descent rings at the prime of ``mu_c``.
 
-    The conductor is computed as the kernel of x -> (y -> xy mod A_sep)
-    from the separable part into Hom(C, C/A_sep), realized as a stacked
-    congruence condition over the multiplication-by-basis matrices."""
-    tower = mu_c.tower
-    c_order = tower.c_order
+    With b_1, ..., b_d the basis of C and M_j the matrix of
+    multiplication by b_j in that basis, x lies in the conductor iff
+    x b_j lies in the separable part A for every j, so the conductor is
+    the intersection over j of the preimages of A under M_j.  Its
+    coordinates in A's basis are its preimage under the embedding of A
+    into C."""
+    c_order = mu_c.tower.c_order
     sep = ctx.sep_order
     d = c_order.rank
     # separable-part basis in C coordinates
@@ -67,97 +75,51 @@ def conductor(ctx: OrderContext, mu_c: MuCPData) -> ConductorData:
     embed = IntMatrix(d, emb_cols)
     a_in_c = image_int(embed)
     table = c_order.mult_table()
-    # stack the multiplication-by-b_j matrices; x is in the conductor iff
-    # x * b_j lies in the separable part for every j
-    stacked_cols = []
-    for i in range(d):
-        col = []
-        for j in range(d):
-            col.extend(table[i][j])
-        stacked_cols.append(col)
-    stacked = IntMatrix(d * d, stacked_cols)
-    block_cols = []
-    for j in range(d):
-        for c in a_in_c.basis.cols:
-            col = [0] * (d * d)
-            for t, e in enumerate(c):
-                col[j * d + t] = e
-            block_cols.append(col)
-    target = Lattice(d * d, block_cols)
-    ff = preimage_lattice(stacked, target)
+    ff = reduce(intersect_lattices, (
+        preimage_lattice(IntMatrix(d, [table[i][j] for i in range(d)]), a_in_c)
+        for j in range(d)))
     if ff.rank != d:
         raise AssertionError("conductor is not of full rank")
     for c in ff.basis.cols:
-        if not a_in_c.contains(list(c)):
+        if not a_in_c.contains(c):
             raise AssertionError("conductor is not inside the separable part")
-    index_in_c = abs_det(ff)
     ring_c = c_order.finite_quotient(ff)
-    # conductor in separable-part coordinates
-    ff_in_a = []
-    for c in ff.basis.cols:
-        v = c_order.element(list(c))
-        x = sep.coords(v)
-        if x is None:
-            raise AssertionError("conductor element is not in the separable part")
-        ff_in_a.append(x)
-    ring_a = sep.finite_quotient(Lattice(d, ff_in_a))
+    ring_a = sep.finite_quotient(preimage_lattice(embed, ff))
     # ideal generated by zeta - 1 over the mu(C)_p generators
-    gens = []
+    zetas = []
     for z in mu_c.generators:
         x = c_order.coords(z)
         if x is None:
             raise AssertionError("torsion generator is not in C")
-        gens.append(ring_c.sub(ring_c.reduce(x), ring_c.one))
-    ideal_i = RingIdeal.generated_by(ring_c, gens)
+        zetas.append(ring_c.reduce(x))
+    ideal_i = RingIdeal.generated_by(ring_c, [ring_c.sub(z, ring_c.one) for z in zetas])
     # its intersection with the subring, in subring coordinates
-    sub_lat = preimage_lattice(embed, ideal_i.lattice)
-    ideal_i_sub = RingIdeal(ring_a, sub_lat)
+    ideal_i_sub = RingIdeal(ring_a, preimage_lattice(embed, ideal_i.lattice))
     return ConductorData(
-        prime=mu_c.prime, conductor_in_c=ff, index_in_c=index_in_c,
-        ring_c=ring_c, ring_a=ring_a, embed_a_in_c=embed,
+        prime=mu_c.prime, conductor_in_c=ff, index_in_c=ring_c.order(),
+        ring_c=ring_c, ring_a=ring_a, embed_a_in_c=embed, zetas=zetas,
         ideal_i=ideal_i, ideal_i_sub=ideal_i_sub,
     )
 
 
-def abs_det(lat: Lattice) -> int:
-    from .linalg import det_int
-
-    return abs(det_int(lat.basis))
-
-
-def psi_kernel(cond: ConductorData, mu_c: MuCPData) -> List[List[int]]:
+def psi_kernel(cond: ConductorData) -> List[List[int]]:
     """Generators of the kernel of Z^M -> (1+I)/(1+I')."""
     ring_c = cond.ring_c
     pres = unipotent_presentation(ring_c, cond.ideal_i)
     sub_pres = unipotent_presentation(cond.ring_a, cond.ideal_i_sub)
-    targets = []
-    for z in mu_c.generators:
-        x = mu_c.tower.c_order.coords(z)
-        targets.append(ring_c.reduce(x))
-    modulo = []
-    for g in sub_pres.gens:
-        v = cond.embed_a_in_c.apply(list(g))
-        modulo.append(ring_c.reduce(v))
-    return kernel_mod_subgroup(pres, targets, modulo)
+    modulo = [ring_c.reduce(cond.embed_a_in_c.apply(list(g))) for g in sub_pres.gens]
+    return kernel_mod_subgroup(pres, cond.zetas, modulo)
 
 
-def mu_a_p_generators(ctx: OrderContext, p: int,
-                      mu_c: Optional[MuCPData] = None) -> List[tuple]:
+def mu_a_p_generators(ctx: OrderContext, p: int) -> List[tuple]:
     """Generators of the p-power torsion of the order's unit group, as
     integer coordinate vectors on the order's basis."""
-    if mu_c is None:
-        mu_c = mu_c_p_presentation(ctx, p)
+    mu_c = mu_c_p_presentation(ctx, p)
     if not mu_c.generators or all(w == 1 for w in mu_c.orders):
         return []
-    cond = conductor(ctx, mu_c)
-    kernel = psi_kernel(cond, mu_c)
     out = []
-    for u in kernel:
-        v = ctx.ambient.one()
-        for z, e in zip(mu_c.generators, u):
-            if e:
-                v = ctx.ambient.mul(v, ctx.ambient.power(z, e))
-        coords = ctx.from_ambient(v)
+    for u in psi_kernel(conductor(ctx, mu_c)):
+        coords = ctx.from_ambient(mu_c.pres.evaluate(u))
         if coords is None:
             raise AssertionError("descended generator is not in the order")
         out.append(tuple(coords))
@@ -192,18 +154,13 @@ def mu_a_presentation(A_or_ctx) -> MuAPresentation:
     gens = mu_a_generators(ctx)
     pres_b = mu_b_presentation(ctx)
     targets = [ctx.to_ambient(g) for g in gens]
+    # subgroup_relations has multiplied every relation back
     sub = subgroup_presentation(pres_b, targets)
-    sub.verify_exact()
-    if gens:
-        facs = sub.invariant_factors()
-        order = sub.group_order()
-    else:
-        facs = []
-        order = 1
+    facs = sub.invariant_factors() if gens else []
     return MuAPresentation(
         ctx=ctx, generators=[tuple(int(c) for c in g) for g in gens],
         relations=[tuple(r) for r in sub.rels],
-        invariant_factors=facs, group_order=order, pres=sub,
+        invariant_factors=facs, group_order=prod(facs), pres=sub,
     )
 
 

@@ -13,7 +13,7 @@ from ordroots.finitering import (
     unipotent_presentation,
 )
 from ordroots.linalg import Lattice
-from util import resolving_unipotent_dlog
+from util import fixpoint_ideal, resolving_unipotent_dlog
 
 
 def zmod(n):
@@ -81,6 +81,32 @@ def test_ideal_closure_and_powers():
     I2 = I.mul(I)
     assert I2.size() == 4
     assert I2.contains((4,)) and not I2.contains((2,))
+
+
+@st.composite
+def rings_and_elements(draw):
+    """A ring of this file, Z/p^k, F_p[e]/(e^m) or Z/p^k[X]/(X^2 + bX + c),
+    with zero to three random elements."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    kind = draw(st.sampled_from(["zmod", "eps", "galois"]))
+    if kind == "zmod":
+        ring = zmod(p ** draw(st.integers(1, 4)))
+    elif kind == "eps":
+        ring = eps_ring(p, draw(st.integers(1, 4)))
+    else:
+        ring = galois_ring(p ** draw(st.integers(1, 2)),
+                           draw(st.sampled_from([(0, 0), (1, 1), (2, 0), (0, 3)])))
+    vecs = st.lists(st.integers(-30, 30), min_size=ring.ngens, max_size=ring.ngens)
+    return ring, [ring.reduce(v) for v in draw(st.lists(vecs, max_size=3))]
+
+
+@given(rings_and_elements())
+@settings(max_examples=100, deadline=None)
+def test_generated_by_matches_the_fixpoint(case):
+    ring, elems = case
+    ideal = RingIdeal.generated_by(ring, elems)
+    assert ideal.lattice == fixpoint_ideal(ring, elems)
+    assert all(ideal.contains(e) for e in elems)
 
 
 def test_quotient_presentation_examples():

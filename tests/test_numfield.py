@@ -18,7 +18,7 @@ from ordroots.numfield import (
     roots_in_field,
 )
 from ordroots.ordercore import order_from_poly
-from ordroots.polyfactor import cyclotomic
+from ordroots.polyfactor import cyclotomic, factor_q, ip_mul, qp_degree
 from ordroots.qalgebra import decompose
 
 from util import schoolbook_field_mul, sweep_torsion_generator
@@ -81,6 +81,18 @@ def test_roots_with_multiplicity_input():
     K = QQ()
     f = nfp_mul(nfp_from_qp([0, 1], K), nfp_from_qp([0, 1], K), K)  # x^2
     assert roots_in_field(f, K) == [K.zero()]
+
+
+@pytest.mark.parametrize("f", [
+    ip_mul(ip_mul([-1, 1], [2, 1]), [-3, 2]),  # split: 1, -2, 3/2
+    [-2, 0, 0, 1],  # irreducible
+    ip_mul(ip_mul([-1, 1], [-1, 1]), ip_mul([4, 1], [1, 0, 1])),  # (X - 1)^2 (X + 4) (X^2 + 1)
+])
+def test_roots_over_degree_one_fields_are_the_rational_roots(f):
+    # the norm of g down from a degree-1 field is g itself
+    want = sorted((-fac[0],) for fac, _ in factor_q(f)[1] if qp_degree(fac) == 1)
+    for K in (QQ(), NumberField([-5, 1])):
+        assert roots_in_field(nfp_from_qp(f, K), K) == want
 
 
 def test_roots_rejects_zero():

@@ -82,6 +82,20 @@ def test_swinnerton_dyer_stays_irreducible():
     assert is_irreducible_q([1, 0, -10, 0, 1])
 
 
+def test_degree_one_is_irreducible_without_factoring(monkeypatch):
+    from ordroots import polyfactor
+
+    calls = []
+    factor = polyfactor.factor_q
+    monkeypatch.setattr(polyfactor, "factor_q", lambda *a: calls.append(a) or factor(*a))
+    assert is_irreducible_q([-5, 1]) and is_irreducible_q([Fraction(1, 3), 2])
+    assert not is_irreducible_q([3])
+    assert calls == []
+    # higher degrees keep the full check
+    assert is_irreducible_q([1, 0, 1]) and not is_irreducible_q([-1, 0, 1])
+    assert len(calls) == 2
+
+
 def test_berlekamp_small():
     # x^4 - 1 mod 5 = (x-1)(x+1)(x-2)(x+2)
     from ordroots.polyfactor import fp_mul

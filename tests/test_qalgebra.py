@@ -298,3 +298,22 @@ def test_primitive_element_of_non_reduced_algebras(name):
     assert dec.alpha == alpha
     assert [type(c) for c in dec.alpha] == [type(c) for c in alpha]
     assert dec.min_poly == tuple(qp(min_poly))
+
+
+def test_trace_form_of_an_order_is_summed_in_integers():
+    # on the power basis of Z[X]/(f) the trace of X^k is the k-th power sum
+    # of the roots of f
+    cases = [([-1, 0, 0, 0, 1], [4, 0, 0, 0]), ([0, 0, 1, 1], [3, -1, 1]),
+             ([-2, 0, 1], [2, 0])]
+    for f, sums in cases:
+        E = order_from_poly(f).algebra
+        tau = E.trace_vector()
+        assert tau == sums and all(type(t) is int for t in tau)
+        gram = E.trace_gram()
+        assert gram.den == 1
+        assert gram.num.to_rows() == [
+            [sum(t * c for t, c in zip(tau, E.table[i][j])) for j in range(E.dim)]
+            for i in range(E.dim)]
+    # rational structure constants are summed exactly: Q[X]/(X^2 - X/2)
+    E = qalgebra.QAlgebra([[[1, 0], [0, 1]], [[0, 1], [0, Fraction(1, 2)]]])
+    assert E.trace_vector() == [2, Fraction(1, 2)]

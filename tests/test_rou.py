@@ -1,17 +1,19 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordroots.linalg import Lattice
+from ordroots.finitering import RingIdeal
+from ordroots.linalg import Lattice, lattice_index
 from ordroots.ordercore import (
     Order,
     build_context,
     mu_c_p_presentation,
     order_from_poly,
 )
-from ordroots.polyfactor import cyclotomic, euler_phi
+from ordroots.polyfactor import cyclotomic, euler_phi, ip_mul
 from ordroots.qalgebra import mu_dlog_explain
 from ordroots.rou import (
     conductor,
@@ -24,8 +26,10 @@ from ordroots.rou import (
 from util import (
     brute_closure,
     diagonal_congruence_suborder,
+    fixpoint_ideal,
     product_order,
     scalar_suborder,
+    stacked_conductor,
 )
 
 
@@ -61,11 +65,58 @@ def test_conductor_trivial_when_c_equals_sep():
     assert cond.ring_c.order() == 1
 
 
+def split_poly(roots):
+    f = [1]
+    for a in roots:
+        f = ip_mul(f, [-a, 1])
+    return f
+
+
+DESCENT_ORDERS = {
+    "X^4-1": lambda: order_from_poly([-1, 0, 0, 0, 1]),
+    "X^12-1": lambda: order_from_poly([-1] + [0] * 11 + [1]),
+    "split-rank-6": lambda: order_from_poly(split_poly([-3, -1, 0, 1, 2, 4])),
+    "Z[2i]": lambda: scalar_suborder(order_from_poly([1, 0, 1]), 2),
+    "Z+2Z[zeta3]": lambda: scalar_suborder(order_from_poly([1, 1, 1]), 2),
+    "Z^3 mod 2": lambda: diagonal_congruence_suborder(Order(Z_TABLE), 3, 2),
+    "Z^4 mod 2": lambda: diagonal_congruence_suborder(Order(Z_TABLE), 4, 2),
+    "Z[i]^2 mod 2": lambda: diagonal_congruence_suborder(order_from_poly([1, 0, 1]), 2, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(DESCENT_ORDERS))
+def test_conductor_matches_the_stacked_reference(name):
+    # the intersection of preimages against one stacked congruence, and
+    # every ideal of the conductor rings against the fixpoint closure,
+    # at every torsion prime
+    ctx = build_context(DESCENT_ORDERS[name]())
+    primes = ctx.torsion_primes()
+    assert primes
+    rng = random.Random(name)
+    for p in primes:
+        mu_c = mu_c_p_presentation(ctx, p)
+        cond = conductor(ctx, mu_c)
+        ff, ff_in_a = stacked_conductor(ctx, mu_c)
+        assert cond.conductor_in_c == ff
+        assert cond.ring_a.rel == ff_in_a
+        assert cond.index_in_c == lattice_index(ff, Lattice.full(ff.dim))
+        ring = cond.ring_c
+        c_order = mu_c.tower.c_order
+        assert cond.zetas == [ring.reduce(c_order.coords(z)) for z in mu_c.generators]
+        gens = [ring.sub(z, ring.one) for z in cond.zetas]
+        assert cond.ideal_i.lattice == fixpoint_ideal(ring, gens)
+        for r in (cond.ring_c, cond.ring_a):
+            for _ in range(4):
+                elems = [r.reduce([rng.randint(-9, 9) for _ in range(r.ngens)])
+                         for _ in range(rng.randint(1, 3))]
+                assert RingIdeal.generated_by(r, elems).lattice == fixpoint_ideal(r, elems)
+
+
 def test_psi_kernel_x4_matches_known_lattice():
     ctx = x4ctx()
     mu2 = mu_c_p_presentation(ctx, 2)
     cond = conductor(ctx, mu2)
-    ker = psi_kernel(cond, mu2)
+    ker = psi_kernel(cond)
     assert Lattice(3, ker) == Lattice(3, [[2, 0, 0], [1, 1, 0], [1, 0, 1]])
 
 

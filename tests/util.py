@@ -522,3 +522,53 @@ def resolving_unipotent_dlog(filtration, x, start_level=0):
         cur = ring.sub(unit, ring.one)
     assert cur == ring.zero()
     return out
+
+
+# ---------------------------------------------------------------------------
+# references for the conductor descent
+
+
+def stacked_conductor(ctx, mu_c):
+    """(conductor in C coordinates, conductor in separable-part
+    coordinates) as one stacked congruence: x is in the conductor iff
+    x * b_j lies in the separable part for every basis element b_j of C,
+    written as the preimage of a d^2-dimensional block lattice under the
+    d^2 x d matrix that stacks the multiplication-by-b_j matrices.  The
+    separable-part coordinates go through the ambient Fraction vectors."""
+    from ordroots.linalg import IntMatrix, preimage_lattice
+
+    c_order = mu_c.tower.c_order
+    sep = ctx.sep_order
+    d = c_order.rank
+    a_in_c = Lattice(d, [c_order.coords(b) for b in sep.basis])
+    table = c_order.mult_table()
+    stacked_cols = []
+    for i in range(d):
+        col = []
+        for j in range(d):
+            col.extend(table[i][j])
+        stacked_cols.append(col)
+    block_cols = []
+    for j in range(d):
+        for c in a_in_c.basis.cols:
+            col = [0] * (d * d)
+            col[j * d:(j + 1) * d] = c
+            block_cols.append(col)
+    ff = preimage_lattice(IntMatrix(d * d, stacked_cols), Lattice(d * d, block_cols))
+    ff_in_a = Lattice(d, [sep.coords(c_order.element(c)) for c in ff.basis.cols])
+    return ff, ff_in_a
+
+
+def fixpoint_ideal(ring, elems):
+    """Lattice of the ideal generated by ``elems`` in a finite ring: start
+    from the relations and the elements, and add the products with the
+    ring's generators that fall outside until none does."""
+    from ordroots.qalgebra import table_mul_basis
+
+    lat = Lattice(ring.ngens, [list(c) for c in ring.rel.basis.cols] + [list(e) for e in elems])
+    while True:
+        extra = [v for b in lat.basis.cols for j in range(ring.ngens)
+                 for v in [table_mul_basis(ring.table, b, j)] if not lat.contains(v)]
+        if not extra:
+            return lat
+        lat = Lattice(ring.ngens, [list(c) for c in lat.basis.cols] + extra)
