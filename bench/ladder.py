@@ -1,0 +1,109 @@
+"""Benchmark: the field-degree and rank ladder, order to roots of unity.
+
+Times ``mu_a_presentation`` (which builds the order context) on orders
+past the reach of the ``perfbench`` workloads: Z[X]/(X^7 - 1), the
+cyclotomic rings Z[zeta_d] for d = 15, 16, 11, 13, and the group ring
+Z[C_2^5] of rank 32 from its table e_g e_h = e_(g+h).  Each input runs
+in its own subprocess, one after another, and is stopped at ``CAP_S``
+seconds.  Every answer that finishes is checked against a closed form:
+the roots of unity of Z[zeta_d] have order lcm(2, d) (one invariant
+factor), and by Higman's theorem those of Z[G] form Z/2 x G.  Times are
+wall times, not calibrated against a probe.
+
+Usage: python bench/ladder.py [NAME ...]
+"""
+
+import json
+import os
+import subprocess
+import sys
+import time
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+
+from ordroots.ordercore import Order, order_from_poly  # noqa: E402
+from ordroots.rou import mu_a_presentation  # noqa: E402
+
+# wall-time cap per input, in seconds
+CAP_S = 240
+
+
+def _cyclotomic(d):
+    """Phi_d as integer coefficients, lowest first: X^d - 1 divided
+    exactly by Phi_e for every proper divisor e of d."""
+    acc = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            acc = _exact_div_monic(acc, _cyclotomic(e))
+    return acc
+
+
+def _exact_div_monic(f, g):
+    f = list(f)
+    q = [0] * (len(f) - len(g) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = f[k + len(g) - 1]
+        for i, b in enumerate(g):
+            f[k + i] -= q[k] * b
+    if any(f):
+        raise ValueError("division is not exact")
+    return q
+
+
+def _group_ring_c2(k):
+    """Z[C_2^k]: basis e_g for g in (Z/2)^k as bit masks, e_g e_h = e_(g xor h)."""
+    n = 2 ** k
+    return Order([[[int(i == g ^ h) for i in range(n)] for h in range(n)] for g in range(n)])
+
+
+# name -> (builder, invariant factors of the roots of unity)
+INPUTS = {
+    "X^7-1": (lambda: order_from_poly([-1, 0, 0, 0, 0, 0, 0, 1]), [14]),
+    "Q(zeta15)": (lambda: order_from_poly(_cyclotomic(15)), [30]),
+    "Q(zeta16)": (lambda: order_from_poly(_cyclotomic(16)), [16]),
+    "Q(zeta11)": (lambda: order_from_poly(_cyclotomic(11)), [22]),
+    "Q(zeta13)": (lambda: order_from_poly(_cyclotomic(13)), [26]),
+    "Z[C_2^5]": (lambda: _group_ring_c2(5), [2] * 6),
+}
+
+
+def run_one(name):
+    build, want = INPUTS[name]
+    start = time.perf_counter()
+    facs = mu_a_presentation(build()).invariant_factors
+    seconds = time.perf_counter() - start
+    return {"input": name, "seconds": round(seconds, 3), "invariant_factors": facs,
+            "correct": facs == want}
+
+
+def main(argv):
+    if argv[:1] == ["--one"]:
+        print(json.dumps(run_one(argv[1])))
+        return 0
+    names = argv or list(INPUTS)
+    unknown = [n for n in names if n not in INPUTS]
+    if unknown:
+        print(f"unknown inputs {unknown}; choose from {list(INPUTS)}", file=sys.stderr)
+        return 2
+    failed = False
+    print(f"{'input':<12} {'seconds':>10}  invariant factors")
+    for name in names:
+        try:
+            proc = subprocess.run([sys.executable, __file__, "--one", name],
+                                  capture_output=True, text=True, timeout=CAP_S)
+        except subprocess.TimeoutExpired:
+            print(f"{name:<12} {'>' + str(CAP_S):>10}  (stopped at the cap)", flush=True)
+            continue
+        if proc.returncode != 0:
+            failed = True
+            print(f"{name:<12} {'error':>10}  {proc.stderr.strip().splitlines()[-1:]}", flush=True)
+            continue
+        res = json.loads(proc.stdout)
+        failed = failed or not res["correct"]
+        mark = "" if res["correct"] else "  WRONG"
+        print(f"{name:<12} {res['seconds']:>10.3f}  {res['invariant_factors']}{mark}", flush=True)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -18,7 +18,6 @@ from .finitering import (
     FiniteRing,
     RingIdeal,
     filtration_generators,
-    quotient_presentation,
     unipotent_dlog,
     unipotent_presentation,
 )
@@ -53,7 +52,6 @@ from .ordercore import (
     order_from_poly,
     order_graph,
     primitive_idempotents,
-    separable_part,
 )
 from .polyfactor import cyclotomic, euler_phi, factor_q, resultant, squarefree_part
 from .qalgebra import (
@@ -119,10 +117,8 @@ __all__ = [
     "order_from_poly",
     "order_graph",
     "primitive_idempotents",
-    "quotient_presentation",
     "resultant",
     "roots_in_field",
-    "separable_part",
     "snf",
     "solve_int",
     "solve_rat",

@@ -184,43 +184,6 @@ class RingIdeal:
 
 
 # ---------------------------------------------------------------------------
-# additive quotient presentations
-
-
-def quotient_presentation(ring: FiniteRing, big: RingIdeal, small: RingIdeal) -> EffPresentation:
-    """Efficient presentation of the additive group big/small.
-
-    Generators are the basis vectors of the big lattice; the discrete
-    log is an exact integer linear solve against the generators and the
-    small lattice.
-    """
-    if not all(big.contains(c) for c in small.lattice.basis.cols):
-        raise ValueError("quotient requires small <= big")
-    gens = tuple(ring.reduce(c) for c in big.lattice.basis.cols)
-    gmat = IntMatrix(ring.ngens, [list(c) for c in big.lattice.basis.cols])
-    rels = tuple(
-        tuple(c) for c in preimage_lattice(gmat, small.lattice).basis.cols
-    )
-    ops = GroupOps(
-        mul=ring.add,
-        inv=ring.neg,
-        identity=ring.zero(),
-        eq=lambda a, b: small.contains([x - y for x, y in zip(a, b)]),
-    )
-    solver = IntSolver(gmat.hstack(small.lattice.basis))
-
-    def dlog(y):
-        if not big.contains(y):
-            return None
-        sol = solver.solve(y)
-        if sol is None:
-            return None
-        return sol[: gmat.ncols]
-
-    return EffPresentation(ops=ops, gens=gens, rels=rels, dlog=dlog)
-
-
-# ---------------------------------------------------------------------------
 # unipotent groups 1 + I
 
 

@@ -556,11 +556,6 @@ def _common_den_lattices(a: QLattice, b: QLattice):
     return d, la, lb
 
 
-def qlat_sum(a: QLattice, b: QLattice) -> QLattice:
-    d, la, lb = _common_den_lattices(a, b)
-    return QLattice(a.dim, d, sum_lattices(la, lb))
-
-
 def qlat_index(sub: QLattice, sup: QLattice) -> int:
     d, ls, lp = _common_den_lattices(sub, sup)
     return lattice_index(ls, lp)

@@ -15,10 +15,17 @@ presented there (``ProductRing.cyclic_presentation``).  Each factor's
 powers are tabulated once when the presentation is built, so a discrete
 log is a projection and one dictionary lookup per factor.
 
-Root finding over K goes through the classical norm trick: shift the
-argument by an integer multiple of the generator until the norm (a
-resultant with the minimal polynomial) is squarefree, factor the norm
-over Q, and pull each factor back with a gcd over K.
+Root finding over K goes through the classical norm trick (Trager
+1976): shift the argument by an integer multiple of the generator until
+the norm (a resultant with the minimal polynomial) is squarefree, factor
+the norm over Q, and pull each factor back with a gcd over K.  The norm
+is interpolated from its values at integer points on integer numerators
+over one common denominator.  Its squarefreeness is proved modulo a few
+fixed primes; when no prime proves it, the exact gcd with its derivative
+decides, so the chosen shift is the one the exact test alone would
+choose.  Field inverses solve x * y = 1 against the
+matrix of multiplication by x with the library's fraction-free
+elimination.
 
 The roots of unity of K are found one prime power at a time: a root of
 Phi_ell is climbed through roots of X^ell - zeta_(ell^k).  Primes ell are
@@ -31,11 +38,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from math import gcd
+from math import gcd, lcm
 from typing import List
 
 from .abgroup import EffPresentation, GroupOps, cyclic_relations, power
-from .linalg import RatMatrix, clear_vector
+from .linalg import RatMatrix, clear_vector, solve_rat
 from .polyfactor import (
     _good_primes,
     _next_prime,
@@ -44,16 +51,11 @@ from .polyfactor import (
     factor_q,
     fp_factor_squarefree,
     is_irreducible_q,
+    is_squarefree,
     qp,
-    qp_add,
     qp_degree,
-    qp_deriv,
     qp_divmod,
-    qp_gcd,
     qp_monic,
-    qp_mul,
-    qp_scale,
-    qp_xgcd,
     resultant,
 )
 
@@ -151,15 +153,21 @@ class NumberField:
         return tuple(Fraction(c, den) for c in out)
 
     def inv(self, x):
-        fx = list(x)
-        while fx and not fx[-1]:
-            fx.pop()
-        if not fx:
+        """The y with x * y = 1: one fraction-free solve against the
+        matrix of multiplication by x, whose columns are x * a^j."""
+        if not any(x):
             raise ZeroDivisionError("inverse of zero")
-        g, s, _ = qp_xgcd(fx, list(self.min_poly))
-        if qp_degree(g) != 0:
+        m = self.min_poly
+        cols = [list(x)]
+        for _ in range(self.deg - 1):
+            c = cols[-1]
+            # x * a^(j+1): x * a^j shifted up, with a^deg = -(m_0 + ... + m_(deg-1) a^(deg-1))
+            top = c[-1]
+            cols.append([-top * m[0]] + [a - top * t for a, t in zip(c, m[1:-1])])
+        y = solve_rat(RatMatrix(self.deg, cols), self.one())
+        if y is None:
             raise ArithmeticError("element not invertible (reducible modulus?)")
-        return self.from_poly(s)
+        return tuple(y)
 
     def pow(self, x, e):
         return power(self.mul, self.inv, self.one(), x, e)
@@ -476,7 +484,16 @@ def nfp_compose_shift(f, s, K):
 def _norm_poly(f, K):
     """Norm of monic f in K[X] down to Q[X]: the resultant of the minimal
     polynomial with f viewed as a bivariate polynomial, computed by
-    evaluation at integer points and Lagrange interpolation."""
+    evaluation at N = deg K * deg f + 1 integer points x_i and Lagrange
+    interpolation on integers.
+
+    With P = prod_j (X - x_j) and w_i = prod_(j != i) (x_i - x_j), the
+    interpolant is sum_i (y_i / w_i) * P / (X - x_i).  Each quotient is one
+    synthetic division of P in integers, the weights y_i / w_i are brought
+    to one common denominator, and one Fraction is built per coefficient:
+    O(N^2) integer operations.  The interpolant is unique, so this is the
+    norm exactly.
+    """
     d = K.deg
     r = nfp_degree(f)
     npoints = d * r + 1
@@ -488,30 +505,38 @@ def _norm_poly(f, K):
             xs.append(-k)
         k += 1
     m = list(K.min_poly)
+    # f = F / delta with F integral; Res(m, F(x0) / delta) = Res(m, F(x0)) / delta^d
+    nums, delta = clear_vector([c for coeff in f for c in coeff])
+    rows = [nums[k:k + d] for k in range(0, len(nums), d)]
+    scale = delta ** d
     ys = []
     for x0 in xs:
-        # f(x0) in K, written as a rational polynomial in the generator
-        p = [Fraction(0)] * d
-        xp = Fraction(1)
-        for c in f:
-            for j in range(d):
-                p[j] += c[j] * xp
-            xp *= x0
+        # F(x0) in K by Horner, an integer polynomial in the generator
+        p = [0] * d
+        for row in reversed(rows):
+            p = [a * x0 + b for a, b in zip(p, row)]
         # the minimal polynomial is monic, so the resultant specializes
-        ys.append(resultant(m, qp(p)))
-    out = []
+        ys.append(resultant(m, p) / scale)
+    big_p = [1]
+    for xj in xs:
+        big_p = [a - xj * b for a, b in zip([0] + big_p, big_p + [0])]
+    weights = []  # (x_i, y_i / w_i)
     for i, (xi, yi) in enumerate(zip(xs, ys)):
-        if yi == 0:
-            continue
-        num = [Fraction(yi)]
-        den = Fraction(1)
-        for j, xj in enumerate(xs):
-            if i == j:
-                continue
-            num = qp_mul(num, [Fraction(-xj), Fraction(1)])
-            den *= xi - xj
-        out = qp_add(out, qp_scale(num, 1 / den))
-    return out
+        if yi:
+            w = 1
+            for j, xj in enumerate(xs):
+                if i != j:
+                    w *= xi - xj
+            weights.append((xi, yi / w))
+    den = lcm(*(c.denominator for _, c in weights))
+    acc = [0] * npoints
+    for xi, c in weights:
+        s = c.numerator * (den // c.denominator)
+        q = 0  # the coefficients of P / (X - x_i), from the top
+        for k in range(npoints, 0, -1):
+            q = big_p[k] + xi * q
+            acc[k - 1] += s * q
+    return qp([Fraction(a, den) for a in acc])
 
 
 def roots_in_field(f, K: NumberField):
@@ -532,16 +557,14 @@ def roots_in_field(f, K: NumberField):
     separable = nfp_degree(g0) == 0
     fs = nfp_monic(nfp_divmod(fm, g0, K)[0], K)
     shift = None
-    norm = None
     for s in range(32 * K.deg * nfp_degree(fs) + 8):
         g = nfp_compose_shift(fs, s, K)
         norm = _norm_poly(g, K)
-        if qp_degree(qp_gcd(norm, qp_deriv(norm))) == 0:
+        if is_squarefree(norm):
             shift = s
             break
     if shift is None:
         raise AssertionError("no squarefree shift found")
-    g = nfp_compose_shift(fs, shift, K)
     _, factors = factor_q(norm)
     roots = []
     for fac, _ in factors:

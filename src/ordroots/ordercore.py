@@ -324,17 +324,6 @@ class OrderContext:
         return sorted(ps)
 
 
-def separable_part(A: Order):
-    """(context, basis of the separable part in A's coordinates).
-
-    The separable part is the kernel of the projection onto the
-    nilradical, saturated, expressed both in A's basis (the returned
-    lattice) and inside the component product (the embedded order in the
-    context)."""
-    ctx = build_context(A)
-    return ctx, [list(c) for c in ctx.sep_lattice.basis.cols]
-
-
 def build_context(A: Order) -> OrderContext:
     dec = decompose(A.algebra)
     n = A.rank

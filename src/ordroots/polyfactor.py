@@ -6,6 +6,12 @@ over Z, ``fp_*`` over Z/p.  Factorization over Q is Zassenhaus: Yun
 squarefree decomposition, deterministic Berlekamp factorization modulo a
 good small prime, quadratic Hensel lifting past a Mignotte-style
 coefficient bound, and subset recombination in increasing subset size.
+
+Squarefreeness is first proved modulo a few fixed large primes
+(``proves_squarefree``): a polynomial that stays squarefree of the same
+degree mod p is squarefree over Q.  Only when no prime proves it does a
+caller run the exact test, a gcd with the derivative over Q, so every
+verdict is the exact one; ``factor_q`` skips Yun for a proven input.
 """
 
 from __future__ import annotations
@@ -122,10 +128,13 @@ def qp_deriv(f):
 
 
 def squarefree_part(f):
-    """Monic radical f / gcd(f, f')."""
+    """Monic radical f / gcd(f, f'); f itself, made monic, when the
+    modular proof shows it squarefree."""
     f = qp(f)
     if not f:
         raise ValueError("zero polynomial")
+    if proves_squarefree(f):
+        return qp_monic(f)
     g = qp_gcd(f, qp_deriv(f))
     return qp_monic(qp_divmod(f, g)[0])
 
@@ -180,13 +189,6 @@ def ip_mul(f, g):
                 if b:
                     out[i + j] += a * b
     return _strip(out)
-
-
-def ip_eval(f, x):
-    acc = 0
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
 
 
 def ip_trunc_sym(f, m):
@@ -477,18 +479,50 @@ def hensel_lift(p, f, modular_factors, k):
 
 
 # ---------------------------------------------------------------------------
-# Zassenhaus factorization over Z
+# modular squarefree proof and Zassenhaus factorization over Z
+
+# the primes of the modular squarefree proof, tried in order: large, so
+# that they seldom divide a discriminant
+_PROOF_PRIMES = (2 ** 31 - 1, 2 ** 61 - 1)
+
+
+def _squarefree_mod(f, p):
+    """p does not divide lc(f) and the integer f is squarefree mod p."""
+    if f[-1] % p == 0:
+        return False
+    fp = fp_norm(f, p)
+    return qp_degree(fp_gcd(fp, fp_deriv(fp, p), p)) == 0
+
+
+def proves_squarefree(f):
+    """True when one of ``_PROOF_PRIMES`` proves the nonzero f squarefree
+    over Q; False proves nothing.
+
+    Let F = d*f be integral.  If p does not divide lc(F) and F mod p is
+    squarefree, so is F over Q: a square factor g^2 of F, g primitive in
+    Z[X] by Gauss's lemma, keeps its degree mod p and stays a square
+    factor there.  The converse fails when p divides the discriminant.
+    """
+    fi, _ = clear_vector(f)
+    return any(_squarefree_mod(fi, p) for p in _PROOF_PRIMES)
+
+
+def is_squarefree(f):
+    """f, nonzero over Q, has no repeated factor: the modular proof, and
+    the exact gcd with f' when no prime proves it."""
+    f = qp(f)
+    if not f:
+        raise ValueError("zero polynomial")
+    return proves_squarefree(f) or qp_degree(qp_gcd(f, qp_deriv(f))) == 0
+
 
 def _good_primes(f):
     """The primes p with p not dividing lc(f) and f squarefree mod p, in
     increasing order."""
     p = 2
     while True:
-        if f[-1] % p:
-            fp = fp_norm(f, p)
-            if qp_degree(fp) == qp_degree(f):
-                if qp_degree(fp_gcd(fp, fp_deriv(fp, p), p)) == 0:
-                    yield p
+        if _squarefree_mod(f, p):
+            yield p
         p = _next_prime(p)
 
 
@@ -575,8 +609,12 @@ def factor_q(f):
         raise ValueError("cannot factor the zero polynomial")
     const = f[-1]
     monic = qp_monic(f)
+    if qp_degree(monic) > 0 and proves_squarefree(monic):
+        parts = [(monic, 1)]  # what Yun returns for a squarefree input
+    else:
+        parts = _yun_squarefree(monic)
     out = []
-    for part, mult in _yun_squarefree(monic):
+    for part, mult in parts:
         ipart, _ = clear_vector(part)
         ipart = ip_primitive(ipart)[1]
         for fac in factor_squarefree_z(ipart):

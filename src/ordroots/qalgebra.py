@@ -28,7 +28,7 @@ from typing import List, Optional, Tuple
 from .abgroup import EffPresentation, power
 from .linalg import RatMatrix, kernel_int, solve_rat
 from .numfield import NumberField, ProductRing
-from .polyfactor import factor_q, qp, qp_degree, qp_deriv, qp_gcd, squarefree_part
+from .polyfactor import factor_q, is_squarefree, qp, qp_degree, qp_deriv, squarefree_part
 
 
 class AlgebraError(ValueError):
@@ -227,18 +227,11 @@ class SpecDecomposition:
     pi1: RatMatrix
     pi2: RatMatrix
 
-    @property
-    def sep_dim(self) -> int:
-        return self.power_basis.ncols
-
     def to_components(self, x):
         return self.projection.apply(x)
 
     def from_components(self, v):
         return self.section.apply(v)
-
-    def separable_projection(self, x):
-        return self.pi1.apply(x)
 
     def nil_projection(self, x):
         return self.pi2.apply(x)
@@ -313,7 +306,7 @@ def decompose(E: QAlgebra) -> SpecDecomposition:
         alpha = tuple(_num(a - b) for a, b in zip(alpha, E.mul(val, E.inv(dval))))
     else:
         raise AssertionError("newton lift did not converge")
-    if qp_degree(qp_gcd(m, dm)) != 0:
+    if not is_squarefree(m):
         raise AssertionError("minimal polynomial not squarefree")
 
     powers = []

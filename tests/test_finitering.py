@@ -8,7 +8,6 @@ from ordroots.finitering import (
     FiniteRing,
     RingIdeal,
     filtration_generators,
-    quotient_presentation,
     unipotent_dlog,
     unipotent_presentation,
 )
@@ -107,44 +106,6 @@ def test_generated_by_matches_the_fixpoint(case):
     ideal = RingIdeal.generated_by(ring, elems)
     assert ideal.lattice == fixpoint_ideal(ring, elems)
     assert all(ideal.contains(e) for e in elems)
-
-
-def test_quotient_presentation_examples():
-    R = zmod(25)
-    I1 = RingIdeal.generated_by(R, [(5,)])
-    I0 = RingIdeal.zero(R)
-    pres = quotient_presentation(R, I1, I0)
-    assert pres.group_order() == 5
-    assert pres.gens == ((5,),)
-    # trivial quotient
-    tr = quotient_presentation(R, I1, I1)
-    assert tr.group_order() == 1
-    # Z/16: (2)/(4) is Z/2 generated by 2
-    R16 = zmod(16)
-    J1 = RingIdeal.generated_by(R16, [(2,)])
-    J2 = RingIdeal.generated_by(R16, [(4,)])
-    pres2 = quotient_presentation(R16, J1, J2)
-    assert pres2.group_order() == 2
-    v = pres2.dlog((6,))
-    assert v is not None
-    got = pres2.evaluate(v)
-    assert pres2.ops.eq(got, (6,))
-    with pytest.raises(ValueError):
-        quotient_presentation(R16, J2, J1)
-
-
-def test_quotient_dlog_brute():
-    R = eps_ring(3, 3)
-    e = (0, 1, 0)
-    I1 = RingIdeal.generated_by(R, [e])
-    I2 = RingIdeal.generated_by(R, [R.mul(e, e)])
-    pres = quotient_presentation(R, I1, I2)
-    assert pres.group_order() == 3
-    for x in R.elements():
-        if I1.contains(x):
-            v = pres.dlog(x)
-            assert v is not None
-            assert pres.ops.eq(pres.evaluate(v), x)
 
 
 def test_filtration_examples():

@@ -20,7 +20,6 @@ from ordroots.linalg import (
     lattice_index,
     preimage_lattice,
     qlat_index,
-    qlat_sum,
     snf,
     solve_int,
     solve_rat,
@@ -307,8 +306,7 @@ def test_qlattice_roundtrip_and_index():
     assert not q.contains([Fraction(1, 3), 0])
     full = QLattice.from_cols([[1, 0], [0, 1]], 2)
     assert qlat_index(full, q) == 6
-    s = qlat_sum(q, full)
-    assert s == q
+    assert all(q.contains(c) for c in ([1, 0], [0, 1]))
 
 
 def test_rat_matrix_inverse():

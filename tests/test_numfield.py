@@ -10,6 +10,7 @@ from ordroots.abgroup import cyclic_dlog
 from ordroots.numfield import (
     NumberField,
     ProductRing,
+    _norm_poly,
     nfp_degree,
     nfp_eval,
     nfp_from_qp,
@@ -21,7 +22,12 @@ from ordroots.ordercore import order_from_poly
 from ordroots.polyfactor import cyclotomic, factor_q, ip_mul, qp_degree
 from ordroots.qalgebra import decompose
 
-from util import schoolbook_field_mul, sweep_torsion_generator
+from util import (
+    lagrange_norm_poly,
+    schoolbook_field_mul,
+    sweep_torsion_generator,
+    xgcd_field_inverse,
+)
 
 
 def QQ():
@@ -342,3 +348,56 @@ def test_product_in_the_z12_quartic_matches_the_schoolbook_product():
         y = tuple(rng.randint(-9, 9) for _ in range(4))
         _assert_same_product(K, x, y)
         _assert_same_product(K, x, x)
+
+
+# ---------------------------------------------------------------------------
+# the integer norm and the inverse by one solve, against the Fraction
+# algorithms they replaced
+
+_REFERENCE_FIELDS = {
+    "Q": (0, 1),
+    "X-2/7": (Fraction(-2, 7), 1),
+    "Q(i)": (1, 0, 1),
+    "X^2+1/4": (Fraction(1, 4), 0, 1),
+    "X^2+X/2+1/3": (Fraction(1, 3), Fraction(1, 2), 1),
+    "X^3-2": (-2, 0, 0, 1),
+    "Q(zeta5)": (1, 1, 1, 1, 1),
+    "Q(zeta7)": (1, 1, 1, 1, 1, 1, 1),
+}
+_SMALL_COORD = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=6))
+
+
+def _element(K):
+    return st.lists(_SMALL_COORD, min_size=K.deg, max_size=K.deg).map(
+        lambda c: tuple(Fraction(e) for e in c))
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(_REFERENCE_FIELDS)), data=st.data())
+def test_integer_norm_matches_the_lagrange_norm(name, data):
+    K = _field(_REFERENCE_FIELDS[name])
+    r = data.draw(st.integers(1, 3))
+    f = [data.draw(_element(K)) for _ in range(r)] + [K.one()]
+    got = _norm_poly(f, K)
+    assert got == lagrange_norm_poly(f, K)
+    assert all(type(c) is Fraction for c in got)
+    # the norm of a monic polynomial of degree r is monic of degree r deg K
+    assert len(got) == r * K.deg + 1 and got[-1] == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(_REFERENCE_FIELDS)), data=st.data())
+def test_inverse_by_one_solve_matches_the_xgcd_inverse(name, data):
+    K = _field(_REFERENCE_FIELDS[name])
+    x = data.draw(_element(K))
+    assume(any(x))
+    y = K.inv(x)
+    assert y == xgcd_field_inverse(K, x)
+    assert len(y) == K.deg and all(type(c) is Fraction for c in y)
+    assert K.mul(x, y) == K.one()
+
+
+def test_inverse_of_zero_raises():
+    K = _field(_REFERENCE_FIELDS["Q(zeta5)"])
+    with pytest.raises(ZeroDivisionError):
+        K.inv(K.zero())

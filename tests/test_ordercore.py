@@ -18,7 +18,6 @@ from ordroots.ordercore import (
     order_graph,
     primitive_idempotents,
     primitive_idempotents_ctx,
-    separable_part,
 )
 from ordroots.polyfactor import factor_q, qp, resultant
 from ordroots.qalgebra import AlgebraError
@@ -61,14 +60,12 @@ def test_order_from_poly_matches_polynomial_multiplication():
 
 def test_separable_part_reduced_is_identity():
     A = order_from_poly([-1, 0, 0, 0, 1])
-    ctx, basis = separable_part(A)
-    assert Lattice(4, basis) == Lattice.full(4)
+    assert build_context(A).sep_lattice == Lattice.full(4)
 
 
 def test_separable_part_dual_numbers():
     A = order_from_poly([0, 0, 1])  # Z[eps], eps^2 = 0
-    ctx, basis = separable_part(A)
-    lat = Lattice(2, basis)
+    lat = build_context(A).sep_lattice
     assert lat.rank == 1
     assert lat.contains([1, 0]) and not lat.contains([0, 1])
 

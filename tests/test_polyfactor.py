@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordroots.polyfactor import (
+    _PROOF_PRIMES,
+    _yun_squarefree,
     cyclotomic,
     euler_phi,
     factor_q,
@@ -13,8 +15,11 @@ from ordroots.polyfactor import (
     fp_norm,
     ip_resultant,
     is_irreducible_q,
+    is_squarefree,
+    proves_squarefree,
     qp,
     qp_degree,
+    qp_deriv,
     qp_divmod,
     qp_gcd,
     qp_monic,
@@ -175,3 +180,61 @@ def test_factor_degree12_with_multiplicity():
     c, fs = factor_q(f)
     assert (tuple(cyclotomic(12)), 2) in [(tuple(g), m) for g, m in fs]
     assert (tuple(cyclotomic(1)), 1) in [(tuple(g), m) for g, m in fs]
+
+
+# ---------------------------------------------------------------------------
+# the modular squarefree proof
+
+def _exactly_squarefree(f):
+    f = qp(f)
+    return qp_degree(qp_gcd(f, qp_deriv(f))) == 0
+
+
+_SMALL = st.fractions(-5, 5, max_denominator=4)
+
+
+def _rational_poly(lo, hi):
+    return st.lists(_SMALL, min_size=lo + 1, max_size=hi + 1).filter(lambda c: c[-1] != 0)
+
+
+@given(f=_rational_poly(0, 4), g=_rational_poly(1, 3))
+@settings(max_examples=150, deadline=None)
+def test_modular_proof_never_accepts_a_square_factor(f, g):
+    h = qp_mul(qp(f), qp_mul(qp(g), qp(g)))
+    assert not proves_squarefree(h)
+    assert not is_squarefree(h)
+
+
+@given(f=_rational_poly(0, 8))
+@settings(max_examples=200, deadline=None)
+def test_modular_proof_agrees_with_the_exact_test(f):
+    exact = _exactly_squarefree(f)
+    assert is_squarefree(f) == exact
+    if proves_squarefree(f):
+        assert exact
+        monic = qp_monic(qp(f))
+        assert squarefree_part(f) == monic
+        if qp_degree(monic) > 0:
+            # the decomposition factor_q takes without running Yun
+            assert _yun_squarefree(monic) == [(monic, 1)]
+
+
+@pytest.mark.parametrize("d", range(1, 41))
+def test_modular_proof_accepts_cyclotomic_polynomials(d):
+    # disc(Phi_d) divides a power of d, and no proof prime divides d
+    assert proves_squarefree(cyclotomic(d))
+
+
+def test_exact_test_decides_when_every_proof_prime_divides_the_discriminant():
+    # X^2 - c has discriminant 4c and is X^2 modulo every prime dividing c
+    c = 1
+    for p in _PROOF_PRIMES:
+        c *= p
+    f = [-c, 0, 1]
+    assert not proves_squarefree(f)
+    assert is_squarefree(f)
+    assert squarefree_part(f) == qp(f)
+    assert factor_q(f) == (1, [(qp(f), 1)])
+    g = qp_mul(qp([-c, 1]), qp([-c, 1]))  # (X - c)^2 reduces to X^2 as well
+    assert not is_squarefree(g)
+    assert squarefree_part(g) == qp([-c, 1])

@@ -51,7 +51,7 @@ def test_decompose_x4_minus_1():
     dec = decompose(E)
     assert sorted(K.deg for K in dec.components) == [1, 1, 2]
     assert dec.nil_basis == []
-    assert dec.sep_dim == 4
+    assert dec.power_basis.ncols == 4
 
 
 def test_decompose_nilpotent_case():
@@ -88,11 +88,11 @@ def test_projection_identities():
         x = tuple(rng.randint(-3, 3) for _ in range(6))
         y = tuple(rng.randint(-3, 3) for _ in range(6))
         # pi1 respects multiplication (projection onto the separable part)
-        lhs = dec.separable_projection(E.mul(x, y))
-        rhs = E.mul(dec.separable_projection(x), dec.separable_projection(y))
+        lhs = dec.pi1.apply(E.mul(x, y))
+        rhs = E.mul(dec.pi1.apply(x), dec.pi1.apply(y))
         assert tuple(lhs) == tuple(rhs)
         # components reassemble through the section
-        assert dec.from_components(dec.to_components(x)) == dec.separable_projection(x)
+        assert dec.from_components(dec.to_components(x)) == dec.pi1.apply(x)
 
 
 def test_nilpotent_iff_fixed_by_nil_projection():
@@ -227,12 +227,13 @@ def test_maps_match_the_rational_matrices(name, data):
     n = dec.algebra.dim
     x = data.draw(st.lists(_COORD, min_size=n, max_size=n).map(tuple))
     _same(dec.to_components(x), _fraction_apply(dec.projection, x))
-    _same(dec.separable_projection(x), _fraction_apply(dec.pi1, x))
+    _same(dec.pi1.apply(x), _fraction_apply(dec.pi1, x))
     _same(dec.nil_projection(x), _fraction_apply(dec.pi2, x))
-    v = data.draw(st.lists(_COORD, min_size=dec.sep_dim, max_size=dec.sep_dim))
+    q = dec.power_basis.ncols
+    v = data.draw(st.lists(_COORD, min_size=q, max_size=q))
     _same(dec.from_components(v), _fraction_apply(dec.section, v))
     # components reassemble through the section
-    assert dec.from_components(dec.to_components(x)) == dec.separable_projection(x)
+    assert dec.from_components(dec.to_components(x)) == dec.pi1.apply(x)
 
 
 @pytest.mark.parametrize("broken", ["sum", "orthogonal"])

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from ordroots.linalg import Lattice
 from ordroots.ordercore import Order
-from ordroots.polyfactor import ip_eval, qp, qp_divmod
+from ordroots.polyfactor import qp, qp_add, qp_divmod, qp_mul, qp_scale, qp_xgcd, resultant
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +61,56 @@ def schoolbook_field_mul(K, x, y):
         for j, t in enumerate(K.min_poly):
             prod[k - d + j] -= c * t
     return tuple(prod[:d])
+
+
+# ---------------------------------------------------------------------------
+# number-field norms and inverses, the Fraction way
+
+def lagrange_norm_poly(f, K):
+    """Norm of monic f in K[X] down to Q[X]: the resultants of the minimal
+    polynomial with f(x) at the integer points 0, 1, -1, 2, -2, ..., then
+    Lagrange interpolation in Fractions, one basis polynomial per point
+    (O(N^3) Fraction work for N points)."""
+    d = K.deg
+    npoints = d * (len(f) - 1) + 1
+    xs = []
+    k = 0
+    while len(xs) < npoints:
+        xs.append(k)
+        if k > 0 and len(xs) < npoints:
+            xs.append(-k)
+        k += 1
+    m = list(K.min_poly)
+    ys = []
+    for x0 in xs:
+        p = [Fraction(0)] * d
+        xp = Fraction(1)
+        for c in f:
+            for j in range(d):
+                p[j] += c[j] * xp
+            xp *= x0
+        ys.append(resultant(m, qp(p)))
+    out = []
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        if yi == 0:
+            continue
+        num = [Fraction(yi)]
+        den = Fraction(1)
+        for j, xj in enumerate(xs):
+            if i != j:
+                num = qp_mul(num, [Fraction(-xj), Fraction(1)])
+                den *= xi - xj
+        out = qp_add(out, qp_scale(num, 1 / den))
+    return out
+
+
+def xgcd_field_inverse(K, x):
+    """x^-1 in K = Q[X]/(m): s from the extended Euclidean algorithm
+    s*x + t*m = 1 on Fraction polynomials."""
+    fx = qp(x)
+    g, s, _ = qp_xgcd(fx, list(K.min_poly))
+    assert len(g) == 1, "element not invertible"
+    return K.from_poly(s)
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +168,13 @@ def fraction_inverse(rows):
 # ---------------------------------------------------------------------------
 # Kronecker factorization (independent of Zassenhaus)
 
+def _int_eval(f, x):
+    acc = 0
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
+
+
 def _divisors_signed(n):
     n = abs(n)
     out = []
@@ -140,7 +197,7 @@ def kronecker_factor(f):
     half = n // 2
     for d in range(1, half + 1):
         xs = list(range(d + 1))
-        vals = [ip_eval(f, x) for x in xs]
+        vals = [_int_eval(f, x) for x in xs]
         if any(v == 0 for v in vals):
             # integer root: split off the linear factor
             r = next(x for x, v in zip(xs, vals) if v == 0)
