@@ -8,7 +8,10 @@ component of Z[X]/(X^12 - 1) and on Q[X]/(X^2 + X/2 + 1/3), and one
 it replays the ``RatMatrix.inverse`` and ``solve_rat`` calls that
 ``decompose`` makes on Z[X]/(X^12 - 1) and on the split order
 Z[X]/((X + 5)(X + 4) ... (X - 5)) of rank 11, and times them per
-decomposition.  The end-to-end benchmark is ``perfbench/run.py``.
+decomposition.  Then it replays the ``factor_q`` calls that
+``torsion_generator`` makes on Q(zeta_7) and Q(zeta_15) and that
+``decompose`` makes on the rank-11 split order, and times them per call.
+The end-to-end benchmark is ``perfbench/run.py``.
 
 Usage: python bench/bench_kernels.py [--quick]
 """
@@ -23,7 +26,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from fractions import Fraction  # noqa: E402
 
-from ordroots import kernels, linalg, qalgebra  # noqa: E402
+from ordroots import kernels, linalg, numfield, polyfactor, qalgebra  # noqa: E402
 from ordroots.numfield import NumberField  # noqa: E402
 from ordroots.ordercore import order_from_poly  # noqa: E402
 from ordroots.qalgebra import decompose  # noqa: E402
@@ -109,12 +112,17 @@ def decompose_calls(f):
     return inverses, solves
 
 
+def split11():
+    """(X + 5)(X + 4) ... (X - 5), lowest coefficient first."""
+    f = [1]
+    for a in range(-5, 6):
+        f = [x - a * y for x, y in zip([0] + f, f + [0])]
+    return f
+
+
 def bench_rational(quick):
     repeat = 3 if quick else 5
-    split11 = [1]
-    for a in range(-5, 6):
-        split11 = [x - a * y for x, y in zip([0] + split11, split11 + [0])]
-    orders = [("X^12-1", [-1] + [0] * 11 + [1]), ("rank-11 split", split11)]
+    orders = [("X^12-1", [-1] + [0] * 11 + [1]), ("rank-11 split", split11())]
     print(f"\n{'decompose calls':<28} {'calls':>6} {'ms/decomposition':>17}")
     for name, f in orders:
         inverses, solves = decompose_calls(f)
@@ -124,6 +132,41 @@ def bench_rational(quick):
             print(f"{label + ', ' + name:<28} {len(args):>6} {t * 1e3:>17.2f}")
 
 
+def factor_q_calls(module, run):
+    """Arguments of the factor_q calls that run() makes through
+    ``module``'s own name for it."""
+    calls = []
+    factor = polyfactor.factor_q
+
+    def record(f):
+        calls.append((list(f),))
+        return factor(f)
+
+    module.factor_q = record
+    try:
+        run()
+    finally:
+        module.factor_q = factor
+    return calls
+
+
+def bench_polynomials(quick):
+    repeat = 3 if quick else 5
+    jobs = [
+        ("torsion, Q(zeta7)", numfield,
+         lambda: NumberField(polyfactor.cyclotomic(7)).torsion_generator()),
+        ("torsion, Q(zeta15)", numfield,
+         lambda: NumberField(polyfactor.cyclotomic(15)).torsion_generator()),
+        ("decompose, rank-11 split", qalgebra,
+         lambda: decompose(order_from_poly(split11()).algebra)),
+    ]
+    print(f"\n{'factor_q calls':<28} {'calls':>6} {'ms/call':>9}")
+    for name, module, run in jobs:
+        args = factor_q_calls(module, run)
+        t = time_fn(polyfactor.factor_q, args, repeat) / len(args)
+        print(f"{name:<28} {len(args):>6} {t * 1e3:>9.3f}")
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--quick", action="store_true", help="smaller shapes, fewer repeats")
@@ -131,6 +174,7 @@ def main():
     bench_kernels(args.quick)
     bench_products(args.quick)
     bench_rational(args.quick)
+    bench_polynomials(args.quick)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ adapter whose mul is addition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from .kernels import xgcd
@@ -86,7 +86,6 @@ class GroupOps:
     mul: Callable
     inv: Callable
     identity: object
-    eq: Callable = field(default=lambda a, b: a == b)
 
     def power(self, x, e: int):
         return power(self.mul, self.inv, self.identity, x, e)
@@ -143,7 +142,7 @@ class EffPresentation:
         """Check the cheap structural invariants by multiplication."""
         for r in self.rels:
             got = self.evaluate(r)
-            if not self.ops.eq(got, self.ops.identity):
+            if got != self.ops.identity:
                 raise AssertionError("relation does not hold")
 
 
@@ -174,7 +173,7 @@ def subgroup_relations(pres: EffPresentation, targets) -> List[List[int]]:
     out = image_int(IntMatrix(nt, proj))
     for u in out.basis.cols:
         got = pres.ops.product(targets, u)
-        if not pres.ops.eq(got, pres.ops.identity):
+        if got != pres.ops.identity:
             raise AssertionError("computed relation does not multiply to 1")
     return [list(c) for c in out.basis.cols]
 
@@ -203,7 +202,7 @@ def membership_dlog(pres: EffPresentation, targets, gamma):
         return None
     sol = [-e for e in comb[:nt]]
     got = pres.ops.product(targets, sol)
-    if not pres.ops.eq(got, gamma):
+    if got != gamma:
         raise AssertionError("membership witness does not multiply back")
     return sol
 

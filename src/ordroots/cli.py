@@ -28,7 +28,7 @@ from .orderdoc import (
     poly_order_document,
 )
 from .ordercore import build_context, build_saturation, graph_mod_p, primitive_idempotents_ctx
-from .polyfactor import _is_prime
+from .polyfactor import PRIME_BOUND, _is_prime
 from .qalgebra import AlgebraError
 from .rou import mu_a_presentation, mu_e_subgroup_dlog
 
@@ -111,6 +111,9 @@ def cmd_dlog(args) -> int:
 
 def cmd_graph(args) -> int:
     prime = args.prime
+    if prime is not None and prime >= PRIME_BOUND:
+        raise DocumentError(f"--prime must be below {PRIME_BOUND}, the bound of the "
+                            f"exact primality test, got {prime}")
     if prime is not None and not _is_prime(prime):
         raise DocumentError(f"--prime must be a prime, got {prime}")
     order, _ = _load_order(args.file)

@@ -32,7 +32,7 @@ from .linalg import (
     sum_lattices,
 )
 from .numfield import ProductRing
-from .polyfactor import factor_q, qp, qp_divmod, qp_mul, qp_xgcd, resultant
+from .polyfactor import factor_q, qp, qp_divmod, qp_mul, resultant
 from .qalgebra import (
     AlgebraError,
     QAlgebra,
@@ -338,6 +338,9 @@ def build_context(A: Order) -> OrderContext:
     b_cols = []
     for i, K in enumerate(dec.components):
         emb = sep_order.image_in([i])
+        # B is the direct sum of the residue images, so it is closed
+        # under multiplication exactly when each residue image is
+        emb.mult_table()
         residues.append(emb)
         for b in emb.basis:
             col = [Fraction(0)] * ambient.dim
@@ -345,7 +348,6 @@ def build_context(A: Order) -> OrderContext:
                 col[ambient.offsets[i] + t] = e
             b_cols.append(col)
     b_order = EmbeddedOrder(ambient, b_cols)
-    b_order.mult_table()
     idx = qlat_index(sep_order.qlat, b_order.qlat)
     return OrderContext(
         order=A, dec=dec, ambient=ambient, sep_lattice=sep_lat,
@@ -413,26 +415,6 @@ def idempotent_divisor_oracle(f) -> List[List[int]]:
         if r in (1, -1):
             out.append([int(c) for c in g])
     return sorted(out, key=lambda g: (len(g), tuple(g)))
-
-
-def divisor_idempotent(f, g) -> List[int]:
-    """The idempotent of Z[X]/(f) vanishing mod g and 1 mod f/g, as an
-    integer coordinate vector on the power basis."""
-    f = qp(f)
-    g = qp(g)
-    h = qp_divmod(f, g)[0]
-    d, s, _ = qp_xgcd(g, h)
-    if d != [Fraction(1)]:
-        raise AssertionError("divisor and cofactor are not coprime")
-    e = qp_divmod(qp_mul(s, g), f)[1]
-    n = len(f) - 1
-    out = []
-    for k in range(n):
-        c = e[k] if k < len(e) else Fraction(0)
-        if c.denominator != 1:
-            raise AssertionError("divisor does not give an integral idempotent")
-        out.append(int(c))
-    return out
 
 
 # ---------------------------------------------------------------------------

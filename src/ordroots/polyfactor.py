@@ -1,11 +1,15 @@
 """Univariate polynomial arithmetic and factorization over Q.
 
 Polynomials are coefficient lists, lowest degree first, with no trailing
-zeros.  ``qp_*`` functions work over Q (Fraction coefficients), ``ip_*``
-over Z, ``fp_*`` over Z/p.  Factorization over Q is Zassenhaus: Yun
-squarefree decomposition, deterministic Berlekamp factorization modulo a
-good small prime, quadratic Hensel lifting past a Mignotte-style
-coefficient bound, and subset recombination in increasing subset size.
+zeros.  Z[X] and Q[X] share one dense arithmetic: ``qp_add``, ``qp_sub``,
+``qp_mul`` and ``qp_deriv`` keep integer input integer, and ``fp_*``
+reduces their results mod p.  Division over Q yields Fractions;
+``ip_divmod`` divides over Z.  Factorization over Q runs on the
+primitive part of the input in Z[X], end to end: Zassenhaus (Cohen,
+*A Course in Computational Algebraic Number Theory*, 3.5) by Berlekamp
+factorization modulo a good small prime, quadratic Hensel lifting past
+a Mignotte-style coefficient bound, and subset recombination in
+increasing subset size with exact integer trial division.
 
 Squarefreeness is first proved modulo a few fixed large primes
 (``proves_squarefree``): a polynomial that stays squarefree of the same
@@ -44,7 +48,7 @@ def qp_degree(f):
 
 def qp_add(f, g):
     n = max(len(f), len(g))
-    out = [Fraction(0)] * n
+    out = [0] * n
     for i, c in enumerate(f):
         out[i] += c
     for i, c in enumerate(g):
@@ -63,7 +67,7 @@ def qp_sub(f, g):
 def qp_mul(f, g):
     if not f or not g:
         return []
-    out = [Fraction(0)] * (len(f) + len(g) - 1)
+    out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if a:
             for j, b in enumerate(g):
@@ -80,11 +84,12 @@ def qp_scale(f, c):
 
 
 def qp_divmod(f, g):
+    """(q, r) with f = q*g + r over Q, as Fractions for integer input too."""
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    f = list(f)
+    f = [c if type(c) is Fraction else Fraction(c) for c in f]
     q = [Fraction(0)] * max(0, len(f) - len(g) + 1)
-    inv = 1 / g[-1]
+    inv = Fraction(1) / g[-1]
     while len(f) >= len(g) and f:
         c = f[-1] * inv
         k = len(f) - len(g)
@@ -98,7 +103,8 @@ def qp_divmod(f, g):
 def qp_monic(f):
     if not f:
         return []
-    return [c / f[-1] for c in f]
+    inv = Fraction(1) / f[-1]
+    return [c * inv for c in f]
 
 
 def qp_gcd(f, g):
@@ -162,33 +168,14 @@ def _yun_squarefree(f):
 # ---------------------------------------------------------------------------
 # integer polynomials
 
-def ip_content(f):
-    g = 0
-    for c in f:
-        g = gcd(g, c)
-    return g
-
-
 def ip_primitive(f):
     """(content, primitive part with positive leading coefficient)."""
     if not f:
         return 0, []
-    g = ip_content(f)
+    g = gcd(*f)
     if f[-1] < 0:
         g = -g
     return g, [c // g for c in f]
-
-
-def ip_mul(f, g):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                if b:
-                    out[i + j] += a * b
-    return _strip(out)
 
 
 def ip_trunc_sym(f, m):
@@ -203,16 +190,25 @@ def ip_trunc_sym(f, m):
     return _strip(out)
 
 
-def ip_divides(g, f):
-    """Exact quotient f/g over Z, or None."""
+def ip_divmod(f, g):
+    """(q, r) with f = q*g + r and deg r < deg g over Z, or None when the
+    quotient over Q is not integral: lc(g) fails to divide the leading
+    coefficient of some partial remainder.  Never None for a monic g."""
     if not g:
-        return None
-    q, r = qp_divmod(qp(f), qp(g))
-    if r:
-        return None
-    if any(c.denominator != 1 for c in q):
-        return None
-    return [int(c) for c in q]
+        raise ZeroDivisionError("polynomial division by zero")
+    f = list(f)
+    q = [0] * max(0, len(f) - len(g) + 1)
+    lc = g[-1]
+    while len(f) >= len(g) and f:
+        c, rem = divmod(f[-1], lc)
+        if rem:
+            return None
+        k = len(f) - len(g)
+        q[k] = c
+        for i, b in enumerate(g):
+            f[k + i] -= c * b
+        _strip(f)
+    return _strip(q), f
 
 
 # ---------------------------------------------------------------------------
@@ -222,21 +218,8 @@ def fp_norm(f, p):
     return _strip([c % p for c in f])
 
 
-def fp_sub_const(f, c, p):
-    out = list(f) if f else [0]
-    out[0] = (out[0] - c) % p
-    return _strip(out)
-
-
 def fp_mul(f, g, p):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return _strip([c % p for c in out])
+    return fp_norm(qp_mul(f, g), p)
 
 
 def fp_divmod(f, g, p):
@@ -270,7 +253,7 @@ def fp_monic(f, p):
 
 
 def fp_deriv(f, p):
-    return _strip([i * c % p for i, c in enumerate(f)][1:])
+    return fp_norm(qp_deriv(f), p)
 
 
 def fp_pow_mod(f, e, m, p):
@@ -349,7 +332,7 @@ def fp_factor_squarefree(f, p):
             for c in range(p):
                 if qp_degree(rem) < 1:
                     break
-                g = fp_gcd(rem, fp_sub_const(poly, c, p), p)
+                g = fp_gcd(rem, qp_sub(poly, [c]), p)
                 if qp_degree(g) >= 1:
                     nxt.append(g)
                     rem = fp_divmod(rem, g, p)[0]
@@ -364,40 +347,6 @@ def fp_factor_squarefree(f, p):
 # ---------------------------------------------------------------------------
 # Hensel lifting
 
-def _ip_add(f, g):
-    n = max(len(f), len(g))
-    out = [0] * n
-    for i, c in enumerate(f):
-        out[i] += c
-    for i, c in enumerate(g):
-        out[i] += c
-    return _strip(out)
-
-
-def _ip_sub(f, g):
-    n = max(len(f), len(g))
-    out = [0] * n
-    for i, c in enumerate(f):
-        out[i] += c
-    for i, c in enumerate(g):
-        out[i] -= c
-    return _strip(out)
-
-
-def _ip_divmod_monic(f, g):
-    """Integer polynomial division by monic g."""
-    f = list(f)
-    q = [0] * max(0, len(f) - len(g) + 1)
-    while len(f) >= len(g) and f:
-        c = f[-1]
-        k = len(f) - len(g)
-        q[k] = c
-        for i, b in enumerate(g):
-            f[k + i] -= c * b
-        _strip(f)
-    return _strip(q), f
-
-
 def _hensel_step(m, f, g, h, s, t):
     """One quadratic Hensel step.
 
@@ -406,18 +355,18 @@ def _hensel_step(m, f, g, h, s, t):
     same relations mod m**2 with G = g and H = h (mod m), H monic.
     """
     mm = m * m
-    e = ip_trunc_sym(_ip_sub(f, ip_mul(g, h)), mm)
-    q, r = _ip_divmod_monic(ip_mul(s, e), h)
+    e = ip_trunc_sym(qp_sub(f, qp_mul(g, h)), mm)
+    q, r = ip_divmod(qp_mul(s, e), h)
     q = ip_trunc_sym(q, mm)
     r = ip_trunc_sym(r, mm)
-    G = ip_trunc_sym(_ip_add(g, _ip_add(ip_mul(t, e), ip_mul(q, g))), mm)
-    H = ip_trunc_sym(_ip_add(h, r), mm)
-    b = ip_trunc_sym(_ip_sub(_ip_add(ip_mul(s, G), ip_mul(t, H)), [1]), mm)
-    c2, d = _ip_divmod_monic(ip_mul(s, b), H)
+    G = ip_trunc_sym(qp_add(g, qp_add(qp_mul(t, e), qp_mul(q, g))), mm)
+    H = ip_trunc_sym(qp_add(h, r), mm)
+    b = ip_trunc_sym(qp_sub(qp_add(qp_mul(s, G), qp_mul(t, H)), [1]), mm)
+    c2, d = ip_divmod(qp_mul(s, b), H)
     c2 = ip_trunc_sym(c2, mm)
     d = ip_trunc_sym(d, mm)
-    S = ip_trunc_sym(_ip_sub(s, d), mm)
-    T = ip_trunc_sym(_ip_sub(_ip_sub(t, ip_mul(t, b)), ip_mul(c2, G)), mm)
+    S = ip_trunc_sym(qp_sub(s, d), mm)
+    T = ip_trunc_sym(qp_sub(qp_sub(t, qp_mul(t, b)), qp_mul(c2, G)), mm)
     return G, H, S, T
 
 
@@ -428,19 +377,12 @@ def _fp_xgcd(f, g, p):
     while r1:
         q, r = fp_divmod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, _strip([(a - b) % p for a, b in
-                             _zip_pad(s0, fp_mul(q, s1, p))])
-        t0, t1 = t1, _strip([(a - b) % p for a, b in
-                             _zip_pad(t0, fp_mul(q, t1, p))])
+        s0, s1 = s1, fp_norm(qp_sub(s0, qp_mul(q, s1)), p)
+        t0, t1 = t1, fp_norm(qp_sub(t0, qp_mul(q, t1)), p)
     inv = pow(r0[-1], -1, p)
     return ([c * inv % p for c in r0],
             [c * inv % p for c in s0],
             [c * inv % p for c in t0])
-
-
-def _zip_pad(f, g):
-    n = max(len(f), len(g))
-    return zip(f + [0] * (n - len(f)), g + [0] * (n - len(g)))
 
 
 def hensel_lift(p, f, modular_factors, k):
@@ -533,18 +475,33 @@ def _next_prime(p):
     return q
 
 
+# Miller-Rabin on these bases decides primality exactly below
+# PRIME_BOUND, the least strong pseudoprime to all of them (Sorenson and
+# Webster 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n):
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic Miller-Rabin; ValueError for n >= PRIME_BOUND."""
+    if n >= PRIME_BOUND:
+        raise ValueError(f"primality is decided only below {PRIME_BOUND}")
+    if n < 2 or any(n % a == 0 for a in _MR_BASES):
+        return n in _MR_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -581,12 +538,12 @@ def factor_squarefree_z(f):
         for subset in combinations(remaining, size):
             prod = ip_trunc_sym([cur[-1]], pk)
             for i in subset:
-                prod = ip_trunc_sym(ip_mul(prod, lifted[i]), pk)
+                prod = ip_trunc_sym(qp_mul(prod, lifted[i]), pk)
             cand = ip_primitive(prod)[1]
-            quo = ip_divides(cand, cur)
-            if quo is not None:
+            qr = ip_divmod(cur, cand)
+            if qr is not None and not qr[1]:
                 out.append(cand)
-                cur = quo
+                cur = qr[0]
                 remaining = [i for i in remaining if i not in subset]
                 hit = True
                 break
@@ -602,31 +559,28 @@ def factor_q(f):
 
     Returns (constant, [(monic irreducible factor, multiplicity), ...])
     with constant * prod(factor^multiplicity) = f, factors sorted by
-    (degree, coefficient tuple).
+    (degree, coefficient tuple).  The work runs on the primitive part of
+    f in Z[X], whose primitive irreducible factors multiply back to it.
     """
     f = qp(f)
     if not f:
         raise ValueError("cannot factor the zero polynomial")
-    const = f[-1]
-    monic = qp_monic(f)
-    if qp_degree(monic) > 0 and proves_squarefree(monic):
-        parts = [(monic, 1)]  # what Yun returns for a squarefree input
+    prim = ip_primitive(clear_vector(f)[0])[1]
+    if qp_degree(prim) > 0 and proves_squarefree(prim):
+        parts = [(prim, 1)]  # what Yun returns for a squarefree input
     else:
-        parts = _yun_squarefree(monic)
-    out = []
-    for part, mult in parts:
-        ipart, _ = clear_vector(part)
-        ipart = ip_primitive(ipart)[1]
-        for fac in factor_squarefree_z(ipart):
-            out.append((qp_monic(qp(fac)), mult))
-    out.sort(key=lambda fm: (qp_degree(fm[0]), tuple(fm[0]), fm[1]))
-    check = [Fraction(1)]
-    for fac, mult in out:
+        parts = [(ip_primitive(clear_vector(part)[0])[1], mult)
+                 for part, mult in _yun_squarefree(qp_monic(prim))]
+    facs = [(fac, mult) for part, mult in parts for fac in factor_squarefree_z(part)]
+    check = [1]
+    for fac, mult in facs:
         for _ in range(mult):
             check = qp_mul(check, fac)
-    if qp_scale(check, const) != f:
+    if check != prim:
         raise AssertionError("factorization does not multiply back")
-    return const, out
+    out = sorted(((qp_monic(fac), mult) for fac, mult in facs),
+                 key=lambda fm: (qp_degree(fm[0]), tuple(fm[0]), fm[1]))
+    return f[-1], out
 
 
 def is_irreducible_q(f):

@@ -24,7 +24,6 @@ from ordroots.ordercore import (
     Order,
     build_context,
     build_saturation,
-    divisor_idempotent,
     graph_mod_p,
     idempotent_divisor_oracle,
     mu_c_p_presentation,
@@ -32,12 +31,13 @@ from ordroots.ordercore import (
     primitive_idempotents,
 )
 from ordroots.orderdoc import parse_order_document, dump_canonical, poly_order_document
-from ordroots.polyfactor import cyclotomic, ip_mul
+from ordroots.polyfactor import cyclotomic, qp_mul
 from ordroots.rou import conductor, mu_a_generators, mu_a_presentation, psi_kernel
 from util import (
     brute_closure,
     brute_force_torsion_in_order,
     diagonal_congruence_suborder,
+    divisor_idempotent,
     product_order,
     quotient_coset_normalizer,
     random_presented_group,
@@ -124,7 +124,7 @@ def _squarefree_pool():
         for combo in combinations(range(len(pool)), r):
             f = [1]
             for i in combo:
-                f = ip_mul(f, pool[i])
+                f = qp_mul(f, pool[i])
             if len(f) - 1 > 6:
                 continue
             key = tuple(f)
@@ -308,7 +308,7 @@ def test_criterion_7_separable_root_bounds():
             if all(unit(embed(a - b)) for i, a in enumerate(pick) for b in pick[:i]):
                 f = [1]
                 for a in pick:
-                    f = ip_mul(f, [-a, 1])
+                    f = qp_mul(f, [-a, 1])
                 polys.append(f)
         for m in (2, 3, 4, 5):
             if unit(embed(m)):

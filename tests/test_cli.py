@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from ordroots.orderdoc import (
     parse_vector,
     poly_order_document,
 )
+from ordroots.polyfactor import PRIME_BOUND
 
 
 X4 = [-1, 0, 0, 0, 1]
@@ -219,6 +221,23 @@ def test_graph_rejects_a_prime_that_is_not_prime(capsys, x4_doc):
         assert code == 2
         assert out == ""
         assert "must be a prime" in err
+
+
+def test_graph_decides_a_large_prime_quickly(capsys, x4_doc):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["graph", x4_doc, "--prime", str(2 ** 64 - 59)])
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert json.loads(out)["prime"] == 2 ** 64 - 59
+
+
+def test_graph_refuses_a_prime_past_the_exact_test(capsys, x4_doc):
+    # 5000000000000000000000041 is prime, but past the bound below which
+    # Miller-Rabin on the bases 2 ... 41 decides primality exactly
+    code, out, err = run(capsys, ["graph", x4_doc, "--prime", "5000000000000000000000041"])
+    assert code == 2
+    assert out == ""
+    assert str(PRIME_BOUND) in err
 
 
 def test_decompose_cmd(capsys, x4_doc):

@@ -287,11 +287,11 @@ def test_separable_root_bound_and_unit_differences():
                 for i, a in enumerate(pick) for b in pick[:i]
             )
             if ok:
-                from ordroots.polyfactor import ip_mul
+                from ordroots.polyfactor import qp_mul
 
                 f = [1]
                 for a in pick:
-                    f = ip_mul(f, [-a, 1])
+                    f = qp_mul(f, [-a, 1])
                 polys.append(f)
         for m in (2, 3, 4, 5):
             if is_unit(R, R.reduce([m * e for e in R.one])):

@@ -19,7 +19,7 @@ from ordroots.numfield import (
     roots_in_field,
 )
 from ordroots.ordercore import order_from_poly
-from ordroots.polyfactor import cyclotomic, factor_q, ip_mul, qp_degree
+from ordroots.polyfactor import cyclotomic, factor_q, qp_degree, qp_mul
 from ordroots.qalgebra import decompose
 
 from util import (
@@ -90,9 +90,9 @@ def test_roots_with_multiplicity_input():
 
 
 @pytest.mark.parametrize("f", [
-    ip_mul(ip_mul([-1, 1], [2, 1]), [-3, 2]),  # split: 1, -2, 3/2
+    qp_mul(qp_mul([-1, 1], [2, 1]), [-3, 2]),  # split: 1, -2, 3/2
     [-2, 0, 0, 1],  # irreducible
-    ip_mul(ip_mul([-1, 1], [-1, 1]), ip_mul([4, 1], [1, 0, 1])),  # (X - 1)^2 (X + 4) (X^2 + 1)
+    qp_mul(qp_mul([-1, 1], [-1, 1]), qp_mul([4, 1], [1, 0, 1])),  # (X - 1)^2 (X + 4) (X^2 + 1)
 ])
 def test_roots_over_degree_one_fields_are_the_rational_roots(f):
     # the norm of g down from a degree-1 field is g itself

@@ -9,7 +9,6 @@ from ordroots.ordercore import (
     Order,
     build_context,
     build_saturation,
-    divisor_idempotent,
     graph_mod_p,
     idempotent_divisor_oracle,
     mu_b_presentation,
@@ -24,6 +23,7 @@ from ordroots.qalgebra import AlgebraError
 from util import (
     all_pairs_mu_c_p,
     diagonal_congruence_suborder,
+    divisor_idempotent,
     product_order,
     scalar_suborder,
 )

@@ -1,34 +1,43 @@
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordroots import polyfactor
 from ordroots.polyfactor import (
     _PROOF_PRIMES,
+    PRIME_BOUND,
+    _is_prime,
     _yun_squarefree,
     cyclotomic,
     euler_phi,
     factor_q,
     fp_factor_squarefree,
     fp_norm,
+    ip_divmod,
     ip_resultant,
     is_irreducible_q,
     is_squarefree,
     proves_squarefree,
     qp,
+    qp_add,
     qp_degree,
     qp_deriv,
     qp_divmod,
     qp_gcd,
     qp_monic,
     qp_mul,
+    qp_neg,
     qp_scale,
+    qp_sub,
     resultant,
     squarefree_part,
 )
-from util import kronecker_factor, sylvester_resultant
+from util import fraction_divides, kronecker_factor, sylvester_resultant
 
 
 def _poly_strs(fs):
@@ -238,3 +247,141 @@ def test_exact_test_decides_when_every_proof_prime_divides_the_discriminant():
     g = qp_mul(qp([-c, 1]), qp([-c, 1]))  # (X - c)^2 reduces to X^2 as well
     assert not is_squarefree(g)
     assert squarefree_part(g) == qp([-c, 1])
+
+
+# ---------------------------------------------------------------------------
+# one arithmetic for Z[X] and Q[X]
+
+def _int_poly(lo, hi, span=9):
+    return st.lists(st.integers(-span, span), min_size=lo + 1, max_size=hi + 1).filter(
+        lambda c: c[-1] != 0)
+
+
+@given(f=_int_poly(0, 6), g=_int_poly(0, 4))
+@settings(max_examples=300, deadline=None)
+def test_ip_divmod_agrees_with_fraction_division(f, g):
+    quo, rem = qp_divmod(qp(f), qp(g))
+    integral = all(c.denominator == 1 for c in quo)
+    got = ip_divmod(f, g)
+    assert (got is None) == (not integral)
+    if got is not None:
+        assert got == (quo, rem)
+        assert all(type(c) is int for c in got[0] + got[1])
+    exact = fraction_divides(g, f)
+    assert (exact is not None) == (got is not None and not got[1])
+    if exact is not None:
+        assert got[0] == exact
+
+
+@given(f=_int_poly(0, 6), g=_int_poly(0, 4))
+@settings(max_examples=150, deadline=None)
+def test_ip_divmod_never_refuses_a_monic_divisor(f, g):
+    g = g[:-1] + [1]
+    quo, rem = ip_divmod(f, g)
+    assert qp_add(qp_mul(quo, g), rem) == f
+    assert qp_degree(rem) < qp_degree(g)
+
+
+@given(f=_int_poly(0, 5), g=_int_poly(0, 5))
+@settings(max_examples=100, deadline=None)
+def test_shared_arithmetic_keeps_integers_integral(f, g):
+    for h in (qp_add(f, g), qp_sub(f, g), qp_neg(f), qp_mul(f, g), qp_deriv(f)):
+        assert all(type(c) is int for c in h)
+    assert qp_sub(f, g) == qp_sub(qp(f), qp(g))
+    assert qp_mul(f, g) == qp_mul(qp(f), qp(g))
+
+
+@given(f=_int_poly(0, 6, span=3 ** 40), g=_int_poly(0, 4))
+@settings(max_examples=100, deadline=None)
+def test_division_over_q_of_integer_lists_is_exact(f, g):
+    # integer lists must not fall into binary floats through 1 / lc
+    for got, want in ((qp_divmod(f, g), qp_divmod(qp(f), qp(g))),
+                      (qp_monic(f), qp_monic(qp(f))),
+                      (qp_gcd(f, g), qp_gcd(qp(f), qp(g)))):
+        flat = list(got[0]) + list(got[1]) if isinstance(got, tuple) else got
+        assert all(type(c) is Fraction for c in flat)
+        assert got == want
+
+
+def test_division_of_an_integer_list_stays_exact():
+    q, r = qp_divmod([3 ** 40 + 1, 0, 1], [7, 3])
+    assert q == [Fraction(-7, 9), Fraction(1, 3)]
+    assert r == [Fraction(3 ** 40 * 9 + 9 + 49, 9)]
+
+
+@given(a=_int_poly(1, 3, span=4), b=_int_poly(1, 2, span=4))
+@settings(max_examples=60, deadline=None)
+def test_factor_q_equals_kronecker_factoring(a, b):
+    f = qp_mul(a, b)
+    if not is_squarefree(f):
+        return
+    _, prim = polyfactor.ip_primitive(f)
+    want = sorted((qp_monic(qp(h)) for h in kronecker_factor(prim)),
+                  key=lambda h: (qp_degree(h), tuple(h)))
+    const, fs = factor_q(f)
+    assert const == f[-1]
+    assert fs == [(h, 1) for h in want]
+
+
+@pytest.mark.parametrize("f", [
+    [-1] + [0] * 11 + [1],
+    [1, 0, -10, 0, 1],
+    [Fraction(1, 2), 0, Fraction(-1, 2)],
+    qp_mul(qp_mul([-1, 1], [2, 3]), [1, 1, 1]),
+])
+def test_proven_squarefree_input_skips_division_over_q(monkeypatch, f):
+    want = factor_q(f)
+    assert proves_squarefree(f)
+
+    def refuse(*args):
+        raise AssertionError("division over Q on a proven-squarefree input")
+
+    monkeypatch.setattr(polyfactor, "qp_divmod", refuse)
+    monkeypatch.setattr(polyfactor, "qp_gcd", refuse)
+    assert factor_q(f) == want
+
+
+def test_factor_q_checks_the_product_on_integers(monkeypatch):
+    real = polyfactor.factor_squarefree_z
+
+    def bump_leading_coefficient(f):
+        facs = real(f)
+        return facs[:-1] + [facs[-1][:-1] + [facs[-1][-1] + 1]]
+
+    monkeypatch.setattr(polyfactor, "factor_squarefree_z", bump_leading_coefficient)
+    for f in ([-1, 0, 0, 0, 1], [0, 0, 1], qp_mul([1, 0, 1], [1, 0, 1])):
+        with pytest.raises(AssertionError, match="does not multiply back"):
+            factor_q(f)
+
+
+# ---------------------------------------------------------------------------
+# primality
+
+def _trial_division_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_miller_rabin_agrees_with_trial_division():
+    assert [n for n in range(-5, 10 ** 5) if _is_prime(n)] == \
+        [n for n in range(-5, 10 ** 5) if _trial_division_prime(n)]
+
+
+@pytest.mark.parametrize("n", [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041,
+                               825265, 321197185, 3215031751, 3825123056546413051])
+def test_miller_rabin_rejects_carmichael_and_strong_pseudoprimes(n):
+    # Carmichael numbers fool the Fermat test; 3215031751 and
+    # 3825123056546413051 are strong pseudoprimes to every prime base up
+    # to 7 and up to 31
+    assert not _is_prime(n)
+
+
+def test_large_prime_is_decided_quickly():
+    start = time.perf_counter()
+    assert _is_prime(2 ** 64 - 59)  # 20 digits
+    assert _is_prime(10 ** 24 + 7)
+    assert not _is_prime((10 ** 9 + 7) * (10 ** 11 + 3))
+    assert time.perf_counter() - start < 1
+    # the bound itself is the first composite that all the bases pass
+    assert PRIME_BOUND == 1287836182261 * 2575672364521
+    with pytest.raises(ValueError, match=str(PRIME_BOUND)):
+        _is_prime(PRIME_BOUND)

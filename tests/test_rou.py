@@ -13,7 +13,7 @@ from ordroots.ordercore import (
     mu_c_p_presentation,
     order_from_poly,
 )
-from ordroots.polyfactor import cyclotomic, euler_phi, ip_mul
+from ordroots.polyfactor import cyclotomic, euler_phi, qp_mul
 from ordroots.qalgebra import mu_dlog_explain
 from ordroots.rou import (
     conductor,
@@ -68,7 +68,7 @@ def test_conductor_trivial_when_c_equals_sep():
 def split_poly(roots):
     f = [1]
     for a in roots:
-        f = ip_mul(f, [-a, 1])
+        f = qp_mul(f, [-a, 1])
     return f
 
 

@@ -2,9 +2,9 @@
 
 Everything here is deliberately implemented by a different route than
 the library code it checks: cofactor determinants, Sylvester matrices,
-Gauss-Jordan elimination over Fractions, schoolbook number-field
-products, Kronecker interpolation factoring, Schreier-style breadth-first
-kernel generators, and plain brute-force enumeration.
+Gauss-Jordan elimination and long division over Fractions, schoolbook
+number-field products, Kronecker interpolation factoring, Schreier-style
+breadth-first kernel generators, and plain brute-force enumeration.
 """
 
 from fractions import Fraction
@@ -111,6 +111,44 @@ def xgcd_field_inverse(K, x):
     g, s, _ = qp_xgcd(fx, list(K.min_poly))
     assert len(g) == 1, "element not invertible"
     return K.from_poly(s)
+
+
+# ---------------------------------------------------------------------------
+# polynomial division and idempotents, the Fraction way
+
+def fraction_divides(g, f):
+    """Exact quotient f/g over Z, or None: long division over Q in
+    Fractions, then a check that the remainder is zero and the quotient
+    integral."""
+    if not g:
+        return None
+    q, r = qp_divmod(qp(f), qp(g))
+    if r:
+        return None
+    if any(c.denominator != 1 for c in q):
+        return None
+    return [int(c) for c in q]
+
+
+def divisor_idempotent(f, g):
+    """The idempotent of Z[X]/(f) vanishing mod g and 1 mod f/g, as an
+    integer coordinate vector on the power basis: s*g mod f for the
+    Bezout cofactor s of s*g + t*(f/g) = 1."""
+    f = qp(f)
+    g = qp(g)
+    h = qp_divmod(f, g)[0]
+    d, s, _ = qp_xgcd(g, h)
+    if d != [Fraction(1)]:
+        raise AssertionError("divisor and cofactor are not coprime")
+    e = qp_divmod(qp_mul(s, g), f)[1]
+    n = len(f) - 1
+    out = []
+    for k in range(n):
+        c = e[k] if k < len(e) else Fraction(0)
+        if c.denominator != 1:
+            raise AssertionError("divisor does not give an integral idempotent")
+        out.append(int(c))
+    return out
 
 
 # ---------------------------------------------------------------------------
