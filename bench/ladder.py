@@ -2,10 +2,10 @@
 
 Times ``mu_a_presentation`` (which builds the order context) on orders
 past the reach of the ``perfbench`` workloads: Z[X]/(X^7 - 1), the
-cyclotomic rings Z[zeta_d] for d = 15, 16, 11, 13, and the group ring
-Z[C_2^5] of rank 32 from its table e_g e_h = e_(g+h).  Each input runs
-in its own subprocess, one after another, and is stopped at ``CAP_S``
-seconds.  Every answer that finishes is checked against a closed form:
+cyclotomic rings Z[zeta_d] for d = 15, 16, 11, 13, and the group rings
+Z[C_3^3] of rank 27 and Z[C_2^5], Z[C_4 x C_8] of rank 32, each from its
+table e_g e_h = e_(g+h).  Each input runs in its own subprocess, one
+after another, and is stopped at ``CAP_S`` seconds.  Every answer that finishes is checked against a closed form:
 the roots of unity of Z[zeta_d] have order lcm(2, d) (one invariant
 factor), and by Higman's theorem those of Z[G] form Z/2 x G.  Times are
 wall times, not calibrated against a probe.
@@ -18,6 +18,7 @@ import os
 import subprocess
 import sys
 import time
+from itertools import product
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -50,10 +51,19 @@ def _exact_div_monic(f, g):
     return q
 
 
-def _group_ring_c2(k):
-    """Z[C_2^k]: basis e_g for g in (Z/2)^k as bit masks, e_g e_h = e_(g xor h)."""
-    n = 2 ** k
-    return Order([[[int(i == g ^ h) for i in range(n)] for h in range(n)] for g in range(n)])
+def _group_ring(*orders):
+    """Z[C_n1 x ... x C_nk]: basis e_g for g in the product group, in
+    lexicographic order of the exponent tuples, with e_g e_h = e_(g+h)."""
+    elems = list(product(*(range(n) for n in orders)))
+    index = {g: i for i, g in enumerate(elems)}
+    table = []
+    for g in elems:
+        row = []
+        for h in elems:
+            gh = index[tuple((a + b) % n for a, b, n in zip(g, h, orders))]
+            row.append([int(i == gh) for i in range(len(elems))])
+        table.append(row)
+    return Order(table)
 
 
 # name -> (builder, invariant factors of the roots of unity)
@@ -63,7 +73,9 @@ INPUTS = {
     "Q(zeta16)": (lambda: order_from_poly(_cyclotomic(16)), [16]),
     "Q(zeta11)": (lambda: order_from_poly(_cyclotomic(11)), [22]),
     "Q(zeta13)": (lambda: order_from_poly(_cyclotomic(13)), [26]),
-    "Z[C_2^5]": (lambda: _group_ring_c2(5), [2] * 6),
+    "Z[C_3^3]": (lambda: _group_ring(3, 3, 3), [3, 3, 6]),
+    "Z[C_2^5]": (lambda: _group_ring(2, 2, 2, 2, 2), [2] * 6),
+    "Z[C_4xC_8]": (lambda: _group_ring(4, 8), [2, 4, 8]),
 }
 
 

@@ -5,8 +5,8 @@ presentation" means having generators, defining relations, *and* a way
 to write arbitrary group elements over the generators.  The four
 algorithms below (relations of a generating set, membership with
 witness, induced presentation, kernel modulo a subgroup) are generic in
-exactly that interface: they only multiply, invert, compare, and call
-the dlog.
+exactly that interface: they only multiply, raise to integer powers,
+compare, and call the dlog.
 
 Groups are multiplicative; an additive group is used through a GroupOps
 adapter whose mul is addition.
@@ -15,6 +15,7 @@ adapter whose mul is addition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Callable, List, Optional, Sequence
 
 from .kernels import xgcd
@@ -81,14 +82,12 @@ def cyclic_relations(orders) -> tuple:
 
 @dataclass(frozen=True)
 class GroupOps:
-    """Element operations of an ambient abelian group."""
+    """Element operations of an ambient abelian group: the product, the
+    power x^e for an integer e of either sign, and the identity."""
 
     mul: Callable
-    inv: Callable
+    power: Callable
     identity: object
-
-    def power(self, x, e: int):
-        return power(self.mul, self.inv, self.identity, x, e)
 
     def product(self, elems: Sequence, exps: Sequence[int]):
         acc = self.identity
@@ -116,24 +115,13 @@ class EffPresentation:
     def evaluate(self, exps: Sequence[int]):
         return self.ops.product(self.gens, exps)
 
-    def relation_lattice(self) -> Lattice:
-        return Lattice(len(self.gens), [list(r) for r in self.rels])
-
     def group_order(self) -> int:
         """Order of the presented group (via the Smith form)."""
-        n = len(self.gens)
-        lat = self.relation_lattice()
-        if lat.rank < n:
-            raise ValueError("relation lattice not of full rank; group infinite")
-        facs = invariant_factors(lat.basis)
-        out = 1
-        for f in facs:
-            out *= f
-        return out
+        return prod(self.invariant_factors())
 
     def invariant_factors(self) -> List[int]:
         """Nontrivial invariant factors of the group, ascending."""
-        lat = self.relation_lattice()
+        lat = Lattice(len(self.gens), [list(r) for r in self.rels])
         if lat.rank < len(self.gens):
             raise ValueError("relation lattice not of full rank; group infinite")
         return [f for f in invariant_factors(lat.basis) if f != 1]

@@ -9,12 +9,12 @@ is tuple comparison.
 The unipotent machinery works along the filtration 1+I, 1+I^2, 1+I^4,
 ... whose layers are isomorphic to the additive groups I^(2^i)/I^(2^(i+1))
 via x -> 1+x; discrete logs peel one layer at a time, and relations are
-assembled by descending induction over the layers.  A discrete log is
-asked for many times against one filtration, so the filtration holds
-what every peel needs: one prepared integer solver per level and the
-inverse of each layer generator 1+b, summed as the finite series
-sum (-b)^i because b is nilpotent.  Peeling then multiplies and reduces,
-and runs no Hermite form and no general unit inverse.
+assembled by descending induction over the layers.  Every power of 1 + b
+in 1 + I, of either sign, is the finite binomial sum sum_i C(e, i) b^i.
+The filtration holds what every peel needs: one prepared integer solver
+per level and the nonzero powers b, b^2, ... of each layer generator.
+Peeling then costs one ring product per nonzero exponent, and runs no
+Hermite form, no square-and-multiply and no general unit inverse.
 
 Self-checks raise AssertionError explicitly, so they also run under
 ``python -O``.
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
-from .abgroup import EffPresentation, GroupOps, power
+from .abgroup import EffPresentation, GroupOps
 from .linalg import (
     IntMatrix,
     IntSolver,
@@ -33,7 +33,6 @@ from .linalg import (
     lattice_index,
     preimage_lattice,
     snf,
-    solve_int,
 )
 from .qalgebra import check_table, table_mul, table_mul_basis
 
@@ -81,32 +80,11 @@ class FiniteRing:
     def add(self, a, b):
         return self.reduce([x + y for x, y in zip(a, b)])
 
-    def neg(self, a):
-        return self.reduce([-x for x in a])
-
     def sub(self, a, b):
         return self.reduce([x - y for x, y in zip(a, b)])
 
     def mul(self, a, b):
         return self.reduce(table_mul(self.table, a, b))
-
-    def unit_inverse(self, a):
-        """b with a*b = 1, or None if a is not a unit."""
-        cols = [table_mul_basis(self.table, a, j) for j in range(self.ngens)]
-        m = IntMatrix(self.ngens, cols).hstack(self.rel.basis)
-        sol = solve_int(m, list(self.one))
-        if sol is None:
-            return None
-        return self.reduce(sol[: self.ngens])
-
-    def inv(self, a):
-        out = self.unit_inverse(a)
-        if out is None:
-            raise ArithmeticError("element is not a unit")
-        return out
-
-    def power(self, a, e):
-        return power(self.mul, self.inv, self.one, a, e)
 
     def order(self) -> int:
         out = 1
@@ -187,23 +165,29 @@ class RingIdeal:
 # unipotent groups 1 + I
 
 
-def series_inverse(ring: FiniteRing, b, terms: int):
-    """(1 + b)^-1 = sum (-b)^i for i < terms, where b^terms = 0.
+def nilpotent_powers(ring: FiniteRing, b, terms: int):
+    """[b, b^2, ...] up to the last nonzero power of b; raises ValueError
+    unless b^terms = 0."""
+    out = []
+    cur = tuple(b)
+    while any(cur):
+        if len(out) + 1 >= terms:
+            raise ValueError("element is not nilpotent")
+        out.append(cur)
+        cur = ring.mul(cur, b)
+    return out
 
-    The series stops at its first zero term and needs no linear algebra;
-    one product checks the result.
-    """
-    zero = ring.zero()
-    nb = ring.neg(b)
-    acc, term = ring.one, nb
-    for _ in range(terms - 1):
-        if term == zero:
-            break
-        acc = ring.add(acc, term)
-        term = ring.mul(term, nb)
-    if ring.mul(ring.add(ring.one, b), acc) != ring.one:
-        raise AssertionError("nilpotent series is not the inverse of 1 + b")
-    return acc
+
+def binomial_power(ring: FiniteRing, powers, e: int):
+    """(1 + b)^e = sum_i C(e, i) b^i for every integer e, from the powers
+    [b, b^2, ...] of a nilpotent b.  C(e, i+1) = C(e, i) (e-i) / (i+1) is
+    an exact integer division, and the integer sum is reduced once."""
+    acc = list(ring.one)
+    c = 1
+    for i, bi in enumerate(powers if e < 0 else powers[:e]):
+        c = c * (e - i) // (i + 1)
+        acc = [a + c * x for a, x in zip(acc, bi)]
+    return ring.reduce(acc)
 
 
 @dataclass
@@ -216,8 +200,9 @@ class Filtration:
 
     Built once, read by every discrete log: ``solvers[i]`` solves over
     the fixed matrix [B_i | I^(2^(i+1))], so a layer costs no Hermite
-    form; ``units[i]`` and ``inverses[i]`` are 1 + b and its series
-    inverse for each b in B_i, so peeling needs no unit inverse.
+    form; ``units[i]`` and ``powers[i]`` hold 1 + b and b, b^2, ... up to
+    the last nonzero power for each b in B_i, and each (1 + b)^-1 is
+    multiplied back once.
     ``terms`` = 2^len(levels) bounds the nilpotency index of I.
     """
 
@@ -225,29 +210,32 @@ class Filtration:
     levels: List[tuple]
     solvers: List[IntSolver] = field(init=False, repr=False)
     units: List[list] = field(init=False, repr=False)
-    inverses: List[list] = field(init=False, repr=False)
+    powers: List[list] = field(init=False, repr=False)
     terms: int = field(init=False)
 
     def __post_init__(self):
         ring = self.ring
         self.terms = 1 << len(self.levels)
-        self.solvers, self.units, self.inverses = [], [], []
+        self.solvers, self.units, self.powers = [], [], []
         for li, (_, bs) in enumerate(self.levels):
             nxt = self.levels[li + 1][0].lattice if li + 1 < len(self.levels) else ring.rel
             bmat = IntMatrix(ring.ngens, [list(b) for b in bs])
             self.solvers.append(IntSolver(bmat.hstack(nxt.basis)))
-            self.units.append([ring.add(ring.one, b) for b in bs])
-            self.inverses.append([series_inverse(ring, b, self.terms) for b in bs])
+            units = [ring.add(ring.one, b) for b in bs]
+            powers = [nilpotent_powers(ring, b, self.terms) for b in bs]
+            for u, bp in zip(units, powers):
+                if ring.mul(u, binomial_power(ring, bp, -1)) != ring.one:
+                    raise AssertionError("binomial inverse does not multiply back to 1")
+            self.units.append(units)
+            self.powers.append(powers)
 
     def layer_product(self, li, exps, acc):
-        """acc * prod (1 + b)^e over the generators b of level li; a
-        negative e raises the stored inverse."""
+        """acc * prod (1 + b)^e over the generators b of level li: one
+        binomial sum and one ring product per nonzero e."""
         ring = self.ring
-        for u, u_inv, e in zip(self.units[li], self.inverses[li], exps):
-            if e > 0:
-                acc = ring.mul(acc, ring.power(u, e))
-            elif e < 0:
-                acc = ring.mul(acc, ring.power(u_inv, -e))
+        for bp, e in zip(self.powers[li], exps):
+            if e:
+                acc = ring.mul(acc, binomial_power(ring, bp, e))
         return acc
 
 
@@ -297,16 +285,16 @@ def unipotent_dlog(filtration: Filtration, x, start_level=0):
     1 + x = prod (1+b)^(m_b), for x in the level's ideal.
 
     Peels one additive layer per level: solve for the layer exponents
-    with the level's solver, divide off the corresponding product
-    through the stored inverses, go on to the next level.
+    with the level's solver, divide off the corresponding product, each
+    power a binomial sum, and go on to the next level.  Raises ValueError
+    for an x of the wrong length or outside the level's ideal.
     """
     ring = filtration.ring
     levels = filtration.levels
-    if start_level >= len(levels):
-        if tuple(x) != ring.zero():
-            raise ValueError("element outside the unipotent group")
-        return []
-    if not levels[start_level][0].contains(x):
+    if len(x) != ring.ngens:
+        raise ValueError("element has the wrong length")
+    ideal = levels[start_level][0] if start_level < len(levels) else RingIdeal.zero(ring)
+    if not ideal.contains(x):
         raise ValueError("element outside the unipotent group")
     out = []
     cur = tuple(x)
@@ -350,25 +338,33 @@ def unipotent_relations(filtration: Filtration):
 
 
 def unipotent_presentation(ring: FiniteRing, ideal: RingIdeal) -> EffPresentation:
-    """Efficient presentation of the multiplicative group 1 + I."""
+    """Efficient presentation of the multiplicative group 1 + I, whose
+    powers are binomial sums; a negative one is multiplied back."""
     filtration = filtration_generators(ring, ideal)
     gens = tuple(u for units in filtration.units for u in units)
     rels = tuple(tuple(r) for r in unipotent_relations(filtration))
 
-    def inv(gamma):
+    def member(gamma):  # gamma - 1 if gamma lies in 1 + I, else None
+        if len(gamma) != ring.ngens:
+            raise ValueError("element has the wrong length")
         x = ring.sub(gamma, ring.one)
-        if not ideal.contains(x):
-            raise ValueError("element outside the unipotent group")
-        return series_inverse(ring, x, filtration.terms)
+        return x if ideal.contains(x) else None
 
-    ops = GroupOps(mul=ring.mul, inv=inv, identity=ring.one)
+    def power(gamma, e):
+        x = member(gamma)
+        if x is None:
+            raise ValueError("element outside the unipotent group")
+        bp = nilpotent_powers(ring, x, filtration.terms)
+        out = binomial_power(ring, bp, e)
+        if e < 0 and ring.mul(out, binomial_power(ring, bp, -e)) != ring.one:
+            raise AssertionError("binomial power does not multiply back to 1")
+        return out
 
     def dlog(gamma):
-        x = ring.sub(gamma, ring.one)
-        if not ideal.contains(x):
-            return None
-        return unipotent_dlog(filtration, x)
+        x = member(gamma)
+        return None if x is None else unipotent_dlog(filtration, x)
 
+    ops = GroupOps(mul=ring.mul, power=power, identity=ring.one)
     pres = EffPresentation(ops=ops, gens=gens, rels=rels, dlog=dlog)
     pres.verify_exact()
     if gens and pres.group_order() != ideal.size():

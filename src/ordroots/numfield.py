@@ -307,8 +307,9 @@ class ProductRing:
         and every relation is multiplied back, so g^w = 1 and w is the
         exact order.  The discrete log projects onto each factor and looks
         the projection up in its table; the inverse of a member is read
-        from the tables too.  The power lists are returned with the
-        presentation.
+        from the tables too, and powers are square-and-multiply over that
+        inverse.  Both raise ValueError for an element of the wrong
+        length.  The power lists are returned with the presentation.
         """
         covered = sorted(i for comps, _, _ in factors for i in comps)
         if covered != list(range(len(self.fields))):
@@ -330,6 +331,8 @@ class ProductRing:
             tables.append((comps, sub, powers, index))
 
         def dlog(gamma):
+            if len(gamma) != self.dim:
+                raise ValueError("element has the wrong length")
             out = []
             for comps, _, _, index in tables:
                 a = index.get(self.project(gamma, comps))
@@ -349,7 +352,14 @@ class ProductRing:
                     blocks[i] = sub.block(y, pos)
             return self.from_blocks(blocks)
 
-        ops = GroupOps(mul=self.mul, inv=inv, identity=self.one())
+        one = self.one()
+
+        def group_power(x, e):
+            if len(x) != self.dim:
+                raise ValueError("element has the wrong length")
+            return power(self.mul, inv, one, x, e)
+
+        ops = GroupOps(mul=self.mul, power=group_power, identity=one)
         rels = cyclic_relations([w for _, _, w in factors])
         pres = EffPresentation(ops=ops, gens=tuple(gens), rels=rels, dlog=dlog)
         pres.verify_exact()

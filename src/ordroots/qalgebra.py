@@ -84,7 +84,7 @@ def table_mul_basis(table, x, j):
 
 def check_table(table, normalize=lambda v: v):
     """Raise AlgebraError unless the table is commutative and associative
-    on basis elements, comparing products after ``normalize``."""
+    on basis elements, normalizing only products that differ raw."""
     n = len(table)
     for i in range(n):
         for j in range(i + 1, n):
@@ -96,9 +96,9 @@ def check_table(table, normalize=lambda v: v):
         for j in range(n):
             vij = table[i][j]
             for k in range(i, n):  # (e_i e_j) e_k == (e_j e_k) e_i; symmetric in i, k
-                left = normalize(table_mul_basis(table, vij, k))
-                right = normalize(table_mul_basis(table, table[j][k], i))
-                if left != right:
+                left = table_mul_basis(table, vij, k)
+                right = table_mul_basis(table, table[j][k], i)
+                if left != right and normalize(left) != normalize(right):
                     raise AlgebraError(
                         f"multiplication not associative at triple ({i}, {j}, {k})"
                     )

@@ -8,6 +8,7 @@ machinery.
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -31,6 +32,7 @@ from util import (
     quotient_group,
     random_presented_group,
     schreier_kernel,
+    unit_inverse,
 )
 
 
@@ -183,8 +185,9 @@ def _power_cases():
     K = NumberField([1, 0, 1])
     R = ProductRing([K, NumberField([-2, 0, 1])])
     return [
-        ("Z/81", z81.mul, z81.inv, z81.one, (2,)),
-        ("F_3[e]/(e^4)", eps.mul, eps.inv, eps.one, eps.reduce([2, 1, 0, 1])),
+        ("Z/81", z81.mul, partial(unit_inverse, z81), z81.one, (2,)),
+        ("F_3[e]/(e^4)", eps.mul, partial(unit_inverse, eps), eps.one,
+         eps.reduce([2, 1, 0, 1])),
         ("Q(i)", K.mul, K.inv, K.one(), K.from_poly([Fraction(1, 2), 1])),
         ("Q(i) x Q(sqrt 2)", R.mul, R.inv, R.one(),
          R.from_blocks([K.from_poly([1, 1]), R.fields[1].from_poly([1, Fraction(1, 3)])])),

@@ -41,8 +41,10 @@ from util import (
     product_order,
     quotient_coset_normalizer,
     random_presented_group,
+    ring_power,
     scalar_suborder,
     schreier_kernel,
+    unit_inverse,
 )
 
 
@@ -299,7 +301,7 @@ def test_criterion_7_separable_root_bounds():
             return R.reduce([c * e for e in R.one])
 
         def unit(x):
-            return R.unit_inverse(x) is not None
+            return unit_inverse(R, x) is not None
 
         polys = [[0, -1, 1]]
         consts = [0, 1, 2, 3, 5]
@@ -329,7 +331,7 @@ def test_criterion_7_separable_root_bounds():
         for m in (2, 3, 4, 6):
             if not unit(embed(m)):
                 continue
-            tors = [x for x in elements if R.power(x, m) == R.one]
+            tors = [x for x in elements if ring_power(R, x, m) == R.one]
             assert m % len(tors) == 0
             max_order = 0
             for x in tors:

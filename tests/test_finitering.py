@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 from ordroots.finitering import (
     FiniteRing,
     RingIdeal,
+    binomial_power,
     filtration_generators,
+    nilpotent_powers,
     unipotent_dlog,
     unipotent_presentation,
 )
 from ordroots.linalg import Lattice
-from util import fixpoint_ideal, resolving_unipotent_dlog
+from ordroots.qalgebra import AlgebraError, check_table
+from util import fixpoint_ideal, resolving_unipotent_dlog, ring_power, unit_inverse
 
 
 def zmod(n):
@@ -64,12 +67,22 @@ def test_ring_rejects_non_commutative_and_non_associative_tables():
                     [[0, 0, 1], [1, 0, 0], [0, 0, 0]]], [1, 0, 0])
 
 
+def test_ring_accepts_a_table_associative_only_modulo_its_relations():
+    # F_5[e]/(e^2) with 1 * e written as 6e: (1 1) e = 6e but 1 (1 e) = 36e
+    # over Z, which agree modulo 5 only
+    table = [[[1, 0], [0, 6]], [[0, 6], [0, 0]]]
+    with pytest.raises(AlgebraError, match="associative"):
+        check_table(table)
+    R = FiniteRing(Lattice(2, [[5, 0], [0, 5]]), table, [1, 0])
+    assert R.mul((1, 1), (1, 1)) == (1, 2)
+
+
 def test_ring_basics():
     R = zmod(12)
     assert R.order() == 12
     assert R.mul((7,), (7,)) == (1,)
-    assert R.unit_inverse((5,)) == (5,)
-    assert R.unit_inverse((6,)) is None
+    assert unit_inverse(R, (5,)) == (5,)
+    assert unit_inverse(R, (6,)) is None
     assert len(list(R.elements())) == 12
 
 
@@ -237,16 +250,58 @@ def test_descent_matches_resolving_reference(case):
     ring, ideal, x = case
     filt = filtration_generators(ring, ideal)
     assert unipotent_dlog(filt, x) == resolving_unipotent_dlog(filt, x)
-    for units, inverses in zip(filt.units, filt.inverses):
-        for u, u_inv in zip(units, inverses):
-            assert ring.mul(u, u_inv) == ring.one
-            assert u_inv == ring.inv(u)
+    for units, powers in zip(filt.units, filt.powers):
+        for u, bp in zip(units, powers):
+            assert binomial_power(ring, bp, -1) == unit_inverse(ring, u)
     pres = unipotent_presentation(ring, ideal)
     g = ring.add(ring.one, x)
-    assert pres.ops.inv(g) == ring.inv(g)
+    assert pres.ops.power(g, -1) == unit_inverse(ring, g)
     with pytest.raises(ValueError):
-        pres.ops.inv(ring.zero())  # 0 - 1 is a unit, outside the ideal
+        pres.ops.power(ring.zero(), -1)  # 0 - 1 is a unit, outside the ideal
     assert pres.evaluate(unipotent_dlog(filt, x)) == g
+
+
+@given(nilpotent_ideals(), st.lists(st.integers(-300, 300), min_size=1, max_size=6))
+@settings(max_examples=80, deadline=None)
+def test_binomial_power_matches_square_and_multiply(case, exps):
+    ring, ideal, x = case
+    bp = nilpotent_powers(ring, x, filtration_generators(ring, ideal).terms)
+    g = ring.add(ring.one, x)
+    for e in exps:
+        assert binomial_power(ring, bp, e) == ring_power(ring, g, e), e
+
+
+def test_nilpotent_powers_stop_at_the_last_nonzero_power():
+    R = zmod(8)
+    assert nilpotent_powers(R, (2,), 3) == [(2,), (4,)]
+    assert nilpotent_powers(R, (0,), 1) == []
+    with pytest.raises(ValueError):
+        nilpotent_powers(R, (2,), 2)  # 2^2 = 4 is not 0
+    with pytest.raises(ValueError):
+        nilpotent_powers(R, (3,), 8)  # a unit is never nilpotent
+
+
+def test_unipotent_presentation_rejects_a_wrong_length():
+    R = eps_ring(2, 3)  # F_2[x]/(x^3), I = (x)
+    ideal = RingIdeal.generated_by(R, [(0, 1, 0)])
+    pres = unipotent_presentation(R, ideal)
+    assert pres.dlog((1, 1, 0)) == [1, 0]
+    for bad in [(1, 1, 0, 5), (1, 1)]:
+        with pytest.raises(ValueError):
+            pres.dlog(bad)
+        with pytest.raises(ValueError):
+            pres.ops.power(bad, 2)
+    with pytest.raises(ValueError):
+        unipotent_dlog(filtration_generators(R, ideal), (0, 1))
+
+
+def test_unipotent_power_rejects_a_non_member_at_every_exponent():
+    R = zmod(8)
+    pres = unipotent_presentation(R, RingIdeal.generated_by(R, [(2,)]))
+    assert pres.ops.power((3,), 3) == (3,)
+    for e in (-1, 0, 1, 3):
+        with pytest.raises(ValueError):
+            pres.ops.power((2,), e)  # 2 - 1 = 1 lies outside 2Z/8
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +316,7 @@ def eval_poly(R, coeffs, x):
 
 
 def is_unit(R, x):
-    return R.unit_inverse(x) is not None
+    return unit_inverse(R, x) is not None
 
 
 def test_separable_root_bound_and_unit_differences():
@@ -313,7 +368,7 @@ def test_unit_torsion_cyclic_for_unit_exponent():
         for m in (2, 3, 4, 5, 6, 12):
             if not is_unit(R, R.reduce([m * e for e in R.one])):
                 continue
-            tors = [x for x in R.elements() if R.power(x, m) == R.one]
+            tors = [x for x in R.elements() if ring_power(R, x, m) == R.one]
             assert m % len(tors) == 0
             # cyclic iff some element has order equal to the group size
             orders = []

@@ -239,7 +239,7 @@ def test_table_dlog_and_inverse_match_the_search(name, data):
 
     def check(x):
         assert pres.dlog(x) == _search_dlog(ring, factors, x)
-        assert pres.ops.inv(x) == ring.inv(x)
+        assert pres.ops.power(x, -1) == ring.inv(x)
 
     for g, (_, _, w) in zip(pres.gens, factors):
         x = ring.one()

@@ -10,6 +10,7 @@ from ordroots.linalg import Lattice, lattice_index
 from ordroots.ordercore import (
     Order,
     build_context,
+    mu_b_presentation,
     mu_c_p_presentation,
     order_from_poly,
 )
@@ -28,6 +29,7 @@ from util import (
     diagonal_congruence_suborder,
     fixpoint_ideal,
     product_order,
+    ring_power,
     scalar_suborder,
     stacked_conductor,
 )
@@ -138,8 +140,29 @@ def test_psi_vanishes_on_relations():
         img = ring.one
         for z, e in zip(mu2.generators, rel):
             zc = ring.reduce(mu2.tower.c_order.coords(z))
-            img = ring.mul(img, ring.power(zc, e))
+            img = ring.mul(img, ring_power(ring, zc, e))
         assert img in sub_elems
+
+
+def test_mu_b_presentation_rejects_a_wrong_length():
+    ctx = x4ctx()
+    one = ctx.ambient.one()
+    pres = mu_b_presentation(ctx)
+    assert pres.dlog(one) == [0, 0, 0]
+    for bad in [one + (5,), one[:3]]:
+        with pytest.raises(ValueError):
+            pres.dlog(bad)
+        with pytest.raises(ValueError):
+            pres.ops.power(bad, 2)
+
+
+def test_mu_a_presentation_rejects_a_wrong_length():
+    # a bad-input error, not the internal fault of a witness that does
+    # not multiply back
+    ctx = x4ctx()
+    one = ctx.ambient.one()
+    with pytest.raises(ValueError):
+        mu_a_presentation(ctx).pres.dlog(one + (5,))
 
 
 def test_mu_a_p_x4():

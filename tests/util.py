@@ -375,11 +375,11 @@ def quotient_group(rel_cols):
     def mul(a, b):
         return tuple(lat.reduce([x + y for x, y in zip(a, b)]))
 
-    def inv(a):
-        return tuple(lat.reduce([-x for x in a]))
+    def power(a, e):
+        return tuple(lat.reduce([e * x for x in a]))
 
     zero = tuple(lat.reduce([0] * k))
-    ops = GroupOps(mul=mul, inv=inv, identity=zero)
+    ops = GroupOps(mul=mul, power=power, identity=zero)
     gens = tuple(tuple(lat.reduce([int(i == j) for i in range(k)])) for j in range(k))
 
     def dlog(g):
@@ -597,9 +597,35 @@ def rescan_solve_int(m, vec):
     return x if not any(v) else None
 
 
+def unit_inverse(ring, a):
+    """b with a*b = 1 in a finite ring, or None if a is not a unit: one
+    integer solve of a*y = 1 modulo the relation lattice."""
+    from ordroots.linalg import IntMatrix, solve_int
+    from ordroots.qalgebra import table_mul_basis
+
+    cols = [table_mul_basis(ring.table, a, j) for j in range(ring.ngens)]
+    sol = solve_int(IntMatrix(ring.ngens, cols).hstack(ring.rel.basis), list(ring.one))
+    return None if sol is None else ring.reduce(sol[: ring.ngens])
+
+
+def ring_power(ring, a, e):
+    """a^e in a finite ring by square-and-multiply, a negative e through
+    the general unit inverse."""
+    from ordroots.abgroup import power
+
+    def inv(x):
+        y = unit_inverse(ring, x)
+        if y is None:
+            raise ArithmeticError("element is not a unit")
+        return y
+
+    return power(ring.mul, inv, ring.one, a, e)
+
+
 def resolving_unipotent_dlog(filtration, x, start_level=0):
     """unipotent_dlog that builds and solves each level's matrix afresh and
-    divides off (1+b)^m through the ring's general unit inverse."""
+    divides off (1+b)^m by square-and-multiply through the general unit
+    inverse."""
     from ordroots.linalg import IntMatrix, solve_int
 
     ring = filtration.ring
@@ -613,7 +639,7 @@ def resolving_unipotent_dlog(filtration, x, start_level=0):
         out.extend(ms)
         unit = ring.add(ring.one, cur)
         for b, m in zip(bs, ms):
-            unit = ring.mul(unit, ring.power(ring.add(ring.one, b), -m))
+            unit = ring.mul(unit, ring_power(ring, ring.add(ring.one, b), -m))
         cur = ring.sub(unit, ring.one)
     assert cur == ring.zero()
     return out
