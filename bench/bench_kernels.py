@@ -11,7 +11,9 @@ Z[X]/((X + 5)(X + 4) ... (X - 5)) of rank 11, and times them per
 decomposition.  Then it replays the ``factor_q`` calls that
 ``torsion_generator`` makes on Q(zeta_7) and Q(zeta_15) and that
 ``decompose`` makes on the rank-11 split order, and times them per call.
-The end-to-end benchmark is ``perfbench/run.py``.
+Last, it times one torsion ``ops.power`` and one ``membership_dlog`` (two
+targets) on the residue torsion of Z[X]/(X^12 - 1), per call, on random
+members.  The end-to-end benchmark is ``perfbench/run.py``.
 
 Usage: python bench/bench_kernels.py [--quick]
 """
@@ -27,8 +29,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from fractions import Fraction  # noqa: E402
 
 from ordroots import kernels, linalg, numfield, polyfactor, qalgebra  # noqa: E402
+from ordroots.abgroup import membership_dlog  # noqa: E402
 from ordroots.numfield import NumberField  # noqa: E402
-from ordroots.ordercore import order_from_poly  # noqa: E402
+from ordroots.ordercore import build_context, mu_b_presentation, order_from_poly  # noqa: E402
 from ordroots.qalgebra import decompose  # noqa: E402
 
 
@@ -167,6 +170,25 @@ def bench_polynomials(quick):
         print(f"{name:<28} {len(args):>6} {t * 1e3:>9.3f}")
 
 
+def bench_torsion(quick):
+    rng = random.Random(20261019)
+    calls = 100 if quick else 500
+    repeat = 3 if quick else 5
+    pres = mu_b_presentation(build_context(order_from_poly([-1] + [0] * 11 + [1])))
+
+    def member():
+        return pres.evaluate([rng.randint(-24, 24) for _ in pres.gens])
+
+    jobs = [("power", pres.ops.power,
+             [(member(), rng.randint(-24, 24)) for _ in range(calls)]),
+            ("membership_dlog", membership_dlog,
+             [(pres, [member(), member()], member()) for _ in range(calls)])]
+    print(f"\n{'torsion of X^12-1':<28} {'us/call':>9}")
+    for name, fn, args in jobs:
+        t = time_fn(fn, args, repeat) / len(args)
+        print(f"{name:<28} {t * 1e6:>9.2f}")
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--quick", action="store_true", help="smaller shapes, fewer repeats")
@@ -175,6 +197,7 @@ def main():
     bench_products(args.quick)
     bench_rational(args.quick)
     bench_polynomials(args.quick)
+    bench_torsion(args.quick)
 
 
 if __name__ == "__main__":

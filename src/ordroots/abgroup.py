@@ -90,11 +90,15 @@ class GroupOps:
     identity: object
 
     def product(self, elems: Sequence, exps: Sequence[int]):
-        acc = self.identity
+        """prod x^e over the nonzero exponents: the first such power times
+        each further one, so no product by the identity; the identity
+        when every exponent is zero."""
+        acc = None
         for x, e in zip(elems, exps):
             if e:
-                acc = self.mul(acc, self.power(x, e))
-        return acc
+                y = self.power(x, e)
+                acc = y if acc is None else self.mul(acc, y)
+        return self.identity if acc is None else acc
 
 
 @dataclass(frozen=True)

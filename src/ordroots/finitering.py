@@ -339,10 +339,15 @@ def unipotent_relations(filtration: Filtration):
 
 def unipotent_presentation(ring: FiniteRing, ideal: RingIdeal) -> EffPresentation:
     """Efficient presentation of the multiplicative group 1 + I, whose
-    powers are binomial sums; a negative one is multiplied back."""
+    powers are binomial sums.  A generator's power reads the powers the
+    filtration stores; any other element is tested for membership, and a
+    negative power of it is multiplied back."""
     filtration = filtration_generators(ring, ideal)
     gens = tuple(u for units in filtration.units for u in units)
     rels = tuple(tuple(r) for r in unipotent_relations(filtration))
+    # the filtration holds each generator's powers, its inverse multiplied back
+    gen_powers = {u: bp for units, powers in zip(filtration.units, filtration.powers)
+                  for u, bp in zip(units, powers)}
 
     def member(gamma):  # gamma - 1 if gamma lies in 1 + I, else None
         if len(gamma) != ring.ngens:
@@ -351,6 +356,9 @@ def unipotent_presentation(ring: FiniteRing, ideal: RingIdeal) -> EffPresentatio
         return x if ideal.contains(x) else None
 
     def power(gamma, e):
+        bp = gen_powers.get(tuple(gamma))
+        if bp is not None:
+            return binomial_power(ring, bp, e)
         x = member(gamma)
         if x is None:
             raise ValueError("element outside the unipotent group")

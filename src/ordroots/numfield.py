@@ -12,8 +12,10 @@ K are lists of such tuples, lowest degree first.  An element of a
 product of fields is the concatenation of its components; the torsion
 groups that are products of cyclic groups, one generator per factor, are
 presented there (``ProductRing.cyclic_presentation``).  Each factor's
-powers are tabulated once when the presentation is built, so a discrete
-log is a projection and one dictionary lookup per factor.
+powers are tabulated once when the presentation is built and keyed on
+exact integer (numerator, denominator) pairs, so a discrete log is a
+projection and one dictionary lookup per factor, and the power of a
+member is read from the tables with no field product.
 
 Root finding over K goes through the classical norm trick (Trager
 1976): shift the argument by an integer multiple of the generator until
@@ -304,26 +306,30 @@ class ProductRing:
         generator is 1 on the other components and the relations are the
         cyclic orders.  Each factor's powers 1, g, ..., g^(w-1) are
         tabulated once in its sub-product ring.  They must be distinct,
-        and every relation is multiplied back, so g^w = 1 and w is the
-        exact order.  The discrete log projects onto each factor and looks
-        the projection up in its table; the inverse of a member is read
-        from the tables too, and powers are square-and-multiply over that
-        inverse.  Both raise ValueError for an element of the wrong
-        length.  The power lists are returned with the presentation.
+        and one closing product must give g^(w-1) * g = 1, so w is the
+        exact order.  The tables are keyed on the exact (numerator,
+        denominator) pairs of the coordinates.  The discrete log projects
+        onto each factor and looks the projection up in its table; the
+        power x^e of a member with logs a reads g^(a*e mod w) from each
+        table, with no field product, and a non-member is raised by the
+        ring's own power.  Both raise ValueError for an element of the
+        wrong length.  The power lists are returned with the presentation.
         """
         covered = sorted(i for comps, _, _ in factors for i in comps)
         if covered != list(range(len(self.fields))):
             raise ValueError("the factors do not partition the components")
         gens = []
-        tables = []  # (components, sub-ring, powers, exponent of each power)
+        tables = []  # (components, sub-ring, powers, exponent of each power's key)
         for comps, gen, w in factors:
             sub = self.sub_ring(comps)
             powers = [sub.one()]
             for _ in range(w - 1):
                 powers.append(sub.mul(powers[-1], gen))
-            index = {x: a for a, x in enumerate(powers)}
+            index = {_key(x): a for a, x in enumerate(powers)}
             if len(index) != w:
                 raise AssertionError("generator order is less than its stated order")
+            if sub.mul(powers[-1], gen) != powers[0]:
+                raise AssertionError("generator power w is not 1")
             blocks = [K.one() for K in self.fields]
             for pos, i in enumerate(comps):
                 blocks[i] = sub.block(gen, pos)
@@ -335,35 +341,34 @@ class ProductRing:
                 raise ValueError("element has the wrong length")
             out = []
             for comps, _, _, index in tables:
-                a = index.get(self.project(gamma, comps))
+                a = index.get(_key(self.project(gamma, comps)))
                 if a is None:
                     return None
                 out.append(a)
             return out
 
-        def inv(x):
+        def group_power(x, e):
             exps = dlog(x)
             if exps is None:
-                return self.inv(x)
+                return self.power(x, e)
             blocks = [None] * len(self.fields)
             for a, (comps, sub, powers, _) in zip(exps, tables):
-                y = powers[-a % len(powers)]
+                y = powers[a * e % len(powers)]
                 for pos, i in enumerate(comps):
                     blocks[i] = sub.block(y, pos)
             return self.from_blocks(blocks)
 
-        one = self.one()
-
-        def group_power(x, e):
-            if len(x) != self.dim:
-                raise ValueError("element has the wrong length")
-            return power(self.mul, inv, one, x, e)
-
-        ops = GroupOps(mul=self.mul, power=group_power, identity=one)
+        ops = GroupOps(mul=self.mul, power=group_power, identity=self.one())
         rels = cyclic_relations([w for _, _, w in factors])
         pres = EffPresentation(ops=ops, gens=tuple(gens), rels=rels, dlog=dlog)
         pres.verify_exact()
         return pres, [powers for _, _, powers, _ in tables]
+
+
+def _key(v):
+    """The exact (numerator, denominator) pairs of a vector of rationals,
+    flattened: an int coordinate keys the same as the equal Fraction."""
+    return tuple(t for c in v for t in (c.numerator, c.denominator))
 
 
 def _residue_gcd(f, p):

@@ -11,6 +11,8 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordroots.abgroup import (
     NotInGroup,
@@ -22,12 +24,13 @@ from ordroots.abgroup import (
     subgroup_presentation,
     subgroup_relations,
 )
-from ordroots.finitering import FiniteRing
+from ordroots.finitering import FiniteRing, RingIdeal, unipotent_presentation
 from ordroots.linalg import Lattice
 from ordroots.numfield import NumberField
 from ordroots.ordercore import ProductRing
 from ordroots.polyfactor import cyclotomic, fp_divmod, fp_mul, fp_pow_mod
 from util import (
+    fold_product,
     quotient_coset_normalizer,
     quotient_group,
     random_presented_group,
@@ -146,6 +149,40 @@ def test_round_trip_random_exponents():
         sol = membership_dlog(pres, targets, g)
         assert sol is not None
         assert pres.ops.product(targets, sol) == g
+
+
+def _product_presentations():
+    """name -> presentation: the torsion of a product of number fields,
+    1 + (e) in F_3[e]/(e^4), and a quotient of Z^2."""
+    R = ProductRing([NumberField([1, 0, 1]), NumberField([0, 1]), NumberField([1, 1, 1])])
+    tors = [K.torsion_generator() for K in R.fields]
+    torsion, _ = R.cyclic_presentation([([i], z, w) for i, (z, w) in enumerate(tors)])
+    m = 4
+    eps = FiniteRing(
+        Lattice(m, [[3 * (i == j) for i in range(m)] for j in range(m)]),
+        [[[int(k == i + j) for k in range(m)] for j in range(m)] for i in range(m)],
+        [1, 0, 0, 0])
+    unipotent = unipotent_presentation(eps, RingIdeal.generated_by(eps, [(0, 1, 0, 0)]))
+    quotient, _ = quotient_group([[9, 3], [0, 12]])
+    return {"torsion": torsion, "1 + I": unipotent, "quotient": quotient}
+
+
+_PRODUCT_PRESENTATIONS = _product_presentations()
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(_PRODUCT_PRESENTATIONS)), data=st.data())
+def test_product_matches_the_fold_from_the_identity(name, data):
+    pres = _PRODUCT_PRESENTATIONS[name]
+    ops = pres.ops
+    small = st.integers(-20, 20)
+    elems = [pres.evaluate(data.draw(st.lists(small, min_size=len(pres.gens),
+                                              max_size=len(pres.gens))))
+             for _ in range(data.draw(st.integers(0, 4)))]
+    n = len(elems)
+    exps = data.draw(st.lists(small, min_size=n, max_size=n))
+    assert ops.product(elems, exps) == fold_product(ops, elems, exps)
+    assert ops.product(elems, [0] * n) == fold_product(ops, elems, [0] * n) == ops.identity
 
 
 def test_cyclic_dlog_in_number_field():

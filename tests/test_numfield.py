@@ -273,6 +273,47 @@ def test_table_builder_rejects_an_order_that_is_not_exact(name):
                 ring.cyclic_presentation(bad)
 
 
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(CYCLIC_PRODUCTS)), data=st.data())
+def test_table_power_matches_square_and_multiply(name, data):
+    ring, factors = _cyclic_product(name)
+    pres, _ = ring.cyclic_presentation(factors)
+    w = lcm(*(w for _, _, w in factors))
+    exps = data.draw(st.lists(st.integers(-30, 30), min_size=len(factors),
+                              max_size=len(factors)))
+    member = pres.evaluate(exps)
+    # twice the member, never a root of unity, and the member moved by a
+    # nonzero rational on one field
+    doubled = ring.mul(member, ring.from_blocks([K.from_rational(2) for K in ring.fields]))
+    assert pres.dlog(doubled) is None
+    i = data.draw(st.integers(0, len(ring.fields) - 1))
+    c = data.draw(st.fractions(-3, 3, max_denominator=4).filter(bool))
+    blocks = [ring.block(member, j) for j in range(len(ring.fields))]
+    blocks[i] = (blocks[i][0] + c,) + blocks[i][1:]
+    assume(all(any(b) for b in blocks))
+    e = data.draw(st.integers(-3 * w, 3 * w))
+    for x in (member, doubled, ring.from_blocks(blocks)):
+        assert pres.ops.power(x, e) == ring.power(x, e)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(CYCLIC_PRODUCTS)), data=st.data())
+def test_member_with_int_coordinates_keys_like_its_fraction_form(name, data):
+    ring, factors = _cyclic_product(name)
+    pres, _ = ring.cyclic_presentation(factors)
+    exps = data.draw(st.lists(st.integers(-30, 30), min_size=len(factors),
+                              max_size=len(factors)))
+    member = pres.evaluate(exps)
+    # the roots of unity of these fields have integer power-basis coordinates
+    assert all(c.denominator == 1 for c in member)
+    as_ints = tuple(int(c) for c in member)
+    assert all(type(c) is int for c in as_ints)
+    assert pres.dlog(as_ints) == pres.dlog(member) == [
+        a % w for a, (_, _, w) in zip(exps, factors)]
+    e = data.draw(st.integers(-40, 40))
+    assert pres.ops.power(as_ints, e) == pres.ops.power(member, e)
+
+
 def test_table_builder_rejects_factors_that_do_not_partition_the_fields():
     ring, factors = _cyclic_product("one factor per field")
     for bad in (factors[:-1], factors + factors[:1]):

@@ -408,6 +408,15 @@ def random_presented_group(rng, max_order=2000):
     return quotient_group(cols)
 
 
+def fold_product(ops, elems, exps):
+    """prod x^e as the left fold from the identity: one product per
+    factor, exponent zero included."""
+    acc = ops.identity
+    for x, e in zip(elems, exps):
+        acc = ops.mul(acc, ops.power(x, e))
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # brute-force group machinery
 
