@@ -4,11 +4,13 @@ the number-field layer.
 Times Hermite and Smith reductions on random integer matrices of a few
 shapes.  Then times one ``NumberField.mul`` on Q, on the Q(zeta_12)
 component of Z[X]/(X^12 - 1) and on Q[X]/(X^2 + X/2 + 1/3), and one
-``SpecDecomposition.to_components`` of Z[X]/(X^12 - 1), per call.  Last,
-it replays the ``RatMatrix.inverse`` and ``solve_rat`` calls that
-``decompose`` makes on Z[X]/(X^12 - 1) and on the split order
-Z[X]/((X + 5)(X + 4) ... (X - 5)) of rank 11, and times them per
-decomposition.  Then it replays the ``factor_q`` calls that
+``SpecDecomposition.to_components`` of Z[X]/(X^12 - 1), per call.  Next,
+it replays the ``RatMatrix.inverse``, ``solve_rat`` and
+``minimal_polynomial`` calls that ``decompose`` makes on Z[X]/(X^12 - 1),
+on the split order Z[X]/((X + 5)(X + 4) ... (X - 5)) of rank 11 and on
+the group ring Z[C_3^3] of rank 27, and times each kind per
+decomposition; a ``minimal_polynomial`` row includes the solves that it
+makes itself.  Then it replays the ``factor_q`` calls that
 ``torsion_generator`` makes on Q(zeta_7) and Q(zeta_15) and that
 ``decompose`` makes on the rank-11 split order, and times them per call.
 Last, it times one torsion ``ops.power`` and one ``membership_dlog`` (two
@@ -33,6 +35,7 @@ from ordroots.abgroup import membership_dlog  # noqa: E402
 from ordroots.numfield import NumberField  # noqa: E402
 from ordroots.ordercore import build_context, mu_b_presentation, order_from_poly  # noqa: E402
 from ordroots.qalgebra import decompose  # noqa: E402
+from ladder import INPUTS as LADDER  # noqa: E402
 
 
 def random_cols(rng, nrows, ncols, span):
@@ -92,27 +95,28 @@ def bench_products(quick):
     print(f"{'to_components, X^12-1':<28} {t * 1e6:>9.2f}")
 
 
-def decompose_calls(f):
-    """Arguments of the RatMatrix.inverse and solve_rat calls that
-    decompose makes on Z[X]/(f)."""
-    algebra = order_from_poly(f).algebra
-    inverses, solves = [], []
-    inverse, solve = linalg.RatMatrix.inverse, qalgebra.solve_rat
+def decompose_calls(algebra):
+    """name -> arguments of the RatMatrix.inverse, solve_rat and
+    minimal_polynomial calls that decompose makes on the algebra."""
+    targets = [("inverse", linalg.RatMatrix), ("solve_rat", qalgebra),
+               ("minimal_polynomial", qalgebra)]
+    calls = {name: [] for name, _ in targets}
+    originals = [getattr(owner, name) for name, owner in targets]
 
-    def record_inverse(m):
-        inverses.append((m,))
-        return inverse(m)
+    def recorder(name, fn):
+        def record(*args):
+            calls[name].append(args)
+            return fn(*args)
+        return record
 
-    def record_solve(m, vec):
-        solves.append((m, vec))
-        return solve(m, vec)
-
-    linalg.RatMatrix.inverse, qalgebra.solve_rat = record_inverse, record_solve
+    for (name, owner), fn in zip(targets, originals):
+        setattr(owner, name, recorder(name, fn))
     try:
         decompose(algebra)
     finally:
-        linalg.RatMatrix.inverse, qalgebra.solve_rat = inverse, solve
-    return inverses, solves
+        for (name, owner), fn in zip(targets, originals):
+            setattr(owner, name, fn)
+    return calls
 
 
 def split11():
@@ -125,14 +129,17 @@ def split11():
 
 def bench_rational(quick):
     repeat = 3 if quick else 5
-    orders = [("X^12-1", [-1] + [0] * 11 + [1]), ("rank-11 split", split11())]
-    print(f"\n{'decompose calls':<28} {'calls':>6} {'ms/decomposition':>17}")
-    for name, f in orders:
-        inverses, solves = decompose_calls(f)
-        for label, fn, args in (("inverse", linalg.RatMatrix.inverse, inverses),
-                                ("solve_rat", linalg.solve_rat, solves)):
-            t = time_fn(fn, args, repeat)
-            print(f"{label + ', ' + name:<28} {len(args):>6} {t * 1e3:>17.2f}")
+    orders = [("X^12-1", lambda: order_from_poly([-1] + [0] * 11 + [1])),
+              ("rank-11 split", lambda: order_from_poly(split11())),
+              ("Z[C_3^3]", LADDER["Z[C_3^3]"][0])]
+    print(f"\n{'decompose calls':<34} {'calls':>6} {'ms/decomposition':>17}")
+    for name, build in orders:
+        calls = decompose_calls(build().algebra)
+        for label, fn in (("inverse", linalg.RatMatrix.inverse),
+                          ("solve_rat", linalg.solve_rat),
+                          ("minimal_polynomial", qalgebra.minimal_polynomial)):
+            t = time_fn(fn, calls[label], repeat)
+            print(f"{label + ', ' + name:<34} {len(calls[label]):>6} {t * 1e3:>17.2f}")
 
 
 def factor_q_calls(module, run):

@@ -44,32 +44,6 @@ def power(mul, inv, one, x, e: int):
     return acc
 
 
-def cyclic_dlog(mul, one, gen, order, x):
-    """Least a in [0, order) with one * gen^a == x, or None."""
-    acc = one
-    for a in range(order):
-        if acc == x:
-            return a
-        acc = mul(acc, gen)
-    return None
-
-
-def cyclic_order(mul, one, x, bound):
-    """Multiplicative order of x if at most bound, else None."""
-    a = cyclic_dlog(mul, x, x, bound, one)
-    return None if a is None else a + 1
-
-
-def cyclic_powers(mul, one, gen):
-    """[1, gen, gen^2, ...] up to the first power equal to 1."""
-    out = [one]
-    acc = gen
-    while acc != one:
-        out.append(acc)
-        acc = mul(acc, gen)
-    return out
-
-
 def cyclic_relations(orders) -> tuple:
     """Defining relations of a product of cyclic groups of the given orders."""
     rels = []

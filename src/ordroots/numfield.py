@@ -91,6 +91,7 @@ class NumberField:
         high = RatMatrix.from_rows(table)
         self._high_rows, self._high_den = high.num.to_rows(), high.den
         self._torsion = None
+        self._torsion_powers = None
         self._residues = None
 
     # -- element constructors ------------------------------------------------
@@ -202,25 +203,30 @@ class NumberField:
         ell - 1 | deg and a nonzero residue bound, a root of Phi_ell is
         climbed through roots of X^ell - zeta_(ell^k) until there is none,
         the degree of Q(zeta_(ell^(k+1))) does not divide deg, or the
-        bound is reached.  zeta_w is the product of the climbed roots.
+        bound is reached.  The product z of the climbed roots has its
+        powers 1, z, ..., z^(w-1) multiplied out once and checked: one
+        closing product gives z^w = 1, z^(w/ell) != 1 is read off the list
+        for every ell | w, and the powers are distinct.  zeta is the least
+        primitive power z^j0, and its powers are the same list reindexed,
+        zeta^i = z^(i*j0 mod w) (``torsion_powers``).
         """
         if self._torsion is None:
             n = self.deg
             one = self.one()
-            zeta, w = one, 1
+            z, w = one, 1
             primes = []  # the primes dividing w
             ell = 2
             while ell <= n + 1:
                 if n % (ell - 1) == 0:
                     bound = self.residue_bound(ell)
-                    z, k, stop = _climb(self, ell, bound)
+                    root, k, stop = _climb(self, ell, bound)
                     if k > bound:
                         raise AssertionError("climb passed its residue bound")
                     if stop not in ("no root", "degree") and k != bound:
                         raise AssertionError("climb stopped early without a reason")
                     if k:
                         primes.append(ell)
-                        zeta, w = self.mul(zeta, z), w * ell ** k
+                        z, w = self.mul(z, root), w * ell ** k
                 ell = _next_prime(ell)
             # prime-to-p part of w divides every residue gcd
             for p, g in self._residues:
@@ -232,22 +238,27 @@ class NumberField:
             # implied by phi(w) | deg, since phi(w) >= sqrt(w/2)
             if w > 2 * n * n:
                 raise AssertionError("torsion order exceeds 2 deg^2")
-            # zeta has exact order w (zeta^w = 1 is checked below)
-            for ell in primes:
-                if self.pow(zeta, w // ell) == one:
-                    raise AssertionError("torsion generator order is too small")
-            prims = set()
-            acc = one
-            for j in range(1, w + 1):
-                acc = self.mul(acc, zeta)
-                if gcd(j, w) == 1:
-                    prims.add(acc)
-            if acc != one:
+            powers = [one]
+            for _ in range(w - 1):
+                powers.append(self.mul(powers[-1], z))
+            if self.mul(powers[-1], z) != one:
                 raise AssertionError("torsion generator power w is not 1")
-            if len(prims) != euler_phi(w):
-                raise AssertionError("primitive powers are not distinct")
-            self._torsion = (min(prims), w)
+            # z has exact order w
+            for ell in primes:
+                if powers[w // ell] == one:
+                    raise AssertionError("torsion generator order is too small")
+            if len(set(powers)) != w:
+                raise AssertionError("torsion powers are not distinct")
+            j0 = min((j for j in range(1, w + 1) if gcd(j, w) == 1),
+                     key=lambda j: powers[j % w])
+            self._torsion = (powers[j0 % w], w)
+            self._torsion_powers = tuple(powers[i * j0 % w] for i in range(w))
         return self._torsion
+
+    def torsion_powers(self):
+        """zeta^0, ..., zeta^(w-1) for (zeta, w) the torsion generator."""
+        self.torsion_generator()
+        return self._torsion_powers
 
     def __repr__(self):
         return f"NumberField(deg={self.deg}, min_poly={[str(c) for c in self.min_poly]})"

@@ -9,7 +9,10 @@ its lattice-index weights, and the cyclic unit groups of the residues.
 
 Everything downstream of the decomposition works in the product-of-
 components coordinate space; elements there are Fraction tuples and
-orders are QLattice-backed subrings.
+orders are QLattice-backed subrings.  A cyclic torsion group is the list
+of its generator's powers, and the residue groups and their p-parts are
+read from each field's verified power table (``torsion_powers``), so the
+torsion descent computes on exponents: a p-th power is an index times p.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional, Tuple
 
-from .abgroup import EffPresentation, cyclic_order, cyclic_powers
+from .abgroup import EffPresentation
 from .finitering import FiniteRing
 from .linalg import (
     Lattice,
@@ -171,27 +174,34 @@ class WeightedGraph:
         return self.weights[(min(i, j), max(i, j))]
 
 
-def _connected_components(n, edges):
+def _adjacency(n, edges):
     adj = {i: [] for i in range(n)}
     for a, b in edges:
         adj[a].append(b)
         adj[b].append(a)
+    return adj
+
+
+def _bfs_layers(adj, start):
+    """The breadth-first layers from start, each sorted: {start}, then the
+    unseen neighbours of each layer."""
+    seen = {start}
+    layer = [start]
+    while layer:
+        yield layer
+        layer = sorted({w for v in layer for w in adj[v]} - seen)
+        seen.update(layer)
+
+
+def _connected_components(n, edges):
+    adj = _adjacency(n, edges)
     seen = set()
     comps = []
     for start in range(n):
-        if start in seen:
-            continue
-        stack = [start]
-        comp = []
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in sorted(adj[v]):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
+        if start not in seen:
+            comp = sorted(v for layer in _bfs_layers(adj, start) for v in layer)
+            seen.update(comp)
+            comps.append(comp)
     return comps
 
 
@@ -294,25 +304,22 @@ class OrderContext:
         if self._restors is None:
             self._restors = [None] * len(self.residues)
         if self._restors[i] is None:
-            K = self.dec.components[i]
-            zeta, w = K.torsion_generator()
+            powers = self.dec.components[i].torsion_powers()
+            w = len(powers)
             emb = self.residues[i]
-            j = 1
-            power = zeta
-            while not emb.contains(power):
-                power = K.mul(power, zeta)
-                j += 1
-                if j > w:
-                    raise AssertionError("no torsion power lies in the residue order")
+            j = next((j for j in range(1, w + 1) if emb.contains(powers[j % w])), None)
+            if j is None:
+                raise AssertionError("no torsion power lies in the residue order")
             if w % j:
                 raise AssertionError("residue torsion index does not divide the torsion order w")
             order = w // j
             fac = _factor_small(order)
             if any(p > 1 + self.order.rank for p in fac):
                 raise AssertionError("residue torsion has a prime above rank + 1")
-            theta_p = {p: K.pow(power, order // p ** k) for p, k in fac.items()}
+            # theta = zeta^j, so theta^(order / p^k) = zeta^(w / p^k)
+            theta_p = {p: powers[w // p ** k] for p, k in fac.items()}
             self._restors[i] = ResidueTorsion(
-                component=i, theta=power, order=order, factorization=fac,
+                component=i, theta=powers[j % w], order=order, factorization=fac,
                 theta_p=theta_p,
             )
         return self._restors[i]
@@ -502,33 +509,37 @@ def mu_c_p_presentation(ctx: OrderContext, p: int) -> MuCPData:
     component of the graph of C, assembled into a presentation.
 
     Per component the group is grown one vertex at a time along a
-    breadth-first chain, climbing p-th roots layer by layer; candidate
-    elements are tested for membership in the image order.
+    breadth-first chain, climbing p-th roots layer by layer on exponents
+    into the residues' torsion power tables; candidate elements are tested
+    for membership in the image order.  The climb returns its generator's
+    power list with no field product, and that list must equal the one
+    ``cyclic_presentation`` multiplies out.  The generator must keep its
+    order in every single residue: no block of g^(order/p) is 1.
     """
     tower = build_saturation(ctx, p)
     graph = graph_mod_p(ctx, p)
     c_order = tower.c_order
-    elem_lists = []
+    adj = _adjacency(graph.nvertices, graph.edges)
+    climbed = []
     factors = []  # (components, generator over them, order)
     for comp in graph.components:
-        elems, gen = _mu_c_component(ctx, p, c_order, graph, comp)
-        if len(elems) > 2 * ctx.order.rank + 2:
+        powers = _mu_c_component(ctx, p, c_order, adj, comp)
+        if len(powers) > 2 * ctx.order.rank + 2:
             raise AssertionError("order exceeds bound")
-        elem_lists.append(elems)
-        factors.append((comp, gen, len(elems)))
+        climbed.append(powers)
+        factors.append((comp, powers[1 % len(powers)], len(powers)))
     # cyclic_presentation checks that each generator has exactly its stated order
     pres, power_lists = ctx.ambient.cyclic_presentation(factors)
     groups = []
-    for (comp, gen, order), elems, powers in zip(factors, elem_lists, power_lists):
-        # every element of the group must be a power of the generator
-        if set(elems) != set(powers):
-            raise AssertionError("component torsion group is not cyclic")
-        # the generator must keep its order in every single residue
-        sub = ctx.ambient.sub_ring(comp)
-        for i, m in enumerate(comp):
-            K = ctx.dec.components[m]
-            if cyclic_order(K.mul, K.one(), sub.block(gen, i), order) != order:
-                raise AssertionError("generator loses order in a single residue")
+    for (comp, _, order), mine, powers in zip(factors, climbed, power_lists):
+        if mine != powers:
+            raise AssertionError("climbed powers disagree with the multiplied-out powers")
+        if order > 1:
+            sub = ctx.ambient.sub_ring(comp)
+            top = powers[order // p]
+            for pos, m in enumerate(comp):
+                if sub.block(top, pos) == ctx.dec.components[m].one():
+                    raise AssertionError("generator loses order in a single residue")
         groups.append(sorted(powers))
     for g in pres.gens:
         if not c_order.contains(g):
@@ -542,45 +553,28 @@ def mu_c_p_presentation(ctx: OrderContext, p: int) -> MuCPData:
                     pres=replace(pres, dlog=dlog))
 
 
-def _mu_c_component(ctx: OrderContext, p, c_order, graph, comp):
-    """(group elements, generator) of the p-power torsion of the image of
-    C in the product over one graph component."""
-    # residue p-torsion element lists
-    res_groups = {}
+def _mu_c_component(ctx: OrderContext, p, c_order, adj, comp):
+    """Power list of a generator of the p-power torsion of the image of C
+    in the product over one graph component."""
+    # each residue's p-part: every (w / p^k)-th entry of its torsion powers
+    res_powers = {}
     for m in comp:
-        rt = ctx.residue_torsion(m)
-        K = ctx.dec.components[m]
-        theta = rt.theta_p.get(p, K.one())
-        res_groups[m] = (theta, rt.p_part_order(p), cyclic_powers(K.mul, K.one(), theta))
+        powers = ctx.dec.components[m].torsion_powers()
+        res_powers[m] = list(powers[::len(powers) // ctx.residue_torsion(m).p_part_order(p)])
     # start at the residue with minimal p-torsion, ties by index
-    m1 = min(comp, key=lambda m: (res_groups[m][1], m))
-    chain = [m1]
-    seen = {m1}
-    frontier = [m1]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for a, b in graph.edges:
-                w = b if a == v else (a if b == v else None)
-                if w is not None and w in comp and w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        nxt.sort()
-        chain.extend(nxt)
-        frontier = nxt
+    m1 = min(comp, key=lambda m: (len(res_powers[m]), m))
+    chain = [v for layer in _bfs_layers(adj, m1) for v in layer]
     if set(chain) != set(comp):
         raise AssertionError("graph component is not connected by its edges")
 
     cur_comps = [m1]
-    cur_elems = list(res_groups[m1][2])
-    cur_gen = res_groups[m1][0]
+    cur = res_powers[m1]
     for m_new in chain[1:]:
         new_comps = sorted(cur_comps + [m_new])
         image = c_order.image_in(new_comps)
-        cur_elems, cur_gen = _climb_p_roots(
-            ctx, p, image, cur_comps, cur_elems, m_new, res_groups[m_new][2], new_comps)
+        cur = _climb_p_roots(ctx, p, image, cur_comps, cur, m_new, res_powers[m_new], new_comps)
         cur_comps = new_comps
-    return cur_elems, cur_gen
+    return cur
 
 
 def _merge_elem(sub_prev, a, pos, b):
@@ -590,54 +584,43 @@ def _merge_elem(sub_prev, a, pos, b):
     return sub_prev.from_blocks(blocks)
 
 
-def _climb_p_roots(ctx, p, image, cur_comps, cur_elems, m_new, relems, new_comps):
-    """Find the group by climbing p-th roots.
+def _climb_p_roots(ctx, p, image, cur_comps, cur, m_new, res, new_comps):
+    """Power list of a generator of the group over new_comps, found by
+    climbing p-th roots on exponents.
 
-    The group injects into the previous one and is cyclic, so a generator
-    is found by fixing an order-p element and extending it one p-layer at
-    a time; at each layer only pairs of equal order need testing."""
+    cur lists the powers of the previous group's generator and res those
+    of the new residue's p-part, so the p-th power of cur[a] is
+    cur[a*p mod len(cur)] and the climb takes no field product.  The group
+    injects into the previous one and is cyclic, so a generator is found
+    by fixing an order-p element and extending it one p-layer at a time;
+    at each layer only pairs of equal order need testing, least elements
+    first."""
     sub_prev = ctx.ambient.sub_ring(cur_comps)
-    sub_new = ctx.ambient.sub_ring(new_comps)
-    K_new = ctx.dec.components[m_new]
-    one_prev = sub_prev.one()
-    identity = sub_new.one()
     pos = new_comps.index(m_new)  # cur_comps and new_comps are sorted
+    n, r = len(cur), len(res)
 
-    if len(cur_elems) == 1:
-        return [identity], identity
+    def roots(powers, e):
+        """Exponents of the p-th roots of powers[e], least element first."""
+        k = len(powers)
+        return sorted((a for a in range(k) if a * p % k == e), key=powers.__getitem__)
+
+    def merged(a, b):
+        return _merge_elem(sub_prev, cur[a % n], pos, res[b % r])
+
+    if n == 1:
+        return [merged(0, 0)]
     # an element of order p in the previous group
-    a1 = None
-    for x in sorted(cur_elems):
-        if x != one_prev and sub_prev.power(x, p) == one_prev:
-            a1 = x
-            break
+    a1 = next((a for a in roots(cur, 0) if a), None)
     if a1 is None:
         raise AssertionError("previous group has no element of order p")
-    b_layer = sorted(b for b in relems
-                     if b != K_new.one() and K_new.pow(b, p) == K_new.one())
-    found = None
-    for b1 in b_layer:
-        cand = _merge_elem(sub_prev, a1, pos, b1)
-        if image.contains(cand):
-            found = (a1, b1)
-            break
+    found = next(((a1, b) for b in roots(res, 0) if b and image.contains(merged(a1, b))), None)
     if found is None:
-        return [identity], identity
+        return [merged(0, 0)]
     while True:
-        a_cur, b_cur = found
-        roots_a = sorted(x for x in cur_elems if sub_prev.power(x, p) == a_cur)
-        roots_b = sorted(b for b in relems if K_new.pow(b, p) == b_cur)
-        nxt = None
-        for a2 in roots_a:
-            for b2 in roots_b:
-                cand = _merge_elem(sub_prev, a2, pos, b2)
-                if image.contains(cand):
-                    nxt = (a2, b2)
-                    break
-            if nxt:
-                break
+        nxt = next(((a, b) for a in roots(cur, found[0]) for b in roots(res, found[1])
+                    if image.contains(merged(a, b))), None)
         if nxt is None:
             break
         found = nxt
-    gen = _merge_elem(sub_prev, found[0], pos, found[1])
-    return sorted(cyclic_powers(sub_new.mul, identity, gen)), gen
+    a, b = found
+    return [merged(t * a, t * b) for t in range(n // gcd(a, n))]

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .abgroup import EffPresentation, power
-from .linalg import RatMatrix, kernel_int, solve_rat
+from .linalg import RatMatrix, _gauss_jordan, kernel_int, solve_rat
 from .numfield import NumberField, ProductRing
 from .polyfactor import factor_q, is_squarefree, qp, qp_degree, qp_deriv, squarefree_part
 
@@ -242,18 +242,20 @@ class SpecDecomposition:
 
 def minimal_polynomial(alg: QAlgebra, x):
     """Monic minimal polynomial of x (equivalently, of multiplication by
-    x), by linear dependence of successive powers."""
+    x), from one fraction-free elimination of the Krylov columns
+    1, x, ..., x^n.  The first k columns are independent and span every
+    later power, so the pivots are columns 0, ..., k - 1, and the reduced
+    column k writes x^k over the lower powers."""
     n = alg.dim
     powers = [alg.one]
-    cur = alg.one
-    for k in range(1, n + 2):
-        cur = alg.mul(cur, x)
-        m = RatMatrix(n, [list(p) for p in powers])
-        sol = solve_rat(m, list(cur))
-        if sol is not None:
-            return qp([-c for c in sol] + [1])
-        powers.append(cur)
-    raise AssertionError("minimal polynomial search exceeded the dimension")
+    for _ in range(n):
+        powers.append(alg.mul(powers[-1], x))
+    rows = RatMatrix(n, powers).num.to_rows()
+    pivots, d = _gauss_jordan(rows, n + 1)
+    k = len(pivots)
+    if pivots != list(range(k)):
+        raise AssertionError("Krylov pivots are not a prefix of the powers")
+    return qp([Fraction(-rows[i][k], d) for i in range(k)] + [1])
 
 
 def _primitive_element(alg: QAlgebra, rows):

@@ -16,8 +16,6 @@ from hypothesis import strategies as st
 
 from ordroots.abgroup import (
     NotInGroup,
-    cyclic_dlog,
-    cyclic_order,
     kernel_mod_subgroup,
     membership_dlog,
     power,
@@ -30,6 +28,8 @@ from ordroots.numfield import NumberField
 from ordroots.ordercore import ProductRing
 from ordroots.polyfactor import cyclotomic, fp_divmod, fp_mul, fp_pow_mod
 from util import (
+    cyclic_dlog,
+    cyclic_order,
     fold_product,
     quotient_coset_normalizer,
     quotient_group,

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ordroots.abgroup import cyclic_dlog
 from ordroots.numfield import (
     NumberField,
     ProductRing,
@@ -23,6 +22,7 @@ from ordroots.polyfactor import cyclotomic, factor_q, qp_degree, qp_mul
 from ordroots.qalgebra import decompose
 
 from util import (
+    cyclic_dlog,
     lagrange_norm_poly,
     schoolbook_field_mul,
     sweep_torsion_generator,
@@ -160,6 +160,16 @@ def test_torsion_climb_agrees_with_the_cyclotomic_sweep(name):
     assert (zeta, w) == sweep_torsion_generator(NumberField(m))
     for ell in (2, 3, 5, 7):
         assert K.residue_bound(ell) >= _valuation(w, ell)
+
+
+@pytest.mark.parametrize("name", ["Q", "Q(i)", "Q(sqrt-3)", "X^4+X+1", "Q(zeta5)", "Q(zeta8)",
+                                  "Q(zeta12)"])
+def test_torsion_powers_are_the_powers_of_the_generator(name):
+    K = NumberField({**SWEEP_FIELDS, "Q(i)": [1, 0, 1]}[name])
+    zeta, w = K.torsion_generator()
+    powers = K.torsion_powers()
+    assert len(powers) == w == len(set(powers))
+    assert list(powers) == [K.pow(zeta, i) for i in range(w)]
 
 
 def test_residue_bound_rules_out_3_and_5_in_q_zeta7():

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from ordroots.abgroup import cyclic_powers
 from ordroots.linalg import Lattice
 from ordroots.ordercore import (
     Order,
@@ -22,8 +21,10 @@ from ordroots.polyfactor import factor_q, qp, resultant
 from ordroots.qalgebra import AlgebraError
 from util import (
     all_pairs_mu_c_p,
+    cyclic_powers,
     diagonal_congruence_suborder,
     divisor_idempotent,
+    group_ring,
     product_order,
     scalar_suborder,
 )
@@ -262,10 +263,15 @@ def test_direct_c_quotient_is_non_p_part():
 
 
 def test_mu_c_p_both_paths_agree():
-    for f, p in (([-1, 0, 0, 0, 1], 2),
-                 ([-1] + [0] * 11 + [1], 2),
-                 ([-1] + [0] * 11 + [1], 3)):
-        ctx = build_context(order_from_poly(f))
+    # the group rings have graph components of four and five vertices
+    for order, p in ((order_from_poly([-1, 0, 0, 0, 1]), 2),
+                     (order_from_poly([-1] + [0] * 11 + [1]), 2),
+                     (order_from_poly([-1] + [0] * 11 + [1]), 3),
+                     (group_ring(3, 3), 2),
+                     (group_ring(3, 3), 3),
+                     (group_ring(2, 6), 2),
+                     (group_ring(2, 6), 3)):
+        ctx = build_context(order)
         fast = mu_c_p_presentation(ctx, p)
         ref = all_pairs_mu_c_p(ctx, p)
         assert fast.orders == [len(g) for g in ref]
@@ -278,6 +284,19 @@ def test_mu_c_p_both_paths_agree():
             got = fast.pres.dlog(elem)
             assert got is not None
             assert fast.pres.evaluate(got) == elem
+
+
+def test_a_permuted_torsion_table_is_caught(monkeypatch):
+    # the climb reads p-th powers off the tables; swapping two powers of
+    # zeta_6 makes its exponent arithmetic disagree with real products
+    ctx = build_context(order_from_poly([-1] + [0] * 11 + [1]))
+    K = ctx.dec.components[4]
+    powers = list(K.torsion_powers())
+    assert K.deg == 2 and len(powers) == 6
+    powers[1], powers[2] = powers[2], powers[1]
+    monkeypatch.setattr(K, "torsion_powers", lambda: tuple(powers))
+    with pytest.raises(AssertionError, match="climbed powers disagree"):
+        mu_c_p_presentation(ctx, 3)
 
 
 @pytest.mark.parametrize("f", [

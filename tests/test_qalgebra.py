@@ -14,9 +14,11 @@ from ordroots.qalgebra import (
     QAlgebra,
     _num,
     decompose,
+    minimal_polynomial,
     mu_dlog_explain,
     mu_presentation,
 )
+from util import incremental_minimal_polynomial, product_order
 
 
 def poly_algebra(f):
@@ -171,8 +173,6 @@ def test_rank_zero_algebra():
 
 
 def test_minimal_polynomial():
-    from ordroots.qalgebra import minimal_polynomial
-
     E = poly_algebra([2, 0, 1, 1])  # irreducible cubic (no rational root)
     x = (0, 1, 0)
     assert minimal_polynomial(E, x) == qp([2, 0, 1, 1])
@@ -181,6 +181,26 @@ def test_minimal_polynomial():
     # but factors
     E4 = poly_algebra([-1, 0, 0, 0, 1])
     assert minimal_polynomial(E4, (0, 1, 0, 0)) == qp([-1, 0, 0, 0, 1])
+
+
+# small factors whose products, with repeats, give reduced algebras and
+# algebras with nilpotents
+KRYLOV_FACTORS = [[0, 1], [-1, 1], [1, 1], [1, 0, 1], [1, 1, 1], [-2, 0, 1]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(factors=st.lists(st.sampled_from(KRYLOV_FACTORS), min_size=1, max_size=4),
+       split=st.booleans(), data=st.data())
+def test_krylov_minimal_polynomial_matches_the_incremental_solves(factors, split, data):
+    f = qp([1])
+    for g in factors:
+        f = qp_mul(f, qp(g))
+    E = poly_algebra([int(c) for c in f])
+    if split:
+        # the product with the nilpotent Z[X]/(X^2)
+        E = product_order([E.table, poly_algebra([0, 0, 1]).table]).algebra
+    x = data.draw(st.lists(st.integers(-3, 3), min_size=E.dim, max_size=E.dim))
+    assert minimal_polynomial(E, x) == incremental_minimal_polynomial(E, x)
 
 
 # ---------------------------------------------------------------------------

@@ -203,6 +203,22 @@ def fraction_inverse(rows):
     return [r[n:] for r in a]
 
 
+def incremental_minimal_polynomial(alg, x):
+    """Monic minimal polynomial of x in a Q-algebra: one solve of the
+    powers 1, x, ..., x^(k-1) against x^k over Fractions for k = 1, 2, ...
+    until one has a solution."""
+    n = alg.dim
+    powers = [alg.one]
+    cur = alg.one
+    for _ in range(n + 1):
+        cur = alg.mul(cur, x)
+        sol = fraction_solve([[p[i] for p in powers] for i in range(n)], cur)
+        if sol is not None:
+            return qp([-c for c in sol] + [1])
+        powers.append(cur)
+    raise AssertionError("no dependence among the first dim + 1 powers")
+
+
 # ---------------------------------------------------------------------------
 # Kronecker factorization (independent of Zassenhaus)
 
@@ -316,6 +332,19 @@ def product_order(tables):
     return Order(table)
 
 
+def group_ring(*ns):
+    """Z[C_n1 x ... x C_nk] from its table e_g e_h = e_(g+h)."""
+    from itertools import product
+
+    elems = list(product(*(range(n) for n in ns)))
+    index = {g: i for i, g in enumerate(elems)}
+    table = [[[0] * len(elems) for _ in elems] for _ in elems]
+    for i, g in enumerate(elems):
+        for j, h in enumerate(elems):
+            table[i][j][index[tuple((a + b) % n for a, b, n in zip(g, h, ns))]] = 1
+    return Order(table)
+
+
 def suborder(big: Order, lattice_cols) -> Order:
     """Order on a full-rank multiplicatively closed sublattice containing 1."""
     n = big.rank
@@ -420,6 +449,32 @@ def fold_product(ops, elems, exps):
 # ---------------------------------------------------------------------------
 # brute-force group machinery
 
+def cyclic_dlog(mul, one, gen, order, x):
+    """Least a in [0, order) with one * gen^a == x, or None."""
+    acc = one
+    for a in range(order):
+        if acc == x:
+            return a
+        acc = mul(acc, gen)
+    return None
+
+
+def cyclic_order(mul, one, x, bound):
+    """Multiplicative order of x if at most bound, else None."""
+    a = cyclic_dlog(mul, x, x, bound, one)
+    return None if a is None else a + 1
+
+
+def cyclic_powers(mul, one, gen):
+    """[1, gen, gen^2, ...] up to the first power equal to 1."""
+    out = [one]
+    acc = gen
+    while acc != one:
+        out.append(acc)
+        acc = mul(acc, gen)
+    return out
+
+
 def brute_closure(mul, identity, gens):
     """All products of the generators (and their powers), as a set."""
     seen = {identity}
@@ -521,7 +576,6 @@ def all_pairs_mu_c_p(ctx, p):
     pairs: the group over vertices m_1 < ... < m_j is every pair of an
     element over m_1 ... m_(j-1) and a p-power root of unity of residue
     m_j whose concatenation lies in the image of C."""
-    from ordroots.abgroup import cyclic_powers
     from ordroots.ordercore import build_saturation, graph_mod_p
 
     c_order = build_saturation(ctx, p).c_order
