@@ -30,11 +30,12 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from fractions import Fraction  # noqa: E402
 
-from ordroots import kernels, linalg, numfield, polyfactor, qalgebra  # noqa: E402
-from ordroots.abgroup import membership_dlog  # noqa: E402
+from ordroots import kernels, linalg, numfield, ordercore, polyfactor, qalgebra  # noqa: E402
+from ordroots.abgroup import EffPresentation, membership_dlog  # noqa: E402
 from ordroots.numfield import NumberField  # noqa: E402
 from ordroots.ordercore import build_context, mu_b_presentation, order_from_poly  # noqa: E402
 from ordroots.qalgebra import decompose  # noqa: E402
+from ordroots.rou import mu_a_presentation  # noqa: E402
 from ladder import INPUTS as LADDER  # noqa: E402
 
 
@@ -95,11 +96,9 @@ def bench_products(quick):
     print(f"{'to_components, X^12-1':<28} {t * 1e6:>9.2f}")
 
 
-def decompose_calls(algebra):
-    """name -> arguments of the RatMatrix.inverse, solve_rat and
-    minimal_polynomial calls that decompose makes on the algebra."""
-    targets = [("inverse", linalg.RatMatrix), ("solve_rat", qalgebra),
-               ("minimal_polynomial", qalgebra)]
+def recorded_calls(targets, run):
+    """name -> arguments of the calls that run() makes to each
+    (name, owner) target through the owner's attribute."""
     calls = {name: [] for name, _ in targets}
     originals = [getattr(owner, name) for name, owner in targets]
 
@@ -112,11 +111,19 @@ def decompose_calls(algebra):
     for (name, owner), fn in zip(targets, originals):
         setattr(owner, name, recorder(name, fn))
     try:
-        decompose(algebra)
+        run()
     finally:
         for (name, owner), fn in zip(targets, originals):
             setattr(owner, name, fn)
     return calls
+
+
+def decompose_calls(algebra):
+    """name -> arguments of the RatMatrix.inverse, solve_rat and
+    minimal_polynomial calls that decompose makes on the algebra."""
+    targets = [("inverse", linalg.RatMatrix), ("solve_rat", qalgebra),
+               ("minimal_polynomial", qalgebra)]
+    return recorded_calls(targets, lambda: decompose(algebra))
 
 
 def split11():
@@ -140,6 +147,18 @@ def bench_rational(quick):
                           ("minimal_polynomial", qalgebra.minimal_polynomial)):
             t = time_fn(fn, calls[label], repeat)
             print(f"{label + ', ' + name:<34} {len(calls[label]):>6} {t * 1e3:>17.2f}")
+
+
+def bench_indices(quick):
+    repeat = 3 if quick else 5
+    targets = [("order_graph", ordercore), ("qlat_index", ordercore),
+               ("group_order", EffPresentation)]
+    calls = recorded_calls(
+        targets, lambda: mu_a_presentation(build_context(order_from_poly(split11()))))
+    print(f"\n{'index work, rank-11 split':<28} {'calls':>6} {'ms/call':>9}")
+    for name, owner in targets:
+        t = time_fn(getattr(owner, name), calls[name], repeat) / len(calls[name])
+        print(f"{name:<28} {len(calls[name]):>6} {t * 1e3:>9.3f}")
 
 
 def factor_q_calls(module, run):
@@ -203,6 +222,7 @@ def main():
     bench_kernels(args.quick)
     bench_products(args.quick)
     bench_rational(args.quick)
+    bench_indices(args.quick)
     bench_polynomials(args.quick)
     bench_torsion(args.quick)
 

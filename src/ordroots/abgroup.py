@@ -15,7 +15,6 @@ adapter whose mul is addition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 from typing import Callable, List, Optional, Sequence
 
 from .kernels import xgcd
@@ -93,16 +92,20 @@ class EffPresentation:
     def evaluate(self, exps: Sequence[int]):
         return self.ops.product(self.gens, exps)
 
-    def group_order(self) -> int:
-        """Order of the presented group (via the Smith form)."""
-        return prod(self.invariant_factors())
-
-    def invariant_factors(self) -> List[int]:
-        """Nontrivial invariant factors of the group, ascending."""
+    def _relation_lattice(self) -> Lattice:
         lat = Lattice(len(self.gens), [list(r) for r in self.rels])
         if lat.rank < len(self.gens):
             raise ValueError("relation lattice not of full rank; group infinite")
-        return [f for f in invariant_factors(lat.basis) if f != 1]
+        return lat
+
+    def group_order(self) -> int:
+        """Order of the presented group: the index of the relation
+        lattice, the product of its Hermite pivots."""
+        return self._relation_lattice().pivot_product
+
+    def invariant_factors(self) -> List[int]:
+        """Nontrivial invariant factors of the group, ascending."""
+        return [f for f in invariant_factors(self._relation_lattice().basis) if f != 1]
 
     def verify_exact(self):
         """Check the cheap structural invariants by multiplication."""

@@ -87,10 +87,7 @@ class FiniteRing:
         return self.reduce(table_mul(self.table, a, b))
 
     def order(self) -> int:
-        out = 1
-        for c, r in zip(self.rel.basis.cols, self.rel.pivots):
-            out *= c[r]
-        return out
+        return self.rel.pivot_product
 
     def elements(self):
         """All canonical representatives (the HNF box)."""

@@ -8,13 +8,16 @@ rows.  Matrices are immutable by convention (constructors copy their
 input, methods return new objects) and may therefore be shared freely.
 
 Lattices are stored through a canonical column-style Hermite normal
-form, so two equal lattices compare equal as matrices.
+form, so two equal lattices compare equal as matrices.  Every index is
+read from those bases: the index of a lattice of full rank in Z^dim is
+the product of its Hermite pivots, and the index of sub in sup of equal
+rank is the quotient of their pivot products.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from . import kernels
 
@@ -349,6 +352,11 @@ class Lattice:
     def rank(self) -> int:
         return self.basis.ncols
 
+    @property
+    def pivot_product(self) -> int:
+        """Product of the Hermite pivots: the index in Z^dim at full rank."""
+        return prod(c[r] for c, r in zip(self.basis.cols, self.pivots))
+
     def coords(self, vec):
         """Integer coordinates of vec in the basis, or None if vec is not
         in the lattice."""
@@ -423,19 +431,15 @@ def intersect_lattices(a: Lattice, b: Lattice) -> Lattice:
 
 
 def lattice_index(sub: Lattice, sup: Lattice) -> int:
-    """Group index (sup : sub) for full-rank sub <= sup."""
+    """Group index (sup : sub) for sub <= sup of equal rank, in any
+    ambient dimension.  Both span one Q-space, so their canonical bases
+    share pivot rows and are lower triangular on them: the index is the
+    quotient of the pivot products."""
     if sub.dim != sup.dim or sub.rank != sup.rank:
         raise ValueError("lattices must have equal rank in the same ambient space")
-    cols = []
-    for c in sub.basis.cols:
-        x = sup.coords(c)
-        if x is None:
-            raise ValueError("sub is not contained in sup")
-        cols.append(x)
-    d = det_int(IntMatrix(sup.rank, cols))
-    if d == 0:
-        raise ValueError("sub has lower rank than sup")
-    return abs(d)
+    if not all(sup.contains(c) for c in sub.basis.cols):
+        raise ValueError("sub is not contained in sup")
+    return sub.pivot_product // sup.pivot_product
 
 
 class IntSolver:
@@ -549,13 +553,14 @@ class QLattice:
         return f"QLattice(dim={self.dim}, rank={self.rank}, den={self.den})"
 
 
-def _common_den_lattices(a: QLattice, b: QLattice):
-    d = a.den * b.den // gcd(a.den, b.den)
-    la = Lattice(a.dim, [[e * (d // a.den) for e in c] for c in a.lat.basis.cols])
-    lb = Lattice(b.dim, [[e * (d // b.den) for e in c] for c in b.lat.basis.cols])
-    return d, la, lb
-
-
 def qlat_index(sub: QLattice, sup: QLattice) -> int:
-    d, ls, lp = _common_den_lattices(sub, sup)
-    return lattice_index(ls, lp)
+    """Group index (sup : sub) for sub <= sup of equal rank in Q^dim.
+    Both canonical bases are scaled to the least common denominator; a
+    canonical basis times a positive integer is still canonical."""
+    d = lcm(sub.den, sup.den)
+
+    def scaled(q):
+        k = d // q.den
+        return Lattice._from_hnf(q.dim, [[e * k for e in c] for c in q.lat.basis.cols])
+
+    return lattice_index(scaled(sub), scaled(sup))

@@ -29,7 +29,6 @@ from .linalg import (
     QLattice,
     RatMatrix,
     det_int,
-    invariant_factors,
     kernel_int,
     qlat_index,
     sum_lattices,
@@ -207,8 +206,8 @@ def _connected_components(n, edges):
 
 def order_graph(emb: EmbeddedOrder) -> WeightedGraph:
     """Weights n(D, m, n) = index of (m cap D) + (n cap D) in D, computed
-    in the order's own coordinates.  The determinant of the Hermite form
-    is cross-checked against the product of Smith invariant factors."""
+    in the order's own coordinates: the product of the Hermite pivots of
+    the sum, cross-checked against its fraction-free determinant."""
     ncomp = len(emb.ambient.fields)
     kers = [emb.component_kernel(i) for i in range(ncomp)]
     weights = {}
@@ -217,12 +216,9 @@ def order_graph(emb: EmbeddedOrder) -> WeightedGraph:
             s = sum_lattices(kers[i], kers[j])
             if s.rank != emb.rank:
                 raise AssertionError("component kernels do not sum to full rank")
-            w = abs(det_int(s.basis))
-            w2 = 1
-            for f in invariant_factors(s.basis):
-                w2 *= f
-            if w != w2:
-                raise AssertionError("graph weight disagreement between HNF and SNF")
+            w = s.pivot_product
+            if w != abs(det_int(s.basis)):
+                raise AssertionError("graph weight: Hermite pivots disagree with the determinant")
             weights[(i, j)] = w
     return WeightedGraph.from_weights(ncomp, weights)
 

@@ -28,7 +28,7 @@ from typing import List, Optional, Tuple
 from .abgroup import EffPresentation, power
 from .linalg import RatMatrix, _gauss_jordan, kernel_int, solve_rat
 from .numfield import NumberField, ProductRing
-from .polyfactor import factor_q, is_squarefree, qp, qp_degree, qp_deriv, squarefree_part
+from .polyfactor import factor_q, qp, qp_degree, qp_deriv, squarefree_part
 
 
 class AlgebraError(ValueError):
@@ -308,8 +308,6 @@ def decompose(E: QAlgebra) -> SpecDecomposition:
         alpha = tuple(_num(a - b) for a, b in zip(alpha, E.mul(val, E.inv(dval))))
     else:
         raise AssertionError("newton lift did not converge")
-    if not is_squarefree(m):
-        raise AssertionError("minimal polynomial not squarefree")
 
     powers = []
     cur = E.one

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from math import prod
 from typing import List
 
 from .abgroup import (
@@ -160,7 +159,7 @@ def mu_a_presentation(A_or_ctx) -> MuAPresentation:
     return MuAPresentation(
         ctx=ctx, generators=[tuple(int(c) for c in g) for g in gens],
         relations=[tuple(r) for r in sub.rels],
-        invariant_factors=facs, group_order=prod(facs), pres=sub,
+        invariant_factors=facs, group_order=sub.group_order(), pres=sub,
     )
 
 

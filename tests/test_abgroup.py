@@ -6,6 +6,7 @@ exponent vectors, which makes an ideal sandbox for the generic
 machinery.
 """
 
+import math
 import random
 from fractions import Fraction
 from functools import partial
@@ -37,6 +38,13 @@ from util import (
     schreier_kernel,
     unit_inverse,
 )
+
+
+@given(st.integers(0, 2 ** 32))
+@settings(max_examples=100, deadline=None)
+def test_group_order_is_the_product_of_the_invariant_factors(seed):
+    pres, _ = random_presented_group(random.Random(seed))
+    assert pres.group_order() == math.prod(pres.invariant_factors())
 
 
 def test_self_presentation_relations():

@@ -1,8 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ordroots.linalg import (
@@ -171,6 +172,42 @@ def test_index_multiplicative():
         b = Lattice(n, mid_cols)
         c = Lattice(n, [[3 * e for e in cc] for cc in b.basis.cols])
         assert lattice_index(c, a) == lattice_index(c, b) * lattice_index(b, a)
+
+
+@st.composite
+def nested_lattices(draw):
+    """(sub, sup, t): sup of rank k below its ambient dimension n and sub
+    spanned by sup's basis times t, a k x k integer matrix of nonzero
+    determinant.  Zero entries are drawn often, so pivot rows vary."""
+    n = draw(st.integers(2, 5))
+    k = draw(st.integers(1, n - 1))
+    entries = st.integers(-4, 4) | st.just(0)
+    sup = Lattice(n, draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                   min_size=k, max_size=k)))
+    assume(sup.rank == k)
+    t = draw(st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k),
+                      min_size=k, max_size=k))
+    assume(cofactor_det(t) != 0)
+    return Lattice(n, [sup.element(c) for c in t]), sup, t
+
+
+@given(nested_lattices(), st.integers(1, 6), st.integers(1, 6))
+@settings(max_examples=150, deadline=None)
+def test_index_of_equal_rank_below_the_ambient_dimension(lattices, a, b):
+    # the pivot-product ratio against the determinant of the coordinates
+    # of sub's basis in sup's basis, and against the determinant of t
+    sub, sup, t = lattices
+    coords = [sup.coords(c) for c in sub.basis.cols]
+    assert lattice_index(sub, sup) == abs(cofactor_det(coords)) == abs(cofactor_det(t))
+    # (1/b) sup and (a/b) sub, whose denominators differ once reduced,
+    # against the Hermite forms recomputed at their common denominator
+    qsup = QLattice(sup.dim, b, sup)
+    qsub = QLattice(sub.dim, b, Lattice(sub.dim, [[a * e for e in c] for c in sub.basis.cols]))
+    d = math.lcm(qsub.den, qsup.den)
+    ls, lp = (Lattice(q.dim, [[e * (d // q.den) for e in c] for c in q.lat.basis.cols])
+              for q in (qsub, qsup))
+    ref = abs(cofactor_det([lp.coords(c) for c in ls.basis.cols]))
+    assert qlat_index(qsub, qsup) == ref == abs(cofactor_det(t)) * a ** sub.rank
 
 
 def test_sum_intersect_examples():
