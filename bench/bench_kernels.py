@@ -13,9 +13,12 @@ decomposition; a ``minimal_polynomial`` row includes the solves that it
 makes itself.  Then it replays the ``factor_q`` calls that
 ``torsion_generator`` makes on Q(zeta_7) and Q(zeta_15) and that
 ``decompose`` makes on the rank-11 split order, and times them per call.
-Last, it times one torsion ``ops.power`` and one ``membership_dlog`` (two
+Then it times one torsion ``ops.power`` and one ``membership_dlog`` (two
 targets) on the residue torsion of Z[X]/(X^12 - 1), per call, on random
-members.  The end-to-end benchmark is ``perfbench/run.py``.
+members.  Last, it replays the dlog-serve query pool of ``perfbench`` once
+on a warm serving state and reports, per query class (mue, mua, unip),
+the time per query and the counts of ``NumberField.mul`` calls and of
+power-table dlogs.  The end-to-end benchmark is ``perfbench/run.py``.
 
 Usage: python bench/bench_kernels.py [--quick]
 """
@@ -27,6 +30,7 @@ import sys
 import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
 
 from fractions import Fraction  # noqa: E402
 
@@ -37,6 +41,8 @@ from ordroots.ordercore import build_context, mu_b_presentation, order_from_poly
 from ordroots.qalgebra import decompose  # noqa: E402
 from ordroots.rou import mu_a_presentation  # noqa: E402
 from ladder import INPUTS as LADDER  # noqa: E402
+import inputs as serve_inputs  # noqa: E402
+import ops as serve_ops  # noqa: E402
 
 
 def random_cols(rng, nrows, ncols, span):
@@ -215,6 +221,46 @@ def bench_torsion(quick):
         print(f"{name:<28} {t * 1e6:>9.2f}")
 
 
+def bench_queries():
+    pool = serve_inputs.build_pool("dlog-serve")
+    state = serve_ops.ServeState()
+    classes = sorted({item.cls.split("-")[0] for item in pool})
+    for cls in classes:  # one query of each class fills the lazy caches
+        serve_ops.query_op(state, next(i.text for i in pool if i.cls.startswith(cls)))
+    seconds = dict.fromkeys(classes, 0.0)
+    for item in pool:
+        t0 = time.perf_counter()
+        serve_ops.query_op(state, item.text)
+        seconds[item.cls.split("-")[0]] += time.perf_counter() - t0
+    # the calls of NumberField.mul and of the power-table dlog closure that
+    # cyclic_presentation builds, counted by code object
+    mul_code = numfield.NumberField.mul.__code__
+    dlog_code = state.ctx.field_torsion().pres.dlog.__code__
+    counts = {cls: [0, 0] for cls in classes}
+    current = counts[classes[0]]
+
+    def count(frame, event, arg):
+        if event == "call":
+            if frame.f_code is mul_code:
+                current[0] += 1
+            elif frame.f_code is dlog_code:
+                current[1] += 1
+
+    sys.setprofile(count)
+    try:
+        for item in pool:
+            current = counts[item.cls.split("-")[0]]
+            serve_ops.query_op(state, item.text)
+    finally:
+        sys.setprofile(None)
+    print(f"\n{'dlog-serve pool, by class':<26} {'queries':>7} {'ms/query':>9} "
+          f"{'K.mul':>7} {'dlogs':>7}")
+    for cls in classes:
+        n = sum(1 for item in pool if item.cls.startswith(cls + "-"))
+        mul_calls, dlogs = counts[cls]
+        print(f"{cls:<26} {n:>7} {seconds[cls] / n * 1e3:>9.3f} {mul_calls:>7} {dlogs:>7}")
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--quick", action="store_true", help="smaller shapes, fewer repeats")
@@ -225,6 +271,7 @@ def main():
     bench_indices(args.quick)
     bench_polynomials(args.quick)
     bench_torsion(args.quick)
+    bench_queries()
 
 
 if __name__ == "__main__":

@@ -6,7 +6,11 @@ to write arbitrary group elements over the generators.  The four
 algorithms below (relations of a generating set, membership with
 witness, induced presentation, kernel modulo a subgroup) are generic in
 exactly that interface: they only multiply, raise to integer powers,
-compare, and call the dlog.
+compare, and call the dlog.  Each element's dlog is taken once and
+passed on: a subgroup presentation holds its targets' logs from the
+build, membership takes the logs of gamma and of the targets once, and
+the relation and witness checks multiply back from those logs when the
+presentation can (``EffPresentation.log_product``).
 
 Groups are multiplicative; an additive group is used through a GroupOps
 adapter whose mul is addition.
@@ -82,15 +86,28 @@ class EffPresentation:
     returns an exponent vector over ``gens`` for every g in the group,
     or None for elements outside it; the relation vectors generate the
     full kernel of the evaluation map Z^gens -> G.
+
+    ``log_product``, when given, is prod t^e over elements t given by
+    their dlogs: log_product(logs, exps) computes it from the exponents,
+    with no further dlog.
     """
 
     ops: GroupOps
     gens: tuple
     rels: tuple  # integer vectors in Z^gens
     dlog: Callable[[object], Optional[List[int]]]
+    log_product: Optional[Callable] = None
 
     def evaluate(self, exps: Sequence[int]):
         return self.ops.product(self.gens, exps)
+
+    def logged_product(self, elems, logs, exps: Sequence[int]):
+        """prod elems^exps, where logs holds each element's dlog: from the
+        logs when the presentation multiplies them out, else by the group
+        operations."""
+        if self.log_product is None:
+            return self.ops.product(elems, exps)
+        return self.log_product(logs, exps)
 
     def _relation_lattice(self) -> Lattice:
         lat = Lattice(len(self.gens), [list(r) for r in self.rels])
@@ -115,50 +132,59 @@ class EffPresentation:
                 raise AssertionError("relation does not hold")
 
 
-def _dlog_columns(pres: EffPresentation, elems) -> IntMatrix:
-    cols = []
+def _dlogs(pres: EffPresentation, elems) -> List[List[int]]:
+    logs = []
     for t in elems:
         v = pres.dlog(t)
         if v is None:
             raise NotInGroup("element not in the presented group")
-        cols.append(list(v))
-    return IntMatrix(len(pres.gens), cols)
+        logs.append(list(v))
+    return logs
 
 
-def subgroup_relations(pres: EffPresentation, targets) -> List[List[int]]:
+def subgroup_relations(pres: EffPresentation, targets, logs=None) -> List[List[int]]:
     """Generators of all relations among ``targets`` in the group.
 
     The returned vectors generate {x in Z^targets : prod t^x = 1}.
     Found as the projection of the kernel of [h | -rho], where h writes
     each target over the presentation's generators and rho spans the
-    presentation's relations.
+    presentation's relations.  ``logs`` are the targets' dlogs, the
+    columns of h, when the caller holds them; each relation is
+    multiplied back from them.
     """
     targets = list(targets)
     nt = len(targets)
-    h = _dlog_columns(pres, targets)
+    if logs is None:
+        logs = _dlogs(pres, targets)
+    h = IntMatrix(len(pres.gens), logs)
     rho = IntMatrix(len(pres.gens), [[-e for e in r] for r in pres.rels])
     ker = kernel_int(h.hstack(rho))
     proj = [c[:nt] for c in ker.basis.cols]
     out = image_int(IntMatrix(nt, proj))
     for u in out.basis.cols:
-        got = pres.ops.product(targets, u)
+        got = pres.logged_product(targets, logs, u)
         if got != pres.ops.identity:
             raise AssertionError("computed relation does not multiply to 1")
     return [list(c) for c in out.basis.cols]
 
 
-def membership_dlog(pres: EffPresentation, targets, gamma):
+def membership_dlog(pres: EffPresentation, targets, gamma, logs=None):
     """Decide gamma in <targets> and return an exponent vector, or None.
 
     Raises NotInGroup when gamma (or a target) is not in the presented
     group at all, which is a different failure from gamma merely lying
-    outside the subgroup.
+    outside the subgroup.  gamma's dlog is taken once, the targets' too
+    unless the caller passes them in ``logs``; the relations and the
+    witness are multiplied back from these logs.
     """
     targets = list(targets)
     nt = len(targets)
-    if pres.dlog(gamma) is None:
+    gamma_log = pres.dlog(gamma)
+    if gamma_log is None:
         raise NotInGroup("element not in the presented group")
-    rels = subgroup_relations(pres, targets + [gamma])
+    if logs is None:
+        logs = _dlogs(pres, targets)
+    rels = subgroup_relations(pres, targets + [gamma], list(logs) + [gamma_log])
     # Bezout combination over the gamma-components
     g = 0
     comb = [0] * (nt + 1)
@@ -170,20 +196,22 @@ def membership_dlog(pres: EffPresentation, targets, gamma):
     if g != 1:
         return None
     sol = [-e for e in comb[:nt]]
-    got = pres.ops.product(targets, sol)
+    got = pres.logged_product(targets, logs, sol)
     if got != gamma:
         raise AssertionError("membership witness does not multiply back")
     return sol
 
 
 def subgroup_presentation(pres: EffPresentation, targets) -> EffPresentation:
-    """Efficient presentation of the subgroup generated by ``targets``."""
+    """Efficient presentation of the subgroup generated by ``targets``.
+    The targets' dlogs are taken once, here, and every query reuses them."""
     targets = tuple(targets)
-    rels = tuple(tuple(r) for r in subgroup_relations(pres, targets))
+    logs = _dlogs(pres, targets)
+    rels = tuple(tuple(r) for r in subgroup_relations(pres, targets, logs))
 
-    def dlog(gamma, _pres=pres, _targets=targets):
+    def dlog(gamma, _pres=pres, _targets=targets, _logs=logs):
         try:
-            return membership_dlog(_pres, _targets, gamma)
+            return membership_dlog(_pres, _targets, gamma, _logs)
         except NotInGroup:
             return None
 

@@ -51,18 +51,23 @@ from .polyfactor import (
     cyclotomic,
     euler_phi,
     factor_q,
-    fp_factor_squarefree,
+    fp_divmod,
+    fp_gcd,
+    fp_monic,
+    fp_norm,
+    fp_pow_mod,
     is_irreducible_q,
     is_squarefree,
     qp,
     qp_degree,
     qp_divmod,
     qp_monic,
+    qp_sub,
     resultant,
 )
 
 # residue primes per torsion bound: a few suffice in practice, and each
-# costs one Berlekamp factorization of the minimal polynomial
+# costs one distinct-degree factorization of the minimal polynomial
 _RESIDUE_PRIMES = 4
 
 
@@ -320,11 +325,15 @@ class ProductRing:
         and one closing product must give g^(w-1) * g = 1, so w is the
         exact order.  The tables are keyed on the exact (numerator,
         denominator) pairs of the coordinates.  The discrete log projects
-        onto each factor and looks the projection up in its table; the
-        power x^e of a member with logs a reads g^(a*e mod w) from each
-        table, with no field product, and a non-member is raised by the
-        ring's own power.  Both raise ValueError for an element of the
-        wrong length.  The power lists are returned with the presentation.
+        onto each factor and looks the projection up in its table.  A
+        product prod t_j^(u_j) of elements with logs a_j (``log_product``)
+        multiplies, per factor, the table entries g^(a_j*u_j mod w) of
+        nonzero index in the sub-product ring; a factor with none is the
+        table's 1, so the entry 1 enters no product and no dlog is taken
+        again.  The power x^e of a member is that product of one element;
+        a non-member is raised by the ring's own power.  The dlog and the
+        power raise ValueError for an element of the wrong length.  The
+        power lists are returned with the presentation.
         """
         covered = sorted(i for comps, _, _ in factors for i in comps)
         if covered != list(range(len(self.fields))):
@@ -358,20 +367,29 @@ class ProductRing:
                 out.append(a)
             return out
 
+        def log_product(logs, exps):
+            blocks = [None] * len(self.fields)
+            for k, (comps, sub, powers, _) in enumerate(tables):
+                w = len(powers)
+                acc = None
+                for log, e in zip(logs, exps):
+                    a = log[k] * e % w
+                    if a:
+                        acc = powers[a] if acc is None else sub.mul(acc, powers[a])
+                if acc is None:
+                    acc = powers[0]
+                for pos, i in enumerate(comps):
+                    blocks[i] = sub.block(acc, pos)
+            return self.from_blocks(blocks)
+
         def group_power(x, e):
             exps = dlog(x)
-            if exps is None:
-                return self.power(x, e)
-            blocks = [None] * len(self.fields)
-            for a, (comps, sub, powers, _) in zip(exps, tables):
-                y = powers[a * e % len(powers)]
-                for pos, i in enumerate(comps):
-                    blocks[i] = sub.block(y, pos)
-            return self.from_blocks(blocks)
+            return self.power(x, e) if exps is None else log_product([exps], [e])
 
         ops = GroupOps(mul=self.mul, power=group_power, identity=self.one())
         rels = cyclic_relations([w for _, _, w in factors])
-        pres = EffPresentation(ops=ops, gens=tuple(gens), rels=rels, dlog=dlog)
+        pres = EffPresentation(ops=ops, gens=tuple(gens), rels=rels, dlog=dlog,
+                               log_product=log_product)
         pres.verify_exact()
         return pres, [powers for _, _, powers, _ in tables]
 
@@ -383,9 +401,22 @@ def _key(v):
 
 
 def _residue_gcd(f, p):
-    """gcd_f(p^f - 1) over the degrees f of the factors of f mod p."""
-    g = 0
-    for h in fp_factor_squarefree(f, p):
+    """gcd_f(p^f - 1) over the degrees f of the factors of the squarefree
+    f mod p, by distinct-degree factorization: with h the part of f left
+    after the factors of degree below i, gcd(x^(p^i) - x, h) is the
+    product of those of degree i.  Once deg h < 2i, h is irreducible."""
+    h = fp_monic(fp_norm(f, p), p)
+    xq = [0, 1]  # x^(p^(i-1)) mod h
+    g, i = 0, 1
+    while 2 * i <= qp_degree(h):
+        xq = fp_pow_mod(xq, p, h, p)
+        d = fp_gcd(qp_sub(xq, [0, 1]), h, p)
+        if qp_degree(d) > 0:
+            g = gcd(g, p ** i - 1)
+            h = fp_divmod(h, d, p)[0]
+            xq = fp_divmod(xq, h, p)[1]
+        i += 1
+    if qp_degree(h) > 0:
         g = gcd(g, p ** qp_degree(h) - 1)
     return g
 

@@ -176,7 +176,9 @@ def mu_e_subgroup_dlog(ctx_or_order, targets, zeta):
     The torsion presentation is the context's, built once.  Each vector
     is mapped to component coordinates once, after its separability test;
     the root-of-unity tests, the membership and its checking products all
-    run on that component vector, where a dlog is a table lookup."""
+    run on that component vector, where a dlog is a table lookup.  Each
+    vector's dlog is taken once: the targets' by their root-of-unity
+    test, which passes them on to the membership."""
     ctx = ctx_or_order if isinstance(ctx_or_order, OrderContext) else build_context(ctx_or_order)
     tor = ctx.field_torsion()
     targets = [tuple(_num(c) for c in t) for t in targets]
@@ -186,17 +188,19 @@ def mu_e_subgroup_dlog(ctx_or_order, targets, zeta):
         # None for an element with a nilpotent part: no root of unity
         return ctx.to_ambient(x) if ctx.dec.is_separable_element(x) else None
 
-    vecs = []
+    vecs, logs = [], []
     for t in targets:
         v = components(t)
-        if v is None or tor.pres.dlog(v) is None:
+        log = None if v is None else tor.pres.dlog(v)
+        if log is None:
             raise ValueError("target is not a root of unity in the rational algebra")
         vecs.append(v)
+        logs.append(log)
     gamma = components(zeta)
     if gamma is None:
         return None, "not-root-of-unity"
     try:
-        sol = membership_dlog(tor.pres, vecs, gamma)
+        sol = membership_dlog(tor.pres, vecs, gamma, logs)
     except NotInGroup:
         return None, "not-root-of-unity"
     if sol is None:

@@ -193,6 +193,58 @@ def test_product_matches_the_fold_from_the_identity(name, data):
     assert ops.product(elems, [0] * n) == fold_product(ops, elems, [0] * n) == ops.identity
 
 
+# The relation and witness checks multiply back from the logs the
+# algorithms hold; a wrong kernel vector or Bezout combination must still
+# be caught there, by explicit raises that python -O keeps.  The script
+# prints the message of each raise, so that it also runs under -O.
+_CORRUPTED_CHECKS = """
+from ordroots import abgroup
+from ordroots.linalg import Lattice
+from ordroots.numfield import NumberField, ProductRing
+
+R = ProductRing([NumberField([1, 0, 1]), NumberField([1, 1, 1])])
+pres, _ = R.cyclic_presentation(
+    [([i], *K.torsion_generator()) for i, K in enumerate(R.fields)])
+t = pres.evaluate([1, 1])  # of order 12
+gamma = pres.evaluate([2, 2])
+print(abgroup.subgroup_relations(pres, [t]), abgroup.membership_dlog(pres, [t], gamma))
+kernel_int, xgcd = abgroup.kernel_int, abgroup.xgcd
+# the first unit vector as the whole kernel: t^1 = 1 is claimed
+abgroup.kernel_int = lambda m: Lattice(m.ncols, [[int(i == 0) for i in range(m.ncols)]])
+try:
+    abgroup.subgroup_relations(pres, [t])
+except AssertionError as e:
+    print(e)
+abgroup.kernel_int = kernel_int
+# a Bezout combination that claims gcd 1 with all coefficients 0
+abgroup.xgcd = lambda a, b: (1, 0, 0)
+try:
+    abgroup.membership_dlog(pres, [t], gamma)
+except AssertionError as e:
+    print(e)
+abgroup.xgcd = xgcd
+"""
+
+_CAUGHT = ["[[12]] [2]",
+           "computed relation does not multiply to 1",
+           "membership witness does not multiply back"]
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_a_wrong_relation_or_witness_is_still_caught(flags):
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.run([sys.executable] + flags + ["-c", _CORRUPTED_CHECKS],
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == _CAUGHT
+
+
 def test_cyclic_dlog_in_number_field():
     K = NumberField(cyclotomic(12))
     zeta, w = K.torsion_generator()

@@ -10,6 +10,7 @@ from ordroots.numfield import (
     NumberField,
     ProductRing,
     _norm_poly,
+    _residue_gcd,
     nfp_degree,
     nfp_eval,
     nfp_from_qp,
@@ -17,8 +18,15 @@ from ordroots.numfield import (
     nfp_mul,
     roots_in_field,
 )
-from ordroots.ordercore import order_from_poly
-from ordroots.polyfactor import cyclotomic, factor_q, qp_degree, qp_mul
+from ordroots.ordercore import build_context, order_from_poly
+from ordroots.polyfactor import (
+    _squarefree_mod,
+    cyclotomic,
+    factor_q,
+    fp_factor_squarefree,
+    qp_degree,
+    qp_mul,
+)
 from ordroots.qalgebra import decompose
 
 from util import (
@@ -194,6 +202,20 @@ def test_torsion_of_degree_8_cyclotomic_fields(d):
     assert zeta == min(K.pow(x, j) for j in range(1, w) if gcd(j, w) == 1)
 
 
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7, 11, 13]), data=st.data())
+def test_residue_gcd_reads_the_degrees_of_the_berlekamp_factors(p, data):
+    # an integer polynomial whose leading coefficient p does not divide,
+    # squarefree mod p, as residue_bound hands it over
+    lead = data.draw(st.integers(1, 3 * p).filter(lambda c: c % p))
+    f = data.draw(st.lists(st.integers(-20, 20), min_size=1, max_size=9)) + [lead]
+    assume(_squarefree_mod(f, p))
+    want = 0
+    for h in fp_factor_squarefree(f, p):
+        want = gcd(want, p ** qp_degree(h) - 1)
+    assert _residue_gcd(f, p) == want
+
+
 def test_nfp_gcd():
     K = gaussian()
     f = nfp_from_qp([1, 0, 1], K)  # (x-i)(x+i)
@@ -322,6 +344,84 @@ def test_member_with_int_coordinates_keys_like_its_fraction_form(name, data):
         a % w for a, (_, _, w) in zip(exps, factors)]
     e = data.draw(st.integers(-40, 40))
     assert pres.ops.power(as_ints, e) == pres.ops.power(member, e)
+
+
+_X12_TORSION = []
+
+
+def _x12_torsion():
+    """The roots of unity of Q[X]/(X^12 - 1), on its six residue fields."""
+    if not _X12_TORSION:
+        ctx = build_context(order_from_poly([-1] + [0] * 11 + [1]))
+        ring = ProductRing(ctx.dec.components)
+        comps = [[i] for i in range(len(ring.fields))]
+        _X12_TORSION.append((ring, ctx.field_torsion().pres, comps))
+    return _X12_TORSION[0]
+
+
+def _torsion_presentation(name):
+    """(ring, presentation, the component list of each cyclic factor)."""
+    if name == "X^12 - 1":
+        return _x12_torsion()
+    ring, factors = _cyclic_product(name)
+    return ring, ring.cyclic_presentation(factors)[0], [comps for comps, _, _ in factors]
+
+
+def _draw_members(pres, data):
+    """A few members and a product over them: repeated members, and
+    exponents that are zero or negative."""
+    pool = [pres.evaluate(data.draw(st.lists(st.integers(-24, 24), min_size=len(pres.gens),
+                                             max_size=len(pres.gens))))
+            for _ in range(data.draw(st.integers(1, 3)))]
+    n = data.draw(st.integers(0, 5))
+    elems = [pool[data.draw(st.integers(0, len(pool) - 1))] for _ in range(n)]
+    exps = data.draw(st.lists(st.just(0) | st.integers(-30, 30), min_size=n, max_size=n))
+    return elems, exps
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["X^12 - 1"] + sorted(CYCLIC_PRODUCTS)), data=st.data())
+def test_product_from_logs_is_the_fold_of_ring_powers(name, data):
+    ring, pres, _ = _torsion_presentation(name)
+    elems, exps = _draw_members(pres, data)
+    logs = [pres.dlog(x) for x in elems]
+    acc = ring.one()
+    for x, e in zip(elems, exps):
+        acc = ring.mul(acc, ring.power(x, e))
+    assert pres.logged_product(elems, logs, exps) == acc
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(["X^12 - 1"] + sorted(CYCLIC_PRODUCTS)), data=st.data())
+def test_product_from_logs_multiplies_only_entries_of_nonzero_index(name, data):
+    # one product in each field of a factor per further nonzero table
+    # index; a factor over one field has 1 only at index 0, so there no
+    # table entry enters a product as 1 (over two fields a power can be 1
+    # on one of them, (zeta_6, i)^4 = (zeta_6^4, 1)).  The running product
+    # itself is 1 where the entries so far cancel, and is multiplied on.
+    _, pres, comps_list = _torsion_presentation(name)
+    elems, exps = _draw_members(pres, data)
+    logs = [pres.dlog(x) for x in elems]
+    want = 0
+    for k, comps in enumerate(comps_list):
+        w = pres.rels[k][k]
+        nonzero = sum(1 for log, e in zip(logs, exps) if log[k] * e % w)
+        want += max(0, nonzero - 1) * len(comps)
+    operands = []
+    mul = NumberField.mul
+
+    def recording(K, x, y):
+        operands.append(y == K.one())
+        return mul(K, x, y)
+
+    NumberField.mul = recording
+    try:
+        pres.log_product(logs, exps)
+    finally:
+        NumberField.mul = mul
+    assert len(operands) == want
+    if all(len(comps) == 1 for comps in comps_list):
+        assert not any(operands)
 
 
 def test_table_builder_rejects_factors_that_do_not_partition_the_fields():

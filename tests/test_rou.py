@@ -1,10 +1,12 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordroots.abgroup import membership_dlog, subgroup_presentation
 from ordroots.finitering import RingIdeal
 from ordroots.linalg import Lattice, lattice_index
 from ordroots.ordercore import (
@@ -369,6 +371,62 @@ def test_mu_e_subgroup_dlog_maps_each_vector_to_components_once(monkeypatch):
         calls.clear()
         assert mu_e_subgroup_dlog(ctx, targets, zeta)[1] == reason
         assert len(calls) == len(targets) + 1
+
+
+def _counting(pres, calls):
+    """pres with a dlog that records each argument and a group power that
+    refuses: a query multiplies back from the logs it holds."""
+    def dlog(x, _dlog=pres.dlog):
+        calls.append(x)
+        return _dlog(x)
+
+    def power(x, e):
+        raise AssertionError("a query raised an element by the group power")
+
+    return replace(pres, dlog=dlog, ops=replace(pres.ops, power=power))
+
+
+def test_mu_e_subgroup_dlog_takes_each_dlog_once(monkeypatch):
+    def mono(k, c=1):
+        return [c if i == k else 0 for i in range(12)]
+
+    u = [Fraction(c, 2) for c in (1, 1, 0, 0, 0, 0, -1, 1, 0, 0, 0, 0)]
+    queries = [
+        ([mono(4), mono(0, -1)], mono(8, -1), None),
+        ([mono(6)], mono(4), "not-in-subgroup"),
+        ([mono(1)], [1, 1] + [0] * 10, "not-root-of-unity"),
+        ([], mono(0), None),
+        ([u, mono(6), mono(3), mono(6)], u, None),
+    ]
+    ctx = build_context(order_from_poly(X12))
+    tor = ctx.field_torsion()
+    calls = []
+    monkeypatch.setattr(tor, "pres", _counting(tor.pres, calls))
+    for targets, zeta, reason in queries:
+        calls.clear()
+        assert mu_e_subgroup_dlog(ctx, targets, zeta)[1] == reason
+        assert calls == [ctx.to_ambient(v) for v in targets + [zeta]]
+
+
+def test_mu_a_query_dlogs_no_target():
+    ctx = build_context(order_from_poly(X12))
+    plain = mu_b_presentation(ctx)
+    calls = []
+    targets = [ctx.to_ambient(g) for g in mu_a_generators(ctx)]
+    sub = subgroup_presentation(_counting(plain, calls), targets)
+    assert calls == targets  # once each, when the presentation is built
+    rng = random.Random(12)
+    answers = set()
+    for k in range(12):
+        # members of <targets>, and elements of the residue torsion
+        gamma = plain.ops.product(targets, [rng.randint(-12, 12) for _ in targets]) if k % 2 \
+            else plain.evaluate([rng.randint(-12, 12) for _ in plain.gens])
+        calls.clear()
+        sol = sub.dlog(gamma)
+        assert calls == [gamma]
+        assert sol == membership_dlog(plain, targets, gamma)
+        answers.add(sol is None)
+    assert answers == {True, False}
 
 
 _CONTEXTS = {}
