@@ -17,8 +17,9 @@ Then it times one torsion ``ops.power`` and one ``membership_dlog`` (two
 targets) on the residue torsion of Z[X]/(X^12 - 1), per call, on random
 members.  Last, it replays the dlog-serve query pool of ``perfbench`` once
 on a warm serving state and reports, per query class (mue, mua, unip),
-the time per query and the counts of ``NumberField.mul`` calls and of
-power-table dlogs.  The end-to-end benchmark is ``perfbench/run.py``.
+the time per query and the counts of ``NumberField.mul`` calls, of
+power-table dlogs and of ``Fraction`` objects built.  The end-to-end
+benchmark is ``perfbench/run.py``.
 
 Usage: python bench/bench_kernels.py [--quick]
 """
@@ -232,11 +233,13 @@ def bench_queries():
         t0 = time.perf_counter()
         serve_ops.query_op(state, item.text)
         seconds[item.cls.split("-")[0]] += time.perf_counter() - t0
-    # the calls of NumberField.mul and of the power-table dlog closure that
-    # cyclic_presentation builds, counted by code object
+    # the calls of NumberField.mul, of the power-table dlog closure that
+    # cyclic_presentation builds and of Fraction.__new__ (every Fraction the
+    # query builds, arithmetic results included), counted by code object
     mul_code = numfield.NumberField.mul.__code__
     dlog_code = state.ctx.field_torsion().pres.dlog.__code__
-    counts = {cls: [0, 0] for cls in classes}
+    new_code = Fraction.__new__.__code__
+    counts = {cls: [0, 0, 0] for cls in classes}
     current = counts[classes[0]]
 
     def count(frame, event, arg):
@@ -245,6 +248,8 @@ def bench_queries():
                 current[0] += 1
             elif frame.f_code is dlog_code:
                 current[1] += 1
+            elif frame.f_code is new_code:
+                current[2] += 1
 
     sys.setprofile(count)
     try:
@@ -254,11 +259,12 @@ def bench_queries():
     finally:
         sys.setprofile(None)
     print(f"\n{'dlog-serve pool, by class':<26} {'queries':>7} {'ms/query':>9} "
-          f"{'K.mul':>7} {'dlogs':>7}")
+          f"{'K.mul':>7} {'dlogs':>7} {'Fr/query':>9}")
     for cls in classes:
         n = sum(1 for item in pool if item.cls.startswith(cls + "-"))
-        mul_calls, dlogs = counts[cls]
-        print(f"{cls:<26} {n:>7} {seconds[cls] / n * 1e3:>9.3f} {mul_calls:>7} {dlogs:>7}")
+        mul_calls, dlogs, fractions = counts[cls]
+        print(f"{cls:<26} {n:>7} {seconds[cls] / n * 1e3:>9.3f} {mul_calls:>7} {dlogs:>7} "
+              f"{fractions / n:>9.1f}")
 
 
 def main():

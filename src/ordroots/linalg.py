@@ -2,7 +2,9 @@
 
 Everything here is arbitrary precision: integer matrices hold Python
 ints, and a rational matrix is an integer matrix of numerators over one
-denominator.  No floating point anywhere.  Rational systems are solved
+denominator.  No floating point anywhere.  A rational coordinate is an
+int where it is integral and a Fraction otherwise (``ratio``); every
+rational vector returned here has that form.  Rational systems are solved
 and inverted by one fraction-free Gauss-Jordan elimination on integer
 rows.  Matrices are immutable by convention (constructors copy their
 input, methods return new objects) and may therefore be shared freely.
@@ -158,11 +160,10 @@ class RatMatrix:
         return RatMatrix.over(IntMatrix(hi - lo, [c[lo:hi] for c in self.num.cols]), self.den)
 
     def apply(self, vec):
-        """self * vec on integer numerators; a coordinate is an int where it
-        is integral, a Fraction otherwise."""
+        """self * vec on integer numerators, as a tuple of coordinates."""
         xn, dx = clear_vector(vec)
         den = self.den * dx
-        return tuple(c // den if c % den == 0 else Fraction(c, den) for c in self.num.apply(xn))
+        return tuple(ratio(c, den) for c in self.num.apply(xn))
 
     def mul(self, other: "RatMatrix") -> "RatMatrix":
         return RatMatrix.over(self.num.mul(other.num), self.den * other.den)
@@ -183,6 +184,19 @@ class RatMatrix:
 
     def __repr__(self):
         return f"RatMatrix({self.nrows}x{self.ncols}, den={self.den})"
+
+
+def ratio(num: int, den: int):
+    """num / den for integers num and den != 0 as a coordinate: an int
+    where it is integral, a Fraction in lowest terms otherwise."""
+    return num // den if num % den == 0 else Fraction(num, den)
+
+
+def _num(c):
+    """One int or Fraction as a coordinate: ``ratio`` of its numerator and
+    denominator.  A Fraction is already in lowest terms, so only an
+    integral one changes."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
 
 
 def clear_vector(vec):
@@ -245,10 +259,10 @@ def solve_rat(m: RatMatrix, vec):
     pivots, d = _gauss_jordan(rows, nc)
     if any(r[nc] for r in rows[len(pivots):]):
         return None
-    x = [Fraction(0)] * nc
+    x = [0] * nc
     d *= db
     for r, c in zip(rows, pivots):
-        x[c] = Fraction(r[nc], d)
+        x[c] = ratio(r[nc], d)
     return x
 
 
@@ -513,18 +527,17 @@ class QLattice:
         return self.lat.rank
 
     def basis_cols(self):
-        """Basis as Fraction column vectors."""
+        """Basis as column vectors of coordinates."""
         d = self.den
-        return [[Fraction(e, d) for e in c] for c in self.lat.basis.cols]
+        return [[ratio(e, d) for e in c] for c in self.lat.basis.cols]
 
     def _scale_vec(self, vec):
-        out = []
-        for e in vec:
-            f = Fraction(e) * self.den
-            if f.denominator != 1:
-                return None
-            out.append(int(f))
-        return out
+        """den * vec as integers, or None if it is not integral."""
+        nums, d = clear_vector(vec)
+        if self.den % d:
+            return None
+        k = self.den // d
+        return [e * k for e in nums]
 
     def contains(self, vec) -> bool:
         s = self._scale_vec(vec)
@@ -538,8 +551,7 @@ class QLattice:
         return self.lat.coords(s)
 
     def element(self, coords):
-        v = self.lat.element(coords)
-        return [Fraction(e, self.den) for e in v]
+        return [ratio(e, self.den) for e in self.lat.element(coords)]
 
     def __eq__(self, other):
         return (

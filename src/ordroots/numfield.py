@@ -1,21 +1,22 @@
 """Number fields Q[X]/(m), their finite products, and polynomial
 arithmetic over them.
 
-Field elements are coordinate tuples of Fractions in the power basis
-1, a, ..., a^(d-1) of the generator a.  Products compute on integer
+Field elements are coordinate tuples in the power basis 1, a, ...,
+a^(d-1) of the generator a; a coordinate is an int where it is integral
+and a Fraction otherwise (``linalg.ratio``).  Products compute on integer
 numerators over one denominator: each operand's denominators are cleared
 once, the convolution and the reduction by the minimal polynomial run in
 integers (the reduced powers a^d, ..., a^(2d-2) are a ``RatMatrix``,
-integer rows over one denominator), and one Fraction is built per output
-coordinate, so elements stay Fraction tuples.  Polynomials over a field
-K are lists of such tuples, lowest degree first.  An element of a
-product of fields is the concatenation of its components; the torsion
-groups that are products of cyclic groups, one generator per factor, are
+integer rows over one denominator), and each output numerator over the
+common denominator becomes one coordinate.  Polynomials over a field K
+are lists of such tuples, lowest degree first.  An element of a product
+of fields is the concatenation of its components; the torsion groups
+that are products of cyclic groups, one generator per factor, are
 presented there (``ProductRing.cyclic_presentation``).  Each factor's
 powers are tabulated once when the presentation is built and keyed on
-exact integer (numerator, denominator) pairs, so a discrete log is a
-projection and one dictionary lookup per factor, and the power of a
-member is read from the tables with no field product.
+the element tuples themselves, so a discrete log is a projection and
+one dictionary lookup per factor, and the power of a member is read
+from the tables with no field product.
 
 Root finding over K goes through the classical norm trick (Trager
 1976): shift the argument by an integer multiple of the generator until
@@ -44,7 +45,7 @@ from math import gcd, lcm
 from typing import List
 
 from .abgroup import EffPresentation, GroupOps, cyclic_relations, power
-from .linalg import RatMatrix, clear_vector, solve_rat
+from .linalg import RatMatrix, _num, clear_vector, ratio, solve_rat
 from .polyfactor import (
     _good_primes,
     _next_prime,
@@ -89,7 +90,7 @@ class NumberField:
         table.append(cur)
         for _ in range(self.deg - 2):
             lead = cur[-1]
-            cur = [Fraction(0)] + cur[:-1]
+            cur = [0] + cur[:-1]
             if lead:
                 cur = [c + lead * t for c, t in zip(cur, table[0])]
             table.append(cur)
@@ -102,7 +103,7 @@ class NumberField:
     # -- element constructors ------------------------------------------------
 
     def zero(self):
-        return (Fraction(0),) * self.deg
+        return (0,) * self.deg
 
     def one(self):
         return self.from_rational(1)
@@ -110,38 +111,34 @@ class NumberField:
     def gen(self):
         if self.deg == 1:
             # Q[X]/(X - c): the generator is the rational c
-            return (-self.min_poly[0],)
-        return tuple(Fraction(int(i == 1)) for i in range(self.deg))
+            return (_num(-self.min_poly[0]),)
+        return tuple(int(i == 1) for i in range(self.deg))
 
     def from_rational(self, q):
-        return (Fraction(q),) + (Fraction(0),) * (self.deg - 1)
+        return (_num(q),) + (0,) * (self.deg - 1)
 
     def from_poly(self, coeffs):
         """Element from a rational polynomial in the generator (any degree)."""
         r = qp_divmod(qp(coeffs), list(self.min_poly))[1]
-        out = [Fraction(0)] * self.deg
-        for i, c in enumerate(r):
-            out[i] = c
-        return tuple(out)
+        return tuple(_num(c) for c in r) + (0,) * (self.deg - len(r))
 
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, x, y):
-        return tuple(a + b for a, b in zip(x, y))
+        return tuple(_num(a + b) for a, b in zip(x, y))
 
     def sub(self, x, y):
-        return tuple(a - b for a, b in zip(x, y))
+        return tuple(_num(a - b) for a, b in zip(x, y))
 
     def neg(self, x):
-        return tuple(-a for a in x)
+        return tuple(_num(-a) for a in x)
 
     def mul(self, x, y):
         """x * y on integer numerators: one common denominator per operand,
-        integer convolution and reduction, one Fraction per coordinate."""
+        integer convolution and reduction, and one ``ratio`` per coordinate."""
         d = self.deg
         if d == 1:
-            p = x[0] * y[0]
-            return (p if type(p) is Fraction else Fraction(p),)
+            return (_num(x[0] * y[0]),)
         xn, dx = clear_vector(x)
         yn, dy = clear_vector(y)
         prod = [0] * (2 * d - 1)
@@ -158,7 +155,7 @@ class NumberField:
                     if t:
                         out[j] += c * t
         den = dx * dy * hd
-        return tuple(Fraction(c, den) for c in out)
+        return tuple(ratio(c, den) for c in out)
 
     def inv(self, x):
         """The y with x * y = 1: one fraction-free solve against the
@@ -270,7 +267,8 @@ class NumberField:
 
 
 class ProductRing:
-    """Product of number fields; elements are concatenated Fraction tuples."""
+    """Product of number fields; elements are the concatenated coordinate
+    tuples of their components."""
 
     def __init__(self, fields: List[NumberField]):
         self.fields = list(fields)
@@ -323,8 +321,9 @@ class ProductRing:
         cyclic orders.  Each factor's powers 1, g, ..., g^(w-1) are
         tabulated once in its sub-product ring.  They must be distinct,
         and one closing product must give g^(w-1) * g = 1, so w is the
-        exact order.  The tables are keyed on the exact (numerator,
-        denominator) pairs of the coordinates.  The discrete log projects
+        exact order.  The tables are keyed on the power tuples; an int
+        and an equal Fraction compare and hash alike, so a coordinate in
+        either form finds its entry.  The discrete log projects
         onto each factor and looks the projection up in its table.  A
         product prod t_j^(u_j) of elements with logs a_j (``log_product``)
         multiplies, per factor, the table entries g^(a_j*u_j mod w) of
@@ -345,7 +344,7 @@ class ProductRing:
             powers = [sub.one()]
             for _ in range(w - 1):
                 powers.append(sub.mul(powers[-1], gen))
-            index = {_key(x): a for a, x in enumerate(powers)}
+            index = {x: a for a, x in enumerate(powers)}
             if len(index) != w:
                 raise AssertionError("generator order is less than its stated order")
             if sub.mul(powers[-1], gen) != powers[0]:
@@ -361,7 +360,7 @@ class ProductRing:
                 raise ValueError("element has the wrong length")
             out = []
             for comps, _, _, index in tables:
-                a = index.get(_key(self.project(gamma, comps)))
+                a = index.get(self.project(gamma, comps))
                 if a is None:
                     return None
                 out.append(a)
@@ -392,12 +391,6 @@ class ProductRing:
                                log_product=log_product)
         pres.verify_exact()
         return pres, [powers for _, _, powers, _ in tables]
-
-
-def _key(v):
-    """The exact (numerator, denominator) pairs of a vector of rationals,
-    flattened: an int coordinate keys the same as the equal Fraction."""
-    return tuple(t for c in v for t in (c.numerator, c.denominator))
 
 
 def _residue_gcd(f, p):

@@ -8,17 +8,17 @@ residue images, the p-saturation between them, the component graph with
 its lattice-index weights, and the cyclic unit groups of the residues.
 
 Everything downstream of the decomposition works in the product-of-
-components coordinate space; elements there are Fraction tuples and
-orders are QLattice-backed subrings.  A cyclic torsion group is the list
-of its generator's powers, and the residue groups and their p-parts are
-read from each field's verified power table (``torsion_powers``), so the
-torsion descent computes on exponents: a p-th power is an index times p.
+components coordinate space; elements there are coordinate tuples (an
+int where integral, a Fraction otherwise) and orders are QLattice-backed
+subrings.  A cyclic torsion group is the list of its generator's powers,
+and the residue groups and their p-parts are read from each field's
+verified power table (``torsion_powers``), so the torsion descent
+computes on exponents: a p-th power is an index times p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional, Tuple
 
@@ -40,7 +40,6 @@ from .qalgebra import (
     QAlgebra,
     SpecDecomposition,
     TorsionData,
-    _num,
     decompose,
     mu_presentation,
     tensor_table,
@@ -58,9 +57,9 @@ class Order:
                         raise AlgebraError("order structure constants must be integers")
         self.algebra = QAlgebra(table)
         self.rank = self.algebra.dim
-        if any(Fraction(c).denominator != 1 for c in self.algebra.one):
+        if any(c.denominator != 1 for c in self.algebra.one):
             raise AlgebraError("identity of the algebra is not integral")
-        self.one = tuple(int(c) for c in self.algebra.one)
+        self.one = self.algebra.one
 
     @classmethod
     def from_tensor(cls, n, flat):
@@ -276,14 +275,10 @@ class OrderContext:
 
     def from_ambient(self, v):
         """Back to order coordinates; None if not integral (not in the order)."""
-        e = self.dec.from_components(list(v))
-        out = []
-        for c in e:
-            f = Fraction(c)
-            if f.denominator != 1:
-                return None
-            out.append(int(f))
-        return out
+        e = self.dec.from_components(v)
+        if any(c.denominator != 1 for c in e):
+            return None
+        return [c.numerator for c in e]
 
     def graph(self) -> WeightedGraph:
         if self._graph is None:
@@ -346,7 +341,7 @@ def build_context(A: Order) -> OrderContext:
         emb.mult_table()
         residues.append(emb)
         for b in emb.basis:
-            col = [Fraction(0)] * ambient.dim
+            col = [0] * ambient.dim
             for t, e in enumerate(b):
                 col[ambient.offsets[i] + t] = e
             b_cols.append(col)
@@ -383,10 +378,10 @@ def primitive_idempotents_ctx(ctx: OrderContext) -> List[Tuple[int, ...]]:
     alg = ctx.order.algebra
     total = alg.zero()
     for e in out:
-        if alg.mul(e, e) != tuple(_num(c) for c in e):
+        if alg.mul(e, e) != e:
             raise AssertionError("component idempotent is not idempotent")
-        total = tuple(_num(a + b) for a, b in zip(total, e))
-    if total != tuple(_num(c) for c in alg.one):
+        total = tuple(a + b for a, b in zip(total, e))
+    if total != alg.one:
         raise AssertionError("component idempotents do not sum to 1")
     for i in range(len(out)):
         for j in range(i + 1, len(out)):

@@ -16,6 +16,7 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
+from .linalg import ratio
 from .ordercore import Order, order_from_poly
 
 
@@ -115,10 +116,11 @@ def poly_order_document(coeffs) -> dict:
     return order_document(order, labels)
 
 
-def parse_rational(v) -> Fraction:
-    """A rational entry: an integer entry, or a string "p/q" of two
-    decimal integers with q nonzero.  Exponent and decimal-point forms are
-    refused, since a short exponent can stand for an enormous integer."""
+def parse_rational(v) -> int | Fraction:
+    """A rational entry, as a coordinate (``linalg.ratio``): an integer
+    entry, or a string "p/q" of two decimal integers with q nonzero.
+    Exponent and decimal-point forms are refused, since a short exponent
+    can stand for an enormous integer."""
     try:
         if isinstance(v, str) and "/" in v:
             p, q = v.split("/", 1)
@@ -131,7 +133,7 @@ def parse_rational(v) -> Fraction:
             f"{sys.get_int_max_str_digits()} digits: {_echo(v)}") from None
     if q == 0:
         raise DocumentError(f"zero denominator: {_echo(v)}")
-    return Fraction(p, q)
+    return ratio(p, q)
 
 
 def parse_vector(v, rank: int):
@@ -144,7 +146,6 @@ def parse_vector(v, rank: int):
 def format_vector(v) -> List[str]:
     out = []
     for e in v:
-        f = Fraction(e)
-        num = _decimal(f.numerator)
-        out.append(num if f.denominator == 1 else f"{num}/{_decimal(f.denominator)}")
+        num = _decimal(e.numerator)
+        out.append(num if e.denominator == 1 else f"{num}/{_decimal(e.denominator)}")
     return out

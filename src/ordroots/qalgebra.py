@@ -9,14 +9,15 @@ unity.  The splitting works in the algebra itself: its primitive element
 is searched and Newton-lifted there, on the rows that hold no pivot of
 the nilradical, so no quotient algebra is built.
 
-Elements are coordinate tuples; entries are ints or Fractions (exact
-either way).  The roots of unity are presented in component coordinates,
-on the product of the number fields, where a product costs one field
-multiplication per component; ``to_components`` and ``from_components``
-convert at the boundary.  These and the projections onto the separable
-part and the nilradical are ``RatMatrix`` maps: integer numerators over
-one denominator, applied as one integer matrix-vector product and one
-division per coordinate.
+Elements are coordinate tuples; a coordinate is an int where it is
+integral and a Fraction otherwise (``linalg.ratio``).  The roots of
+unity are presented in component coordinates, on the product of the
+number fields, where a product costs one field multiplication per
+component; ``to_components`` and ``from_components`` convert at the
+boundary.  These and the projections onto the separable part and the
+nilradical are ``RatMatrix`` maps: integer numerators over one
+denominator, applied as one integer matrix-vector product and one
+``ratio`` per coordinate.
 """
 
 from __future__ import annotations
@@ -26,18 +27,13 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .abgroup import EffPresentation, power
-from .linalg import RatMatrix, _gauss_jordan, kernel_int, solve_rat
+from .linalg import RatMatrix, _gauss_jordan, _num, kernel_int, solve_rat
 from .numfield import NumberField, ProductRing
 from .polyfactor import factor_q, qp, qp_degree, qp_deriv, squarefree_part
 
 
 class AlgebraError(ValueError):
     """Structure constants do not describe a commutative unital algebra."""
-
-
-def _num(c):
-    f = Fraction(c)
-    return int(f) if f.denominator == 1 else f
 
 
 # -- structure tables ---------------------------------------------------------
@@ -149,7 +145,7 @@ class QAlgebra:
         sol = solve_rat(self.mult_matrix(x), list(self.one))
         if sol is None:
             raise ArithmeticError("element is not invertible")
-        return tuple(_num(c) for c in sol)
+        return tuple(sol)
 
     def power(self, x, e):
         return power(self.mul, self.inv, self.one, x, e)
@@ -181,7 +177,7 @@ class QAlgebra:
         sol = solve_rat(RatMatrix(n * n, cols), rhs)
         if sol is None:
             raise AlgebraError("algebra has no identity element")
-        return tuple(_num(c) for c in sol)
+        return tuple(sol)
 
     # -- trace form ----------------------------------------------------------
 
@@ -237,7 +233,8 @@ class SpecDecomposition:
         return self.pi2.apply(x)
 
     def is_separable_element(self, x) -> bool:
-        return all(c == 0 for c in self.nil_projection(x))
+        # with the nilradical 0, pi2 is the zero map
+        return not self.nil_basis or not any(self.nil_projection(x))
 
 
 def minimal_polynomial(alg: QAlgebra, x):
@@ -391,7 +388,6 @@ def mu_dlog_explain(tor: TorsionData, gamma):
     """(exponent vector, None) or (None, failure reason) for an element in
     algebra coordinates."""
     dec = tor.dec
-    gamma = tuple(_num(c) for c in gamma)
     if not dec.is_separable_element(gamma):
         return None, "not-separable"
     out = tor.pres.dlog(dec.to_components(gamma))

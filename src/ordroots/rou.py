@@ -33,7 +33,6 @@ from .ordercore import (
     mu_b_presentation,
     mu_c_p_presentation,
 )
-from .qalgebra import _num
 
 
 @dataclass
@@ -157,7 +156,7 @@ def mu_a_presentation(A_or_ctx) -> MuAPresentation:
     sub = subgroup_presentation(pres_b, targets)
     facs = sub.invariant_factors() if gens else []
     return MuAPresentation(
-        ctx=ctx, generators=[tuple(int(c) for c in g) for g in gens],
+        ctx=ctx, generators=gens,
         relations=[tuple(r) for r in sub.rels],
         invariant_factors=facs, group_order=sub.group_order(), pres=sub,
     )
@@ -181,8 +180,6 @@ def mu_e_subgroup_dlog(ctx_or_order, targets, zeta):
     test, which passes them on to the membership."""
     ctx = ctx_or_order if isinstance(ctx_or_order, OrderContext) else build_context(ctx_or_order)
     tor = ctx.field_torsion()
-    targets = [tuple(_num(c) for c in t) for t in targets]
-    zeta = tuple(_num(c) for c in zeta)
 
     def components(x):
         # None for an element with a nilpotent part: no root of unity

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ordroots.linalg import QLattice, RatMatrix, solve_rat
 from ordroots.numfield import (
     NumberField,
     ProductRing,
@@ -19,6 +20,7 @@ from ordroots.numfield import (
     roots_in_field,
 )
 from ordroots.ordercore import build_context, order_from_poly
+from ordroots.orderdoc import parse_vector
 from ordroots.polyfactor import (
     _squarefree_mod,
     cyclotomic,
@@ -30,7 +32,9 @@ from ordroots.polyfactor import (
 from ordroots.qalgebra import decompose
 
 from util import (
+    coordinate_forms,
     cyclic_dlog,
+    is_canonical,
     lagrange_norm_poly,
     schoolbook_field_mul,
     sweep_torsion_generator,
@@ -344,6 +348,10 @@ def test_member_with_int_coordinates_keys_like_its_fraction_form(name, data):
         a % w for a, (_, _, w) in zip(exps, factors)]
     e = data.draw(st.integers(-40, 40))
     assert pres.ops.power(as_ints, e) == pres.ops.power(member, e)
+    # the tables hold ints; the all-Fraction form finds the same entries
+    as_fractions = tuple(Fraction(c) for c in member)
+    assert pres.dlog(as_fractions) == pres.dlog(member)
+    assert pres.ops.power(as_fractions, e) == pres.ops.power(member, e)
 
 
 _X12_TORSION = []
@@ -475,7 +483,7 @@ def _assert_same_product(K, x, y):
     want = schoolbook_field_mul(K, x, y)
     assert got == want and hash(got) == hash(want)
     assert len(got) == K.deg
-    assert all(type(c) is Fraction for c in got)
+    assert is_canonical(got)
 
 
 @settings(max_examples=80, deadline=None)
@@ -544,7 +552,7 @@ def test_inverse_by_one_solve_matches_the_xgcd_inverse(name, data):
     assume(any(x))
     y = K.inv(x)
     assert y == xgcd_field_inverse(K, x)
-    assert len(y) == K.deg and all(type(c) is Fraction for c in y)
+    assert len(y) == K.deg and is_canonical(y)
     assert K.mul(x, y) == K.one()
 
 
@@ -552,3 +560,95 @@ def test_inverse_of_zero_raises():
     K = _field(_REFERENCE_FIELDS["Q(zeta5)"])
     with pytest.raises(ZeroDivisionError):
         K.inv(K.zero())
+
+
+# ---------------------------------------------------------------------------
+# one rational coordinate everywhere: an int where it is integral and a
+# Fraction otherwise, whatever mix of the two forms the input holds
+
+def _assert_one_answer(results):
+    """Every result is canonical, and all are one tuple with one hash."""
+    first = tuple(results[0])
+    for r in map(tuple, results):
+        assert is_canonical(r)
+        assert r == first and hash(r) == hash(first)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(_REFERENCE_FIELDS)), data=st.data())
+def test_field_operations_return_canonical_coordinates(name, data):
+    K = _field(_REFERENCE_FIELDS[name])
+    x, y = data.draw(_element(K)), data.draw(_element(K))
+    xs, ys = coordinate_forms(data, x), coordinate_forms(data, y)
+    for op in (K.add, K.sub, K.mul):
+        _assert_one_answer([op(a, b) for a in xs for b in ys])
+    _assert_one_answer([K.neg(a) for a in xs])
+    _assert_one_answer([K.from_poly(list(a)) for a in xs])
+    _assert_one_answer([K.from_rational(q)
+                        for q, in coordinate_forms(data, [data.draw(_SMALL_COORD)])])
+    # integral results of Fraction arithmetic come back as ints
+    _assert_one_answer([K.sub(a, a) for a in xs] + [K.zero(), (0,) * K.deg])
+    _assert_one_answer([K.add(a, K.neg(a)) for a in xs] + [K.zero()])
+    for c in (K.zero(), K.one(), K.gen()):
+        assert is_canonical(c)
+    if any(x):
+        inverses = [K.inv(a) for a in xs]
+        _assert_one_answer(inverses)
+        _assert_one_answer([K.mul(a, inverses[0]) for a in xs] + [K.one()])
+
+
+@settings(max_examples=40, deadline=None)
+@given(names=st.lists(st.sampled_from(sorted(_REFERENCE_FIELDS)), min_size=1, max_size=3),
+       data=st.data())
+def test_product_ring_products_are_canonical(names, data):
+    ring = ProductRing([_field(_REFERENCE_FIELDS[n]) for n in names])
+    u = ring.from_blocks([data.draw(_element(K)) for K in ring.fields])
+    v = ring.from_blocks([data.draw(_element(K)) for K in ring.fields])
+    _assert_one_answer([ring.mul(a, b) for a in coordinate_forms(data, u)
+                        for b in coordinate_forms(data, v)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 4), data=st.data())
+def test_rational_lattices_and_solves_are_canonical(dim, data):
+    den = data.draw(st.integers(1, 12))
+    ncols = data.draw(st.integers(1, dim + 1))
+    cols = [[Fraction(data.draw(st.integers(-9, 9)), den) for _ in range(dim)]
+            for _ in range(ncols)]
+    assume(any(any(c) for c in cols))
+    lats = [QLattice.from_cols([list(coordinate_forms(data, c)[k]) for c in cols], dim)
+            for k in range(3)]
+    assert lats[0] == lats[1] == lats[2]
+    q = lats[0]
+    for b in q.basis_cols():
+        assert is_canonical(b)
+    coords = data.draw(st.lists(st.integers(-9, 9), min_size=q.rank, max_size=q.rank))
+    v = q.element(coords)
+    assert is_canonical(v)
+    for form in coordinate_forms(data, v):
+        assert q.coords(list(form)) == coords
+    # a coordinate off the lattice's denominator is outside it in every form
+    off = [v[0] + Fraction(1, 2 * q.den)] + list(v[1:])
+    for form in coordinate_forms(data, off):
+        assert q.coords(list(form)) is None and not q.contains(list(form))
+    # m x = m x0 for a drawn x0: every form of the right side has one answer
+    m = RatMatrix(dim, cols)
+    x0 = [data.draw(_SMALL_COORD) for _ in range(ncols)]
+    b = m.apply(x0)
+    assert is_canonical(b)
+    sols = [solve_rat(m, list(form)) for form in coordinate_forms(data, b)]
+    _assert_one_answer(sols)
+    assert m.apply(sols[0]) == b
+
+
+@settings(max_examples=60, deadline=None)
+@given(entries=st.lists(st.tuples(st.integers(-30, 30), st.integers(-12, 12).filter(bool)),
+                        min_size=1, max_size=6), data=st.data())
+def test_parsed_vectors_are_canonical(entries, data):
+    texts = []
+    for p, q in entries:
+        forms = [f"{p}/{q}"] + ([p, str(p)] if q == 1 else [])
+        texts.append(data.draw(st.sampled_from(forms)))
+    got = parse_vector(texts, len(texts))
+    assert is_canonical(got)
+    assert got == [Fraction(p, q) for p, q in entries]

@@ -28,6 +28,7 @@ from ordroots.rou import (
 )
 from util import (
     brute_closure,
+    coordinate_forms,
     diagonal_congruence_suborder,
     fixpoint_ideal,
     product_order,
@@ -464,3 +465,56 @@ def test_component_answers_multiply_back_in_the_algebra(f, data):
         bad = tuple(z + c * e for z, e in zip(zeta, n))
         assert mu_dlog_explain(tor, bad) == (None, "not-separable")
         assert mu_e_subgroup_dlog(ctx, tor.generators, bad) == (None, "not-root-of-unity")
+
+
+@settings(max_examples=30, deadline=None)
+@given(f=st.sampled_from([tuple(X12), (0, 0, 1, 1)]), data=st.data())
+def test_dlog_answers_and_bad_input_do_not_depend_on_the_coordinate_form(f, data):
+    # Q[X]/(X^12 - 1) has nilradical 0, Q[X]/(X^2 (X + 1)) does not
+    ctx = _context(f)
+    E = ctx.order.algebra
+    tor = ctx.field_torsion()
+    n = E.dim
+
+    def member():
+        exps = data.draw(st.lists(st.integers(-24, 24), min_size=len(tor.generators),
+                                  max_size=len(tor.generators)))
+        acc = E.one
+        for g, e in zip(tor.generators, exps):
+            acc = E.mul(acc, E.power(g, e))
+        return acc
+
+    targets = [member() for _ in range(data.draw(st.integers(0, 2)))]
+    # a member, half a member (no root of unity) or a member plus a
+    # nilpotent (on X^12 - 1, plus 1/3 on every coordinate)
+    kind = data.draw(st.sampled_from(["member", "half", "shifted"]))
+    zeta = member()
+    if kind == "half":
+        zeta = tuple(Fraction(c, 2) for c in zeta)
+    elif kind == "shifted":
+        shift = ctx.dec.nil_basis[0] if ctx.dec.nil_basis else [Fraction(1, 3)] * n
+        zeta = tuple(a + b for a, b in zip(zeta, shift))
+    target_forms = [coordinate_forms(data, t) for t in targets]
+    zeta_forms = coordinate_forms(data, zeta)
+    answers = [mu_e_subgroup_dlog(ctx, [t[k] for t in target_forms], zeta_forms[k])
+               for k in range(3)]
+    assert answers[0] == answers[1] == answers[2]
+    explained = [mu_dlog_explain(tor, z) for z in zeta_forms]
+    assert explained[0] == explained[1] == explained[2]
+    if kind == "member":
+        assert explained[0][1] is None and answers[0][1] in (None, "not-in-subgroup")
+    elif kind == "half":
+        assert explained[0] == (None, "component-not-root-of-unity")
+    elif ctx.dec.nil_basis:
+        assert explained[0] == (None, "not-separable")
+    if kind != "member":
+        assert answers[0] == (None, "not-root-of-unity")
+    for k in range(3):
+        short, long = zeta_forms[k][:-1], zeta_forms[k] + (0,)
+        for bad in (short, long):
+            with pytest.raises(ValueError):
+                mu_dlog_explain(tor, bad)
+            with pytest.raises(ValueError):
+                mu_e_subgroup_dlog(ctx, [t[k] for t in target_forms], bad)
+            with pytest.raises(ValueError):
+                mu_e_subgroup_dlog(ctx, [t[k] for t in target_forms] + [bad], zeta_forms[k])

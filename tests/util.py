@@ -9,6 +9,8 @@ breadth-first kernel generators, and plain brute-force enumeration.
 
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from ordroots.linalg import Lattice
 from ordroots.ordercore import Order
 from ordroots.polyfactor import qp, qp_add, qp_divmod, qp_mul, qp_scale, qp_xgcd, resultant
@@ -43,6 +45,24 @@ def sylvester_resultant(f, g):
     for i in range(m):
         rows.append([0] * i + list(reversed(g)) + [0] * (size - n - 1 - i))
     return cofactor_det(rows)
+
+
+# ---------------------------------------------------------------------------
+# the library's rational coordinates
+
+def is_canonical(v):
+    """Every entry is an int exactly when it is integral, and a Fraction
+    otherwise (a bool or an integral Fraction is not canonical)."""
+    return all(type(c) is (int if c.denominator == 1 else Fraction) for c in v)
+
+
+def coordinate_forms(data, v):
+    """v in Fraction form, in int form and in a mix of the two drawn from
+    the Hypothesis ``data``."""
+    fractions = tuple(Fraction(c) for c in v)
+    ints = tuple(c.numerator if c.denominator == 1 else c for c in fractions)
+    mixed = tuple(data.draw(st.sampled_from([a, b])) for a, b in zip(fractions, ints))
+    return fractions, ints, mixed
 
 
 # ---------------------------------------------------------------------------
