@@ -15,11 +15,14 @@ makes itself.  Then it replays the ``factor_q`` calls that
 ``decompose`` makes on the rank-11 split order, and times them per call.
 Then it times one torsion ``ops.power`` and one ``membership_dlog`` (two
 targets) on the residue torsion of Z[X]/(X^12 - 1), per call, on random
-members.  Last, it replays the dlog-serve query pool of ``perfbench`` once
-on a warm serving state and reports, per query class (mue, mua, unip),
-the time per query and the counts of ``NumberField.mul`` calls, of
-power-table dlogs and of ``Fraction`` objects built.  The end-to-end
-benchmark is ``perfbench/run.py``.
+members.  Next, it runs every tenth order of the cyclotomic-mix pool of
+``perfbench`` through ``ops.order_op`` and reports, per order, the time
+and the count of ``Fraction`` objects built.  Last, it replays the
+dlog-serve query pool of ``perfbench`` once on a warm serving state and
+reports, per query class (mue, mua, unip), the time per query and the
+counts of ``NumberField.mul`` calls, of power-table dlogs and of
+``Fraction`` objects built.  The end-to-end benchmark is
+``perfbench/run.py``.
 
 Usage: python bench/bench_kernels.py [--quick]
 """
@@ -222,6 +225,38 @@ def bench_torsion(quick):
         print(f"{name:<28} {t * 1e6:>9.2f}")
 
 
+def call_counts(codes, run):
+    """How many times run() enters each of the code objects ``codes``; for
+    Fraction.__new__ that is every Fraction built, arithmetic results
+    included."""
+    counts = [0] * len(codes)
+    index = {code: i for i, code in enumerate(codes)}
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code in index:
+            counts[index[frame.f_code]] += 1
+
+    sys.setprofile(count)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return counts
+
+
+def bench_orders(quick):
+    repeat = 3 if quick else 5
+    # every tenth order of the cyclotomic-mix pool, all three segments
+    sample = serve_inputs.build_pool("cyclotomic-mix")[::10]
+    seconds = time_fn(serve_ops.order_op, [(None, item.text) for item in sample], repeat)
+    (fractions,) = call_counts(
+        [Fraction.__new__.__code__],
+        lambda: [serve_ops.order_op(None, item.text) for item in sample])
+    print(f"\n{'cyclotomic-mix sample':<26} {'orders':>7} {'ms/order':>9} {'Fr/order':>9}")
+    print(f"{'order_op':<26} {len(sample):>7} {seconds / len(sample) * 1e3:>9.2f} "
+          f"{fractions / len(sample):>9.1f}")
+
+
 def bench_queries():
     pool = serve_inputs.build_pool("dlog-serve")
     state = serve_ops.ServeState()
@@ -234,30 +269,15 @@ def bench_queries():
         serve_ops.query_op(state, item.text)
         seconds[item.cls.split("-")[0]] += time.perf_counter() - t0
     # the calls of NumberField.mul, of the power-table dlog closure that
-    # cyclic_presentation builds and of Fraction.__new__ (every Fraction the
-    # query builds, arithmetic results included), counted by code object
-    mul_code = numfield.NumberField.mul.__code__
-    dlog_code = state.ctx.field_torsion().pres.dlog.__code__
-    new_code = Fraction.__new__.__code__
+    # cyclic_presentation builds and of Fraction.__new__
+    codes = [numfield.NumberField.mul.__code__,
+             state.ctx.field_torsion().pres.dlog.__code__,
+             Fraction.__new__.__code__]
     counts = {cls: [0, 0, 0] for cls in classes}
-    current = counts[classes[0]]
-
-    def count(frame, event, arg):
-        if event == "call":
-            if frame.f_code is mul_code:
-                current[0] += 1
-            elif frame.f_code is dlog_code:
-                current[1] += 1
-            elif frame.f_code is new_code:
-                current[2] += 1
-
-    sys.setprofile(count)
-    try:
-        for item in pool:
-            current = counts[item.cls.split("-")[0]]
-            serve_ops.query_op(state, item.text)
-    finally:
-        sys.setprofile(None)
+    for item in pool:
+        cls = item.cls.split("-")[0]
+        got = call_counts(codes, lambda: serve_ops.query_op(state, item.text))
+        counts[cls] = [a + b for a, b in zip(counts[cls], got)]
     print(f"\n{'dlog-serve pool, by class':<26} {'queries':>7} {'ms/query':>9} "
           f"{'K.mul':>7} {'dlogs':>7} {'Fr/query':>9}")
     for cls in classes:
@@ -277,6 +297,7 @@ def main():
     bench_indices(args.quick)
     bench_polynomials(args.quick)
     bench_torsion(args.quick)
+    bench_orders(args.quick)
     bench_queries()
 
 

@@ -39,7 +39,6 @@ primes.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
 from typing import List
@@ -57,6 +56,7 @@ from .polyfactor import (
     fp_monic,
     fp_norm,
     fp_pow_mod,
+    ip_resultant,
     is_irreducible_q,
     is_squarefree,
     qp,
@@ -64,7 +64,6 @@ from .polyfactor import (
     qp_divmod,
     qp_monic,
     qp_sub,
-    resultant,
 )
 
 # residue primes per torsion bound: a few suffice in practice, and each
@@ -111,7 +110,7 @@ class NumberField:
     def gen(self):
         if self.deg == 1:
             # Q[X]/(X - c): the generator is the rational c
-            return (_num(-self.min_poly[0]),)
+            return (-self.min_poly[0],)
         return tuple(int(i == 1) for i in range(self.deg))
 
     def from_rational(self, q):
@@ -119,8 +118,8 @@ class NumberField:
 
     def from_poly(self, coeffs):
         """Element from a rational polynomial in the generator (any degree)."""
-        r = qp_divmod(qp(coeffs), list(self.min_poly))[1]
-        return tuple(_num(c) for c in r) + (0,) * (self.deg - len(r))
+        r = qp_divmod(qp(coeffs), self.min_poly)[1]
+        return tuple(r) + (0,) * (self.deg - len(r))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -457,7 +456,7 @@ def nfp_degree(f):
 
 
 def nfp_from_qp(f, K: NumberField):
-    return nfp_strip([K.from_rational(c) for c in qp(f)])
+    return [K.from_rational(c) for c in f]
 
 
 def nfp_add(f, g, K):
@@ -538,11 +537,11 @@ def _norm_poly(f, K):
     interpolation on integers.
 
     With P = prod_j (X - x_j) and w_i = prod_(j != i) (x_i - x_j), the
-    interpolant is sum_i (y_i / w_i) * P / (X - x_i).  Each quotient is one
-    synthetic division of P in integers, the weights y_i / w_i are brought
-    to one common denominator, and one Fraction is built per coefficient:
-    O(N^2) integer operations.  The interpolant is unique, so this is the
-    norm exactly.
+    interpolant is sum_i (y_i / w_i) * P / (X - x_i).  Each y_i is one
+    integer resultant, each quotient one synthetic division of P in
+    integers, the weights y_i / w_i are brought to one common denominator,
+    and each coefficient is one ``ratio``: O(N^2) integer operations.  The
+    interpolant is unique, so this is the norm exactly.
     """
     d = K.deg
     r = nfp_degree(f)
@@ -554,30 +553,28 @@ def _norm_poly(f, K):
         if k > 0 and len(xs) < npoints:
             xs.append(-k)
         k += 1
-    m = list(K.min_poly)
-    # f = F / delta with F integral; Res(m, F(x0) / delta) = Res(m, F(x0)) / delta^d
+    # m = M / mu and f = F / delta with M and F integral; for m monic,
+    # Res(m, F(x0) / delta) = Res(M, F(x0)) / (mu^deg F(x0) * delta^d)
+    big_m, mu = clear_vector(K.min_poly)
     nums, delta = clear_vector([c for coeff in f for c in coeff])
     rows = [nums[k:k + d] for k in range(0, len(nums), d)]
     scale = delta ** d
-    ys = []
-    for x0 in xs:
-        # F(x0) in K by Horner, an integer polynomial in the generator
-        p = [0] * d
-        for row in reversed(rows):
-            p = [a * x0 + b for a, b in zip(p, row)]
-        # the minimal polynomial is monic, so the resultant specializes
-        ys.append(resultant(m, p) / scale)
     big_p = [1]
     for xj in xs:
         big_p = [a - xj * b for a, b in zip([0] + big_p, big_p + [0])]
     weights = []  # (x_i, y_i / w_i)
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        if yi:
-            w = 1
+    for i, xi in enumerate(xs):
+        # F(x_i) in K by Horner, an integer polynomial in the generator
+        p = [0] * d
+        for row in reversed(rows):
+            p = [a * xi + b for a, b in zip(p, row)]
+        y = ip_resultant(big_m, p)
+        if y:
+            w = scale * mu ** max(k for k, c in enumerate(p) if c)
             for j, xj in enumerate(xs):
                 if i != j:
                     w *= xi - xj
-            weights.append((xi, yi / w))
+            weights.append((xi, ratio(y, w)))
     den = lcm(*(c.denominator for _, c in weights))
     acc = [0] * npoints
     for xi, c in weights:
@@ -586,7 +583,7 @@ def _norm_poly(f, K):
         for k in range(npoints, 0, -1):
             q = big_p[k] + xi * q
             acc[k - 1] += s * q
-    return qp([Fraction(a, den) for a in acc])
+    return [ratio(a, den) for a in acc]
 
 
 def roots_in_field(f, K: NumberField):

@@ -19,6 +19,7 @@ computes on exponents: a p-th power is an index times p.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional, Tuple
 
@@ -34,7 +35,7 @@ from .linalg import (
     sum_lattices,
 )
 from .numfield import ProductRing
-from .polyfactor import factor_q, qp, qp_divmod, qp_mul, resultant
+from .polyfactor import factor_q, qp_divmod, qp_mul, resultant
 from .qalgebra import (
     AlgebraError,
     QAlgebra,
@@ -50,11 +51,8 @@ class Order:
     """Ring on Z^n from integer structure constants."""
 
     def __init__(self, table):
-        for row in table:
-            for cell in row:
-                for c in cell:
-                    if int(c) != c:
-                        raise AlgebraError("order structure constants must be integers")
+        if not all(_is_integer(c) for row in table for cell in row for c in cell):
+            raise AlgebraError("order structure constants must be integers")
         self.algebra = QAlgebra(table)
         self.rank = self.algebra.dim
         if any(c.denominator != 1 for c in self.algebra.one):
@@ -72,20 +70,22 @@ class Order:
         return self.algebra.power(x, e)
 
 
+def _is_integer(c) -> bool:
+    return isinstance(c, (int, Fraction)) and c.denominator == 1
+
+
 def order_from_poly(f) -> Order:
     """Z[X]/(f) for monic integer f, on the power basis."""
-    f = [int(c) for c in f]
+    f = list(f)
     n = len(f) - 1
+    if not all(_is_integer(c) for c in f):
+        raise AlgebraError("defining polynomial must have integer coefficients")
     if n < 1 or f[-1] != 1:
         raise AlgebraError("defining polynomial must be monic of positive degree")
-    table = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            r = qp_divmod(qp([0] * (i + j) + [1]), qp(f))[1]
-            row.append([int(r[k]) if k < len(r) else 0 for k in range(n)])
-        table.append(row)
-    return Order(table)
+    # e_i * e_j = X^(i+j) mod f
+    rems = [qp_divmod([0] * k + [1], f)[1] for k in range(2 * n - 1)]
+    rems = [r + [0] * (n - len(r)) for r in rems]
+    return Order([[rems[i + j] for j in range(n)] for i in range(n)])
 
 
 class EmbeddedOrder:
@@ -395,7 +395,6 @@ def idempotent_divisor_oracle(f) -> List[List[int]]:
 
     Brute-force over subsets of the irreducible factors; the test suites
     use this as the independent oracle for idempotent computations."""
-    f = [int(c) for c in f]
     if f[-1] != 1:
         raise AssertionError("oracle polynomial is not monic")
     _, facs = factor_q(f)
@@ -404,14 +403,14 @@ def idempotent_divisor_oracle(f) -> List[List[int]]:
     parts = [fac for fac, _ in facs]
     out = []
     for mask in range(1 << len(parts)):
-        g = qp([1])
+        g = [1]
         for t, fac in enumerate(parts):
             if mask >> t & 1:
                 g = qp_mul(g, fac)
-        h = qp_divmod(qp(f), g)[0]
+        h = qp_divmod(f, g)[0]
         r = resultant(g, h)
         if r in (1, -1):
-            out.append([int(c) for c in g])
+            out.append(g)
     return sorted(out, key=lambda g: (len(g), tuple(g)))
 
 

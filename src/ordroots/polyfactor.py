@@ -1,15 +1,18 @@
 """Univariate polynomial arithmetic and factorization over Q.
 
 Polynomials are coefficient lists, lowest degree first, with no trailing
-zeros.  Z[X] and Q[X] share one dense arithmetic: ``qp_add``, ``qp_sub``,
-``qp_mul`` and ``qp_deriv`` keep integer input integer, and ``fp_*``
-reduces their results mod p.  Division over Q yields Fractions;
-``ip_divmod`` divides over Z.  Factorization over Q runs on the
-primitive part of the input in Z[X], end to end: Zassenhaus (Cohen,
-*A Course in Computational Algebraic Number Theory*, 3.5) by Berlekamp
-factorization modulo a good small prime, quadratic Hensel lifting past
-a Mignotte-style coefficient bound, and subset recombination in
-increasing subset size with exact integer trial division.
+zeros, whose coefficients are the library's rational coordinates
+(``linalg.ratio``), so an integer polynomial is an int list.  Z[X] and
+Q[X] share one dense arithmetic: ``qp_add``, ``qp_sub``, ``qp_mul`` and
+``qp_deriv`` keep integer input integer, and ``fp_*`` reduces their
+results mod p.  Division over Q runs on integer numerators, so a monic
+integer divisor keeps integer input integer; ``ip_divmod`` divides over
+Z.  Factorization over Q runs on the primitive part of the input in
+Z[X], end to end: Zassenhaus (Cohen, *A Course in Computational
+Algebraic Number Theory*, 3.5) by Berlekamp factorization modulo a good
+small prime, quadratic Hensel lifting past a Mignotte-style coefficient
+bound, and subset recombination in increasing subset size with exact
+integer trial division.
 
 Squarefreeness is first proved modulo a few fixed large primes
 (``proves_squarefree``): a polynomial that stays squarefree of the same
@@ -25,7 +28,7 @@ from itertools import combinations
 from math import gcd, isqrt
 
 from .abgroup import power
-from .linalg import clear_vector
+from .linalg import _num, clear_vector, ratio
 
 
 # ---------------------------------------------------------------------------
@@ -38,8 +41,11 @@ def _strip(f):
 
 
 def qp(f):
-    """Normalize a coefficient sequence into a Fraction list."""
-    return _strip([Fraction(c) for c in f])
+    """A sequence of ints and Fractions as a polynomial over Q, in
+    canonical coefficients; TypeError for any other coefficient."""
+    if not all(isinstance(c, (int, Fraction)) for c in f):
+        raise TypeError("polynomial coefficients must be ints or Fractions")
+    return _strip([_num(c) for c in f])
 
 
 def qp_degree(f):
@@ -77,34 +83,40 @@ def qp_mul(f, g):
 
 
 def qp_scale(f, c):
-    c = Fraction(c)
     if not c:
         return []
-    return [a * c for a in f]
+    return [_num(a * c) for a in f]
 
 
 def qp_divmod(f, g):
-    """(q, r) with f = q*g + r over Q, as Fractions for integer input too."""
+    """(q, r) with f = q*g + r and deg r < deg g over Q: lc(G)^e F = Q G + R
+    divides exactly in integers, F = df*f and G = dg*g the numerators and
+    e = len(q), and each coefficient is one ``ratio``."""
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    f = [c if type(c) is Fraction else Fraction(c) for c in f]
-    q = [Fraction(0)] * max(0, len(f) - len(g) + 1)
-    inv = Fraction(1) / g[-1]
-    while len(f) >= len(g) and f:
-        c = f[-1] * inv
-        k = len(f) - len(g)
-        q[k] = c
-        for i, b in enumerate(g):
-            f[k + i] -= c * b
-        _strip(f)
-    return _strip(q), f
+    F, df = clear_vector(f)
+    G, dg = clear_vector(g)
+    m, lc = len(G) - 1, G[-1]
+    e = max(0, len(F) - m)
+    scale = lc ** e
+    F = [c * scale for c in F]
+    q = [0] * e
+    for k in reversed(range(e)):
+        c = F[k + m] // lc
+        if c:
+            q[k] = c
+            for i, b in enumerate(G):
+                F[k + i] -= c * b
+    den = df * scale
+    return _strip([ratio(c * dg, den) for c in q]), _strip([ratio(c, den) for c in F[:m]])
 
 
 def qp_monic(f):
+    """f / lc(f) in canonical coefficients."""
     if not f:
         return []
-    inv = Fraction(1) / f[-1]
-    return [c * inv for c in f]
+    nums, _ = clear_vector(f)
+    return [ratio(c, nums[-1]) for c in nums]
 
 
 def qp_gcd(f, g):
@@ -116,8 +128,8 @@ def qp_gcd(f, g):
 def qp_xgcd(f, g):
     """(d, s, t) with s*f + t*g = d, d the monic gcd."""
     r0, r1 = list(f), list(g)
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
+    s0, s1 = [1], []
+    t0, t1 = [], [1]
     while r1:
         q, r = qp_divmod(r0, r1)
         r0, r1 = r1, r
@@ -125,8 +137,8 @@ def qp_xgcd(f, g):
         t0, t1 = t1, qp_sub(t0, qp_mul(q, t1))
     if not r0:
         return [], s0, t0
-    lc = r0[-1]
-    return qp_monic(r0), qp_scale(s0, Fraction(1) / lc), qp_scale(t0, Fraction(1) / lc)
+    inv = ratio(r0[-1].denominator, r0[-1].numerator)
+    return qp_monic(r0), qp_scale(s0, inv), qp_scale(t0, inv)
 
 
 def qp_deriv(f):
@@ -619,18 +631,16 @@ def euler_phi(n):
 
 
 def cyclotomic(d):
-    """The d-th cyclotomic polynomial as a monic Fraction list."""
+    """The d-th cyclotomic polynomial, a copy of one cached int list."""
     if d < 1:
         raise ValueError("cyclotomic index must be positive")
-    if d in _cyclotomic_cache:
-        return [Fraction(c) for c in _cyclotomic_cache[d]]
-    num = [-1] + [0] * (d - 1) + [1]  # X^d - 1
-    acc = qp(num)
-    for e in range(1, d):
-        if d % e == 0:
-            acc = qp_divmod(acc, cyclotomic(e))[0]
-    _cyclotomic_cache[d] = [int(c) for c in acc]
-    return acc
+    if d not in _cyclotomic_cache:
+        acc = [-1] + [0] * (d - 1) + [1]  # X^d - 1
+        for e in range(1, d):
+            if d % e == 0:
+                acc = qp_divmod(acc, cyclotomic(e))[0]
+        _cyclotomic_cache[d] = acc
+    return list(_cyclotomic_cache[d])
 
 
 # ---------------------------------------------------------------------------
@@ -638,8 +648,8 @@ def cyclotomic(d):
 
 def ip_resultant(f, g):
     """Resultant of integer polynomials by the subresultant PRS."""
-    f = _strip([int(c) for c in f])
-    g = _strip([int(c) for c in g])
+    f = _strip(list(f))
+    g = _strip(list(g))
     if not f or not g:
         return 0
     m, n = qp_degree(f), qp_degree(g)
@@ -702,11 +712,11 @@ def _ip_prem(f, g):
 
 
 def resultant(f, g):
-    """Resultant of rational polynomials (exact Fraction)."""
+    """Resultant of rational polynomials, as a coordinate (``ratio``)."""
     f, g = qp(f), qp(g)
     if not f or not g:
-        return Fraction(0)
+        return 0
     fi, fd = clear_vector(f)
     gi, gd = clear_vector(g)
     r = ip_resultant(fi, gi)
-    return Fraction(r, fd ** qp_degree(g) * gd ** qp_degree(f))
+    return ratio(r, fd ** qp_degree(g) * gd ** qp_degree(f))

@@ -27,9 +27,9 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .abgroup import EffPresentation, power
-from .linalg import RatMatrix, _gauss_jordan, _num, kernel_int, solve_rat
+from .linalg import RatMatrix, _gauss_jordan, _num, kernel_int, ratio, solve_rat
 from .numfield import NumberField, ProductRing
-from .polyfactor import factor_q, qp, qp_degree, qp_deriv, squarefree_part
+from .polyfactor import factor_q, qp_degree, qp_deriv, squarefree_part
 
 
 class AlgebraError(ValueError):
@@ -214,10 +214,10 @@ class SpecDecomposition:
     algebra: QAlgebra
     nil_basis: List[List[int]]
     power_basis: RatMatrix
-    min_poly: Tuple[Fraction, ...]
+    min_poly: Tuple[int | Fraction, ...]
     alpha: tuple
     components: List[NumberField]
-    factors: List[Tuple[Fraction, ...]]
+    factors: List[Tuple[int | Fraction, ...]]
     projection: RatMatrix
     section: RatMatrix
     pi1: RatMatrix
@@ -242,7 +242,8 @@ def minimal_polynomial(alg: QAlgebra, x):
     x), from one fraction-free elimination of the Krylov columns
     1, x, ..., x^n.  The first k columns are independent and span every
     later power, so the pivots are columns 0, ..., k - 1, and the reduced
-    column k writes x^k over the lower powers."""
+    column k writes x^k over the lower powers, one ``ratio`` per
+    coefficient."""
     n = alg.dim
     powers = [alg.one]
     for _ in range(n):
@@ -252,7 +253,7 @@ def minimal_polynomial(alg: QAlgebra, x):
     k = len(pivots)
     if pivots != list(range(k)):
         raise AssertionError("Krylov pivots are not a prefix of the powers")
-    return qp([Fraction(-rows[i][k], d) for i in range(k)] + [1])
+    return [ratio(-rows[i][k], d) for i in range(k)] + [1]
 
 
 def _primitive_element(alg: QAlgebra, rows):

@@ -29,7 +29,7 @@ from ordroots.polyfactor import (
     qp_degree,
     qp_mul,
 )
-from ordroots.qalgebra import decompose
+from ordroots.qalgebra import QAlgebra, decompose, minimal_polynomial
 
 from util import (
     coordinate_forms,
@@ -55,6 +55,11 @@ def test_constructor_rejects_reducible():
         NumberField([-1, 0, 1])  # x^2 - 1
     with pytest.raises(ValueError):
         NumberField([2])
+
+
+def test_constructor_rejects_a_float_coefficient():
+    with pytest.raises(TypeError):
+        NumberField([1, 0.5, 1])
 
 
 def test_arithmetic_in_gaussian_field():
@@ -539,9 +544,27 @@ def test_integer_norm_matches_the_lagrange_norm(name, data):
     f = [data.draw(_element(K)) for _ in range(r)] + [K.one()]
     got = _norm_poly(f, K)
     assert got == lagrange_norm_poly(f, K)
-    assert all(type(c) is Fraction for c in got)
+    assert is_canonical(got)
     # the norm of a monic polynomial of degree r is monic of degree r deg K
     assert len(got) == r * K.deg + 1 and got[-1] == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(_REFERENCE_FIELDS)), data=st.data())
+def test_norms_and_minimal_polynomials_have_canonical_coefficients(name, data):
+    # an int where integral and a Fraction otherwise, for coordinates in
+    # Fraction, int or mixed form, over integral and rational fields alike
+    K = _field(_REFERENCE_FIELDS[name])
+    basis = [tuple(int(i == j) for i in range(K.deg)) for j in range(K.deg)]
+    alg = QAlgebra([[K.mul(a, b) for b in basis] for a in basis])
+    assert minimal_polynomial(alg, K.gen()) == list(K.min_poly)
+    f = [data.draw(_element(K)) for _ in range(data.draw(st.integers(1, 2)))]
+    outs = []
+    for form in zip(*(coordinate_forms(data, c) for c in f)):
+        out = [_norm_poly(list(form) + [K.one()], K), minimal_polynomial(alg, form[0])]
+        assert all(is_canonical(p) for p in out)
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
 
 
 @settings(max_examples=80, deadline=None)

@@ -44,6 +44,16 @@ def test_order_rejects_non_integer():
         Order([[[Fraction(1, 2)]]])
 
 
+def test_order_rejects_a_float_constant():
+    with pytest.raises(AlgebraError):
+        Order([[[1.0]]])
+
+
+def test_order_from_poly_rejects_a_non_integer_coefficient():
+    with pytest.raises(AlgebraError):
+        order_from_poly([1.5, 0, 1])  # not X^2 + 1
+
+
 def test_order_from_poly_matches_polynomial_multiplication():
     f = [-1, 0, 2, 1]  # X^3 + 2X^2 - 1, monic
     A = order_from_poly(f)

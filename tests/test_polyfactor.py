@@ -37,7 +37,13 @@ from ordroots.polyfactor import (
     resultant,
     squarefree_part,
 )
-from util import fraction_divides, kronecker_factor, sylvester_resultant
+from util import (
+    coordinate_forms,
+    fraction_divides,
+    is_canonical,
+    kronecker_factor,
+    sylvester_resultant,
+)
 
 
 def _poly_strs(fs):
@@ -70,6 +76,11 @@ def test_factor_x_squared():
 def test_factor_rejects_zero():
     with pytest.raises(ValueError):
         factor_q([])
+
+
+def test_factor_rejects_a_string_coefficient():
+    with pytest.raises(TypeError):
+        factor_q(["1", 2])
 
 
 def test_factor_multiplies_back_and_irreducible_kronecker():
@@ -299,8 +310,42 @@ def test_division_over_q_of_integer_lists_is_exact(f, g):
                       (qp_monic(f), qp_monic(qp(f))),
                       (qp_gcd(f, g), qp_gcd(qp(f), qp(g)))):
         flat = list(got[0]) + list(got[1]) if isinstance(got, tuple) else got
-        assert all(type(c) is Fraction for c in flat)
+        assert is_canonical(flat)
         assert got == want
+
+
+_RAT = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=6))
+
+
+def _rat_poly(lo, hi):
+    return st.lists(_RAT, min_size=lo + 1, max_size=hi + 1).filter(lambda c: c[-1] != 0)
+
+
+@given(f=_rat_poly(0, 5), g=_rat_poly(0, 3), fi=_int_poly(0, 6), h=_int_poly(0, 3),
+       lc=st.sampled_from([-6, -3, -2, 2, 3, 7]), d=st.integers(1, 40), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_polynomials_over_q_have_canonical_coefficients(f, g, fi, h, lc, d, data):
+    # every coefficient is an int where integral and a Fraction otherwise,
+    # whichever form the input coefficients take
+    outs = []
+    for fv, gv in zip(coordinate_forms(data, f), coordinate_forms(data, g)):
+        c, facs = factor_q(fv)
+        out = [*qp_divmod(fv, gv), qp_monic(fv), qp_gcd(fv, gv), squarefree_part(fv),
+               [c, resultant(fv, gv)], *(fac for fac, _ in facs)]
+        assert all(is_canonical(p) for p in out)
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
+    # an integer polynomial over a non-monic integer divisor: no float
+    outs = []
+    for fv, gv in ((fi, h + [lc]), ([Fraction(c) for c in fi], [Fraction(c) for c in h + [lc]])):
+        out = [*qp_divmod(fv, gv), qp_gcd(fv, gv), [resultant(fv, gv)]]
+        assert all(is_canonical(p) for p in out)
+        outs.append(out)
+    assert outs[0] == outs[1]
+    phi = cyclotomic(d)
+    assert all(type(c) is int for c in phi) and phi[-1] == 1
+    phi.append(0)
+    assert cyclotomic(d)[-1] == 1  # a copy: the cached list is untouched
 
 
 def test_division_of_an_integer_list_stays_exact():

@@ -52,8 +52,8 @@ def sylvester_resultant(f, g):
 
 def is_canonical(v):
     """Every entry is an int exactly when it is integral, and a Fraction
-    otherwise (a bool or an integral Fraction is not canonical)."""
-    return all(type(c) is (int if c.denominator == 1 else Fraction) for c in v)
+    otherwise (a bool, a float or an integral Fraction is not canonical)."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in v)
 
 
 def coordinate_forms(data, v):
