@@ -17,8 +17,13 @@ Then it times one torsion ``ops.power`` and one ``membership_dlog`` (two
 targets) on the residue torsion of Z[X]/(X^12 - 1), per call, on random
 members.  Next, it runs every tenth order of the cyclotomic-mix pool of
 ``perfbench`` through ``ops.order_op`` and reports, per order, the time
-and the count of ``Fraction`` objects built.  Last, it replays the
-dlog-serve query pool of ``perfbench`` once on a warm serving state and
+and the count of ``Fraction`` objects built.  Then it runs the first 100
+orders of the split-rank pool (20 with ``--quick``), records the finite
+rings they build and every structure-table product made in those rings,
+and reports the tables' fill (the nonzero share of their entries), the
+entries a dense walk of those products would visit against those their
+sparse cells hold, and the time per replayed product.  Last, it replays
+the dlog-serve query pool of ``perfbench`` once on a warm serving state and
 reports, per query class (mue, mua, unip), the time per query and the
 counts of ``NumberField.mul`` calls, of power-table dlogs and of
 ``Fraction`` objects built.  The end-to-end benchmark is
@@ -38,7 +43,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
 
 from fractions import Fraction  # noqa: E402
 
-from ordroots import kernels, linalg, numfield, ordercore, polyfactor, qalgebra  # noqa: E402
+from ordroots import (  # noqa: E402
+    finitering, kernels, linalg, numfield, ordercore, polyfactor, qalgebra)
 from ordroots.abgroup import EffPresentation, membership_dlog  # noqa: E402
 from ordroots.numfield import NumberField  # noqa: E402
 from ordroots.ordercore import build_context, mu_b_presentation, order_from_poly  # noqa: E402
@@ -257,6 +263,31 @@ def bench_orders(quick):
           f"{fractions / len(sample):>9.1f}")
 
 
+def bench_tables(quick):
+    repeat = 2 if quick else 3
+    # the finite rings that the first orders of the split-rank pool build,
+    # and every table product made in them (FiniteRing.mul, RingIdeal.mul)
+    sample = serve_inputs.build_pool("split-rank")[:20 if quick else 100]
+    calls = recorded_calls(
+        [("FiniteRing", ordercore), ("table_mul", finitering)],
+        lambda: [serve_ops.order_op(None, item.text) for item in sample])
+    dense = [table for _, table, _ in calls["FiniteRing"]]
+    nonzero = sum(1 for t in dense for row in t for cell in row for c in cell if c)
+    entries = sum(len(t) ** 3 for t in dense)
+    products = calls["table_mul"]
+    walked = sparse = 0
+    for table, x, y in products:
+        xs = [i for i, a in enumerate(x) if a]
+        ys = [j for j, b in enumerate(y) if b]
+        walked += len(xs) * len(ys) * len(table)
+        sparse += sum(len(table[i][j]) for i in xs for j in ys)
+    t = time_fn(qalgebra.table_mul, products, repeat) / len(products)
+    print(f"\n{'split-rank finite rings':<24} {'orders':>6} {'rings':>6} {'fill':>6} "
+          f"{'products':>9} {'dense walk':>11} {'sparse walk':>12} {'us/product':>11}")
+    print(f"{'table_mul':<24} {len(sample):>6} {len(dense):>6} {nonzero / entries:>6.3f} "
+          f"{len(products):>9} {walked:>11} {sparse:>12} {t * 1e6:>11.2f}")
+
+
 def bench_queries():
     pool = serve_inputs.build_pool("dlog-serve")
     state = serve_ops.ServeState()
@@ -298,6 +329,7 @@ def main():
     bench_polynomials(args.quick)
     bench_torsion(args.quick)
     bench_orders(args.quick)
+    bench_tables(args.quick)
     bench_queries()
 
 

@@ -2,9 +2,11 @@
 logarithm machinery for unipotent groups 1 + I with I nilpotent.
 
 A ring on k additive generators is a full-rank relation lattice in Z^k
-plus a multiplication table for generator pairs.  Elements are the
-canonical coset representatives modulo the relation lattice, so equality
-is tuple comparison.
+plus a multiplication table for generator pairs, kept as the sparse
+cells of ``qalgebra.sparse_table``: a product walks only the nonzero
+entries of the cells it meets.  The table need be associative only
+modulo the relations.  Elements are the canonical coset representatives
+modulo the relation lattice, so equality is tuple comparison.
 
 The unipotent machinery works along the filtration 1+I, 1+I^2, 1+I^4,
 ... whose layers are isomorphic to the additive groups I^(2^i)/I^(2^(i+1))
@@ -23,6 +25,7 @@ Self-checks raise AssertionError explicitly, so they also run under
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement, product
 from typing import List
 
 from .abgroup import EffPresentation, GroupOps
@@ -34,7 +37,7 @@ from .linalg import (
     preimage_lattice,
     snf,
 )
-from .qalgebra import check_table, table_mul, table_mul_basis
+from .qalgebra import sparse_table, table_mul, table_mul_basis
 
 
 class FiniteRing:
@@ -46,9 +49,7 @@ class FiniteRing:
             raise ValueError("relation lattice must have full rank (finite ring)")
         self.ngens = k
         self.rel = rel_lattice
-        self.table = tuple(
-            tuple(tuple(int(e) for e in cell) for cell in row) for row in mult_table
-        )
+        self.table = sparse_table(mult_table, k, self.reduce)
         self.one = self.reduce(one_coords)
         self._check_well_defined()
 
@@ -59,7 +60,6 @@ class FiniteRing:
             for j in range(self.ngens):
                 if not self.rel.contains(table_mul_basis(self.table, r, j)):
                     raise ValueError("multiplication not well-defined mod relations")
-        check_table(self.table, self.reduce)
         one = self.one
         for j in range(self.ngens):
             g = self.basis_vec(j)
@@ -147,11 +147,15 @@ class RingIdeal:
         return lattice_index(self.ring.rel, self.lattice)
 
     def mul(self, other: "RingIdeal") -> "RingIdeal":
+        """The product ideal, spanned by the relation lattice and the
+        products of the two bases.  The ring is commutative, so a square
+        forms each product b_i b_j once, for i <= j."""
         ring = self.ring
+        cols = self.lattice.basis.cols
+        pairs = (combinations_with_replacement(cols, 2) if other is self
+                 else product(cols, other.lattice.basis.cols))
         gens = [list(c) for c in ring.rel.basis.cols]
-        for a in self.lattice.basis.cols:
-            for b in other.lattice.basis.cols:
-                gens.append(table_mul(ring.table, a, b))
+        gens += [table_mul(ring.table, a, b) for a, b in pairs]
         return RingIdeal(ring, Lattice(ring.ngens, gens), check=False)
 
     def __eq__(self, other):

@@ -18,6 +18,7 @@ from typing import List, Optional
 
 from .linalg import ratio
 from .ordercore import Order, order_from_poly
+from .qalgebra import cell_coords
 
 
 class DocumentError(ValueError):
@@ -93,11 +94,8 @@ def parse_order_document(text: str):
 
 def order_document(order: Order, labels: Optional[List[str]] = None) -> dict:
     n = order.rank
-    flat = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                flat.append(_decimal(int(order.algebra.table[i][j][k])))
+    flat = [_decimal(int(c)) for row in order.algebra.table for cell in row
+            for c in cell_coords(cell, n)]
     doc = {"rank": n, "table": flat}
     if labels is not None:
         doc["labels"] = list(labels)

@@ -24,7 +24,7 @@ verdict is the exact one; ``factor_q`` skips Yun for a proven input.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, zip_longest
 from math import gcd, isqrt
 
 from .abgroup import power
@@ -40,12 +40,17 @@ def _strip(f):
     return f
 
 
+def _canonical(f):
+    """f with each integral Fraction made an int and no trailing zeros."""
+    return _strip([c if type(c) is int else _num(c) for c in f])
+
+
 def qp(f):
     """A sequence of ints and Fractions as a polynomial over Q, in
     canonical coefficients; TypeError for any other coefficient."""
     if not all(isinstance(c, (int, Fraction)) for c in f):
         raise TypeError("polynomial coefficients must be ints or Fractions")
-    return _strip([_num(c) for c in f])
+    return _canonical(f)
 
 
 def qp_degree(f):
@@ -53,13 +58,7 @@ def qp_degree(f):
 
 
 def qp_add(f, g):
-    n = max(len(f), len(g))
-    out = [0] * n
-    for i, c in enumerate(f):
-        out[i] += c
-    for i, c in enumerate(g):
-        out[i] += c
-    return _strip(out)
+    return _canonical([a + b for a, b in zip_longest(f, g, fillvalue=0)])
 
 
 def qp_neg(f):
@@ -67,7 +66,7 @@ def qp_neg(f):
 
 
 def qp_sub(f, g):
-    return qp_add(f, qp_neg(g))
+    return _canonical([a - b for a, b in zip_longest(f, g, fillvalue=0)])
 
 
 def qp_mul(f, g):
@@ -79,7 +78,7 @@ def qp_mul(f, g):
             for j, b in enumerate(g):
                 if b:
                     out[i + j] += a * b
-    return _strip(out)
+    return _canonical(out)
 
 
 def qp_scale(f, c):

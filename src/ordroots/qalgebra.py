@@ -37,13 +37,17 @@ class AlgebraError(ValueError):
 
 
 # -- structure tables ---------------------------------------------------------
-# A table t of dimension n has t[i][j] = coordinates of e_i * e_j.  The
-# products below are unnormalized coordinate lists; each ring applies its
-# own normal form (exact rationals over Q, coset representatives over Z/L).
+# Callers pass a dense table, d[i][j][k] = coordinate k of e_i * e_j.  A ring
+# keeps only its sparse form t, built and checked by ``sparse_table``: t[i][j]
+# and t[j][i] are one tuple of the nonzero (k, c) pairs of e_i * e_j, so a
+# product walks only the entries it meets, not n per cell.  ``cell_coords``
+# gives a reader a cell's full vector.  The products are unnormalized
+# coordinate lists; each ring applies its own normal form (exact rationals
+# over Q, coset representatives over Z/L).
 
 
 def tensor_table(n, flat):
-    """Structure table from the row-major (i, j, k) flattening."""
+    """Dense structure table from the row-major (i, j, k) flattening."""
     if len(flat) != n * n * n:
         raise AlgebraError("tensor has wrong size")
     return [
@@ -52,18 +56,63 @@ def tensor_table(n, flat):
     ]
 
 
+def sparse_table(dense, n, normalize=lambda v: v):
+    """The sparse cells of a dense table of dimension n, in canonical
+    coordinates.  Raises AlgebraError unless the table is cubic, and
+    commutative and associative on basis elements; associativity compares
+    (e_i e_j) e_k = sum c t[m][k] over the pairs (m, c) of t[i][j] with
+    (e_j e_k) e_i, normalizing only products that differ raw."""
+    if len(dense) != n or any(len(row) != n or any(len(c) != n for c in row) for row in dense):
+        raise AlgebraError("structure table is not cubic")
+    rows = [[tuple((k, c) for k, c in enumerate(map(_num, cell)) if c) for cell in row]
+            for row in dense]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rows[i][j] != rows[j][i]:
+                raise AlgebraError(
+                    f"multiplication not commutative at basis pair ({i}, {j})"
+                )
+            rows[j][i] = rows[i][j]
+    table = tuple(tuple(row) for row in rows)
+
+    def times_basis(cell, k):
+        out = [0] * n
+        for m, c in cell:
+            for t, d in table[m][k]:
+                out[t] += c * d
+        return out
+
+    for i in range(n):
+        for j in range(n):
+            for k in range(i, n):  # (e_i e_j) e_k == (e_j e_k) e_i; symmetric in i, k
+                left = times_basis(table[i][j], k)
+                right = times_basis(table[j][k], i)
+                if left != right and normalize(left) != normalize(right):
+                    raise AlgebraError(
+                        f"multiplication not associative at triple ({i}, {j}, {k})"
+                    )
+    return table
+
+
+def cell_coords(cell, n):
+    """The full coordinate vector of a sparse cell of dimension n."""
+    out = [0] * n
+    for k, c in cell:
+        out[k] = c
+    return out
+
+
 def table_mul(table, x, y):
     """x * y."""
     out = [0] * len(table)
+    ys = [(j, b) for j, b in enumerate(y) if b]
     for i, a in enumerate(x):
         if a:
             ti = table[i]
-            for j, b in enumerate(y):
-                if b:
-                    ab = a * b
-                    for k, c in enumerate(ti[j]):
-                        if c:
-                            out[k] += ab * c
+            for j, b in ys:
+                ab = a * b
+                for k, c in ti[j]:
+                    out[k] += ab * c
     return out
 
 
@@ -72,50 +121,17 @@ def table_mul_basis(table, x, j):
     out = [0] * len(table)
     for i, a in enumerate(x):
         if a:
-            for k, c in enumerate(table[i][j]):
-                if c:
-                    out[k] += a * c
+            for k, c in table[i][j]:
+                out[k] += a * c
     return out
-
-
-def check_table(table, normalize=lambda v: v):
-    """Raise AlgebraError unless the table is commutative and associative
-    on basis elements, normalizing only products that differ raw."""
-    n = len(table)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if table[i][j] != table[j][i]:
-                raise AlgebraError(
-                    f"multiplication not commutative at basis pair ({i}, {j})"
-                )
-    for i in range(n):
-        for j in range(n):
-            vij = table[i][j]
-            for k in range(i, n):  # (e_i e_j) e_k == (e_j e_k) e_i; symmetric in i, k
-                left = table_mul_basis(table, vij, k)
-                right = table_mul_basis(table, table[j][k], i)
-                if left != right and normalize(left) != normalize(right):
-                    raise AlgebraError(
-                        f"multiplication not associative at triple ({i}, {j}, {k})"
-                    )
 
 
 class QAlgebra:
     """Commutative Q-algebra with identity, from structure constants."""
 
     def __init__(self, table):
-        n = len(table)
-        self.dim = n
-        self.table = tuple(
-            tuple(tuple(_num(c) for c in cell) for cell in row) for row in table
-        )
-        for i in range(n):
-            if len(self.table[i]) != n:
-                raise AlgebraError("structure table is not cubic")
-            for j in range(n):
-                if len(self.table[i][j]) != n:
-                    raise AlgebraError("structure table is not cubic")
-        check_table(self.table)
+        self.dim = len(table)
+        self.table = sparse_table(table, self.dim)
         self.one = self._find_identity()
 
     @classmethod
@@ -165,15 +181,9 @@ class QAlgebra:
         n = self.dim
         if n == 0:
             return ()
-        cols = []
-        for j in range(n):
-            col = []
-            for i in range(n):
-                col.extend(self.table[j][i])
-            cols.append(col)
-        rhs = []
-        for i in range(n):
-            rhs.extend(self.basis_vec(i))
+        # column j stacks the products e_j e_i; the identity solves them for e_i
+        cols = [[c for cell in row for c in cell_coords(cell, n)] for row in self.table]
+        rhs = [int(k == i) for i in range(n) for k in range(n)]
         sol = solve_rat(RatMatrix(n * n, cols), rhs)
         if sol is None:
             raise AlgebraError("algebra has no identity element")
@@ -183,20 +193,15 @@ class QAlgebra:
 
     def trace_vector(self):
         """tau with trace(mult by x) = tau . x."""
-        n = self.dim
-        return [sum(self.table[t][k][k] for k in range(n)) for t in range(n)]
+        return [sum(c for k, cell in enumerate(row) for m, c in cell if m == k)
+                for row in self.table]
 
     def trace_gram(self) -> RatMatrix:
-        """Gram matrix of (x, y) -> trace(mult by x*y)."""
-        n = self.dim
+        """Gram matrix of (x, y) -> trace(mult by x*y); the table is
+        symmetric, so column j is row j of the table."""
         tau = self.trace_vector()
-        cols = []
-        for j in range(n):
-            col = []
-            for i in range(n):
-                col.append(sum(t * c for t, c in zip(tau, self.table[i][j])))
-            cols.append(col)
-        return RatMatrix(n, cols)
+        return RatMatrix(self.dim, [[sum(tau[k] * c for k, c in cell) for cell in row]
+                                    for row in self.table])
 
 
 @dataclass
@@ -361,7 +366,7 @@ def _check_maps(dec: SpecDecomposition):
     cols = [dec.to_components(E.basis_vec(a)) for a in range(n)]
     for a in range(n):
         for b in range(a, n):
-            if dec.to_components(E.table[a][b]) != ring.mul(cols[a], cols[b]):
+            if dec.to_components(cell_coords(E.table[a][b], n)) != ring.mul(cols[a], cols[b]):
                 raise AssertionError("component projection is not a ring map")
 
 

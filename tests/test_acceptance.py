@@ -36,6 +36,7 @@ from ordroots.rou import conductor, mu_a_generators, mu_a_presentation, psi_kern
 from util import (
     brute_closure,
     brute_force_torsion_in_order,
+    dense_table,
     diagonal_congruence_suborder,
     divisor_idempotent,
     product_order,
@@ -180,12 +181,13 @@ def _criterion5_fixtures():
     for m in (2, 3):
         fixtures.append(diagonal_congruence_suborder(Zi, 2, m))
     fixtures.append(diagonal_congruence_suborder(Z3, 2, 2))
-    fixtures.append(scalar_suborder(product_order([Zi.algebra.table, Z3.algebra.table]), 2))
+    zi_z3 = product_order([dense_table(Zi.algebra.table), dense_table(Z3.algebra.table)])
+    fixtures.append(scalar_suborder(zi_z3, 2))
     for m in (2, 3):
         fixtures.append(scalar_suborder(product_order([Z_TABLE, ZI_TABLE]), m))
     fixtures.append(product_order([ZI_TABLE, ZI_TABLE]))
     fixtures.append(scalar_suborder(product_order([Z_TABLE] * 3), 2))
-    fixtures.append(scalar_suborder(product_order([Z12.algebra.table, Z_TABLE]), 2))
+    fixtures.append(scalar_suborder(product_order([dense_table(Z12.algebra.table), Z_TABLE]), 2))
     return fixtures
 
 

@@ -14,7 +14,7 @@ from ordroots.finitering import (
     unipotent_presentation,
 )
 from ordroots.linalg import Lattice
-from ordroots.qalgebra import AlgebraError, check_table
+from ordroots.qalgebra import AlgebraError, sparse_table
 from util import fixpoint_ideal, resolving_unipotent_dlog, ring_power, unit_inverse
 
 
@@ -67,12 +67,24 @@ def test_ring_rejects_non_commutative_and_non_associative_tables():
                     [[0, 0, 1], [1, 0, 0], [0, 0, 0]]], [1, 0, 0])
 
 
+@pytest.mark.parametrize("table", [
+    [[[1]]],
+    [[[1, 0], [0, 1]]],
+    [[[1, 0], [0, 1]], [[0, 1]]],
+    [[[1, 0], [0, 1]], [[0, 1], [0]]],
+    [[[1, 0], [0, 1]], [[0, 1], [1, 0, 0]]],
+])
+def test_ring_rejects_a_table_that_is_not_cubic(table):
+    with pytest.raises(AlgebraError, match="not cubic"):
+        FiniteRing(Lattice(2, [[2, 0], [0, 2]]), table, [1, 0])
+
+
 def test_ring_accepts_a_table_associative_only_modulo_its_relations():
     # F_5[e]/(e^2) with 1 * e written as 6e: (1 1) e = 6e but 1 (1 e) = 36e
     # over Z, which agree modulo 5 only
     table = [[[1, 0], [0, 6]], [[0, 6], [0, 0]]]
     with pytest.raises(AlgebraError, match="associative"):
-        check_table(table)
+        sparse_table(table, 2)
     R = FiniteRing(Lattice(2, [[5, 0], [0, 5]]), table, [1, 0])
     assert R.mul((1, 1), (1, 1)) == (1, 2)
 

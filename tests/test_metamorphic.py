@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from ordroots.linalg import IntMatrix, invariant_factors
 from ordroots.ordercore import Order, order_from_poly, primitive_idempotents
 from ordroots.rou import mu_a_presentation, mu_e_subgroup_dlog
-from util import product_order, scalar_suborder
+from util import dense_table, product_order, scalar_suborder
 
 BASES = {
     "Z[i]": [1, 0, 1],
@@ -111,7 +111,7 @@ def _group_factors(facs):
 def test_product_order_gives_the_product_group_and_both_idempotent_sets(a, b):
     A, B = _order(a), _order(b)
     (fa, ia, _), (fb, ib, _) = _answers(a), _answers(b)
-    P = product_order([A.algebra.table, B.algebra.table])
+    P = product_order([dense_table(A.algebra.table), dense_table(B.algebra.table)])
     assert mu_a_presentation(P).invariant_factors == _group_factors(fa + fb)
     zero_a, zero_b = (0,) * A.rank, (0,) * B.rank
     want = sorted([tuple(e) + zero_b for e in ia] + [zero_a + tuple(e) for e in ib])

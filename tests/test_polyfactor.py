@@ -348,6 +348,22 @@ def test_polynomials_over_q_have_canonical_coefficients(f, g, fi, h, lc, d, data
     assert cyclotomic(d)[-1] == 1  # a copy: the cached list is untouched
 
 
+@given(f=_rat_poly(0, 5), g=_rat_poly(0, 5), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_ring_operations_over_q_return_canonical_coefficients(f, g, data):
+    # a sum, difference or product of Fractions that is integral is an int
+    outs = []
+    for fv, gv in zip(coordinate_forms(data, f), coordinate_forms(data, g)):
+        out = [qp_add(fv, gv), qp_sub(fv, gv), qp_mul(fv, gv)]
+        assert all(is_canonical(p) and (not p or p[-1]) for p in out)
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
+    half = [Fraction(1, 2)]
+    assert qp_add(half, half) == [1] and type(qp_add(half, half)[0]) is int
+    assert qp_sub([Fraction(3, 2), 1], [Fraction(1, 2), 1]) == [1]
+    assert qp_mul([Fraction(2, 3)], [Fraction(3, 2), 3]) == [1, 2]
+
+
 def test_division_of_an_integer_list_stays_exact():
     q, r = qp_divmod([3 ** 40 + 1, 0, 1], [7, 3])
     assert q == [Fraction(-7, 9), Fraction(1, 3)]

@@ -18,7 +18,7 @@ from ordroots.qalgebra import (
     mu_dlog_explain,
     mu_presentation,
 )
-from util import incremental_minimal_polynomial, product_order
+from util import dense_table, incremental_minimal_polynomial, product_order
 
 
 def poly_algebra(f):
@@ -39,6 +39,17 @@ def test_validation_catches_bad_tables():
             [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
             [[0, 0, 1], [1, 0, 0], [0, 0, 0]],
         ])
+
+
+@pytest.mark.parametrize("table", [
+    [[[1, 0], [0, 1]]],
+    [[[1, 0], [0, 1]], [[0, 1]]],
+    [[[1, 0], [0, 1]], [[0, 1], [1]]],
+    [[[1, 0], [0, 1]], [[0, 1], [1, 0, 0]]],
+])
+def test_validation_rejects_a_table_that_is_not_cubic(table):
+    with pytest.raises(AlgebraError, match="not cubic"):
+        QAlgebra(table)
 
 
 def test_identity_found():
@@ -198,7 +209,8 @@ def test_krylov_minimal_polynomial_matches_the_incremental_solves(factors, split
     E = poly_algebra([int(c) for c in f])
     if split:
         # the product with the nilpotent Z[X]/(X^2)
-        E = product_order([E.table, poly_algebra([0, 0, 1]).table]).algebra
+        nil = poly_algebra([0, 0, 1])
+        E = product_order([dense_table(E.table), dense_table(nil.table)]).algebra
     x = data.draw(st.lists(st.integers(-3, 3), min_size=E.dim, max_size=E.dim))
     assert minimal_polynomial(E, x) == incremental_minimal_polynomial(E, x)
 
@@ -332,8 +344,9 @@ def test_trace_form_of_an_order_is_summed_in_integers():
         assert tau == sums and all(type(t) is int for t in tau)
         gram = E.trace_gram()
         assert gram.den == 1
+        table = dense_table(E.table)
         assert gram.num.to_rows() == [
-            [sum(t * c for t, c in zip(tau, E.table[i][j])) for j in range(E.dim)]
+            [sum(t * c for t, c in zip(tau, table[i][j])) for j in range(E.dim)]
             for i in range(E.dim)]
     # rational structure constants are summed exactly: Q[X]/(X^2 - X/2)
     E = qalgebra.QAlgebra([[[1, 0], [0, 1]], [[0, 1], [0, Fraction(1, 2)]]])

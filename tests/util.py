@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from ordroots.linalg import Lattice
 from ordroots.ordercore import Order
+from ordroots.qalgebra import AlgebraError, cell_coords
 from ordroots.polyfactor import qp, qp_add, qp_divmod, qp_mul, qp_scale, qp_xgcd, resultant
 
 
@@ -332,6 +333,63 @@ def _poly_add_frac(a, b):
 
 
 # ---------------------------------------------------------------------------
+# dense structure tables: the reference for the library's sparse cells
+
+def dense_table(table):
+    """The dense form t[i][j][k] of a ring's sparse table."""
+    n = len(table)
+    return [[cell_coords(cell, n) for cell in row] for row in table]
+
+
+def dense_table_mul(table, x, y):
+    """x * y on a dense table, walking every entry of every cell."""
+    out = [0] * len(table)
+    for i, a in enumerate(x):
+        if a:
+            ti = table[i]
+            for j, b in enumerate(y):
+                if b:
+                    ab = a * b
+                    for k, c in enumerate(ti[j]):
+                        if c:
+                            out[k] += ab * c
+    return out
+
+
+def dense_table_mul_basis(table, x, j):
+    """x * e_j on a dense table."""
+    out = [0] * len(table)
+    for i, a in enumerate(x):
+        if a:
+            for k, c in enumerate(table[i][j]):
+                if c:
+                    out[k] += a * c
+    return out
+
+
+def dense_check_table(table, normalize=lambda v: v):
+    """Raise AlgebraError unless a dense table is commutative and
+    associative on basis elements, normalizing only products that differ
+    raw."""
+    n = len(table)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if table[i][j] != table[j][i]:
+                raise AlgebraError(
+                    f"multiplication not commutative at basis pair ({i}, {j})"
+                )
+    for i in range(n):
+        for j in range(n):
+            for k in range(i, n):
+                left = dense_table_mul_basis(table, table[i][j], k)
+                right = dense_table_mul_basis(table, table[j][k], i)
+                if left != right and normalize(left) != normalize(right):
+                    raise AlgebraError(
+                        f"multiplication not associative at triple ({i}, {j}, {k})"
+                    )
+
+
+# ---------------------------------------------------------------------------
 # product orders and suborders
 
 def product_order(tables):
@@ -394,7 +452,7 @@ def scalar_suborder(big: Order, m: int) -> Order:
 
 def diagonal_congruence_suborder(big: Order, copies: int, m: int) -> Order:
     """{(x_1..x_k) in big^k : x_i = x_j mod m}."""
-    prod = product_order([big.algebra.table] * copies)
+    prod = product_order([dense_table(big.algebra.table)] * copies)
     n = big.rank
     cols = []
     for j in range(n):
@@ -684,9 +742,9 @@ def unit_inverse(ring, a):
     """b with a*b = 1 in a finite ring, or None if a is not a unit: one
     integer solve of a*y = 1 modulo the relation lattice."""
     from ordroots.linalg import IntMatrix, solve_int
-    from ordroots.qalgebra import table_mul_basis
 
-    cols = [table_mul_basis(ring.table, a, j) for j in range(ring.ngens)]
+    table = dense_table(ring.table)
+    cols = [dense_table_mul_basis(table, a, j) for j in range(ring.ngens)]
     sol = solve_int(IntMatrix(ring.ngens, cols).hstack(ring.rel.basis), list(ring.one))
     return None if sol is None else ring.reduce(sol[: ring.ngens])
 
@@ -767,12 +825,11 @@ def fixpoint_ideal(ring, elems):
     """Lattice of the ideal generated by ``elems`` in a finite ring: start
     from the relations and the elements, and add the products with the
     ring's generators that fall outside until none does."""
-    from ordroots.qalgebra import table_mul_basis
-
+    table = dense_table(ring.table)
     lat = Lattice(ring.ngens, [list(c) for c in ring.rel.basis.cols] + [list(e) for e in elems])
     while True:
         extra = [v for b in lat.basis.cols for j in range(ring.ngens)
-                 for v in [table_mul_basis(ring.table, b, j)] if not lat.contains(v)]
+                 for v in [dense_table_mul_basis(table, b, j)] if not lat.contains(v)]
         if not extra:
             return lat
         lat = Lattice(ring.ngens, [list(c) for c in lat.basis.cols] + extra)
