@@ -2,8 +2,10 @@
 the number-field layer.
 
 Times Hermite and Smith reductions on random integer matrices of a few
-shapes.  Then times one ``NumberField.mul`` on Q, on the Q(zeta_12)
-component of Z[X]/(X^12 - 1) and on Q[X]/(X^2 + X/2 + 1/3), and one
+shapes, the Hermite form both bare and with the identity stacked below
+the matrix (the rows that carry the transform u of h = m*u).  Then times
+one ``NumberField.mul`` on Q, on the Q(zeta_12) component of
+Z[X]/(X^12 - 1) and on Q[X]/(X^2 + X/2 + 1/3), and one
 ``SpecDecomposition.to_components`` of Z[X]/(X^12 - 1), per call.  Next,
 it replays the ``RatMatrix.inverse``, ``solve_rat`` and
 ``minimal_polynomial`` calls that ``decompose`` makes on Z[X]/(X^12 - 1),
@@ -22,7 +24,10 @@ orders of the split-rank pool (20 with ``--quick``), records the finite
 rings they build and every structure-table product made in those rings,
 and reports the tables' fill (the nonzero share of their entries), the
 entries a dense walk of those products would visit against those their
-sparse cells hold, and the time per replayed product.  Last, it replays
+sparse cells hold, and the time per replayed product.  It runs the same
+orders again and counts the Hermite forms (``hnf_cols`` calls) and the
+column updates (``_submul`` calls) that their lattice work makes, and
+times each order.  Last, it replays
 the dlog-serve query pool of ``perfbench`` once on a warm serving state and
 reports, per query class (mue, mua, unip), the time per query and the
 counts of ``NumberField.mul`` calls, of power-table dlogs and of
@@ -79,12 +84,21 @@ def bench_kernels(quick):
         hnf_shapes.extend([(40, 44, 999), (64, 70, 999)])
         snf_shapes.append((40, 44, 999))
     repeat = 2 if quick else 3
-    jobs = [("hnf", kernels.hnf_cols, hnf_shapes),
-            ("snf", kernels.snf_cols, snf_shapes)]
+
+    def bare(cols, nrows):
+        return cols, nrows
+
+    def with_identity(cols, nrows):
+        n = len(cols)
+        return [c + [int(i == j) for i in range(n)] for j, c in enumerate(cols)], nrows
+
+    jobs = [("hnf", kernels.hnf_cols, hnf_shapes, bare),
+            ("hnf + u", kernels.hnf_cols, hnf_shapes, with_identity),
+            ("snf", kernels.snf_cols, snf_shapes, bare)]
     print(f"{'kernel':<10} {'shape':<12} {'time (s)':>10}")
-    for name, fn, shapes in jobs:
+    for name, fn, shapes, stack in jobs:
         for nrows, ncols, span in shapes:
-            mats = [(random_cols(rng, nrows, ncols, span), nrows) for _ in range(3)]
+            mats = [stack(random_cols(rng, nrows, ncols, span), nrows) for _ in range(3)]
             print(f"{name:<10} {nrows}x{ncols:<9} {time_fn(fn, mats, repeat):>10.4f}")
 
 
@@ -288,6 +302,20 @@ def bench_tables(quick):
           f"{len(products):>9} {walked:>11} {sparse:>12} {t * 1e6:>11.2f}")
 
 
+def bench_lattices(quick):
+    repeat = 2 if quick else 3
+    # the lattice work of the first orders of the split-rank pool
+    sample = serve_inputs.build_pool("split-rank")[:20 if quick else 100]
+    seconds = time_fn(serve_ops.order_op, [(None, item.text) for item in sample], repeat)
+    hermite, updates = call_counts(
+        [kernels.hnf_cols.__code__, kernels._submul.__code__],
+        lambda: [serve_ops.order_op(None, item.text) for item in sample])
+    print(f"\n{'split-rank lattice work':<24} {'orders':>6} {'hnf_cols':>9} {'_submul':>9} "
+          f"{'ms/order':>9}")
+    print(f"{'order_op':<24} {len(sample):>6} {hermite:>9} {updates:>9} "
+          f"{seconds / len(sample) * 1e3:>9.2f}")
+
+
 def bench_queries():
     pool = serve_inputs.build_pool("dlog-serve")
     state = serve_ops.ServeState()
@@ -330,6 +358,7 @@ def main():
     bench_torsion(args.quick)
     bench_orders(args.quick)
     bench_tables(args.quick)
+    bench_lattices(args.quick)
     bench_queries()
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from .kernels import xgcd
-from .linalg import IntMatrix, Lattice, image_int, invariant_factors, kernel_int
+from .linalg import IntMatrix, Lattice, image_int, invariant_factors, preimage_lattice
 
 
 class NotInGroup(Exception):
@@ -145,22 +145,18 @@ def _dlogs(pres: EffPresentation, elems) -> List[List[int]]:
 def subgroup_relations(pres: EffPresentation, targets, logs=None) -> List[List[int]]:
     """Generators of all relations among ``targets`` in the group.
 
-    The returned vectors generate {x in Z^targets : prod t^x = 1}.
-    Found as the projection of the kernel of [h | -rho], where h writes
-    each target over the presentation's generators and rho spans the
-    presentation's relations.  ``logs`` are the targets' dlogs, the
+    The returned vectors, a canonical Hermite basis, generate
+    {x in Z^targets : prod t^x = 1}: the preimage of the presentation's
+    relation lattice under h, which writes each target over the
+    presentation's generators.  ``logs`` are the targets' dlogs, the
     columns of h, when the caller holds them; each relation is
     multiplied back from them.
     """
     targets = list(targets)
-    nt = len(targets)
     if logs is None:
         logs = _dlogs(pres, targets)
-    h = IntMatrix(len(pres.gens), logs)
-    rho = IntMatrix(len(pres.gens), [[-e for e in r] for r in pres.rels])
-    ker = kernel_int(h.hstack(rho))
-    proj = [c[:nt] for c in ker.basis.cols]
-    out = image_int(IntMatrix(nt, proj))
+    ngens = len(pres.gens)
+    out = preimage_lattice(IntMatrix(ngens, logs), Lattice(ngens, pres.rels))
     for u in out.basis.cols:
         got = pres.logged_product(targets, logs, u)
         if got != pres.ops.identity:

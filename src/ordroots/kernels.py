@@ -7,7 +7,11 @@ pivot and reduces the others modulo it (repeated Euclidean steps), which
 keeps intermediate entries far smaller than blind extended-gcd combines.
 
 Matrices are column-major: a matrix is a list of columns, each column a
-list of Python ints.
+list of Python ints.  Neither kernel keeps a transform matrix of its own:
+a transform is rows carried inside the matrix.  Hermite reduction pivots
+on the first ``nrows`` rows only, so the identity stacked below m comes
+out as the u of h = m*u; Smith reduction eliminates one block of
+[[m, 1], [1, 0]], whose other blocks come out as u and v.
 """
 
 # perfbench/run.py labels its results with this; perfbench/compare.py checks it
@@ -36,23 +40,20 @@ def _submul(dst, src, q, start):
 
 
 def hnf_cols(cols, nrows):
-    """Column-style Hermite normal form.
+    """Column-style Hermite normal form of the first ``nrows`` rows.
 
-    Returns (h, u) as column lists with h = m*u, u unimodular.  Pivot
-    rows strictly increase left to right, pivots are positive, entries
-    left of a pivot in its row lie in [0, pivot), and zero columns are
-    trailing.
+    Returns the reduced columns.  Pivot rows strictly increase left to
+    right, pivots are positive, entries left of a pivot in its row lie in
+    [0, pivot), and columns that vanish on the first ``nrows`` rows
+    trail.  Rows below ``nrows`` are carried along through every column
+    operation but never pivoted on.
     """
     ncols = len(cols)
     m = [list(c) for c in cols]
-    u = [[0] * ncols for _ in range(ncols)]
-    for j in range(ncols):
-        u[j][j] = 1
     c = 0
     for r in range(nrows):
         if c == ncols:
             break
-        placed = False
         while True:
             piv = -1
             best = 0
@@ -67,7 +68,6 @@ def hnf_cols(cols, nrows):
                 break
             if piv != c:
                 m[c], m[piv] = m[piv], m[c]
-                u[c], u[piv] = u[piv], u[c]
             a = m[c][r]
             clear = True
             for j in range(c + 1, ncols):
@@ -76,36 +76,33 @@ def hnf_cols(cols, nrows):
                     q = v // a
                     if q:
                         _submul(m[j], m[c], q, r)
-                        _submul(u[j], u[c], q, 0)
                     if m[j][r]:
                         clear = False
             if clear:
-                placed = True
                 break
-        if not placed:
+        if piv < 0:  # row r vanishes from column c on
             continue
+        # the column vanishes above row r, so it is negated and
+        # subtracted from row r on
         if m[c][r] < 0:
-            col = m[c]
-            for i in range(r, nrows):
-                col[i] = -col[i]
-            col = u[c]
-            for i in range(ncols):
-                col[i] = -col[i]
-        p = m[c][r]
+            m[c] = [-e for e in m[c]]
+        col = m[c]
+        p = col[r]
         for j in range(c):
             v = m[j][r]
             if v:
                 q = v // p
                 if q:
-                    _submul(m[j], m[c], q, r)
-                    _submul(u[j], u[c], q, 0)
+                    _submul(m[j], col, q, r)
         c += 1
-    return m, u
+    return m
 
 
-def _snf_clear_at(m, u, v, t, nrows, ncols):
+def _snf_clear_at(m, t, nrows, ncols):
     # Euclidean cross reduction: repeatedly move the smallest entry of
-    # row t / column t to the diagonal and reduce the rest modulo it.
+    # row t / column t of the nrows x ncols block to the diagonal and
+    # reduce the rest modulo it.  Column operations run down the whole
+    # column and row operations along the whole row.
     while True:
         pj = -1
         pi = -1
@@ -126,13 +123,8 @@ def _snf_clear_at(m, u, v, t, nrows, ncols):
             return
         if pj != t:
             m[t], m[pj] = m[pj], m[t]
-            v[t], v[pj] = v[pj], v[t]
         elif pi != t:
-            for j in range(ncols):
-                col = m[j]
-                col[t], col[pi] = col[pi], col[t]
-            for j in range(nrows):
-                col = u[j]
+            for col in m:
                 col[t], col[pi] = col[pi], col[t]
         a = m[t][t]
         clear = True
@@ -142,7 +134,6 @@ def _snf_clear_at(m, u, v, t, nrows, ncols):
                 q = val // a
                 if q:
                     _submul(m[j], m[t], q, t)
-                    _submul(v[j], v[t], q, 0)
                 if m[j][t]:
                     clear = False
         for i in range(t + 1, nrows):
@@ -150,14 +141,11 @@ def _snf_clear_at(m, u, v, t, nrows, ncols):
             if val:
                 q = val // a
                 if q:
-                    for j in range(t, ncols):
-                        s = m[j][t]
+                    for j in range(t, len(m)):
+                        col = m[j]
+                        s = col[t]
                         if s:
-                            m[j][i] -= q * s
-                    for j in range(nrows):
-                        s = u[j][t]
-                        if s:
-                            u[j][i] -= q * s
+                            col[i] -= q * s
                 if m[t][i]:
                     clear = False
         if clear:
@@ -169,47 +157,30 @@ def snf_cols(cols, nrows):
     nonnegative, each diagonal entry dividing the next; u, v unimodular.
 
     All three are column lists; u is nrows x nrows, v is ncols x ncols.
+    The elimination runs on the top-left nrows x ncols block of
+    [[m, 1], [1, 0]], so its row operations build u in the top-right
+    block and its column operations build v in the bottom-left one.
     """
     ncols = len(cols)
-    m = [list(c) for c in cols]
-    u = [[0] * nrows for _ in range(nrows)]
-    for j in range(nrows):
-        u[j][j] = 1
-    v = [[0] * ncols for _ in range(ncols)]
-    for j in range(ncols):
-        v[j][j] = 1
+    m = [list(c) + [int(i == j) for i in range(ncols)] for j, c in enumerate(cols)]
+    m += [[int(i == j) for i in range(nrows)] + [0] * ncols for j in range(nrows)]
     rank = 0
     for t in range(min(nrows, ncols)):
-        found = False
-        for j in range(t, ncols):
-            for i in range(t, nrows):
-                if m[j][i] != 0:
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
+        nonzero = next(((j, i) for j in range(t, ncols) for i in range(t, nrows) if m[j][i]),
+                       None)
+        if nonzero is None:
             break
+        j, i = nonzero
         if j != t:
             m[t], m[j] = m[j], m[t]
-            v[t], v[j] = v[j], v[t]
         if i != t:
-            for j2 in range(ncols):
-                col = m[j2]
-                col[t], col[i] = col[i], col[t]
-            for j2 in range(nrows):
-                col = u[j2]
+            for col in m:
                 col[t], col[i] = col[i], col[t]
         # clearing the cross may refill entries below/right through row
         # operations, so iterate until the cross stays clear
-        _snf_clear_at(m, u, v, t, nrows, ncols)
+        _snf_clear_at(m, t, nrows, ncols)
         if m[t][t] < 0:
-            col = m[t]
-            for i2 in range(nrows):
-                col[i2] = -col[i2]
-            col = v[t]
-            for i2 in range(ncols):
-                col[i2] = -col[i2]
+            m[t] = [-e for e in m[t]]
         rank = t + 1
     # enforce the divisibility chain with adjacent gcd/lcm repairs
     guard = rank * rank + 10
@@ -225,21 +196,11 @@ def snf_cols(cols, nrows):
             if b % a != 0:
                 # col_i += col_{i+1}, then re-clear the 2x2 block
                 _submul(m[i], m[i + 1], -1, 0)
-                _submul(v[i], v[i + 1], -1, 0)
-                _snf_clear_at(m, u, v, i, nrows, ncols)
-                if m[i][i] < 0:
-                    col = m[i]
-                    for r2 in range(nrows):
-                        col[r2] = -col[r2]
-                    col = v[i]
-                    for r2 in range(ncols):
-                        col[r2] = -col[r2]
-                if m[i + 1][i + 1] < 0:
-                    col = m[i + 1]
-                    for r2 in range(nrows):
-                        col[r2] = -col[r2]
-                    col = v[i + 1]
-                    for r2 in range(ncols):
-                        col[r2] = -col[r2]
+                _snf_clear_at(m, i, nrows, ncols)
+                for t in (i, i + 1):
+                    if m[t][t] < 0:
+                        m[t] = [-e for e in m[t]]
                 changed = True
-    return m, u, v
+    left = m[:ncols]
+    return ([c[:nrows] for c in left], [c[:nrows] for c in m[ncols:]],
+            [c[nrows:] for c in left])

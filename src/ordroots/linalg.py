@@ -13,7 +13,10 @@ Lattices are stored through a canonical column-style Hermite normal
 form, so two equal lattices compare equal as matrices.  Every index is
 read from those bases: the index of a lattice of full rank in Z^dim is
 the product of its Hermite pivots, and the index of sub in sup of equal
-rank is the quotient of their pivot products.
+rank is the quotient of their pivot products.  A kernel, preimage or
+intersection is {x : (0, x) in L} for a lattice L of stacked columns,
+read off one Hermite form of L; a transform u of h = m*u is the identity
+carried below m's rows.
 """
 
 from __future__ import annotations
@@ -266,13 +269,26 @@ def solve_rat(m: RatMatrix, vec):
     return x
 
 
+def _stack_identity(cols, n: int):
+    """Each column j with the unit vector e_j of Z^n stacked below it."""
+    return [list(c) + [int(i == j) for i in range(n)] for j, c in enumerate(cols)]
+
+
+def _hnf_transform(m: IntMatrix):
+    """(h, u) as column lists with h = m*u: the Hermite form of m with
+    the identity carried below it, split off again."""
+    n = m.nrows
+    cols = kernels.hnf_cols(_stack_identity(m.cols, m.ncols), n)
+    return [c[:n] for c in cols], [c[n:] for c in cols]
+
+
 def hnf(m: IntMatrix):
     """Column Hermite normal form: (h, u) with h = m*u, u unimodular.
 
     Pivots are positive, entries left of a pivot in its row are reduced
     into [0, pivot), zero columns trail.
     """
-    h, u = kernels.hnf_cols(m.cols, m.nrows)
+    h, u = _hnf_transform(m)
     return IntMatrix(m.nrows, h), IntMatrix(m.ncols, u)
 
 
@@ -338,8 +354,7 @@ class Lattice:
         for c in cols:
             if len(c) != dim:
                 raise ValueError("generator has wrong length")
-        h, _ = kernels.hnf_cols(cols, dim)
-        self._set_hnf(dim, [c for c in h if any(c)])
+        self._set_hnf(dim, [c for c in kernels.hnf_cols(cols, dim) if any(c)])
 
     @classmethod
     def _from_hnf(cls, dim: int, cols) -> "Lattice":
@@ -415,11 +430,19 @@ class Lattice:
         return f"Lattice(dim={self.dim}, rank={self.rank}, basis={self.basis.to_rows()!r})"
 
 
+def _bottom_lattice(cols, top: int, dim: int) -> Lattice:
+    """{x in Z^dim : (0, x) in L} for the lattice L spanned by ``cols``,
+    each ``top`` entries stacked over ``dim``.  The Hermite columns of L
+    that vanish on the top block span its meet with 0 x Z^dim; cut to the
+    bottom block, they are the canonical basis."""
+    h = kernels.hnf_cols(cols, top + dim)
+    return Lattice._from_hnf(dim, [c[top:] for c in h if any(c) and not any(c[:top])])
+
+
 def kernel_int(m: IntMatrix) -> Lattice:
-    """Saturated integer kernel {x in Z^ncols : m*x = 0}."""
-    h, u = kernels.hnf_cols(m.cols, m.nrows)
-    gens = [u[j] for j in range(len(h)) if not any(h[j])]
-    return Lattice(m.ncols, gens)
+    """Saturated integer kernel {x in Z^ncols : m*x = 0}, from the
+    stacked columns (m e_j ; e_j)."""
+    return _bottom_lattice(_stack_identity(m.cols, m.ncols), m.nrows, m.ncols)
 
 
 def image_int(m: IntMatrix) -> Lattice:
@@ -434,14 +457,12 @@ def sum_lattices(a: Lattice, b: Lattice) -> Lattice:
 
 
 def intersect_lattices(a: Lattice, b: Lattice) -> Lattice:
-    """Intersection, via the kernel of the stacked-basis matrix."""
+    """Intersection, from the stacked columns (a_i ; a_i) and (b_k ; 0):
+    (0, x) is in their span exactly when x = sum s_i a_i = -sum t_k b_k."""
     if a.dim != b.dim:
         raise ValueError("ambient dimension mismatch")
-    stacked = a.basis.hstack(b.basis.scaled(-1))
-    ker = kernel_int(stacked)
-    ra = a.rank
-    gens = [a.basis.apply(c[:ra]) for c in ker.basis.cols]
-    return Lattice(a.dim, gens)
+    cols = [c + c for c in a.basis.cols] + [c + [0] * a.dim for c in b.basis.cols]
+    return _bottom_lattice(cols, a.dim, a.dim)
 
 
 def lattice_index(sub: Lattice, sup: Lattice) -> int:
@@ -467,7 +488,7 @@ class IntSolver:
     __slots__ = ("image", "transform")
 
     def __init__(self, m: IntMatrix):
-        h, u = kernels.hnf_cols(m.cols, m.nrows)
+        h, u = _hnf_transform(m)
         rank = sum(1 for c in h if any(c))  # zero columns trail
         self.image = Lattice._from_hnf(m.nrows, h[:rank])
         self.transform = IntMatrix(m.ncols, u[:rank])
@@ -484,16 +505,16 @@ def solve_int(m: IntMatrix, vec):
 
 
 def preimage_lattice(m: IntMatrix, lat: Lattice) -> Lattice:
-    """{x in Z^ncols : m*x in lat}."""
+    """{x in Z^ncols : m*x in lat}, from the stacked columns
+    (m e_j ; e_j) and (l_k ; 0) for the basis columns l_k of lat."""
     if m.nrows != lat.dim:
         raise ValueError("shape mismatch")
     # reducing the columns of m modulo lat keeps entries small and does
     # not change the preimage
-    red = IntMatrix(m.nrows, [lat.reduce(c) for c in m.cols])
-    stacked = red.hstack(lat.basis.scaled(-1))
-    ker = kernel_int(stacked)
-    gens = [c[: m.ncols] for c in ker.basis.cols]
-    return Lattice(m.ncols, gens)
+    n = m.ncols
+    cols = _stack_identity([lat.reduce(c) for c in m.cols], n)
+    cols += [c + [0] * n for c in lat.basis.cols]
+    return _bottom_lattice(cols, m.nrows, n)
 
 
 class QLattice:

@@ -61,7 +61,8 @@ def sparse_table(dense, n, normalize=lambda v: v):
     coordinates.  Raises AlgebraError unless the table is cubic, and
     commutative and associative on basis elements; associativity compares
     (e_i e_j) e_k = sum c t[m][k] over the pairs (m, c) of t[i][j] with
-    (e_j e_k) e_i, normalizing only products that differ raw."""
+    (e_j e_k) e_i, normalizing only products that differ raw.  Each
+    product (e_a e_b) e_c is formed once, for a <= b."""
     if len(dense) != n or any(len(row) != n or any(len(c) != n for c in row) for row in dense):
         raise AlgebraError("structure table is not cubic")
     rows = [[tuple((k, c) for k, c in enumerate(map(_num, cell)) if c) for cell in row]
@@ -82,11 +83,15 @@ def sparse_table(dense, n, normalize=lambda v: v):
                 out[t] += c * d
         return out
 
+    prods = [[None] * n for _ in range(n)]  # prods[a][b][c] = (e_a e_b) e_c
+    for a in range(n):
+        for b in range(a, n):
+            prods[a][b] = prods[b][a] = [times_basis(table[a][b], c) for c in range(n)]
     for i in range(n):
         for j in range(n):
             for k in range(i, n):  # (e_i e_j) e_k == (e_j e_k) e_i; symmetric in i, k
-                left = times_basis(table[i][j], k)
-                right = times_basis(table[j][k], i)
+                left = prods[i][j][k]
+                right = prods[j][k][i]
                 if left != right and normalize(left) != normalize(right):
                     raise AlgebraError(
                         f"multiplication not associative at triple ({i}, {j}, {k})"
@@ -222,7 +227,6 @@ class SpecDecomposition:
     min_poly: Tuple[int | Fraction, ...]
     alpha: tuple
     components: List[NumberField]
-    factors: List[Tuple[int | Fraction, ...]]
     projection: RatMatrix
     section: RatMatrix
     pi1: RatMatrix
@@ -291,7 +295,7 @@ def decompose(E: QAlgebra) -> SpecDecomposition:
         empty = RatMatrix(0, [])
         return SpecDecomposition(
             algebra=E, nil_basis=[], power_basis=empty, min_poly=(), alpha=(),
-            components=[], factors=[], projection=empty, section=empty,
+            components=[], projection=empty, section=empty,
             pi1=empty, pi2=empty,
         )
     nil = kernel_int(E.trace_gram().num)
@@ -325,8 +329,7 @@ def decompose(E: QAlgebra) -> SpecDecomposition:
     const, facs = factor_q(list(m))
     if any(mult != 1 for _, mult in facs):
         raise AssertionError("squarefree minimal polynomial has a repeated factor")
-    factors = [tuple(f) for f, _ in facs]
-    components = [NumberField(list(f)) for f in factors]
+    components = [NumberField(list(f)) for f, _ in facs]
 
     # phi: a polynomial in alpha of degree < q -> its stacked component
     # coordinates; column j stacks the powers a^j of the fields' generators
@@ -340,7 +343,7 @@ def decompose(E: QAlgebra) -> SpecDecomposition:
 
     dec = SpecDecomposition(
         algebra=E, nil_basis=nil_cols, power_basis=power_mat, min_poly=tuple(m),
-        alpha=alpha, components=components, factors=factors,
+        alpha=alpha, components=components,
         projection=phi.mul(top), section=power_mat.mul(phi.inverse()),
         pi1=power_mat.mul(top), pi2=RatMatrix(n, nil_cols).mul(full_inv.row_block(q, n)),
     )

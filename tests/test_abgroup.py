@@ -35,6 +35,7 @@ from util import (
     quotient_coset_normalizer,
     quotient_group,
     random_presented_group,
+    reference_subgroup_relations,
     schreier_kernel,
     unit_inverse,
 )
@@ -45,6 +46,16 @@ from util import (
 def test_group_order_is_the_product_of_the_invariant_factors(seed):
     pres, _ = random_presented_group(random.Random(seed))
     assert pres.group_order() == math.prod(pres.invariant_factors())
+
+
+@given(st.integers(0, 2 ** 32), st.integers(0, 5))
+@settings(max_examples=150, deadline=None)
+def test_relations_are_the_preimage_the_kernel_projection_gives(seed, nt):
+    rng = random.Random(seed)
+    pres, _ = random_presented_group(rng)
+    targets = [pres.evaluate([rng.randint(-999, 999) for _ in pres.gens]) for _ in range(nt)]
+    logs = [pres.dlog(t) for t in targets]
+    assert subgroup_relations(pres, targets) == reference_subgroup_relations(pres, logs)
 
 
 def test_self_presentation_relations():
@@ -208,14 +219,14 @@ pres, _ = R.cyclic_presentation(
 t = pres.evaluate([1, 1])  # of order 12
 gamma = pres.evaluate([2, 2])
 print(abgroup.subgroup_relations(pres, [t]), abgroup.membership_dlog(pres, [t], gamma))
-kernel_int, xgcd = abgroup.kernel_int, abgroup.xgcd
-# the first unit vector as the whole kernel: t^1 = 1 is claimed
-abgroup.kernel_int = lambda m: Lattice(m.ncols, [[int(i == 0) for i in range(m.ncols)]])
+preimage_lattice, xgcd = abgroup.preimage_lattice, abgroup.xgcd
+# the first unit vector as the whole preimage: t^1 = 1 is claimed
+abgroup.preimage_lattice = lambda m, lat: Lattice(m.ncols, [[int(i == 0) for i in range(m.ncols)]])
 try:
     abgroup.subgroup_relations(pres, [t])
 except AssertionError as e:
     print(e)
-abgroup.kernel_int = kernel_int
+abgroup.preimage_lattice = preimage_lattice
 # a Bezout combination that claims gcd 1 with all coefficients 0
 abgroup.xgcd = lambda a, b: (1, 0, 0)
 try:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from ordroots import kernels
 from ordroots.linalg import (
     IntMatrix,
     IntSolver,
@@ -32,6 +33,10 @@ from util import (
     fraction_gauss_jordan,
     fraction_inverse,
     fraction_solve,
+    int_matrices,
+    reference_intersect_lattices,
+    reference_kernel_int,
+    reference_preimage_lattice,
     rescan_coords,
     rescan_reduce,
     rescan_solve_int,
@@ -335,6 +340,45 @@ def test_preimage_lattice():
     for a in range(-6, 7):
         for b in range(-6, 7):
             assert pre2.contains([a, b]) == ((a + b) % 5 == 0)
+
+
+@given(int_matrices(max_dim=6), st.data())
+@example((0, []), None)
+@example((3, []), None)
+@example((0, [[], []]), None)
+@settings(max_examples=200, deadline=None)
+def test_stacked_lattice_operations_equal_the_multi_hermite_references(mat, data):
+    nrows, cols = mat
+    m = IntMatrix(nrows, cols)
+    assert kernel_int(m) == reference_kernel_int(m)
+    if data is None:
+        lat, other = Lattice.zero(nrows), Lattice.full(nrows)
+    else:
+        lat = Lattice(nrows, data.draw(int_matrices(max_dim=6, nrows=nrows))[1])
+        other = Lattice(nrows, data.draw(int_matrices(max_dim=6, nrows=nrows))[1])
+    assert preimage_lattice(m, lat) == reference_preimage_lattice(m, lat)
+    image = image_int(m)
+    for a, b in ((image, lat), (lat, image), (lat, other)):
+        assert intersect_lattices(a, b) == reference_intersect_lattices(a, b)
+
+
+def test_each_derived_lattice_is_one_hermite_form(monkeypatch):
+    m = IntMatrix.from_rows([[2, 4, 6, 1], [3, 6, 9, 0], [1, 1, 1, 1]])
+    a = Lattice(3, [[4, 0, 2], [0, 6, 0], [1, 1, 1]])
+    b = Lattice(3, [[6, 0, 0], [0, 4, 0], [0, 0, 10]])
+    calls = []
+    hnf_cols = kernels.hnf_cols
+
+    def counted(cols, nrows):
+        calls.append(nrows)
+        return hnf_cols(cols, nrows)
+
+    monkeypatch.setattr(kernels, "hnf_cols", counted)
+    for op in (lambda: kernel_int(m), lambda: preimage_lattice(m, a),
+               lambda: intersect_lattices(a, b)):
+        calls.clear()
+        op()
+        assert len(calls) == 1
 
 
 def test_qlattice_roundtrip_and_index():

@@ -721,12 +721,12 @@ def rescan_coords(lat, vec):
 def rescan_solve_int(m, vec):
     """One integer solution of m*x = vec from a fresh Hermite form h = m*u,
     rescanning its columns for pivots; None if there is none."""
-    from ordroots import kernels
+    from ordroots.linalg import hnf
 
-    h, u = kernels.hnf_cols(m.cols, m.nrows)
+    h, u = hnf(m)
     v = list(vec)
     x = [0] * m.ncols
-    for c, uc in zip(h, u):
+    for c, uc in zip(h.cols, u.cols):
         if not any(c):
             break
         r = rescan_pivot(c)
@@ -833,3 +833,309 @@ def fixpoint_ideal(ring, elems):
         if not extra:
             return lat
         lat = Lattice(ring.ngens, [list(c) for c in lat.basis.cols] + extra)
+
+
+# ---------------------------------------------------------------------------
+# references for the normal-form kernels and the lattice operations: Hermite
+# and Smith forms that update separate transform matrices beside the
+# matrix, and lattice operations that take a kernel, project it and
+# rebuild a lattice, each a Hermite form of its own
+
+
+def _reference_submul(dst, src, q, start):
+    # dst -= q * src, from index `start` on
+    for i in range(start, len(dst)):
+        s = src[i]
+        if s:
+            dst[i] -= q * s
+
+
+def reference_hnf_cols(cols, nrows):
+    """Column-style Hermite normal form.
+
+    Returns (h, u) as column lists with h = m*u, u unimodular.  Pivot
+    rows strictly increase left to right, pivots are positive, entries
+    left of a pivot in its row lie in [0, pivot), and zero columns are
+    trailing.
+    """
+    ncols = len(cols)
+    m = [list(c) for c in cols]
+    u = [[0] * ncols for _ in range(ncols)]
+    for j in range(ncols):
+        u[j][j] = 1
+    c = 0
+    for r in range(nrows):
+        if c == ncols:
+            break
+        placed = False
+        while True:
+            piv = -1
+            best = 0
+            for j in range(c, ncols):
+                v = m[j][r]
+                if v:
+                    av = -v if v < 0 else v
+                    if piv < 0 or av < best:
+                        piv = j
+                        best = av
+            if piv < 0:
+                break
+            if piv != c:
+                m[c], m[piv] = m[piv], m[c]
+                u[c], u[piv] = u[piv], u[c]
+            a = m[c][r]
+            clear = True
+            for j in range(c + 1, ncols):
+                v = m[j][r]
+                if v:
+                    q = v // a
+                    if q:
+                        _reference_submul(m[j], m[c], q, r)
+                        _reference_submul(u[j], u[c], q, 0)
+                    if m[j][r]:
+                        clear = False
+            if clear:
+                placed = True
+                break
+        if not placed:
+            continue
+        if m[c][r] < 0:
+            col = m[c]
+            for i in range(r, nrows):
+                col[i] = -col[i]
+            col = u[c]
+            for i in range(ncols):
+                col[i] = -col[i]
+        p = m[c][r]
+        for j in range(c):
+            v = m[j][r]
+            if v:
+                q = v // p
+                if q:
+                    _reference_submul(m[j], m[c], q, r)
+                    _reference_submul(u[j], u[c], q, 0)
+        c += 1
+    return m, u
+
+
+def _reference_snf_clear_at(m, u, v, t, nrows, ncols):
+    # Euclidean cross reduction: repeatedly move the smallest entry of
+    # row t / column t to the diagonal and reduce the rest modulo it.
+    while True:
+        pj = -1
+        pi = -1
+        best = 0
+        for j in range(t, ncols):
+            val = m[j][t]
+            if val:
+                av = -val if val < 0 else val
+                if pj < 0 or av < best:
+                    pj, pi, best = j, t, av
+        for i in range(t + 1, nrows):
+            val = m[t][i]
+            if val:
+                av = -val if val < 0 else val
+                if pj < 0 or av < best:
+                    pj, pi, best = t, i, av
+        if pj < 0:
+            return
+        if pj != t:
+            m[t], m[pj] = m[pj], m[t]
+            v[t], v[pj] = v[pj], v[t]
+        elif pi != t:
+            for j in range(ncols):
+                col = m[j]
+                col[t], col[pi] = col[pi], col[t]
+            for j in range(nrows):
+                col = u[j]
+                col[t], col[pi] = col[pi], col[t]
+        a = m[t][t]
+        clear = True
+        for j in range(t + 1, ncols):
+            val = m[j][t]
+            if val:
+                q = val // a
+                if q:
+                    _reference_submul(m[j], m[t], q, t)
+                    _reference_submul(v[j], v[t], q, 0)
+                if m[j][t]:
+                    clear = False
+        for i in range(t + 1, nrows):
+            val = m[t][i]
+            if val:
+                q = val // a
+                if q:
+                    for j in range(t, ncols):
+                        s = m[j][t]
+                        if s:
+                            m[j][i] -= q * s
+                    for j in range(nrows):
+                        s = u[j][t]
+                        if s:
+                            u[j][i] -= q * s
+                if m[t][i]:
+                    clear = False
+        if clear:
+            return
+
+
+def reference_snf_cols(cols, nrows):
+    """Smith normal form: returns (d, u, v) with d = u*m*v diagonal,
+    nonnegative, each diagonal entry dividing the next; u, v unimodular.
+
+    All three are column lists; u is nrows x nrows, v is ncols x ncols.
+    """
+    ncols = len(cols)
+    m = [list(c) for c in cols]
+    u = [[0] * nrows for _ in range(nrows)]
+    for j in range(nrows):
+        u[j][j] = 1
+    v = [[0] * ncols for _ in range(ncols)]
+    for j in range(ncols):
+        v[j][j] = 1
+    rank = 0
+    for t in range(min(nrows, ncols)):
+        found = False
+        for j in range(t, ncols):
+            for i in range(t, nrows):
+                if m[j][i] != 0:
+                    found = True
+                    break
+            if found:
+                break
+        if not found:
+            break
+        if j != t:
+            m[t], m[j] = m[j], m[t]
+            v[t], v[j] = v[j], v[t]
+        if i != t:
+            for j2 in range(ncols):
+                col = m[j2]
+                col[t], col[i] = col[i], col[t]
+            for j2 in range(nrows):
+                col = u[j2]
+                col[t], col[i] = col[i], col[t]
+        # clearing the cross may refill entries below/right through row
+        # operations, so iterate until the cross stays clear
+        _reference_snf_clear_at(m, u, v, t, nrows, ncols)
+        if m[t][t] < 0:
+            col = m[t]
+            for i2 in range(nrows):
+                col[i2] = -col[i2]
+            col = v[t]
+            for i2 in range(ncols):
+                col[i2] = -col[i2]
+        rank = t + 1
+    # enforce the divisibility chain with adjacent gcd/lcm repairs
+    guard = rank * rank + 10
+    changed = True
+    while changed:
+        changed = False
+        guard -= 1
+        if guard < 0:
+            raise AssertionError("smith divisibility repair failed to converge")
+        for i in range(rank - 1):
+            a = m[i][i]
+            b = m[i + 1][i + 1]
+            if b % a != 0:
+                # col_i += col_{i+1}, then re-clear the 2x2 block
+                _reference_submul(m[i], m[i + 1], -1, 0)
+                _reference_submul(v[i], v[i + 1], -1, 0)
+                _reference_snf_clear_at(m, u, v, i, nrows, ncols)
+                if m[i][i] < 0:
+                    col = m[i]
+                    for r2 in range(nrows):
+                        col[r2] = -col[r2]
+                    col = v[i]
+                    for r2 in range(ncols):
+                        col[r2] = -col[r2]
+                if m[i + 1][i + 1] < 0:
+                    col = m[i + 1]
+                    for r2 in range(nrows):
+                        col[r2] = -col[r2]
+                    col = v[i + 1]
+                    for r2 in range(ncols):
+                        col[r2] = -col[r2]
+                changed = True
+    return m, u, v
+
+
+def reference_lattice(dim, gens):
+    """The lattice spanned by ``gens``, through the reference Hermite form."""
+    h, _ = reference_hnf_cols([list(g) for g in gens], dim)
+    return Lattice._from_hnf(dim, [c for c in h if any(c)])
+
+
+def reference_kernel_int(m):
+    """Saturated integer kernel {x in Z^ncols : m*x = 0}."""
+    h, u = reference_hnf_cols(m.cols, m.nrows)
+    gens = [u[j] for j in range(len(h)) if not any(h[j])]
+    return reference_lattice(m.ncols, gens)
+
+
+def reference_intersect_lattices(a, b):
+    """Intersection, via the kernel of the stacked-basis matrix."""
+    if a.dim != b.dim:
+        raise ValueError("ambient dimension mismatch")
+    stacked = a.basis.hstack(b.basis.scaled(-1))
+    ker = reference_kernel_int(stacked)
+    ra = a.rank
+    gens = [a.basis.apply(c[:ra]) for c in ker.basis.cols]
+    return reference_lattice(a.dim, gens)
+
+
+def reference_preimage_lattice(m, lat):
+    """{x in Z^ncols : m*x in lat}."""
+    from ordroots.linalg import IntMatrix
+
+    if m.nrows != lat.dim:
+        raise ValueError("shape mismatch")
+    # reducing the columns of m modulo lat keeps entries small and does
+    # not change the preimage
+    red = IntMatrix(m.nrows, [lat.reduce(c) for c in m.cols])
+    stacked = red.hstack(lat.basis.scaled(-1))
+    ker = reference_kernel_int(stacked)
+    gens = [c[: m.ncols] for c in ker.basis.cols]
+    return reference_lattice(m.ncols, gens)
+
+
+def reference_subgroup_relations(pres, logs):
+    """Generators of all relations among targets with the dlogs ``logs``:
+    the projection of the kernel of [h | -rho], where h writes each target
+    over the presentation's generators and rho spans its relations."""
+    from ordroots.linalg import IntMatrix
+
+    nt = len(logs)
+    h = IntMatrix(len(pres.gens), logs)
+    rho = IntMatrix(len(pres.gens), [[-e for e in r] for r in pres.rels])
+    ker = reference_kernel_int(h.hstack(rho))
+    proj = [c[:nt] for c in ker.basis.cols]
+    return [list(c) for c in reference_lattice(nt, proj).basis.cols]
+
+
+@st.composite
+def int_matrices(draw, max_dim=7, span=999, nrows=None):
+    """(nrows, cols): integer matrices of 0 to max_dim rows (unless nrows
+    is given) and columns, so wide and tall ones, with entries up to span
+    in size: dense, zero, mostly zero, or of low rank (a product through
+    an inner dimension below both sides)."""
+    if nrows is None:
+        nrows = draw(st.integers(0, max_dim))
+    ncols = draw(st.integers(0, max_dim))
+    kind = draw(st.sampled_from(["dense", "zero", "sparse", "low-rank"]))
+    if kind == "zero":
+        return nrows, [[0] * nrows for _ in range(ncols)]
+    if kind == "low-rank":
+        inner = draw(st.integers(0, max(0, min(nrows, ncols) - 1)))
+        small = st.integers(-9, 9)
+        a = draw(st.lists(st.lists(small, min_size=nrows, max_size=nrows),
+                          min_size=inner, max_size=inner))
+        b = draw(st.lists(st.lists(small, min_size=inner, max_size=inner),
+                          min_size=ncols, max_size=ncols))
+        return nrows, [[sum(x * ak[i] for x, ak in zip(bj, a)) for i in range(nrows)]
+                       for bj in b]
+    entry = st.integers(-span, span)
+    if kind == "sparse":
+        entry = st.one_of(st.just(0), st.just(0), entry)
+    return nrows, draw(st.lists(st.lists(entry, min_size=nrows, max_size=nrows),
+                                min_size=ncols, max_size=ncols))
