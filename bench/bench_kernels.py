@@ -19,9 +19,13 @@ Then it times one torsion ``ops.power`` and one ``membership_dlog`` (two
 targets) on the residue torsion of Z[X]/(X^12 - 1), per call, on random
 members.  Next, it runs every tenth order of the cyclotomic-mix pool of
 ``perfbench`` through ``ops.order_op`` and reports, per order, the time
-and the count of ``Fraction`` objects built.  Then it runs the first 100
-orders of the split-rank pool (20 with ``--quick``), records the finite
-rings they build and every structure-table product made in those rings,
+and the count of ``Fraction`` objects built.  It replays the
+``roots_in_field`` calls of the first 100 cyclotomic-mix orders (20 with
+``--quick``) and reports the time per call and the counts of norms
+(``_norm_poly``), gcds over the field (``nfp_gcd``) and
+``NumberField.inv`` calls, the inverses of 1 apart.  Then it runs the
+first 100 orders of the split-rank pool (20 with ``--quick``), records
+the finite rings they build and every structure-table product made in those rings,
 and reports the tables' fill (the nonzero share of their entries), the
 entries a dense walk of those products would visit against those their
 sparse cells hold, and the time per replayed product.  It runs the same
@@ -277,6 +281,39 @@ def bench_orders(quick):
           f"{fractions / len(sample):>9.1f}")
 
 
+def bench_roots(quick):
+    repeat = 2 if quick else 3
+    # the root searches of the first orders of the cyclotomic-mix pool
+    sample = serve_inputs.build_pool("cyclotomic-mix")[:20 if quick else 100]
+    calls = recorded_calls(
+        [("roots_in_field", numfield)],
+        lambda: [serve_ops.order_op(None, item.text) for item in sample])["roots_in_field"]
+    t = time_fn(numfield.roots_in_field, calls, repeat) / len(calls)
+    # norms, gcds over K and field inverses, the inverses of 1 apart
+    codes = {numfield._norm_poly.__code__: 0, numfield.nfp_gcd.__code__: 1,
+             numfield.NumberField.inv.__code__: 2}
+    counts = [0] * 4
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            k = codes[frame.f_code]
+            counts[k] += 1
+            if k == 2 and frame.f_locals["x"] == frame.f_locals["self"].one():
+                counts[3] += 1
+
+    sys.setprofile(count)
+    try:
+        for args in calls:
+            numfield.roots_in_field(*args)
+    finally:
+        sys.setprofile(None)
+    norms, gcds, inverses, of_one = counts
+    print(f"\n{'cyclotomic-mix root searches':<30} {'orders':>6} {'calls':>6} {'ms/call':>8} "
+          f"{'norms':>6} {'gcds':>6} {'inverses':>9} {'of 1':>6}")
+    print(f"{'roots_in_field':<30} {len(sample):>6} {len(calls):>6} {t * 1e3:>8.2f} "
+          f"{norms:>6} {gcds:>6} {inverses:>9} {of_one:>6}")
+
+
 def bench_tables(quick):
     repeat = 2 if quick else 3
     # the finite rings that the first orders of the split-rank pool build,
@@ -357,6 +394,7 @@ def main():
     bench_polynomials(args.quick)
     bench_torsion(args.quick)
     bench_orders(args.quick)
+    bench_roots(args.quick)
     bench_tables(args.quick)
     bench_lattices(args.quick)
     bench_queries()

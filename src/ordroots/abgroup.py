@@ -19,6 +19,7 @@ adapter whose mul is addition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, List, Optional, Sequence
 
 from .kernels import xgcd
@@ -87,9 +88,10 @@ class EffPresentation:
     or None for elements outside it; the relation vectors generate the
     full kernel of the evaluation map Z^gens -> G.
 
-    ``log_product``, when given, is prod t^e over elements t given by
-    their dlogs: log_product(logs, exps) computes it from the exponents,
-    with no further dlog.
+    ``relation_lattice``, the lattice the relations span, is built on
+    first use and kept.  ``log_product``, when given, is prod t^e over
+    elements t given by their dlogs: log_product(logs, exps) computes it
+    from the exponents, with no further dlog.
     """
 
     ops: GroupOps
@@ -97,6 +99,10 @@ class EffPresentation:
     rels: tuple  # integer vectors in Z^gens
     dlog: Callable[[object], Optional[List[int]]]
     log_product: Optional[Callable] = None
+
+    @cached_property
+    def relation_lattice(self) -> Lattice:
+        return Lattice(len(self.gens), [list(r) for r in self.rels])
 
     def evaluate(self, exps: Sequence[int]):
         return self.ops.product(self.gens, exps)
@@ -109,8 +115,8 @@ class EffPresentation:
             return self.ops.product(elems, exps)
         return self.log_product(logs, exps)
 
-    def _relation_lattice(self) -> Lattice:
-        lat = Lattice(len(self.gens), [list(r) for r in self.rels])
+    def _full_rank_lattice(self) -> Lattice:
+        lat = self.relation_lattice
         if lat.rank < len(self.gens):
             raise ValueError("relation lattice not of full rank; group infinite")
         return lat
@@ -118,11 +124,11 @@ class EffPresentation:
     def group_order(self) -> int:
         """Order of the presented group: the index of the relation
         lattice, the product of its Hermite pivots."""
-        return self._relation_lattice().pivot_product
+        return self._full_rank_lattice().pivot_product
 
     def invariant_factors(self) -> List[int]:
         """Nontrivial invariant factors of the group, ascending."""
-        return [f for f in invariant_factors(self._relation_lattice().basis) if f != 1]
+        return [f for f in invariant_factors(self._full_rank_lattice().basis) if f != 1]
 
     def verify_exact(self):
         """Check the cheap structural invariants by multiplication."""
@@ -155,8 +161,7 @@ def subgroup_relations(pres: EffPresentation, targets, logs=None) -> List[List[i
     targets = list(targets)
     if logs is None:
         logs = _dlogs(pres, targets)
-    ngens = len(pres.gens)
-    out = preimage_lattice(IntMatrix(ngens, logs), Lattice(ngens, pres.rels))
+    out = preimage_lattice(IntMatrix(len(pres.gens), logs), pres.relation_lattice)
     for u in out.basis.cols:
         got = pres.logged_product(targets, logs, u)
         if got != pres.ops.identity:

@@ -21,14 +21,20 @@ from the tables with no field product.
 Root finding over K goes through the classical norm trick (Trager
 1976): shift the argument by an integer multiple of the generator until
 the norm (a resultant with the minimal polynomial) is squarefree, factor
-the norm over Q, and pull each factor back with a gcd over K.  The norm
-is interpolated from its values at integer points on integer numerators
-over one common denominator.  Its squarefreeness is proved modulo a few
-fixed primes; when no prime proves it, the exact gcd with its derivative
-decides, so the chosen shift is the one the exact test alone would
-choose.  Field inverses solve x * y = 1 against the
-matrix of multiplication by x with the library's fraction-free
-elimination.
+the norm over Q, and pull each factor back with a gcd over K.  Each step
+runs once (``roots_in_field``): the shifts of a rational f start at 1,
+since its unshifted norm is f^deg K; a squarefree norm proves f
+separable, so gcd(f, f') runs only after a norm that is not squarefree;
+the norm factors are pairwise coprime, so each but the last is pulled
+back by a gcd with the cofactor the earlier pieces leave, and the last
+piece is that cofactor; and the pieces are monic, so dividing by them
+takes no field inverse.  The norm is interpolated from its values at
+integer points on integer numerators over one common denominator.  Its
+squarefreeness is proved modulo a few fixed primes; when no prime
+proves it, the exact gcd with its derivative decides, so the chosen
+shift is the one the exact test alone would choose.  Field inverses
+solve x * y = 1 against the matrix of multiplication by x with the
+library's fraction-free elimination.
 
 The roots of unity of K are found one prime power at a time: a root of
 Phi_ell is climbed through roots of X^ell - zeta_(ell^k).  Primes ell are
@@ -80,6 +86,17 @@ class NumberField:
             raise ValueError("minimal polynomial must be nonconstant")
         if not is_irreducible_q(m):
             raise ValueError("minimal polynomial is reducible")
+        self._setup(m)
+
+    @classmethod
+    def _of_factor(cls, factor):
+        """The field of a monic irreducible factor that ``factor_q`` has
+        just returned, with no second factorization."""
+        K = cls.__new__(cls)
+        K._setup(factor)
+        return K
+
+    def _setup(self, m):
         self.min_poly = tuple(m)
         self.deg = qp_degree(m)
         # powers a^deg .. a^(2*deg-2) reduced, as integer rows over one
@@ -482,13 +499,15 @@ def nfp_mul(f, g, K):
 
 
 def nfp_divmod(f, g, K):
+    """(q, r) with f = q*g + r and deg r < deg g; a monic g needs no
+    field inverse."""
     if not g:
         raise ZeroDivisionError
-    inv = K.inv(g[-1])
+    inv = None if g[-1] == K.one() else K.inv(g[-1])
     f = list(f)
     q = [K.zero()] * max(0, len(f) - len(g) + 1)
     while len(f) >= len(g) and f:
-        c = K.mul(f[-1], inv)
+        c = f[-1] if inv is None else K.mul(f[-1], inv)
         k = len(f) - len(g)
         q[k] = c
         for i, b in enumerate(g):
@@ -500,6 +519,8 @@ def nfp_divmod(f, g, K):
 def nfp_monic(f, K):
     if not f:
         return []
+    if f[-1] == K.one():
+        return list(f)
     inv = K.inv(f[-1])
     return [K.mul(c, inv) for c in f]
 
@@ -589,10 +610,30 @@ def _norm_poly(f, K):
 def roots_in_field(f, K: NumberField):
     """All roots in K of a nonzero f in K[X], sorted by coordinates.
 
-    One path serves every degree: over a field of degree 1 the norm of
-    the shifted polynomial is that polynomial itself.  Every returned
-    root is re-verified exactly; for separable f the root count is
-    checked against deg f.
+    Trager's method, each step once.  With f monic and a the generator:
+
+    1. Shift: g = f(X - s*a) for s = 0, 1, ... until the norm N(g) in
+       Q[X] is squarefree.  N(g) is the product of the conjugates of g,
+       so for f with rational coefficients N(f) = f^deg K, never
+       squarefree when deg K > 1: then the search starts at s = 1.
+    2. Separability: a squarefree N(g) proves g, hence f, separable, so
+       gcd(f, f') runs only after a norm that is not squarefree, and the
+       search goes on with f / gcd(f, f'), which has the same roots.
+    3. Pullback: for N(g) squarefree, its monic irreducible factors h_i
+       over Q and the irreducible factors p_i of g over K correspond one
+       to one, p_i = gcd(g, h_i) with N(p_i) = h_i, so deg p_i * deg K =
+       deg h_i.  The h_i are pairwise coprime, so gcd(g, h_i) is also
+       the gcd with the cofactor g / (p_1 ... p_(i-1)): each factor but
+       the last is pulled back by a gcd with the cofactor, which is then
+       divided by it exactly, and the last piece is the cofactor itself.
+    4. The pieces are monic, so every division by them needs no field
+       inverse (``nfp_divmod``, ``nfp_monic``).
+
+    A linear piece X - r gives the root r - s*a of f.  One path serves
+    every degree: over a field of degree 1 the norm of g is g itself.
+    Every returned root is re-evaluated exactly, every piece must have
+    the degree its norm factor predicts, and for separable f the root
+    count is checked against deg f.
     """
     f = nfp_strip(list(f))
     if not f:
@@ -600,31 +641,41 @@ def roots_in_field(f, K: NumberField):
     if nfp_degree(f) == 0:
         return []
     fm = nfp_monic(f, K)
-    g0 = nfp_gcd(fm, nfp_deriv(fm, K), K)
-    separable = nfp_degree(g0) == 0
-    fs = nfp_monic(nfp_divmod(fm, g0, K)[0], K)
-    shift = None
-    for s in range(32 * K.deg * nfp_degree(fs) + 8):
+    rational = not any(any(c[1:]) for c in fm)
+    start = 1 if rational and K.deg > 1 else 0
+    fs, separable = fm, None  # None until a squarefree norm or gcd(f, f') decides
+    for s in range(start, 32 * K.deg * nfp_degree(fm) + 8):
         g = nfp_compose_shift(fs, s, K)
         norm = _norm_poly(g, K)
         if is_squarefree(norm):
-            shift = s
             break
-    if shift is None:
+        if separable is None:
+            g0 = nfp_gcd(fm, nfp_deriv(fm, K), K)
+            separable = nfp_degree(g0) == 0
+            if not separable:
+                fs = nfp_divmod(fm, g0, K)[0]
+    else:
         raise AssertionError("no squarefree shift found")
+    shift = K.mul(K.gen(), K.from_rational(s))
     _, factors = factor_q(norm)
+    pieces = []
+    rest = g
+    for fac, _ in factors[:-1]:
+        piece = nfp_gcd(rest, nfp_from_qp(fac, K), K)
+        rest, rem = nfp_divmod(rest, piece, K)
+        if rem:
+            raise AssertionError("pulled-back piece does not divide the cofactor")
+        pieces.append(piece)
+    pieces.append(rest)
     roots = []
-    for fac, _ in factors:
-        piece = nfp_gcd(g, nfp_from_qp(fac, K), K)
-        if nfp_degree(piece) < 1:
+    for (fac, _), piece in zip(factors, pieces):
+        if nfp_degree(piece) * K.deg != qp_degree(fac):
             raise AssertionError("norm factor does not pull back")
         if nfp_degree(piece) == 1:
-            r_shifted = K.neg(piece[0])
-            root = K.sub(r_shifted, K.mul(K.gen(), K.from_rational(shift)))
-            roots.append(root)
+            roots.append(K.sub(K.neg(piece[0]), shift))
     for r in roots:
         if any(nfp_eval(f, r, K)):
             raise AssertionError("root does not verify")
-    if separable and len(roots) > nfp_degree(f):
+    if separable is not False and len(roots) > nfp_degree(f):
         raise AssertionError("more roots than the degree")
     return sorted(roots)

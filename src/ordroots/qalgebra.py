@@ -329,7 +329,7 @@ def decompose(E: QAlgebra) -> SpecDecomposition:
     const, facs = factor_q(list(m))
     if any(mult != 1 for _, mult in facs):
         raise AssertionError("squarefree minimal polynomial has a repeated factor")
-    components = [NumberField(list(f)) for f, _ in facs]
+    components = [NumberField._of_factor(f) for f, _ in facs]
 
     # phi: a polynomial in alpha of degree < q -> its stacked component
     # coordinates; column j stacks the powers a^j of the fields' generators

@@ -58,6 +58,29 @@ def test_relations_are_the_preimage_the_kernel_projection_gives(seed, nt):
     assert subgroup_relations(pres, targets) == reference_subgroup_relations(pres, logs)
 
 
+@given(st.integers(0, 2 ** 32), st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_relation_lattice_is_built_once(seed, nt):
+    from ordroots import abgroup
+
+    rng = random.Random(seed)
+    pres, _ = random_presented_group(rng)
+    assert pres.relation_lattice == Lattice(len(pres.gens), [list(r) for r in pres.rels])
+    targets = [pres.evaluate([rng.randint(-99, 99) for _ in pres.gens]) for _ in range(nt)]
+    want = reference_subgroup_relations(pres, [pres.dlog(t) for t in targets])
+    lattice = abgroup.Lattice
+
+    def refuse(*args):
+        raise AssertionError("relation lattice rebuilt")
+
+    abgroup.Lattice = refuse
+    try:
+        assert subgroup_relations(pres, targets) == want
+        assert pres.group_order() == math.prod(pres.invariant_factors())
+    finally:
+        abgroup.Lattice = lattice
+
+
 def test_self_presentation_relations():
     pres, lat = quotient_group([[4]])
     u = subgroup_relations(pres, list(pres.gens))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ordroots import numfield
 from ordroots.linalg import QLattice, RatMatrix, solve_rat
 from ordroots.numfield import (
     NumberField,
@@ -13,9 +14,11 @@ from ordroots.numfield import (
     _norm_poly,
     _residue_gcd,
     nfp_degree,
+    nfp_divmod,
     nfp_eval,
     nfp_from_qp,
     nfp_gcd,
+    nfp_monic,
     nfp_mul,
     roots_in_field,
 )
@@ -34,6 +37,9 @@ from ordroots.qalgebra import QAlgebra, decompose, minimal_polynomial
 from util import (
     coordinate_forms,
     cyclic_dlog,
+    full_trager_roots,
+    inverting_divmod,
+    inverting_monic,
     is_canonical,
     lagrange_norm_poly,
     schoolbook_field_mul,
@@ -232,6 +238,141 @@ def test_nfp_gcd():
     d = nfp_gcd(f, g, K)
     assert nfp_degree(d) == 1
     assert d[1] == K.one()
+
+
+# fields for the roots property: Q(i), Q(zeta_3) by X^2 + 3X + 3, Q(sqrt 2)
+# and the cyclic cubic Q(zeta_9 + zeta_9^-1); X^3 - c for c = 2, 3, 5 has
+# no root in any of them (its roots generate non-normal cubic fields), so
+# it is irreducible over each
+ROOT_FIELDS = {
+    "Q(i)": [1, 0, 1],
+    "Q(zeta3)": [3, 3, 1],
+    "Q(sqrt2)": [-2, 0, 1],
+    "cyclic cubic": [1, -3, 0, 1],
+}
+_SMALL = st.sampled_from([0, 1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-2, 3)])
+
+
+def _linear(K, r):
+    return [K.neg(r), K.one()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(ROOT_FIELDS)), data=st.data())
+def test_roots_match_the_full_trager_reference(name, data):
+    K = NumberField(ROOT_FIELDS[name])
+    roots = [tuple(data.draw(_SMALL) for _ in range(K.deg))
+             for _ in range(data.draw(st.integers(1, 3)))]
+    f = [K.from_rational(data.draw(st.sampled_from([1, 2, Fraction(-1, 3)])))]
+    for r in roots:
+        f = nfp_mul(f, _linear(K, r), K)
+    f = nfp_mul(f, nfp_from_qp([-data.draw(st.sampled_from([2, 3, 5])), 0, 0, 1], K), K)
+    if data.draw(st.booleans()):
+        f = nfp_mul(f, _linear(K, roots[0]), K)
+    got = roots_in_field(f, K)
+    assert got == full_trager_roots(f, K)
+    assert set(got) == set(roots)
+
+
+def _record_shifts(monkeypatch):
+    events = []
+    shift, gcd_ = numfield.nfp_compose_shift, numfield.nfp_gcd
+
+    def compose_shift(f, s, K):
+        events.append(("shift", s))
+        return shift(f, s, K)
+
+    def nfp_gcd_(f, g, K):
+        events.append(("gcd",))
+        return gcd_(f, g, K)
+
+    monkeypatch.setattr(numfield, "nfp_compose_shift", compose_shift)
+    monkeypatch.setattr(numfield, "nfp_gcd", nfp_gcd_)
+    return events
+
+
+def test_rational_polynomial_skips_the_unshifted_norm(monkeypatch):
+    # the norm of a rational f down from Q(i) is f^2
+    K = gaussian()
+    f = nfp_from_qp(qp_mul(qp_mul([-2, 1], [-3, 1]), [-2, 0, 1]), K)
+    events = _record_shifts(monkeypatch)
+    roots = roots_in_field(f, K)
+    # at s = 1 the norm, (X^2 - 4X + 5)(X^2 - 6X + 10) times the quartic
+    # norm of (X - i)^2 - 2, is squarefree: no separability gcd, and one
+    # pullback gcd for each norm factor but the last
+    assert events == [("shift", 1), ("gcd",), ("gcd",)]
+    assert roots == [K.from_rational(2), K.from_rational(3)] == full_trager_roots(f, K)
+
+
+def test_repeated_root_runs_the_gcd_after_the_first_norm(monkeypatch):
+    K = gaussian()
+    i = K.gen()
+    f = nfp_mul(nfp_mul(_linear(K, i), _linear(K, i), K), _linear(K, K.add(K.one(), i)), K)
+    events = _record_shifts(monkeypatch)
+    roots = roots_in_field(f, K)
+    # s = 0: the norm of (X - i)^2 (X - 1 - i) is not squarefree, so
+    # gcd(f, f') runs and the search goes on with the squarefree part
+    assert events[:3] == [("shift", 0), ("gcd",), ("shift", 1)]
+    assert roots == sorted([i, K.add(K.one(), i)]) == full_trager_roots(f, K)
+
+
+def test_last_norm_factor_pulls_back_to_a_nonlinear_cofactor(monkeypatch):
+    K = gaussian()
+    f = nfp_from_qp(qp_mul(qp_mul([-1, 1], [1, 1]), [-5, 0, 0, 1]), K)
+    seen = []
+    factor = numfield.factor_q
+
+    def factor_q_(norm):
+        out = factor(norm)
+        seen.append([fac for fac, _ in out[1]])
+        return out
+
+    monkeypatch.setattr(numfield, "factor_q", factor_q_)
+    roots = roots_in_field(f, K)
+    facs, = seen
+    # two linear pieces, then the cubic (X - s*i)^3 - 5 as the cofactor
+    assert [qp_degree(h) for h in facs] == [2, 2, 6]
+    assert roots == [K.from_rational(-1), K.from_rational(1)] == full_trager_roots(f, K)
+
+
+def test_a_piece_of_the_wrong_degree_is_refused(monkeypatch):
+    # a pullback gcd that loses its factor leaves pieces whose degrees
+    # disagree with their norm factors
+    K = gaussian()
+    f = nfp_from_qp(qp_mul(qp_mul([-2, 1], [-3, 1]), [-2, 0, 1]), K)
+    monkeypatch.setattr(numfield, "nfp_gcd", lambda f, g, K: [K.one()])
+    with pytest.raises(AssertionError, match="does not pull back"):
+        roots_in_field(f, K)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(ROOT_FIELDS)), data=st.data())
+def test_monic_division_takes_no_inverse(name, data):
+    K = NumberField(ROOT_FIELDS[name])
+
+    def element():
+        return tuple(data.draw(_SMALL) for _ in range(K.deg))
+
+    f = [element() for _ in range(data.draw(st.integers(1, 5)))] + [K.from_rational(3)]
+    g = [element() for _ in range(data.draw(st.integers(0, 2)))] + [K.one()]
+    want_q, want_r = inverting_divmod(f, g, K)
+    want_monic = inverting_monic(g, K)
+    calls = []
+    inv = NumberField.inv
+
+    def counting_inv(self, x):
+        calls.append(x)
+        return inv(self, x)
+
+    NumberField.inv = counting_inv
+    try:
+        assert nfp_divmod(f, g, K) == (want_q, want_r)
+        assert nfp_monic(g, K) == want_monic
+        assert not calls
+        assert nfp_monic(f, K) == inverting_monic(f, K)
+        assert calls
+    finally:
+        NumberField.inv = inv
 
 
 # products of small fields, each with the component lists of its cyclic

@@ -67,6 +67,25 @@ def test_decompose_x4_minus_1():
     assert dec.power_basis.ncols == 4
 
 
+def test_components_are_not_factored_a_second_time(monkeypatch):
+    # factor_q has just returned each factor irreducible, so building its
+    # field checks nothing again; the fields are those the public
+    # constructor builds from the same factors
+    from ordroots import numfield
+
+    def refuse(f):
+        raise AssertionError("component factored twice")
+
+    E = poly_algebra([-1] + [0] * 11 + [1])
+    with monkeypatch.context() as m:
+        m.setattr(numfield, "is_irreducible_q", refuse)
+        dec = decompose(E)
+    for K in dec.components:
+        L = numfield.NumberField(list(K.min_poly))
+        assert (K.min_poly, K.deg) == (L.min_poly, L.deg)
+        assert K.mul(K.gen(), K.gen()) == L.mul(L.gen(), L.gen())
+
+
 def test_decompose_nilpotent_case():
     E = poly_algebra([0, 0, 1])  # Q[X]/(X^2)
     dec = decompose(E)

@@ -135,6 +135,72 @@ def xgcd_field_inverse(K, x):
 
 
 # ---------------------------------------------------------------------------
+# roots over a number field, every Trager step in full
+
+def inverting_divmod(f, g, K):
+    """Long division in K[X] that multiplies by the inverse of lc(g),
+    even when lc(g) is 1."""
+    from ordroots.numfield import nfp_strip
+
+    inv = K.inv(g[-1])
+    f = list(f)
+    q = [K.zero()] * max(0, len(f) - len(g) + 1)
+    while len(f) >= len(g) and f:
+        c = K.mul(f[-1], inv)
+        k = len(f) - len(g)
+        q[k] = c
+        for i, b in enumerate(g):
+            f[k + i] = K.sub(f[k + i], K.mul(c, b))
+        nfp_strip(f)
+    return nfp_strip(q), f
+
+
+def inverting_monic(f, K):
+    inv = K.inv(f[-1])
+    return [K.mul(c, inv) for c in f]
+
+
+def _inverting_gcd(f, g, K):
+    while g:
+        f, g = g, inverting_divmod(f, g, K)[1]
+    return inverting_monic(f, K)
+
+
+def full_trager_roots(f, K):
+    """Roots in K of nonzero f in K[X], sorted: the separability gcd
+    first, then every shift from s = 0 until the norm of the squarefree
+    part is squarefree, and each norm factor pulled back by its own gcd
+    with the whole shifted polynomial."""
+    from ordroots.numfield import (
+        _norm_poly, nfp_compose_shift, nfp_degree, nfp_deriv, nfp_eval,
+        nfp_from_qp, nfp_strip)
+    from ordroots.polyfactor import factor_q, is_squarefree
+
+    f = nfp_strip(list(f))
+    if nfp_degree(f) == 0:
+        return []
+    fm = inverting_monic(f, K)
+    g0 = _inverting_gcd(fm, nfp_deriv(fm, K), K)
+    fs = inverting_monic(inverting_divmod(fm, g0, K)[0], K)
+    s = 0
+    while True:
+        g = nfp_compose_shift(fs, s, K)
+        norm = _norm_poly(g, K)
+        if is_squarefree(norm):
+            break
+        s += 1
+    roots = []
+    for fac, _ in factor_q(norm)[1]:
+        piece = _inverting_gcd(g, nfp_from_qp(fac, K), K)
+        assert nfp_degree(piece) >= 1, "norm factor does not pull back"
+        if nfp_degree(piece) == 1:
+            roots.append(K.sub(K.neg(piece[0]), K.mul(K.gen(), K.from_rational(s))))
+    for r in roots:
+        assert not any(nfp_eval(f, r, K)), "root does not verify"
+    return sorted(roots)
+
+
+# ---------------------------------------------------------------------------
 # polynomial division and idempotents, the Fraction way
 
 def fraction_divides(g, f):
