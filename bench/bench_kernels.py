@@ -29,9 +29,10 @@ the finite rings they build and every structure-table product made in those ring
 and reports the tables' fill (the nonzero share of their entries), the
 entries a dense walk of those products would visit against those their
 sparse cells hold, and the time per replayed product.  It runs the same
-orders again and counts the Hermite forms (``hnf_cols`` calls) and the
-column updates (``_submul`` calls) that their lattice work makes, and
-times each order.  Last, it replays
+orders again and counts the Hermite forms (``hnf_cols`` calls), their
+cells (rows, the carried ones included, times columns), the column updates (``_submul``
+calls), the ``IntSolver`` builds and the ``det_int`` calls that their
+lattice work makes, and times each order.  Last, it replays
 the dlog-serve query pool of ``perfbench`` once on a warm serving state and
 reports, per query class (mue, mua, unip), the time per query and the
 counts of ``NumberField.mul`` calls, of power-table dlogs and of
@@ -344,13 +345,29 @@ def bench_lattices(quick):
     # the lattice work of the first orders of the split-rank pool
     sample = serve_inputs.build_pool("split-rank")[:20 if quick else 100]
     seconds = time_fn(serve_ops.order_op, [(None, item.text) for item in sample], repeat)
-    hermite, updates = call_counts(
-        [kernels.hnf_cols.__code__, kernels._submul.__code__],
-        lambda: [serve_ops.order_op(None, item.text) for item in sample])
-    print(f"\n{'split-rank lattice work':<24} {'orders':>6} {'hnf_cols':>9} {'_submul':>9} "
-          f"{'ms/order':>9}")
-    print(f"{'order_op':<24} {len(sample):>6} {hermite:>9} {updates:>9} "
-          f"{seconds / len(sample) * 1e3:>9.2f}")
+    codes = {kernels.hnf_cols.__code__: 0, kernels._submul.__code__: 1,
+             linalg.IntSolver.__init__.__code__: 2, linalg.det_int.__code__: 3}
+    counts = [0] * 5  # the four calls, then the Hermite cells
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            k = codes[frame.f_code]
+            counts[k] += 1
+            if k == 0:
+                cols = frame.f_locals["cols"]
+                counts[4] += (len(cols[0]) if cols else 0) * len(cols)
+
+    sys.setprofile(count)
+    try:
+        for item in sample:
+            serve_ops.order_op(None, item.text)
+    finally:
+        sys.setprofile(None)
+    hermite, updates, solvers, dets, cells = counts
+    print(f"\n{'split-rank lattice work':<24} {'orders':>6} {'hnf_cols':>9} {'cells':>10} "
+          f"{'_submul':>9} {'IntSolver':>9} {'det_int':>8} {'ms/order':>9}")
+    print(f"{'order_op':<24} {len(sample):>6} {hermite:>9} {cells:>10} {updates:>9} "
+          f"{solvers:>9} {dets:>8} {seconds / len(sample) * 1e3:>9.2f}")
 
 
 def bench_queries():

@@ -3,7 +3,8 @@
 Reads an order from a JSON document, runs one pipeline, prints a
 machine-readable JSON result to stdout and a one-line summary to stderr.
 Exit codes: 0 success, 1 mathematical "no" (discrete-log non-membership),
-2 invalid input, 3 internal error (a self-check of the library failed;
+2 invalid input, 3 internal error (a self-check of the library failed,
+or any other exception was raised while answering a valid document;
 nothing is printed to stdout).  Identical inputs produce byte-identical
 output.
 
@@ -96,8 +97,11 @@ def cmd_dlog(args) -> int:
         raise DocumentError("targets must be a JSON list of vectors")
     targets = [parse_vector(t, order.rank) for t in targets_raw]
     element = parse_vector(element_raw, order.rank)
+    # built outside the try: only a target that is no root of unity is bad input
+    ctx = build_context(order)
+    ctx.field_torsion()
     try:
-        sol, reason = mu_e_subgroup_dlog(order, targets, element)
+        sol, reason = mu_e_subgroup_dlog(ctx, targets, element)
     except ValueError as e:
         raise DocumentError(str(e)) from None
     if sol is None:
@@ -232,14 +236,14 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (DocumentError, AlgebraError) as e:
-        _say(f"error: {e}")
-        return 2
-    except NotInGroup as e:
+    except (DocumentError, AlgebraError, NotInGroup) as e:
         _say(f"error: {e}")
         return 2
     except AssertionError as e:
         _say(f"internal error: {e or 'a self-check failed'}")
+        return 3
+    except Exception as e:
+        _say(f"internal error: {type(e).__name__}: {e}")
         return 3
 
 

@@ -16,7 +16,10 @@ in 1 + I, of either sign, is the finite binomial sum sum_i C(e, i) b^i.
 The filtration holds what every peel needs: one prepared integer solver
 per level and the nonzero powers b, b^2, ... of each layer generator.
 Peeling then costs one ring product per nonzero exponent, and runs no
-Hermite form, no square-and-multiply and no general unit inverse.
+Hermite form, no square-and-multiply and no general unit inverse.  The
+same solver's kernel gives the level's additive relations, and a layer's
+generators are read off the Smith form of the layer, so neither takes an
+elimination of its own.
 
 Self-checks raise AssertionError explicitly, so they also run under
 ``python -O``.
@@ -34,7 +37,6 @@ from .linalg import (
     IntSolver,
     Lattice,
     lattice_index,
-    preimage_lattice,
     snf,
 )
 from .qalgebra import sparse_table, table_mul, table_mul_basis
@@ -201,8 +203,9 @@ class Filtration:
 
     Built once, read by every discrete log: ``solvers[i]`` solves over
     the fixed matrix [B_i | I^(2^(i+1))], so a layer costs no Hermite
-    form; ``units[i]`` and ``powers[i]`` hold 1 + b and b, b^2, ... up to
-    the last nonzero power for each b in B_i, and each (1 + b)^-1 is
+    form, and its kernel cut to B_i spans the layer's relations;
+    ``units[i]`` and ``powers[i]`` hold 1 + b and b, b^2, ... up to the
+    last nonzero power for each b in B_i, and each (1 + b)^-1 is
     multiplied back once.
     ``terms`` = 2^len(levels) bounds the nilpotency index of I.
     """
@@ -259,7 +262,12 @@ def filtration_generators(ring: FiniteRing, ideal: RingIdeal) -> Filtration:
 
 
 def _layer_generators(ring: FiniteRing, big: RingIdeal, small: RingIdeal):
-    """Lift a Smith-form generating set of big/small into the ring."""
+    """Lift a Smith-form generating set of big/small into the ring.
+
+    With m the small basis in big coordinates and d = u*m*v its Smith
+    form, the lift of the t-th generator is u^-1 e_t = (m v e_t) / d_t.
+    Both ideals contain the full-rank relation lattice, so m is square
+    and every d_t is nonzero."""
     coords = []
     for c in small.lattice.basis.cols:
         x = big.lattice.coords(c)
@@ -267,17 +275,16 @@ def _layer_generators(ring: FiniteRing, big: RingIdeal, small: RingIdeal):
             raise AssertionError("small ideal is not inside the big one")
         coords.append(x)
     m = IntMatrix(big.lattice.rank, coords)
-    d, u, _ = snf(m)
-    u_solver = IntSolver(u)
+    d, _, v = snf(m)
     out = []
-    for t in range(big.lattice.rank):
-        dt = d.entry(t, t) if t < min(d.nrows, d.ncols) else 0
+    for t in range(m.ncols):
+        dt = d.entry(t, t)
         if dt == 1:
             continue
-        x = u_solver.solve([int(i == t) for i in range(big.lattice.rank)])
-        if x is None:
-            raise AssertionError("Smith transform is not unimodular")
-        out.append(ring.reduce(big.lattice.element(x)))
+        mv = m.apply(v.cols[t])
+        if any(e % dt for e in mv):
+            raise AssertionError("Smith column is not divisible by its invariant factor")
+        out.append(ring.reduce(big.lattice.element([e // dt for e in mv])))
     return out
 
 
@@ -320,10 +327,9 @@ def unipotent_relations(filtration: Filtration):
     nlev = len(levels)
     rels_tail: List[List[int]] = []  # relations over generators of levels >= j
     for j in range(nlev - 1, -1, -1):
-        ideal, bs = levels[j]
-        nxt = levels[j + 1][0] if j + 1 < nlev else RingIdeal.zero(ring)
-        bmat = IntMatrix(ring.ngens, [list(b) for b in bs])
-        addrel = preimage_lattice(bmat, nxt.lattice)
+        bs = levels[j][1]
+        # (x, y) with B_j x + N y = 0, N the next ideal's basis, cut to x
+        addrel = Lattice(len(bs), [c[:len(bs)] for c in filtration.solvers[j].kernel.cols])
         tail_len = sum(len(levels[t][1]) for t in range(j + 1, nlev))
         new_rels = []
         for n in addrel.basis.cols:

@@ -5,9 +5,10 @@ ints, and a rational matrix is an integer matrix of numerators over one
 denominator.  No floating point anywhere.  A rational coordinate is an
 int where it is integral and a Fraction otherwise (``ratio``); every
 rational vector returned here has that form.  Rational systems are solved
-and inverted by one fraction-free Gauss-Jordan elimination on integer
-rows.  Matrices are immutable by convention (constructors copy their
-input, methods return new objects) and may therefore be shared freely.
+and inverted, and determinants taken, by one fraction-free Gauss-Jordan
+elimination on integer rows.  Matrices are immutable by convention
+(constructors copy their input, methods return new objects) and may
+therefore be shared freely.
 
 Lattices are stored through a canonical column-style Hermite normal
 form, so two equal lattices compare equal as matrices.  Every index is
@@ -16,7 +17,8 @@ the product of its Hermite pivots, and the index of sub in sup of equal
 rank is the quotient of their pivot products.  A kernel, preimage or
 intersection is {x : (0, x) in L} for a lattice L of stacked columns,
 read off one Hermite form of L; a transform u of h = m*u is the identity
-carried below m's rows.
+carried below m's rows, and its columns under the zero columns of h are
+a basis of the kernel of m.
 """
 
 from __future__ import annotations
@@ -176,7 +178,7 @@ class RatMatrix:
         if n != self.ncols:
             raise ValueError("not square")
         rows = [r + [int(i == j) for j in range(n)] for i, r in enumerate(self.num.to_rows())]
-        pivots, d = _gauss_jordan(rows, n)
+        pivots, d, _ = _gauss_jordan(rows, n)
         if len(pivots) < n:
             raise ValueError("matrix is singular")
         # num^-1 = R / d for the right half R, so (num / den)^-1 = den R / d
@@ -223,12 +225,15 @@ def _gauss_jordan(rows, ncols):
     entries stay minors of the input (Bareiss 1968; Cohen, *A Course in
     Computational Algebraic Number Theory*, 2.2).  Each row stays a nonzero
     multiple of the row that elimination over Q with the same pivots
-    holds.  Returns (pivot columns, d): row i of the first len(pivots)
-    holds d times row i of the reduced row echelon form.
+    holds.  Returns (pivot columns, d, sign): row i of the first
+    len(pivots) holds d times row i of the reduced row echelon form, and
+    sign is the parity of the row swaps.  d is the last pivot, a minor of
+    the rows as swapped, so with a pivot in every column of a square
+    matrix it is sign times the determinant.
     """
     nr = len(rows)
     pivots = []
-    prev = 1
+    prev = sign = 1
     for c in range(ncols):
         r = len(pivots)
         if r == nr:
@@ -236,7 +241,9 @@ def _gauss_jordan(rows, ncols):
         piv = next((i for i in range(r, nr) if rows[i][c]), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
         prow = rows[r]
         p = prow[c]
         for i, row in enumerate(rows):
@@ -249,7 +256,7 @@ def _gauss_jordan(rows, ncols):
                 rows[i] = [p * e // prev for e in row]
         pivots.append(c)
         prev = p
-    return pivots, prev
+    return pivots, prev, sign
 
 
 def solve_rat(m: RatMatrix, vec):
@@ -259,7 +266,7 @@ def solve_rat(m: RatMatrix, vec):
     b, db = clear_vector(vec)
     # m x = vec  <=>  num y = den * b  for  y = db * x
     rows = [r + [m.den * e] for r, e in zip(m.num.to_rows(), b)]
-    pivots, d = _gauss_jordan(rows, nc)
+    pivots, d, _ = _gauss_jordan(rows, nc)
     if any(r[nc] for r in rows[len(pivots):]):
         return None
     x = [0] * nc
@@ -300,32 +307,11 @@ def snf(m: IntMatrix):
 
 
 def det_int(m: IntMatrix) -> int:
-    """Determinant by fraction-free (Bareiss) elimination."""
+    """Determinant, read off one fraction-free Gauss-Jordan elimination."""
     if m.nrows != m.ncols:
         raise ValueError("not square")
-    n = m.nrows
-    if n == 0:
-        return 1
-    a = m.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        akk = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row = a[i]
-            rowk = a[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * akk - aik * rowk[j]) // prev
-            row[k] = 0
-        prev = akk
-    return sign * a[n - 1][n - 1]
+    pivots, d, sign = _gauss_jordan(m.to_rows(), m.ncols)
+    return sign * d if len(pivots) == m.ncols else 0
 
 
 def invariant_factors(m: IntMatrix):
@@ -482,16 +468,19 @@ class IntSolver:
 
     The Hermite form h = m*u is computed once: its nonzero columns are
     the canonical basis of the image of m, and the matching columns of u
-    carry coordinates in that basis back to a solution x.
+    carry coordinates in that basis back to a solution x.  u is
+    unimodular, so its columns under the zero columns of h, ``kernel``,
+    are a basis (not the canonical one) of the kernel of m.
     """
 
-    __slots__ = ("image", "transform")
+    __slots__ = ("image", "transform", "kernel")
 
     def __init__(self, m: IntMatrix):
         h, u = _hnf_transform(m)
         rank = sum(1 for c in h if any(c))  # zero columns trail
         self.image = Lattice._from_hnf(m.nrows, h[:rank])
         self.transform = IntMatrix(m.ncols, u[:rank])
+        self.kernel = IntMatrix(m.ncols, u[rank:])
 
     def solve(self, vec):
         """One integer solution x of m*x = vec, or None."""
@@ -519,7 +508,9 @@ def preimage_lattice(m: IntMatrix, lat: Lattice) -> Lattice:
 
 class QLattice:
     """Finitely generated subgroup of Q^dim: (1/den) * L for an integer
-    lattice L.  Canonical: den > 0 and gcd(den, content(L)) = 1."""
+    lattice L.  Canonical: den > 0 and gcd(den, content(L)) = 1.  A
+    canonical basis divided by a common factor of its entries is still
+    canonical, so removing the factor builds no Hermite form."""
 
     __slots__ = ("dim", "den", "lat")
 
@@ -532,7 +523,7 @@ class QLattice:
                 g = gcd(g, e)
         g = gcd(g, den)
         if g > 1:
-            lat = Lattice(dim, [[e // g for e in c] for c in lat.basis.cols])
+            lat = Lattice._from_hnf(dim, [[e // g for e in c] for c in lat.basis.cols])
             den //= g
         self.dim = dim
         self.den = den

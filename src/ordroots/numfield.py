@@ -16,7 +16,7 @@ presented there (``ProductRing.cyclic_presentation``).  Each factor's
 powers are tabulated once when the presentation is built and keyed on
 the element tuples themselves, so a discrete log is a projection and
 one dictionary lookup per factor, and the power of a member is read
-from the tables with no field product.
+from the tables with no field product; a non-member has no power there.
 
 Root finding over K goes through the classical norm trick (Trager
 1976): shift the argument by an integer multiple of the generator until
@@ -310,14 +310,6 @@ class ProductRing:
             [K.mul(self.block(u, i), self.block(v, i)) for i, K in enumerate(self.fields)]
         )
 
-    def inv(self, u):
-        return self.from_blocks(
-            [K.inv(self.block(u, i)) for i, K in enumerate(self.fields)]
-        )
-
-    def power(self, u, e):
-        return power(self.mul, self.inv, self.one(), u, e)
-
     def sub_ring(self, comps) -> "ProductRing":
         return ProductRing([self.fields[i] for i in comps])
 
@@ -346,9 +338,9 @@ class ProductRing:
         nonzero index in the sub-product ring; a factor with none is the
         table's 1, so the entry 1 enters no product and no dlog is taken
         again.  The power x^e of a member is that product of one element;
-        a non-member is raised by the ring's own power.  The dlog and the
-        power raise ValueError for an element of the wrong length.  The
-        power lists are returned with the presentation.
+        the power raises ValueError for a non-member, and the dlog and the
+        power raise it for an element of the wrong length.  The power
+        lists are returned with the presentation.
         """
         covered = sorted(i for comps, _, _ in factors for i in comps)
         if covered != list(range(len(self.fields))):
@@ -399,7 +391,9 @@ class ProductRing:
 
         def group_power(x, e):
             exps = dlog(x)
-            return self.power(x, e) if exps is None else log_product([exps], [e])
+            if exps is None:
+                raise ValueError("element outside the torsion group")
+            return log_product([exps], [e])
 
         ops = GroupOps(mul=self.mul, power=group_power, identity=self.one())
         rels = cyclic_relations([w for _, _, w in factors])

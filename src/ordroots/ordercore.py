@@ -29,7 +29,6 @@ from .linalg import (
     Lattice,
     QLattice,
     RatMatrix,
-    det_int,
     kernel_int,
     qlat_index,
     sum_lattices,
@@ -206,18 +205,18 @@ def _connected_components(n, edges):
 def order_graph(emb: EmbeddedOrder) -> WeightedGraph:
     """Weights n(D, m, n) = index of (m cap D) + (n cap D) in D, computed
     in the order's own coordinates: the product of the Hermite pivots of
-    the sum, cross-checked against its fraction-free determinant."""
+    the sum.  The sum's basis is checked to have the pivot rows 0, ...,
+    n - 1 and a positive pivot product: it is then lower triangular, and
+    the weight is the absolute value of its determinant."""
     ncomp = len(emb.ambient.fields)
     kers = [emb.component_kernel(i) for i in range(ncomp)]
     weights = {}
     for i in range(ncomp):
         for j in range(i + 1, ncomp):
             s = sum_lattices(kers[i], kers[j])
-            if s.rank != emb.rank:
-                raise AssertionError("component kernels do not sum to full rank")
             w = s.pivot_product
-            if w != abs(det_int(s.basis)):
-                raise AssertionError("graph weight: Hermite pivots disagree with the determinant")
+            if s.pivots != list(range(emb.rank)) or w <= 0:
+                raise AssertionError("component kernels do not sum to a full-rank Hermite basis")
             weights[(i, j)] = w
     return WeightedGraph.from_weights(ncomp, weights)
 

@@ -258,7 +258,7 @@ def minimal_polynomial(alg: QAlgebra, x):
     for _ in range(n):
         powers.append(alg.mul(powers[-1], x))
     rows = RatMatrix(n, powers).num.to_rows()
-    pivots, d = _gauss_jordan(rows, n + 1)
+    pivots, d, _ = _gauss_jordan(rows, n + 1)
     k = len(pivots)
     if pivots != list(range(k)):
         raise AssertionError("Krylov pivots are not a prefix of the powers")

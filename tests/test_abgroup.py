@@ -32,10 +32,13 @@ from util import (
     cyclic_dlog,
     cyclic_order,
     fold_product,
+    product_inv,
+    product_power,
     quotient_coset_normalizer,
     quotient_group,
     random_presented_group,
     reference_subgroup_relations,
+    run_python,
     schreier_kernel,
     unit_inverse,
 )
@@ -266,15 +269,7 @@ _CAUGHT = ["[[12]] [2]",
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
 def test_a_wrong_relation_or_witness_is_still_caught(flags):
-    import os
-    import subprocess
-    import sys
-
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    run = subprocess.run([sys.executable] + flags + ["-c", _CORRUPTED_CHECKS],
-                         capture_output=True, text=True, env=env)
+    run = run_python(flags, _CORRUPTED_CHECKS)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines() == _CAUGHT
 
@@ -300,7 +295,7 @@ def test_cyclic_dlog_in_product_ring():
     gen = R.from_blocks([i, (-1,)])
     assert cyclic_order(R.mul, R.one(), gen, 8) == 4
     for a in range(4):
-        assert cyclic_dlog(R.mul, R.one(), gen, 4, R.power(gen, a)) == a
+        assert cyclic_dlog(R.mul, R.one(), gen, 4, product_power(R, gen, a)) == a
     # a root of unity of the product outside the cyclic subgroup
     assert cyclic_dlog(R.mul, R.one(), gen, 4, R.from_blocks([i, (1,)])) is None
 
@@ -320,7 +315,7 @@ def _power_cases():
         ("F_3[e]/(e^4)", eps.mul, partial(unit_inverse, eps), eps.one,
          eps.reduce([2, 1, 0, 1])),
         ("Q(i)", K.mul, K.inv, K.one(), K.from_poly([Fraction(1, 2), 1])),
-        ("Q(i) x Q(sqrt 2)", R.mul, R.inv, R.one(),
+        ("Q(i) x Q(sqrt 2)", R.mul, partial(product_inv, R), R.one(),
          R.from_blocks([K.from_poly([1, 1]), R.fields[1].from_poly([1, Fraction(1, 3)])])),
     ]
 

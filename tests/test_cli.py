@@ -192,6 +192,44 @@ def test_failed_self_check_is_an_internal_error(capsys, x4_doc, monkeypatch):
     assert err == "internal error: relation does not hold\n"
 
 
+_COMMANDS = {
+    "idempotents": [],
+    "units": [],
+    "dlog": ["--targets", '[["0","1","0","0"]]', "--element", '["0","0","0","1"]'],
+    "graph": [],
+    "graph --prime": ["--prime", "2"],
+    "decompose": [],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_any_other_fault_is_an_internal_error(capsys, x4_doc, monkeypatch, command):
+    # a fault that is no self-check is neither a "no" (1) nor bad input (2)
+    from ordroots.ordercore import EmbeddedOrder
+
+    def broken(self):
+        raise ValueError("table lookup failed")
+
+    monkeypatch.setattr(EmbeddedOrder, "mult_table", broken)
+    code, out, err = run(capsys, [command.split()[0], x4_doc] + _COMMANDS[command])
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: ValueError: table lookup failed\n"
+
+
+def test_a_fault_in_from_poly_is_an_internal_error(capsys, monkeypatch):
+    from ordroots import cli
+
+    def broken(coeffs):
+        raise KeyError("coefficient")
+
+    monkeypatch.setattr(cli, "poly_order_document", broken)
+    code, out, err = run(capsys, ["from-poly", '["-1", "0", "1"]'])
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: KeyError: 'coefficient'\n"
+
+
 def test_graph_cmd(capsys, tmp_path):
     path = tmp_path / "x12.json"
     path.write_text(dump_canonical(poly_order_document([-1] + [0] * 11 + [1])), "utf-8")

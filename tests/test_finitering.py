@@ -7,15 +7,26 @@ from hypothesis import strategies as st
 from ordroots.finitering import (
     FiniteRing,
     RingIdeal,
+    _layer_generators,
     binomial_power,
     filtration_generators,
     nilpotent_powers,
     unipotent_dlog,
     unipotent_presentation,
+    unipotent_relations,
 )
-from ordroots.linalg import Lattice
+from ordroots.linalg import IntSolver, Lattice
 from ordroots.qalgebra import AlgebraError, sparse_table
-from util import fixpoint_ideal, resolving_unipotent_dlog, ring_power, unit_inverse
+from util import (
+    check_layers_against_references,
+    fixpoint_ideal,
+    preimage_unipotent_relations,
+    resolving_unipotent_dlog,
+    ring_power,
+    run_python,
+    spy_everywhere,
+    unit_inverse,
+)
 
 
 def zmod(n):
@@ -271,6 +282,72 @@ def test_descent_matches_resolving_reference(case):
     with pytest.raises(ValueError):
         pres.ops.power(ring.zero(), -1)  # 0 - 1 is a unit, outside the ideal
     assert pres.evaluate(unipotent_dlog(filt, x)) == g
+
+
+@given(nilpotent_ideals())
+@settings(max_examples=80, deadline=None)
+def test_layers_and_relations_match_the_elimination_references(case):
+    ring, ideal, _ = case
+    check_layers_against_references(ring, ideal)
+
+
+def test_layers_and_relations_take_no_elimination_of_their_own(monkeypatch):
+    ring = eps_ring(3, 4)
+    filt = filtration_generators(ring, RingIdeal.generated_by(ring, [ring.basis_vec(1)]))
+    builds = []
+    init = IntSolver.__init__
+
+    def counted(self, m):
+        builds.append(m)
+        init(self, m)
+
+    monkeypatch.setattr(IntSolver, "__init__", counted)
+    preimages = spy_everywhere(monkeypatch, "preimage_lattice")
+    smaller = [big for big, _ in filt.levels[1:]] + [RingIdeal.zero(ring)]
+    for (big, bs), small in zip(filt.levels, smaller):
+        assert _layer_generators(ring, big, small) == bs
+    assert not builds
+    rels = unipotent_relations(filt)
+    assert not preimages and not builds
+    assert rels == preimage_unipotent_relations(filt)
+    assert preimages
+
+
+# the Smith form of each layer with its first invariant factor doubled:
+# the lift m v e_t of that factor is then not divisible by it
+_CORRUPTED_SMITH = """
+from ordroots import finitering
+from ordroots.finitering import FiniteRing, RingIdeal, filtration_generators
+from ordroots.linalg import IntMatrix, Lattice
+
+m = 4  # F_3[e]/(e^4)
+ring = FiniteRing(Lattice(m, [[3 * (i == j) for i in range(m)] for j in range(m)]),
+                  [[[int(k == i + j) for k in range(m)] for j in range(m)] for i in range(m)],
+                  [1, 0, 0, 0])
+ideal = RingIdeal.generated_by(ring, [ring.basis_vec(1)])
+print(len(filtration_generators(ring, ideal).levels))
+snf = finitering.snf
+
+def doubled(mat):
+    d, u, v = snf(mat)
+    cols = [list(c) for c in d.cols]
+    cols[0][0] *= 2
+    return IntMatrix(d.nrows, cols), u, v
+
+finitering.snf = doubled
+try:
+    filtration_generators(ring, ideal)
+except AssertionError as e:
+    print(e)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_a_corrupted_smith_form_is_caught(flags):
+    run = run_python(flags, _CORRUPTED_SMITH)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "2", "Smith column is not divisible by its invariant factor"]
 
 
 @given(nilpotent_ideals(), st.lists(st.integers(-300, 300), min_size=1, max_size=6))

@@ -29,6 +29,7 @@ from ordroots.linalg import (
 )
 from ordroots.linalg import _gauss_jordan, clear_vector
 from util import (
+    bareiss_det_int,
     cofactor_det,
     fraction_gauss_jordan,
     fraction_inverse,
@@ -330,6 +331,61 @@ def test_stored_pivots_and_prepared_solver_match_rescans(m, data):
         assert x is None or m.apply(x) == v
 
 
+@given(int_matrices(max_dim=6))
+@example((2, [[1, 2], [2, 4]]))
+@example((3, [[0, 0, 0], [1, 2, 3], [4, 5, 6]]))
+@settings(max_examples=150, deadline=None)
+def test_solver_kernel_spans_the_kernel(mat):
+    nrows, cols = mat
+    m = IntMatrix(nrows, cols)
+    kernel = IntSolver(m).kernel
+    assert kernel.nrows == m.ncols
+    assert all(not any(m.apply(c)) for c in kernel.cols)
+    # a basis of the saturated kernel: it spans it, with no column to spare
+    assert Lattice(m.ncols, kernel) == kernel_int(m)
+    assert kernel.ncols == kernel_int(m).rank
+
+
+@st.composite
+def square_int_matrices(draw):
+    """Square integer matrices up to 6 x 6: dense, singular (a row that
+    combines two others), or a cyclic row shift of an upper triangular
+    matrix with a nonzero diagonal, whose first row starts with a zero,
+    so that elimination must swap rows."""
+    n = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(["dense", "singular", "swap"]))
+    entry = st.integers(-60, 60)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if kind == "singular" and n:
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        a, b = draw(entry), draw(entry)
+        rows[draw(st.integers(0, n - 1))] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+    elif kind == "swap" and n > 1:
+        for i in range(n):
+            rows[i][:i] = [0] * i
+            rows[i][i] = rows[i][i] or 1
+        shift = draw(st.integers(1, n - 1))
+        rows = rows[shift:] + rows[:shift]
+    return IntMatrix.from_rows(rows) if n else IntMatrix(0, [])
+
+
+@given(square_int_matrices())
+@example(IntMatrix.from_rows([[0, 1], [1, 0]]))
+@example(IntMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))
+@example(IntMatrix.from_rows([[0, 2, 1], [0, 4, 2], [3, 1, 1]]))
+@example(IntMatrix.from_rows([[0, 0], [0, 5]]))
+@settings(max_examples=200, deadline=None)
+def test_determinant_is_the_signed_cofactor_expansion(m):
+    rows = m.to_rows()
+    assert det_int(m) == cofactor_det(rows) == bareiss_det_int(m)
+    assert m.to_rows() == rows  # the input is not eliminated in place
+
+
+def test_determinant_rejects_a_matrix_that_is_not_square():
+    with pytest.raises(ValueError, match="not square"):
+        det_int(IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]]))
+
+
 def test_preimage_lattice():
     m = IntMatrix.from_rows([[1, 0], [0, 1]])
     lat = Lattice(2, [[2, 0], [0, 3]])
@@ -379,6 +435,18 @@ def test_each_derived_lattice_is_one_hermite_form(monkeypatch):
         calls.clear()
         op()
         assert len(calls) == 1
+
+
+@given(int_matrices(max_dim=5), st.integers(1, 12), st.integers(1, 12))
+@settings(max_examples=100, deadline=None)
+def test_qlattice_divides_out_a_common_factor_to_the_canonical_basis(mat, k, den):
+    nrows, cols = mat
+    lat = Lattice(nrows, cols)
+    q = QLattice(nrows, k * den, Lattice(nrows, [[k * e for e in c] for c in cols]))
+    g = math.gcd(den, *(e for c in lat.basis.cols for e in c))
+    assert q.den == den // g
+    assert q.lat == Lattice(nrows, [[e // g for e in c] for c in lat.basis.cols])
+    assert q == QLattice(nrows, den, lat)
 
 
 def test_qlattice_roundtrip_and_index():
@@ -461,9 +529,13 @@ def test_fraction_free_rows_are_multiples_of_the_rational_rows(system):
     the pivot entries all equal the returned denominator."""
     rows, vec = system
     ints = [clear_vector(list(r) + [v])[0] for r, v in zip(rows, vec)]
+    square = [r[:len(rows[0])] for r in ints] if len(rows) == len(rows[0]) else None
     ref, ref_pivots = fraction_gauss_jordan(ints, len(rows[0]))
-    pivots, d = _gauss_jordan(ints, len(rows[0]))
+    pivots, d, sign = _gauss_jordan(ints, len(rows[0]))
     assert pivots == ref_pivots
+    assert sign in (1, -1)
+    if square is not None and len(pivots) == len(square):
+        assert sign * d == cofactor_det(square)
     for i, (got, want) in enumerate(zip(ints, ref)):
         j = next((j for j, e in enumerate(want) if e), None)
         if j is None:

@@ -42,6 +42,8 @@ from util import (
     inverting_monic,
     is_canonical,
     lagrange_norm_poly,
+    product_inv,
+    product_power,
     schoolbook_field_mul,
     sweep_torsion_generator,
     xgcd_field_inverse,
@@ -420,8 +422,13 @@ def test_table_dlog_and_inverse_match_the_search(name, data):
     assert [len(p) for p in powers] == [w for _, _, w in factors]
 
     def check(x):
-        assert pres.dlog(x) == _search_dlog(ring, factors, x)
-        assert pres.ops.power(x, -1) == ring.inv(x)
+        log = pres.dlog(x)
+        assert log == _search_dlog(ring, factors, x)
+        if log is None:
+            with pytest.raises(ValueError, match="outside the torsion group"):
+                pres.ops.power(x, -1)
+        else:
+            assert pres.ops.power(x, -1) == product_inv(ring, x)
 
     for g, (_, _, w) in zip(pres.gens, factors):
         x = ring.one()
@@ -475,7 +482,23 @@ def test_table_power_matches_square_and_multiply(name, data):
     assume(all(any(b) for b in blocks))
     e = data.draw(st.integers(-3 * w, 3 * w))
     for x in (member, doubled, ring.from_blocks(blocks)):
-        assert pres.ops.power(x, e) == ring.power(x, e)
+        if pres.dlog(x) is None:
+            with pytest.raises(ValueError, match="outside the torsion group"):
+                pres.ops.power(x, e)
+        else:
+            assert pres.ops.power(x, e) == product_power(ring, x, e)
+
+
+def test_table_power_refuses_a_non_member():
+    # Q(i) x Q(zeta_3): (2, 0, 1, 0) is 2 on Q(i) and 1 on Q(zeta_3); a
+    # zero block has no inverse; both are refused like a unipotent non-member
+    ring = ProductRing([NumberField([1, 0, 1]), NumberField([1, 1, 1])])
+    pres, _ = ring.cyclic_presentation(
+        [([i], *K.torsion_generator()) for i, K in enumerate(ring.fields)])
+    for x, e in [((2, 0, 1, 0), 3), ((2, 0, 1, 0), -1), ((0, 0, 1, 0), -1), ((0, 0, 1, 0), 2)]:
+        with pytest.raises(ValueError, match="outside the torsion group"):
+            pres.ops.power(x, e)
+    assert pres.ops.power((0, 1, 1, 0), -1) == (0, -1, 1, 0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -541,7 +564,7 @@ def test_product_from_logs_is_the_fold_of_ring_powers(name, data):
     logs = [pres.dlog(x) for x in elems]
     acc = ring.one()
     for x, e in zip(elems, exps):
-        acc = ring.mul(acc, ring.power(x, e))
+        acc = ring.mul(acc, product_power(ring, x, e))
     assert pres.logged_product(elems, logs, exps) == acc
 
 

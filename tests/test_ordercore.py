@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ordroots.linalg import Lattice
+from ordroots.linalg import Lattice, sum_lattices
 from ordroots.ordercore import (
     Order,
     build_context,
@@ -21,12 +21,15 @@ from ordroots.polyfactor import factor_q, qp, resultant
 from ordroots.qalgebra import AlgebraError
 from util import (
     all_pairs_mu_c_p,
+    bareiss_det_int,
     cyclic_powers,
     diagonal_congruence_suborder,
     divisor_idempotent,
     group_ring,
     product_order,
+    run_python,
     scalar_suborder,
+    spy_everywhere,
 )
 
 
@@ -127,6 +130,54 @@ def test_graph_x12_shape():
     assert len(g.edges) == 9
     assert sorted(g.weight(a, b) for a, b in g.edges) == [2, 2, 2, 3, 3, 4, 4, 4, 9]
     assert len(g.components) == 1
+
+
+@pytest.mark.parametrize("f", [[-1] + [0] * 11 + [1], [2, -1, -2, 1]])
+def test_graph_weights_are_determinants_with_no_second_elimination(f, monkeypatch):
+    dets = spy_everywhere(monkeypatch, "det_int")
+    ctx = build_context(order_from_poly(f))
+    g = ctx.graph()
+    assert not dets
+    emb = ctx.sep_order
+    kers = [emb.component_kernel(i) for i in range(g.nvertices)]
+    for (i, j), w in g.weights.items():
+        assert w == abs(bareiss_det_int(sum_lattices(kers[i], kers[j]).basis))
+
+
+# the sum of two component kernels with its basis reordered, and with a
+# pivot negated: neither is a lower triangular basis with positive pivots
+_CORRUPTED_GRAPH = """
+from ordroots import ordercore
+from ordroots.linalg import Lattice
+from ordroots.ordercore import build_context, order_from_poly, order_graph
+
+emb = build_context(order_from_poly([-1, 0, 0, 0, 1])).sep_order
+print(sorted(order_graph(emb).weights.values()))
+real = ordercore.sum_lattices
+
+def reordered(a, b):
+    s = real(a, b)
+    return Lattice._from_hnf(s.dim, s.basis.cols[::-1])
+
+def negated(a, b):
+    s = real(a, b)
+    return Lattice._from_hnf(s.dim, [[-e for e in s.basis.cols[0]]] + s.basis.cols[1:])
+
+for bad in (reordered, negated):
+    ordercore.sum_lattices = bad
+    try:
+        order_graph(emb)
+    except AssertionError as e:
+        print(e)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_a_corrupted_graph_basis_is_caught(flags):
+    run = run_python(flags, _CORRUPTED_GRAPH)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "[2, 2, 2]"] + ["component kernels do not sum to a full-rank Hermite basis"] * 2
 
 
 def test_congruence_order_graph_complete():

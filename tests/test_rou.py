@@ -28,6 +28,7 @@ from ordroots.rou import (
 )
 from util import (
     brute_closure,
+    check_layers_against_references,
     coordinate_forms,
     diagonal_congruence_suborder,
     fixpoint_ideal,
@@ -115,6 +116,15 @@ def test_conductor_matches_the_stacked_reference(name):
                 elems = [r.reduce([rng.randint(-9, 9) for _ in range(r.ngens)])
                          for _ in range(rng.randint(1, 3))]
                 assert RingIdeal.generated_by(r, elems).lattice == fixpoint_ideal(r, elems)
+
+
+@pytest.mark.parametrize("name", list(DESCENT_ORDERS))
+def test_conductor_layers_and_relations_match_the_elimination_references(name):
+    ctx = build_context(DESCENT_ORDERS[name]())
+    for p in ctx.torsion_primes():
+        cond = conductor(ctx, mu_c_p_presentation(ctx, p))
+        check_layers_against_references(cond.ring_c, cond.ideal_i)
+        check_layers_against_references(cond.ring_a, cond.ideal_i_sub)
 
 
 def test_psi_kernel_x4_matches_known_lattice():

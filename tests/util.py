@@ -5,8 +5,13 @@ the library code it checks: cofactor determinants, Sylvester matrices,
 Gauss-Jordan elimination and long division over Fractions, schoolbook
 number-field products, Kronecker interpolation factoring, Schreier-style
 breadth-first kernel generators, and plain brute-force enumeration.
+Some are the library's own earlier algorithms, each running an
+elimination that the library now reads off one it has already done.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -32,6 +37,36 @@ def cofactor_det(rows):
             minor = [r[:j] + r[j + 1:] for r in rows[1:]]
             total += (-1) ** j * rows[0][j] * cofactor_det(minor)
     return total
+
+
+def bareiss_det_int(m):
+    """Determinant of a square IntMatrix by its own fraction-free (Bareiss)
+    forward elimination, apart from the Gauss-Jordan one of linalg."""
+    if m.nrows != m.ncols:
+        raise ValueError("not square")
+    n = m.nrows
+    if n == 0:
+        return 1
+    a = m.to_rows()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if piv is None:
+                return 0
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        akk = a[k][k]
+        for i in range(k + 1, n):
+            aik = a[i][k]
+            row = a[i]
+            rowk = a[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * akk - aik * rowk[j]) // prev
+            row[k] = 0
+        prev = akk
+    return sign * a[n - 1][n - 1]
 
 
 def sylvester_resultant(f, g):
@@ -590,6 +625,19 @@ def fold_product(ops, elems, exps):
     return acc
 
 
+def product_inv(ring, u):
+    """u^-1 in a product of number fields, one NumberField.inv per block."""
+    return ring.from_blocks([K.inv(ring.block(u, i)) for i, K in enumerate(ring.fields)])
+
+
+def product_power(ring, u, e):
+    """u^e in a product of number fields by square-and-multiply, a
+    negative e through the blockwise inverse."""
+    from ordroots.abgroup import power
+
+    return power(ring.mul, lambda x: product_inv(ring, x), ring.one(), u, e)
+
+
 # ---------------------------------------------------------------------------
 # brute-force group machinery
 
@@ -850,6 +898,76 @@ def resolving_unipotent_dlog(filtration, x, start_level=0):
         cur = ring.sub(unit, ring.one)
     assert cur == ring.zero()
     return out
+
+
+def solver_layer_generators(ring, big, small):
+    """Lift a Smith-form generating set of big/small into the ring, each
+    lift u^-1 e_t solved against a Hermite form of the Smith transform u."""
+    from ordroots.linalg import IntMatrix, IntSolver, snf
+
+    coords = []
+    for c in small.lattice.basis.cols:
+        x = big.lattice.coords(c)
+        if x is None:
+            raise AssertionError("small ideal is not inside the big one")
+        coords.append(x)
+    m = IntMatrix(big.lattice.rank, coords)
+    d, u, _ = snf(m)
+    u_solver = IntSolver(u)
+    out = []
+    for t in range(big.lattice.rank):
+        dt = d.entry(t, t) if t < min(d.nrows, d.ncols) else 0
+        if dt == 1:
+            continue
+        x = u_solver.solve([int(i == t) for i in range(big.lattice.rank)])
+        if x is None:
+            raise AssertionError("Smith transform is not unimodular")
+        out.append(ring.reduce(big.lattice.element(x)))
+    return out
+
+
+def preimage_unipotent_relations(filtration):
+    """unipotent_relations with each level's additive relations taken as
+    a stacked preimage of the next ideal, a Hermite form of its own."""
+    from ordroots.finitering import RingIdeal, unipotent_dlog
+    from ordroots.linalg import IntMatrix, preimage_lattice
+
+    ring = filtration.ring
+    levels = filtration.levels
+    nlev = len(levels)
+    rels_tail = []  # relations over generators of levels >= j
+    for j in range(nlev - 1, -1, -1):
+        ideal, bs = levels[j]
+        nxt = levels[j + 1][0] if j + 1 < nlev else RingIdeal.zero(ring)
+        bmat = IntMatrix(ring.ngens, [list(b) for b in bs])
+        addrel = preimage_lattice(bmat, nxt.lattice)
+        tail_len = sum(len(levels[t][1]) for t in range(j + 1, nlev))
+        new_rels = []
+        for n in addrel.basis.cols:
+            z = ring.sub(filtration.layer_product(j, n, ring.one), ring.one)
+            if not tail_len and z != ring.zero():
+                raise AssertionError("last-level relation does not multiply to 1")
+            ms = unipotent_dlog(filtration, z, start_level=j + 1) if tail_len else []
+            new_rels.append(list(n) + [-m for m in ms])
+        for r in rels_tail:
+            new_rels.append([0] * len(bs) + r)
+        rels_tail = new_rels
+    return rels_tail
+
+
+def check_layers_against_references(ring, ideal):
+    """Assert that each level's generators and the relations of 1 + I
+    equal those of the earlier eliminations: a solve against the Smith
+    transform u, and a stacked preimage of the next ideal."""
+    from ordroots.finitering import (
+        RingIdeal, _layer_generators, filtration_generators, unipotent_relations)
+
+    filt = filtration_generators(ring, ideal)
+    smaller = [big for big, _ in filt.levels[1:]] + [RingIdeal.zero(ring)]
+    for (big, bs), small in zip(filt.levels, smaller):
+        assert bs == _layer_generators(ring, big, small) == solver_layer_generators(
+            ring, big, small)
+    assert unipotent_relations(filt) == preimage_unipotent_relations(filt)
 
 
 # ---------------------------------------------------------------------------
@@ -1205,3 +1323,36 @@ def int_matrices(draw, max_dim=7, span=999, nrows=None):
         entry = st.one_of(st.just(0), st.just(0), entry)
     return nrows, draw(st.lists(st.lists(entry, min_size=nrows, max_size=nrows),
                                 min_size=ncols, max_size=ncols))
+
+
+# ---------------------------------------------------------------------------
+# observing the library from outside
+
+
+def spy_everywhere(monkeypatch, name):
+    """Replace the ``ordroots.linalg`` function ``name`` in every ordroots
+    module that binds it by a wrapper that records its calls; returns the
+    list of recorded argument tuples."""
+    import ordroots
+
+    calls = []
+    real = getattr(sys.modules["ordroots.linalg"], name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith(ordroots.__name__) and getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, spy)
+    return calls
+
+
+def run_python(flags, code):
+    """Run ``code`` in a fresh interpreter with ``flags`` (["-O"] strips
+    assert statements) and the package on its path."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable] + flags + ["-c", code],
+                          capture_output=True, text=True, env=env)
