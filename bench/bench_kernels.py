@@ -7,14 +7,16 @@ the matrix (the rows that carry the transform u of h = m*u).  Then times
 one ``NumberField.mul`` on Q, on the Q(zeta_12) component of
 Z[X]/(X^12 - 1) and on Q[X]/(X^2 + X/2 + 1/3), and one
 ``SpecDecomposition.to_components`` of Z[X]/(X^12 - 1), per call.  Next,
-it replays the ``RatMatrix.inverse``, ``solve_rat`` and
-``minimal_polynomial`` calls that ``decompose`` makes on Z[X]/(X^12 - 1),
-on the split order Z[X]/((X + 5)(X + 4) ... (X - 5)) of rank 11 and on
-the group ring Z[C_3^3] of rank 27, and times each kind per
-decomposition; a ``minimal_polynomial`` row includes the solves that it
-makes itself.  Then it replays the ``factor_q`` calls that
-``torsion_generator`` makes on Q(zeta_7) and Q(zeta_15) and that
-``decompose`` makes on the rank-11 split order, and times them per call.
+it replays the calls that ``decompose`` makes on Z[X]/(X^12 - 1), on the
+split order Z[X]/((X + 5)(X + 4) ... (X - 5)) of rank 11, on the group
+ring Z[C_3^3] of rank 27 and, without ``--quick``, on Z[C_2^5] of rank
+32: its one ``RatMatrix.inverse``, the ``NumberField.inv`` of each
+component's Chinese-remainder idempotent, and its ``solve_rat`` and
+``minimal_polynomial`` calls, and times each kind per decomposition; a
+``minimal_polynomial`` row includes the solves that it makes itself.
+Then it replays the ``factor_q`` calls that ``torsion_generator`` makes
+on Q(zeta_7) and Q(zeta_15) and that ``decompose`` makes on the rank-11
+split order, and times them per call.
 Then it times one torsion ``ops.power`` and one ``membership_dlog`` (two
 targets) on the residue torsion of Z[X]/(X^12 - 1), per call, on random
 members.  Next, it runs every tenth order of the cyclotomic-mix pool of
@@ -154,9 +156,10 @@ def recorded_calls(targets, run):
 
 
 def decompose_calls(algebra):
-    """name -> arguments of the RatMatrix.inverse, solve_rat and
-    minimal_polynomial calls that decompose makes on the algebra."""
-    targets = [("inverse", linalg.RatMatrix), ("solve_rat", qalgebra),
+    """name -> arguments of the RatMatrix.inverse, NumberField.inv,
+    solve_rat and minimal_polynomial calls that decompose makes on the
+    algebra."""
+    targets = [("inverse", linalg.RatMatrix), ("inv", NumberField), ("solve_rat", qalgebra),
                ("minimal_polynomial", qalgebra)]
     return recorded_calls(targets, lambda: decompose(algebra))
 
@@ -174,10 +177,13 @@ def bench_rational(quick):
     orders = [("X^12-1", lambda: order_from_poly([-1] + [0] * 11 + [1])),
               ("rank-11 split", lambda: order_from_poly(split11())),
               ("Z[C_3^3]", LADDER["Z[C_3^3]"][0])]
+    if not quick:
+        orders.append(("Z[C_2^5]", LADDER["Z[C_2^5]"][0]))
     print(f"\n{'decompose calls':<34} {'calls':>6} {'ms/decomposition':>17}")
     for name, build in orders:
         calls = decompose_calls(build().algebra)
         for label, fn in (("inverse", linalg.RatMatrix.inverse),
+                          ("inv", NumberField.inv),
                           ("solve_rat", linalg.solve_rat),
                           ("minimal_polynomial", qalgebra.minimal_polynomial)):
             t = time_fn(fn, calls[label], repeat)

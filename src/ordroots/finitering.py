@@ -49,6 +49,8 @@ class FiniteRing:
         k = rel_lattice.dim
         if rel_lattice.rank != k:
             raise ValueError("relation lattice must have full rank (finite ring)")
+        if len(one_coords) != k:
+            raise ValueError("identity has the wrong length")
         self.ngens = k
         self.rel = rel_lattice
         self.table = sparse_table(mult_table, k, self.reduce)
@@ -115,6 +117,8 @@ class RingIdeal:
     closed under multiplication by the ring."""
 
     def __init__(self, ring: FiniteRing, lattice: Lattice, check=True):
+        if lattice.dim != ring.ngens:
+            raise ValueError("ideal lattice has the wrong dimension")
         self.ring = ring
         self.lattice = lattice
         if check:
@@ -131,6 +135,11 @@ class RingIdeal:
         lattice and the products e * e_j with the ring's generators,
         which contain e = e * 1 because the ring has an identity.  The
         constructor's check verifies the closure."""
+        elems = list(elems)
+        if not elems:
+            raise ValueError("no generators (the zero ideal is RingIdeal.zero)")
+        if any(len(e) != ring.ngens for e in elems):
+            raise ValueError("element has the wrong length")
         gens = [list(c) for c in ring.rel.basis.cols]
         gens += [table_mul_basis(ring.table, e, j) for e in elems for j in range(ring.ngens)]
         return cls(ring, Lattice(ring.ngens, gens))

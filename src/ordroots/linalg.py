@@ -29,6 +29,15 @@ from math import gcd, lcm, prod
 from . import kernels
 
 
+def _rows_as_cols(rows):
+    """(nrows, columns) of a matrix given by its rows; ValueError unless
+    every row has the length of the first."""
+    rows = [list(r) for r in rows]
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError("ragged matrix")
+    return len(rows), list(zip(*rows))
+
+
 class IntMatrix:
     """Dense integer matrix, stored column-major."""
 
@@ -56,14 +65,7 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
-        rows = [list(r) for r in rows]
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        return cls(nrows, [[rows[i][j] for i in range(nrows)] for j in range(ncols)])
-
-    @classmethod
-    def from_cols(cls, cols, nrows: int) -> "IntMatrix":
-        return cls(nrows, cols)
+        return cls(*_rows_as_cols(rows))
 
     def col(self, j: int):
         return list(self.cols[j])
@@ -155,10 +157,7 @@ class RatMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> "RatMatrix":
-        rows = [list(r) for r in rows]
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        return cls(nrows, [[rows[i][j] for i in range(nrows)] for j in range(ncols)])
+        return cls(*_rows_as_cols(rows))
 
     def row_block(self, lo: int, hi: int) -> "RatMatrix":
         """Rows lo, ..., hi - 1."""

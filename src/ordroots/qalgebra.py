@@ -27,9 +27,9 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .abgroup import EffPresentation, power
-from .linalg import RatMatrix, _gauss_jordan, _num, kernel_int, ratio, solve_rat
+from .linalg import IntMatrix, RatMatrix, _gauss_jordan, _num, kernel_int, ratio, solve_rat
 from .numfield import NumberField, ProductRing
-from .polyfactor import factor_q, qp_degree, qp_deriv, squarefree_part
+from .polyfactor import factor_q, qp_degree, qp_deriv, qp_divmod, qp_mul, squarefree_part
 
 
 class AlgebraError(ValueError):
@@ -215,15 +215,13 @@ class SpecDecomposition:
 
     ``components`` are the residue number fields; ``projection`` maps
     algebra coordinates onto the stacked component coordinates;
-    ``section`` maps stacked component coordinates back into the algebra
-    (landing in the maximal subalgebra without nilpotents, whose basis is
-    ``power_basis``); ``pi1`` and ``pi2`` project onto that subalgebra and
-    onto the nilradical.
+    ``section`` maps them back onto the maximal subalgebra without
+    nilpotents, sending a^j in component i to e_i a^j, e_i its idempotent;
+    ``pi1`` and ``pi2`` project onto that subalgebra and onto the nilradical.
     """
 
     algebra: QAlgebra
     nil_basis: List[List[int]]
-    power_basis: RatMatrix
     min_poly: Tuple[int | Fraction, ...]
     alpha: tuple
     components: List[NumberField]
@@ -286,18 +284,12 @@ def decompose(E: QAlgebra) -> SpecDecomposition:
     polynomial of an element of E and that of its image in the reduced
     algebra E/N have the same radical, so a primitive element of E/N is
     searched in E itself, on the rows that hold no pivot of N's basis,
-    and Newton-lifted until the radical vanishes exactly.  Its powers span
-    a complement of N, and factoring the radical yields the components
-    with their projection and section matrices.
+    and Newton-lifted until the radical m vanishes exactly.  The factors
+    of m give the components and their Chinese-remainder idempotents (one
+    field inverse each) the section, whose columns span a complement of N;
+    one inverse of [section | N] gives the projection and the part in N.
     """
     n = E.dim
-    if n == 0:
-        empty = RatMatrix(0, [])
-        return SpecDecomposition(
-            algebra=E, nil_basis=[], power_basis=empty, min_poly=(), alpha=(),
-            components=[], projection=empty, section=empty,
-            pi1=empty, pi2=empty,
-        )
     nil = kernel_int(E.trace_gram().num)
     nil_cols = [list(c) for c in nil.basis.cols]
     q = n - len(nil_cols)
@@ -321,31 +313,31 @@ def decompose(E: QAlgebra) -> SpecDecomposition:
     for _ in range(q):
         powers.append(cur)
         cur = E.mul(cur, alpha)
-    power_mat = RatMatrix(n, powers)
-    # rows :q give coordinates along the powers of alpha, rows q: along N
-    full_inv = RatMatrix(n, powers + nil_cols).inverse()
-    top = full_inv.row_block(0, q)
 
     const, facs = factor_q(list(m))
     if any(mult != 1 for _, mult in facs):
         raise AssertionError("squarefree minimal polynomial has a repeated factor")
     components = [NumberField._of_factor(f) for f, _ in facs]
 
-    # phi: a polynomial in alpha of degree < q -> its stacked component
-    # coordinates; column j stacks the powers a^j of the fields' generators
-    blocks = [[] for _ in range(q)]
+    # section column (i, j): e_i X^j mod m at alpha, for the idempotent
+    # e_i = c_i (c_i mod f_i)^-1, c_i = m / f_i, of the factor f_i of K_i
+    crt = []
     for K in components:
-        cur, a = K.one(), K.gen()
-        for col in blocks:
-            col.extend(cur)
-            cur = K.mul(cur, a)
-    phi = RatMatrix(q, blocks)
+        c = qp_divmod(m, K.min_poly)[0]
+        e = qp_divmod(qp_mul(c, K.inv(K.from_poly(c))), m)[1]
+        for _ in range(K.deg):
+            crt.append(e + [0] * (q - len(e)))
+            e = qp_divmod([0] + e, m)[1]
+    section = RatMatrix(n, powers).mul(RatMatrix(q, crt))
+    # rows :q of [section | N]^-1 give component coordinates, rows q: those along N
+    full_inv = RatMatrix.over(
+        section.num.hstack(IntMatrix(n, nil_cols).scaled(section.den)), section.den).inverse()
+    projection = full_inv.row_block(0, q)
 
     dec = SpecDecomposition(
-        algebra=E, nil_basis=nil_cols, power_basis=power_mat, min_poly=tuple(m),
-        alpha=alpha, components=components,
-        projection=phi.mul(top), section=power_mat.mul(phi.inverse()),
-        pi1=power_mat.mul(top), pi2=RatMatrix(n, nil_cols).mul(full_inv.row_block(q, n)),
+        algebra=E, nil_basis=nil_cols, min_poly=tuple(m), alpha=alpha,
+        components=components, projection=projection, section=section,
+        pi1=section.mul(projection), pi2=RatMatrix(n, nil_cols).mul(full_inv.row_block(q, n)),
     )
     _check_maps(dec)
     return dec

@@ -58,6 +58,27 @@ def test_ring_rejects_infinite():
         FiniteRing(Lattice(2, [[2, 0]]), [[[1, 0], [0, 1]], [[0, 1], [0, 0]]], [1, 0])
 
 
+def test_ring_rejects_an_identity_of_the_wrong_length():
+    with pytest.raises(ValueError, match="identity has the wrong length"):
+        FiniteRing(Lattice(1, [[8]]), [[[1]]], [1, 0])
+    with pytest.raises(ValueError, match="identity has the wrong length"):
+        FiniteRing(Lattice(2, [[4, 0], [0, 4]]), [[[1, 0], [0, 1]], [[0, 1], [0, 0]]], [1])
+
+
+def test_ideal_rejects_inputs_of_the_wrong_length():
+    ring = galois_ring(9, (1, 0))
+    with pytest.raises(ValueError, match="ideal lattice has the wrong dimension"):
+        RingIdeal(ring, Lattice(1, [[3]]))
+    with pytest.raises(ValueError, match="ideal lattice has the wrong dimension"):
+        RingIdeal(zmod(8), Lattice(2, [[2, 0], [0, 2]]))
+    for elem in [(3,), (3, 0, 0)]:
+        with pytest.raises(ValueError, match="element has the wrong length"):
+            RingIdeal.generated_by(ring, [(0, 1), elem])
+    with pytest.raises(ValueError, match="no generators"):
+        RingIdeal.generated_by(ring, [])
+    assert RingIdeal.generated_by(ring, [(3, 0)]).size() == 9
+
+
 def test_ring_rejects_bad_multiplication():
     # e1*e1 = 1 is not well-defined modulo 2e1 = 0 over Z/4
     with pytest.raises(ValueError):
@@ -121,7 +142,7 @@ def test_ideal_closure_and_powers():
 @st.composite
 def rings_and_elements(draw):
     """A ring of this file, Z/p^k, F_p[e]/(e^m) or Z/p^k[X]/(X^2 + bX + c),
-    with zero to three random elements."""
+    with one to three random elements."""
     p = draw(st.sampled_from([2, 3, 5]))
     kind = draw(st.sampled_from(["zmod", "eps", "galois"]))
     if kind == "zmod":
@@ -132,7 +153,7 @@ def rings_and_elements(draw):
         ring = galois_ring(p ** draw(st.integers(1, 2)),
                            draw(st.sampled_from([(0, 0), (1, 1), (2, 0), (0, 3)])))
     vecs = st.lists(st.integers(-30, 30), min_size=ring.ngens, max_size=ring.ngens)
-    return ring, [ring.reduce(v) for v in draw(st.lists(vecs, max_size=3))]
+    return ring, [ring.reduce(v) for v in draw(st.lists(vecs, min_size=1, max_size=3))]
 
 
 @given(rings_and_elements())

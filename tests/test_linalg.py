@@ -466,6 +466,21 @@ def test_rat_matrix_inverse():
         RatMatrix.from_rows([[1, 2], [2, 4]]).inverse()
 
 
+@pytest.mark.parametrize("cls", [IntMatrix, RatMatrix])
+@pytest.mark.parametrize("rows", [[[1], [2, 3]], [[1, 2], [3]], [[], [1]]])
+def test_ragged_rows_are_rejected(cls, rows):
+    # a longer row is not cut short and a shorter one raises no IndexError
+    with pytest.raises(ValueError, match="ragged matrix"):
+        cls.from_rows(rows)
+
+
+def test_rows_of_one_length_transpose_to_columns():
+    for cls in (IntMatrix, RatMatrix):
+        assert cls.from_rows([[1, 2, 3], [4, 5, 6]]) == cls(2, [[1, 4], [2, 5], [3, 6]])
+        assert cls.from_rows([[], []]) == cls(2, [])
+        assert cls.from_rows([]) == cls(0, [])
+
+
 # ---------------------------------------------------------------------------
 # rational systems against Gauss-Jordan over Fractions
 

@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordroots import qalgebra
-from ordroots.linalg import RatMatrix
+from ordroots.linalg import IntMatrix, RatMatrix
+from ordroots.numfield import NumberField
 from ordroots.ordercore import order_from_poly
 from ordroots.polyfactor import euler_phi, qp, qp_divmod, qp_mul
 from ordroots.qalgebra import (
@@ -18,7 +20,13 @@ from ordroots.qalgebra import (
     mu_dlog_explain,
     mu_presentation,
 )
-from util import dense_table, incremental_minimal_polynomial, product_order
+from util import (
+    dense_table,
+    group_ring,
+    incremental_minimal_polynomial,
+    product_order,
+    two_inverse_maps,
+)
 
 
 def poly_algebra(f):
@@ -64,7 +72,7 @@ def test_decompose_x4_minus_1():
     dec = decompose(E)
     assert sorted(K.deg for K in dec.components) == [1, 1, 2]
     assert dec.nil_basis == []
-    assert dec.power_basis.ncols == 4
+    assert dec.section.ncols == 4
 
 
 def test_components_are_not_factored_a_second_time(monkeypatch):
@@ -200,6 +208,9 @@ def test_rank_zero_algebra():
     E = QAlgebra([])
     dec = decompose(E)
     assert dec.components == [] and dec.nil_basis == []
+    # in the zero ring 1 = 0, so the minimal polynomial is the monic 1
+    assert dec.min_poly == (1,) and dec.alpha == ()
+    assert all(M.nrows == M.ncols == 0 for M in (dec.projection, dec.section, dec.pi1, dec.pi2))
 
 
 def test_minimal_polynomial():
@@ -280,7 +291,7 @@ def test_maps_match_the_rational_matrices(name, data):
     _same(dec.to_components(x), _fraction_apply(dec.projection, x))
     _same(dec.pi1.apply(x), _fraction_apply(dec.pi1, x))
     _same(dec.nil_projection(x), _fraction_apply(dec.pi2, x))
-    q = dec.power_basis.ncols
+    q = dec.section.ncols
     v = data.draw(st.lists(_COORD, min_size=q, max_size=q))
     _same(dec.from_components(v), _fraction_apply(dec.section, v))
     # components reassemble through the section
@@ -370,3 +381,103 @@ def test_trace_form_of_an_order_is_summed_in_integers():
     # rational structure constants are summed exactly: Q[X]/(X^2 - X/2)
     E = qalgebra.QAlgebra([[[1, 0], [0, 1]], [[0, 1], [0, Fraction(1, 2)]]])
     assert E.trace_vector() == [2, Fraction(1, 2)]
+
+
+# ---------------------------------------------------------------------------
+# the section in idempotent coordinates: column (i, j) is e_i a^j, for the
+# Chinese-remainder idempotent e_i of component i and its generator a
+
+SECTION_ALGEBRAS = {f"Z[X]/({name})": f for name, f in MAP_ORDERS.items()}
+SECTION_ALGEBRAS.update({f"Z[X]/({name})": f for name, (f, _, _) in NON_REDUCED.items()})
+SECTION_ALGEBRAS.update({f"Z[C_{k}]": (k,) for k in range(5, 9)})
+SECTION_ALGEBRAS.update({"Z[C_2^3]": (2, 2, 2), "Z[C_3^2]": (3, 3)})
+
+
+def _section_algebra(name):
+    spec = SECTION_ALGEBRAS[name]
+    if name.startswith("Z[C_"):
+        return group_ring(*spec).algebra
+    return poly_algebra(spec)
+
+
+def _component_idempotents(dec):
+    """The section's degree-0 columns, e_i a^0 = e_i, one per component."""
+    out, col = [], 0
+    for K in dec.components:
+        out.append(dec.from_components([int(j == col) for j in range(dec.section.ncols)]))
+        col += K.deg
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(SECTION_ALGEBRAS))
+def test_maps_equal_the_two_inverse_reference(name):
+    dec = decompose(_section_algebra(name))
+    assert (dec.projection, dec.section, dec.pi1, dec.pi2) == two_inverse_maps(dec)
+
+
+@pytest.mark.parametrize("name", sorted(SECTION_ALGEBRAS))
+def test_section_idempotents_are_orthogonal_and_sum_to_one(name):
+    dec = decompose(_section_algebra(name))
+    E = dec.algebra
+    es = _component_idempotents(dec)
+    for i, a in enumerate(es):
+        for j, b in enumerate(es):
+            assert E.mul(a, b) == (a if i == j else E.zero())
+    assert tuple(_num(sum(c)) for c in zip(*es)) == dec.pi1.apply(E.one) == E.one
+
+
+def test_section_idempotents_of_z_c2_cubed_are_the_characters():
+    # the basis of group_ring(2, 2, 2) is the group in product order, and
+    # character chi has the idempotent (1/8) sum_g chi(g) e_g
+    group = list(product(range(2), repeat=3))
+    dec = decompose(group_ring(2, 2, 2).algebra)
+    es = _component_idempotents(dec)
+    chars = {tuple(Fraction((-1) ** sum(a * b for a, b in zip(chi, g)), 8) for g in group)
+             for chi in group}
+    assert len(es) == 8 and set(es) == chars
+
+
+@pytest.mark.parametrize("name", ["Z[X]/(X^12 - 1)", "Z[X]/((X^2+1)^2)", "Z[C_2^3]"])
+def test_decompose_makes_one_inverse_and_one_field_inverse_per_component(monkeypatch, name):
+    E = _section_algebra(name)
+    counts = {"inverse": 0, "inv": 0}
+
+    def count(owner, attr):
+        fn = getattr(owner, attr)
+
+        def counted(*args):
+            counts[attr] += 1
+            return fn(*args)
+        monkeypatch.setattr(owner, attr, counted)
+
+    count(RatMatrix, "inverse")
+    count(NumberField, "inv")
+    dec = decompose(E)
+    assert counts == {"inverse": 1, "inv": len(dec.components)}
+
+
+def test_decompose_rejects_a_section_with_two_idempotents_swapped(monkeypatch):
+    """The section's columns for two quadratic components of X^12 - 1, of
+    different minimal polynomials, swapped, with the projection's rows to
+    match: pi1 and pi2 are unchanged, so only the ring-map check sees it."""
+
+    class Broken(qalgebra.SpecDecomposition):
+        def __init__(self, **kw):
+            super().__init__(**kw)
+            starts, col = [], 0
+            for K in self.components:
+                if K.deg == 2:
+                    starts.append(col)
+                col += K.deg
+            i, j = starts[:2]
+            perm = list(range(col))
+            perm[i:i + 2], perm[j:j + 2] = perm[j:j + 2], perm[i:i + 2]
+            s, rows = self.section, self.projection.num.to_rows()
+            self.section = RatMatrix.over(IntMatrix(s.nrows, [s.num.cols[k] for k in perm]), s.den)
+            self.projection = RatMatrix.over(IntMatrix.from_rows([rows[k] for k in perm]),
+                                             self.projection.den)
+            assert self.section.mul(self.projection) == self.pi1
+
+    monkeypatch.setattr(qalgebra, "SpecDecomposition", Broken)
+    with pytest.raises(AssertionError, match="component projection is not a ring map"):
+        decompose(poly_algebra(MAP_ORDERS["X^12 - 1"]))

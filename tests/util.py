@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from ordroots.linalg import Lattice
+from ordroots.linalg import Lattice, RatMatrix
 from ordroots.ordercore import Order
 from ordroots.qalgebra import AlgebraError, cell_coords
 from ordroots.polyfactor import qp, qp_add, qp_divmod, qp_mul, qp_scale, qp_xgcd, resultant
@@ -323,6 +323,33 @@ def fraction_inverse(rows):
     if len(piv_cols) < n:
         raise ValueError("matrix is singular")
     return [r[n:] for r in a]
+
+
+def two_inverse_maps(dec):
+    """(projection, section, pi1, pi2) of a decomposition by two
+    fraction-free inverses: that of [1, alpha, ..., alpha^(q-1) | N], whose
+    rows :q give the coordinates along the powers of alpha, and that of
+    phi, whose column j stacks the powers a^j of the components'
+    generators (a polynomial of degree < q in alpha to its component
+    coordinates)."""
+    E, nil = dec.algebra, dec.nil_basis
+    n = E.dim
+    q = n - len(nil)
+    powers = [E.one]
+    for _ in range(q - 1):
+        powers.append(E.mul(powers[-1], dec.alpha))
+    power_mat = RatMatrix(n, powers)
+    full_inv = RatMatrix(n, powers + nil).inverse()
+    top = full_inv.row_block(0, q)
+    blocks = [[] for _ in range(q)]
+    for K in dec.components:
+        cur, a = K.one(), K.gen()
+        for col in blocks:
+            col.extend(cur)
+            cur = K.mul(cur, a)
+    phi = RatMatrix(q, blocks)
+    return (phi.mul(top), power_mat.mul(phi.inverse()), power_mat.mul(top),
+            RatMatrix(n, nil).mul(full_inv.row_block(q, n)))
 
 
 def incremental_minimal_polynomial(alg, x):
