@@ -11,9 +11,11 @@ it replays the calls that ``decompose`` makes on Z[X]/(X^12 - 1), on the
 split order Z[X]/((X + 5)(X + 4) ... (X - 5)) of rank 11, on the group
 ring Z[C_3^3] of rank 27 and, without ``--quick``, on Z[C_2^5] of rank
 32: its one ``RatMatrix.inverse``, the ``NumberField.inv`` of each
-component's Chinese-remainder idempotent, and its ``solve_rat`` and
-``minimal_polynomial`` calls, and times each kind per decomposition; a
-``minimal_polynomial`` row includes the solves that it makes itself.
+component's Chinese-remainder idempotent, its ``solve_rat`` calls, the
+Krylov powers of its candidates (``_krylov_powers``) and their
+``minimal_polynomial`` eliminations, and times each kind per
+decomposition; a ``minimal_polynomial`` row includes the solves that it
+makes itself.
 Then it replays the ``factor_q`` calls that ``torsion_generator`` makes
 on Q(zeta_7) and Q(zeta_15) and that ``decompose`` makes on the rank-11
 split order, and times them per call.
@@ -21,11 +23,16 @@ Then it times one torsion ``ops.power`` and one ``membership_dlog`` (two
 targets) on the residue torsion of Z[X]/(X^12 - 1), per call, on random
 members.  Next, it runs every tenth order of the cyclotomic-mix pool of
 ``perfbench`` through ``ops.order_op`` and reports, per order, the time
-and the count of ``Fraction`` objects built.  It replays the
-``roots_in_field`` calls of the first 100 cyclotomic-mix orders (20 with
-``--quick``) and reports the time per call and the counts of norms
-(``_norm_poly``), gcds over the field (``nfp_gcd``) and
-``NumberField.inv`` calls, the inverses of 1 apart.  Then it runs the
+and the count of ``Fraction`` objects built; from the second repeat on,
+the process's field table holds every field of the sample.  Then it
+replays two consecutive blocks of that pool (20 orders each with
+``--quick``) on an empty field table and reports, per block, the counts
+of ``_climb``, ``roots_in_field`` and ``residue_bound`` calls, the
+table's size after the block and the time per order.  It replays the
+``roots_in_field`` calls that the first 100 cyclotomic-mix orders (20
+with ``--quick``) make on an empty field table and reports the time per
+call and the counts of norms (``_norm_poly``), gcds over the field
+(``nfp_gcd``) and ``NumberField.inv`` calls, the inverses of 1 apart.  Then it runs the
 first 100 orders of the split-rank pool (20 with ``--quick``), records
 the finite rings they build and every structure-table product made in those rings,
 and reports the tables' fill (the nonzero share of their entries), the
@@ -157,10 +164,10 @@ def recorded_calls(targets, run):
 
 def decompose_calls(algebra):
     """name -> arguments of the RatMatrix.inverse, NumberField.inv,
-    solve_rat and minimal_polynomial calls that decompose makes on the
-    algebra."""
+    solve_rat, _krylov_powers and minimal_polynomial calls that decompose
+    makes on the algebra."""
     targets = [("inverse", linalg.RatMatrix), ("inv", NumberField), ("solve_rat", qalgebra),
-               ("minimal_polynomial", qalgebra)]
+               ("_krylov_powers", qalgebra), ("minimal_polynomial", qalgebra)]
     return recorded_calls(targets, lambda: decompose(algebra))
 
 
@@ -185,6 +192,7 @@ def bench_rational(quick):
         for label, fn in (("inverse", linalg.RatMatrix.inverse),
                           ("inv", NumberField.inv),
                           ("solve_rat", linalg.solve_rat),
+                          ("_krylov_powers", qalgebra._krylov_powers),
                           ("minimal_polynomial", qalgebra.minimal_polynomial)):
             t = time_fn(fn, calls[label], repeat)
             print(f"{label + ', ' + name:<34} {len(calls[label]):>6} {t * 1e3:>17.2f}")
@@ -288,10 +296,35 @@ def bench_orders(quick):
           f"{fractions / len(sample):>9.1f}")
 
 
+def bench_field_table(quick):
+    # segments 0 and 1 of the cyclotomic-mix pool, one block each, replayed
+    # in turn on an empty field table: the first block fills it, the
+    # second finds most of its fields there
+    pool = serve_inputs.build_pool("cyclotomic-mix")
+    blocks = [[item for item in pool if item.segment == s][:20 if quick else None]
+              for s in (0, 1)]
+    targets = [("_climb", numfield), ("roots_in_field", numfield),
+               ("residue_bound", NumberField)]
+    numfield._shared_field.cache_clear()
+    print(f"\n{'cyclotomic-mix blocks':<22} {'orders':>6} {'_climb':>7} {'roots':>6} "
+          f"{'residue_bound':>13} {'fields':>7} {'ms/order':>9}")
+    for label, block in zip(("cold", "warm"), blocks):
+        t0 = time.perf_counter()
+        calls = recorded_calls(
+            targets, lambda: [serve_ops.order_op(None, item.text) for item in block])
+        seconds = time.perf_counter() - t0
+        climbs, roots, bounds = (len(calls[name]) for name, _ in targets)
+        fields = numfield._shared_field.cache_info().currsize
+        print(f"{'order_op, ' + label:<22} {len(block):>6} {climbs:>7} {roots:>6} "
+              f"{bounds:>13} {fields:>7} {seconds / len(block) * 1e3:>9.2f}")
+
+
 def bench_roots(quick):
     repeat = 2 if quick else 3
-    # the root searches of the first orders of the cyclotomic-mix pool
+    # the root searches of the first orders of the cyclotomic-mix pool, on
+    # an empty field table, so that every field's torsion is climbed
     sample = serve_inputs.build_pool("cyclotomic-mix")[:20 if quick else 100]
+    numfield._shared_field.cache_clear()
     calls = recorded_calls(
         [("roots_in_field", numfield)],
         lambda: [serve_ops.order_op(None, item.text) for item in sample])["roots_in_field"]
@@ -417,6 +450,7 @@ def main():
     bench_polynomials(args.quick)
     bench_torsion(args.quick)
     bench_orders(args.quick)
+    bench_field_table(args.quick)
     bench_roots(args.quick)
     bench_tables(args.quick)
     bench_lattices(args.quick)

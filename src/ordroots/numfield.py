@@ -41,10 +41,21 @@ Phi_ell is climbed through roots of X^ell - zeta_(ell^k).  Primes ell are
 skipped, and climbs cut short, by a bound read off the residue fields:
 the degrees of the factors of the minimal polynomial modulo a few small
 primes.
+
+A field is fixed by its monic minimal polynomial, and everything it
+builds lazily (the torsion climb and its power table, the residue
+bounds) is a function of that polynomial alone.  So the residue fields
+that ``decompose`` hands out (``NumberField._of_factor``) come from one
+process-wide table keyed on the canonical coefficient tuple of the
+factor, least recently used first out beyond ``FIELD_TABLE_SIZE``
+fields: each field's torsion is climbed and checked once, when it is
+first asked for, and every later order with that field reads it.  The
+public constructor builds a fresh field that shares nothing.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import islice
 from math import gcd, lcm
 from typing import List
@@ -76,6 +87,10 @@ from .polyfactor import (
 # costs one distinct-degree factorization of the minimal polynomial
 _RESIDUE_PRIMES = 4
 
+# residue fields kept by ``NumberField._of_factor``; a workload of orders
+# over a few dozen distinct fields fits with room to spare
+FIELD_TABLE_SIZE = 256
+
 
 class NumberField:
     """Q[X]/(min_poly) with min_poly monic irreducible over Q."""
@@ -88,13 +103,15 @@ class NumberField:
             raise ValueError("minimal polynomial is reducible")
         self._setup(m)
 
-    @classmethod
-    def _of_factor(cls, factor):
+    @staticmethod
+    def _of_factor(factor):
         """The field of a monic irreducible factor that ``factor_q`` has
-        just returned, with no second factorization."""
-        K = cls.__new__(cls)
-        K._setup(factor)
-        return K
+        just returned, with no second factorization.  One field per
+        factor, shared by every caller: the factor's coefficients are
+        canonical, so equal factors give equal keys, and the field's
+        torsion and residue bounds are built and checked once for all
+        of them."""
+        return _shared_field(tuple(factor))
 
     def _setup(self, m):
         self.min_poly = tuple(m)
@@ -280,6 +297,13 @@ class NumberField:
 
     def __repr__(self):
         return f"NumberField(deg={self.deg}, min_poly={[str(c) for c in self.min_poly]})"
+
+
+@lru_cache(maxsize=FIELD_TABLE_SIZE)
+def _shared_field(min_poly):
+    K = NumberField.__new__(NumberField)
+    K._setup(min_poly)
+    return K
 
 
 class ProductRing:

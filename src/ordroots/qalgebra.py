@@ -244,17 +244,24 @@ class SpecDecomposition:
         return not self.nil_basis or not any(self.nil_projection(x))
 
 
-def minimal_polynomial(alg: QAlgebra, x):
+def _krylov_powers(alg: QAlgebra, x):
+    """The powers 1, x, ..., x^n of x, n the dimension."""
+    powers = [alg.one]
+    for _ in range(alg.dim):
+        powers.append(alg.mul(powers[-1], x))
+    return powers
+
+
+def minimal_polynomial(alg: QAlgebra, x, powers=None):
     """Monic minimal polynomial of x (equivalently, of multiplication by
     x), from one fraction-free elimination of the Krylov columns
-    1, x, ..., x^n.  The first k columns are independent and span every
-    later power, so the pivots are columns 0, ..., k - 1, and the reduced
-    column k writes x^k over the lower powers, one ``ratio`` per
-    coefficient."""
+    1, x, ..., x^n (``powers``, when the caller has them).  The first k
+    columns are independent and span every later power, so the pivots
+    are columns 0, ..., k - 1, and the reduced column k writes x^k over
+    the lower powers, one ``ratio`` per coefficient."""
     n = alg.dim
-    powers = [alg.one]
-    for _ in range(n):
-        powers.append(alg.mul(powers[-1], x))
+    if powers is None:
+        powers = _krylov_powers(alg, x)
     rows = RatMatrix(n, powers).num.to_rows()
     pivots, d, _ = _gauss_jordan(rows, n + 1)
     k = len(pivots)
@@ -264,16 +271,18 @@ def minimal_polynomial(alg: QAlgebra, x):
 
 
 def _primitive_element(alg: QAlgebra, rows):
-    """(x, m): the first x = sum_i t^i e_(rows[i]), t = 0, 1, ..., whose
-    minimal polynomial has a radical m of degree len(rows)."""
+    """(x, m, powers): the first x = sum_i t^i e_(rows[i]), t = 0, 1, ...,
+    whose minimal polynomial has a radical m of degree len(rows), and
+    its Krylov powers."""
     q = len(rows)
     for t in range(q * q * q + q + 2):
         x = [0] * alg.dim
         for i, r in enumerate(rows):
             x[r] = t ** i
-        m = squarefree_part(minimal_polynomial(alg, x))
+        powers = _krylov_powers(alg, x)
+        m = squarefree_part(minimal_polynomial(alg, x, powers))
         if qp_degree(m) == q:
-            return tuple(x), m
+            return tuple(x), m, powers
     raise AssertionError("primitive element search failed")
 
 
@@ -284,9 +293,11 @@ def decompose(E: QAlgebra) -> SpecDecomposition:
     polynomial of an element of E and that of its image in the reduced
     algebra E/N have the same radical, so a primitive element of E/N is
     searched in E itself, on the rows that hold no pivot of N's basis,
-    and Newton-lifted until the radical m vanishes exactly.  The factors
-    of m give the components and their Chinese-remainder idempotents (one
-    field inverse each) the section, whose columns span a complement of N;
+    and Newton-lifted until the radical m vanishes exactly; unless the
+    lift moved it, its Krylov powers serve the section too.  The factors
+    of m give the components (each the process's one field of its
+    factor, ``NumberField._of_factor``) and their Chinese-remainder
+    idempotents (one field inverse each) the section, whose columns span a complement of N;
     one inverse of [section | N] gives the projection and the part in N.
     """
     n = E.dim
@@ -297,7 +308,7 @@ def decompose(E: QAlgebra) -> SpecDecomposition:
     if len(rows) != q:
         raise AssertionError("nilradical pivots are not distinct rows")
 
-    alpha, m = _primitive_element(E, rows)
+    alpha, m, powers = _primitive_element(E, rows)
     dm = qp_deriv(m)
     for _ in range(n.bit_length() + 2):
         val = E.eval_poly(m, alpha)
@@ -305,14 +316,12 @@ def decompose(E: QAlgebra) -> SpecDecomposition:
             break
         dval = E.eval_poly(dm, alpha)
         alpha = tuple(_num(a - b) for a, b in zip(alpha, E.mul(val, E.inv(dval))))
+        powers = None  # the lift moved alpha off the candidate
     else:
         raise AssertionError("newton lift did not converge")
-
-    powers = []
-    cur = E.one
-    for _ in range(q):
-        powers.append(cur)
-        cur = E.mul(cur, alpha)
+    if powers is None:
+        powers = _krylov_powers(E, alpha)
+    powers = powers[:q]
 
     const, facs = factor_q(list(m))
     if any(mult != 1 for _, mult in facs):

@@ -22,7 +22,7 @@ from ordroots.numfield import (
     nfp_mul,
     roots_in_field,
 )
-from ordroots.ordercore import build_context, order_from_poly
+from ordroots.ordercore import build_context, order_from_poly, primitive_idempotents_ctx
 from ordroots.orderdoc import parse_vector
 from ordroots.polyfactor import (
     _squarefree_mod,
@@ -33,6 +33,7 @@ from ordroots.polyfactor import (
     qp_mul,
 )
 from ordroots.qalgebra import QAlgebra, decompose, minimal_polynomial
+from ordroots.rou import mu_a_presentation
 
 from util import (
     coordinate_forms,
@@ -839,3 +840,105 @@ def test_parsed_vectors_are_canonical(entries, data):
     got = parse_vector(texts, len(texts))
     assert is_canonical(got)
     assert got == [Fraction(p, q) for p, q in entries]
+
+
+# ---------------------------------------------------------------------------
+# one residue field per minimal polynomial, shared across orders
+
+
+def _cyclotomic_product(*ds):
+    f = [1]
+    for d in ds:
+        f = qp_mul(f, cyclotomic(d))
+    return f
+
+
+def _spy(monkeypatch, name):
+    calls = []
+    real = getattr(numfield, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(numfield, name, spy)
+    return calls
+
+
+def test_orders_sharing_a_field_share_its_component(monkeypatch):
+    # the primitive element of either order is 1 + 2X + 4X^2 + 8X^3 + 16X^4,
+    # so both Phi_5 components are the field of one minimal polynomial
+    numfield._shared_field.cache_clear()
+    first = build_context(order_from_poly(_cyclotomic_product(1, 5)))
+    first.field_torsion()
+    climbs, searches = _spy(monkeypatch, "_climb"), _spy(monkeypatch, "roots_in_field")
+    second = build_context(order_from_poly(_cyclotomic_product(2, 5)))
+    second.field_torsion()
+    (K,) = [K for K in first.dec.components if K.deg == 4]
+    (L,) = [L for L in second.dec.components if L.deg == 4]
+    assert L is K
+    # the only new field is linear: one climb at ell = 2, which needs no root search
+    new = [L for L in second.dec.components if L is not K]
+    assert [L.deg for L in new] == [1]
+    assert all(args[0] is new[0] for args in climbs) and searches == []
+
+
+def _order_answers(f):
+    """The byte form of an order's idempotents, torsion generators,
+    relations and invariant factors, and of its component torsion."""
+    ctx = build_context(order_from_poly(f))
+    pres = mu_a_presentation(ctx)
+    tor = ctx.field_torsion()
+    return repr((primitive_idempotents_ctx(ctx), pres.generators, pres.relations,
+                 pres.invariant_factors, tor.component_roots, tor.component_orders))
+
+
+_SHARED_SAMPLES = [
+    _cyclotomic_product(1, 5),
+    _cyclotomic_product(2, 5),
+    _cyclotomic_product(3, 4),
+    _cyclotomic_product(4, 6),
+    _cyclotomic_product(1, 2, 3, 6),
+    [0, -12, 4, 15, -5, -3, 1],  # X(X-1)(X-2)(X+1)(X+2)(X-3)
+    [0, 2, -1, -2, 1],  # X(X-1)(X+1)(X-2)
+]
+
+
+@pytest.mark.parametrize("arrival", ["forward", "backward"])
+def test_answers_do_not_depend_on_the_field_table(arrival):
+    cold = []
+    for f in _SHARED_SAMPLES:
+        numfield._shared_field.cache_clear()
+        cold.append(_order_answers(f))
+    order = list(range(len(_SHARED_SAMPLES)))
+    if arrival == "backward":
+        order.reverse()
+    numfield._shared_field.cache_clear()
+    for i in order:
+        assert _order_answers(_SHARED_SAMPLES[i]) == cold[i]
+    assert numfield._shared_field.cache_info().hits > 0
+
+
+def test_the_field_table_is_bounded_and_an_evicted_field_rebuilds():
+    numfield._shared_field.cache_clear()
+    K = NumberField._of_factor(cyclotomic(12))
+    torsion, powers = K.torsion_generator(), K.torsion_powers()
+    assert NumberField._of_factor(list(cyclotomic(12))) is K
+    for a in range(numfield.FIELD_TABLE_SIZE):
+        NumberField._of_factor([-a, 1])
+    assert numfield._shared_field.cache_info().currsize == numfield.FIELD_TABLE_SIZE
+    L = NumberField._of_factor(cyclotomic(12))
+    assert L is not K and L._torsion is None
+    assert (L.torsion_generator(), L.torsion_powers()) == (torsion, powers)
+    assert numfield._shared_field.cache_info().currsize == numfield.FIELD_TABLE_SIZE
+
+
+def test_the_public_constructor_builds_an_unshared_field():
+    with pytest.raises(ValueError, match="reducible"):
+        NumberField(_cyclotomic_product(1, 4))
+    shared = NumberField._of_factor(cyclotomic(4))
+    shared.torsion_generator()
+    K, L = NumberField(cyclotomic(4)), NumberField(cyclotomic(4))
+    assert K is not shared and K is not L
+    assert K._torsion is None
+    assert K.torsion_generator() == shared.torsion_generator()

@@ -360,6 +360,40 @@ def test_a_permuted_torsion_table_is_caught(monkeypatch):
         mu_c_p_presentation(ctx, 3)
 
 
+_PERMUTED_SHARED_TABLE = """
+from ordroots.ordercore import build_context, mu_c_p_presentation, order_from_poly
+from ordroots.polyfactor import cyclotomic, qp_mul
+
+first = build_context(order_from_poly([-1] + [0] * 11 + [1]))
+K = first.dec.components[4]
+powers = list(K.torsion_powers())
+print(K.deg, len(powers))
+powers[1], powers[2] = powers[2], powers[1]
+K._torsion_powers = tuple(powers)
+f = [1]
+for d in (4, 6, 8, 12):
+    f = qp_mul(f, cyclotomic(d))
+second = build_context(order_from_poly(f))
+print(any(L is K for L in second.dec.components))
+try:
+    mu_c_p_presentation(second, 3)
+except AssertionError as e:
+    print(e)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_a_permuted_shared_torsion_table_is_caught_in_a_second_order(flags):
+    # Z[X]/(X^12 - 1) puts its Q(zeta_6) component in the process's field
+    # table; a second order of rank 12 with a Phi_6 factor has the same
+    # primitive element, so the same field, whose swapped powers its own
+    # climb must still refuse
+    run = run_python(flags, _PERMUTED_SHARED_TABLE)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "2 6", "True", "climbed powers disagree with the multiplied-out powers"]
+
+
 @pytest.mark.parametrize("f", [
     [-1] + [0] * 11 + [1],
     [0, -12, 4, 15, -5, -3, 1],  # X(X-1)(X-2)(X+1)(X+2)(X-3)

@@ -416,6 +416,29 @@ def test_maps_equal_the_two_inverse_reference(name):
 
 
 @pytest.mark.parametrize("name", sorted(SECTION_ALGEBRAS))
+def test_the_section_reuses_the_powers_of_an_unlifted_candidate(monkeypatch, name):
+    # the accepted candidate's Krylov powers serve the section unless the
+    # Newton lift moves it, which needs a nilradical
+    candidates, powered = [], []
+    minpoly, krylov = qalgebra.minimal_polynomial, qalgebra._krylov_powers
+
+    def minimal_polynomial_(alg, x, powers=None):
+        candidates.append(tuple(x))
+        return minpoly(alg, x, powers)
+
+    def krylov_powers_(alg, x):
+        powered.append(tuple(x))
+        return krylov(alg, x)
+
+    monkeypatch.setattr(qalgebra, "minimal_polynomial", minimal_polynomial_)
+    monkeypatch.setattr(qalgebra, "_krylov_powers", krylov_powers_)
+    dec = decompose(_section_algebra(name))
+    lifted = dec.alpha != candidates[-1]
+    assert dec.nil_basis or not lifted
+    assert powered == candidates + [dec.alpha] * lifted
+
+
+@pytest.mark.parametrize("name", sorted(SECTION_ALGEBRAS))
 def test_section_idempotents_are_orthogonal_and_sum_to_one(name):
     dec = decompose(_section_algebra(name))
     E = dec.algebra
