@@ -41,7 +41,12 @@ sparse cells hold, and the time per replayed product.  It runs the same
 orders again and counts the Hermite forms (``hnf_cols`` calls), their
 cells (rows, the carried ones included, times columns), the column updates (``_submul``
 calls), the ``IntSolver`` builds and the ``det_int`` calls that their
-lattice work makes, and times each order.  Last, it replays
+lattice work makes, and times each order.  Then it runs the first 100
+orders of the split-rank and the cyclotomic-mix pools (20 with
+``--quick``) on an empty field table and counts the work of the conductor
+descent: the ``FiniteRing`` builds, ``unipotent_presentation`` calls,
+``unipotent_dlog`` calls and Hermite forms (``hnf_cols`` calls), and times
+each order on the filled table.  Last, it replays
 the dlog-serve query pool of ``perfbench`` once on a warm serving state and
 reports, per query class (mue, mua, unip), the time per query and the
 counts of ``NumberField.mul`` calls, of power-table dlogs and of
@@ -409,6 +414,23 @@ def bench_lattices(quick):
           f"{solvers:>9} {dets:>8} {seconds / len(sample) * 1e3:>9.2f}")
 
 
+def bench_descent(quick):
+    repeat = 2 if quick else 3
+    codes = [finitering.FiniteRing.__init__.__code__,
+             finitering.unipotent_presentation.__code__,
+             finitering.unipotent_dlog.__code__, kernels.hnf_cols.__code__]
+    print(f"\n{'descent work':<16} {'orders':>6} {'FiniteRing':>10} {'presentations':>13} "
+          f"{'dlogs':>7} {'hnf_cols':>9} {'ms/order':>9}")
+    for name in ("split-rank", "cyclotomic-mix"):
+        sample = serve_inputs.build_pool(name)[:20 if quick else 100]
+        numfield._shared_field.cache_clear()
+        rings, presentations, dlogs, hermite = call_counts(
+            codes, lambda: [serve_ops.order_op(None, item.text) for item in sample])
+        seconds = time_fn(serve_ops.order_op, [(None, item.text) for item in sample], repeat)
+        print(f"{name:<16} {len(sample):>6} {rings:>10} {presentations:>13} {dlogs:>7} "
+              f"{hermite:>9} {seconds / len(sample) * 1e3:>9.2f}")
+
+
 def bench_queries():
     pool = serve_inputs.build_pool("dlog-serve")
     state = serve_ops.ServeState()
@@ -454,6 +476,7 @@ def main():
     bench_roots(args.quick)
     bench_tables(args.quick)
     bench_lattices(args.quick)
+    bench_descent(args.quick)
     bench_queries()
 
 

@@ -114,7 +114,10 @@ class FiniteRing:
 
 class RingIdeal:
     """Ideal of a FiniteRing: a lattice between the relation lattice and Z^k,
-    closed under multiplication by the ring."""
+    closed under multiplication by the ring.  With ``check=False`` it may
+    be an ideal of a subring only, such as I' = I meet A/ff in C/ff: its
+    powers, filtration and unipotent group live in the big ring, and the
+    caller checks its closure under the subring."""
 
     def __init__(self, ring: FiniteRing, lattice: Lattice, check=True):
         if lattice.dim != ring.ngens:
@@ -212,7 +215,8 @@ class Filtration:
 
     Built once, read by every discrete log: ``solvers[i]`` solves over
     the fixed matrix [B_i | I^(2^(i+1))], so a layer costs no Hermite
-    form, and its kernel cut to B_i spans the layer's relations;
+    form, its image is checked to be I^(2^i), so that the units 1 + b
+    generate 1 + I, and its kernel cut to B_i spans the layer's relations;
     ``units[i]`` and ``powers[i]`` hold 1 + b and b, b^2, ... up to the
     last nonzero power for each b in B_i, and each (1 + b)^-1 is
     multiplied back once.
@@ -233,7 +237,11 @@ class Filtration:
         for li, (_, bs) in enumerate(self.levels):
             nxt = self.levels[li + 1][0].lattice if li + 1 < len(self.levels) else ring.rel
             bmat = IntMatrix(ring.ngens, [list(b) for b in bs])
-            self.solvers.append(IntSolver(bmat.hstack(nxt.basis)))
+            solver = IntSolver(bmat.hstack(nxt.basis))
+            # both canonical Hermite bases: B_i and the next ideal span this one
+            if solver.image != self.levels[li][0].lattice:
+                raise AssertionError("layer generators do not generate the layer")
+            self.solvers.append(solver)
             units = [ring.add(ring.one, b) for b in bs]
             powers = [nilpotent_powers(ring, b, self.terms) for b in bs]
             for u, bp in zip(units, powers):

@@ -1,12 +1,15 @@
 """Order documents: the JSON file format the CLI reads and writes.
 
 A document is a rank plus the flattened structure-constant tensor in
-row-major (i, j, k) order.  Integer entries are decimal strings; the
-parser also accepts plain JSON integers.  Either way an entry has at
-most ``sys.get_int_max_str_digits()`` digits (4300 by default), Python's
-limit on converting between int and decimal text; a longer one is bad
-input.  Canonical serialization (sorted keys, two-space indent, trailing
-newline) is byte-stable under parse/serialize round trips.
+row-major (i, j, k) order.  Integer entries are decimal strings: an
+optional sign and the ASCII digits 0-9, with optional surrounding ASCII
+whitespace (no underscores and no other scripts' digits, which Python's
+``int`` would take).  The parser also accepts plain JSON integers.
+Either way an entry has at most ``sys.get_int_max_str_digits()`` digits
+(4300 by default), Python's limit on converting between int and decimal
+text; a longer one is bad input.  Canonical serialization (sorted keys,
+two-space indent, trailing newline) is byte-stable under parse/serialize
+round trips.
 """
 
 from __future__ import annotations
@@ -59,13 +62,16 @@ def parse_int(v):
     if isinstance(v, int):
         return v
     if isinstance(v, str):
-        s = v.strip()
-        try:
-            return int(s, 10)
-        except ValueError:
-            raise DocumentError(
-                f"not a decimal integer of at most {sys.get_int_max_str_digits()} "
-                f"digits: {_echo(v)}") from None
+        # int() alone also takes underscores and other scripts' digits
+        # and spaces
+        if v.isascii() and "_" not in v:
+            try:
+                return int(v, 10)
+            except ValueError:  # not decimal, or more digits than the limit
+                pass
+        raise DocumentError(
+            f"not a decimal integer of at most {sys.get_int_max_str_digits()} "
+            f"digits: {_echo(v)}")
     raise DocumentError(f"not an integer entry: {_echo(v)}")
 
 

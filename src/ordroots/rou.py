@@ -5,10 +5,13 @@ For a fixed prime p the generators of the p-power torsion of C are known;
 what survives inside A is decided in the finite ring C modulo the
 conductor ff = {x in C : xC <= A}, where the question becomes a
 unipotent discrete-log problem: the kernel of Z^M -> (1+I)/(1+I') maps
-onto the p-power torsion of A.  The conductor is the intersection of the
-preimages of A under multiplication by each basis element of C; like
-every other lattice of the descent it is computed by the library's own
-lattice operations, in canonical Hermite form.
+onto the p-power torsion of A.  The conductor lies in A, so A/ff is the
+sublattice of C/ff spanned by A's basis, I' = I meet A/ff is an ideal of
+that subring, and 1+I' is generated inside C/ff by the units of its own
+filtration: the descent works in one finite ring.  The conductor is the
+intersection of the preimages of A under multiplication by each basis
+element of C; like every other lattice of the descent it is computed by
+the library's own lattice operations, in canonical Hermite form.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .abgroup import (
     membership_dlog,
     subgroup_presentation,
 )
-from .finitering import FiniteRing, RingIdeal, unipotent_presentation
+from .finitering import FiniteRing, RingIdeal, filtration_generators, unipotent_presentation
 from .linalg import IntMatrix, Lattice, image_int, intersect_lattices, preimage_lattice
 from .ordercore import (
     MuCPData,
@@ -33,22 +36,23 @@ from .ordercore import (
     mu_b_presentation,
     mu_c_p_presentation,
 )
+from .qalgebra import table_mul
 
 
 @dataclass
 class ConductorData:
-    """The conductor of C into the separable part, with the finite rings
-    and nilpotent ideals that host the unipotent descent."""
+    """The conductor of C into the separable part, with the one finite
+    ring and the two nilpotent ideals that host the unipotent descent;
+    every lattice is in the coordinates of C's basis."""
 
     prime: int
-    conductor_in_c: Lattice  # coordinates in the basis of C
+    conductor_in_c: Lattice
     index_in_c: int
     ring_c: FiniteRing  # C modulo the conductor
-    ring_a: FiniteRing  # separable part modulo the conductor
-    embed_a_in_c: IntMatrix  # basis of the separable part in C coordinates
+    a_in_c: Lattice  # the separable part, whose image in ring_c is the subring A/ff
     zetas: List[tuple]  # the mu(C)_p generators in C/ff
     ideal_i: RingIdeal  # sum of (zeta - 1) C/ff over the mu(C)_p generators
-    ideal_i_sub: RingIdeal  # its intersection with the subring
+    ideal_i_sub: RingIdeal  # I' = I meet A/ff, an ideal of the subring only
 
 
 def conductor(ctx: OrderContext, mu_c: MuCPData) -> ConductorData:
@@ -57,9 +61,9 @@ def conductor(ctx: OrderContext, mu_c: MuCPData) -> ConductorData:
     With b_1, ..., b_d the basis of C and M_j the matrix of
     multiplication by b_j in that basis, x lies in the conductor iff
     x b_j lies in the separable part A for every j, so the conductor is
-    the intersection over j of the preimages of A under M_j.  Its
-    coordinates in A's basis are its preimage under the embedding of A
-    into C."""
+    the intersection over j of the preimages of A under M_j.  It lies
+    in A, so A/ff is the sublattice ``a_in_c`` of C/ff and I' is the
+    intersection of I with it, checked closed under A in C/ff."""
     c_order = mu_c.tower.c_order
     sep = ctx.sep_order
     d = c_order.rank
@@ -70,8 +74,7 @@ def conductor(ctx: OrderContext, mu_c: MuCPData) -> ConductorData:
         if x is None:
             raise AssertionError("separable part is not inside C")
         emb_cols.append(x)
-    embed = IntMatrix(d, emb_cols)
-    a_in_c = image_int(embed)
+    a_in_c = image_int(IntMatrix(d, emb_cols))
     table = c_order.mult_table()
     ff = reduce(intersect_lattices, (
         preimage_lattice(IntMatrix(d, [table[i][j] for i in range(d)]), a_in_c)
@@ -82,7 +85,6 @@ def conductor(ctx: OrderContext, mu_c: MuCPData) -> ConductorData:
         if not a_in_c.contains(c):
             raise AssertionError("conductor is not inside the separable part")
     ring_c = c_order.finite_quotient(ff)
-    ring_a = sep.finite_quotient(preimage_lattice(embed, ff))
     # ideal generated by zeta - 1 over the mu(C)_p generators
     zetas = []
     for z in mu_c.generators:
@@ -91,22 +93,34 @@ def conductor(ctx: OrderContext, mu_c: MuCPData) -> ConductorData:
             raise AssertionError("torsion generator is not in C")
         zetas.append(ring_c.reduce(x))
     ideal_i = RingIdeal.generated_by(ring_c, [ring_c.sub(z, ring_c.one) for z in zetas])
-    # its intersection with the subring, in subring coordinates
-    ideal_i_sub = RingIdeal(ring_a, preimage_lattice(embed, ideal_i.lattice))
+    ideal_i_sub = subring_ideal(ring_c, a_in_c, intersect_lattices(ideal_i.lattice, a_in_c))
     return ConductorData(
         prime=mu_c.prime, conductor_in_c=ff, index_in_c=ring_c.order(),
-        ring_c=ring_c, ring_a=ring_a, embed_a_in_c=embed, zetas=zetas,
+        ring_c=ring_c, a_in_c=a_in_c, zetas=zetas,
         ideal_i=ideal_i, ideal_i_sub=ideal_i_sub,
     )
 
 
+def subring_ideal(ring: FiniteRing, subring: Lattice, lattice: Lattice) -> RingIdeal:
+    """``lattice``, between the relations and the lattice ``subring`` of
+    ring coordinates, as an ideal of that subring: checked closed under
+    multiplication by the subring's basis, the products taken in
+    ``ring``."""
+    for b in lattice.basis.cols:
+        for a in subring.basis.cols:
+            if not lattice.contains(table_mul(ring.table, b, a)):
+                raise AssertionError("subring ideal is not closed under the subring")
+    return RingIdeal(ring, lattice, check=False)
+
+
 def psi_kernel(cond: ConductorData) -> List[List[int]]:
-    """Generators of the kernel of Z^M -> (1+I)/(1+I')."""
+    """Generators of the kernel of Z^M -> (1+I)/(1+I'): the exponent
+    vectors whose product of zetas lies in 1+I', the group that the units
+    of the filtration of I' generate in C/ff."""
     ring_c = cond.ring_c
     pres = unipotent_presentation(ring_c, cond.ideal_i)
-    sub_pres = unipotent_presentation(cond.ring_a, cond.ideal_i_sub)
-    modulo = [ring_c.reduce(cond.embed_a_in_c.apply(list(g))) for g in sub_pres.gens]
-    return kernel_mod_subgroup(pres, cond.zetas, modulo)
+    sub = filtration_generators(ring_c, cond.ideal_i_sub)
+    return kernel_mod_subgroup(pres, cond.zetas, [u for units in sub.units for u in units])
 
 
 def mu_a_p_generators(ctx: OrderContext, p: int) -> List[tuple]:

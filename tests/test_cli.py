@@ -86,6 +86,43 @@ def test_from_poly_rejects_floats_and_booleans(capsys, coeffs):
 
 def test_from_poly_accepts_decimal_strings(capsys):
     assert run(capsys, ["from-poly", '["-1", " 0 ", 1]']) == run(capsys, ["from-poly", "[-1, 0, 1]"])
+    assert run(capsys, ["from-poly", '["+12", "\\t-0\\n", "1"]']) == run(
+        capsys, ["from-poly", "[12, 0, 1]"])
+
+
+# what Python's int() takes but a decimal entry is not: underscores,
+# Arabic-Indic, full-width and superscript digits, non-ASCII space, signs
+# without digits or twice, and inner space
+NOT_DECIMAL = ["1_000", "\u0661\u0662", "\uff11\uff12", "\u00b2", "\u00a012", "12\u2003",
+               "+", "--1", "+-1", "1 2", "0x1f", "1e3"]
+
+
+@pytest.mark.parametrize("entry", NOT_DECIMAL)
+def test_from_poly_refuses_what_is_not_a_decimal_integer(capsys, entry):
+    code, out, err = run(capsys, ["from-poly", json.dumps([entry, 1])])
+    assert code == 2 and out == ""
+    assert "not a decimal integer" in err
+
+
+@pytest.mark.parametrize("entry", NOT_DECIMAL)
+def test_table_entries_and_vectors_refuse_what_is_not_a_decimal_integer(entry):
+    assert parse_order_document(json.dumps({"rank": 1, "table": ["1"]}))[0].rank == 1
+    with pytest.raises(DocumentError, match="not a decimal integer"):
+        parse_order_document(json.dumps({"rank": 1, "table": [entry]}))
+    with pytest.raises(DocumentError, match="not a decimal integer"):
+        parse_order_document(json.dumps({"rank": entry, "table": ["1"]}))
+    for bad in (entry, f"{entry}/2", f"1/{entry}"):
+        with pytest.raises(DocumentError, match="not a rational number"):
+            parse_vector([bad], 1)
+
+
+def test_dlog_refuses_an_element_entry_in_other_digits(capsys, x4_doc):
+    for first in ("\u0661", "1_0", "\uff11/2"):
+        element = [first, "0", "0", "0"]
+        code, out, err = run(capsys, ["dlog", x4_doc, "--targets", '[["0","1","0","0"]]',
+                                      "--element", json.dumps(element)])
+        assert code == 2 and out == ""
+        assert "not a rational number" in err
 
 
 def test_idempotents_cmd(capsys, x4_doc, tmp_path):

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordroots import finitering, rou
 from ordroots.abgroup import membership_dlog, subgroup_presentation
-from ordroots.finitering import RingIdeal
-from ordroots.linalg import Lattice, lattice_index
+from ordroots.finitering import RingIdeal, filtration_generators
+from ordroots.linalg import IntMatrix, Lattice, lattice_index, preimage_lattice
 from ordroots.ordercore import (
     Order,
     build_context,
@@ -25,6 +26,7 @@ from ordroots.rou import (
     mu_a_presentation,
     mu_e_subgroup_dlog,
     psi_kernel,
+    subring_ideal,
 )
 from util import (
     brute_closure,
@@ -34,8 +36,10 @@ from util import (
     fixpoint_ideal,
     product_order,
     ring_power,
+    run_python,
     scalar_suborder,
     stacked_conductor,
+    two_ring_psi_kernel,
 )
 
 
@@ -52,8 +56,8 @@ def test_conductor_x4():
     cond = conductor(ctx, mu2)
     assert cond.index_in_c == 64
     assert cond.ring_c.order() == 64
-    # the subring A/ff has index 8 in C/ff
-    assert cond.ring_a.order() == 8
+    # the subring A/ff has 8 elements: ff has index 8 in A
+    assert lattice_index(cond.conductor_in_c, cond.a_in_c) == 8
     # I is nilpotent with I^2 = 0 here
     I = cond.ideal_i
     assert I.mul(I).is_zero()
@@ -104,14 +108,22 @@ def test_conductor_matches_the_stacked_reference(name):
         cond = conductor(ctx, mu_c)
         ff, ff_in_a = stacked_conductor(ctx, mu_c)
         assert cond.conductor_in_c == ff
-        assert cond.ring_a.rel == ff_in_a
+        c_order = mu_c.tower.c_order
+        embed = IntMatrix(ff.dim, [c_order.coords(b) for b in ctx.sep_order.basis])
+        assert cond.a_in_c == Lattice(ff.dim, embed.cols)
+        # the conductor in A coordinates, mapped into C coordinates
+        assert Lattice(ff.dim, [embed.apply(c) for c in ff_in_a.basis.cols]) == ff
+        # I' against the preimage of I under the embedding, mapped back
+        i_sub_in_a = preimage_lattice(embed, cond.ideal_i.lattice)
+        assert cond.ideal_i_sub.lattice == Lattice(
+            ff.dim, [embed.apply(c) for c in i_sub_in_a.basis.cols])
         assert cond.index_in_c == lattice_index(ff, Lattice.full(ff.dim))
         ring = cond.ring_c
-        c_order = mu_c.tower.c_order
+        ring_a = ctx.sep_order.finite_quotient(ff_in_a)
         assert cond.zetas == [ring.reduce(c_order.coords(z)) for z in mu_c.generators]
         gens = [ring.sub(z, ring.one) for z in cond.zetas]
         assert cond.ideal_i.lattice == fixpoint_ideal(ring, gens)
-        for r in (cond.ring_c, cond.ring_a):
+        for r in (cond.ring_c, ring_a):
             for _ in range(4):
                 elems = [r.reduce([rng.randint(-9, 9) for _ in range(r.ngens)])
                          for _ in range(rng.randint(1, 3))]
@@ -124,7 +136,121 @@ def test_conductor_layers_and_relations_match_the_elimination_references(name):
     for p in ctx.torsion_primes():
         cond = conductor(ctx, mu_c_p_presentation(ctx, p))
         check_layers_against_references(cond.ring_c, cond.ideal_i)
-        check_layers_against_references(cond.ring_a, cond.ideal_i_sub)
+        check_layers_against_references(cond.ring_c, cond.ideal_i_sub)
+
+
+@pytest.mark.parametrize("name", list(DESCENT_ORDERS))
+def test_psi_kernel_matches_the_two_ring_route(name):
+    ctx = build_context(DESCENT_ORDERS[name]())
+    for p in ctx.torsion_primes():
+        mu_c = mu_c_p_presentation(ctx, p)
+        assert psi_kernel(conductor(ctx, mu_c)) == two_ring_psi_kernel(ctx, mu_c)
+
+
+SMALL_FACTORS = [[int(c) for c in cyclotomic(d)] for d in (1, 2, 3, 4, 6)] + [
+    [2, 1], [-2, 1], [-3, 1]]
+
+
+@st.composite
+def small_orders(draw):
+    """Z[X]/(f) for f a product of distinct cyclotomic and linear factors,
+    of degree at most 5, or its suborder Z + m Z[X]/(f)."""
+    factors = draw(st.lists(st.sampled_from(SMALL_FACTORS), min_size=1, max_size=4,
+                            unique_by=tuple))
+    f = [1]
+    for g in factors:
+        if len(f) + len(g) - 2 <= 5:
+            f = qp_mul(f, g)
+    A = order_from_poly([int(c) for c in f])
+    m = draw(st.sampled_from([1, 1, 2, 3]))
+    return scalar_suborder(A, m) if m > 1 else A
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_orders())
+def test_psi_kernel_matches_the_two_ring_route_on_small_orders(A):
+    ctx = build_context(A)
+    for p in ctx.torsion_primes():
+        mu_c = mu_c_p_presentation(ctx, p)
+        assert psi_kernel(conductor(ctx, mu_c)) == two_ring_psi_kernel(ctx, mu_c)
+
+
+@pytest.mark.parametrize("name", list(DESCENT_ORDERS))
+def test_the_sub_filtration_units_generate_exactly_one_plus_i_sub(name):
+    # brute force in C/ff: the units of the filtration of I' close to
+    # the group {1 + x : x in I'}, which lies in the subring A/ff
+    ctx = build_context(DESCENT_ORDERS[name]())
+    for p in ctx.torsion_primes():
+        cond = conductor(ctx, mu_c_p_presentation(ctx, p))
+        ring, sub = cond.ring_c, cond.ideal_i_sub
+        elems = brute_closure(ring.add, ring.zero(),
+                              [ring.reduce(c) for c in sub.lattice.basis.cols])
+        assert len(elems) == sub.size()
+        assert all(cond.a_in_c.contains(list(x)) for x in elems)
+        units = [u for us in filtration_generators(ring, sub).units for u in us]
+        assert brute_closure(ring.mul, ring.one, units) == {ring.add(ring.one, x) for x in elems}
+
+
+def test_each_conductor_builds_one_ring_and_one_unipotent_presentation(monkeypatch):
+    mu_cs = []
+    for name in ("X^4-1", "split-rank-6", "Z[i]^2 mod 2"):
+        ctx = build_context(DESCENT_ORDERS[name]())
+        mu_cs += [(ctx, mu_c_p_presentation(ctx, p)) for p in ctx.torsion_primes()]
+    calls = []
+    built, presented = finitering.FiniteRing.__init__, rou.unipotent_presentation
+
+    def build(self, *args):
+        calls.append("ring")
+        built(self, *args)
+
+    def present(*args):
+        calls.append("presentation")
+        return presented(*args)
+
+    monkeypatch.setattr(finitering.FiniteRing, "__init__", build)
+    monkeypatch.setattr(rou, "unipotent_presentation", present)
+    for ctx, mu_c in mu_cs:
+        calls.clear()
+        psi_kernel(conductor(ctx, mu_c))
+        assert sorted(calls) == ["presentation", "ring"]
+
+
+# I' of Z[X]/(X^12 - 1) at 2 with one basis vector dropped, the
+# relations kept: a lattice between the relations and A/ff that A does
+# not preserve; then a filtration level of I with one layer generator
+# dropped
+_REFUSED_SUBRING_IDEAL_AND_LAYER = """
+from ordroots.finitering import Filtration, filtration_generators
+from ordroots.linalg import Lattice
+from ordroots.ordercore import build_context, mu_c_p_presentation, order_from_poly
+from ordroots.rou import conductor, subring_ideal
+
+ctx = build_context(order_from_poly([-1] + [0] * 11 + [1]))
+cond = conductor(ctx, mu_c_p_presentation(ctx, 2))
+ring, cols = cond.ring_c, cond.ideal_i_sub.lattice.basis.cols
+rels = [list(c) for c in ring.rel.basis.cols]
+bad = Lattice(ring.ngens, rels + [list(c) for c in cols[:2] + cols[3:]])
+print(bad != cond.ideal_i_sub.lattice)
+try:
+    subring_ideal(ring, cond.a_in_c, bad)
+except AssertionError as e:
+    print(e)
+levels = filtration_generators(ring, cond.ideal_i).levels
+ideal, bs = levels[0]
+try:
+    Filtration(ring=ring, levels=[(ideal, bs[1:])] + levels[1:])
+except AssertionError as e:
+    print(e)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_an_unclosed_subring_ideal_and_a_short_layer_are_refused(flags):
+    run = run_python(flags, _REFUSED_SUBRING_IDEAL_AND_LAYER)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "True", "subring ideal is not closed under the subring",
+        "layer generators do not generate the layer"]
 
 
 def test_psi_kernel_x4_matches_known_lattice():
@@ -138,17 +264,12 @@ def test_psi_kernel_x4_matches_known_lattice():
 def test_psi_vanishes_on_relations():
     # psi factors through the torsion group: relation vectors must land in
     # the identity coset of (1+I)/(1+I')
-    from ordroots.finitering import unipotent_presentation
-
     ctx = x4ctx()
     mu2 = mu_c_p_presentation(ctx, 2)
     cond = conductor(ctx, mu2)
     ring = cond.ring_c
-    sub_pres = unipotent_presentation(cond.ring_a, cond.ideal_i_sub)
-    sub_elems = brute_closure(
-        ring.mul, ring.one,
-        [ring.reduce(cond.embed_a_in_c.apply(list(g))) for g in sub_pres.gens],
-    )
+    sub = filtration_generators(ring, cond.ideal_i_sub)
+    sub_elems = brute_closure(ring.mul, ring.one, [u for us in sub.units for u in us])
     for rel in mu2.pres.rels:
         img = ring.one
         for z, e in zip(mu2.generators, rel):

@@ -29,6 +29,7 @@ from util import (
     group_ring,
     product_order,
     scalar_suborder,
+    stacked_conductor,
 )
 
 
@@ -62,16 +63,18 @@ def _algebras():
 
 @lru_cache(maxsize=None)
 def _rings():
-    """Small rings of the finite-ring tests, and both conductor rings of
-    every order of ``_orders`` at each torsion prime."""
+    """Small rings of the finite-ring tests, and both conductor quotients
+    C/ff and A/ff of every order of ``_orders`` at each torsion prime,
+    A/ff built in A's own coordinates."""
     rings = [FiniteRing(Lattice(1, [[16]]), [[[1]]], [1]), _eps_ring(3, 4),
              FiniteRing(Lattice(2, [[9, 0], [0, 9]]),
                         [[[1, 0], [0, 1]], [[0, 1], [8, 8]]], [1, 0])]
     for A in _orders():
         ctx = build_context(A)
         for p in ctx.torsion_primes():
-            cond = conductor(ctx, mu_c_p_presentation(ctx, p))
-            rings += [cond.ring_c, cond.ring_a]
+            mu_c = mu_c_p_presentation(ctx, p)
+            ring_a = ctx.sep_order.finite_quotient(stacked_conductor(ctx, mu_c)[1])
+            rings += [conductor(ctx, mu_c).ring_c, ring_a]
     return rings
 
 

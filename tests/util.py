@@ -1032,6 +1032,28 @@ def stacked_conductor(ctx, mu_c):
     return ff, ff_in_a
 
 
+def two_ring_psi_kernel(ctx, mu_c):
+    """psi_kernel through a second finite ring: A/ff built in A's
+    coordinates, I' = I meet A/ff as the preimage of I under the
+    embedding of A into C, a full unipotent presentation of 1 + I' in
+    A/ff, and its generators mapped back into C/ff."""
+    from ordroots.abgroup import kernel_mod_subgroup
+    from ordroots.finitering import RingIdeal, unipotent_presentation
+    from ordroots.linalg import IntMatrix, preimage_lattice
+    from ordroots.rou import conductor
+
+    cond = conductor(ctx, mu_c)
+    c_order = mu_c.tower.c_order
+    embed = IntMatrix(c_order.rank, [c_order.coords(b) for b in ctx.sep_order.basis])
+    ring_a = ctx.sep_order.finite_quotient(preimage_lattice(embed, cond.conductor_in_c))
+    ideal_i_sub = RingIdeal(ring_a, preimage_lattice(embed, cond.ideal_i.lattice))
+    ring_c = cond.ring_c
+    pres = unipotent_presentation(ring_c, cond.ideal_i)
+    sub_pres = unipotent_presentation(ring_a, ideal_i_sub)
+    modulo = [ring_c.reduce(embed.apply(list(g))) for g in sub_pres.gens]
+    return kernel_mod_subgroup(pres, cond.zetas, modulo)
+
+
 def fixpoint_ideal(ring, elems):
     """Lattice of the ideal generated by ``elems`` in a finite ring: start
     from the relations and the elements, and add the products with the
