@@ -44,9 +44,10 @@ calls), the ``IntSolver`` builds and the ``det_int`` calls that their
 lattice work makes, and times each order.  Then it runs the first 100
 orders of the split-rank and the cyclotomic-mix pools (20 with
 ``--quick``) on an empty field table and counts the work of the conductor
-descent: the ``FiniteRing`` builds, ``unipotent_presentation`` calls,
-``unipotent_dlog`` calls and Hermite forms (``hnf_cols`` calls), and times
-each order on the filled table.  Last, it replays
+descent: the ``conductor`` calls, ``FiniteRing`` builds, filtrations
+(``filtration_generators`` calls) per conductor, ``unipotent_presentation``
+calls, ``unipotent_dlog`` calls, ``FiniteRing.mul`` calls and Hermite forms
+(``hnf_cols`` calls), and times each order on the filled table.  Last, it replays
 the dlog-serve query pool of ``perfbench`` once on a warm serving state and
 reports, per query class (mue, mua, unip), the time per query and the
 counts of ``NumberField.mul`` calls, of power-table dlogs and of
@@ -68,7 +69,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
 from fractions import Fraction  # noqa: E402
 
 from ordroots import (  # noqa: E402
-    finitering, kernels, linalg, numfield, ordercore, polyfactor, qalgebra)
+    finitering, kernels, linalg, numfield, ordercore, polyfactor, qalgebra, rou)
 from ordroots.abgroup import EffPresentation, membership_dlog  # noqa: E402
 from ordroots.numfield import NumberField  # noqa: E402
 from ordroots.ordercore import build_context, mu_b_presentation, order_from_poly  # noqa: E402
@@ -416,19 +417,23 @@ def bench_lattices(quick):
 
 def bench_descent(quick):
     repeat = 2 if quick else 3
-    codes = [finitering.FiniteRing.__init__.__code__,
+    codes = [rou.conductor.__code__, finitering.FiniteRing.__init__.__code__,
+             finitering.filtration_generators.__code__,
              finitering.unipotent_presentation.__code__,
-             finitering.unipotent_dlog.__code__, kernels.hnf_cols.__code__]
-    print(f"\n{'descent work':<16} {'orders':>6} {'FiniteRing':>10} {'presentations':>13} "
-          f"{'dlogs':>7} {'hnf_cols':>9} {'ms/order':>9}")
+             finitering.unipotent_dlog.__code__, finitering.FiniteRing.mul.__code__,
+             kernels.hnf_cols.__code__]
+    print(f"\n{'descent work':<16} {'orders':>6} {'conductors':>10} {'FiniteRing':>10} "
+          f"{'filt/cond':>9} {'presentations':>13} {'dlogs':>7} {'FR.mul':>8} "
+          f"{'hnf_cols':>9} {'ms/order':>9}")
     for name in ("split-rank", "cyclotomic-mix"):
         sample = serve_inputs.build_pool(name)[:20 if quick else 100]
         numfield._shared_field.cache_clear()
-        rings, presentations, dlogs, hermite = call_counts(
+        conductors, rings, filtrations, presentations, dlogs, muls, hermite = call_counts(
             codes, lambda: [serve_ops.order_op(None, item.text) for item in sample])
         seconds = time_fn(serve_ops.order_op, [(None, item.text) for item in sample], repeat)
-        print(f"{name:<16} {len(sample):>6} {rings:>10} {presentations:>13} {dlogs:>7} "
-              f"{hermite:>9} {seconds / len(sample) * 1e3:>9.2f}")
+        print(f"{name:<16} {len(sample):>6} {conductors:>10} {rings:>10} "
+              f"{filtrations / max(conductors, 1):>9.2f} {presentations:>13} {dlogs:>7} "
+              f"{muls:>8} {hermite:>9} {seconds / len(sample) * 1e3:>9.2f}")
 
 
 def bench_queries():

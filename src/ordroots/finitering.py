@@ -11,15 +11,19 @@ modulo the relation lattice, so equality is tuple comparison.
 The unipotent machinery works along the filtration 1+I, 1+I^2, 1+I^4,
 ... whose layers are isomorphic to the additive groups I^(2^i)/I^(2^(i+1))
 via x -> 1+x; discrete logs peel one layer at a time, and relations are
-assembled by descending induction over the layers.  Every power of 1 + b
-in 1 + I, of either sign, is the finite binomial sum sum_i C(e, i) b^i.
-The filtration holds what every peel needs: one prepared integer solver
-per level and the nonzero powers b, b^2, ... of each layer generator.
-Peeling then costs one ring product per nonzero exponent, and runs no
-Hermite form, no square-and-multiply and no general unit inverse.  The
-same solver's kernel gives the level's additive relations, and a layer's
-generators are read off the Smith form of the layer, so neither takes an
-elimination of its own.
+assembled by descending induction over the layers.  Taken modulo a
+subring ideal I' of I, the same filtration presents (1+I)/(1+I'): x -> 1+x
+maps I_i = I^(2^i) onto its i-th layer with kernel I_(i+1) + P_i, where
+P_i = I_i meet I', so a peel also multiplies by 1 - c for the P_i part c
+of its solve, a unit of 1+I' that drops the remainder into I_(i+1).
+Every power of 1 + b in 1 + I, of either sign, is the finite binomial sum
+sum_i C(e, i) b^i.  The filtration holds what every peel needs: one
+prepared integer solver per level and the nonzero powers b, b^2, ... of
+each layer generator.  Peeling then costs one ring product per nonzero
+exponent, and runs no Hermite form, no square-and-multiply and no general
+unit inverse.  The same solver's kernel gives the level's additive
+relations, and a layer's generators are read off the Smith form of the
+layer, so neither takes an elimination of its own.
 
 Self-checks raise AssertionError explicitly, so they also run under
 ``python -O``.
@@ -29,15 +33,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, product
-from typing import List
+from typing import List, Optional
 
 from .abgroup import EffPresentation, GroupOps
 from .linalg import (
     IntMatrix,
     IntSolver,
     Lattice,
+    intersect_lattices,
     lattice_index,
     snf,
+    sum_lattices,
 )
 from .qalgebra import sparse_table, table_mul, table_mul_basis
 
@@ -115,9 +121,9 @@ class FiniteRing:
 class RingIdeal:
     """Ideal of a FiniteRing: a lattice between the relation lattice and Z^k,
     closed under multiplication by the ring.  With ``check=False`` it may
-    be an ideal of a subring only, such as I' = I meet A/ff in C/ff: its
-    powers, filtration and unipotent group live in the big ring, and the
-    caller checks its closure under the subring."""
+    be an ideal of a subring only, such as I' = I meet A/ff in C/ff, the
+    modulus of a filtration of an ideal of the big ring; the caller
+    checks its closure under the subring."""
 
     def __init__(self, ring: FiniteRing, lattice: Lattice, check=True):
         if lattice.dim != ring.ngens:
@@ -205,26 +211,40 @@ def binomial_power(ring: FiniteRing, powers, e: int):
     return ring.reduce(acc)
 
 
+def binomial_product(ring: FiniteRing, powers, exps, acc):
+    """acc * prod (1 + b)^e over nilpotent elements b given by their
+    powers: one binomial sum per nonzero e, and one ring product unless
+    acc is still 1."""
+    for bp, e in zip(powers, exps):
+        if e:
+            y = binomial_power(ring, bp, e)
+            acc = y if acc == ring.one else ring.mul(acc, y)
+    return acc
+
+
 @dataclass
 class Filtration:
-    """Ideal powers I, I^2, I^4, ... with layer generating sets.
+    """Ideal powers I, I^2, I^4, ... with layer generating sets, taken
+    modulo a subring ideal I' of I (I' = 0 when ``sub_levels`` is empty).
 
-    levels[i] is (ideal I^(2^i), B_i) where B_i lifts a minimal
-    generating set of the additive layer I^(2^i)/I^(2^(i+1)); the last
-    listed level has I^(2^(i+1)) = 0.
+    levels[i] is (ideal I_i = I^(2^i), B_i) and sub_levels[i] is
+    P_i = I_i meet I'; B_i lifts a minimal generating set of the additive
+    layer I_i/(I_(i+1) + P_i), which x -> 1 + x maps onto the i-th layer
+    of (1+I)/(1+I'); the last listed level has I_(i+1) = 0.
 
     Built once, read by every discrete log: ``solvers[i]`` solves over
-    the fixed matrix [B_i | I^(2^(i+1))], so a layer costs no Hermite
-    form, its image is checked to be I^(2^i), so that the units 1 + b
-    generate 1 + I, and its kernel cut to B_i spans the layer's relations;
-    ``units[i]`` and ``powers[i]`` hold 1 + b and b, b^2, ... up to the
-    last nonzero power for each b in B_i, and each (1 + b)^-1 is
-    multiplied back once.
+    the fixed matrix [B_i | I_(i+1) | P_i], so a layer costs no Hermite
+    form, its image is checked to be I_i, so that the units 1 + b
+    generate (1+I)/(1+I'), and its kernel cut to B_i spans the layer's
+    relations; ``units[i]`` and ``powers[i]`` hold 1 + b and b, b^2, ...
+    up to the last nonzero power for each b in B_i, and each (1 + b)^-1
+    is multiplied back once.
     ``terms`` = 2^len(levels) bounds the nilpotency index of I.
     """
 
     ring: FiniteRing
     levels: List[tuple]
+    sub_levels: List[Lattice] = field(default_factory=list)
     solvers: List[IntSolver] = field(init=False, repr=False)
     units: List[list] = field(init=False, repr=False)
     powers: List[list] = field(init=False, repr=False)
@@ -232,13 +252,17 @@ class Filtration:
 
     def __post_init__(self):
         ring = self.ring
+        if self.sub_levels and len(self.sub_levels) != len(self.levels):
+            raise ValueError("one subring-ideal level per level")
         self.terms = 1 << len(self.levels)
         self.solvers, self.units, self.powers = [], [], []
         for li, (_, bs) in enumerate(self.levels):
             nxt = self.levels[li + 1][0].lattice if li + 1 < len(self.levels) else ring.rel
-            bmat = IntMatrix(ring.ngens, [list(b) for b in bs])
-            solver = IntSolver(bmat.hstack(nxt.basis))
-            # both canonical Hermite bases: B_i and the next ideal span this one
+            blocks = IntMatrix(ring.ngens, [list(b) for b in bs]).hstack(nxt.basis)
+            if self.sub_levels:
+                blocks = blocks.hstack(self.sub_levels[li].basis)
+            solver = IntSolver(blocks)
+            # both canonical Hermite bases: B_i, I_(i+1) and P_i span I_i
             if solver.image != self.levels[li][0].lattice:
                 raise AssertionError("layer generators do not generate the layer")
             self.solvers.append(solver)
@@ -251,47 +275,61 @@ class Filtration:
             self.powers.append(powers)
 
     def layer_product(self, li, exps, acc):
-        """acc * prod (1 + b)^e over the generators b of level li: one
-        binomial sum and one ring product per nonzero e."""
-        ring = self.ring
-        for bp, e in zip(self.powers[li], exps):
-            if e:
-                acc = ring.mul(acc, binomial_power(ring, bp, e))
-        return acc
+        """acc * prod (1 + b)^e over the generators b of level li."""
+        return binomial_product(self.ring, self.powers[li], exps, acc)
+
+    def sub_part(self, li, sol):
+        """The P_i part c = P_i z of a solution or kernel vector
+        (m, y, z) of level li's solver, reduced in the ring; () when
+        I' = 0."""
+        if not self.sub_levels:
+            return ()
+        p = self.sub_levels[li].basis
+        return self.ring.reduce(p.apply(sol[len(sol) - p.ncols:]))
 
 
-def filtration_generators(ring: FiniteRing, ideal: RingIdeal) -> Filtration:
-    """Build the square filtration; error if the ideal is not nilpotent."""
-    levels = []
+def filtration_generators(ring: FiniteRing, ideal: RingIdeal,
+                          modulo: Optional[RingIdeal] = None) -> Filtration:
+    """Build the square filtration of ``ideal``, taken modulo the subring
+    ideal ``modulo`` inside it when one is given; error if the ideal is
+    not nilpotent.  As ``modulo`` lies in ``ideal``, P_0 is ``modulo``
+    and P_(i+1) = I_(i+1) meet P_i."""
+    levels, sub_levels = [], []
+    sub = None if modulo is None else modulo.lattice
     cur = ideal
     guard = ring.ngens.bit_length() + (ring.order().bit_length() if ring.ngens else 0) + 4
     while not cur.is_zero():
         nxt = cur.mul(cur)
         if nxt.lattice == cur.lattice:
             raise ValueError("ideal is not nilpotent")
-        bs = _layer_generators(ring, cur, nxt)
-        levels.append((cur, bs))
+        small = nxt.lattice
+        if sub is not None:
+            if levels:
+                sub = intersect_lattices(cur.lattice, sub)
+            sub_levels.append(sub)
+            small = sum_lattices(small, sub)
+        levels.append((cur, _layer_generators(ring, cur.lattice, small)))
         cur = nxt
         guard -= 1
         if guard < 0:
             raise AssertionError("filtration did not terminate")
-    return Filtration(ring=ring, levels=levels)
+    return Filtration(ring=ring, levels=levels, sub_levels=sub_levels)
 
 
-def _layer_generators(ring: FiniteRing, big: RingIdeal, small: RingIdeal):
+def _layer_generators(ring: FiniteRing, big: Lattice, small: Lattice):
     """Lift a Smith-form generating set of big/small into the ring.
 
     With m the small basis in big coordinates and d = u*m*v its Smith
     form, the lift of the t-th generator is u^-1 e_t = (m v e_t) / d_t.
-    Both ideals contain the full-rank relation lattice, so m is square
+    Both lattices contain the full-rank relation lattice, so m is square
     and every d_t is nonzero."""
     coords = []
-    for c in small.lattice.basis.cols:
-        x = big.lattice.coords(c)
+    for c in small.basis.cols:
+        x = big.coords(c)
         if x is None:
             raise AssertionError("small ideal is not inside the big one")
         coords.append(x)
-    m = IntMatrix(big.lattice.rank, coords)
+    m = IntMatrix(big.rank, coords)
     d, _, v = snf(m)
     out = []
     for t in range(m.ncols):
@@ -301,18 +339,19 @@ def _layer_generators(ring: FiniteRing, big: RingIdeal, small: RingIdeal):
         mv = m.apply(v.cols[t])
         if any(e % dt for e in mv):
             raise AssertionError("Smith column is not divisible by its invariant factor")
-        out.append(ring.reduce(big.lattice.element([e // dt for e in mv])))
+        out.append(ring.reduce(big.element([e // dt for e in mv])))
     return out
 
 
 def unipotent_dlog(filtration: Filtration, x, start_level=0):
     """Exponents (m_b) over the filtration generators with
-    1 + x = prod (1+b)^(m_b), for x in the level's ideal.
+    1 + x = prod (1+b)^(m_b) modulo 1+I', for x in the level's ideal.
 
     Peels one additive layer per level: solve for the layer exponents
     with the level's solver, divide off the corresponding product, each
-    power a binomial sum, and go on to the next level.  Raises ValueError
-    for an x of the wrong length or outside the level's ideal.
+    power a binomial sum, multiply by 1 - c for the P_i part c of the
+    solve, and go on to the next level.  Raises ValueError for an x of
+    the wrong length or outside the level's ideal.
     """
     ring = filtration.ring
     levels = filtration.levels
@@ -330,6 +369,10 @@ def unipotent_dlog(filtration: Filtration, x, start_level=0):
         ms = sol[: len(levels[li][1])]
         out.extend(ms)
         unit = filtration.layer_product(li, [-m for m in ms], ring.add(ring.one, cur))
+        c = filtration.sub_part(li, sol)
+        if any(c):
+            # 1 - c lies in 1+I', and c^2 in I_i^2 <= I_(i+1)
+            unit = ring.mul(unit, ring.sub(ring.one, c))
         cur = ring.sub(unit, ring.one)
     if cur != ring.zero():
         raise AssertionError("unipotent peeling left a residue")
@@ -337,26 +380,39 @@ def unipotent_dlog(filtration: Filtration, x, start_level=0):
 
 
 def unipotent_relations(filtration: Filtration):
-    """Defining relations of the map Z^B -> 1+I over the filtration
-    generators B, by descending induction over the levels."""
+    """Defining relations of the map Z^B -> (1+I)/(1+I') over the
+    filtration generators B, by descending induction over the levels.
+    A layer relation n comes with the P_j part c of its kernel vector,
+    B_j n + c in I_(j+1), so prod (1+b)^n (1 + c) is peeled from level
+    j + 1."""
     ring = filtration.ring
     levels = filtration.levels
     nlev = len(levels)
     rels_tail: List[List[int]] = []  # relations over generators of levels >= j
     for j in range(nlev - 1, -1, -1):
-        bs = levels[j][1]
-        # (x, y) with B_j x + N y = 0, N the next ideal's basis, cut to x
-        addrel = Lattice(len(bs), [c[:len(bs)] for c in filtration.solvers[j].kernel.cols])
+        nb = len(levels[j][1])
+        # (x, y, z) with B_j x + N y + P_j z = 0, N the next ideal's basis,
+        # cut to x and c = P_j z; the Hermite columns with pivots in x
+        # cut to x are the canonical basis of the layer's relations
+        width = nb + (ring.ngens if filtration.sub_levels else 0)
+        addrel = Lattice(width, [list(col[:nb]) + list(filtration.sub_part(j, col))
+                                 for col in filtration.solvers[j].kernel.cols])
         tail_len = sum(len(levels[t][1]) for t in range(j + 1, nlev))
         new_rels = []
-        for n in addrel.basis.cols:
-            z = ring.sub(filtration.layer_product(j, n, ring.one), ring.one)
+        for col, piv in zip(addrel.basis.cols, addrel.pivots):
+            if piv >= nb:
+                continue
+            n, c = col[:nb], col[nb:]
+            u = filtration.layer_product(j, n, ring.one)
+            if any(c):
+                u = ring.mul(u, ring.add(ring.one, c))
+            z = ring.sub(u, ring.one)
             if not tail_len and z != ring.zero():
                 raise AssertionError("last-level relation does not multiply to 1")
             ms = unipotent_dlog(filtration, z, start_level=j + 1) if tail_len else []
             new_rels.append(list(n) + [-m for m in ms])
         for r in rels_tail:
-            new_rels.append([0] * len(bs) + r)
+            new_rels.append([0] * nb + r)
         rels_tail = new_rels
     return rels_tail
 

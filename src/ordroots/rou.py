@@ -6,9 +6,10 @@ what survives inside A is decided in the finite ring C modulo the
 conductor ff = {x in C : xC <= A}, where the question becomes a
 unipotent discrete-log problem: the kernel of Z^M -> (1+I)/(1+I') maps
 onto the p-power torsion of A.  The conductor lies in A, so A/ff is the
-sublattice of C/ff spanned by A's basis, I' = I meet A/ff is an ideal of
-that subring, and 1+I' is generated inside C/ff by the units of its own
-filtration: the descent works in one finite ring.  The conductor is the
+sublattice of C/ff spanned by A's basis and I' = I meet A/ff is an ideal
+of that subring: the descent works in one finite ring.  The kernel is
+read off one filtration of I taken modulo I', which presents
+(1+I)/(1+I') and takes its discrete logs directly.  The conductor is the
 intersection of the preimages of A under multiplication by each basis
 element of C; like every other lattice of the descent it is computed by
 the library's own lattice operations, in canonical Hermite form.
@@ -23,11 +24,18 @@ from typing import List
 from .abgroup import (
     EffPresentation,
     NotInGroup,
-    kernel_mod_subgroup,
     membership_dlog,
     subgroup_presentation,
 )
-from .finitering import FiniteRing, RingIdeal, filtration_generators, unipotent_presentation
+from .finitering import (
+    FiniteRing,
+    RingIdeal,
+    binomial_product,
+    filtration_generators,
+    nilpotent_powers,
+    unipotent_dlog,
+    unipotent_relations,
+)
 from .linalg import IntMatrix, Lattice, image_int, intersect_lattices, preimage_lattice
 from .ordercore import (
     MuCPData,
@@ -114,13 +122,29 @@ def subring_ideal(ring: FiniteRing, subring: Lattice, lattice: Lattice) -> RingI
 
 
 def psi_kernel(cond: ConductorData) -> List[List[int]]:
-    """Generators of the kernel of Z^M -> (1+I)/(1+I'): the exponent
-    vectors whose product of zetas lies in 1+I', the group that the units
-    of the filtration of I' generate in C/ff."""
-    ring_c = cond.ring_c
-    pres = unipotent_presentation(ring_c, cond.ideal_i)
-    sub = filtration_generators(ring_c, cond.ideal_i_sub)
-    return kernel_mod_subgroup(pres, cond.zetas, [u for units in sub.units for u in units])
+    """Generators of the kernel of Z^M -> (1+I)/(1+I'), in canonical
+    Hermite form: the exponent vectors whose product of zetas lies in
+    1+I'.  One filtration of I modulo I' gives the relations of the
+    quotient, checked to present a group of order |I|/|I'|, and one
+    dlog per zeta; the kernel is the preimage of the relation lattice
+    under the zetas' dlogs, and each of its generators is multiplied
+    back into 1+I'."""
+    ring = cond.ring_c
+    filt = filtration_generators(ring, cond.ideal_i, cond.ideal_i_sub)
+    n = sum(len(bs) for _, bs in filt.levels)
+    rels = Lattice(n, unipotent_relations(filt))
+    if rels.rank != n or rels.pivot_product * cond.ideal_i_sub.size() != cond.ideal_i.size():
+        raise AssertionError("quotient group order mismatch")
+    xs = [ring.sub(z, ring.one) for z in cond.zetas]
+    ker = preimage_lattice(IntMatrix(n, [unipotent_dlog(filt, x) for x in xs]), rels)
+    # the kernel has full rank, so its Hermite basis has no negative
+    # entry: the check raises the zetas to positive powers only
+    powers = [nilpotent_powers(ring, x, filt.terms) for x in xs]
+    for u in ker.basis.cols:
+        got = binomial_product(ring, powers, u, ring.one)
+        if not cond.ideal_i_sub.contains(ring.sub(got, ring.one)):
+            raise AssertionError("kernel generator does not multiply into 1+I'")
+    return [list(c) for c in ker.basis.cols]
 
 
 def mu_a_p_generators(ctx: OrderContext, p: int) -> List[tuple]:

@@ -39,6 +39,7 @@ from util import (
     run_python,
     scalar_suborder,
     stacked_conductor,
+    subgroup_psi_kernel,
     two_ring_psi_kernel,
 )
 
@@ -144,7 +145,8 @@ def test_psi_kernel_matches_the_two_ring_route(name):
     ctx = build_context(DESCENT_ORDERS[name]())
     for p in ctx.torsion_primes():
         mu_c = mu_c_p_presentation(ctx, p)
-        assert psi_kernel(conductor(ctx, mu_c)) == two_ring_psi_kernel(ctx, mu_c)
+        cond = conductor(ctx, mu_c)
+        assert psi_kernel(cond) == subgroup_psi_kernel(cond) == two_ring_psi_kernel(ctx, mu_c)
 
 
 SMALL_FACTORS = [[int(c) for c in cyclotomic(d)] for d in (1, 2, 3, 4, 6)] + [
@@ -172,7 +174,8 @@ def test_psi_kernel_matches_the_two_ring_route_on_small_orders(A):
     ctx = build_context(A)
     for p in ctx.torsion_primes():
         mu_c = mu_c_p_presentation(ctx, p)
-        assert psi_kernel(conductor(ctx, mu_c)) == two_ring_psi_kernel(ctx, mu_c)
+        cond = conductor(ctx, mu_c)
+        assert psi_kernel(cond) == subgroup_psi_kernel(cond) == two_ring_psi_kernel(ctx, mu_c)
 
 
 @pytest.mark.parametrize("name", list(DESCENT_ORDERS))
@@ -191,28 +194,112 @@ def test_the_sub_filtration_units_generate_exactly_one_plus_i_sub(name):
         assert brute_closure(ring.mul, ring.one, units) == {ring.add(ring.one, x) for x in elems}
 
 
-def test_each_conductor_builds_one_ring_and_one_unipotent_presentation(monkeypatch):
+def test_each_conductor_builds_one_ring_and_one_filtration(monkeypatch):
     mu_cs = []
     for name in ("X^4-1", "split-rank-6", "Z[i]^2 mod 2"):
         ctx = build_context(DESCENT_ORDERS[name]())
         mu_cs += [(ctx, mu_c_p_presentation(ctx, p)) for p in ctx.torsion_primes()]
     calls = []
-    built, presented = finitering.FiniteRing.__init__, rou.unipotent_presentation
+    built = finitering.FiniteRing.__init__
+    filtered, presented = finitering.filtration_generators, finitering.unipotent_presentation
 
     def build(self, *args):
         calls.append("ring")
         built(self, *args)
+
+    def filtration(*args):
+        calls.append("filtration")
+        return filtered(*args)
 
     def present(*args):
         calls.append("presentation")
         return presented(*args)
 
     monkeypatch.setattr(finitering.FiniteRing, "__init__", build)
-    monkeypatch.setattr(rou, "unipotent_presentation", present)
+    for mod in (finitering, rou):
+        monkeypatch.setattr(mod, "filtration_generators", filtration)
+        monkeypatch.setattr(mod, "unipotent_presentation", present, raising=False)
     for ctx, mu_c in mu_cs:
         calls.clear()
         psi_kernel(conductor(ctx, mu_c))
-        assert sorted(calls) == ["presentation", "ring"]
+        assert sorted(calls) == ["filtration", "ring"]
+
+
+_BRUTE_FORCE = {}
+
+
+def _brute_force(name):
+    """(cond, filtration of I modulo I', elements of C/ff) at every torsion
+    prime of the fixture where C/ff has at most 2^16 elements."""
+    if name not in _BRUTE_FORCE:
+        ctx = build_context(DESCENT_ORDERS[name]())
+        out = []
+        for p in ctx.torsion_primes():
+            cond = conductor(ctx, mu_c_p_presentation(ctx, p))
+            ring = cond.ring_c
+            if ring.order() <= 1 << 16:
+                filt = filtration_generators(ring, cond.ideal_i, cond.ideal_i_sub)
+                out.append((cond, filt, list(ring.elements())))
+        _BRUTE_FORCE[name] = out
+    return _BRUTE_FORCE[name]
+
+
+def _quotient_relations(filt):
+    n = sum(len(bs) for _, bs in filt.levels)
+    return Lattice(n, finitering.unipotent_relations(filt))
+
+
+@pytest.mark.parametrize("name", list(DESCENT_ORDERS))
+def test_the_quotient_order_times_the_size_of_i_sub_is_the_size_of_i(name):
+    for cond, filt, elems in _brute_force(name):
+        size_i = sum(1 for x in elems if cond.ideal_i.contains(x))
+        size_sub = sum(1 for x in elems if cond.ideal_i_sub.contains(x))
+        rels = _quotient_relations(filt)
+        assert rels.rank == rels.dim
+        assert rels.pivot_product * size_sub == size_i
+
+
+@pytest.mark.parametrize("name", list(DESCENT_ORDERS))
+def test_a_relative_dlog_is_a_relation_exactly_on_i_sub(name):
+    # 1 + x is trivial in (1+I)/(1+I') exactly when x lies in I'
+    for cond, filt, elems in _brute_force(name):
+        rels = _quotient_relations(filt)
+        for x in elems:
+            if cond.ideal_i.contains(x):
+                log = finitering.unipotent_dlog(filt, x)
+                assert rels.contains(log) == cond.ideal_i_sub.contains(x)
+
+
+@pytest.mark.parametrize("name", list(DESCENT_ORDERS))
+def test_each_layer_has_one_generator_per_invariant_factor(name):
+    # I_j/(I_(j+1) + P_j) by enumeration: P_j is the part of I_j inside
+    # I', and the number of invariant factors is the largest p-rank
+    for cond, filt, elems in _brute_force(name):
+        ring = cond.ring_c
+        smaller = [ideal.lattice for ideal, _ in filt.levels[1:]] + [ring.rel]
+        for (ideal, bs), nxt, sub in zip(filt.levels, smaller, filt.sub_levels):
+            big = [x for x in elems if ideal.contains(x)]
+            part = [x for x in big if cond.ideal_i_sub.contains(x)]
+            assert sorted(x for x in elems if sub.contains(x)) == sorted(part)
+            small = {ring.add(a, c) for a in elems if nxt.contains(a) for c in part}
+            quotient, rest = divmod(len(big), len(small))
+            assert rest == 0
+            rank = 0
+            for p in range(2, quotient + 1):
+                if quotient % p == 0 and all(p % q for q in range(2, p)):
+                    # the p-torsion of the layer has p^(its p-rank) elements
+                    torsion = sum(1 for x in big if ring.reduce([p * e for e in x]) in small)
+                    rank = max(rank, _exponent(torsion // len(small), p))
+            assert len(bs) == rank
+
+
+def _exponent(n, p):
+    e = 0
+    while n % p == 0 and n > 1:
+        n //= p
+        e += 1
+    assert n == 1
+    return e
 
 
 # I' of Z[X]/(X^12 - 1) at 2 with one basis vector dropped, the
@@ -251,6 +338,52 @@ def test_an_unclosed_subring_ideal_and_a_short_layer_are_refused(flags):
     assert run.stdout.splitlines() == [
         "True", "subring ideal is not closed under the subring",
         "layer generators do not generate the layer"]
+
+
+# Z[X]/(X^4 - 1) at 2: the filtration of I modulo I' with one column of
+# P_0 dropped; P_0 widened by the layer generator, which makes the
+# quotient too small; and every exponent vector declared a kernel vector
+_REFUSED_QUOTIENT_AND_KERNEL = """
+from ordroots import rou
+from ordroots.finitering import Filtration, filtration_generators
+from ordroots.linalg import Lattice
+from ordroots.ordercore import build_context, mu_c_p_presentation, order_from_poly
+from ordroots.rou import conductor, psi_kernel
+
+ctx = build_context(order_from_poly([-1, 0, 0, 0, 1]))
+cond = conductor(ctx, mu_c_p_presentation(ctx, 2))
+ring = cond.ring_c
+filt = filtration_generators(ring, cond.ideal_i, cond.ideal_i_sub)
+print(psi_kernel(cond))
+(ideal, bs), = filt.levels
+cols = filt.sub_levels[0].basis.cols
+try:
+    Filtration(ring=ring, levels=filt.levels, sub_levels=[Lattice(ring.ngens, cols[1:])])
+except AssertionError as e:
+    print(e)
+wide = Filtration(ring=ring, levels=filt.levels,
+                  sub_levels=[Lattice(ring.ngens, cols + [list(bs[0])])])
+rou.filtration_generators = lambda *args: wide
+try:
+    psi_kernel(cond)
+except AssertionError as e:
+    print(e)
+rou.filtration_generators = filtration_generators
+rou.preimage_lattice = lambda m, lat: Lattice.full(m.ncols)
+try:
+    psi_kernel(cond)
+except AssertionError as e:
+    print(e)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_a_short_sub_level_a_wrong_quotient_and_a_false_kernel_are_refused(flags):
+    run = run_python(flags, _REFUSED_QUOTIENT_AND_KERNEL)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "[[1, 0, 1], [0, 1, 1], [0, 0, 2]]", "layer generators do not generate the layer",
+        "quotient group order mismatch", "kernel generator does not multiply into 1+I'"]
 
 
 def test_psi_kernel_x4_matches_known_lattice():

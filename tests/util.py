@@ -992,7 +992,7 @@ def check_layers_against_references(ring, ideal):
     filt = filtration_generators(ring, ideal)
     smaller = [big for big, _ in filt.levels[1:]] + [RingIdeal.zero(ring)]
     for (big, bs), small in zip(filt.levels, smaller):
-        assert bs == _layer_generators(ring, big, small) == solver_layer_generators(
+        assert bs == _layer_generators(ring, big.lattice, small.lattice) == solver_layer_generators(
             ring, big, small)
     assert unipotent_relations(filt) == preimage_unipotent_relations(filt)
 
@@ -1030,6 +1030,20 @@ def stacked_conductor(ctx, mu_c):
     ff = preimage_lattice(IntMatrix(d * d, stacked_cols), Lattice(d * d, block_cols))
     ff_in_a = Lattice(d, [sep.coords(c_order.element(c)) for c in ff.basis.cols])
     return ff, ff_in_a
+
+
+def subgroup_psi_kernel(cond):
+    """psi_kernel through a presentation of all of 1 + I: the units of a
+    filtration of I' of its own, each dlogged in 1 + I, and the kernel
+    of Z^M -> 1+I modulo their subgroup, from every relation among the
+    zetas and those units projected onto the zetas."""
+    from ordroots.abgroup import kernel_mod_subgroup
+    from ordroots.finitering import filtration_generators, unipotent_presentation
+
+    ring = cond.ring_c
+    pres = unipotent_presentation(ring, cond.ideal_i)
+    sub = filtration_generators(ring, cond.ideal_i_sub)
+    return kernel_mod_subgroup(pres, cond.zetas, [u for units in sub.units for u in units])
 
 
 def two_ring_psi_kernel(ctx, mu_c):
