@@ -44,7 +44,8 @@ calls), the ``IntSolver`` builds and the ``det_int`` calls that their
 lattice work makes, and times each order.  Then it runs the first 100
 orders of the split-rank and the cyclotomic-mix pools (20 with
 ``--quick``) on an empty field table and counts the work of the conductor
-descent: the ``conductor`` calls, ``FiniteRing`` builds, filtrations
+descent: the ``conductor`` calls, the ``preimage_lattice`` calls that
+``conductor`` makes per conductor, ``FiniteRing`` builds, filtrations
 (``filtration_generators`` calls) per conductor, ``unipotent_presentation``
 calls, ``unipotent_dlog`` calls, ``FiniteRing.mul`` calls and Hermite forms
 (``hnf_cols`` calls), and times each order on the filled table.  Last, it replays
@@ -273,13 +274,22 @@ def bench_torsion(quick):
 def call_counts(codes, run):
     """How many times run() enters each of the code objects ``codes``; for
     Fraction.__new__ that is every Fraction built, arithmetic results
-    included."""
+    included.  An entry (code, caller) counts only the calls made while
+    the code object ``caller`` runs."""
     counts = [0] * len(codes)
-    index = {code: i for i, code in enumerate(codes)}
+    index = {}
+    for i, code in enumerate(codes):
+        code, caller = code if isinstance(code, tuple) else (code, None)
+        index[code] = (i, caller)
+    running = {caller: 0 for _, caller in index.values() if caller}
 
     def count(frame, event, arg):
+        if frame.f_code in running and event in ("call", "return"):
+            running[frame.f_code] += 1 if event == "call" else -1
         if event == "call" and frame.f_code in index:
-            counts[index[frame.f_code]] += 1
+            i, caller = index[frame.f_code]
+            if caller is None or running[caller]:
+                counts[i] += 1
 
     sys.setprofile(count)
     try:
@@ -417,21 +427,25 @@ def bench_lattices(quick):
 
 def bench_descent(quick):
     repeat = 2 if quick else 3
-    codes = [rou.conductor.__code__, finitering.FiniteRing.__init__.__code__,
+    codes = [rou.conductor.__code__, (linalg.preimage_lattice.__code__, rou.conductor.__code__),
+             finitering.FiniteRing.__init__.__code__,
              finitering.filtration_generators.__code__,
              finitering.unipotent_presentation.__code__,
              finitering.unipotent_dlog.__code__, finitering.FiniteRing.mul.__code__,
              kernels.hnf_cols.__code__]
-    print(f"\n{'descent work':<16} {'orders':>6} {'conductors':>10} {'FiniteRing':>10} "
+    print(f"\n{'descent work':<16} {'orders':>6} {'conductors':>10} {'pre/cond':>8} "
+          f"{'FiniteRing':>10} "
           f"{'filt/cond':>9} {'presentations':>13} {'dlogs':>7} {'FR.mul':>8} "
           f"{'hnf_cols':>9} {'ms/order':>9}")
     for name in ("split-rank", "cyclotomic-mix"):
         sample = serve_inputs.build_pool(name)[:20 if quick else 100]
         numfield._shared_field.cache_clear()
-        conductors, rings, filtrations, presentations, dlogs, muls, hermite = call_counts(
-            codes, lambda: [serve_ops.order_op(None, item.text) for item in sample])
+        conductors, preimages, rings, filtrations, presentations, dlogs, muls, hermite = (
+            call_counts(codes, lambda: [serve_ops.order_op(None, item.text)
+                                        for item in sample]))
         seconds = time_fn(serve_ops.order_op, [(None, item.text) for item in sample], repeat)
-        print(f"{name:<16} {len(sample):>6} {conductors:>10} {rings:>10} "
+        print(f"{name:<16} {len(sample):>6} {conductors:>10} "
+              f"{preimages / max(conductors, 1):>8.2f} {rings:>10} "
               f"{filtrations / max(conductors, 1):>9.2f} {presentations:>13} {dlogs:>7} "
               f"{muls:>8} {hermite:>9} {seconds / len(sample) * 1e3:>9.2f}")
 

@@ -65,14 +65,11 @@ from .linalg import RatMatrix, _num, clear_vector, ratio, solve_rat
 from .polyfactor import (
     _good_primes,
     _next_prime,
+    _valuation,
     cyclotomic,
     euler_phi,
     factor_q,
-    fp_divmod,
-    fp_gcd,
-    fp_monic,
-    fp_norm,
-    fp_pow_mod,
+    fp_factor_squarefree,
     ip_resultant,
     is_irreducible_q,
     is_squarefree,
@@ -80,11 +77,10 @@ from .polyfactor import (
     qp_degree,
     qp_divmod,
     qp_monic,
-    qp_sub,
 )
 
 # residue primes per torsion bound: a few suffice in practice, and each
-# costs one distinct-degree factorization of the minimal polynomial
+# costs one Berlekamp factorization of the minimal polynomial
 _RESIDUE_PRIMES = 4
 
 # residue fields kept by ``NumberField._of_factor``; a workload of orders
@@ -428,32 +424,9 @@ class ProductRing:
 
 
 def _residue_gcd(f, p):
-    """gcd_f(p^f - 1) over the degrees f of the factors of the squarefree
-    f mod p, by distinct-degree factorization: with h the part of f left
-    after the factors of degree below i, gcd(x^(p^i) - x, h) is the
-    product of those of degree i.  Once deg h < 2i, h is irreducible."""
-    h = fp_monic(fp_norm(f, p), p)
-    xq = [0, 1]  # x^(p^(i-1)) mod h
-    g, i = 0, 1
-    while 2 * i <= qp_degree(h):
-        xq = fp_pow_mod(xq, p, h, p)
-        d = fp_gcd(qp_sub(xq, [0, 1]), h, p)
-        if qp_degree(d) > 0:
-            g = gcd(g, p ** i - 1)
-            h = fp_divmod(h, d, p)[0]
-            xq = fp_divmod(xq, h, p)[1]
-        i += 1
-    if qp_degree(h) > 0:
-        g = gcd(g, p ** qp_degree(h) - 1)
-    return g
-
-
-def _valuation(n, ell):
-    k = 0
-    while n % ell == 0:
-        n //= ell
-        k += 1
-    return k
+    """gcd_f(p^f - 1) over the degrees f of the irreducible factors of the
+    squarefree f mod p."""
+    return gcd(*(p ** qp_degree(h) - 1 for h in fp_factor_squarefree(f, p)))
 
 
 def _climb(K, ell, bound):

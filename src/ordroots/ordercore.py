@@ -34,7 +34,7 @@ from .linalg import (
     sum_lattices,
 )
 from .numfield import ProductRing
-from .polyfactor import factor_q, qp_divmod, qp_mul, resultant
+from .polyfactor import _factor_small, _valuation, factor_q, qp_divmod, qp_mul, resultant
 from .qalgebra import (
     AlgebraError,
     QAlgebra,
@@ -240,19 +240,6 @@ class ResidueTorsion:
         return p ** self.factorization.get(p, 0)
 
 
-def _factor_small(n):
-    out = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 @dataclass
 class OrderContext:
     """Everything the pipelines need about one order."""
@@ -445,11 +432,7 @@ class SaturationTower:
 
 
 def build_saturation(ctx: OrderContext, p: int) -> SaturationTower:
-    idx = ctx.index_b_over_sep
-    p_part = 1
-    while idx % p == 0:
-        idx //= p
-        p_part *= p
+    p_part = p ** _valuation(ctx.index_b_over_sep, p)
     t = ctx.index_b_over_sep // p_part
     cols = [[e * t for e in c] for c in (list(b) for b in ctx.b_order.basis)]
     cols += [list(b) for b in ctx.sep_order.basis]
@@ -471,10 +454,7 @@ def graph_mod_p(ctx: OrderContext, p: int) -> WeightedGraph:
     base = ctx.graph()
     weights = {}
     for k, w in base.weights.items():
-        ww = w
-        while ww % p == 0:
-            ww //= p
-        weights[k] = w if ww != 1 else 1
+        weights[k] = 1 if w == p ** _valuation(w, p) else w
     return WeightedGraph.from_weights(base.nvertices, weights)
 
 

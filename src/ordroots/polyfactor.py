@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, zip_longest
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from .abgroup import power
 from .linalg import _num, clear_vector, ratio
@@ -308,7 +308,8 @@ def fp_factor_squarefree(f, p):
     """Deterministic Berlekamp factorization of squarefree monic f mod p.
 
     Splits with gcd(h, v - c) over all c in F_p, so it is only meant for
-    the small primes the Zassenhaus driver picks.  Returns the monic
+    small primes: those the Zassenhaus driver picks and the residue
+    primes of ``NumberField.residue_bound``.  Returns the monic
     irreducible factors, sorted by (degree, coefficients).
     """
     f = fp_monic(fp_norm(f, p), p)
@@ -610,23 +611,33 @@ def is_irreducible_q(f):
 _cyclotomic_cache = {}
 
 
+def _valuation(n, ell):
+    """The exponent of the prime ell in the nonzero integer n."""
+    k = 0
+    while n % ell == 0:
+        n //= ell
+        k += 1
+    return k
+
+
+def _factor_small(n):
+    """{p: k} with n the product of the p^k, by trial division."""
+    out = {}
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out[p] = _valuation(n, p)
+            n //= p ** out[p]
+        p += 1
+    if n > 1:
+        out[n] = 1
+    return out
+
+
 def euler_phi(n):
     if n < 1:
         raise ValueError("phi of nonpositive argument")
-    out = 1
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out *= p - 1
-            m //= p
-            while m % p == 0:
-                out *= p
-                m //= p
-        p += 1
-    if m > 1:
-        out *= m - 1
-    return out
+    return prod((p - 1) * p ** (k - 1) for p, k in _factor_small(n).items())
 
 
 def cyclotomic(d):

@@ -9,10 +9,11 @@ onto the p-power torsion of A.  The conductor lies in A, so A/ff is the
 sublattice of C/ff spanned by A's basis and I' = I meet A/ff is an ideal
 of that subring: the descent works in one finite ring.  The kernel is
 read off one filtration of I taken modulo I', which presents
-(1+I)/(1+I') and takes its discrete logs directly.  The conductor is the
-intersection of the preimages of A under multiplication by each basis
-element of C; like every other lattice of the descent it is computed by
-the library's own lattice operations, in canonical Hermite form.
+(1+I)/(1+I') and takes its discrete logs directly.  The conductor is A
+cut by the preimages of A under multiplication by C's generators over A,
+the basis elements of C at the Hermite pivots of A above 1; like every
+other lattice of the descent it is computed by the library's own lattice
+operations, in canonical Hermite form.
 """
 
 from __future__ import annotations
@@ -66,12 +67,15 @@ class ConductorData:
 def conductor(ctx: OrderContext, mu_c: MuCPData) -> ConductorData:
     """Conductor and descent rings at the prime of ``mu_c``.
 
-    With b_1, ..., b_d the basis of C and M_j the matrix of
-    multiplication by b_j in that basis, x lies in the conductor iff
-    x b_j lies in the separable part A for every j, so the conductor is
-    the intersection over j of the preimages of A under M_j.  It lies
-    in A, so A/ff is the sublattice ``a_in_c`` of C/ff and I' is the
-    intersection of I with it, checked closed under A in C/ff."""
+    With b_1, ..., b_d the basis of C and M_r the matrix of
+    multiplication by b_r in that basis, a column of A's Hermite basis
+    ``a_in_c`` with pivot 1 on row r puts b_r in A plus the span of the
+    b_s with s > r, so A and the b_r whose pivot is above 1 generate C.
+    An x of A then has xC in A iff x b_r lies in A for those r, and the
+    conductor is A cut by the preimages of A under their M_r: all of A
+    when A spans C.  It lies in A, so A/ff is the sublattice ``a_in_c``
+    of C/ff and I' is the intersection of I with it, checked closed
+    under A in C/ff."""
     c_order = mu_c.tower.c_order
     sep = ctx.sep_order
     d = c_order.rank
@@ -85,8 +89,8 @@ def conductor(ctx: OrderContext, mu_c: MuCPData) -> ConductorData:
     a_in_c = image_int(IntMatrix(d, emb_cols))
     table = c_order.mult_table()
     ff = reduce(intersect_lattices, (
-        preimage_lattice(IntMatrix(d, [table[i][j] for i in range(d)]), a_in_c)
-        for j in range(d)))
+        preimage_lattice(IntMatrix(d, [table[i][r] for i in range(d)]), a_in_c)
+        for c, r in zip(a_in_c.basis.cols, a_in_c.pivots) if c[r] > 1), a_in_c)
     if ff.rank != d:
         raise AssertionError("conductor is not of full rank")
     for c in ff.basis.cols:

@@ -171,10 +171,12 @@ def small_orders(draw):
 @settings(max_examples=25, deadline=None)
 @given(small_orders())
 def test_psi_kernel_matches_the_two_ring_route_on_small_orders(A):
+    # and the conductor the stacked congruence over every basis element of C
     ctx = build_context(A)
     for p in ctx.torsion_primes():
         mu_c = mu_c_p_presentation(ctx, p)
         cond = conductor(ctx, mu_c)
+        assert cond.conductor_in_c == stacked_conductor(ctx, mu_c)[0]
         assert psi_kernel(cond) == subgroup_psi_kernel(cond) == two_ring_psi_kernel(ctx, mu_c)
 
 
@@ -223,6 +225,33 @@ def test_each_conductor_builds_one_ring_and_one_filtration(monkeypatch):
         calls.clear()
         psi_kernel(conductor(ctx, mu_c))
         assert sorted(calls) == ["filtration", "ring"]
+
+
+def test_each_conductor_takes_one_preimage_per_hermite_pivot_above_one(monkeypatch):
+    # C is generated over A by the b_r whose row carries a Hermite pivot
+    # of A above 1; where A spans C there are none and the conductor is C
+    calls = []
+
+    def preimage(m, lat):
+        calls.append(m)
+        return preimage_lattice(m, lat)
+
+    monkeypatch.setattr(rou, "preimage_lattice", preimage)
+    cases = [([1, 0, 1], 2, True), ([int(c) for c in cyclotomic(5)], 2, True),
+             ([int(c) for c in cyclotomic(5)], 5, True),
+             ([-1] + [0] * 11 + [1], 2, False), ([-1] + [0] * 11 + [1], 3, False)]
+    for f, p, saturated in cases:
+        ctx = build_context(order_from_poly(f))
+        calls.clear()
+        cond = conductor(ctx, mu_c_p_presentation(ctx, p))
+        above = sum(c[r] > 1 for c, r in zip(cond.a_in_c.basis.cols, cond.a_in_c.pivots))
+        assert len(calls) == above
+        if saturated:
+            assert above == 0
+            assert cond.conductor_in_c == cond.a_in_c == Lattice.full(len(f) - 1)
+            assert cond.ring_c.order() == 1
+        else:
+            assert 0 < above < len(f) - 1
 
 
 _BRUTE_FORCE = {}
