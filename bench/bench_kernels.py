@@ -44,8 +44,11 @@ calls), the ``IntSolver`` builds and the ``det_int`` calls that their
 lattice work makes, and times each order.  Then it runs the first 100
 orders of the split-rank and the cyclotomic-mix pools (20 with
 ``--quick``) on an empty field table and counts the work of the conductor
-descent: the ``conductor`` calls, the ``preimage_lattice`` calls that
-``conductor`` makes per conductor, ``FiniteRing`` builds, filtrations
+descent: the torsion primes, those of them that are saturated (prime to
+``[B : A_sep]``, where ``C`` is the separable part and no conductor is
+built), the ``conductor`` calls and those per torsion prime, the
+``preimage_lattice`` calls that ``conductor`` makes per conductor,
+``FiniteRing`` builds, filtrations
 (``filtration_generators`` calls) per conductor, ``unipotent_presentation``
 calls, ``unipotent_dlog`` calls, ``FiniteRing.mul`` calls and Hermite forms
 (``hnf_cols`` calls), and times each order on the filled table.  Last, it replays
@@ -433,18 +436,26 @@ def bench_descent(quick):
              finitering.unipotent_presentation.__code__,
              finitering.unipotent_dlog.__code__, finitering.FiniteRing.mul.__code__,
              kernels.hnf_cols.__code__]
-    print(f"\n{'descent work':<16} {'orders':>6} {'conductors':>10} {'pre/cond':>8} "
-          f"{'FiniteRing':>10} "
+    print(f"\n{'descent work':<16} {'orders':>6} {'primes':>6} {'saturated':>9} "
+          f"{'conductors':>10} {'cond/prime':>10} {'pre/cond':>8} {'FiniteRing':>10} "
           f"{'filt/cond':>9} {'presentations':>13} {'dlogs':>7} {'FR.mul':>8} "
           f"{'hnf_cols':>9} {'ms/order':>9}")
     for name in ("split-rank", "cyclotomic-mix"):
         sample = serve_inputs.build_pool(name)[:20 if quick else 100]
         numfield._shared_field.cache_clear()
+        results = []
         conductors, preimages, rings, filtrations, presentations, dlogs, muls, hermite = (
-            call_counts(codes, lambda: [serve_ops.order_op(None, item.text)
-                                        for item in sample]))
+            call_counts(codes, lambda: results.extend(serve_ops.order_op(None, item.text)
+                                                      for item in sample)))
+        # a torsion prime is saturated when it does not divide [B : A_sep],
+        # that is, when index_c_over_sep is 1 and C is the separable part
+        ctxs = [pres.ctx for _, (_, _, pres) in results]
+        primes = sum(len(ctx.torsion_primes()) for ctx in ctxs)
+        saturated = sum(ctx.index_b_over_sep % p != 0
+                        for ctx in ctxs for p in ctx.torsion_primes())
         seconds = time_fn(serve_ops.order_op, [(None, item.text) for item in sample], repeat)
-        print(f"{name:<16} {len(sample):>6} {conductors:>10} "
+        print(f"{name:<16} {len(sample):>6} {primes:>6} {saturated:>9} {conductors:>10} "
+              f"{conductors / max(primes, 1):>10.2f} "
               f"{preimages / max(conductors, 1):>8.2f} {rings:>10} "
               f"{filtrations / max(conductors, 1):>9.2f} {presentations:>13} {dlogs:>7} "
               f"{muls:>8} {hermite:>9} {seconds / len(sample) * 1e3:>9.2f}")

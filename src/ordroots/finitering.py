@@ -214,11 +214,12 @@ def binomial_power(ring: FiniteRing, powers, e: int):
 def binomial_product(ring: FiniteRing, powers, exps, acc):
     """acc * prod (1 + b)^e over nilpotent elements b given by their
     powers: one binomial sum per nonzero e, and one ring product unless
-    acc is still 1."""
+    acc or the power is still 1."""
     for bp, e in zip(powers, exps):
         if e:
             y = binomial_power(ring, bp, e)
-            acc = y if acc == ring.one else ring.mul(acc, y)
+            if y != ring.one:
+                acc = y if acc == ring.one else ring.mul(acc, y)
     return acc
 
 

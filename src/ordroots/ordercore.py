@@ -432,12 +432,20 @@ class SaturationTower:
 
 
 def build_saturation(ctx: OrderContext, p: int) -> SaturationTower:
+    """The p-saturation order C = A_sep[1/p] cap B, built as t B + A_sep
+    with t the prime-to-p part of [B : A_sep].  When p does not divide
+    [B : A_sep], t kills B/A_sep and C is the separable part itself: the
+    context's order, whose table was checked when the context was built.
+    Either way both indices are checked."""
     p_part = p ** _valuation(ctx.index_b_over_sep, p)
     t = ctx.index_b_over_sep // p_part
-    cols = [[e * t for e in c] for c in (list(b) for b in ctx.b_order.basis)]
-    cols += [list(b) for b in ctx.sep_order.basis]
-    c_order = EmbeddedOrder(ctx.ambient, cols)
-    c_order.mult_table()
+    if p_part == 1:
+        c_order = ctx.sep_order
+    else:
+        cols = [[e * t for e in c] for c in (list(b) for b in ctx.b_order.basis)]
+        cols += [list(b) for b in ctx.sep_order.basis]
+        c_order = EmbeddedOrder(ctx.ambient, cols)
+        c_order.mult_table()
     ics = qlat_index(ctx.sep_order.qlat, c_order.qlat)
     ibc = qlat_index(c_order.qlat, ctx.b_order.qlat)
     if ics != p_part:

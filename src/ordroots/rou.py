@@ -13,7 +13,9 @@ read off one filtration of I taken modulo I', which presents
 cut by the preimages of A under multiplication by C's generators over A,
 the basis elements of C at the Hermite pivots of A above 1; like every
 other lattice of the descent it is computed by the library's own lattice
-operations, in canonical Hermite form.
+operations, in canonical Hermite form.  Where p does not divide
+[B : A_sep], C = A_sep, so the p-power torsion of A is that of C and no
+conductor is built.
 """
 
 from __future__ import annotations
@@ -153,12 +155,21 @@ def psi_kernel(cond: ConductorData) -> List[List[int]]:
 
 def mu_a_p_generators(ctx: OrderContext, p: int) -> List[tuple]:
     """Generators of the p-power torsion of the order's unit group, as
-    integer coordinate vectors on the order's basis."""
+    integer coordinate vectors on the order's basis: the products of the
+    mu(C)_p generators over the Hermite basis of the kernel of
+    Z^M -> (1+I)/(1+I').  Where p does not divide [B : A_sep], C is the
+    separable part, the conductor is C and that kernel is all of Z^M:
+    its Hermite basis is the identity, with no conductor built.  Every
+    generator is checked to lie in the order."""
     mu_c = mu_c_p_presentation(ctx, p)
     if not mu_c.generators or all(w == 1 for w in mu_c.orders):
         return []
+    if mu_c.tower.index_c_over_sep == 1:
+        kernel = IntMatrix.identity(len(mu_c.generators)).cols
+    else:
+        kernel = psi_kernel(conductor(ctx, mu_c))
     out = []
-    for u in psi_kernel(conductor(ctx, mu_c)):
+    for u in kernel:
         coords = ctx.from_ambient(mu_c.pres.evaluate(u))
         if coords is None:
             raise AssertionError("descended generator is not in the order")

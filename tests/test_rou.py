@@ -13,6 +13,7 @@ from ordroots.linalg import IntMatrix, Lattice, lattice_index, preimage_lattice
 from ordroots.ordercore import (
     Order,
     build_context,
+    build_saturation,
     mu_b_presentation,
     mu_c_p_presentation,
     order_from_poly,
@@ -34,6 +35,7 @@ from util import (
     coordinate_forms,
     diagonal_congruence_suborder,
     fixpoint_ideal,
+    full_descent_generators,
     product_order,
     ring_power,
     run_python,
@@ -142,11 +144,13 @@ def test_conductor_layers_and_relations_match_the_elimination_references(name):
 
 @pytest.mark.parametrize("name", list(DESCENT_ORDERS))
 def test_psi_kernel_matches_the_two_ring_route(name):
+    # and the generators the full descent at every prime
     ctx = build_context(DESCENT_ORDERS[name]())
     for p in ctx.torsion_primes():
         mu_c = mu_c_p_presentation(ctx, p)
         cond = conductor(ctx, mu_c)
         assert psi_kernel(cond) == subgroup_psi_kernel(cond) == two_ring_psi_kernel(ctx, mu_c)
+        assert mu_a_p_generators(ctx, p) == full_descent_generators(ctx, p)
 
 
 SMALL_FACTORS = [[int(c) for c in cyclotomic(d)] for d in (1, 2, 3, 4, 6)] + [
@@ -171,13 +175,15 @@ def small_orders(draw):
 @settings(max_examples=25, deadline=None)
 @given(small_orders())
 def test_psi_kernel_matches_the_two_ring_route_on_small_orders(A):
-    # and the conductor the stacked congruence over every basis element of C
+    # and the conductor the stacked congruence over every basis element of
+    # C, and the generators the full descent at every prime
     ctx = build_context(A)
     for p in ctx.torsion_primes():
         mu_c = mu_c_p_presentation(ctx, p)
         cond = conductor(ctx, mu_c)
         assert cond.conductor_in_c == stacked_conductor(ctx, mu_c)[0]
         assert psi_kernel(cond) == subgroup_psi_kernel(cond) == two_ring_psi_kernel(ctx, mu_c)
+        assert mu_a_p_generators(ctx, p) == full_descent_generators(ctx, p)
 
 
 @pytest.mark.parametrize("name", list(DESCENT_ORDERS))
@@ -252,6 +258,45 @@ def test_each_conductor_takes_one_preimage_per_hermite_pivot_above_one(monkeypat
             assert cond.ring_c.order() == 1
         else:
             assert 0 < above < len(f) - 1
+
+
+def test_a_saturated_prime_builds_no_conductor_and_no_finite_ring(monkeypatch):
+    # where p does not divide [B : A_sep], C is the separable part and
+    # the p-power torsion of A is that of C
+    conductors, rings = [], []
+    built, real = finitering.FiniteRing.__init__, rou.conductor
+
+    def build(self, *args):
+        rings.append(args)
+        built(self, *args)
+
+    def spy(ctx, mu_c):
+        conductors.append(mu_c.prime)
+        return real(ctx, mu_c)
+
+    monkeypatch.setattr(finitering.FiniteRing, "__init__", build)
+    monkeypatch.setattr(rou, "conductor", spy)
+    for f in ([1, 0, 1], [int(c) for c in cyclotomic(5)]):
+        ctx = build_context(order_from_poly(f))
+        conductors.clear()
+        rings.clear()
+        assert mu_a_generators(ctx)
+        assert conductors == [] and rings == []
+    ctx = build_context(order_from_poly([-1] + [0] * 11 + [1]))
+    conductors.clear()
+    mu_a_generators(ctx)
+    assert conductors == [2, 3]
+    orders = [f() for f in DESCENT_ORDERS.values()]
+    orders += [order_from_poly([1, 0, 1]), order_from_poly([int(c) for c in cyclotomic(5)])]
+    saturated = 0
+    for A in orders:
+        ctx = build_context(A)
+        for p in ctx.torsion_primes():
+            tower = build_saturation(ctx, p)
+            assert (tower.c_order is ctx.sep_order) == (tower.index_c_over_sep == 1)
+            assert (tower.index_c_over_sep == 1) == (ctx.index_b_over_sep % p != 0)
+            saturated += tower.index_c_over_sep == 1
+    assert 0 < saturated
 
 
 _BRUTE_FORCE = {}

@@ -1068,6 +1068,36 @@ def two_ring_psi_kernel(ctx, mu_c):
     return kernel_mod_subgroup(pres, cond.zetas, modulo)
 
 
+def full_descent_generators(ctx, p):
+    """mu_a_p_generators with the whole descent at every prime: C rebuilt
+    as t B + A_sep (t = [B : A_sep] over its p-part) with its table from
+    ambient products, even where it is the separable part, and the
+    kernel of Z^M -> (1+I)/(1+I') from psi_kernel(conductor(...)), even
+    where the conductor is C and the finite ring has one element."""
+    from dataclasses import replace
+
+    from ordroots.ordercore import EmbeddedOrder, mu_c_p_presentation
+    from ordroots.rou import conductor, psi_kernel
+
+    mu_c = mu_c_p_presentation(ctx, p)
+    if not mu_c.generators or all(w == 1 for w in mu_c.orders):
+        return []
+    t = ctx.index_b_over_sep
+    while t % p == 0:
+        t //= p
+    c_order = EmbeddedOrder(ctx.ambient, [[e * t for e in b] for b in ctx.b_order.basis]
+                            + [list(b) for b in ctx.sep_order.basis])
+    c_order.mult_table()
+    assert c_order.basis == mu_c.tower.c_order.basis
+    mu_c = replace(mu_c, tower=replace(mu_c.tower, c_order=c_order))
+    out = []
+    for u in psi_kernel(conductor(ctx, mu_c)):
+        coords = ctx.from_ambient(mu_c.pres.evaluate(u))
+        assert coords is not None
+        out.append(tuple(coords))
+    return out
+
+
 def fixpoint_ideal(ring, elems):
     """Lattice of the ideal generated by ``elems`` in a finite ring: start
     from the relations and the elements, and add the products with the
