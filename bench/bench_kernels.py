@@ -18,7 +18,13 @@ decomposition; a ``minimal_polynomial`` row includes the solves that it
 makes itself.
 Then it replays the ``factor_q`` calls that ``torsion_generator`` makes
 on Q(zeta_7) and Q(zeta_15) and that ``decompose`` makes on the rank-11
-split order, and times them per call.
+split order, and times them per call.  It records the minimal
+polynomials that ``decompose`` factors on the first 100 orders of the
+split-rank and the cyclotomic-mix pools (20 with ``--quick``), counts
+those that split into linear factors, those with some but not only
+linear factors and those with none, replays their ``factor_q`` calls,
+and reports the ``fp_factor_squarefree`` and ``hensel_lift`` calls
+(recursive ones included) and the time per call.
 Then it times one torsion ``ops.power`` and one ``membership_dlog`` (two
 targets) on the residue torsion of Z[X]/(X^12 - 1), per call, on random
 members.  Next, it runs every tenth order of the cyclotomic-mix pool of
@@ -253,6 +259,26 @@ def bench_polynomials(quick):
         args = factor_q_calls(module, run)
         t = time_fn(polyfactor.factor_q, args, repeat) / len(args)
         print(f"{name:<28} {len(args):>6} {t * 1e3:>9.3f}")
+
+
+def bench_factoring(quick):
+    repeat = 2 if quick else 3
+    codes = [polyfactor.fp_factor_squarefree.__code__, polyfactor.hensel_lift.__code__]
+    print(f"\n{'decompose minimal polys':<24} {'orders':>6} {'calls':>6} {'split':>6} "
+          f"{'partly':>6} {'rootless':>8} {'Berlekamp':>9} {'hensel_lift':>11} {'ms/call':>8}")
+    for name in ("split-rank", "cyclotomic-mix"):
+        sample = serve_inputs.build_pool(name)[:20 if quick else 100]
+        args = factor_q_calls(
+            qalgebra, lambda: [serve_ops.order_op(None, item.text) for item in sample])
+        linear = [[polyfactor.qp_degree(h) == 1 for h, _ in polyfactor.factor_q(*a)[1]]
+                  for a in args]
+        split = sum(all(lin) for lin in linear)
+        rootless = sum(not any(lin) for lin in linear)
+        berlekamp, hensel = call_counts(codes, lambda: [polyfactor.factor_q(*a) for a in args])
+        t = time_fn(polyfactor.factor_q, args, repeat) / len(args)
+        print(f"{'factor_q, ' + name:<24} {len(sample):>6} {len(args):>6} {split:>6} "
+              f"{len(args) - split - rootless:>6} {rootless:>8} {berlekamp:>9} {hensel:>11} "
+              f"{t * 1e3:>8.3f}")
 
 
 def bench_torsion(quick):
@@ -500,6 +526,7 @@ def main():
     bench_rational(args.quick)
     bench_indices(args.quick)
     bench_polynomials(args.quick)
+    bench_factoring(args.quick)
     bench_torsion(args.quick)
     bench_orders(args.quick)
     bench_field_table(args.quick)

@@ -8,11 +8,16 @@ Q[X] share one dense arithmetic: ``qp_add``, ``qp_sub``, ``qp_mul`` and
 results mod p.  Division over Q runs on integer numerators, so a monic
 integer divisor keeps integer input integer; ``ip_divmod`` divides over
 Z.  Factorization over Q runs on the primitive part of the input in
-Z[X], end to end: Zassenhaus (Cohen, *A Course in Computational
-Algebraic Number Theory*, 3.5) by Berlekamp factorization modulo a good
-small prime, quadratic Hensel lifting past a Mignotte-style coefficient
-bound, and subset recombination in increasing subset size with exact
-integer trial division.
+Z[X], end to end.  Rational roots come first: each root of f modulo the
+least good small prime is Newton-lifted past twice the Cauchy root
+bound and kept when its linear factor divides exactly over Z (von zur
+Gathen and Gerhard, *Modern Computer Algebra*, 9.4 and 15).  Zassenhaus
+(Cohen, *A Course in Computational Algebraic Number Theory*, 3.5) then
+runs on the cofactor only: Berlekamp factorization of the part with no
+root modulo that prime, quadratic Hensel lifting past a Mignotte-style
+coefficient bound, and subset recombination in increasing subset size
+with exact integer trial division.  A polynomial that splits over Q
+takes no Berlekamp and no Hensel lift.
 
 Squarefreeness is first proved modulo a few fixed large primes
 (``proves_squarefree``): a polynomial that stays squarefree of the same
@@ -517,21 +522,31 @@ def _is_prime(n):
     return True
 
 
-def factor_squarefree_z(f):
-    """Irreducible factors of a primitive squarefree f in Z[X], deg >= 1.
+def _eval_mod(f, x, m):
+    """(f(x) mod m, f'(x) mod m) in one Horner pass."""
+    v = d = 0
+    for c in reversed(f):
+        d = (d * x + v) % m
+        v = (v * x + c) % m
+    return v, d
 
-    Zassenhaus: Berlekamp mod a good prime, Hensel lift past twice the
-    factor coefficient bound, then subset recombination by increasing
-    subset size.  Returned factors are primitive with positive leading
-    coefficient, sorted.
-    """
+
+def _lift_root(f, r, p, bound):
+    """(root, m): the simple root r of f mod p lifted by Newton's
+    iteration r <- r - f(r)/f'(r) to a root mod m = p^(2^i) > bound."""
+    m = p
+    while m <= bound:
+        m *= m
+        v, d = _eval_mod(f, r, m)
+        r = (r - v * pow(d, -1, m)) % m
+    return r, m
+
+
+def _recombine(p, f, modular):
+    """Irreducible factors of f, squarefree mod p with the monic modular
+    factors ``modular``: Hensel lift past twice the factor coefficient
+    bound, then subset recombination by increasing subset size."""
     n = qp_degree(f)
-    if n == 1:
-        return [ip_primitive(f)[1]]
-    p = next(_good_primes(f))
-    modular = fp_factor_squarefree(f, p)
-    if len(modular) == 1:
-        return [ip_primitive(f)[1]]
     # bound > max |coefficient| of any factor of f times lc(f)
     # (Mignotte-style: sqrt(n+1) * 2^n * max|f_i| * |lc(f)|)
     maxc = max(abs(c) for c in f)
@@ -562,6 +577,56 @@ def factor_squarefree_z(f):
         if not hit:
             size += 1
     if qp_degree(cur) >= 1:
+        out.append(ip_primitive(cur)[1])
+    return out
+
+
+def factor_squarefree_z(f):
+    """Irreducible factors of a primitive squarefree f in Z[X], deg >= 1.
+
+    Rational roots first: each root r of f modulo the least good prime p
+    is simple, so Newton's iteration lifts it to a p-adic root of f mod
+    m = p^(2^i) > 2(|lc f| + max_{i<n} |f_i|).  A rational root a/b has
+    b | lc f, and Cauchy's bound |a/b| < 1 + max_{i<n} |f_i / lc f|
+    gives |lc f * a/b| < |lc f| + max_{i<n} |f_i|, so lc f * a/b is
+    lc f * r in the symmetric range mod m, and the candidate is the
+    primitive part of lc f * X - that integer.  It is a factor only when
+    it divides the cofactor exactly over Z.  A root whose candidate fails
+    lifts to an irrational p-adic root and stays the modular factor X - r.
+    Berlekamp then splits only the part of f mod p with no root in F_p,
+    and with two or more modular factors left, Zassenhaus (Hensel lift and
+    subset recombination) runs on the cofactor.  So a polynomial that
+    splits over Q takes no Berlekamp and no Hensel lift.  Returned factors
+    are primitive with positive leading coefficient, sorted.
+    """
+    if qp_degree(f) == 1:
+        return [ip_primitive(f)[1]]
+    p = next(_good_primes(f))
+    lc = f[-1]
+    bound = 2 * (abs(lc) + max(abs(c) for c in f[:-1]))
+    fp = fp_norm(f, p)
+    roots = [r for r in range(p) if not _eval_mod(fp, r, p)[0]]
+    cur = list(f)
+    out = []
+    modular = []
+    for r in roots:
+        root, m = _lift_root(f, r, p, bound)
+        a = lc * root % m
+        cand = ip_primitive([m - a if 2 * a > m else -a, lc])[1]
+        qr = ip_divmod(cur, cand)
+        if qr is not None and not qr[1]:
+            out.append(cand)
+            cur = qr[0]
+        else:
+            modular.append([-r % p, 1])
+    if len(roots) < qp_degree(f):  # the part of f mod p with no root
+        linear = [1]
+        for r in roots:
+            linear = fp_mul(linear, [-r, 1], p)
+        modular += fp_factor_squarefree(fp_divmod(fp, linear, p)[0], p)
+    if len(modular) > 1:
+        out += _recombine(p, cur, modular)
+    elif qp_degree(cur) >= 1:
         out.append(ip_primitive(cur)[1])
     return sorted(out, key=lambda h: (len(h), tuple(h)))
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordroots import polyfactor
+from ordroots import polyfactor, qalgebra
+from ordroots.ordercore import order_from_poly
 from ordroots.polyfactor import (
     _PROOF_PRIMES,
     PRIME_BOUND,
@@ -16,6 +17,7 @@ from ordroots.polyfactor import (
     cyclotomic,
     euler_phi,
     factor_q,
+    factor_squarefree_z,
     fp_factor_squarefree,
     fp_norm,
     ip_divmod,
@@ -43,6 +45,7 @@ from util import (
     is_canonical,
     kronecker_factor,
     sylvester_resultant,
+    zassenhaus_factor_squarefree_z,
 )
 
 
@@ -413,6 +416,118 @@ def test_factor_q_checks_the_product_on_integers(monkeypatch):
     for f in ([-1, 0, 0, 0, 1], [0, 0, 1], qp_mul([1, 0, 1], [1, 0, 1])):
         with pytest.raises(AssertionError, match="does not multiply back"):
             factor_q(f)
+
+
+# ---------------------------------------------------------------------------
+# rational roots before Zassenhaus
+
+def _product(polys):
+    f = [1]
+    for g in polys:
+        f = qp_mul(f, g)
+    return f
+
+
+def _sorted(facs):
+    return sorted(facs, key=lambda h: (len(h), tuple(h)))
+
+
+def _monic_sorted(facs):
+    return sorted((qp_monic(h) for h in facs), key=lambda h: (qp_degree(h), tuple(h)))
+
+
+@given(linear=st.lists(st.tuples(st.integers(1, 7), st.integers(-2 ** 40, 2 ** 40)),
+                       max_size=6),
+       nonlinear=st.lists(_int_poly(2, 4), max_size=2))
+@settings(max_examples=150, deadline=None)
+def test_factor_q_equals_zassenhaus_on_every_input(linear, nonlinear):
+    f = _product([[-a, b] for b, a in linear] + nonlinear)
+    _, prim = polyfactor.ip_primitive(f)
+    if qp_degree(prim) < 1 or not is_squarefree(prim):
+        return
+    want = zassenhaus_factor_squarefree_z(prim)
+    assert factor_squarefree_z(prim) == want
+    assert factor_q(prim) == (prim[-1], [(h, 1) for h in _monic_sorted(want)])
+
+
+def _spy(monkeypatch, *names):
+    """name -> the argument tuples of every call polyfactor makes to it."""
+    calls = {name: [] for name in names}
+    for name in names:
+        def spy(*args, _real=getattr(polyfactor, name), _calls=calls[name]):
+            _calls.append(args)
+            return _real(*args)
+        monkeypatch.setattr(polyfactor, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("roots", [
+    [(1, a) for a in range(-5, 6)],
+    [(1, 0), (2, 1), (3, -2), (5, 7), (7, -3 ** 30)],
+    [(1, 2 ** 64 + 13), (1, -(2 ** 64) - 13), (3, 1)],
+])
+def test_split_input_takes_no_berlekamp_and_no_hensel_lift(monkeypatch, roots):
+    calls = _spy(monkeypatch, "fp_factor_squarefree", "hensel_lift")
+    f = _product([[-a, b] for b, a in roots])
+    assert factor_squarefree_z(f) == _sorted([-a, b] for b, a in roots)
+    assert calls == {"fp_factor_squarefree": [], "hensel_lift": []}
+
+
+def test_split_minimal_polynomial_takes_no_berlekamp_and_no_hensel_lift(monkeypatch):
+    # a split-rank order: decompose factors the minimal polynomial of a
+    # primitive element of Q^8 into eight linear factors
+    order = order_from_poly(_product([[-a, 1] for a in (-6, -4, -1, 0, 2, 3, 5, 6)]))
+    factored = []
+    factor = qalgebra.factor_q
+    monkeypatch.setattr(qalgebra, "factor_q", lambda m: factored.append(factor(m)) or factored[-1])
+    calls = _spy(monkeypatch, "fp_factor_squarefree", "hensel_lift")
+    assert len(qalgebra.decompose(order.algebra).components) == 8
+    assert [qp_degree(h) for h, _ in factored[0][1]] == [1] * 8
+    assert calls == {"fp_factor_squarefree": [], "hensel_lift": []}
+
+
+@pytest.mark.parametrize("facs", [
+    [[-5, -10, 1]],
+    [[-5, -10, 1], [-3, 1], [5, 2]],
+])
+def test_roots_of_an_irreducible_factor_fall_back_to_recombination(monkeypatch, facs):
+    # X^2 - 10X - 5 is irreducible (discriminant 120), yet it has two roots
+    # modulo the least good prime: 1 and 2 mod 7 alone, 13 and 14 mod 17
+    # in the product; their lifts are irrational, so the two linear
+    # modular factors recombine into the quadratic
+    f = _product(facs)
+    p = next(polyfactor._good_primes(f))
+    assert len([r for r in range(p) if (r * r - 10 * r - 5) % p == 0]) == 2
+    calls = _spy(monkeypatch, "fp_factor_squarefree", "hensel_lift")
+    assert factor_squarefree_z(f) == _sorted(facs)
+    assert calls["fp_factor_squarefree"] == []
+    _, lifted, modular, _ = calls["hensel_lift"][0]
+    assert lifted == [-5, -10, 1] and [qp_degree(h) for h in modular] == [1, 1]
+
+
+def test_rational_roots_at_the_bound_come_out_exact(monkeypatch):
+    # f = X(bX - a)(X^2 + X + 1) with a, b odd: the least good prime is 2,
+    # where X^2 + X + 1 has no root, and the root a/b has |lc * a/b| = |a|,
+    # at most 2b short of the Cauchy bound |lc| + max |f_i|.  a runs
+    # across the halves of 2^(2^i), where a modulus p^(2^i) of at most
+    # twice that bound would miss it and send its X - r to a Hensel lift
+    calls = _spy(monkeypatch, "fp_factor_squarefree", "hensel_lift")
+    for b in (1, 3, 7):
+        for e in (3, 5, 6, 7):
+            for a in range(2 ** (2 ** e - 1) - 5, 2 ** (2 ** e - 1) + 6, 2):
+                for sa in (a, -a):
+                    if math.gcd(sa, b) == 1:
+                        facs = [[0, 1], [-sa, b], [1, 1, 1]]
+                        f = _product(facs)
+                        assert next(polyfactor._good_primes(f)) == 2
+                        assert factor_squarefree_z(f) == _sorted(facs)
+    for a in (2 ** 200 + 1, -(3 ** 150)):
+        assert factor_q([-a, 1]) == (1, [([-a, 1], 1)])
+        f = _product([[-a, 1], [1, 1], [-1, 2]])
+        assert factor_squarefree_z(f) == _sorted([[-a, 1], [1, 1], [-1, 2]])
+    # Berlekamp saw only the rootless X^2 + X + 1 mod 2
+    assert {qp_degree(args[0]) for args in calls["fp_factor_squarefree"]} == {2}
+    assert calls["hensel_lift"] == []
 
 
 # ---------------------------------------------------------------------------

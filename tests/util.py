@@ -5,8 +5,9 @@ the library code it checks: cofactor determinants, Sylvester matrices,
 Gauss-Jordan elimination and long division over Fractions, schoolbook
 number-field products, Kronecker interpolation factoring, Schreier-style
 breadth-first kernel generators, and plain brute-force enumeration.
-Some are the library's own earlier algorithms, each running an
-elimination that the library now reads off one it has already done.
+Some are the library's own earlier algorithms: eliminations that the
+library now reads off one it has already done, and Zassenhaus factoring
+with no rational-root step.
 """
 
 import os
@@ -458,6 +459,61 @@ def _poly_add_frac(a, b):
     for i, x in enumerate(b):
         out[i] += x
     return out
+
+
+# ---------------------------------------------------------------------------
+# Zassenhaus on every input (no rational-root step)
+
+def zassenhaus_factor_squarefree_z(f):
+    """Irreducible factors of a primitive squarefree f in Z[X], deg >= 1,
+    by the library's earlier route: Berlekamp mod the least good prime on
+    all of f, Hensel lift past twice a Mignotte-style bound, then subset
+    recombination by increasing subset size, with no rational-root step.
+    Primitive factors with positive leading coefficient, sorted."""
+    from itertools import combinations
+    from math import isqrt
+
+    from ordroots.polyfactor import (
+        _good_primes, fp_factor_squarefree, hensel_lift, ip_divmod, ip_primitive,
+        ip_trunc_sym)
+
+    n = len(f) - 1
+    if n == 1:
+        return [ip_primitive(f)[1]]
+    p = next(_good_primes(f))
+    modular = fp_factor_squarefree(f, p)
+    if len(modular) == 1:
+        return [ip_primitive(f)[1]]
+    maxc = max(abs(c) for c in f)
+    bound = (isqrt(n + 1) + 1) * (1 << n) * maxc * abs(f[-1])
+    k = 1
+    while p ** k <= 2 * bound:
+        k += 1
+    lifted = hensel_lift(p, f, modular, k)
+    pk = p ** k
+    remaining = list(range(len(lifted)))
+    cur = list(f)
+    out = []
+    size = 1
+    while 2 * size <= len(remaining):
+        hit = False
+        for subset in combinations(remaining, size):
+            prod = ip_trunc_sym([cur[-1]], pk)
+            for i in subset:
+                prod = ip_trunc_sym(qp_mul(prod, lifted[i]), pk)
+            cand = ip_primitive(prod)[1]
+            qr = ip_divmod(cur, cand)
+            if qr is not None and not qr[1]:
+                out.append(cand)
+                cur = qr[0]
+                remaining = [i for i in remaining if i not in subset]
+                hit = True
+                break
+        if not hit:
+            size += 1
+    if len(cur) > 1:
+        out.append(ip_primitive(cur)[1])
+    return sorted(out, key=lambda h: (len(h), tuple(h)))
 
 
 # ---------------------------------------------------------------------------
