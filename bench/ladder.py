@@ -2,13 +2,20 @@
 
 Times ``mu_a_presentation`` (which builds the order context) on orders
 past the reach of the ``perfbench`` workloads: Z[X]/(X^7 - 1), the
-cyclotomic rings Z[zeta_d] for d = 15, 16, 11, 13, and the group rings
-Z[C_3^3] of rank 27 and Z[C_2^5], Z[C_4 x C_8] of rank 32, each from its
-table e_g e_h = e_(g+h).  Each input runs in its own subprocess, one
-after another, and is stopped at ``CAP_S`` seconds.  Every answer that finishes is checked against a closed form:
-the roots of unity of Z[zeta_d] have order lcm(2, d) (one invariant
-factor), and by Higman's theorem those of Z[G] form Z/2 x G.  Times are
-wall times, not calibrated against a probe.
+cyclotomic rings Z[zeta_d] for d = 15, 16, 11, 13, 17, 19, 32, the group
+rings Z[C_3^3] of rank 27 and Z[C_2^5], Z[C_4 x C_8] of rank 32, each
+from its table e_g e_h = e_(g+h), and two fields of degree 16:
+Z[X]/(SD16), SD16 the minimal polynomial of sqrt 2 + sqrt 3 + sqrt 5 +
+sqrt 7, and Z[X]/(CM16), CM16 that of i + sqrt 2 + sqrt 3 + sqrt 5.
+Each input runs in its own subprocess, one after another, and is stopped
+at ``CAP_S`` seconds.  Every answer that finishes is checked against a
+closed form where there is one: the roots of unity of Z[zeta_d] have
+order lcm(2, d) (one invariant factor), by Higman's theorem those of
+Z[G] form Z/2 x G, and a field with a real embedding, such as that of
+SD16, has only +-1.  CM16 generates a CM field, with no closed form
+here; its expected [2] is the agreed value of two independent
+computations, not a theorem.  Times are wall times, not calibrated
+against a probe.
 
 Usage: python bench/ladder.py [NAME ...]
 """
@@ -19,6 +26,7 @@ import subprocess
 import sys
 import time
 from itertools import product
+from math import comb
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -51,6 +59,31 @@ def _exact_div_monic(f, g):
     return q
 
 
+def _sum_of_roots(*radicands):
+    """The minimal polynomial of sqrt p_1 + ... + sqrt p_k, built in
+    integers: with f(X + sqrt p) = A(X) + sqrt p B(X), the product
+    f(X - sqrt p) f(X + sqrt p) is A^2 - p B^2, starting from f = X.
+    A radicand -1 adjoins i."""
+    f = [0, 1]
+    for p in radicands:
+        # (X + sqrt p)^k = sum_j C(k, j) X^(k-j) sqrt p^j
+        a, b = [0] * len(f), [0] * len(f)
+        for k, c in enumerate(f):
+            for j in range(k + 1):
+                term = c * comb(k, j) * p ** (j // 2)
+                (b if j % 2 else a)[k - j] += term
+        f = [x - p * y for x, y in zip(_mul(a, a), _mul(b, b))]
+    return f
+
+
+def _mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
 def _group_ring(*orders):
     """Z[C_n1 x ... x C_nk]: basis e_g for g in the product group, in
     lexicographic order of the exponent tuples, with e_g e_h = e_(g+h)."""
@@ -76,6 +109,11 @@ INPUTS = {
     "Z[C_3^3]": (lambda: _group_ring(3, 3, 3), [3, 3, 6]),
     "Z[C_2^5]": (lambda: _group_ring(2, 2, 2, 2, 2), [2] * 6),
     "Z[C_4xC_8]": (lambda: _group_ring(4, 8), [2, 4, 8]),
+    "SD16": (lambda: order_from_poly(_sum_of_roots(2, 3, 5, 7)), [2]),
+    "CM16": (lambda: order_from_poly(_sum_of_roots(-1, 2, 3, 5)), [2]),
+    "Q(zeta17)": (lambda: order_from_poly(_cyclotomic(17)), [34]),
+    "Q(zeta19)": (lambda: order_from_poly(_cyclotomic(19)), [38]),
+    "Q(zeta32)": (lambda: order_from_poly(_cyclotomic(32)), [32]),
 }
 
 

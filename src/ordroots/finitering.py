@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, product
-from typing import List, Optional
+from typing import List
 
 from .abgroup import EffPresentation, GroupOps
 from .linalg import (
@@ -226,7 +226,7 @@ def binomial_product(ring: FiniteRing, powers, exps, acc):
 @dataclass
 class Filtration:
     """Ideal powers I, I^2, I^4, ... with layer generating sets, taken
-    modulo a subring ideal I' of I (I' = 0 when ``sub_levels`` is empty).
+    modulo a subring ideal I' of I (I' = 0 for 1 + I itself).
 
     levels[i] is (ideal I_i = I^(2^i), B_i) and sub_levels[i] is
     P_i = I_i meet I'; B_i lifts a minimal generating set of the additive
@@ -245,7 +245,7 @@ class Filtration:
 
     ring: FiniteRing
     levels: List[tuple]
-    sub_levels: List[Lattice] = field(default_factory=list)
+    sub_levels: List[Lattice]
     solvers: List[IntSolver] = field(init=False, repr=False)
     units: List[list] = field(init=False, repr=False)
     powers: List[list] = field(init=False, repr=False)
@@ -253,16 +253,14 @@ class Filtration:
 
     def __post_init__(self):
         ring = self.ring
-        if self.sub_levels and len(self.sub_levels) != len(self.levels):
+        if len(self.sub_levels) != len(self.levels):
             raise ValueError("one subring-ideal level per level")
         self.terms = 1 << len(self.levels)
         self.solvers, self.units, self.powers = [], [], []
         for li, (_, bs) in enumerate(self.levels):
             nxt = self.levels[li + 1][0].lattice if li + 1 < len(self.levels) else ring.rel
             blocks = IntMatrix(ring.ngens, [list(b) for b in bs]).hstack(nxt.basis)
-            if self.sub_levels:
-                blocks = blocks.hstack(self.sub_levels[li].basis)
-            solver = IntSolver(blocks)
+            solver = IntSolver(blocks.hstack(self.sub_levels[li].basis))
             # both canonical Hermite bases: B_i, I_(i+1) and P_i span I_i
             if solver.image != self.levels[li][0].lattice:
                 raise AssertionError("layer generators do not generate the layer")
@@ -281,35 +279,30 @@ class Filtration:
 
     def sub_part(self, li, sol):
         """The P_i part c = P_i z of a solution or kernel vector
-        (m, y, z) of level li's solver, reduced in the ring; () when
-        I' = 0."""
-        if not self.sub_levels:
-            return ()
+        (m, y, z) of level li's solver, reduced in the ring; 0 with no
+        product for z = 0, as always when I' = 0."""
         p = self.sub_levels[li].basis
-        return self.ring.reduce(p.apply(sol[len(sol) - p.ncols:]))
+        z = sol[len(sol) - p.ncols:]
+        return self.ring.reduce(p.apply(z)) if any(z) else self.ring.zero()
 
 
-def filtration_generators(ring: FiniteRing, ideal: RingIdeal,
-                          modulo: Optional[RingIdeal] = None) -> Filtration:
-    """Build the square filtration of ``ideal``, taken modulo the subring
-    ideal ``modulo`` inside it when one is given; error if the ideal is
-    not nilpotent.  As ``modulo`` lies in ``ideal``, P_0 is ``modulo``
-    and P_(i+1) = I_(i+1) meet P_i."""
+def filtration_generators(ring: FiniteRing, ideal: RingIdeal, modulo: Lattice) -> Filtration:
+    """Build the square filtration of ``ideal``, taken modulo the lattice
+    ``modulo`` of a subring ideal inside it, the zero lattice for 1 + I
+    itself; error if the ideal is not nilpotent.  As ``modulo`` lies in
+    ``ideal``, P_0 is ``modulo`` and P_(i+1) = I_(i+1) meet P_i."""
     levels, sub_levels = [], []
-    sub = None if modulo is None else modulo.lattice
+    sub = modulo
     cur = ideal
     guard = ring.ngens.bit_length() + (ring.order().bit_length() if ring.ngens else 0) + 4
     while not cur.is_zero():
         nxt = cur.mul(cur)
         if nxt.lattice == cur.lattice:
             raise ValueError("ideal is not nilpotent")
-        small = nxt.lattice
-        if sub is not None:
-            if levels:
-                sub = intersect_lattices(cur.lattice, sub)
-            sub_levels.append(sub)
-            small = sum_lattices(small, sub)
-        levels.append((cur, _layer_generators(ring, cur.lattice, small)))
+        if levels:
+            sub = intersect_lattices(cur.lattice, sub)
+        sub_levels.append(sub)
+        levels.append((cur, _layer_generators(ring, cur.lattice, sum_lattices(nxt.lattice, sub))))
         cur = nxt
         guard -= 1
         if guard < 0:
@@ -395,9 +388,8 @@ def unipotent_relations(filtration: Filtration):
         # (x, y, z) with B_j x + N y + P_j z = 0, N the next ideal's basis,
         # cut to x and c = P_j z; the Hermite columns with pivots in x
         # cut to x are the canonical basis of the layer's relations
-        width = nb + (ring.ngens if filtration.sub_levels else 0)
-        addrel = Lattice(width, [list(col[:nb]) + list(filtration.sub_part(j, col))
-                                 for col in filtration.solvers[j].kernel.cols])
+        addrel = Lattice(nb + ring.ngens, [list(col[:nb]) + list(filtration.sub_part(j, col))
+                                           for col in filtration.solvers[j].kernel.cols])
         tail_len = sum(len(levels[t][1]) for t in range(j + 1, nlev))
         new_rels = []
         for col, piv in zip(addrel.basis.cols, addrel.pivots):
@@ -423,7 +415,7 @@ def unipotent_presentation(ring: FiniteRing, ideal: RingIdeal) -> EffPresentatio
     powers are binomial sums.  A generator's power reads the powers the
     filtration stores; any other element is tested for membership, and a
     negative power of it is multiplied back."""
-    filtration = filtration_generators(ring, ideal)
+    filtration = filtration_generators(ring, ideal, Lattice.zero(ring.ngens))
     gens = tuple(u for units in filtration.units for u in units)
     rels = tuple(tuple(r) for r in unipotent_relations(filtration))
     # the filtration holds each generator's powers, its inverse multiplied back

@@ -206,6 +206,8 @@ def _num(c):
 def clear_vector(vec):
     """(numerators, d): integers with vec = numerators / d, d > 0 the least
     common denominator.  Entries may be ints or Fractions."""
+    if Fraction not in map(type, vec):
+        return list(vec), 1
     dens = [e.denominator for e in vec]
     d = lcm(*dens)
     if d == 1:

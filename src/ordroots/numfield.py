@@ -10,13 +10,12 @@ integers (the reduced powers a^d, ..., a^(2d-2) are a ``RatMatrix``,
 integer rows over one denominator), and each output numerator over the
 common denominator becomes one coordinate.  Polynomials over a field K
 are lists of such tuples, lowest degree first.  An element of a product
-of fields is the concatenation of its components; the torsion groups
-that are products of cyclic groups, one generator per factor, are
-presented there (``ProductRing.cyclic_presentation``).  Each factor's
-powers are tabulated once when the presentation is built and keyed on
-the element tuples themselves, so a discrete log is a projection and
+of fields is the concatenation of its components; a product of cyclic
+torsion groups is presented there (``ProductRing.cyclic_presentation``),
+each factor by its power list 1, g, ..., g^(w-1), checked once and keyed
+on the element tuples themselves, so a discrete log is a projection and
 one dictionary lookup per factor, and the power of a member is read
-from the tables with no field product; a non-member has no power there.
+from the lists with no field product; a non-member has no power there.
 
 Root finding over K goes through the classical norm trick (Trager
 1976): shift the argument by an integer multiple of the generator until
@@ -125,7 +124,6 @@ class NumberField:
             table.append(cur)
         high = RatMatrix.from_rows(table)
         self._high_rows, self._high_den = high.num.to_rows(), high.den
-        self._torsion = None
         self._torsion_powers = None
         self._residues = None
 
@@ -239,9 +237,10 @@ class NumberField:
         closing product gives z^w = 1, z^(w/ell) != 1 is read off the list
         for every ell | w, and the powers are distinct.  zeta is the least
         primitive power z^j0, and its powers are the same list reindexed,
-        zeta^i = z^(i*j0 mod w) (``torsion_powers``).
+        zeta^i = z^(i*j0 mod w) (``torsion_powers``).  That list is all
+        the field keeps: zeta is its entry 1 and w its length.
         """
-        if self._torsion is None:
+        if self._torsion_powers is None:
             n = self.deg
             one = self.one()
             z, w = one, 1
@@ -282,9 +281,9 @@ class NumberField:
                 raise AssertionError("torsion powers are not distinct")
             j0 = min((j for j in range(1, w + 1) if gcd(j, w) == 1),
                      key=lambda j: powers[j % w])
-            self._torsion = (powers[j0 % w], w)
             self._torsion_powers = tuple(powers[i * j0 % w] for i in range(w))
-        return self._torsion
+        w = len(self._torsion_powers)
+        return self._torsion_powers[1 % w], w
 
     def torsion_powers(self):
         """zeta^0, ..., zeta^(w-1) for (zeta, w) the torsion generator."""
@@ -340,43 +339,44 @@ class ProductRing:
         return tuple(out)
 
     def cyclic_presentation(self, factors):
-        """(presentation, power lists) of a product of cyclic groups, one
-        per factor.
+        """Presentation of a product of cyclic groups, one per factor.
 
-        A factor is (components, generator over those components, order w);
-        the factors' component lists partition the components.  The
+        A factor is (components, powers 1, g, ..., g^(w-1) of its
+        generator in the sub-product ring over those components); the
+        factors' component lists partition the components.  The
         generator is 1 on the other components and the relations are the
-        cyclic orders.  Each factor's powers 1, g, ..., g^(w-1) are
-        tabulated once in its sub-product ring.  They must be distinct,
-        and one closing product must give g^(w-1) * g = 1, so w is the
-        exact order.  The tables are keyed on the power tuples; an int
-        and an equal Fraction compare and hash alike, so a coordinate in
-        either form finds its entry.  The discrete log projects
-        onto each factor and looks the projection up in its table.  A
-        product prod t_j^(u_j) of elements with logs a_j (``log_product``)
-        multiplies, per factor, the table entries g^(a_j*u_j mod w) of
-        nonzero index in the sub-product ring; a factor with none is the
-        table's 1, so the entry 1 enters no product and no dlog is taken
-        again.  The power x^e of a member is that product of one element;
-        the power raises ValueError for a non-member, and the dlog and the
-        power raise it for an element of the wrong length.  The power
-        lists are returned with the presentation.
+        cyclic orders.  Each list is checked with w products: it starts
+        at 1, its entries are distinct, and each times g = powers[1 % w]
+        is the next, the last times g being 1, so w is the exact order.
+        The lists are keyed on the power tuples; an int and an equal
+        Fraction compare and hash alike, so a coordinate in either form
+        finds its entry.  The discrete log projects onto each factor and
+        looks the projection up in its list.  A product prod t_j^(u_j)
+        of elements with logs a_j (``log_product``) multiplies, per
+        factor, the entries g^(a_j*u_j mod w) of nonzero index in the
+        sub-product ring; a factor with none is the list's 1, so the
+        entry 1 enters no product and no dlog is taken again.  The power
+        x^e of a member is that product of one element; the power raises
+        ValueError for a non-member, and the dlog and the power raise it
+        for an element of the wrong length.
         """
-        covered = sorted(i for comps, _, _ in factors for i in comps)
+        covered = sorted(i for comps, _ in factors for i in comps)
         if covered != list(range(len(self.fields))):
             raise ValueError("the factors do not partition the components")
         gens = []
         tables = []  # (components, sub-ring, powers, exponent of each power's key)
-        for comps, gen, w in factors:
+        for comps, powers in factors:
             sub = self.sub_ring(comps)
-            powers = [sub.one()]
-            for _ in range(w - 1):
-                powers.append(sub.mul(powers[-1], gen))
+            w = len(powers)
+            gen = powers[1 % w]
+            if powers[0] != sub.one():
+                raise AssertionError("power list does not start at 1")
             index = {x: a for a, x in enumerate(powers)}
             if len(index) != w:
-                raise AssertionError("generator order is less than its stated order")
-            if sub.mul(powers[-1], gen) != powers[0]:
-                raise AssertionError("generator power w is not 1")
+                raise AssertionError("powers are not distinct")
+            for a, x in enumerate(powers):
+                if sub.mul(x, gen) != powers[(a + 1) % w]:
+                    raise AssertionError("powers are not the generator's")
             blocks = [K.one() for K in self.fields]
             for pos, i in enumerate(comps):
                 blocks[i] = sub.block(gen, pos)
@@ -416,11 +416,11 @@ class ProductRing:
             return log_product([exps], [e])
 
         ops = GroupOps(mul=self.mul, power=group_power, identity=self.one())
-        rels = cyclic_relations([w for _, _, w in factors])
+        rels = cyclic_relations([len(powers) for _, powers in factors])
         pres = EffPresentation(ops=ops, gens=tuple(gens), rels=rels, dlog=dlog,
                                log_product=log_product)
         pres.verify_exact()
-        return pres, [powers for _, _, powers, _ in tables]
+        return pres
 
 
 def _residue_gcd(f, p):

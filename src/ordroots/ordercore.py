@@ -11,9 +11,10 @@ Everything downstream of the decomposition works in the product-of-
 components coordinate space; elements there are coordinate tuples (an
 int where integral, a Fraction otherwise) and orders are QLattice-backed
 subrings.  A cyclic torsion group is the list of its generator's powers,
-and the residue groups and their p-parts are read from each field's
-verified power table (``torsion_powers``), so the torsion descent
-computes on exponents: a p-th power is an index times p.
+the one form ``ProductRing.cyclic_presentation`` takes and checks.  The
+residue groups and their p-parts are slices of each field's power list
+(``torsion_powers``), so the torsion descent computes on exponents: a
+p-th power is an index times p.
 """
 
 from __future__ import annotations
@@ -227,14 +228,13 @@ def order_graph(emb: EmbeddedOrder) -> WeightedGraph:
 
 @dataclass
 class ResidueTorsion:
-    """Cyclic unit-torsion data of one residue order: a generator, its
-    order and factorization, and the p-power parts."""
+    """Cyclic unit-torsion data of one residue order: the least index j
+    with zeta^j in the residue, zeta the field's torsion generator, so
+    zeta^j generates the group, and the group's order and factorization."""
 
-    component: int
-    theta: tuple  # element of the component field
+    index: int
     order: int
     factorization: Dict[int, int]
-    theta_p: Dict[int, tuple]
 
     def p_part_order(self, p) -> int:
         return p ** self.factorization.get(p, 0)
@@ -293,11 +293,8 @@ class OrderContext:
             fac = _factor_small(order)
             if any(p > 1 + self.order.rank for p in fac):
                 raise AssertionError("residue torsion has a prime above rank + 1")
-            # theta = zeta^j, so theta^(order / p^k) = zeta^(w / p^k)
-            theta_p = {p: powers[w // p ** k] for p, k in fac.items()}
             self._restors[i] = ResidueTorsion(
-                component=i, theta=powers[j % w], order=order, factorization=fac,
-                theta_p=theta_p,
+                index=j, order=order, factorization=fac,
             )
         return self._restors[i]
 
@@ -404,17 +401,13 @@ def idempotent_divisor_oracle(f) -> List[List[int]]:
 # mu(B) presentations
 
 
-def mu_b_presentation(ctx: OrderContext, p: Optional[int] = None) -> EffPresentation:
-    """Presentation of the unit torsion of the residue product, or of its
-    p-power part when p is given.  One cyclic generator per component."""
-    factors = []
-    for i, K in enumerate(ctx.dec.components):
-        rt = ctx.residue_torsion(i)
-        if p is None:
-            factors.append(([i], rt.theta, rt.order))
-        else:
-            factors.append(([i], rt.theta_p.get(p, K.one()), rt.p_part_order(p)))
-    return ctx.ambient.cyclic_presentation(factors)[0]
+def mu_b_presentation(ctx: OrderContext) -> EffPresentation:
+    """Presentation of the unit torsion of the residue product.  One
+    cyclic factor per component: the powers of zeta^j, every j-th entry
+    of the field's power list, j the residue's ``index``."""
+    factors = [([i], K.torsion_powers()[::ctx.residue_torsion(i).index])
+               for i, K in enumerate(ctx.dec.components)]
+    return ctx.ambient.cyclic_presentation(factors)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +470,6 @@ class MuCPData:
     graph: WeightedGraph
     generators: List[tuple]  # elements of the ambient product, one per graph component
     orders: List[int]
-    groups: List[List[tuple]]  # full element list of each component group
     pres: EffPresentation
 
 
@@ -489,35 +481,28 @@ def mu_c_p_presentation(ctx: OrderContext, p: int) -> MuCPData:
     breadth-first chain, climbing p-th roots layer by layer on exponents
     into the residues' torsion power tables; candidate elements are tested
     for membership in the image order.  The climb returns its generator's
-    power list with no field product, and that list must equal the one
-    ``cyclic_presentation`` multiplies out.  The generator must keep its
-    order in every single residue: no block of g^(order/p) is 1.
+    power list with no field product, and ``cyclic_presentation`` checks
+    that list where it builds the presentation.  The generator must keep
+    its order in every single residue: no block of g^(order/p) is 1.
     """
     tower = build_saturation(ctx, p)
     graph = graph_mod_p(ctx, p)
     c_order = tower.c_order
     adj = _adjacency(graph.nvertices, graph.edges)
-    climbed = []
-    factors = []  # (components, generator over them, order)
+    factors = []  # (components, climbed power list)
     for comp in graph.components:
         powers = _mu_c_component(ctx, p, c_order, adj, comp)
         if len(powers) > 2 * ctx.order.rank + 2:
             raise AssertionError("order exceeds bound")
-        climbed.append(powers)
-        factors.append((comp, powers[1 % len(powers)], len(powers)))
-    # cyclic_presentation checks that each generator has exactly its stated order
-    pres, power_lists = ctx.ambient.cyclic_presentation(factors)
-    groups = []
-    for (comp, _, order), mine, powers in zip(factors, climbed, power_lists):
-        if mine != powers:
-            raise AssertionError("climbed powers disagree with the multiplied-out powers")
-        if order > 1:
+        factors.append((comp, powers))
+    pres = ctx.ambient.cyclic_presentation(factors)
+    for comp, powers in factors:
+        if len(powers) > 1:
             sub = ctx.ambient.sub_ring(comp)
-            top = powers[order // p]
+            top = powers[len(powers) // p]
             for pos, m in enumerate(comp):
                 if sub.block(top, pos) == ctx.dec.components[m].one():
                     raise AssertionError("generator loses order in a single residue")
-        groups.append(sorted(powers))
     for g in pres.gens:
         if not c_order.contains(g):
             raise AssertionError("assembled generator is not in C")
@@ -526,7 +511,7 @@ def mu_c_p_presentation(ctx: OrderContext, p: int) -> MuCPData:
         return _dlog(gamma) if c_order.contains(gamma) else None
 
     return MuCPData(prime=p, tower=tower, graph=graph, generators=list(pres.gens),
-                    orders=[w for _, _, w in factors], groups=groups,
+                    orders=[len(powers) for _, powers in factors],
                     pres=replace(pres, dlog=dlog))
 
 

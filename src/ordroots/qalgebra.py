@@ -381,7 +381,7 @@ def _check_maps(dec: SpecDecomposition):
 @dataclass
 class TorsionData:
     """Roots of unity of an algebra: a product of cyclic groups, one per
-    residue field, generated by that field's torsion generator.
+    residue field, presented by that field's torsion power list.
 
     ``pres`` lives in component coordinates, on the product of
     ``dec.components``; ``generators`` are its generators in algebra
@@ -390,8 +390,6 @@ class TorsionData:
     dec: SpecDecomposition
     pres: EffPresentation
     generators: List[tuple]
-    component_roots: List[tuple]  # torsion generator of each component
-    component_orders: List[int]
 
 
 def mu_dlog_explain(tor: TorsionData, gamma):
@@ -415,10 +413,8 @@ def mu_presentation(E: QAlgebra, dec: Optional[SpecDecomposition] = None) -> Tor
     """
     if dec is None:
         dec = decompose(E)
-    tors = [K.torsion_generator() for K in dec.components]
-    factors = [([i], z, w) for i, (z, w) in enumerate(tors)]
-    pres, _ = ProductRing(dec.components).cyclic_presentation(factors)
+    factors = [([i], K.torsion_powers()) for i, K in enumerate(dec.components)]
+    pres = ProductRing(dec.components).cyclic_presentation(factors)
     return TorsionData(
         dec=dec, pres=pres, generators=[dec.from_components(g) for g in pres.gens],
-        component_roots=[z for z, _ in tors], component_orders=[w for _, w in tors],
     )

@@ -136,7 +136,7 @@ def psi_kernel(cond: ConductorData) -> List[List[int]]:
     under the zetas' dlogs, and each of its generators is multiplied
     back into 1+I'."""
     ring = cond.ring_c
-    filt = filtration_generators(ring, cond.ideal_i, cond.ideal_i_sub)
+    filt = filtration_generators(ring, cond.ideal_i, cond.ideal_i_sub.lattice)
     n = sum(len(bs) for _, bs in filt.levels)
     rels = Lattice(n, unipotent_relations(filt))
     if rels.rank != n or rels.pivot_product * cond.ideal_i_sub.size() != cond.ideal_i.size():

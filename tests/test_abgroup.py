@@ -200,8 +200,7 @@ def _product_presentations():
     """name -> presentation: the torsion of a product of number fields,
     1 + (e) in F_3[e]/(e^4), and a quotient of Z^2."""
     R = ProductRing([NumberField([1, 0, 1]), NumberField([0, 1]), NumberField([1, 1, 1])])
-    tors = [K.torsion_generator() for K in R.fields]
-    torsion, _ = R.cyclic_presentation([([i], z, w) for i, (z, w) in enumerate(tors)])
+    torsion = R.cyclic_presentation([([i], K.torsion_powers()) for i, K in enumerate(R.fields)])
     m = 4
     eps = FiniteRing(
         Lattice(m, [[3 * (i == j) for i in range(m)] for j in range(m)]),
@@ -240,8 +239,7 @@ from ordroots.linalg import Lattice
 from ordroots.numfield import NumberField, ProductRing
 
 R = ProductRing([NumberField([1, 0, 1]), NumberField([1, 1, 1])])
-pres, _ = R.cyclic_presentation(
-    [([i], *K.torsion_generator()) for i, K in enumerate(R.fields)])
+pres = R.cyclic_presentation([([i], K.torsion_powers()) for i, K in enumerate(R.fields)])
 t = pres.evaluate([1, 1])  # of order 12
 gamma = pres.evaluate([2, 2])
 print(abgroup.subgroup_relations(pres, [t]), abgroup.membership_dlog(pres, [t], gamma))

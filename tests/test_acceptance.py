@@ -238,7 +238,7 @@ def test_criterion_6_unipotent_discrete_logs():
     count = 0
     for name, R, gen in rings:
         I = RingIdeal.generated_by(R, [gen])
-        filt = filtration_generators(R, I)
+        filt = filtration_generators(R, I, Lattice.zero(R.ngens))
         pres = unipotent_presentation(R, I)
         # enumerate the ideal; its size must equal the group order
         members = [x for x in R.elements() if I.contains(x)]

@@ -168,14 +168,14 @@ def test_generated_by_matches_the_fixpoint(case):
 def test_filtration_examples():
     R = zmod(9)
     I = RingIdeal.generated_by(R, [(3,)])
-    filt = filtration_generators(R, I)
+    filt = filtration_generators(R, I, Lattice.zero(R.ngens))
     assert [bs for _, bs in filt.levels] == [[(3,)]]
     R16 = zmod(16)
     I2 = RingIdeal.generated_by(R16, [(2,)])
-    f2 = filtration_generators(R16, I2)
+    f2 = filtration_generators(R16, I2, Lattice.zero(R16.ngens))
     assert [bs for _, bs in f2.levels] == [[(2,)], [(4,)]]
     # zero ideal: no levels
-    f0 = filtration_generators(R, RingIdeal.zero(R))
+    f0 = filtration_generators(R, RingIdeal.zero(R), Lattice.zero(R.ngens))
     assert f0.levels == []
 
 
@@ -183,13 +183,13 @@ def test_filtration_rejects_non_nilpotent():
     R = zmod(12)
     I = RingIdeal.generated_by(R, [(4,)])  # 4 is idempotent-ish: 4*4=4
     with pytest.raises(ValueError):
-        filtration_generators(R, I)
+        filtration_generators(R, I, Lattice.zero(R.ngens))
 
 
 def test_unipotent_dlog_and_presentation_small():
     R = zmod(25)
     I = RingIdeal.generated_by(R, [(5,)])
-    filt = filtration_generators(R, I)
+    filt = filtration_generators(R, I, Lattice.zero(R.ngens))
     assert unipotent_dlog(filt, (0,)) == [0]
     assert unipotent_dlog(filt, (10,)) == [2]  # 6^2 = 36 = 11 = 1 + 10
     pres = unipotent_presentation(R, I)
@@ -201,7 +201,7 @@ def test_unipotent_dlog_and_presentation_small():
 def test_unipotent_dlog_z81():
     R = zmod(81)
     I = RingIdeal.generated_by(R, [(3,)])
-    filt = filtration_generators(R, I)
+    filt = filtration_generators(R, I, Lattice.zero(R.ngens))
     pres = unipotent_presentation(R, I)
     # exhaustive: every element of 1+I decomposes and re-multiplies
     count = 0
@@ -233,7 +233,7 @@ def test_layer_bijection_respects_group_laws():
     # x -> 1+x from I^(2^i)/I^(2^(i+1)) to the multiplicative layer
     R = zmod(81)
     I = RingIdeal.generated_by(R, [(3,)])
-    filt = filtration_generators(R, I)
+    filt = filtration_generators(R, I, Lattice.zero(R.ngens))
     rng = random.Random(2)
     for li, (ideal, _) in enumerate(filt.levels):
         nxt = filt.levels[li + 1][0] if li + 1 < len(filt.levels) \
@@ -258,7 +258,7 @@ def test_one_plus_i_size_matches_ideal():
         group = {ring.add(ring.one, x) for x in members}
         assert len(group) == len(members)
         assert pres.group_order() == len(members)
-        fil = filtration_generators(ring, I)
+        fil = filtration_generators(ring, I, Lattice.zero(ring.ngens))
         for x in sorted(members)[:50]:
             v = unipotent_dlog(fil, x)
             assert pres.evaluate(v) == ring.add(ring.one, x)
@@ -292,7 +292,7 @@ def nilpotent_ideals(draw):
 @settings(max_examples=80, deadline=None)
 def test_descent_matches_resolving_reference(case):
     ring, ideal, x = case
-    filt = filtration_generators(ring, ideal)
+    filt = filtration_generators(ring, ideal, Lattice.zero(ring.ngens))
     assert unipotent_dlog(filt, x) == resolving_unipotent_dlog(filt, x)
     for units, powers in zip(filt.units, filt.powers):
         for u, bp in zip(units, powers):
@@ -314,7 +314,8 @@ def test_layers_and_relations_match_the_elimination_references(case):
 
 def test_layers_and_relations_take_no_elimination_of_their_own(monkeypatch):
     ring = eps_ring(3, 4)
-    filt = filtration_generators(ring, RingIdeal.generated_by(ring, [ring.basis_vec(1)]))
+    ideal = RingIdeal.generated_by(ring, [ring.basis_vec(1)])
+    filt = filtration_generators(ring, ideal, Lattice.zero(ring.ngens))
     builds = []
     init = IntSolver.__init__
 
@@ -346,7 +347,7 @@ ring = FiniteRing(Lattice(m, [[3 * (i == j) for i in range(m)] for j in range(m)
                   [[[int(k == i + j) for k in range(m)] for j in range(m)] for i in range(m)],
                   [1, 0, 0, 0])
 ideal = RingIdeal.generated_by(ring, [ring.basis_vec(1)])
-print(len(filtration_generators(ring, ideal).levels))
+print(len(filtration_generators(ring, ideal, Lattice.zero(ring.ngens)).levels))
 snf = finitering.snf
 
 def doubled(mat):
@@ -357,7 +358,7 @@ def doubled(mat):
 
 finitering.snf = doubled
 try:
-    filtration_generators(ring, ideal)
+    filtration_generators(ring, ideal, Lattice.zero(ring.ngens))
 except AssertionError as e:
     print(e)
 """
@@ -375,7 +376,8 @@ def test_a_corrupted_smith_form_is_caught(flags):
 @settings(max_examples=80, deadline=None)
 def test_binomial_power_matches_square_and_multiply(case, exps):
     ring, ideal, x = case
-    bp = nilpotent_powers(ring, x, filtration_generators(ring, ideal).terms)
+    terms = filtration_generators(ring, ideal, Lattice.zero(ring.ngens)).terms
+    bp = nilpotent_powers(ring, x, terms)
     g = ring.add(ring.one, x)
     for e in exps:
         assert binomial_power(ring, bp, e) == ring_power(ring, g, e), e
@@ -402,7 +404,7 @@ def test_unipotent_presentation_rejects_a_wrong_length():
         with pytest.raises(ValueError):
             pres.ops.power(bad, 2)
     with pytest.raises(ValueError):
-        unipotent_dlog(filtration_generators(R, ideal), (0, 1))
+        unipotent_dlog(filtration_generators(R, ideal, Lattice.zero(R.ngens)), (0, 1))
 
 
 def test_unipotent_power_rejects_a_non_member_at_every_exponent():

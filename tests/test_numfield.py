@@ -1,3 +1,5 @@
+import itertools
+import os
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -45,6 +47,7 @@ from util import (
     lagrange_norm_poly,
     product_inv,
     product_power,
+    run_python,
     schoolbook_field_mul,
     sweep_torsion_generator,
     xgcd_field_inverse,
@@ -380,7 +383,8 @@ def test_monic_division_takes_no_inverse(name, data):
 
 # products of small fields, each with the component lists of its cyclic
 # factors; a factor's generator is the torsion generator of every field
-# it covers, as mu_c_p_presentation joins residues into one factor
+# it covers, as mu_c_p_presentation joins residues into one factor, and
+# the factor is given by its power list
 CYCLIC_PRODUCTS = {
     "one factor per field": ([[0, 1], [1, 0, 1], [1, 1, 1]], [[0], [1], [2]]),
     "one factor over two fields": ([[1, 0, 1], [1, 0, 1], [1, 1, 1]], [[0, 1], [2]]),
@@ -396,9 +400,10 @@ def _cyclic_product(name):
         ring = ProductRing([NumberField(m) for m in polys])
         factors = []
         for comps in comps_list:
-            tors = [ring.fields[i].torsion_generator() for i in comps]
-            gen = tuple(c for z, _ in tors for c in z)
-            factors.append((comps, gen, lcm(*(w for _, w in tors))))
+            tables = [ring.fields[i].torsion_powers() for i in comps]
+            w = lcm(*(len(t) for t in tables))
+            factors.append((comps, [tuple(c for t in tables for c in t[a % len(t)])
+                                    for a in range(w)]))
         _PRODUCTS[name] = ring, factors
     return _PRODUCTS[name]
 
@@ -406,9 +411,10 @@ def _cyclic_product(name):
 def _search_dlog(ring, factors, x):
     """The discrete log by a cyclic search in every factor."""
     out = []
-    for comps, gen, w in factors:
+    for comps, powers in factors:
         sub = ring.sub_ring(comps)
-        a = cyclic_dlog(sub.mul, sub.one(), gen, w, ring.project(x, comps))
+        w = len(powers)
+        a = cyclic_dlog(sub.mul, sub.one(), powers[1 % w], w, ring.project(x, comps))
         if a is None:
             return None
         out.append(a)
@@ -419,8 +425,8 @@ def _search_dlog(ring, factors, x):
 @given(name=st.sampled_from(sorted(CYCLIC_PRODUCTS)), data=st.data())
 def test_table_dlog_and_inverse_match_the_search(name, data):
     ring, factors = _cyclic_product(name)
-    pres, powers = ring.cyclic_presentation(factors)
-    assert [len(p) for p in powers] == [w for _, _, w in factors]
+    pres = ring.cyclic_presentation(factors)
+    assert [r[k] for k, r in enumerate(pres.rels)] == [len(p) for _, p in factors]
 
     def check(x):
         log = pres.dlog(x)
@@ -431,15 +437,15 @@ def test_table_dlog_and_inverse_match_the_search(name, data):
         else:
             assert pres.ops.power(x, -1) == product_inv(ring, x)
 
-    for g, (_, _, w) in zip(pres.gens, factors):
+    for g, (_, powers) in zip(pres.gens, factors):
         x = ring.one()
-        for _ in range(w):
+        for _ in range(len(powers)):
             check(x)
             x = ring.mul(x, g)
     exps = data.draw(st.lists(st.integers(-30, 30), min_size=len(factors),
                               max_size=len(factors)))
     member = pres.evaluate(exps)
-    assert pres.dlog(member) == [e % w for e, (_, _, w) in zip(exps, factors)]
+    assert pres.dlog(member) == [e % len(p) for e, (_, p) in zip(exps, factors)]
     check(member)
     # 2, and a member moved by a nonzero rational on one field
     check(ring.from_blocks([K.from_rational(2) for K in ring.fields]))
@@ -451,24 +457,98 @@ def test_table_dlog_and_inverse_match_the_search(name, data):
     check(ring.from_blocks(blocks))
 
 
+def _wrong_power_lists(powers):
+    """(list, message) for lists that are not the power list of their
+    entry 1: run on to 2w entries; cut to w/d entries for each divisor
+    1 < d < w (w/w = 1 leaves [1], the list of the trivial group); g and
+    g^2 swapped where w >= 4 (for w = 3 the swapped list is that of g^2)."""
+    w = len(powers)
+    out = [(list(powers) * 2, "powers are not distinct")]
+    out += [(list(powers[:w // d]), "powers are not the generator's")
+            for d in range(2, w) if w % d == 0]
+    if w >= 4:
+        swapped = list(powers)
+        swapped[1], swapped[2] = swapped[2], swapped[1]
+        out.append((swapped, "powers are not the generator's"))
+    return out
+
+
 @pytest.mark.parametrize("name", sorted(CYCLIC_PRODUCTS))
 def test_table_builder_rejects_an_order_that_is_not_exact(name):
     ring, factors = _cyclic_product(name)
-    for k, (comps, gen, w) in enumerate(factors):
-        ell = min(q for q in range(2, w + 1) if w % q == 0)
-        for wrong in (2 * w, w // ell):
+    for k, (comps, powers) in enumerate(factors):
+        for wrong, message in _wrong_power_lists(powers):
             bad = list(factors)
-            bad[k] = (comps, gen, wrong)
-            with pytest.raises(AssertionError):
+            bad[k] = (comps, wrong)
+            with pytest.raises(AssertionError, match=message):
                 ring.cyclic_presentation(bad)
+
+
+_WRONG_POWER_LISTS = """
+import sys
+sys.path.insert(0, %r)
+from test_numfield import CYCLIC_PRODUCTS, _cyclic_product, _wrong_power_lists
+
+for name in sorted(CYCLIC_PRODUCTS):
+    ring, factors = _cyclic_product(name)
+    for k, (comps, powers) in enumerate(factors):
+        for wrong, message in _wrong_power_lists(powers):
+            try:
+                ring.cyclic_presentation(factors[:k] + [(comps, wrong)] + factors[k + 1:])
+                print("accepted", name, k, len(wrong))
+            except AssertionError as e:
+                print(str(e) == message, e)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_wrong_power_lists_are_refused_under_every_flag(flags):
+    run = run_python(flags, _WRONG_POWER_LISTS % os.path.dirname(os.path.abspath(__file__)))
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    # 2w, w/2 and the swap on Q(i) (twice) and (i, i); 2w, w/2, w/3 and
+    # the swap on Q(zeta_3) (twice); 2w alone where w = 2 (Q twice and
+    # Q(sqrt 2)); 2w, w/2, w/3, w/4, w/6 and the swap on (zeta_6, i)
+    assert len(lines) == 9 + 8 + 3 + 6
+    assert all(line.startswith("True ") for line in lines), lines
+
+
+def test_a_power_list_must_start_at_1():
+    # (i, 0) on Q(i) x Q(i): its list from the idempotent (1, 0) is
+    # distinct and closes, e g = g, but it is no unit group; and the
+    # powers of i rotated to start at i
+    ring, ((comps, powers), other) = _cyclic_product("one factor over two fields")
+    idempotent = [p[:2] + (0, 0) for p in powers]
+    rotated = list(powers[1:]) + [powers[0]]
+    for bad in (idempotent, rotated):
+        with pytest.raises(AssertionError, match="does not start at 1"):
+            ring.cyclic_presentation([(comps, bad), other])
+
+
+@pytest.mark.parametrize("name", sorted(CYCLIC_PRODUCTS))
+def test_every_primitive_power_presents_the_same_group(name):
+    # the power list of g^k, k prime to the order, is the list of g read
+    # with step k: the same relation lattice, and dlogs divided by k
+    ring, factors = _cyclic_product(name)
+    pres = ring.cyclic_presentation(factors)
+    orders = [len(p) for _, p in factors]
+    members = [pres.evaluate(e) for e in itertools.product(*map(range, orders))]
+    big = lcm(*orders)
+    for k in (k for k in range(1, big) if gcd(k, big) == 1):
+        pres_k = ring.cyclic_presentation(
+            [(comps, [p[a * k % len(p)] for a in range(len(p))]) for comps, p in factors])
+        assert pres_k.relation_lattice == pres.relation_lattice
+        for x in members:
+            assert pres_k.dlog(x) == [a * pow(k, -1, w) % w
+                                      for a, w in zip(pres.dlog(x), orders)]
 
 
 @settings(max_examples=40, deadline=None)
 @given(name=st.sampled_from(sorted(CYCLIC_PRODUCTS)), data=st.data())
 def test_table_power_matches_square_and_multiply(name, data):
     ring, factors = _cyclic_product(name)
-    pres, _ = ring.cyclic_presentation(factors)
-    w = lcm(*(w for _, _, w in factors))
+    pres = ring.cyclic_presentation(factors)
+    w = lcm(*(len(p) for _, p in factors))
     exps = data.draw(st.lists(st.integers(-30, 30), min_size=len(factors),
                               max_size=len(factors)))
     member = pres.evaluate(exps)
@@ -494,8 +574,8 @@ def test_table_power_refuses_a_non_member():
     # Q(i) x Q(zeta_3): (2, 0, 1, 0) is 2 on Q(i) and 1 on Q(zeta_3); a
     # zero block has no inverse; both are refused like a unipotent non-member
     ring = ProductRing([NumberField([1, 0, 1]), NumberField([1, 1, 1])])
-    pres, _ = ring.cyclic_presentation(
-        [([i], *K.torsion_generator()) for i, K in enumerate(ring.fields)])
+    pres = ring.cyclic_presentation(
+        [([i], K.torsion_powers()) for i, K in enumerate(ring.fields)])
     for x, e in [((2, 0, 1, 0), 3), ((2, 0, 1, 0), -1), ((0, 0, 1, 0), -1), ((0, 0, 1, 0), 2)]:
         with pytest.raises(ValueError, match="outside the torsion group"):
             pres.ops.power(x, e)
@@ -506,7 +586,7 @@ def test_table_power_refuses_a_non_member():
 @given(name=st.sampled_from(sorted(CYCLIC_PRODUCTS)), data=st.data())
 def test_member_with_int_coordinates_keys_like_its_fraction_form(name, data):
     ring, factors = _cyclic_product(name)
-    pres, _ = ring.cyclic_presentation(factors)
+    pres = ring.cyclic_presentation(factors)
     exps = data.draw(st.lists(st.integers(-30, 30), min_size=len(factors),
                               max_size=len(factors)))
     member = pres.evaluate(exps)
@@ -515,7 +595,7 @@ def test_member_with_int_coordinates_keys_like_its_fraction_form(name, data):
     as_ints = tuple(int(c) for c in member)
     assert all(type(c) is int for c in as_ints)
     assert pres.dlog(as_ints) == pres.dlog(member) == [
-        a % w for a, (_, _, w) in zip(exps, factors)]
+        a % len(p) for a, (_, p) in zip(exps, factors)]
     e = data.draw(st.integers(-40, 40))
     assert pres.ops.power(as_ints, e) == pres.ops.power(member, e)
     # the tables hold ints; the all-Fraction form finds the same entries
@@ -542,7 +622,7 @@ def _torsion_presentation(name):
     if name == "X^12 - 1":
         return _x12_torsion()
     ring, factors = _cyclic_product(name)
-    return ring, ring.cyclic_presentation(factors)[0], [comps for comps, _, _ in factors]
+    return ring, ring.cyclic_presentation(factors), [comps for comps, _ in factors]
 
 
 def _draw_members(pres, data):
@@ -888,9 +968,8 @@ def _order_answers(f):
     relations and invariant factors, and of its component torsion."""
     ctx = build_context(order_from_poly(f))
     pres = mu_a_presentation(ctx)
-    tor = ctx.field_torsion()
     return repr((primitive_idempotents_ctx(ctx), pres.generators, pres.relations,
-                 pres.invariant_factors, tor.component_roots, tor.component_orders))
+                 pres.invariant_factors, [K.torsion_generator() for K in ctx.dec.components]))
 
 
 _SHARED_SAMPLES = [
@@ -928,7 +1007,7 @@ def test_the_field_table_is_bounded_and_an_evicted_field_rebuilds():
         NumberField._of_factor([-a, 1])
     assert numfield._shared_field.cache_info().currsize == numfield.FIELD_TABLE_SIZE
     L = NumberField._of_factor(cyclotomic(12))
-    assert L is not K and L._torsion is None
+    assert L is not K and L._torsion_powers is None
     assert (L.torsion_generator(), L.torsion_powers()) == (torsion, powers)
     assert numfield._shared_field.cache_info().currsize == numfield.FIELD_TABLE_SIZE
 
@@ -940,5 +1019,5 @@ def test_the_public_constructor_builds_an_unshared_field():
     shared.torsion_generator()
     K, L = NumberField(cyclotomic(4)), NumberField(cyclotomic(4))
     assert K is not shared and K is not L
-    assert K._torsion is None
+    assert K._torsion_powers is None
     assert K.torsion_generator() == shared.torsion_generator()

@@ -152,13 +152,13 @@ def test_mu_presentation_q():
     tor = mu_presentation(E)
     assert len(tor.generators) == 1
     assert tor.generators[0] == (-1,)
-    assert tor.component_orders == [2]
+    assert [K.torsion_generator()[1] for K in tor.dec.components] == [2]
 
 
 def test_mu_presentation_gaussian():
     E = poly_algebra([1, 0, 1])
     tor = mu_presentation(E)
-    assert tor.component_orders == [4]
+    assert [K.torsion_generator()[1] for K in tor.dec.components] == [4]
     g = tor.generators[0]
     assert E.power(g, 4) == E.one and E.power(g, 2) != E.one
 
@@ -166,8 +166,9 @@ def test_mu_presentation_gaussian():
 def test_mu_presentation_x4():
     E = poly_algebra([-1, 0, 0, 0, 1])
     tor = mu_presentation(E)
-    assert sorted(tor.component_orders) == [2, 2, 4]
-    for g, w in zip(tor.generators, tor.component_orders):
+    orders = [K.torsion_generator()[1] for K in tor.dec.components]
+    assert sorted(orders) == [2, 2, 4]
+    for g, w in zip(tor.generators, orders):
         assert E.power(g, w) == E.one
         assert euler_phi(w) <= 4
 
@@ -193,8 +194,8 @@ def test_component_groups_cyclic():
     # all roots of unity found in a component are powers of its generator
     E = poly_algebra([-1] + [0] * 11 + [1])
     tor = mu_presentation(E)
-    for K, zeta, w in zip(tor.dec.components, tor.component_roots,
-                          tor.component_orders):
+    for K in tor.dec.components:
+        zeta, w = K.torsion_generator()
         seen = set()
         acc = K.one()
         for _ in range(w):

@@ -808,11 +808,13 @@ def brute_force_torsion_in_order(ctx):
     lists = []
     for i, K in enumerate(ctx.dec.components):
         rt = ctx.residue_torsion(i)
+        zeta, _ = K.torsion_generator()
+        theta = K.pow(zeta, rt.index)
         elems = []
         acc = K.one()
         for _ in range(rt.order):
             elems.append(acc)
-            acc = K.mul(acc, rt.theta)
+            acc = K.mul(acc, theta)
         lists.append(elems)
     out = set()
     for combo in iproduct(*lists):
@@ -860,7 +862,11 @@ def all_pairs_mu_c_p(ctx, p):
         elems = [()]
         for j, m in enumerate(comp):
             K = ctx.dec.components[m]
-            theta = ctx.residue_torsion(m).theta_p.get(p, K.one())
+            rt = ctx.residue_torsion(m)
+            # zeta^index generates the residue torsion; its p-part has
+            # order p^k, generated by the power order / p^k
+            zeta, _ = K.torsion_generator()
+            theta = K.pow(zeta, rt.index * rt.order // rt.p_part_order(p))
             image = c_order.image_in(comp[:j + 1])
             elems = [a + b for a in elems for b in cyclic_powers(K.mul, K.one(), theta)
                      if image.contains(a + b)]
@@ -1045,7 +1051,7 @@ def check_layers_against_references(ring, ideal):
     from ordroots.finitering import (
         RingIdeal, _layer_generators, filtration_generators, unipotent_relations)
 
-    filt = filtration_generators(ring, ideal)
+    filt = filtration_generators(ring, ideal, Lattice.zero(ring.ngens))
     smaller = [big for big, _ in filt.levels[1:]] + [RingIdeal.zero(ring)]
     for (big, bs), small in zip(filt.levels, smaller):
         assert bs == _layer_generators(ring, big.lattice, small.lattice) == solver_layer_generators(
@@ -1098,7 +1104,7 @@ def subgroup_psi_kernel(cond):
 
     ring = cond.ring_c
     pres = unipotent_presentation(ring, cond.ideal_i)
-    sub = filtration_generators(ring, cond.ideal_i_sub)
+    sub = filtration_generators(ring, cond.ideal_i_sub, Lattice.zero(ring.ngens))
     return kernel_mod_subgroup(pres, cond.zetas, [u for units in sub.units for u in units])
 
 
