@@ -16,6 +16,10 @@ Krylov powers of its candidates (``_krylov_powers``) and their
 ``minimal_polynomial`` eliminations, and times each kind per
 decomposition; a ``minimal_polynomial`` row includes the solves that it
 makes itself.
+It replays the ``order_graph``, ``qlat_index``, ``group_order`` and
+``conductor`` calls that ``mu_a_presentation`` makes on the rank-11
+split order and, without ``--quick``, on Z[C_2^5], and times them per
+call.
 Then it replays the ``factor_q`` calls that ``torsion_generator`` makes
 on Q(zeta_7) and Q(zeta_15) and that ``decompose`` makes on the rank-11
 split order, and times them per call.  It records the minimal
@@ -217,13 +221,16 @@ def bench_rational(quick):
 def bench_indices(quick):
     repeat = 3 if quick else 5
     targets = [("order_graph", ordercore), ("qlat_index", ordercore),
-               ("group_order", EffPresentation)]
-    calls = recorded_calls(
-        targets, lambda: mu_a_presentation(build_context(order_from_poly(split11()))))
-    print(f"\n{'index work, rank-11 split':<28} {'calls':>6} {'ms/call':>9}")
-    for name, owner in targets:
-        t = time_fn(getattr(owner, name), calls[name], repeat) / len(calls[name])
-        print(f"{name:<28} {len(calls[name]):>6} {t * 1e3:>9.3f}")
+               ("group_order", EffPresentation), ("conductor", rou)]
+    orders = [("rank-11 split", lambda: order_from_poly(split11()))]
+    if not quick:
+        orders.append(("Z[C_2^5]", LADDER["Z[C_2^5]"][0]))
+    print(f"\n{'index work':<34} {'calls':>6} {'ms/call':>9}")
+    for order_name, build in orders:
+        calls = recorded_calls(targets, lambda: mu_a_presentation(build_context(build())))
+        for name, owner in targets:
+            t = time_fn(getattr(owner, name), calls[name], repeat) / len(calls[name])
+            print(f"{name + ', ' + order_name:<34} {len(calls[name]):>6} {t * 1e3:>9.3f}")
 
 
 def factor_q_calls(module, run):

@@ -21,19 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import Dict, List, Optional, Tuple
 
 from .abgroup import EffPresentation
 from .finitering import FiniteRing
-from .linalg import (
-    Lattice,
-    QLattice,
-    RatMatrix,
-    kernel_int,
-    qlat_index,
-    sum_lattices,
-)
+from .kernels import hnf_cols
+from .linalg import Lattice, QLattice, kernel_int, qlat_index
 from .numfield import ProductRing
 from .polyfactor import _factor_small, _valuation, factor_q, qp_divmod, qp_mul, resultant
 from .qalgebra import (
@@ -134,11 +128,6 @@ class EmbeddedOrder:
             self._table = table
         return self._table
 
-    def component_kernel(self, i) -> Lattice:
-        """{x in Z^rank : component i of (basis * x) = 0}, in basis coords."""
-        lo, hi = self.ambient.offsets[i], self.ambient.offsets[i + 1]
-        return kernel_int(RatMatrix(hi - lo, [b[lo:hi] for b in self.basis]).num)
-
     def image_in(self, comps) -> "EmbeddedOrder":
         """Image order in the product over a subset of components."""
         sub = self.ambient.sub_ring(comps)
@@ -204,22 +193,39 @@ def _connected_components(n, edges):
 
 
 def order_graph(emb: EmbeddedOrder) -> WeightedGraph:
-    """Weights n(D, m, n) = index of (m cap D) + (n cap D) in D, computed
-    in the order's own coordinates: the product of the Hermite pivots of
-    the sum.  The sum's basis is checked to have the pivot rows 0, ...,
-    n - 1 and a positive pivot product: it is then lower triangular, and
-    the weight is the absolute value of its determinant."""
-    ncomp = len(emb.ambient.fields)
-    kers = [emb.component_kernel(i) for i in range(ncomp)]
+    """Weights n(D, m, n) = [D : (m cap D) + (n cap D)], read off the
+    projections pi_i of D onto its components.  The kernel ker_j of pi_j
+    on D is n cap D, so D/(ker_i + ker_j) is pi_j(D)/pi_j(ker_i), and the
+    weight of i, j is [pi_i(D) x pi_j(D) : pi_ij(D)].
+
+    One Hermite form of the rows of components i and j of D's integer
+    basis gives it: its first deg K_i pivots are those of pi_i(D), and
+    its others span pi_j(ker_i), so the weight is their product over
+    the pivot product of pi_j(D), each pi_i(D) put in Hermite form once.
+    The pair's form is checked to have a pivot on every row, its first
+    pivots to multiply to pi_i(D)'s product and the others to a positive
+    multiple of pi_j(D)'s."""
+    offsets = emb.ambient.offsets
+    cols = emb.qlat.lat.basis.cols
+    blocks = [[c[lo:hi] for c in cols] for lo, hi in zip(offsets, offsets[1:])]
+    single = [Lattice(len(b[0]), b).pivot_product for b in blocks]
     weights = {}
-    for i in range(ncomp):
-        for j in range(i + 1, ncomp):
-            s = sum_lattices(kers[i], kers[j])
-            w = s.pivot_product
-            if s.pivots != list(range(emb.rank)) or w <= 0:
-                raise AssertionError("component kernels do not sum to a full-rank Hermite basis")
+    for i, bi in enumerate(blocks):
+        di = len(bi[0])
+        for j in range(i + 1, len(blocks)):
+            m = di + len(blocks[j][0])
+            h = hnf_cols([a + b for a, b in zip(bi, blocks[j])], m)
+            piv = [c[k] for k, c in enumerate(h[:m])]
+            if 0 in piv or any(any(c[:k]) for k, c in enumerate(h[:m])) or any(map(any, h[m:])):
+                raise AssertionError("pair projection's Hermite pivots are not one per row")
+            if prod(piv[:di]) != single[i]:
+                raise AssertionError("pair projection's first pivots are not the component's")
+            w, r = divmod(prod(piv[di:]), single[j])
+            if r or w <= 0:
+                raise AssertionError(
+                    "pair projection's last pivots are not a multiple of the component's")
             weights[(i, j)] = w
-    return WeightedGraph.from_weights(ncomp, weights)
+    return WeightedGraph.from_weights(len(blocks), weights)
 
 
 # ---------------------------------------------------------------------------
@@ -468,9 +474,7 @@ class MuCPData:
     prime: int
     tower: SaturationTower
     graph: WeightedGraph
-    generators: List[tuple]  # elements of the ambient product, one per graph component
-    orders: List[int]
-    pres: EffPresentation
+    pres: EffPresentation  # one cyclic generator per graph component, the orders on the diagonal
 
 
 def mu_c_p_presentation(ctx: OrderContext, p: int) -> MuCPData:
@@ -510,9 +514,7 @@ def mu_c_p_presentation(ctx: OrderContext, p: int) -> MuCPData:
     def dlog(gamma, _dlog=pres.dlog):
         return _dlog(gamma) if c_order.contains(gamma) else None
 
-    return MuCPData(prime=p, tower=tower, graph=graph, generators=list(pres.gens),
-                    orders=[len(powers) for _, powers in factors],
-                    pres=replace(pres, dlog=dlog))
+    return MuCPData(prime=p, tower=tower, graph=graph, pres=replace(pres, dlog=dlog))
 
 
 def _mu_c_component(ctx: OrderContext, p, c_order, adj, comp):

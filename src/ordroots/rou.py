@@ -10,10 +10,12 @@ sublattice of C/ff spanned by A's basis and I' = I meet A/ff is an ideal
 of that subring: the descent works in one finite ring.  The kernel is
 read off one filtration of I taken modulo I', which presents
 (1+I)/(1+I') and takes its discrete logs directly.  The conductor is A
-cut by the preimages of A under multiplication by C's generators over A,
-the basis elements of C at the Hermite pivots of A above 1; like every
-other lattice of the descent it is computed by the library's own lattice
-operations, in canonical Hermite form.  Where p does not divide
+cut by C's generators over A, the basis elements of C at the Hermite
+pivots of A above 1, one at a time: a basis L of the cut so far is
+replaced by L times the preimage of A under multiplication by the next
+generator on L, so each cut lies in the last and no two lattices are
+intersected; the basis is put in canonical Hermite form once, at the
+end.  Where p does not divide
 [B : A_sep], C = A_sep, so the p-power torsion of A is that of C and no
 conductor is built.
 """
@@ -21,7 +23,6 @@ conductor is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import List
 
 from .abgroup import (
@@ -73,11 +74,12 @@ def conductor(ctx: OrderContext, mu_c: MuCPData) -> ConductorData:
     multiplication by b_r in that basis, a column of A's Hermite basis
     ``a_in_c`` with pivot 1 on row r puts b_r in A plus the span of the
     b_s with s > r, so A and the b_r whose pivot is above 1 generate C.
-    An x of A then has xC in A iff x b_r lies in A for those r, and the
-    conductor is A cut by the preimages of A under their M_r: all of A
-    when A spans C.  It lies in A, so A/ff is the sublattice ``a_in_c``
-    of C/ff and I' is the intersection of I with it, checked closed
-    under A in C/ff."""
+    An x of A then has xC in A iff x b_r lies in A for those r.  The
+    conductor is cut from A one such r at a time: with L a basis of the
+    cut so far, {x in L : x b_r in A} is L times the preimage of A under
+    M_r L, one matrix product.  It is all of A when A spans C.  It lies
+    in A, so A/ff is the sublattice ``a_in_c`` of C/ff and I' is the
+    intersection of I with it, checked closed under A in C/ff."""
     c_order = mu_c.tower.c_order
     sep = ctx.sep_order
     d = c_order.rank
@@ -90,9 +92,12 @@ def conductor(ctx: OrderContext, mu_c: MuCPData) -> ConductorData:
         emb_cols.append(x)
     a_in_c = image_int(IntMatrix(d, emb_cols))
     table = c_order.mult_table()
-    ff = reduce(intersect_lattices, (
-        preimage_lattice(IntMatrix(d, [table[i][r] for i in range(d)]), a_in_c)
-        for c, r in zip(a_in_c.basis.cols, a_in_c.pivots) if c[r] > 1), a_in_c)
+    cut = a_in_c.basis
+    for c, r in zip(a_in_c.basis.cols, a_in_c.pivots):
+        if c[r] > 1:
+            m_r = IntMatrix(d, [table[i][r] for i in range(d)])
+            cut = cut.mul(preimage_lattice(m_r.mul(cut), a_in_c).basis)
+    ff = Lattice(d, cut)
     if ff.rank != d:
         raise AssertionError("conductor is not of full rank")
     for c in ff.basis.cols:
@@ -101,7 +106,7 @@ def conductor(ctx: OrderContext, mu_c: MuCPData) -> ConductorData:
     ring_c = c_order.finite_quotient(ff)
     # ideal generated by zeta - 1 over the mu(C)_p generators
     zetas = []
-    for z in mu_c.generators:
+    for z in mu_c.pres.gens:
         x = c_order.coords(z)
         if x is None:
             raise AssertionError("torsion generator is not in C")
@@ -162,10 +167,10 @@ def mu_a_p_generators(ctx: OrderContext, p: int) -> List[tuple]:
     its Hermite basis is the identity, with no conductor built.  Every
     generator is checked to lie in the order."""
     mu_c = mu_c_p_presentation(ctx, p)
-    if not mu_c.generators or all(w == 1 for w in mu_c.orders):
+    if all(rel[k] == 1 for k, rel in enumerate(mu_c.pres.rels)):
         return []
     if mu_c.tower.index_c_over_sep == 1:
-        kernel = IntMatrix.identity(len(mu_c.generators)).cols
+        kernel = IntMatrix.identity(len(mu_c.pres.gens)).cols
     else:
         kernel = psi_kernel(conductor(ctx, mu_c))
     out = []

@@ -2,8 +2,10 @@
 
 A unimodular change of basis of an order's structure tensor must give
 the same torsion group, the same primitive idempotents carried along the
-change of basis, and the same discrete logs; a product of two orders
-must give the product group and the union of the idempotents.
+change of basis, and the same discrete logs, and a split order's
+component graph must keep its weights, each pair of components named by
+the images of X in them; a product of two orders must give the product
+group and the union of the idempotents.
 """
 
 from functools import lru_cache
@@ -12,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordroots.linalg import IntMatrix, invariant_factors
-from ordroots.ordercore import Order, order_from_poly, primitive_idempotents
+from ordroots.ordercore import Order, build_context, order_from_poly, primitive_idempotents
 from ordroots.rou import mu_a_presentation, mu_e_subgroup_dlog
-from util import dense_table, product_order, scalar_suborder
+from util import dense_table, product_order, scalar_suborder, split_poly, split_root_images
 
 BASES = {
     "Z[i]": [1, 0, 1],
@@ -98,6 +100,26 @@ def test_change_of_basis_keeps_torsion_idempotents_and_dlogs(name, data):
     for elem in (zeta, tuple(2 * c for c in A.one)):
         want = mu_e_subgroup_dlog(A, targets, elem)
         assert mu_e_subgroup_dlog(B, [_apply(w, t) for t in targets], _apply(w, elem)) == want
+
+
+def _root_keyed_weights(ctx, images):
+    """Graph weights keyed by the pair of images of X in the two
+    components, which name the components in any basis."""
+    return {frozenset((images[i], images[j])): w for (i, j), w in ctx.graph().weights.items()}
+
+
+@settings(max_examples=25, deadline=None)
+@given(roots=st.lists(st.integers(-6, 6), min_size=2, max_size=7, unique=True), data=st.data())
+def test_change_of_basis_keeps_the_graph_weights(roots, data):
+    A = order_from_poly(split_poly(roots))
+    u, w = data.draw(unimodular(A.rank))
+    B = _rebased(A, u, w)
+    ctx_a, ctx_b = build_context(A), build_context(B)
+    x = (0, 1) + (0,) * (A.rank - 2)
+    # X in B's coordinates is w applied to its coordinates in A
+    images = list(ctx_b.to_ambient(_apply(w, x)))
+    want = _root_keyed_weights(ctx_a, split_root_images(ctx_a))
+    assert _root_keyed_weights(ctx_b, images) == want
 
 
 def _group_factors(facs):

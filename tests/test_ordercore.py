@@ -22,13 +22,17 @@ from ordroots.qalgebra import AlgebraError
 from util import (
     all_pairs_mu_c_p,
     bareiss_det_int,
+    component_kernel,
     cyclic_powers,
     diagonal_congruence_suborder,
     divisor_idempotent,
     group_ring,
+    kernel_sum_weights,
     product_order,
     run_python,
     scalar_suborder,
+    split_poly,
+    split_root_images,
     spy_everywhere,
 )
 
@@ -139,32 +143,67 @@ def test_graph_weights_are_determinants_with_no_second_elimination(f, monkeypatc
     g = ctx.graph()
     assert not dets
     emb = ctx.sep_order
-    kers = [emb.component_kernel(i) for i in range(g.nvertices)]
+    kers = [component_kernel(emb, i) for i in range(g.nvertices)]
     for (i, j), w in g.weights.items():
         assert w == abs(bareiss_det_int(sum_lattices(kers[i], kers[j]).basis))
 
 
-# the sum of two component kernels with its basis reordered, and with a
-# pivot negated: neither is a lower triangular basis with positive pivots
+@pytest.mark.parametrize("rank", range(2, 12))
+def test_split_order_weights_are_the_root_differences(rank):
+    # Z[X]/prod (X - a_k) modulo the kernels of components i and j is
+    # Z/(a_i - a_j), a_i the image of X in component i
+    roots = random.Random(rank).sample(range(-6, 7), rank)
+    ctx = build_context(order_from_poly(split_poly(roots)))
+    a = split_root_images(ctx)
+    assert sorted(a) == sorted(roots)
+    want = {(i, j): abs(a[i] - a[j]) for i in range(rank) for j in range(i + 1, rank)}
+    assert ctx.graph().weights == want == kernel_sum_weights(ctx.sep_order)
+
+
+GRAPH_ORDERS = {
+    "X^4-1": lambda: order_from_poly([-1, 0, 0, 0, 1]),
+    "X^12-1": lambda: order_from_poly([-1] + [0] * 11 + [1]),
+    "Z[C_2^3]": lambda: group_ring(2, 2, 2),
+    "Z[C_4 x C_2]": lambda: group_ring(4, 2),
+    "Z^3 mod 2": lambda: congruence_order(3),
+    "Z[i]^2 mod 2": lambda: diagonal_congruence_suborder(order_from_poly([1, 0, 1]), 2, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(GRAPH_ORDERS))
+def test_graph_weights_equal_the_kernel_sum_indices(name):
+    # on the separable part, on B and on each p-saturation
+    ctx = build_context(GRAPH_ORDERS[name]())
+    embs = [ctx.sep_order, ctx.b_order] + [build_saturation(ctx, p).c_order
+                                            for p in ctx.torsion_primes()]
+    for emb in embs:
+        assert order_graph(emb).weights == kernel_sum_weights(emb)
+
+
+# the Hermite form of a pair projection with its basis reordered, with
+# its first pivot negated and with its last pivot negated: none is a
+# lower triangular basis with the pivot products of the components
 _CORRUPTED_GRAPH = """
 from ordroots import ordercore
-from ordroots.linalg import Lattice
 from ordroots.ordercore import build_context, order_from_poly, order_graph
 
 emb = build_context(order_from_poly([-1, 0, 0, 0, 1])).sep_order
 print(sorted(order_graph(emb).weights.values()))
-real = ordercore.sum_lattices
+real = ordercore.hnf_cols
 
-def reordered(a, b):
-    s = real(a, b)
-    return Lattice._from_hnf(s.dim, s.basis.cols[::-1])
+def reordered(cols, nrows):
+    return real(cols, nrows)[::-1]
 
-def negated(a, b):
-    s = real(a, b)
-    return Lattice._from_hnf(s.dim, [[-e for e in s.basis.cols[0]]] + s.basis.cols[1:])
+def negated_first(cols, nrows):
+    h = real(cols, nrows)
+    return [[-e for e in h[0]]] + h[1:]
 
-for bad in (reordered, negated):
-    ordercore.sum_lattices = bad
+def negated_last(cols, nrows):
+    h = real(cols, nrows)
+    return h[:nrows - 1] + [[-e for e in h[nrows - 1]]] + h[nrows:]
+
+for bad in (reordered, negated_first, negated_last):
+    ordercore.hnf_cols = bad
     try:
         order_graph(emb)
     except AssertionError as e:
@@ -177,7 +216,10 @@ def test_a_corrupted_graph_basis_is_caught(flags):
     run = run_python(flags, _CORRUPTED_GRAPH)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines() == [
-        "[2, 2, 2]"] + ["component kernels do not sum to a full-rank Hermite basis"] * 2
+        "[2, 2, 2]",
+        "pair projection's Hermite pivots are not one per row",
+        "pair projection's first pivots are not the component's",
+        "pair projection's last pivots are not a multiple of the component's"]
 
 
 def test_congruence_order_graph_complete():
@@ -321,11 +363,16 @@ def test_direct_c_quotient_is_non_p_part():
             assert direct.weight(i, j) == nonp
 
 
+def _orders(mu):
+    """The cyclic orders of a mu(C)_p presentation: its relation diagonal."""
+    return [rel[k] for k, rel in enumerate(mu.pres.rels)]
+
+
 def _generated_groups(ctx, mu):
     """Sorted element list of each graph component's group, multiplied
     out from its generator in the product over that component."""
     out = []
-    for comp, gen in zip(mu.graph.components, mu.generators):
+    for comp, gen in zip(mu.graph.components, mu.pres.gens):
         sub = ctx.ambient.sub_ring(comp)
         out.append(sorted(cyclic_powers(sub.mul, sub.one(), ctx.ambient.project(gen, comp))))
     return out
@@ -343,12 +390,12 @@ def test_mu_c_p_both_paths_agree():
         ctx = build_context(order)
         fast = mu_c_p_presentation(ctx, p)
         ref = all_pairs_mu_c_p(ctx, p)
-        assert fast.orders == [len(g) for g in ref]
+        assert _orders(fast) == [len(g) for g in ref]
         assert _generated_groups(ctx, fast) == ref
         # dlog round trip on every element of the presented group
         rng = random.Random(6)
         for _ in range(10):
-            exps = [rng.randrange(max(w, 1)) for w in fast.orders]
+            exps = [rng.randrange(max(w, 1)) for w in _orders(fast)]
             elem = fast.pres.evaluate(exps)
             got = fast.pres.dlog(elem)
             assert got is not None
@@ -412,8 +459,8 @@ def test_mu_c_p_groups_are_the_powers_of_each_generator(f):
     for p in ctx.torsion_primes():
         mu = mu_c_p_presentation(ctx, p)
         comps = mu.graph.components
-        assert len(comps) == len(mu.generators) == len(mu.orders)
-        for k, (gen, w) in enumerate(zip(mu.generators, mu.orders)):
+        assert len(comps) == len(mu.pres.gens) == len(mu.pres.rels)
+        for k, (gen, w) in enumerate(zip(mu.pres.gens, _orders(mu))):
             group = cyclic_powers(ctx.ambient.mul, ctx.ambient.one(), gen)
             assert len(group) == w
             for t, x in enumerate(group):
@@ -423,11 +470,11 @@ def test_mu_c_p_groups_are_the_powers_of_each_generator(f):
 def test_mu_c_p_x12_matches_paper_groups():
     ctx = build_context(order_from_poly([-1] + [0] * 11 + [1]))
     mu2 = mu_c_p_presentation(ctx, 2)
-    assert sorted(mu2.orders) == [2, 2, 4]
+    assert sorted(_orders(mu2)) == [2, 2, 4]
     mu3 = mu_c_p_presentation(ctx, 3)
-    assert sorted(mu3.orders) == [1, 3]
+    assert sorted(_orders(mu3)) == [1, 3]
     # x^4-1: mu(C)_2 = mu(B) with three cyclic generators
     ctx4 = build_context(order_from_poly([-1, 0, 0, 0, 1]))
     mu = mu_c_p_presentation(ctx4, 2)
-    assert sorted(mu.orders) == [2, 2, 4]
+    assert sorted(_orders(mu)) == [2, 2, 4]
     assert mu.pres.group_order() == 16

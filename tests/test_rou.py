@@ -36,10 +36,13 @@ from util import (
     diagonal_congruence_suborder,
     fixpoint_ideal,
     full_descent_generators,
+    group_ring,
+    intersected_conductor,
     product_order,
     ring_power,
     run_python,
     scalar_suborder,
+    split_poly,
     stacked_conductor,
     subgroup_psi_kernel,
     two_ring_psi_kernel,
@@ -76,13 +79,6 @@ def test_conductor_trivial_when_c_equals_sep():
     cond = conductor(ctx, mu5)
     assert cond.index_in_c == 1
     assert cond.ring_c.order() == 1
-
-
-def split_poly(roots):
-    f = [1]
-    for a in roots:
-        f = qp_mul(f, [-a, 1])
-    return f
 
 
 DESCENT_ORDERS = {
@@ -123,7 +119,7 @@ def test_conductor_matches_the_stacked_reference(name):
         assert cond.index_in_c == lattice_index(ff, Lattice.full(ff.dim))
         ring = cond.ring_c
         ring_a = ctx.sep_order.finite_quotient(ff_in_a)
-        assert cond.zetas == [ring.reduce(c_order.coords(z)) for z in mu_c.generators]
+        assert cond.zetas == [ring.reduce(c_order.coords(z)) for z in mu_c.pres.gens]
         gens = [ring.sub(z, ring.one) for z in cond.zetas]
         assert cond.ideal_i.lattice == fixpoint_ideal(ring, gens)
         for r in (cond.ring_c, ring_a):
@@ -232,6 +228,33 @@ def test_each_conductor_builds_one_ring_and_one_filtration(monkeypatch):
         calls.clear()
         psi_kernel(conductor(ctx, mu_c))
         assert sorted(calls) == ["filtration", "ring"]
+
+
+CONDUCTOR_ORDERS = {
+    "split-rank-8": lambda: order_from_poly(split_poly([-6, -4, -3, 0, 1, 2, 5, 6])),
+    "split-rank-11": lambda: order_from_poly(split_poly(range(-5, 6))),
+    "Phi_1 Phi_2 Phi_4 Phi_8": lambda: order_from_poly([-1] + [0] * 7 + [1]),
+    "Phi_1 Phi_3 Phi_5": lambda: order_from_poly(
+        qp_mul(qp_mul([-1, 1], cyclotomic(3)), cyclotomic(5))),
+    "Phi_2 Phi_4 Phi_6": lambda: order_from_poly(
+        qp_mul(qp_mul([1, 1], cyclotomic(4)), cyclotomic(6))),
+    "Z[C_2^3]": lambda: group_ring(2, 2, 2),
+    "Z[C_4 x C_2]": lambda: group_ring(4, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(CONDUCTOR_ORDERS))
+def test_the_nested_conductor_cut_equals_the_intersected_and_stacked_ones(name):
+    # at every torsion prime where A is not C
+    ctx = build_context(CONDUCTOR_ORDERS[name]())
+    cut = 0
+    for p in ctx.torsion_primes():
+        mu_c = mu_c_p_presentation(ctx, p)
+        if mu_c.tower.index_c_over_sep > 1:
+            ff = conductor(ctx, mu_c).conductor_in_c
+            assert ff == intersected_conductor(ctx, mu_c) == stacked_conductor(ctx, mu_c)[0]
+            cut += 1
+    assert cut
 
 
 def test_each_conductor_takes_one_preimage_per_hermite_pivot_above_one(monkeypatch):
@@ -480,7 +503,7 @@ def test_psi_vanishes_on_relations():
     sub_elems = brute_closure(ring.mul, ring.one, [u for us in sub.units for u in us])
     for rel in mu2.pres.rels:
         img = ring.one
-        for z, e in zip(mu2.generators, rel):
+        for z, e in zip(mu2.pres.gens, rel):
             zc = ring.reduce(mu2.tower.c_order.coords(z))
             img = ring.mul(img, ring_power(ring, zc, e))
         assert img in sub_elems

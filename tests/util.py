@@ -6,8 +6,9 @@ Gauss-Jordan elimination and long division over Fractions, schoolbook
 number-field products, Kronecker interpolation factoring, Schreier-style
 breadth-first kernel generators, and plain brute-force enumeration.
 Some are the library's own earlier algorithms: eliminations that the
-library now reads off one it has already done, and Zassenhaus factoring
-with no rational-root step.
+library now reads off one it has already done, graph weights from sums of
+component kernels, a conductor folded by intersections, and Zassenhaus
+factoring with no rational-root step.
 """
 
 import os
@@ -607,6 +608,22 @@ def group_ring(*ns):
     return Order(table)
 
 
+def split_poly(roots):
+    """prod (X - a) over the roots, lowest coefficient first."""
+    f = [1]
+    for a in roots:
+        f = qp_mul(f, [-a, 1])
+    return f
+
+
+def split_root_images(ctx):
+    """The image a_i of X in each component of Z[X]/prod (X - a_k), in the
+    components' order."""
+    x = [0] * ctx.order.rank
+    x[1] = 1
+    return list(ctx.to_ambient(x))
+
+
 def suborder(big: Order, lattice_cols) -> Order:
     """Order on a full-rank multiplicatively closed sublattice containing 1."""
     n = big.rank
@@ -1060,6 +1077,36 @@ def check_layers_against_references(ring, ideal):
 
 
 # ---------------------------------------------------------------------------
+# the component graph as sums of component kernels
+
+
+def component_kernel(emb, i):
+    """{x in Z^rank : component i of (basis * x) = 0}, in basis coords."""
+    from ordroots.linalg import kernel_int
+
+    lo, hi = emb.ambient.offsets[i], emb.ambient.offsets[i + 1]
+    return kernel_int(RatMatrix(hi - lo, [b[lo:hi] for b in emb.basis]).num)
+
+
+def kernel_sum_weights(emb):
+    """Graph weights as the index [D : ker_i + ker_j] in D's own
+    coordinates, the pivot product of a rank-n Hermite form of the two
+    component kernels' bases, checked lower triangular with positive
+    pivots."""
+    from ordroots.linalg import sum_lattices
+
+    ncomp = len(emb.ambient.fields)
+    kers = [component_kernel(emb, i) for i in range(ncomp)]
+    weights = {}
+    for i in range(ncomp):
+        for j in range(i + 1, ncomp):
+            s = sum_lattices(kers[i], kers[j])
+            assert s.pivots == list(range(emb.rank)) and s.pivot_product > 0
+            weights[(i, j)] = s.pivot_product
+    return weights
+
+
+# ---------------------------------------------------------------------------
 # references for the conductor descent
 
 
@@ -1092,6 +1139,24 @@ def stacked_conductor(ctx, mu_c):
     ff = preimage_lattice(IntMatrix(d * d, stacked_cols), Lattice(d * d, block_cols))
     ff_in_a = Lattice(d, [sep.coords(c_order.element(c)) for c in ff.basis.cols])
     return ff, ff_in_a
+
+
+def intersected_conductor(ctx, mu_c):
+    """The conductor in C coordinates as A cut by the intersection of
+    the preimages of A under multiplication by each b_r whose row
+    carries a Hermite pivot of A above 1: one preimage of A per such b_r
+    and one intersection folding each in."""
+    from functools import reduce
+
+    from ordroots.linalg import IntMatrix, intersect_lattices, preimage_lattice
+
+    c_order = mu_c.tower.c_order
+    d = c_order.rank
+    a_in_c = Lattice(d, [c_order.coords(b) for b in ctx.sep_order.basis])
+    table = c_order.mult_table()
+    return reduce(intersect_lattices, (
+        preimage_lattice(IntMatrix(d, [table[i][r] for i in range(d)]), a_in_c)
+        for c, r in zip(a_in_c.basis.cols, a_in_c.pivots) if c[r] > 1), a_in_c)
 
 
 def subgroup_psi_kernel(cond):
@@ -1142,7 +1207,7 @@ def full_descent_generators(ctx, p):
     from ordroots.rou import conductor, psi_kernel
 
     mu_c = mu_c_p_presentation(ctx, p)
-    if not mu_c.generators or all(w == 1 for w in mu_c.orders):
+    if all(rel[k] == 1 for k, rel in enumerate(mu_c.pres.rels)):
         return []
     t = ctx.index_b_over_sep
     while t % p == 0:
