@@ -10,7 +10,8 @@ Z[X]/(X^12 - 1) and on Q[X]/(X^2 + X/2 + 1/3), and one
 it replays the calls that ``decompose`` makes on Z[X]/(X^12 - 1), on the
 split order Z[X]/((X + 5)(X + 4) ... (X - 5)) of rank 11, on the group
 ring Z[C_3^3] of rank 27 and, without ``--quick``, on Z[C_2^5] of rank
-32: its one ``RatMatrix.inverse``, the ``NumberField.inv`` of each
+32: its one ``RatMatrix.inverse``, its two ``RatMatrix.mul`` (the
+section and the check of the inverse), the ``NumberField.inv`` of each
 component's Chinese-remainder idempotent, its ``solve_rat`` calls, the
 Krylov powers of its candidates (``_krylov_powers``) and their
 ``minimal_polynomial`` eliminations, and times each kind per
@@ -183,11 +184,12 @@ def recorded_calls(targets, run):
 
 
 def decompose_calls(algebra):
-    """name -> arguments of the RatMatrix.inverse, NumberField.inv,
-    solve_rat, _krylov_powers and minimal_polynomial calls that decompose
-    makes on the algebra."""
-    targets = [("inverse", linalg.RatMatrix), ("inv", NumberField), ("solve_rat", qalgebra),
-               ("_krylov_powers", qalgebra), ("minimal_polynomial", qalgebra)]
+    """name -> arguments of the RatMatrix.inverse, RatMatrix.mul,
+    NumberField.inv, solve_rat, _krylov_powers and minimal_polynomial
+    calls that decompose makes on the algebra."""
+    targets = [("inverse", linalg.RatMatrix), ("mul", linalg.RatMatrix), ("inv", NumberField),
+               ("solve_rat", qalgebra), ("_krylov_powers", qalgebra),
+               ("minimal_polynomial", qalgebra)]
     return recorded_calls(targets, lambda: decompose(algebra))
 
 
@@ -210,6 +212,7 @@ def bench_rational(quick):
     for name, build in orders:
         calls = decompose_calls(build().algebra)
         for label, fn in (("inverse", linalg.RatMatrix.inverse),
+                          ("mul", linalg.RatMatrix.mul),
                           ("inv", NumberField.inv),
                           ("solve_rat", linalg.solve_rat),
                           ("_krylov_powers", qalgebra._krylov_powers),
@@ -508,7 +511,7 @@ def bench_queries():
     # the calls of NumberField.mul, of the power-table dlog closure that
     # cyclic_presentation builds and of Fraction.__new__
     codes = [numfield.NumberField.mul.__code__,
-             state.ctx.field_torsion().pres.dlog.__code__,
+             state.ctx.field_torsion().dlog.__code__,
              Fraction.__new__.__code__]
     counts = {cls: [0, 0, 0] for cls in classes}
     for item in pool:

@@ -34,7 +34,6 @@ from .qalgebra import (
     AlgebraError,
     QAlgebra,
     SpecDecomposition,
-    TorsionData,
     decompose,
     mu_presentation,
     tensor_table,
@@ -260,7 +259,7 @@ class OrderContext:
     index_b_over_sep: int
     _graph: Optional[WeightedGraph] = None
     _restors: Optional[List[ResidueTorsion]] = None
-    _field_torsion: Optional[TorsionData] = None
+    _field_torsion: Optional[EffPresentation] = None
 
     def to_ambient(self, x):
         return self.dec.to_components(x)
@@ -277,10 +276,11 @@ class OrderContext:
             self._graph = order_graph(self.sep_order)
         return self._graph
 
-    def field_torsion(self) -> TorsionData:
-        """Roots of unity of the rational algebra, built on first use."""
+    def field_torsion(self) -> EffPresentation:
+        """Roots of unity of the rational algebra, built on first use: the
+        presentation of ``mu_presentation(dec)``, in component coordinates."""
         if self._field_torsion is None:
-            self._field_torsion = mu_presentation(self.order.algebra, self.dec)
+            self._field_torsion = mu_presentation(self.dec)
         return self._field_torsion
 
     def residue_torsion(self, i) -> ResidueTorsion:
@@ -314,7 +314,7 @@ class OrderContext:
 def build_context(A: Order) -> OrderContext:
     dec = decompose(A.algebra)
     n = A.rank
-    sep_lat = kernel_int(dec.pi2.num)
+    sep_lat = kernel_int(dec.nil_coords.num)
     if not sep_lat.contains(list(A.one)):
         raise AssertionError("separable part does not contain 1")
     ambient = ProductRing(dec.components)
@@ -471,7 +471,6 @@ def graph_mod_p(ctx: OrderContext, p: int) -> WeightedGraph:
 
 @dataclass
 class MuCPData:
-    prime: int
     tower: SaturationTower
     graph: WeightedGraph
     pres: EffPresentation  # one cyclic generator per graph component, the orders on the diagonal
@@ -514,7 +513,7 @@ def mu_c_p_presentation(ctx: OrderContext, p: int) -> MuCPData:
     def dlog(gamma, _dlog=pres.dlog):
         return _dlog(gamma) if c_order.contains(gamma) else None
 
-    return MuCPData(prime=p, tower=tower, graph=graph, pres=replace(pres, dlog=dlog))
+    return MuCPData(tower=tower, graph=graph, pres=replace(pres, dlog=dlog))
 
 
 def _mu_c_component(ctx: OrderContext, p, c_order, adj, comp):

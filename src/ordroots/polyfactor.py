@@ -66,10 +66,6 @@ def qp_add(f, g):
     return _canonical([a + b for a, b in zip_longest(f, g, fillvalue=0)])
 
 
-def qp_neg(f):
-    return [-c for c in f]
-
-
 def qp_sub(f, g):
     return _canonical([a - b for a, b in zip_longest(f, g, fillvalue=0)])
 

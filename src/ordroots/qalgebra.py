@@ -14,17 +14,18 @@ integral and a Fraction otherwise (``linalg.ratio``).  The roots of
 unity are presented in component coordinates, on the product of the
 number fields, where a product costs one field multiplication per
 component; ``to_components`` and ``from_components`` convert at the
-boundary.  These and the projections onto the separable part and the
-nilradical are ``RatMatrix`` maps: integer numerators over one
+boundary.  These and ``nil_coords``, the coordinates along the
+nilradical, are ``RatMatrix`` maps: integer numerators over one
 denominator, applied as one integer matrix-vector product and one
-``ratio`` per coordinate.
+``ratio`` per coordinate; the projection and ``nil_coords`` are the row
+blocks of the one inverse of [section | N], N the nilradical's basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .abgroup import EffPresentation, power
 from .linalg import IntMatrix, RatMatrix, _gauss_jordan, _num, kernel_int, ratio, solve_rat
@@ -217,7 +218,9 @@ class SpecDecomposition:
     algebra coordinates onto the stacked component coordinates;
     ``section`` maps them back onto the maximal subalgebra without
     nilpotents, sending a^j in component i to e_i a^j, e_i its idempotent;
-    ``pi1`` and ``pi2`` project onto that subalgebra and onto the nilradical.
+    ``nil_coords`` maps algebra coordinates to coordinates along
+    ``nil_basis``; it and ``projection`` are the row blocks of the inverse
+    of [section | N].
     """
 
     algebra: QAlgebra
@@ -227,8 +230,7 @@ class SpecDecomposition:
     components: List[NumberField]
     projection: RatMatrix
     section: RatMatrix
-    pi1: RatMatrix
-    pi2: RatMatrix
+    nil_coords: RatMatrix
 
     def to_components(self, x):
         return self.projection.apply(x)
@@ -236,12 +238,8 @@ class SpecDecomposition:
     def from_components(self, v):
         return self.section.apply(v)
 
-    def nil_projection(self, x):
-        return self.pi2.apply(x)
-
     def is_separable_element(self, x) -> bool:
-        # with the nilradical 0, pi2 is the zero map
-        return not self.nil_basis or not any(self.nil_projection(x))
+        return not any(self.nil_coords.apply(x))
 
 
 def _krylov_powers(alg: QAlgebra, x):
@@ -339,33 +337,37 @@ def decompose(E: QAlgebra) -> SpecDecomposition:
             e = qp_divmod([0] + e, m)[1]
     section = RatMatrix(n, powers).mul(RatMatrix(q, crt))
     # rows :q of [section | N]^-1 give component coordinates, rows q: those along N
-    full_inv = RatMatrix.over(
-        section.num.hstack(IntMatrix(n, nil_cols).scaled(section.den)), section.den).inverse()
-    projection = full_inv.row_block(0, q)
-
+    full_inv = _split_matrix(section, nil_cols).inverse()
     dec = SpecDecomposition(
         algebra=E, nil_basis=nil_cols, min_poly=tuple(m), alpha=alpha,
-        components=components, projection=projection, section=section,
-        pi1=section.mul(projection), pi2=RatMatrix(n, nil_cols).mul(full_inv.row_block(q, n)),
+        components=components, projection=full_inv.row_block(0, q), section=section,
+        nil_coords=full_inv.row_block(q, n),
     )
     _check_maps(dec)
     return dec
 
 
+def _split_matrix(section: RatMatrix, nil_basis) -> RatMatrix:
+    """[section | N]: the section's columns, then the nilradical's basis."""
+    return RatMatrix.over(
+        section.num.hstack(IntMatrix(section.nrows, nil_basis).scaled(section.den)), section.den)
+
+
 def _check_maps(dec: SpecDecomposition):
-    """The stored maps split the algebra: pi1 + pi2 is the identity,
-    pi1 pi2 = 0, and the projection is a ring map onto the product of the
-    components, pi(e_a e_b) = pi(e_a) pi(e_b) for every basis pair (e_a e_b
-    is a table cell)."""
+    """The stored maps split the algebra: [section | N] times the
+    projection stacked on ``nil_coords`` is the identity, so (a right
+    inverse of a square matrix is a left one) section projection and
+    N nil_coords sum to 1 and annihilate each other; and the projection
+    is a ring map onto the product of the components, pi(e_a e_b) =
+    pi(e_a) pi(e_b) for every basis pair (e_a e_b is a table cell)."""
     E = dec.algebra
     n = E.dim
-    p1, d1, p2, d2 = dec.pi1.num, dec.pi1.den, dec.pi2.num, dec.pi2.den
-    for j, (c1, c2) in enumerate(zip(p1.cols, p2.cols)):
-        for i, (a, b) in enumerate(zip(c1, c2)):
-            if a * d2 + b * d1 != d1 * d2 * (i == j):
-                raise AssertionError("projections do not sum to the identity")
-    if any(any(c) for c in p1.mul(p2).cols):
-        raise AssertionError("projections not orthogonal")
+    p, c = dec.projection, dec.nil_coords
+    stacked = IntMatrix(n, [[e * c.den for e in a] + [e * p.den for e in b]
+                            for a, b in zip(p.num.cols, c.num.cols)])
+    split_inv = RatMatrix.over(stacked, p.den * c.den)
+    if _split_matrix(dec.section, dec.nil_basis).mul(split_inv) != RatMatrix.identity(n):
+        raise AssertionError("split inverse does not invert [section | N]")
     ring = ProductRing(dec.components)
     cols = [dec.to_components(E.basis_vec(a)) for a in range(n)]
     for a in range(n):
@@ -378,43 +380,24 @@ def _check_maps(dec: SpecDecomposition):
 # roots of unity of the algebra
 
 
-@dataclass
-class TorsionData:
-    """Roots of unity of an algebra: a product of cyclic groups, one per
-    residue field, presented by that field's torsion power list.
-
-    ``pres`` lives in component coordinates, on the product of
-    ``dec.components``; ``generators`` are its generators in algebra
-    coordinates.  ``mu_dlog_explain`` converts between the two."""
-
-    dec: SpecDecomposition
-    pres: EffPresentation
-    generators: List[tuple]
-
-
-def mu_dlog_explain(tor: TorsionData, gamma):
+def mu_dlog_explain(dec: SpecDecomposition, pres: EffPresentation, gamma):
     """(exponent vector, None) or (None, failure reason) for an element in
-    algebra coordinates."""
-    dec = tor.dec
+    algebra coordinates, against ``pres`` from ``mu_presentation(dec)``."""
     if not dec.is_separable_element(gamma):
         return None, "not-separable"
-    out = tor.pres.dlog(dec.to_components(gamma))
+    out = pres.dlog(dec.to_components(gamma))
     if out is None:
         return None, "component-not-root-of-unity"
     return out, None
 
 
-def mu_presentation(E: QAlgebra, dec: Optional[SpecDecomposition] = None) -> TorsionData:
+def mu_presentation(dec: SpecDecomposition) -> EffPresentation:
     """Generators, relations, and discrete log for the roots of unity.
 
     One generator per component: the component's torsion generator
-    there and 1 elsewhere.  The presentation is built on the product of
-    the components; only ``generators`` are carried back to the algebra.
+    there and 1 elsewhere.  The presentation lives in component
+    coordinates, on the product of ``dec.components``; ``from_components``
+    and ``to_components`` carry an element to and from the algebra.
     """
-    if dec is None:
-        dec = decompose(E)
     factors = [([i], K.torsion_powers()) for i, K in enumerate(dec.components)]
-    pres = ProductRing(dec.components).cyclic_presentation(factors)
-    return TorsionData(
-        dec=dec, pres=pres, generators=[dec.from_components(g) for g in pres.gens],
-    )
+    return ProductRing(dec.components).cyclic_presentation(factors)

@@ -57,9 +57,7 @@ class ConductorData:
     ring and the two nilpotent ideals that host the unipotent descent;
     every lattice is in the coordinates of C's basis."""
 
-    prime: int
     conductor_in_c: Lattice
-    index_in_c: int
     ring_c: FiniteRing  # C modulo the conductor
     a_in_c: Lattice  # the separable part, whose image in ring_c is the subring A/ff
     zetas: List[tuple]  # the mu(C)_p generators in C/ff
@@ -114,8 +112,7 @@ def conductor(ctx: OrderContext, mu_c: MuCPData) -> ConductorData:
     ideal_i = RingIdeal.generated_by(ring_c, [ring_c.sub(z, ring_c.one) for z in zetas])
     ideal_i_sub = subring_ideal(ring_c, a_in_c, intersect_lattices(ideal_i.lattice, a_in_c))
     return ConductorData(
-        prime=mu_c.prime, conductor_in_c=ff, index_in_c=ring_c.order(),
-        ring_c=ring_c, a_in_c=a_in_c, zetas=zetas,
+        conductor_in_c=ff, ring_c=ring_c, a_in_c=a_in_c, zetas=zetas,
         ideal_i=ideal_i, ideal_i_sub=ideal_i_sub,
     )
 
@@ -237,7 +234,7 @@ def mu_e_subgroup_dlog(ctx_or_order, targets, zeta):
     vector's dlog is taken once: the targets' by their root-of-unity
     test, which passes them on to the membership."""
     ctx = ctx_or_order if isinstance(ctx_or_order, OrderContext) else build_context(ctx_or_order)
-    tor = ctx.field_torsion()
+    pres = ctx.field_torsion()
 
     def components(x):
         # None for an element with a nilpotent part: no root of unity
@@ -246,7 +243,7 @@ def mu_e_subgroup_dlog(ctx_or_order, targets, zeta):
     vecs, logs = [], []
     for t in targets:
         v = components(t)
-        log = None if v is None else tor.pres.dlog(v)
+        log = None if v is None else pres.dlog(v)
         if log is None:
             raise ValueError("target is not a root of unity in the rational algebra")
         vecs.append(v)
@@ -255,7 +252,7 @@ def mu_e_subgroup_dlog(ctx_or_order, targets, zeta):
     if gamma is None:
         return None, "not-root-of-unity"
     try:
-        sol = membership_dlog(tor.pres, vecs, gamma, logs)
+        sol = membership_dlog(pres, vecs, gamma, logs)
     except NotInGroup:
         return None, "not-root-of-unity"
     if sol is None:

@@ -67,7 +67,7 @@ def test_criterion_1_x4_end_to_end():
     ok = tow.index_c_over_sep == 8
     mu2 = mu_c_p_presentation(ctx, 2)
     cond = conductor(ctx, mu2)
-    ok = ok and cond.index_in_c == 64
+    ok = ok and cond.ring_c.order() == 64
     ker = Lattice(3, psi_kernel(cond))
     ok = ok and ker == Lattice(3, [[2, 0, 0], [1, 1, 0], [1, 0, 1]])
     pres = mu_a_presentation(ctx)

@@ -613,7 +613,7 @@ def _x12_torsion():
         ctx = build_context(order_from_poly([-1] + [0] * 11 + [1]))
         ring = ProductRing(ctx.dec.components)
         comps = [[i] for i in range(len(ring.fields))]
-        _X12_TORSION.append((ring, ctx.field_torsion().pres, comps))
+        _X12_TORSION.append((ring, ctx.field_torsion(), comps))
     return _X12_TORSION[0]
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordroots import qalgebra
-from ordroots.linalg import IntMatrix, RatMatrix
+from ordroots.linalg import IntMatrix, RatMatrix, kernel_int
 from ordroots.numfield import NumberField
 from ordroots.ordercore import order_from_poly
 from ordroots.polyfactor import euler_phi, qp, qp_divmod, qp_mul
@@ -25,6 +25,8 @@ from util import (
     group_ring,
     incremental_minimal_polynomial,
     product_order,
+    run_python,
+    split_projections,
     two_inverse_maps,
 )
 
@@ -123,78 +125,87 @@ def test_decompose_mixed_nilpotents():
 def test_projection_identities():
     E = poly_algebra([-1] + [0] * 5 + [1])  # X^6 - 1
     dec = decompose(E)
+    pi1, _ = split_projections(dec)
     rng = random.Random(4)
     for _ in range(20):
         x = tuple(rng.randint(-3, 3) for _ in range(6))
         y = tuple(rng.randint(-3, 3) for _ in range(6))
         # pi1 respects multiplication (projection onto the separable part)
-        lhs = dec.pi1.apply(E.mul(x, y))
-        rhs = E.mul(dec.pi1.apply(x), dec.pi1.apply(y))
+        lhs = pi1.apply(E.mul(x, y))
+        rhs = E.mul(pi1.apply(x), pi1.apply(y))
         assert tuple(lhs) == tuple(rhs)
         # components reassemble through the section
-        assert dec.from_components(dec.to_components(x)) == dec.pi1.apply(x)
+        assert dec.from_components(dec.to_components(x)) == pi1.apply(x)
 
 
 def test_nilpotent_iff_fixed_by_nil_projection():
     E = poly_algebra([0, 0, 0, 1])  # Q[X]/(X^3)
     dec = decompose(E)
+    _, pi2 = split_projections(dec)
     rng = random.Random(9)
     for _ in range(30):
         x = tuple(Fraction(rng.randint(-4, 4)) for _ in range(3))
-        fixed = tuple(dec.nil_projection(x)) == tuple(Fraction(c) for c in x)
+        fixed = tuple(pi2.apply(x)) == tuple(Fraction(c) for c in x)
         power = E.power(x, 4)
         nilpotent = all(c == 0 for c in power)
         assert fixed == nilpotent
 
 
+def _torsion(E):
+    """(decomposition, presentation of its roots of unity, the generators
+    in algebra coordinates)."""
+    dec = decompose(E)
+    pres = mu_presentation(dec)
+    return dec, pres, [dec.from_components(g) for g in pres.gens]
+
+
 def test_mu_presentation_q():
     E = poly_algebra([-1, 1])  # the rationals
-    tor = mu_presentation(E)
-    assert len(tor.generators) == 1
-    assert tor.generators[0] == (-1,)
-    assert [K.torsion_generator()[1] for K in tor.dec.components] == [2]
+    dec, _, gens = _torsion(E)
+    assert len(gens) == 1
+    assert gens[0] == (-1,)
+    assert [K.torsion_generator()[1] for K in dec.components] == [2]
 
 
 def test_mu_presentation_gaussian():
     E = poly_algebra([1, 0, 1])
-    tor = mu_presentation(E)
-    assert [K.torsion_generator()[1] for K in tor.dec.components] == [4]
-    g = tor.generators[0]
+    dec, _, gens = _torsion(E)
+    assert [K.torsion_generator()[1] for K in dec.components] == [4]
+    g = gens[0]
     assert E.power(g, 4) == E.one and E.power(g, 2) != E.one
 
 
 def test_mu_presentation_x4():
     E = poly_algebra([-1, 0, 0, 0, 1])
-    tor = mu_presentation(E)
-    orders = [K.torsion_generator()[1] for K in tor.dec.components]
+    dec, _, gens = _torsion(E)
+    orders = [K.torsion_generator()[1] for K in dec.components]
     assert sorted(orders) == [2, 2, 4]
-    for g, w in zip(tor.generators, orders):
+    for g, w in zip(gens, orders):
         assert E.power(g, w) == E.one
         assert euler_phi(w) <= 4
 
 
 def test_mu_dlog_cases():
     E = poly_algebra([-1, 0, 0, 0, 1])
-    tor = mu_presentation(E)
-    assert mu_dlog_explain(tor, E.one)[0] == [0, 0, 0]
-    v = mu_dlog_explain(tor, (0, 0, -1, 0))[0]
+    dec, pres, _ = _torsion(E)
+    assert mu_dlog_explain(dec, pres, E.one)[0] == [0, 0, 0]
+    v = mu_dlog_explain(dec, pres, (0, 0, -1, 0))[0]
     assert v is not None
-    assert tor.dec.from_components(tor.pres.evaluate(v)) == (0, 0, -1, 0)
-    out, reason = mu_dlog_explain(tor, (1, 1, 0, 0))
+    assert dec.from_components(pres.evaluate(v)) == (0, 0, -1, 0)
+    out, reason = mu_dlog_explain(dec, pres, (1, 1, 0, 0))
     assert out is None and reason == "component-not-root-of-unity"
     # nilpotent-contaminated element
-    E2 = poly_algebra([0, 0, 1])
-    tor2 = mu_presentation(E2)
-    out, reason = mu_dlog_explain(tor2, (1, 1))
+    dec2, pres2, _ = _torsion(poly_algebra([0, 0, 1]))
+    out, reason = mu_dlog_explain(dec2, pres2, (1, 1))
     assert out is None and reason == "not-separable"
-    assert mu_dlog_explain(tor2, (-1, 0))[0] == [1]
+    assert mu_dlog_explain(dec2, pres2, (-1, 0))[0] == [1]
 
 
 def test_component_groups_cyclic():
     # all roots of unity found in a component are powers of its generator
     E = poly_algebra([-1] + [0] * 11 + [1])
-    tor = mu_presentation(E)
-    for K in tor.dec.components:
+    dec, _, _ = _torsion(E)
+    for K in dec.components:
         zeta, w = K.torsion_generator()
         seen = set()
         acc = K.one()
@@ -211,7 +222,8 @@ def test_rank_zero_algebra():
     assert dec.components == [] and dec.nil_basis == []
     # in the zero ring 1 = 0, so the minimal polynomial is the monic 1
     assert dec.min_poly == (1,) and dec.alpha == ()
-    assert all(M.nrows == M.ncols == 0 for M in (dec.projection, dec.section, dec.pi1, dec.pi2))
+    assert all(M.nrows == M.ncols == 0
+               for M in (dec.projection, dec.section, dec.nil_coords, *split_projections(dec)))
 
 
 def test_minimal_polynomial():
@@ -290,38 +302,54 @@ def test_maps_match_the_rational_matrices(name, data):
     n = dec.algebra.dim
     x = data.draw(st.lists(_COORD, min_size=n, max_size=n).map(tuple))
     _same(dec.to_components(x), _fraction_apply(dec.projection, x))
-    _same(dec.pi1.apply(x), _fraction_apply(dec.pi1, x))
-    _same(dec.nil_projection(x), _fraction_apply(dec.pi2, x))
+    _same(dec.nil_coords.apply(x), _fraction_apply(dec.nil_coords, x))
+    pi1, pi2 = split_projections(dec)
+    _same(pi1.apply(x), _fraction_apply(pi1, x))
+    _same(pi2.apply(x), _fraction_apply(pi2, x))
     q = dec.section.ncols
     v = data.draw(st.lists(_COORD, min_size=q, max_size=q))
     _same(dec.from_components(v), _fraction_apply(dec.section, v))
     # components reassemble through the section
-    assert dec.from_components(dec.to_components(x)) == dec.pi1.apply(x)
+    assert dec.from_components(dec.to_components(x)) == pi1.apply(x)
 
 
-@pytest.mark.parametrize("broken", ["sum", "orthogonal"])
-def test_decompose_rejects_broken_projections(monkeypatch, broken):
-    """decompose checks pi1 + pi2 = 1 and pi1 pi2 = 0 on the maps it keeps;
-    a decomposition whose pi1 is altered after construction must fail."""
+# decompose checks that [section | N] times the projection stacked on
+# nil_coords is the identity, on the maps the record keeps: one entry of
+# nil_coords, then one of the projection, raised by 1 after construction
+# must fail there, by an explicit raise that python -O keeps.
+_CORRUPTED_SPLIT = """
+from ordroots import qalgebra
+from ordroots.linalg import IntMatrix, RatMatrix, kernel_int
+from ordroots.ordercore import order_from_poly
 
-    class Broken(qalgebra.SpecDecomposition):
+E = order_from_poly([0, 0, 1, 0, 1]).algebra  # Q[X]/(X^2 (X^2 + 1))
+print(len(qalgebra.decompose(E).nil_basis))
+Spec = qalgebra.SpecDecomposition
+for field in ("nil_coords", "projection"):
+    class Broken(Spec):
         def __init__(self, **kw):
             super().__init__(**kw)
-            n = self.algebra.dim
-            p1 = [[Fraction(e, self.pi1.den) for e in c] for c in self.pi1.num.cols]
-            if broken == "sum":
-                p1[0][0] += 1
-                self.pi1 = RatMatrix(n, p1)
-            else:
-                # 2 pi1 and 1 - 2 pi1 still sum to 1 but do not annihilate
-                self.pi1 = RatMatrix(n, [[2 * e for e in c] for c in p1])
-                self.pi2 = RatMatrix(n, [[int(i == j) - 2 * e for i, e in enumerate(c)]
-                                         for j, c in enumerate(p1)])
+            m = getattr(self, field)
+            cols = [list(c) for c in m.num.cols]
+            cols[0][0] += m.den
+            setattr(self, field, RatMatrix.over(IntMatrix(m.nrows, cols), m.den))
 
-    monkeypatch.setattr(qalgebra, "SpecDecomposition", Broken)
-    message = {"sum": "sum to the identity", "orthogonal": "not orthogonal"}[broken]
-    with pytest.raises(AssertionError, match=message):
-        decompose(poly_algebra([0, 0, 1]))
+    qalgebra.SpecDecomposition = Broken
+    try:
+        qalgebra.decompose(E)
+    except AssertionError as e:
+        print(field, e)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_decompose_rejects_broken_projections(flags):
+    run = run_python(flags, _CORRUPTED_SPLIT)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "1",
+        "nil_coords split inverse does not invert [section | N]",
+        "projection split inverse does not invert [section | N]"]
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +441,16 @@ def _component_idempotents(dec):
 @pytest.mark.parametrize("name", sorted(SECTION_ALGEBRAS))
 def test_maps_equal_the_two_inverse_reference(name):
     dec = decompose(_section_algebra(name))
-    assert (dec.projection, dec.section, dec.pi1, dec.pi2) == two_inverse_maps(dec)
+    assert (dec.projection, dec.section, dec.nil_coords) == two_inverse_maps(dec)
+
+
+@pytest.mark.parametrize("name", sorted(SECTION_ALGEBRAS))
+def test_nil_coords_has_the_kernel_of_the_nil_projection(name):
+    # N has independent columns, so N nil_coords and nil_coords have one
+    # saturated kernel: the separable part of an order, in canonical form
+    dec = decompose(_section_algebra(name))
+    _, pi2 = split_projections(dec)
+    assert kernel_int(dec.nil_coords.num) == kernel_int(pi2.num)
 
 
 @pytest.mark.parametrize("name", sorted(SECTION_ALGEBRAS))
@@ -447,7 +484,8 @@ def test_section_idempotents_are_orthogonal_and_sum_to_one(name):
     for i, a in enumerate(es):
         for j, b in enumerate(es):
             assert E.mul(a, b) == (a if i == j else E.zero())
-    assert tuple(_num(sum(c)) for c in zip(*es)) == dec.pi1.apply(E.one) == E.one
+    pi1, _ = split_projections(dec)
+    assert tuple(_num(sum(c)) for c in zip(*es)) == pi1.apply(E.one) == E.one
 
 
 def test_section_idempotents_of_z_c2_cubed_are_the_characters():
@@ -483,11 +521,13 @@ def test_decompose_makes_one_inverse_and_one_field_inverse_per_component(monkeyp
 def test_decompose_rejects_a_section_with_two_idempotents_swapped(monkeypatch):
     """The section's columns for two quadratic components of X^12 - 1, of
     different minimal polynomials, swapped, with the projection's rows to
-    match: pi1 and pi2 are unchanged, so only the ring-map check sees it."""
+    match: section projection and nil_coords are unchanged, so [section | N]
+    is still inverted and only the ring-map check sees it."""
 
     class Broken(qalgebra.SpecDecomposition):
         def __init__(self, **kw):
             super().__init__(**kw)
+            pi1 = self.section.mul(self.projection)
             starts, col = [], 0
             for K in self.components:
                 if K.deg == 2:
@@ -500,7 +540,7 @@ def test_decompose_rejects_a_section_with_two_idempotents_swapped(monkeypatch):
             self.section = RatMatrix.over(IntMatrix(s.nrows, [s.num.cols[k] for k in perm]), s.den)
             self.projection = RatMatrix.over(IntMatrix.from_rows([rows[k] for k in perm]),
                                              self.projection.den)
-            assert self.section.mul(self.projection) == self.pi1
+            assert self.section.mul(self.projection) == pi1
 
     monkeypatch.setattr(qalgebra, "SpecDecomposition", Broken)
     with pytest.raises(AssertionError, match="component projection is not a ring map"):

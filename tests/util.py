@@ -327,13 +327,21 @@ def fraction_inverse(rows):
     return [r[n:] for r in a]
 
 
+def split_projections(dec):
+    """(pi1, pi2) of a decomposition, formed from its record: section
+    times projection, onto the subalgebra without nilpotents, and N times
+    nil_coords, onto the nilradical."""
+    return (dec.section.mul(dec.projection),
+            RatMatrix(dec.algebra.dim, dec.nil_basis).mul(dec.nil_coords))
+
+
 def two_inverse_maps(dec):
-    """(projection, section, pi1, pi2) of a decomposition by two
+    """(projection, section, nil_coords) of a decomposition by two
     fraction-free inverses: that of [1, alpha, ..., alpha^(q-1) | N], whose
-    rows :q give the coordinates along the powers of alpha, and that of
-    phi, whose column j stacks the powers a^j of the components'
-    generators (a polynomial of degree < q in alpha to its component
-    coordinates)."""
+    rows :q give the coordinates along the powers of alpha and rows q:
+    those along N, and that of phi, whose column j stacks the powers a^j
+    of the components' generators (a polynomial of degree < q in alpha to
+    its component coordinates)."""
     E, nil = dec.algebra, dec.nil_basis
     n = E.dim
     q = n - len(nil)
@@ -350,8 +358,7 @@ def two_inverse_maps(dec):
             col.extend(cur)
             cur = K.mul(cur, a)
     phi = RatMatrix(q, blocks)
-    return (phi.mul(top), power_mat.mul(phi.inverse()), power_mat.mul(top),
-            RatMatrix(n, nil).mul(full_inv.row_block(q, n)))
+    return phi.mul(top), power_mat.mul(phi.inverse()), full_inv.row_block(q, n)
 
 
 def incremental_minimal_polynomial(alg, x):
