@@ -28,10 +28,11 @@ the norm factors are pairwise coprime, so each but the last is pulled
 back by a gcd with the cofactor the earlier pieces leave, and the last
 piece is that cofactor; and the pieces are monic, so dividing by them
 takes no field inverse.  The norm is interpolated from its values at
-integer points on integer numerators over one common denominator.  Its
-squarefreeness is proved modulo a few fixed primes; when no prime
-proves it, the exact gcd with its derivative decides, so the chosen
-shift is the one the exact test alone would choose.  Field inverses
+integer points on integer numerators over one common denominator.  A
+shift is accepted when the norm's radical (``squarefree_part``) keeps
+its degree: proved modulo a few fixed primes, or else decided by one
+exact gcd with the derivative, so the chosen shift is the one the exact
+test alone would choose.  Field inverses
 solve x * y = 1 against the matrix of multiplication by x with the
 library's fraction-free elimination.
 
@@ -71,11 +72,11 @@ from .polyfactor import (
     fp_factor_squarefree,
     ip_resultant,
     is_irreducible_q,
-    is_squarefree,
     qp,
     qp_degree,
     qp_divmod,
     qp_monic,
+    squarefree_part,
 )
 
 # residue primes per torsion bound: a few suffice in practice, and each
@@ -638,7 +639,7 @@ def roots_in_field(f, K: NumberField):
     for s in range(start, 32 * K.deg * nfp_degree(fm) + 8):
         g = nfp_compose_shift(fs, s, K)
         norm = _norm_poly(g, K)
-        if is_squarefree(norm):
+        if qp_degree(squarefree_part(norm)) == qp_degree(norm):
             break
         if separable is None:
             g0 = nfp_gcd(fm, nfp_deriv(fm, K), K)

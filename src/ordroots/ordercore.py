@@ -11,10 +11,11 @@ Everything downstream of the decomposition works in the product-of-
 components coordinate space; elements there are coordinate tuples (an
 int where integral, a Fraction otherwise) and orders are QLattice-backed
 subrings.  A cyclic torsion group is the list of its generator's powers,
-the one form ``ProductRing.cyclic_presentation`` takes and checks.  The
-residue groups and their p-parts are slices of each field's power list
-(``torsion_powers``), so the torsion descent computes on exponents: a
-p-th power is an index times p.
+the one form ``ProductRing.cyclic_presentation`` takes and checks.  A
+residue's torsion is such a list and nothing else (``residue_torsion``):
+a slice of its field's power table (``torsion_powers``), as is each of
+its p-parts, so the torsion descent computes on exponents: a p-th power
+is an index times p.
 """
 
 from __future__ import annotations
@@ -227,24 +228,6 @@ def order_graph(emb: EmbeddedOrder) -> WeightedGraph:
     return WeightedGraph.from_weights(len(blocks), weights)
 
 
-# ---------------------------------------------------------------------------
-# residue torsion data
-
-
-@dataclass
-class ResidueTorsion:
-    """Cyclic unit-torsion data of one residue order: the least index j
-    with zeta^j in the residue, zeta the field's torsion generator, so
-    zeta^j generates the group, and the group's order and factorization."""
-
-    index: int
-    order: int
-    factorization: Dict[int, int]
-
-    def p_part_order(self, p) -> int:
-        return p ** self.factorization.get(p, 0)
-
-
 @dataclass
 class OrderContext:
     """Everything the pipelines need about one order."""
@@ -252,13 +235,12 @@ class OrderContext:
     order: Order
     dec: SpecDecomposition
     ambient: ProductRing
-    sep_lattice: Lattice  # basis of the separable part in order coordinates
     sep_order: EmbeddedOrder
     residues: List[EmbeddedOrder]
     b_order: EmbeddedOrder
     index_b_over_sep: int
     _graph: Optional[WeightedGraph] = None
-    _restors: Optional[List[ResidueTorsion]] = None
+    _restors: Optional[List[tuple]] = None
     _field_torsion: Optional[EffPresentation] = None
 
     def to_ambient(self, x):
@@ -283,7 +265,10 @@ class OrderContext:
             self._field_torsion = mu_presentation(self.dec)
         return self._field_torsion
 
-    def residue_torsion(self, i) -> ResidueTorsion:
+    def residue_torsion(self, i) -> tuple:
+        """Power list of the residue order's roots of unity: T[::j], T the
+        field's power table and j the least index with zeta^j in the
+        residue order."""
         if self._restors is None:
             self._restors = [None] * len(self.residues)
         if self._restors[i] is None:
@@ -295,19 +280,15 @@ class OrderContext:
                 raise AssertionError("no torsion power lies in the residue order")
             if w % j:
                 raise AssertionError("residue torsion index does not divide the torsion order w")
-            order = w // j
-            fac = _factor_small(order)
-            if any(p > 1 + self.order.rank for p in fac):
+            if any(p > 1 + self.order.rank for p in _factor_small(w // j)):
                 raise AssertionError("residue torsion has a prime above rank + 1")
-            self._restors[i] = ResidueTorsion(
-                index=j, order=order, factorization=fac,
-            )
+            self._restors[i] = powers[::j]
         return self._restors[i]
 
     def torsion_primes(self) -> List[int]:
         ps = set()
         for i in range(len(self.residues)):
-            ps.update(self.residue_torsion(i).factorization)
+            ps.update(_factor_small(len(self.residue_torsion(i))))
         return sorted(ps)
 
 
@@ -337,7 +318,7 @@ def build_context(A: Order) -> OrderContext:
     b_order = EmbeddedOrder(ambient, b_cols)
     idx = qlat_index(sep_order.qlat, b_order.qlat)
     return OrderContext(
-        order=A, dec=dec, ambient=ambient, sep_lattice=sep_lat,
+        order=A, dec=dec, ambient=ambient,
         sep_order=sep_order, residues=residues, b_order=b_order,
         index_b_over_sep=idx,
     )
@@ -408,11 +389,9 @@ def idempotent_divisor_oracle(f) -> List[List[int]]:
 
 
 def mu_b_presentation(ctx: OrderContext) -> EffPresentation:
-    """Presentation of the unit torsion of the residue product.  One
-    cyclic factor per component: the powers of zeta^j, every j-th entry
-    of the field's power list, j the residue's ``index``."""
-    factors = [([i], K.torsion_powers()[::ctx.residue_torsion(i).index])
-               for i, K in enumerate(ctx.dec.components)]
+    """Presentation of the unit torsion of the residue product: one
+    cyclic factor per component, the residue's power list."""
+    factors = [([i], ctx.residue_torsion(i)) for i in range(len(ctx.residues))]
     return ctx.ambient.cyclic_presentation(factors)
 
 
@@ -519,11 +498,12 @@ def mu_c_p_presentation(ctx: OrderContext, p: int) -> MuCPData:
 def _mu_c_component(ctx: OrderContext, p, c_order, adj, comp):
     """Power list of a generator of the p-power torsion of the image of C
     in the product over one graph component."""
-    # each residue's p-part: every (w / p^k)-th entry of its torsion powers
+    # each residue's p-part: every (v / p^k)-th entry of its power list,
+    # p^k the p-part of its length v
     res_powers = {}
     for m in comp:
-        powers = ctx.dec.components[m].torsion_powers()
-        res_powers[m] = list(powers[::len(powers) // ctx.residue_torsion(m).p_part_order(p)])
+        res = ctx.residue_torsion(m)
+        res_powers[m] = res[::len(res) // p ** _valuation(len(res), p)]
     # start at the residue with minimal p-torsion, ties by index
     m1 = min(comp, key=lambda m: (len(res_powers[m]), m))
     chain = [v for layer in _bfs_layers(adj, m1) for v in layer]

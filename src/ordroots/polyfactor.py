@@ -19,11 +19,12 @@ coefficient bound, and subset recombination in increasing subset size
 with exact integer trial division.  A polynomial that splits over Q
 takes no Berlekamp and no Hensel lift.
 
-Squarefreeness is first proved modulo a few fixed large primes
-(``proves_squarefree``): a polynomial that stays squarefree of the same
-degree mod p is squarefree over Q.  Only when no prime proves it does a
-caller run the exact test, a gcd with the derivative over Q, so every
-verdict is the exact one; ``factor_q`` skips Yun for a proven input.
+Squarefreeness has one analysis, ``squarefree_part``: a polynomial
+that stays squarefree of the same degree modulo one of a few fixed large
+primes is squarefree over Q (``proves_squarefree``), and only when no
+prime proves it does one gcd with the derivative over Q decide, so every
+verdict is the exact one.  ``factor_q`` factors the radical it returns
+and reads each multiplicity off exact divisions of the primitive part.
 """
 
 from __future__ import annotations
@@ -146,8 +147,8 @@ def qp_deriv(f):
 
 
 def squarefree_part(f):
-    """Monic radical f / gcd(f, f'); f itself, made monic, when the
-    modular proof shows it squarefree."""
+    """Monic radical f / gcd(f, f') of the nonzero f over Q; f itself,
+    made monic, when the modular proof shows it squarefree."""
     f = qp(f)
     if not f:
         raise ValueError("zero polynomial")
@@ -155,26 +156,6 @@ def squarefree_part(f):
         return qp_monic(f)
     g = qp_gcd(f, qp_deriv(f))
     return qp_monic(qp_divmod(f, g)[0])
-
-
-def _yun_squarefree(f):
-    """Yun decomposition of monic f: [(g_i, i)] with f = prod g_i^i,
-    the g_i monic, squarefree, pairwise coprime."""
-    out = []
-    df = qp_deriv(f)
-    u = qp_gcd(f, df)
-    v = qp_divmod(f, u)[0]
-    w = qp_divmod(df, u)[0]
-    i = 1
-    while qp_degree(v) > 0:
-        h = qp_sub(w, qp_deriv(v))
-        a = qp_gcd(v, h)
-        if qp_degree(a) > 0:
-            out.append((a, i))
-        v = qp_divmod(v, a)[0]
-        w = qp_divmod(h, a)[0]
-        i += 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -462,15 +443,6 @@ def proves_squarefree(f):
     return any(_squarefree_mod(fi, p) for p in _PROOF_PRIMES)
 
 
-def is_squarefree(f):
-    """f, nonzero over Q, has no repeated factor: the modular proof, and
-    the exact gcd with f' when no prime proves it."""
-    f = qp(f)
-    if not f:
-        raise ValueError("zero polynomial")
-    return proves_squarefree(f) or qp_degree(qp_gcd(f, qp_deriv(f))) == 0
-
-
 def _good_primes(f):
     """The primes p with p not dividing lc(f) and f squarefree mod p, in
     increasing order."""
@@ -627,24 +599,35 @@ def factor_squarefree_z(f):
     return sorted(out, key=lambda h: (len(h), tuple(h)))
 
 
+def _multiplicity(f, g):
+    """The number of exact divisions of f by g over Z."""
+    e = 0
+    qr = ip_divmod(f, g)
+    while qr is not None and not qr[1]:
+        e += 1
+        qr = ip_divmod(qr[0], g)
+    return e
+
+
 def factor_q(f):
     """Factor f over Q.
 
     Returns (constant, [(monic irreducible factor, multiplicity), ...])
     with constant * prod(factor^multiplicity) = f, factors sorted by
     (degree, coefficient tuple).  The work runs on the primitive part of
-    f in Z[X], whose primitive irreducible factors multiply back to it.
+    f in Z[X]: its radical (``squarefree_part``) is factored, and when
+    the radical has lower degree, a factor's multiplicity is the number
+    of its exact divisions of the primitive part.  The primitive
+    irreducible factors, raised to their multiplicities, must multiply
+    back to the primitive part, which checks the multiplicities too.
     """
     f = qp(f)
     if not f:
         raise ValueError("cannot factor the zero polynomial")
     prim = ip_primitive(clear_vector(f)[0])[1]
-    if qp_degree(prim) > 0 and proves_squarefree(prim):
-        parts = [(prim, 1)]  # what Yun returns for a squarefree input
-    else:
-        parts = [(ip_primitive(clear_vector(part)[0])[1], mult)
-                 for part, mult in _yun_squarefree(qp_monic(prim))]
-    facs = [(fac, mult) for part, mult in parts for fac in factor_squarefree_z(part)]
+    rad = ip_primitive(clear_vector(squarefree_part(prim))[0])[1]
+    facs = factor_squarefree_z(rad) if qp_degree(rad) > 0 else []
+    facs = [(fac, 1 if len(rad) == len(prim) else _multiplicity(prim, fac)) for fac in facs]
     check = [1]
     for fac, mult in facs:
         for _ in range(mult):

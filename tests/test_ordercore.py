@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ordroots.linalg import Lattice, sum_lattices
+from ordroots.linalg import Lattice, kernel_int, sum_lattices
 from ordroots.ordercore import (
     Order,
     build_context,
@@ -17,13 +17,14 @@ from ordroots.ordercore import (
     primitive_idempotents,
     primitive_idempotents_ctx,
 )
-from ordroots.polyfactor import factor_q, qp, resultant
+from ordroots.polyfactor import cyclotomic, factor_q, qp, resultant
 from ordroots.qalgebra import AlgebraError
 from util import (
     all_pairs_mu_c_p,
     bareiss_det_int,
     component_kernel,
     cyclic_powers,
+    dense_table,
     diagonal_congruence_suborder,
     divisor_idempotent,
     group_ring,
@@ -76,14 +77,19 @@ def test_order_from_poly_matches_polynomial_multiplication():
         assert got == want
 
 
+def _separable_lattice(ctx):
+    """Basis of the separable part in order coordinates."""
+    return kernel_int(ctx.dec.nil_coords.num)
+
+
 def test_separable_part_reduced_is_identity():
     A = order_from_poly([-1, 0, 0, 0, 1])
-    assert build_context(A).sep_lattice == Lattice.full(4)
+    assert _separable_lattice(build_context(A)) == Lattice.full(4)
 
 
 def test_separable_part_dual_numbers():
     A = order_from_poly([0, 0, 1])  # Z[eps], eps^2 = 0
-    lat = build_context(A).sep_lattice
+    lat = _separable_lattice(build_context(A))
     assert lat.rank == 1
     assert lat.contains([1, 0]) and not lat.contains([0, 1])
 
@@ -273,12 +279,12 @@ def test_divisor_oracle_agrees_with_pipeline():
 def test_residue_torsion_examples():
     A = order_from_poly([-1, 0, 0, 0, 1])
     ctx = build_context(A)
-    orders = sorted(ctx.residue_torsion(i).order for i in range(3))
+    orders = sorted(len(ctx.residue_torsion(i)) for i in range(3))
     assert orders == [2, 2, 4]
-    rt = ctx.residue_torsion(2)
-    assert rt.factorization == {2: 2}
-    # Z[i] holds i, so its residue torsion is generated by zeta itself
-    assert rt.index == 1
+    # Z[i] holds i, so its residue torsion is the field's whole table
+    K = ctx.dec.components[2]
+    assert ctx.residue_torsion(2) == K.torsion_powers()
+    assert ctx.torsion_primes() == [2]
 
 
 def test_residue_torsion_index_two_suborder_of_gaussians():
@@ -287,15 +293,80 @@ def test_residue_torsion_index_two_suborder_of_gaussians():
     A = scalar_suborder(Zi, 2)
     ctx = build_context(A)
     assert len(ctx.residues) == 1
-    rt = ctx.residue_torsion(0)
-    assert rt.order == 2
     K = ctx.dec.components[0]
-    assert K.torsion_powers()[rt.index] == K.from_rational(-1)
+    assert list(ctx.residue_torsion(0)) == [K.one(), K.from_rational(-1)]
     # oracle: powers of the field torsion generator that land in the order
     zeta, w = K.torsion_generator()
     members = [j for j in range(1, w + 1)
                if ctx.residues[0].contains(K.pow(zeta, j))]
     assert members == [2, 4]
+
+
+def test_residue_torsion_is_the_table_entries_in_the_residue():
+    Zi = order_from_poly([1, 0, 1])
+    Z3 = order_from_poly([-1, 0, 0, 1])
+    fixtures = [
+        order_from_poly([-1] + [0] * 11 + [1]),
+        scalar_suborder(Zi, 2),
+        product_order([dense_table(Z3.algebra.table), dense_table(Zi.algebra.table)]),
+    ]
+    for A in fixtures:
+        ctx = build_context(A)
+        for i, K in enumerate(ctx.dec.components):
+            got = ctx.residue_torsion(i)
+            want = {t for t in K.torsion_powers() if ctx.residues[i].contains(t)}
+            assert len(got) == len(set(got))
+            assert set(got) == want
+
+
+# Z[i] with its residue order replaced by a set of members: none at
+# all, i^3 alone (index 3, which does not divide w = 4), and the true
+# residue under a rank of 0, which allows no prime
+_CORRUPTED_RESIDUES = """
+from ordroots.ordercore import build_context, order_from_poly
+
+
+class Members:
+    def __init__(self, members):
+        self.members = members
+
+    def contains(self, x):
+        return x in self.members
+
+
+for corrupt in ("none", "i^3", "rank 0"):
+    ctx = build_context(order_from_poly([1, 0, 1]))
+    powers = ctx.dec.components[0].torsion_powers()
+    if corrupt == "none":
+        ctx.residues[0] = Members([])
+    elif corrupt == "i^3":
+        ctx.residues[0] = Members([powers[3]])
+    else:
+        ctx.order.rank = 0
+    try:
+        print("accepted", len(ctx.residue_torsion(0)))
+    except AssertionError as e:
+        print(e)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_a_corrupted_residue_torsion_is_caught(flags):
+    run = run_python(flags, _CORRUPTED_RESIDUES)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "no torsion power lies in the residue order",
+        "residue torsion index does not divide the torsion order w",
+        "residue torsion has a prime above rank + 1"]
+
+
+def test_torsion_primes_of_a_product_are_the_union():
+    A = order_from_poly([-1, 0, 0, 1])  # residues Z and Z[zeta_3]: {2, 3}
+    B = order_from_poly(cyclotomic(5))  # Z[zeta_5]: {2, 5}
+    P = product_order([dense_table(A.algebra.table), dense_table(B.algebra.table)])
+    primes = [build_context(X).torsion_primes() for X in (A, B, P)]
+    assert primes[0] == [2, 3] and primes[1] == [2, 5]
+    assert primes[2] == sorted(set(primes[0]) | set(primes[1]))
 
 
 def test_mu_b_presentation():

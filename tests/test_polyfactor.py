@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordroots import polyfactor, qalgebra
+from ordroots.linalg import clear_vector
 from ordroots.ordercore import order_from_poly
 from ordroots.polyfactor import (
     _PROOF_PRIMES,
     PRIME_BOUND,
     _is_prime,
-    _yun_squarefree,
     cyclotomic,
     euler_phi,
     factor_q,
@@ -23,7 +23,6 @@ from ordroots.polyfactor import (
     ip_divmod,
     ip_resultant,
     is_irreducible_q,
-    is_squarefree,
     proves_squarefree,
     qp,
     qp_add,
@@ -43,7 +42,9 @@ from util import (
     fraction_divides,
     is_canonical,
     kronecker_factor,
+    run_python,
     sylvester_resultant,
+    yun_squarefree,
     zassenhaus_factor_squarefree_z,
 )
 
@@ -212,6 +213,11 @@ def _exactly_squarefree(f):
     return qp_degree(qp_gcd(f, qp_deriv(f))) == 0
 
 
+def _keeps_its_degree(f):
+    """The library's squarefree verdict: the radical keeps f's degree."""
+    return qp_degree(squarefree_part(f)) == qp_degree(qp(f))
+
+
 _SMALL = st.fractions(-5, 5, max_denominator=4)
 
 
@@ -224,21 +230,21 @@ def _rational_poly(lo, hi):
 def test_modular_proof_never_accepts_a_square_factor(f, g):
     h = qp_mul(qp(f), qp_mul(qp(g), qp(g)))
     assert not proves_squarefree(h)
-    assert not is_squarefree(h)
+    assert not _keeps_its_degree(h)
 
 
 @given(f=_rational_poly(0, 8))
 @settings(max_examples=200, deadline=None)
 def test_modular_proof_agrees_with_the_exact_test(f):
     exact = _exactly_squarefree(f)
-    assert is_squarefree(f) == exact
+    assert _keeps_its_degree(f) == exact
     if proves_squarefree(f):
         assert exact
         monic = qp_monic(qp(f))
         assert squarefree_part(f) == monic
         if qp_degree(monic) > 0:
-            # the decomposition factor_q takes without running Yun
-            assert _yun_squarefree(monic) == [(monic, 1)]
+            # the radical factor_q factors is all of f, every multiplicity 1
+            assert yun_squarefree(monic) == [(monic, 1)]
 
 
 @pytest.mark.parametrize("d", range(1, 41))
@@ -254,12 +260,13 @@ def test_exact_test_decides_when_every_proof_prime_divides_the_discriminant():
         c *= p
     f = [-c, 0, 1]
     assert not proves_squarefree(f)
-    assert is_squarefree(f)
+    assert _keeps_its_degree(f)
     assert squarefree_part(f) == qp(f)
     assert factor_q(f) == (1, [(qp(f), 1)])
     g = qp_mul(qp([-c, 1]), qp([-c, 1]))  # (X - c)^2 reduces to X^2 as well
-    assert not is_squarefree(g)
+    assert not _keeps_its_degree(g)
     assert squarefree_part(g) == qp([-c, 1])
+    assert factor_q(g) == (1, [(qp([-c, 1]), 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +383,7 @@ def test_division_of_an_integer_list_stays_exact():
 @settings(max_examples=60, deadline=None)
 def test_factor_q_equals_kronecker_factoring(a, b):
     f = qp_mul(a, b)
-    if not is_squarefree(f):
+    if not _exactly_squarefree(f):
         return
     _, prim = polyfactor.ip_primitive(f)
     want = sorted((qp_monic(qp(h)) for h in kronecker_factor(prim)),
@@ -415,6 +422,70 @@ def test_factor_q_checks_the_product_on_integers(monkeypatch):
     for f in ([-1, 0, 0, 0, 1], [0, 0, 1], qp_mul([1, 0, 1], [1, 0, 1])):
         with pytest.raises(AssertionError, match="does not multiply back"):
             factor_q(f)
+    # (X - 1)^2 (X + 1): the radical's last factor X + 1 comes back as
+    # 2X + 1, which divides nothing, so it counts 0 exact divisions while
+    # X - 1 counts 2, and only the product check can catch it
+    counts = []
+    real_multiplicity = polyfactor._multiplicity
+
+    def spy(f, g):
+        counts.append((g, real_multiplicity(f, g)))
+        return counts[-1][1]
+
+    monkeypatch.setattr(polyfactor, "_multiplicity", spy)
+    with pytest.raises(AssertionError, match="does not multiply back"):
+        factor_q(qp_mul(qp_mul([-1, 1], [-1, 1]), [1, 1]))
+    assert counts == [([-1, 1], 2), ([1, 2], 0)]
+
+
+_CORRUPTED_FACTOR = """
+from ordroots import polyfactor
+from ordroots.polyfactor import factor_q, qp_mul
+
+real = polyfactor.factor_squarefree_z
+
+
+def bump_leading_coefficient(f):
+    facs = real(f)
+    return facs[:-1] + [facs[-1][:-1] + [facs[-1][-1] + 1]]
+
+
+polyfactor.factor_squarefree_z = bump_leading_coefficient
+for f in ([-1, 0, 0, 0, 1], qp_mul(qp_mul([-1, 1], [-1, 1]), [1, 1])):
+    try:
+        print("accepted", factor_q(f))
+    except AssertionError as e:
+        print(e)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_the_product_check_runs_under_every_flag(flags):
+    run = run_python(flags, _CORRUPTED_FACTOR)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["factorization does not multiply back"] * 2
+
+
+def test_factor_q_of_known_irreducible_powers():
+    # (X^2 + 1)^2 (X - 1)^3 Phi_5, scaled by -3/2
+    f = qp_scale(_product([[1, 0, 1]] * 2 + [[-1, 1]] * 3 + [cyclotomic(5)]),
+                 Fraction(-3, 2))
+    assert factor_q(f) == (Fraction(-3, 2), [([-1, 1], 3), ([1, 0, 1], 2), (cyclotomic(5), 1)])
+
+
+@given(parts=st.lists(st.tuples(_int_poly(1, 2, span=4), st.integers(1, 3)),
+                      min_size=1, max_size=3),
+       c=st.fractions(-5, 5, max_denominator=4).filter(bool))
+@settings(max_examples=80, deadline=None)
+def test_factor_q_multiplicities_equal_factoring_yun_parts(parts, c):
+    f = qp_scale(_product([g for g, e in parts for _ in range(e)]), c)
+    want = []
+    for part, mult in yun_squarefree(qp_monic(f)):
+        _, prim = polyfactor.ip_primitive(clear_vector(part)[0])
+        want += [(h, mult) for h in _monic_sorted(zassenhaus_factor_squarefree_z(prim))]
+    const, fs = factor_q(f)
+    assert const == f[-1]
+    assert fs == sorted(want, key=lambda hm: (qp_degree(hm[0]), tuple(hm[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +513,7 @@ def _monic_sorted(facs):
 def test_factor_q_equals_zassenhaus_on_every_input(linear, nonlinear):
     f = _product([[-a, b] for b, a in linear] + nonlinear)
     _, prim = polyfactor.ip_primitive(f)
-    if qp_degree(prim) < 1 or not is_squarefree(prim):
+    if qp_degree(prim) < 1 or not _exactly_squarefree(prim):
         return
     want = zassenhaus_factor_squarefree_z(prim)
     assert factor_squarefree_z(prim) == want

@@ -7,8 +7,8 @@ number-field products, Kronecker interpolation factoring, Schreier-style
 breadth-first kernel generators, and plain brute-force enumeration.
 Some are the library's own earlier algorithms: eliminations that the
 library now reads off one it has already done, graph weights from sums of
-component kernels, a conductor folded by intersections, and Zassenhaus
-factoring with no rational-root step.
+component kernels, a conductor folded by intersections, Zassenhaus
+factoring with no rational-root step, and Yun's squarefree decomposition.
 """
 
 import os
@@ -211,7 +211,7 @@ def full_trager_roots(f, K):
     from ordroots.numfield import (
         _norm_poly, nfp_compose_shift, nfp_degree, nfp_deriv, nfp_eval,
         nfp_from_qp, nfp_strip)
-    from ordroots.polyfactor import factor_q, is_squarefree
+    from ordroots.polyfactor import factor_q, qp_degree, qp_deriv, qp_gcd
 
     f = nfp_strip(list(f))
     if nfp_degree(f) == 0:
@@ -223,7 +223,7 @@ def full_trager_roots(f, K):
     while True:
         g = nfp_compose_shift(fs, s, K)
         norm = _norm_poly(g, K)
-        if is_squarefree(norm):
+        if qp_degree(qp_gcd(norm, qp_deriv(norm))) == 0:
             break
         s += 1
     roots = []
@@ -522,6 +522,32 @@ def zassenhaus_factor_squarefree_z(f):
     if len(cur) > 1:
         out.append(ip_primitive(cur)[1])
     return sorted(out, key=lambda h: (len(h), tuple(h)))
+
+
+# ---------------------------------------------------------------------------
+# Yun's squarefree decomposition
+
+def yun_squarefree(f):
+    """Yun decomposition of monic f over Q, the library's earlier route
+    to multiplicities: [(g_i, i)] with f = prod g_i^i, the g_i monic,
+    squarefree and pairwise coprime."""
+    from ordroots.polyfactor import qp_degree, qp_deriv, qp_gcd, qp_sub
+
+    out = []
+    df = qp_deriv(f)
+    u = qp_gcd(f, df)
+    v = qp_divmod(f, u)[0]
+    w = qp_divmod(df, u)[0]
+    i = 1
+    while qp_degree(v) > 0:
+        h = qp_sub(w, qp_deriv(v))
+        a = qp_gcd(v, h)
+        if qp_degree(a) > 0:
+            out.append((a, i))
+        v = qp_divmod(v, a)[0]
+        w = qp_divmod(h, a)[0]
+        i += 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -831,12 +857,13 @@ def brute_force_torsion_in_order(ctx):
 
     lists = []
     for i, K in enumerate(ctx.dec.components):
-        rt = ctx.residue_torsion(i)
-        zeta, _ = K.torsion_generator()
-        theta = K.pow(zeta, rt.index)
+        # the residue group's order v, generated by zeta^(w / v)
+        v = len(ctx.residue_torsion(i))
+        zeta, w = K.torsion_generator()
+        theta = K.pow(zeta, w // v)
         elems = []
         acc = K.one()
-        for _ in range(rt.order):
+        for _ in range(v):
             elems.append(acc)
             acc = K.mul(acc, theta)
         lists.append(elems)
@@ -886,11 +913,14 @@ def all_pairs_mu_c_p(ctx, p):
         elems = [()]
         for j, m in enumerate(comp):
             K = ctx.dec.components[m]
-            rt = ctx.residue_torsion(m)
-            # zeta^index generates the residue torsion; its p-part has
-            # order p^k, generated by the power order / p^k
-            zeta, _ = K.torsion_generator()
-            theta = K.pow(zeta, rt.index * rt.order // rt.p_part_order(p))
+            # the residue torsion has order v, generated by zeta^(w / v);
+            # its p-part has order p^k, generated by zeta^(w / p^k)
+            v = len(ctx.residue_torsion(m))
+            pk = 1
+            while v % (pk * p) == 0:
+                pk *= p
+            zeta, w = K.torsion_generator()
+            theta = K.pow(zeta, w // pk)
             image = c_order.image_in(comp[:j + 1])
             elems = [a + b for a in elems for b in cyclic_powers(K.mul, K.one(), theta)
                      if image.contains(a + b)]
