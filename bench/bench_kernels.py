@@ -43,7 +43,11 @@ table's size after the block and the time per order.  It replays the
 ``roots_in_field`` calls that the first 100 cyclotomic-mix orders (20
 with ``--quick``) make on an empty field table and reports the time per
 call and the counts of norms (``_norm_poly``), gcds over the field
-(``nfp_gcd``) and ``NumberField.inv`` calls, the inverses of 1 apart.  Then it runs the
+(``nfp_gcd``) and ``NumberField.inv`` calls, the inverses of 1 apart.  It
+replays the point norms (the ``resultant`` of the minimal polynomial with
+each interpolation value) of the norms that the torsion climb of
+Q(zeta_11) (Q(zeta_7) with ``--quick``) takes in ``roots_in_field``, and
+times them per call.  Then it runs the
 first 100 orders of the split-rank pool (20 with ``--quick``), records
 the finite rings they build and every structure-table product made in those rings,
 and reports the tables' fill (the nonzero share of their entries), the
@@ -409,6 +413,20 @@ def bench_roots(quick):
           f"{norms:>6} {gcds:>6} {inverses:>9} {of_one:>6}")
 
 
+def bench_point_norms(quick):
+    repeat = 3 if quick else 5
+    # the norms N(f(x_i)) of the interpolation points of every _norm_poly
+    # in the torsion climb of a fresh cyclotomic field
+    d = 7 if quick else 11
+    calls = recorded_calls(
+        [("resultant", numfield)],
+        lambda: NumberField(polyfactor.cyclotomic(d)).torsion_generator())["resultant"]
+    t = time_fn(polyfactor.resultant, calls, repeat)
+    print(f"\n{'point norms':<30} {'calls':>6} {'ms':>8} {'us/call':>8}")
+    print(f"{'torsion climb, Q(zeta' + str(d) + ')':<30} {len(calls):>6} {t * 1e3:>8.2f} "
+          f"{t / len(calls) * 1e6:>8.1f}")
+
+
 def bench_tables(quick):
     repeat = 2 if quick else 3
     # the finite rings that the first orders of the split-rank pool build,
@@ -541,6 +559,7 @@ def main():
     bench_orders(args.quick)
     bench_field_table(args.quick)
     bench_roots(args.quick)
+    bench_point_norms(args.quick)
     bench_tables(args.quick)
     bench_lattices(args.quick)
     bench_descent(args.quick)

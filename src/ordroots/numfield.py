@@ -7,10 +7,12 @@ and a Fraction otherwise (``linalg.ratio``).  Products compute on integer
 numerators over one denominator: each operand's denominators are cleared
 once, the convolution and the reduction by the minimal polynomial run in
 integers (the reduced powers a^d, ..., a^(2d-2) are a ``RatMatrix``,
-integer rows over one denominator), and each output numerator over the
-common denominator becomes one coordinate.  Polynomials over a field K
-are lists of such tuples, lowest degree first.  An element of a product
-of fields is the concatenation of its components; a product of cyclic
+integer columns over one denominator), and each output numerator over
+the common denominator becomes one coordinate.  Those powers, field
+inverses and norms all read one matrix, the columns x a^j of
+multiplication by x (``polyfactor.qp_mul_columns``).  Polynomials over a
+field K are lists of such tuples, lowest degree first.  An element of a
+product of fields is the concatenation of its components; a product of cyclic
 torsion groups is presented there (``ProductRing.cyclic_presentation``),
 each factor by its power list 1, g, ..., g^(w-1), checked once and keyed
 on the element tuples themselves, so a discrete log is a projection and
@@ -28,13 +30,13 @@ the norm factors are pairwise coprime, so each but the last is pulled
 back by a gcd with the cofactor the earlier pieces leave, and the last
 piece is that cofactor; and the pieces are monic, so dividing by them
 takes no field inverse.  The norm is interpolated from its values at
-integer points on integer numerators over one common denominator.  A
-shift is accepted when the norm's radical (``squarefree_part``) keeps
+integer points on integer numerators over one common denominator, each
+value the determinant of the multiplication matrix of f at that point.
+A shift is accepted when the norm's radical (``squarefree_part``) keeps
 its degree: proved modulo a few fixed primes, or else decided by one
 exact gcd with the derivative, so the chosen shift is the one the exact
-test alone would choose.  Field inverses
-solve x * y = 1 against the matrix of multiplication by x with the
-library's fraction-free elimination.
+test alone would choose.  Field inverses solve x * y = 1 against the
+multiplication matrix of x with the library's fraction-free elimination.
 
 The roots of unity of K are found one prime power at a time: a root of
 Phi_ell is climbed through roots of X^ell - zeta_(ell^k).  Primes ell are
@@ -55,9 +57,10 @@ public constructor builds a fresh field that shares nothing.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import List
 
 from .abgroup import EffPresentation, GroupOps, cyclic_relations, power
@@ -70,12 +73,13 @@ from .polyfactor import (
     euler_phi,
     factor_q,
     fp_factor_squarefree,
-    ip_resultant,
     is_irreducible_q,
     qp,
     qp_degree,
     qp_divmod,
     qp_monic,
+    qp_mul_columns,
+    resultant,
     squarefree_part,
 )
 
@@ -112,19 +116,10 @@ class NumberField:
     def _setup(self, m):
         self.min_poly = tuple(m)
         self.deg = qp_degree(m)
-        # powers a^deg .. a^(2*deg-2) reduced, as integer rows over one
+        # a^deg .. a^(2*deg-2) reduced, as integer columns over one
         # denominator, for products on integer numerators
-        table = []
-        cur = [-c for c in m[:-1]]  # a^deg = -(lower terms)
-        table.append(cur)
-        for _ in range(self.deg - 2):
-            lead = cur[-1]
-            cur = [0] + cur[:-1]
-            if lead:
-                cur = [c + lead * t for c, t in zip(cur, table[0])]
-            table.append(cur)
-        high = RatMatrix.from_rows(table)
-        self._high_rows, self._high_den = high.num.to_rows(), high.den
+        high = RatMatrix(self.deg, qp_mul_columns([0] * self.deg + [1], m, self.deg - 1))
+        self._high_cols, self._high_den = high.num.cols, high.den
         self._torsion_powers = None
         self._residues = None
 
@@ -177,7 +172,7 @@ class NumberField:
                         prod[i + j] += a * b
         hd = self._high_den
         out = [c * hd for c in prod[:d]]
-        for c, row in zip(prod[d:], self._high_rows):
+        for c, row in zip(prod[d:], self._high_cols):
             if c:
                 for j, t in enumerate(row):
                     if t:
@@ -190,14 +185,8 @@ class NumberField:
         matrix of multiplication by x, whose columns are x * a^j."""
         if not any(x):
             raise ZeroDivisionError("inverse of zero")
-        m = self.min_poly
-        cols = [list(x)]
-        for _ in range(self.deg - 1):
-            c = cols[-1]
-            # x * a^(j+1): x * a^j shifted up, with a^deg = -(m_0 + ... + m_(deg-1) a^(deg-1))
-            top = c[-1]
-            cols.append([-top * m[0]] + [a - top * t for a, t in zip(c, m[1:-1])])
-        y = solve_rat(RatMatrix(self.deg, cols), self.one())
+        y = solve_rat(RatMatrix(self.deg, qp_mul_columns(x, self.min_poly, self.deg)),
+                      self.one())
         if y is None:
             raise ArithmeticError("element not invertible (reducible modulus?)")
         return tuple(y)
@@ -550,11 +539,13 @@ def _norm_poly(f, K):
     interpolation on integers.
 
     With P = prod_j (X - x_j) and w_i = prod_(j != i) (x_i - x_j), the
-    interpolant is sum_i (y_i / w_i) * P / (X - x_i).  Each y_i is one
-    integer resultant, each quotient one synthetic division of P in
-    integers, the weights y_i / w_i are brought to one common denominator,
-    and each coefficient is one ``ratio``: O(N^2) integer operations.  The
-    interpolant is unique, so this is the norm exactly.
+    interpolant is sum_i (y_i / w_i) * P / (X - x_i).  Each y_i is the
+    norm of f(x_i) in K, the determinant of multiplication by it
+    (``resultant`` with the monic minimal polynomial), each quotient one
+    synthetic division of P in integers, the weights y_i / w_i are
+    brought to one common denominator, and each coefficient is one
+    ``ratio``: O(N^2) integer operations besides the N determinants.
+    The interpolant is unique, so this is the norm exactly.
     """
     d = K.deg
     r = nfp_degree(f)
@@ -566,28 +557,21 @@ def _norm_poly(f, K):
         if k > 0 and len(xs) < npoints:
             xs.append(-k)
         k += 1
-    # m = M / mu and f = F / delta with M and F integral; for m monic,
-    # Res(m, F(x0) / delta) = Res(M, F(x0)) / (mu^deg F(x0) * delta^d)
-    big_m, mu = clear_vector(K.min_poly)
     nums, delta = clear_vector([c for coeff in f for c in coeff])
     rows = [nums[k:k + d] for k in range(0, len(nums), d)]
-    scale = delta ** d
     big_p = [1]
     for xj in xs:
         big_p = [a - xj * b for a, b in zip([0] + big_p, big_p + [0])]
     weights = []  # (x_i, y_i / w_i)
     for i, xi in enumerate(xs):
-        # F(x_i) in K by Horner, an integer polynomial in the generator
+        # f(x_i) in K by Horner on the integer numerators over delta
         p = [0] * d
         for row in reversed(rows):
             p = [a * xi + b for a, b in zip(p, row)]
-        y = ip_resultant(big_m, p)
+        y = resultant(K.min_poly, [ratio(c, delta) for c in p])
         if y:
-            w = scale * mu ** max(k for k, c in enumerate(p) if c)
-            for j, xj in enumerate(xs):
-                if i != j:
-                    w *= xi - xj
-            weights.append((xi, ratio(y, w)))
+            w = prod(xi - xj for j, xj in enumerate(xs) if j != i)
+            weights.append((xi, Fraction(y, w)))
     den = lcm(*(c.denominator for _, c in weights))
     acc = [0] * npoints
     for xi, c in weights:

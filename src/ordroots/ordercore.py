@@ -30,7 +30,8 @@ from .finitering import FiniteRing
 from .kernels import hnf_cols
 from .linalg import Lattice, QLattice, kernel_int, qlat_index
 from .numfield import ProductRing
-from .polyfactor import _factor_small, _valuation, factor_q, qp_divmod, qp_mul, resultant
+from .polyfactor import (
+    _factor_small, _valuation, factor_q, qp_divmod, qp_mul, qp_mul_columns, resultant)
 from .qalgebra import (
     AlgebraError,
     QAlgebra,
@@ -77,8 +78,7 @@ def order_from_poly(f) -> Order:
     if n < 1 or f[-1] != 1:
         raise AlgebraError("defining polynomial must be monic of positive degree")
     # e_i * e_j = X^(i+j) mod f
-    rems = [qp_divmod([0] * k + [1], f)[1] for k in range(2 * n - 1)]
-    rems = [r + [0] * (n - len(r)) for r in rems]
+    rems = qp_mul_columns([1], f, 2 * n - 1)
     return Order([[rems[i + j] for j in range(n)] for i in range(n)])
 
 

@@ -25,6 +25,12 @@ primes is squarefree over Q (``proves_squarefree``), and only when no
 prime proves it does one gcd with the derivative over Q decide, so every
 verdict is the exact one.  ``factor_q`` factors the radical it returns
 and reads each multiplicity off exact divisions of the primitive part.
+
+Multiplication by g on Q[X]/(f), f monic, has one implementation,
+``qp_mul_columns``: the columns g X^j mod f, shifted on integer
+numerators.  The number-field products, inverses and norms and the
+tables of Z[X]/(f) read it, and a resultant is lc(f)^deg g times its
+determinant, one fraction-free elimination (``linalg.det_int``).
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from itertools import combinations, zip_longest
 from math import gcd, isqrt, prod
 
 from .abgroup import power
-from .linalg import _num, clear_vector, ratio
+from .linalg import RatMatrix, _num, clear_vector, det_int, ratio
 
 
 # ---------------------------------------------------------------------------
@@ -698,79 +704,37 @@ def cyclotomic(d):
 
 
 # ---------------------------------------------------------------------------
-# resultants
+# multiplication matrices and resultants
 
-def ip_resultant(f, g):
-    """Resultant of integer polynomials by the subresultant PRS."""
-    f = _strip(list(f))
-    g = _strip(list(g))
-    if not f or not g:
-        return 0
-    m, n = qp_degree(f), qp_degree(g)
-    if m == 0 and n == 0:
-        return 1
-    if m == 0:
-        return f[0] ** n
-    if n == 0:
-        return g[0] ** m
-    s = 1
-    if m < n:
-        f, g = g, f
-        m, n = n, m
-        if m % 2 == 1 and n % 2 == 1:
-            s = -s
-    ca, a = ip_primitive(f)
-    cb, b = ip_primitive(g)
-    t = ca ** n * cb ** m
-    gg = 1
-    h = 1
-    while True:
-        da, db = qp_degree(a), qp_degree(b)
-        delta = da - db
-        if da % 2 == 1 and db % 2 == 1:
-            s = -s
-        r = _ip_prem(a, b)
-        if not r:
-            return 0  # deg(b) >= 1 here, so a common factor exists
-        a, b = b, [c // (gg * h ** delta) for c in r]
-        gg = a[-1]
-        if delta > 0:
-            h = gg ** delta // h ** (delta - 1)
-        elif delta == 0:
-            pass
-        if qp_degree(b) == 0:
-            break
-    da = qp_degree(a)
-    res_pp = b[0] ** da // h ** (da - 1)
-    return s * t * res_pp
-
-
-def _ip_prem(f, g):
-    """Pseudo-remainder: lc(g)^(deg f - deg g + 1) * f mod g over Z."""
-    df, dg = qp_degree(f), qp_degree(g)
-    r = list(f)
-    lg = g[-1]
-    steps = df - dg + 1
-    while r and qp_degree(r) >= dg:
-        lr = r[-1]
-        k = qp_degree(r) - dg
-        r = [c * lg for c in r]
-        for i, c in enumerate(g):
-            r[k + i] -= lr * c
-        _strip(r)
-        steps -= 1
-    if steps > 0 and r:
-        mult = lg ** steps
-        r = [c * mult for c in r]
-    return r
+def qp_mul_columns(g, f, k):
+    """The k columns g X^j mod f, j < k, of a monic f of degree d, each d
+    canonical coordinates; for k = d, the matrix of multiplication by g
+    on Q[X]/(f) in the power basis.  The shifts run on integer
+    numerators: with f = F / phi, a column N / D times X is
+    (phi X N - N_(d-1) F) / (phi D), X^d reduced by F's lower terms."""
+    F, phi = clear_vector(f)
+    d = len(F) - 1
+    r = qp_divmod(g, f)[1]
+    nums, den = clear_vector(r + [0] * (d - len(r)))
+    cols = []
+    for j in range(k):
+        if j:
+            top = nums[-1]
+            nums = [phi * a - top * t for a, t in zip([0] + nums[:-1], F)]
+            den *= phi
+        cols.append([ratio(c, den) for c in nums])
+    return cols
 
 
 def resultant(f, g):
-    """Resultant of rational polynomials, as a coordinate (``ratio``)."""
+    """Resultant of rational polynomials, as a coordinate (``ratio``):
+    lc(f)^deg g times the determinant of multiplication by g on
+    Q[X]/(f), taken with ``det_int`` on its integer numerators over one
+    denominator."""
     f, g = qp(f), qp(g)
     if not f or not g:
         return 0
-    fi, fd = clear_vector(f)
-    gi, gd = clear_vector(g)
-    r = ip_resultant(fi, gi)
-    return ratio(r, fd ** qp_degree(g) * gd ** qp_degree(f))
+    d, e = qp_degree(f), qp_degree(g)
+    m = RatMatrix(d, qp_mul_columns(g, qp_monic(f), d))
+    lc = Fraction(f[-1])
+    return ratio(lc.numerator ** e * det_int(m.num), lc.denominator ** e * m.den ** d)

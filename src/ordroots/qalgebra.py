@@ -19,6 +19,9 @@ nilradical, are ``RatMatrix`` maps: integer numerators over one
 denominator, applied as one integer matrix-vector product and one
 ``ratio`` per coordinate; the projection and ``nil_coords`` are the row
 blocks of the one inverse of [section | N], N the nilradical's basis.
+The section's columns are e_i X^j mod m, e_i the Chinese-remainder
+idempotents of the primitive element's radical m: the multiplication
+columns of e_i (``polyfactor.qp_mul_columns``), read at that element.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from typing import List, Tuple
 from .abgroup import EffPresentation, power
 from .linalg import IntMatrix, RatMatrix, _gauss_jordan, _num, kernel_int, ratio, solve_rat
 from .numfield import NumberField, ProductRing
-from .polyfactor import factor_q, qp_degree, qp_deriv, qp_divmod, qp_mul, squarefree_part
+from .polyfactor import (
+    factor_q, qp_degree, qp_deriv, qp_divmod, qp_mul, qp_mul_columns, squarefree_part)
 
 
 class AlgebraError(ValueError):
@@ -331,10 +335,7 @@ def decompose(E: QAlgebra) -> SpecDecomposition:
     crt = []
     for K in components:
         c = qp_divmod(m, K.min_poly)[0]
-        e = qp_divmod(qp_mul(c, K.inv(K.from_poly(c))), m)[1]
-        for _ in range(K.deg):
-            crt.append(e + [0] * (q - len(e)))
-            e = qp_divmod([0] + e, m)[1]
+        crt += qp_mul_columns(qp_mul(c, K.inv(K.from_poly(c))), m, K.deg)
     section = RatMatrix(n, powers).mul(RatMatrix(q, crt))
     # rows :q of [section | N]^-1 give component coordinates, rows q: those along N
     full_inv = _split_matrix(section, nil_cols).inverse()

@@ -31,8 +31,11 @@ from ordroots.polyfactor import (
     cyclotomic,
     factor_q,
     fp_factor_squarefree,
+    qp,
     qp_degree,
     qp_mul,
+    qp_mul_columns,
+    resultant,
 )
 from ordroots.qalgebra import QAlgebra, decompose, minimal_polynomial
 from ordroots.rou import mu_a_presentation
@@ -792,6 +795,42 @@ def test_integer_norm_matches_the_lagrange_norm(name, data):
     assert is_canonical(got)
     # the norm of a monic polynomial of degree r is monic of degree r deg K
     assert len(got) == r * K.deg + 1 and got[-1] == 1
+
+
+# the multiplication matrix of Q[X]/(m) and the norm read off it, on every
+# field of this file
+_MATRIX_FIELDS = {**{name: tuple(m) for name, m in {**SWEEP_FIELDS, **ROOT_FIELDS}.items()},
+                  **_REFERENCE_FIELDS}
+
+
+def _norm(K, x):
+    """N(x), the determinant of multiplication by x on K: the resultant of
+    the monic minimal polynomial with x, as ``_norm_poly`` takes it."""
+    return resultant(K.min_poly, x)
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(_MATRIX_FIELDS)), data=st.data())
+def test_the_norm_is_multiplicative_and_a_power_on_rationals(name, data):
+    K = _field(_MATRIX_FIELDS[name])
+    x, y = data.draw(_element(K)), data.draw(_element(K))
+    nx, ny = _norm(K, x), _norm(K, y)
+    assert _norm(K, K.mul(x, y)) == nx * ny
+    assert (nx == 0) == (not any(x))
+    assert is_canonical([nx, ny])
+    c = data.draw(_SMALL_COORD)
+    assert _norm(K, K.from_rational(c)) == Fraction(c) ** K.deg
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(_MATRIX_FIELDS)), data=st.data())
+def test_multiplication_columns_are_the_reduced_shifts(name, data):
+    K = _field(_MATRIX_FIELDS[name])
+    g = qp(data.draw(st.lists(_SMALL_COORD, max_size=2 * K.deg + 1)))
+    k = data.draw(st.integers(0, 2 * K.deg))
+    cols = qp_mul_columns(g, K.min_poly, k)
+    assert cols == [list(K.from_poly(qp_mul(g, [0] * j + [1]))) for j in range(k)]
+    assert all(is_canonical(c) for c in cols)
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordroots.linalg import Lattice, kernel_int, sum_lattices
 from ordroots.ordercore import (
@@ -17,7 +19,7 @@ from ordroots.ordercore import (
     primitive_idempotents,
     primitive_idempotents_ctx,
 )
-from ordroots.polyfactor import cyclotomic, factor_q, qp, resultant
+from ordroots.polyfactor import cyclotomic, factor_q, qp, qp_divmod, resultant
 from ordroots.qalgebra import AlgebraError
 from util import (
     all_pairs_mu_c_p,
@@ -65,7 +67,7 @@ def test_order_from_poly_rejects_a_non_integer_coefficient():
 def test_order_from_poly_matches_polynomial_multiplication():
     f = [-1, 0, 2, 1]  # X^3 + 2X^2 - 1, monic
     A = order_from_poly(f)
-    from ordroots.polyfactor import qp_divmod, qp_mul
+    from ordroots.polyfactor import qp_mul
 
     rng = random.Random(12)
     for _ in range(20):
@@ -75,6 +77,20 @@ def test_order_from_poly_matches_polynomial_multiplication():
         want = qp_divmod(qp_mul(qp(a), qp(b)), qp(f))[1]
         want = tuple(int(want[k]) if k < len(want) else 0 for k in range(3))
         assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=6))
+def test_order_from_poly_table_is_the_division_table(low):
+    # the table of Z[X]/(f) rebuilt by one division X^k mod f per k
+    f = low + [1]
+    n = len(low)
+    rems = [qp_divmod([0] * k + [1], f)[1] for k in range(2 * n - 1)]
+    rems = [r + [0] * (n - len(r)) for r in rems]
+    want = [[rems[i + j] for j in range(n)] for i in range(n)]
+    got = dense_table(order_from_poly(f).algebra.table)
+    assert got == want
+    assert all(type(c) is int for row in got for cell in row for c in cell)
 
 
 def _separable_lattice(ctx):

@@ -21,7 +21,6 @@ from ordroots.polyfactor import (
     fp_factor_squarefree,
     fp_norm,
     ip_divmod,
-    ip_resultant,
     is_irreducible_q,
     proves_squarefree,
     qp,
@@ -161,15 +160,50 @@ def test_resultant_examples():
     assert resultant([0, 1], [-1, 1]) != 0
 
 
-@given(
-    st.lists(st.integers(-8, 8), min_size=2, max_size=5),
-    st.lists(st.integers(-8, 8), min_size=2, max_size=5),
-)
+# polynomials over Z and over Q, constants and the zero polynomial included
+_RES_COEFF = st.one_of(st.integers(-8, 8), st.fractions(-8, 8, max_denominator=6))
+_RES_POLY = st.one_of(st.lists(st.integers(-8, 8), max_size=5),
+                      st.lists(_RES_COEFF, max_size=5)).map(qp)
+
+
+def _evaluate(f, x):
+    acc = 0
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
+
+
+@given(_RES_POLY, _RES_POLY)
 @settings(max_examples=200, deadline=None)
 def test_resultant_matches_sylvester(f, g):
-    f = f[:-1] + [f[-1] if f[-1] else 1]
-    g = g[:-1] + [g[-1] if g[-1] else 1]
-    assert ip_resultant(f, g) == sylvester_resultant(f, g)
+    r = resultant(f, g)
+    assert r == (sylvester_resultant(f, g) if f and g else 0)
+    # one canonical coordinate: an int exactly when it is integral
+    assert is_canonical([r])
+
+
+@given(_RES_POLY, _RES_POLY)
+@settings(max_examples=150, deadline=None)
+def test_resultant_is_antisymmetric_in_the_degrees(f, g):
+    e = qp_degree(f) * qp_degree(g) if f and g else 0
+    assert resultant(f, g) == (-1) ** e * resultant(g, f)
+
+
+@given(_RES_POLY, _RES_POLY, _RES_POLY)
+@settings(max_examples=150, deadline=None)
+def test_resultant_is_multiplicative_in_each_argument(f, g, h):
+    assert resultant(f, qp_mul(g, h)) == resultant(f, g) * resultant(f, h)
+    assert resultant(qp_mul(g, h), f) == resultant(g, f) * resultant(h, f)
+
+
+@given(st.lists(st.fractions(-6, 6, max_denominator=4), max_size=5), _RES_POLY)
+@settings(max_examples=150, deadline=None)
+def test_resultant_of_a_split_polynomial_is_the_product_of_values(roots, g):
+    f = [1]
+    for a in roots:
+        f = qp_mul(f, qp([-a, 1]))
+    want = math.prod(_evaluate(g, a) for a in roots) if g else 0
+    assert resultant(f, g) == want
 
 
 @given(

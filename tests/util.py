@@ -18,10 +18,10 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from ordroots.linalg import Lattice, RatMatrix
+from ordroots.linalg import IntMatrix, Lattice, RatMatrix, clear_vector
 from ordroots.ordercore import Order
 from ordroots.qalgebra import AlgebraError, cell_coords
-from ordroots.polyfactor import qp, qp_add, qp_divmod, qp_mul, qp_scale, qp_xgcd, resultant
+from ordroots.polyfactor import qp, qp_add, qp_divmod, qp_mul, qp_scale, qp_xgcd
 
 
 # ---------------------------------------------------------------------------
@@ -71,18 +71,22 @@ def bareiss_det_int(m):
     return sign * a[n - 1][n - 1]
 
 
-def sylvester_resultant(f, g):
-    """Resultant via the Sylvester matrix and cofactor expansion."""
+def sylvester_rows(f, g):
+    """The rows of the Sylvester matrix of nonzero f and g: deg g shifts of
+    f, then deg f shifts of g, highest coefficient first."""
     m, n = len(f) - 1, len(g) - 1
-    if m == 0 and n == 0:
-        return 1
     size = m + n
     rows = []
     for i in range(n):
         rows.append([0] * i + list(reversed(f)) + [0] * (size - m - 1 - i))
     for i in range(m):
         rows.append([0] * i + list(reversed(g)) + [0] * (size - n - 1 - i))
-    return cofactor_det(rows)
+    return rows
+
+
+def sylvester_resultant(f, g):
+    """Resultant via the Sylvester matrix and cofactor expansion."""
+    return cofactor_det(sylvester_rows(f, g))
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +130,10 @@ def schoolbook_field_mul(K, x, y):
 
 def lagrange_norm_poly(f, K):
     """Norm of monic f in K[X] down to Q[X]: the resultants of the minimal
-    polynomial with f(x) at the integer points 0, 1, -1, 2, -2, ..., then
-    Lagrange interpolation in Fractions, one basis polynomial per point
-    (O(N^3) Fraction work for N points)."""
+    polynomial with f(x) at the integer points 0, 1, -1, 2, -2, ..., each
+    the determinant of their Sylvester matrix cleared to integers
+    (``bareiss_det_int``), then Lagrange interpolation in Fractions, one
+    basis polynomial per point (O(N^3) Fraction work for N points)."""
     d = K.deg
     npoints = d * (len(f) - 1) + 1
     xs = []
@@ -138,7 +143,7 @@ def lagrange_norm_poly(f, K):
         if k > 0 and len(xs) < npoints:
             xs.append(-k)
         k += 1
-    m = list(K.min_poly)
+    big_m, mu = clear_vector(K.min_poly)
     ys = []
     for x0 in xs:
         p = [Fraction(0)] * d
@@ -147,7 +152,13 @@ def lagrange_norm_poly(f, K):
             for j in range(d):
                 p[j] += c[j] * xp
             xp *= x0
-        ys.append(resultant(m, qp(p)))
+        # Res(M / mu, P / pi) = Res(M, P) / (mu^deg P pi^deg M)
+        big_p, pi = clear_vector(qp(p))
+        if not big_p:
+            ys.append(0)
+            continue
+        det = bareiss_det_int(IntMatrix.from_rows(sylvester_rows(big_m, big_p)))
+        ys.append(Fraction(det, mu ** (len(big_p) - 1) * pi ** d))
     out = []
     for i, (xi, yi) in enumerate(zip(xs, ys)):
         if yi == 0:
