@@ -9,8 +9,9 @@ exactly that interface: they only multiply, raise to integer powers,
 compare, and call the dlog.  Each element's dlog is taken once and
 passed on: a subgroup presentation holds its targets' logs from the
 build, membership takes the logs of gamma and of the targets once, and
-the relation and witness checks multiply back from those logs when the
-presentation can (``EffPresentation.log_product``).
+the relation and witness checks read their products off those logs when
+the presentation can (``EffPresentation.log_product``: on checked power
+lists, the entries at the exponent sums).
 
 Groups are multiplicative; an additive group is used through a GroupOps
 adapter whose mul is addition.
@@ -91,7 +92,7 @@ class EffPresentation:
     ``relation_lattice``, the lattice the relations span, is built on
     first use and kept.  ``log_product``, when given, is prod t^e over
     elements t given by their dlogs: log_product(logs, exps) computes it
-    from the exponents, with no further dlog.
+    from the exponents alone, with no further dlog or group product.
     """
 
     ops: GroupOps
@@ -155,8 +156,8 @@ def subgroup_relations(pres: EffPresentation, targets, logs=None) -> List[List[i
     {x in Z^targets : prod t^x = 1}: the preimage of the presentation's
     relation lattice under h, which writes each target over the
     presentation's generators.  ``logs`` are the targets' dlogs, the
-    columns of h, when the caller holds them; each relation is
-    multiplied back from them.
+    columns of h, when the caller holds them; each relation's product is
+    read off them and checked to be 1.
     """
     targets = list(targets)
     if logs is None:
@@ -175,8 +176,8 @@ def membership_dlog(pres: EffPresentation, targets, gamma, logs=None):
     Raises NotInGroup when gamma (or a target) is not in the presented
     group at all, which is a different failure from gamma merely lying
     outside the subgroup.  gamma's dlog is taken once, the targets' too
-    unless the caller passes them in ``logs``; the relations and the
-    witness are multiplied back from these logs.
+    unless the caller passes them in ``logs``; the products of the
+    relations and of the witness are read off these logs and checked.
     """
     targets = list(targets)
     nt = len(targets)

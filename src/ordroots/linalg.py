@@ -155,10 +155,6 @@ class RatMatrix:
     def identity(cls, n: int) -> "RatMatrix":
         return cls.over(IntMatrix.identity(n), 1)
 
-    @classmethod
-    def from_rows(cls, rows) -> "RatMatrix":
-        return cls(*_rows_as_cols(rows))
-
     def row_block(self, lo: int, hi: int) -> "RatMatrix":
         """Rows lo, ..., hi - 1."""
         return RatMatrix.over(IntMatrix(hi - lo, [c[lo:hi] for c in self.num.cols]), self.den)

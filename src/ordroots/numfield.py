@@ -16,8 +16,9 @@ product of fields is the concatenation of its components; a product of cyclic
 torsion groups is presented there (``ProductRing.cyclic_presentation``),
 each factor by its power list 1, g, ..., g^(w-1), checked once and keyed
 on the element tuples themselves, so a discrete log is a projection and
-one dictionary lookup per factor, and the power of a member is read
-from the lists with no field product; a non-member has no power there.
+one dictionary lookup per factor.  A product of members given by their
+logs, a power among them, is one entry per factor at the exponent sum
+modulo w, with no field product; a non-member has no power there.
 
 Root finding over K goes through the classical norm trick (Trager
 1976): shift the argument by an integer multiple of the generator until
@@ -342,11 +343,11 @@ class ProductRing:
         Fraction compare and hash alike, so a coordinate in either form
         finds its entry.  The discrete log projects onto each factor and
         looks the projection up in its list.  A product prod t_j^(u_j)
-        of elements with logs a_j (``log_product``) multiplies, per
-        factor, the entries g^(a_j*u_j mod w) of nonzero index in the
-        sub-product ring; a factor with none is the list's 1, so the
-        entry 1 enters no product and no dlog is taken again.  The power
-        x^e of a member is that product of one element; the power raises
+        of elements with logs a_j (``log_product``) is, per factor, the
+        entry powers[sum_j a_j*u_j mod w], with no field product and no
+        further dlog: the check gives powers[a]*g = powers[(a+1) mod w],
+        so powers[a]*powers[b] = powers[(a+b) mod w].  The power x^e of
+        a member is that product of one element; the power raises
         ValueError for a non-member, and the dlog and the power raise it
         for an element of the wrong length.
         """
@@ -387,14 +388,7 @@ class ProductRing:
         def log_product(logs, exps):
             blocks = [None] * len(self.fields)
             for k, (comps, sub, powers, _) in enumerate(tables):
-                w = len(powers)
-                acc = None
-                for log, e in zip(logs, exps):
-                    a = log[k] * e % w
-                    if a:
-                        acc = powers[a] if acc is None else sub.mul(acc, powers[a])
-                if acc is None:
-                    acc = powers[0]
+                acc = powers[sum(log[k] * e for log, e in zip(logs, exps)) % len(powers)]
                 for pos, i in enumerate(comps):
                     blocks[i] = sub.block(acc, pos)
             return self.from_blocks(blocks)

@@ -207,7 +207,7 @@ def mu_a_presentation(A_or_ctx) -> MuAPresentation:
     gens = mu_a_generators(ctx)
     pres_b = mu_b_presentation(ctx)
     targets = [ctx.to_ambient(g) for g in gens]
-    # subgroup_relations has multiplied every relation back
+    # subgroup_relations has checked every relation
     sub = subgroup_presentation(pres_b, targets)
     facs = sub.invariant_factors() if gens else []
     return MuAPresentation(

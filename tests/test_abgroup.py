@@ -237,32 +237,38 @@ _CORRUPTED_CHECKS = """
 from ordroots import abgroup
 from ordroots.linalg import Lattice
 from ordroots.numfield import NumberField, ProductRing
+from ordroots.ordercore import build_context, order_from_poly
 
 R = ProductRing([NumberField([1, 0, 1]), NumberField([1, 1, 1])])
-pres = R.cyclic_presentation([([i], K.torsion_powers()) for i, K in enumerate(R.fields)])
-t = pres.evaluate([1, 1])  # of order 12
-gamma = pres.evaluate([2, 2])
-print(abgroup.subgroup_relations(pres, [t]), abgroup.membership_dlog(pres, [t], gamma))
+two_fields = R.cyclic_presentation([([i], K.torsion_powers()) for i, K in enumerate(R.fields)])
+# the field torsion of Z[X]/(X^12 - 1): six cyclic factors
+x12 = build_context(order_from_poly([-1] + [0] * 11 + [1])).field_torsion()
 preimage_lattice, xgcd = abgroup.preimage_lattice, abgroup.xgcd
-# the first unit vector as the whole preimage: t^1 = 1 is claimed
-abgroup.preimage_lattice = lambda m, lat: Lattice(m.ncols, [[int(i == 0) for i in range(m.ncols)]])
-try:
-    abgroup.subgroup_relations(pres, [t])
-except AssertionError as e:
-    print(e)
-abgroup.preimage_lattice = preimage_lattice
-# a Bezout combination that claims gcd 1 with all coefficients 0
-abgroup.xgcd = lambda a, b: (1, 0, 0)
-try:
-    abgroup.membership_dlog(pres, [t], gamma)
-except AssertionError as e:
-    print(e)
-abgroup.xgcd = xgcd
+for pres in (two_fields, x12):
+    t = pres.evaluate([1] * len(pres.gens))  # of order 12
+    gamma = pres.evaluate([2] * len(pres.gens))
+    print(len(pres.gens), abgroup.subgroup_relations(pres, [t]),
+          abgroup.membership_dlog(pres, [t], gamma))
+    # the first unit vector as the whole preimage: t^1 = 1 is claimed
+    abgroup.preimage_lattice = lambda m, lat: Lattice(m.ncols, [[int(i == 0) for i in range(m.ncols)]])
+    try:
+        abgroup.subgroup_relations(pres, [t])
+    except AssertionError as e:
+        print(e)
+    abgroup.preimage_lattice = preimage_lattice
+    # a Bezout combination that claims gcd 1 with all coefficients 0
+    abgroup.xgcd = lambda a, b: (1, 0, 0)
+    try:
+        abgroup.membership_dlog(pres, [t], gamma)
+    except AssertionError as e:
+        print(e)
+    abgroup.xgcd = xgcd
 """
 
-_CAUGHT = ["[[12]] [2]",
-           "computed relation does not multiply to 1",
-           "membership witness does not multiply back"]
+_CAUGHT = [line for gens in (2, 6) for line in (
+    f"{gens} [[12]] [2]",
+    "computed relation does not multiply to 1",
+    "membership witness does not multiply back")]
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])

@@ -304,11 +304,11 @@ def test_solve_int_and_rat():
     m = IntMatrix.from_rows([[2, 0], [0, 3]])
     assert solve_int(m, [4, 9]) == [2, 3]
     assert solve_int(m, [1, 0]) is None
-    rm = RatMatrix.from_rows([[1, 2], [3, 4]])
+    rm = RatMatrix(2, [[1, 3], [2, 4]])
     x = solve_rat(rm, [1, 1])
     assert x == [Fraction(-1), Fraction(1)]
     # inconsistent system
-    rm2 = RatMatrix.from_rows([[1, 1], [2, 2]])
+    rm2 = RatMatrix(2, [[1, 2], [1, 2]])
     assert solve_rat(rm2, [1, 3]) is None
     assert solve_rat(rm2, [1, 2]) is not None
 
@@ -459,26 +459,29 @@ def test_qlattice_roundtrip_and_index():
 
 
 def test_rat_matrix_inverse():
-    m = RatMatrix.from_rows([[1, 2], [3, 5]])
+    m = RatMatrix(2, [[1, 3], [2, 5]])
     inv = m.inverse()
     assert m.mul(inv) == RatMatrix.identity(2)
     with pytest.raises(ValueError):
-        RatMatrix.from_rows([[1, 2], [2, 4]]).inverse()
+        RatMatrix(2, [[1, 2], [2, 4]]).inverse()
 
 
 @pytest.mark.parametrize("cls", [IntMatrix, RatMatrix])
 @pytest.mark.parametrize("rows", [[[1], [2, 3]], [[1, 2], [3]], [[], [1]]])
 def test_ragged_rows_are_rejected(cls, rows):
-    # a longer row is not cut short and a shorter one raises no IndexError
+    # a longer row is not cut short and a shorter one raises no IndexError;
+    # the lists read as columns of len(rows) rows are ragged too
+    if cls is IntMatrix:
+        with pytest.raises(ValueError, match="ragged matrix"):
+            cls.from_rows(rows)
     with pytest.raises(ValueError, match="ragged matrix"):
-        cls.from_rows(rows)
+        cls(len(rows), rows)
 
 
 def test_rows_of_one_length_transpose_to_columns():
-    for cls in (IntMatrix, RatMatrix):
-        assert cls.from_rows([[1, 2, 3], [4, 5, 6]]) == cls(2, [[1, 4], [2, 5], [3, 6]])
-        assert cls.from_rows([[], []]) == cls(2, [])
-        assert cls.from_rows([]) == cls(0, [])
+    assert IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]]) == IntMatrix(2, [[1, 4], [2, 5], [3, 6]])
+    assert IntMatrix.from_rows([[], []]) == IntMatrix(2, [])
+    assert IntMatrix.from_rows([]) == IntMatrix(0, [])
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +519,7 @@ def rational_systems(draw):
 @example(([[1], [2], [3]], [2, 4, 6]))  # overdetermined, consistent
 def test_solve_and_inverse_match_the_fraction_reference(system):
     rows, vec = system
-    m = RatMatrix.from_rows(rows)
+    m = RatMatrix(len(rows), zip(*rows))
     x = solve_rat(m, vec)
     assert x == fraction_solve(rows, vec)
     if x is not None:
@@ -532,7 +535,7 @@ def test_solve_and_inverse_match_the_fraction_reference(system):
             m.inverse()
         return
     inv = m.inverse()
-    assert inv == RatMatrix.from_rows(want)
+    assert inv == RatMatrix(len(want), zip(*want))
     assert m.mul(inv) == RatMatrix.identity(len(rows))
 
 

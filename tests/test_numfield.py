@@ -654,35 +654,30 @@ def test_product_from_logs_is_the_fold_of_ring_powers(name, data):
 
 @settings(max_examples=30, deadline=None)
 @given(name=st.sampled_from(["X^12 - 1"] + sorted(CYCLIC_PRODUCTS)), data=st.data())
-def test_product_from_logs_multiplies_only_entries_of_nonzero_index(name, data):
-    # one product in each field of a factor per further nonzero table
-    # index; a factor over one field has 1 only at index 0, so there no
-    # table entry enters a product as 1 (over two fields a power can be 1
-    # on one of them, (zeta_6, i)^4 = (zeta_6^4, 1)).  The running product
-    # itself is 1 where the entries so far cancel, and is multiplied on.
-    _, pres, comps_list = _torsion_presentation(name)
+def test_product_from_logs_and_power_of_a_member_take_no_field_product(name, data):
+    # the checked lists give powers[a] * powers[b] = powers[(a + b) mod w],
+    # so a product from logs is one entry per factor, read at the exponent
+    # sum, and so is the power of a member; the fold of real field
+    # products is the oracle above
+    _, pres, _ = _torsion_presentation(name)
     elems, exps = _draw_members(pres, data)
     logs = [pres.dlog(x) for x in elems]
-    want = 0
-    for k, comps in enumerate(comps_list):
-        w = pres.rels[k][k]
-        nonzero = sum(1 for log, e in zip(logs, exps) if log[k] * e % w)
-        want += max(0, nonzero - 1) * len(comps)
-    operands = []
+    e = data.draw(st.integers(-40, 40))
+    calls = []
     mul = NumberField.mul
 
-    def recording(K, x, y):
-        operands.append(y == K.one())
+    def counting(K, x, y):
+        calls.append(K)
         return mul(K, x, y)
 
-    NumberField.mul = recording
+    NumberField.mul = counting
     try:
         pres.log_product(logs, exps)
+        for x in list(pres.gens) + elems:
+            pres.ops.power(x, e)
     finally:
         NumberField.mul = mul
-    assert len(operands) == want
-    if all(len(comps) == 1 for comps in comps_list):
-        assert not any(operands)
+    assert not calls
 
 
 def test_table_builder_rejects_factors_that_do_not_partition_the_fields():

@@ -589,6 +589,47 @@ def test_mu_a_of_z_and_gaussians():
     assert pres_i.invariant_factors == [4]
 
 
+_MUA_ORDERS = {
+    "X^2 + 4": [4, 0, 1],  # Z[2i] on the basis 1, 2i
+    "X^4 - 1": [-1, 0, 0, 0, 1],
+    "X^12 - 1": [-1] + [0] * 11 + [1],
+    "Phi_16": [int(c) for c in cyclotomic(16)],
+}
+_MUA = {}
+
+
+def _mua(name):
+    if name not in _MUA:
+        _MUA[name] = mu_a_presentation(build_context(order_from_poly(_MUA_ORDERS[name])))
+    return _MUA[name]
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(_MUA_ORDERS)), data=st.data())
+def test_a_mua_dlog_multiplies_back_to_its_word_in_the_order(name, data):
+    # a word in the order's torsion generators, multiplied in the order;
+    # its exponents, read in the residue product, give the same unit
+    mua = _mua(name)
+    A, gens = mua.ctx.order, mua.generators
+    x = tuple(A.one)
+    for _ in range(data.draw(st.integers(0, 6))):
+        g = gens[data.draw(st.integers(0, len(gens) - 1))]
+        x = A.mul(x, A.power(g, data.draw(st.integers(-30, 30))))
+    exps = mua.pres.dlog(mua.ctx.to_ambient(x))
+    assert exps is not None and len(exps) == len(gens)
+    back = tuple(A.one)
+    for g, e in zip(gens, exps):
+        back = A.mul(back, A.power(g, e))
+    assert back == x
+
+
+def test_i_is_no_unit_of_z_2i():
+    # i is a root of unity of the algebra, outside Z[2i]'s +-1
+    mua = _mua("X^2 + 4")
+    assert mua.pres.dlog(mua.ctx.to_ambient((0, Fraction(1, 2)))) is None
+    assert mua.pres.dlog(mua.ctx.to_ambient((-1, 0))) is not None
+
+
 def test_mu_a_p_trivial_torsion_part():
     # p = 3 contributes nothing to the torsion of Z[X]/(X^4-1)
     ctx = x4ctx()
