@@ -47,8 +47,11 @@ call and the counts of norms (``_norm_poly``), gcds over the field
 replays the point norms (the ``resultant`` of the minimal polynomial with
 each interpolation value) of the norms that the torsion climb of
 Q(zeta_11) (Q(zeta_7) with ``--quick``) takes in ``roots_in_field``, and
-times them per call.  Then it runs the
-first 100 orders of the split-rank pool (20 with ``--quick``), records
+times them per call.  It replays the ``squarefree_part`` calls of that
+climb, those of ``roots_in_field`` and of ``factor_q`` alike, and
+reports their count, how many radicals lost degree (the input was not
+squarefree) and the time per call.  Then it runs the first 100 orders
+of the split-rank pool (20 with ``--quick``), records
 the finite rings they build and every structure-table product made in those rings,
 and reports the tables' fill (the nonzero share of their entries), the
 entries a dense walk of those products would visit against those their
@@ -427,6 +430,21 @@ def bench_point_norms(quick):
           f"{t / len(calls) * 1e6:>8.1f}")
 
 
+def bench_squarefree(quick):
+    # the squarefree_part calls of the torsion climb of a fresh
+    # cyclotomic field: the norms of roots_in_field and the radicals
+    # that factor_q factors
+    d = 7 if quick else 11
+    K = NumberField(polyfactor.cyclotomic(d))
+    calls = recorded_calls([("squarefree_part", numfield), ("squarefree_part", polyfactor)],
+                           K.torsion_generator)["squarefree_part"]
+    lost = sum(len(polyfactor.squarefree_part(f)) < len(polyfactor.qp(f)) for f, in calls)
+    t = time_fn(polyfactor.squarefree_part, calls, 3)
+    print(f"\n{'squarefree parts':<30} {'calls':>6} {'lost deg':>8} {'ms':>8} {'ms/call':>8}")
+    print(f"{'torsion climb, Q(zeta' + str(d) + ')':<30} {len(calls):>6} {lost:>8} "
+          f"{t * 1e3:>8.2f} {t / len(calls) * 1e3:>8.3f}")
+
+
 def bench_tables(quick):
     repeat = 2 if quick else 3
     # the finite rings that the first orders of the split-rank pool build,
@@ -560,6 +578,7 @@ def main():
     bench_field_table(args.quick)
     bench_roots(args.quick)
     bench_point_norms(args.quick)
+    bench_squarefree(args.quick)
     bench_tables(args.quick)
     bench_lattices(args.quick)
     bench_descent(args.quick)

@@ -33,11 +33,11 @@ piece is that cofactor; and the pieces are monic, so dividing by them
 takes no field inverse.  The norm is interpolated from its values at
 integer points on integer numerators over one common denominator, each
 value the determinant of the multiplication matrix of f at that point.
-A shift is accepted when the norm's radical (``squarefree_part``) keeps
-its degree: proved modulo a few fixed primes, or else decided by one
-exact gcd with the derivative, so the chosen shift is the one the exact
-test alone would choose.  Field inverses solve x * y = 1 against the
-multiplication matrix of x with the library's fraction-free elimination.
+A shift is accepted when the norm's radical (``squarefree_part``, one
+modular gcd with the derivative) keeps its degree, an exact test, so
+the chosen shift is the least squarefree one.  Field inverses solve
+x * y = 1 against the multiplication matrix of x with the library's
+fraction-free elimination.
 
 The roots of unity of K are found one prime power at a time: a root of
 Phi_ell is climbed through roots of X^ell - zeta_(ell^k).  Primes ell are

@@ -19,11 +19,12 @@ coefficient bound, and subset recombination in increasing subset size
 with exact integer trial division.  A polynomial that splits over Q
 takes no Berlekamp and no Hensel lift.
 
-Squarefreeness has one analysis, ``squarefree_part``: a polynomial
-that stays squarefree of the same degree modulo one of a few fixed large
-primes is squarefree over Q (``proves_squarefree``), and only when no
-prime proves it does one gcd with the derivative over Q decide, so every
-verdict is the exact one.  ``factor_q`` factors the radical it returns
+A gcd over Q has one implementation, Brown's modular gcd of the integer
+numerators (``_ip_gcd``): images mod large primes, combined by CRT and
+accepted only when they divide both inputs exactly over Z.
+Squarefreeness has one analysis, ``squarefree_part``: f divided exactly
+by its gcd with the derivative, in integers, so one constant image at
+the first prime proves f squarefree.  ``factor_q`` factors the radical
 and reads each multiplicity off exact divisions of the primitive part.
 
 Multiplication by g on Q[X]/(f), f monic, has one implementation,
@@ -127,9 +128,11 @@ def qp_monic(f):
 
 
 def qp_gcd(f, g):
-    while g:
-        f, g = g, qp_divmod(f, g)[1]
-    return qp_monic(f)
+    """The monic gcd over Q, [] when f and g are both zero: the modular
+    gcd of their integer numerators (``_ip_gcd``), made monic."""
+    if not f or not g:
+        return qp_monic(f or g)
+    return qp_monic(_ip_gcd(clear_vector(f)[0], clear_vector(g)[0])[0])
 
 
 def qp_xgcd(f, g):
@@ -153,15 +156,12 @@ def qp_deriv(f):
 
 
 def squarefree_part(f):
-    """Monic radical f / gcd(f, f') of the nonzero f over Q; f itself,
-    made monic, when the modular proof shows it squarefree."""
-    f = qp(f)
+    """Monic radical f / gcd(f, f') of the nonzero f over Q, divided
+    exactly on the integer numerators of f."""
+    f = clear_vector(qp(f))[0]
     if not f:
         raise ValueError("zero polynomial")
-    if proves_squarefree(f):
-        return qp_monic(f)
-    g = qp_gcd(f, qp_deriv(f))
-    return qp_monic(qp_divmod(f, g)[0])
+    return qp_monic(_ip_gcd(f, qp_deriv(f))[1]) if len(f) > 1 else [1]
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +249,6 @@ def fp_monic(f, p):
         return []
     inv = pow(f[-1], -1, p)
     return [c * inv % p for c in f]
-
-
-def fp_deriv(f, p):
-    return fp_norm(qp_deriv(f), p)
 
 
 def fp_pow_mod(f, e, m, p):
@@ -421,32 +417,44 @@ def hensel_lift(p, f, modular_factors, k):
 
 
 # ---------------------------------------------------------------------------
-# modular squarefree proof and Zassenhaus factorization over Z
+# modular gcd and Zassenhaus factorization over Z
 
-# the primes of the modular squarefree proof, tried in order: large, so
-# that they seldom divide a discriminant
-_PROOF_PRIMES = (2 ** 31 - 1, 2 ** 61 - 1)
-
-
-def _squarefree_mod(f, p):
-    """p does not divide lc(f) and the integer f is squarefree mod p."""
-    if f[-1] % p == 0:
-        return False
-    fp = fp_norm(f, p)
-    return qp_degree(fp_gcd(fp, fp_deriv(fp, p), p)) == 0
+# the first prime of the modular gcd, large so that it seldom divides a resultant
+_GCD_PRIME = 2 ** 31 - 1
 
 
-def proves_squarefree(f):
-    """True when one of ``_PROOF_PRIMES`` proves the nonzero f squarefree
-    over Q; False proves nothing.
+def _ip_gcd(f, g):
+    """(h, f / h, g / h) for nonzero integer polynomials f and g, h their
+    primitive gcd with lc h > 0 (Brown 1971).
 
-    Let F = d*f be integral.  If p does not divide lc(F) and F mod p is
-    squarefree, so is F over Q: a square factor g^2 of F, g primitive in
-    Z[X] by Gauss's lemma, keeps its degree mod p and stays a square
-    factor there.  The converse fails when p divides the discriminant.
+    For p not dividing b = gcd(lc f, lc g), h mod p keeps its degree (lc h
+    divides b) and divides gcd(f, g) mod p, so an image of higher degree
+    than the least seen is unlucky.  The images of least degree, scaled to
+    leading coefficient b, are combined by CRT, and the primitive part of
+    the combination in the symmetric range is accepted when it divides f
+    and g exactly: a common divisor of the least modular degree is h.  A
+    constant image ends the search at once.
     """
-    fi, _ = clear_vector(f)
-    return any(_squarefree_mod(fi, p) for p in _PROOF_PRIMES)
+    b = gcd(f[-1], g[-1])
+    p, image, m = _GCD_PRIME, None, 1
+    while True:
+        if b % p:
+            v = fp_gcd(f, g, p)
+            if len(v) == 1:
+                return [1], f, g
+            v = [c * b % p for c in v]
+            if image is None or len(v) < len(image):
+                image, m = v, p
+            elif len(v) == len(image):
+                u = pow(m, -1, p)
+                image = [a + m * ((c - a) * u % p) for a, c in zip(image, v)]
+                m *= p
+            if len(v) == len(image):  # p's image was kept
+                h = ip_primitive(ip_trunc_sym(image, m))[1]
+                qf, qg = ip_divmod(f, h), ip_divmod(g, h)
+                if qf and qg and not qf[1] and not qg[1]:
+                    return h, qf[0], qg[0]
+        p = _next_prime(p)
 
 
 def _good_primes(f):
@@ -454,7 +462,7 @@ def _good_primes(f):
     increasing order."""
     p = 2
     while True:
-        if _squarefree_mod(f, p):
+        if f[-1] % p and qp_degree(fp_gcd(f, qp_deriv(f), p)) == 0:
             yield p
         p = _next_prime(p)
 

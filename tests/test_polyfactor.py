@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from ordroots import polyfactor, qalgebra
 from ordroots.linalg import clear_vector
+from ordroots.numfield import NumberField, _norm_poly, nfp_compose_shift, nfp_from_qp
 from ordroots.ordercore import order_from_poly
 from ordroots.polyfactor import (
-    _PROOF_PRIMES,
     PRIME_BOUND,
     _is_prime,
+    _next_prime,
     cyclotomic,
     euler_phi,
     factor_q,
@@ -22,7 +23,6 @@ from ordroots.polyfactor import (
     fp_norm,
     ip_divmod,
     is_irreducible_q,
-    proves_squarefree,
     qp,
     qp_add,
     qp_degree,
@@ -39,6 +39,7 @@ from ordroots.polyfactor import (
 from util import (
     coordinate_forms,
     fraction_divides,
+    fraction_gcd,
     is_canonical,
     kronecker_factor,
     run_python,
@@ -215,7 +216,7 @@ def test_resultant_zero_iff_common_factor(f, g):
     f = f[:-1] + [f[-1] if f[-1] else 1]
     g = g[:-1] + [g[-1] if g[-1] else 1]
     r = resultant(f, g)
-    common = qp_degree(qp_gcd(qp(f), qp(g))) > 0
+    common = qp_degree(fraction_gcd(qp(f), qp(g))) > 0
     assert (r == 0) == common
 
 
@@ -240,16 +241,33 @@ def test_factor_degree12_with_multiplicity():
 
 
 # ---------------------------------------------------------------------------
-# the modular squarefree proof
+# the modular gcd, and squarefreeness proved at its first prime
 
 def _exactly_squarefree(f):
     f = qp(f)
-    return qp_degree(qp_gcd(f, qp_deriv(f))) == 0
+    return qp_degree(fraction_gcd(f, qp_deriv(f))) == 0
 
 
 def _keeps_its_degree(f):
     """The library's squarefree verdict: the radical keeps f's degree."""
     return qp_degree(squarefree_part(f)) == qp_degree(qp(f))
+
+
+def _gcd_images(run):
+    """run()'s result and the images mod p of the gcds it computes, in
+    the order computed."""
+    images = []
+    real = polyfactor.fp_gcd
+
+    def record(f, g, p):
+        images.append(real(f, g, p))
+        return images[-1]
+
+    polyfactor.fp_gcd = record
+    try:
+        return run(), images
+    finally:
+        polyfactor.fp_gcd = real
 
 
 _SMALL = st.fractions(-5, 5, max_denominator=4)
@@ -263,19 +281,25 @@ def _rational_poly(lo, hi):
 @settings(max_examples=150, deadline=None)
 def test_modular_proof_never_accepts_a_square_factor(f, g):
     h = qp_mul(qp(f), qp_mul(qp(g), qp(g)))
-    assert not proves_squarefree(h)
+    d, images = _gcd_images(lambda: qp_gcd(h, qp_deriv(h)))
+    assert qp_degree(images[0]) > 0
+    assert d == fraction_gcd(h, qp_deriv(h))
+    assert not qp_divmod(d, qp(g))[1]
     assert not _keeps_its_degree(h)
 
 
 @given(f=_rational_poly(0, 8))
 @settings(max_examples=200, deadline=None)
 def test_modular_proof_agrees_with_the_exact_test(f):
+    f = qp(f)
     exact = _exactly_squarefree(f)
-    assert _keeps_its_degree(f) == exact
-    if proves_squarefree(f):
+    rad, images = _gcd_images(lambda: squarefree_part(f))
+    assert (qp_degree(rad) == qp_degree(f)) == exact
+    assert rad == qp_monic(qp_divmod(f, fraction_gcd(f, qp_deriv(f)))[0])
+    if images == [[1]]:  # a constant image at the first prime proves f squarefree
         assert exact
-        monic = qp_monic(qp(f))
-        assert squarefree_part(f) == monic
+        monic = qp_monic(f)
+        assert rad == monic
         if qp_degree(monic) > 0:
             # the radical factor_q factors is all of f, every multiplicity 1
             assert yun_squarefree(monic) == [(monic, 1)]
@@ -283,24 +307,63 @@ def test_modular_proof_agrees_with_the_exact_test(f):
 
 @pytest.mark.parametrize("d", range(1, 41))
 def test_modular_proof_accepts_cyclotomic_polynomials(d):
-    # disc(Phi_d) divides a power of d, and no proof prime divides d
-    assert proves_squarefree(cyclotomic(d))
+    # disc(Phi_d) divides a power of d, and the first gcd prime divides no d
+    rad, images = _gcd_images(lambda: squarefree_part(cyclotomic(d)))
+    assert images == [[1]]
+    assert rad == cyclotomic(d)
 
 
-def test_exact_test_decides_when_every_proof_prime_divides_the_discriminant():
+def test_modular_gcd_passes_primes_that_divide_the_discriminant():
     # X^2 - c has discriminant 4c and is X^2 modulo every prime dividing c
-    c = 1
-    for p in _PROOF_PRIMES:
-        c *= p
+    p = polyfactor._GCD_PRIME
+    q = _next_prime(p)
+    c = p * q
     f = [-c, 0, 1]
-    assert not proves_squarefree(f)
-    assert _keeps_its_degree(f)
-    assert squarefree_part(f) == qp(f)
+    rad, images = _gcd_images(lambda: squarefree_part(f))
+    assert [qp_degree(v) for v in images] == [1, 1, 0]
+    assert rad == qp(f)
     assert factor_q(f) == (1, [(qp(f), 1)])
     g = qp_mul(qp([-c, 1]), qp([-c, 1]))  # (X - c)^2 reduces to X^2 as well
-    assert not _keeps_its_degree(g)
-    assert squarefree_part(g) == qp([-c, 1])
+    rad, images = _gcd_images(lambda: squarefree_part(g))
+    assert [qp_degree(v) for v in images] == [1, 1, 1]
+    assert rad == qp([-c, 1])
     assert factor_q(g) == (1, [(qp([-c, 1]), 2)])
+
+
+def test_modular_gcd_discards_an_unlucky_first_prime():
+    # modulo the first prime p, X - p is X, pX is 0 and (X - p)(X + 1) is
+    # X(X + 1)
+    p = polyfactor._GCD_PRIME
+    for f in ([0, 1], [0, p]):
+        d, images = _gcd_images(lambda: qp_gcd(f, [-p, 1]))
+        assert d == [1]
+        assert [qp_degree(v) for v in images] == [1, 0]
+    f, g = qp_mul([-p, 1], [1, 1]), qp_mul([0, 1], [1, 1])
+    d, images = _gcd_images(lambda: qp_gcd(f, g))
+    assert d == [1, 1]
+    assert [qp_degree(v) for v in images] == [2, 1]
+
+
+_BIG = st.integers(-10 ** 25, 10 ** 25)
+# nonzero leading coefficients, some of them multiples of the first gcd prime
+_LEAD = st.one_of(_BIG.filter(bool),
+                  st.integers(-9, 9).filter(bool).map(lambda k: k * polyfactor._GCD_PRIME))
+
+
+def _big_poly(hi):
+    return st.builds(lambda body, lc: body + [lc], st.lists(_BIG, max_size=hi), _LEAD)
+
+
+@given(a=_big_poly(3), b=_big_poly(3), h=_big_poly(3), den=st.integers(1, 10 ** 6),
+       data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_modular_gcd_equals_the_fraction_euclid(a, b, h, den, data):
+    f = qp_scale(qp_mul(a, h), Fraction(1, den))
+    g = qp_mul(b, h)
+    want = fraction_gcd(f, g)
+    assert not qp_divmod(want, h)[1]
+    for fv, gv in zip(coordinate_forms(data, f), coordinate_forms(data, g)):
+        assert qp_gcd(fv, gv) == want
 
 
 # ---------------------------------------------------------------------------
@@ -427,18 +490,31 @@ def test_factor_q_equals_kronecker_factoring(a, b):
     assert fs == [(h, 1) for h in want]
 
 
+def _rejected_norm_of_phi7():
+    """The norm of Phi_7(X + a) over Q(zeta_7) = Q(a), the shift-1 norm
+    that roots_in_field rejects: degree 36, radical of degree 21."""
+    K = NumberField(cyclotomic(7))
+    return _norm_poly(nfp_compose_shift(nfp_from_qp(cyclotomic(7), K), 1, K), K)
+
+
 @pytest.mark.parametrize("f", [
     [-1] + [0] * 11 + [1],
     [1, 0, -10, 0, 1],
     [Fraction(1, 2), 0, Fraction(-1, 2)],
     qp_mul(qp_mul([-1, 1], [2, 3]), [1, 1, 1]),
+    qp_mul(qp_mul([-1, 1], [-1, 1]), [1, 1]),
+    qp_mul(qp_mul(cyclotomic(12), cyclotomic(12)), cyclotomic(1)),
+    _rejected_norm_of_phi7(),
 ])
 def test_proven_squarefree_input_skips_division_over_q(monkeypatch, f):
+    # the squarefree inputs are proved so at the first gcd prime, and the
+    # others take the modular gcd: neither divides over Q
     want = factor_q(f)
-    assert proves_squarefree(f)
+    rad, images = _gcd_images(lambda: squarefree_part(f))
+    assert (images == [[1]]) == (len(rad) == len(qp(f)))
 
     def refuse(*args):
-        raise AssertionError("division over Q on a proven-squarefree input")
+        raise AssertionError("division over Q in the squarefree analysis")
 
     monkeypatch.setattr(polyfactor, "qp_divmod", refuse)
     monkeypatch.setattr(polyfactor, "qp_gcd", refuse)

@@ -8,7 +8,8 @@ breadth-first kernel generators, and plain brute-force enumeration.
 Some are the library's own earlier algorithms: eliminations that the
 library now reads off one it has already done, graph weights from sums of
 component kernels, a conductor folded by intersections, Zassenhaus
-factoring with no rational-root step, and Yun's squarefree decomposition.
+factoring with no rational-root step, Yun's squarefree decomposition and
+Euclid's gcd on Fraction remainders.
 """
 
 import os
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from ordroots.linalg import IntMatrix, Lattice, RatMatrix, clear_vector
 from ordroots.ordercore import Order
 from ordroots.qalgebra import AlgebraError, cell_coords
-from ordroots.polyfactor import qp, qp_add, qp_divmod, qp_mul, qp_scale, qp_xgcd
+from ordroots.polyfactor import qp, qp_add, qp_divmod, qp_monic, qp_mul, qp_scale, qp_xgcd
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +223,7 @@ def full_trager_roots(f, K):
     from ordroots.numfield import (
         _norm_poly, nfp_compose_shift, nfp_degree, nfp_deriv, nfp_eval,
         nfp_from_qp, nfp_strip)
-    from ordroots.polyfactor import factor_q, qp_degree, qp_deriv, qp_gcd
+    from ordroots.polyfactor import factor_q, qp_degree, qp_deriv
 
     f = nfp_strip(list(f))
     if nfp_degree(f) == 0:
@@ -234,7 +235,7 @@ def full_trager_roots(f, K):
     while True:
         g = nfp_compose_shift(fs, s, K)
         norm = _norm_poly(g, K)
-        if qp_degree(qp_gcd(norm, qp_deriv(norm))) == 0:
+        if qp_degree(fraction_gcd(norm, qp_deriv(norm))) == 0:
             break
         s += 1
     roots = []
@@ -249,7 +250,15 @@ def full_trager_roots(f, K):
 
 
 # ---------------------------------------------------------------------------
-# polynomial division and idempotents, the Fraction way
+# polynomial division, gcds and idempotents, the Fraction way
+
+def fraction_gcd(f, g):
+    """The monic gcd over Q by Euclid's algorithm on Fraction remainders,
+    the library's earlier route."""
+    while g:
+        f, g = g, qp_divmod(f, g)[1]
+    return qp_monic(f)
+
 
 def fraction_divides(g, f):
     """Exact quotient f/g over Z, or None: long division over Q in
@@ -542,17 +551,17 @@ def yun_squarefree(f):
     """Yun decomposition of monic f over Q, the library's earlier route
     to multiplicities: [(g_i, i)] with f = prod g_i^i, the g_i monic,
     squarefree and pairwise coprime."""
-    from ordroots.polyfactor import qp_degree, qp_deriv, qp_gcd, qp_sub
+    from ordroots.polyfactor import qp_degree, qp_deriv, qp_sub
 
     out = []
     df = qp_deriv(f)
-    u = qp_gcd(f, df)
+    u = fraction_gcd(f, df)
     v = qp_divmod(f, u)[0]
     w = qp_divmod(df, u)[0]
     i = 1
     while qp_degree(v) > 0:
         h = qp_sub(w, qp_deriv(v))
-        a = qp_gcd(v, h)
+        a = fraction_gcd(v, h)
         if qp_degree(a) > 0:
             out.append((a, i))
         v = qp_divmod(v, a)[0]
