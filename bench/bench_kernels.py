@@ -47,10 +47,11 @@ call and the counts of norms (``_norm_poly``), gcds over the field
 replays the point norms (the ``resultant`` of the minimal polynomial with
 each interpolation value) of the norms that the torsion climb of
 Q(zeta_11) (Q(zeta_7) with ``--quick``) takes in ``roots_in_field``, and
-times them per call.  It replays the ``squarefree_part`` calls of that
-climb, those of ``roots_in_field`` and of ``factor_q`` alike, and
-reports their count, how many radicals lost degree (the input was not
-squarefree) and the time per call.  Then it runs the first 100 orders
+the ``NumberField.inv`` solves of that climb, and times each kind per
+call.  It replays the ``squarefree_part`` calls of that climb, those of
+``roots_in_field`` and of ``factor_q`` alike, and reports their count,
+how many radicals lost degree (the input was not squarefree) and the
+time per call.  Then it runs the first 100 orders
 of the split-rank pool (20 with ``--quick``), records
 the finite rings they build and every structure-table product made in those rings,
 and reports the tables' fill (the nonzero share of their entries), the
@@ -418,16 +419,17 @@ def bench_roots(quick):
 
 def bench_point_norms(quick):
     repeat = 3 if quick else 5
-    # the norms N(f(x_i)) of the interpolation points of every _norm_poly
-    # in the torsion climb of a fresh cyclotomic field
+    # the norms N(f(x_i)) of the interpolation points of every _norm_poly,
+    # and the field inverses, in the torsion climb of a fresh cyclotomic field
     d = 7 if quick else 11
     calls = recorded_calls(
-        [("resultant", numfield)],
-        lambda: NumberField(polyfactor.cyclotomic(d)).torsion_generator())["resultant"]
-    t = time_fn(polyfactor.resultant, calls, repeat)
-    print(f"\n{'point norms':<30} {'calls':>6} {'ms':>8} {'us/call':>8}")
-    print(f"{'torsion climb, Q(zeta' + str(d) + ')':<30} {len(calls):>6} {t * 1e3:>8.2f} "
-          f"{t / len(calls) * 1e6:>8.1f}")
+        [("resultant", numfield), ("inv", NumberField)],
+        lambda: NumberField(polyfactor.cyclotomic(d)).torsion_generator())
+    print(f"\n{'torsion climb, Q(zeta' + str(d) + ')':<30} {'calls':>6} {'ms':>8} {'us/call':>9}")
+    for label, fn, args in (("point norms (resultant)", polyfactor.resultant, calls["resultant"]),
+                            ("field inverses (inv)", NumberField.inv, calls["inv"])):
+        t = time_fn(fn, args, repeat)
+        print(f"{label:<30} {len(args):>6} {t * 1e3:>8.2f} {t / len(args) * 1e6:>9.1f}")
 
 
 def bench_squarefree(quick):

@@ -4,9 +4,9 @@ Everything here is arbitrary precision: integer matrices hold Python
 ints, and a rational matrix is an integer matrix of numerators over one
 denominator.  No floating point anywhere.  A rational coordinate is an
 int where it is integral and a Fraction otherwise (``ratio``); every
-rational vector returned here has that form.  Rational systems are solved
-and inverted, and determinants taken, by one fraction-free Gauss-Jordan
-elimination on integer rows.  Matrices are immutable by convention
+rational vector returned here has that form.  Determinants are read off
+one fraction-free forward elimination of integer rows, and solves and
+inverses back-substitute from it.  Matrices are immutable by convention
 (constructors copy their input, methods return new objects) and may
 therefore be shared freely.
 
@@ -27,15 +27,6 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 from . import kernels
-
-
-def _rows_as_cols(rows):
-    """(nrows, columns) of a matrix given by its rows; ValueError unless
-    every row has the length of the first."""
-    rows = [list(r) for r in rows]
-    if any(len(r) != len(rows[0]) for r in rows):
-        raise ValueError("ragged matrix")
-    return len(rows), list(zip(*rows))
 
 
 class IntMatrix:
@@ -62,10 +53,6 @@ class IntMatrix:
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "IntMatrix":
         return cls(nrows, [[0] * nrows for _ in range(ncols)])
-
-    @classmethod
-    def from_rows(cls, rows) -> "IntMatrix":
-        return cls(*_rows_as_cols(rows))
 
     def col(self, j: int):
         return list(self.cols[j])
@@ -173,11 +160,12 @@ class RatMatrix:
         if n != self.ncols:
             raise ValueError("not square")
         rows = [r + [int(i == j) for j in range(n)] for i, r in enumerate(self.num.to_rows())]
-        pivots, d, _ = _gauss_jordan(rows, n)
+        pivots, d, _ = _echelon(rows, n)
         if len(pivots) < n:
             raise ValueError("matrix is singular")
-        # num^-1 = R / d for the right half R, so (num / den)^-1 = den R / d
-        return RatMatrix.over(IntMatrix.from_rows([self.den * e for e in r[n:]] for r in rows), d)
+        # num^-1 = Y / d for the rows Y of d num^-1, so (num / den)^-1 = den Y / d
+        ys = _back_substitute(rows, pivots, d, n, 2 * n)
+        return RatMatrix.over(IntMatrix(n, ([self.den * e for e in c] for c in zip(*ys))), d)
 
     def __eq__(self, other):
         return isinstance(other, RatMatrix) and self.den == other.den and self.num == other.num
@@ -211,20 +199,20 @@ def clear_vector(vec):
     return [e.numerator * (d // f) for e, f in zip(vec, dens)], d
 
 
-def _gauss_jordan(rows, ncols):
-    """Fraction-free Gauss-Jordan elimination of integer rows on their
-    first ``ncols`` columns, in place; later columns are carried along.
+def _echelon(rows, ncols):
+    """Fraction-free forward elimination of integer rows on their first
+    ``ncols`` columns, in place; later columns are carried along.
 
     Column by column, the pivot is the first row from the current one down
-    with a nonzero entry there.  Each step replaces every other row by
-    (p * row - f * pivot row) / q, p the new pivot, f the row's entry in
-    the pivot column and q the previous pivot.  The division is exact: the
-    entries stay minors of the input (Bareiss 1968; Cohen, *A Course in
-    Computational Algebraic Number Theory*, 2.2).  Each row stays a nonzero
-    multiple of the row that elimination over Q with the same pivots
-    holds.  Returns (pivot columns, d, sign): row i of the first
-    len(pivots) holds d times row i of the reduced row echelon form, and
-    sign is the parity of the row swaps.  d is the last pivot, a minor of
+    with a nonzero entry there.  Each step replaces every row below the
+    pivot row by (p * row - f * pivot row) / q, p the new pivot, f the
+    row's entry in the pivot column and q the previous pivot.  The division
+    is exact: the entries stay minors of the input (Bareiss 1968; Cohen,
+    *A Course in Computational Algebraic Number Theory*, 2.2).  Each row
+    stays a nonzero multiple of the row that forward elimination over Q
+    with the same pivots holds, and the rows from len(pivots) down vanish
+    on the first ``ncols`` columns.  Returns (pivot columns, d, sign): d is
+    the last pivot and sign the parity of the row swaps.  d is a minor of
     the rows as swapped, so with a pivot in every column of a square
     matrix it is sign times the determinant.
     """
@@ -243,9 +231,8 @@ def _gauss_jordan(rows, ncols):
             sign = -sign
         prow = rows[r]
         p = prow[c]
-        for i, row in enumerate(rows):
-            if i == r:
-                continue
+        for i in range(r + 1, nr):
+            row = rows[i]
             f = row[c]
             if f:
                 rows[i] = [(p * e - f * g) // prev for e, g in zip(row, prow)]
@@ -256,6 +243,23 @@ def _gauss_jordan(rows, ncols):
     return pivots, prev, sign
 
 
+def _back_substitute(rows, pivots, d, lo, hi):
+    """d * x, one row per pivot, for rows eliminated by ``_echelon`` with
+    (pivots, d): x solves the pivot rows for the right-hand columns
+    lo, ..., hi - 1, with the unknowns off the pivot columns zero.  By
+    Cramer's rule d * x is integral, so each row divides exactly by its
+    pivot (Nakos, Turner & Williams 1997)."""
+    ys = [None] * len(pivots)
+    for k in reversed(range(len(pivots))):
+        row = rows[k]
+        acc = [d * e for e in row[lo:hi]]
+        for c, y in zip(pivots[k + 1:], ys[k + 1:]):
+            if row[c]:
+                acc = [a - row[c] * b for a, b in zip(acc, y)]
+        ys[k] = [a // row[pivots[k]] for a in acc]
+    return ys
+
+
 def solve_rat(m: RatMatrix, vec):
     """A particular rational solution of m*x = vec, the unknowns off the
     pivot columns zero, or None if there is none."""
@@ -263,13 +267,12 @@ def solve_rat(m: RatMatrix, vec):
     b, db = clear_vector(vec)
     # m x = vec  <=>  num y = den * b  for  y = db * x
     rows = [r + [m.den * e] for r, e in zip(m.num.to_rows(), b)]
-    pivots, d, _ = _gauss_jordan(rows, nc)
+    pivots, d, _ = _echelon(rows, nc)
     if any(r[nc] for r in rows[len(pivots):]):
         return None
     x = [0] * nc
-    d *= db
-    for r, c in zip(rows, pivots):
-        x[c] = ratio(r[nc], d)
+    for (y,), c in zip(_back_substitute(rows, pivots, d, nc, nc + 1), pivots):
+        x[c] = ratio(y, d * db)
     return x
 
 
@@ -304,10 +307,11 @@ def snf(m: IntMatrix):
 
 
 def det_int(m: IntMatrix) -> int:
-    """Determinant, read off one fraction-free Gauss-Jordan elimination."""
+    """Determinant: the signed last pivot of one fraction-free forward
+    elimination, or 0 when a column has no pivot."""
     if m.nrows != m.ncols:
         raise ValueError("not square")
-    pivots, d, sign = _gauss_jordan(m.to_rows(), m.ncols)
+    pivots, d, sign = _echelon(m.to_rows(), m.ncols)
     return sign * d if len(pivots) == m.ncols else 0
 
 

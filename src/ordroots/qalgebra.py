@@ -31,7 +31,8 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from .abgroup import EffPresentation, power
-from .linalg import IntMatrix, RatMatrix, _gauss_jordan, _num, kernel_int, ratio, solve_rat
+from .linalg import (
+    IntMatrix, RatMatrix, _back_substitute, _echelon, _num, kernel_int, ratio, solve_rat)
 from .numfield import NumberField, ProductRing
 from .polyfactor import (
     factor_q, qp_degree, qp_deriv, qp_divmod, qp_mul, qp_mul_columns, squarefree_part)
@@ -256,20 +257,20 @@ def _krylov_powers(alg: QAlgebra, x):
 
 def minimal_polynomial(alg: QAlgebra, x, powers=None):
     """Monic minimal polynomial of x (equivalently, of multiplication by
-    x), from one fraction-free elimination of the Krylov columns
+    x), from one fraction-free forward elimination of the Krylov columns
     1, x, ..., x^n (``powers``, when the caller has them).  The first k
     columns are independent and span every later power, so the pivots
-    are columns 0, ..., k - 1, and the reduced column k writes x^k over
-    the lower powers, one ``ratio`` per coefficient."""
+    are columns 0, ..., k - 1, and back substitution of column k writes
+    x^k over the lower powers, one ``ratio`` per coefficient."""
     n = alg.dim
     if powers is None:
         powers = _krylov_powers(alg, x)
     rows = RatMatrix(n, powers).num.to_rows()
-    pivots, d, _ = _gauss_jordan(rows, n + 1)
+    pivots, d, _ = _echelon(rows, n + 1)
     k = len(pivots)
     if pivots != list(range(k)):
         raise AssertionError("Krylov pivots are not a prefix of the powers")
-    return [ratio(-rows[i][k], d) for i in range(k)] + [1]
+    return [ratio(-y, d) for (y,) in _back_substitute(rows, pivots, d, k, k + 1)] + [1]
 
 
 def _primitive_element(alg: QAlgebra, rows):

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from ordroots.linalg import IntMatrix, invariant_factors
 from ordroots.ordercore import Order, build_context, order_from_poly, primitive_idempotents
 from ordroots.rou import mu_a_presentation, mu_e_subgroup_dlog
-from util import dense_table, product_order, scalar_suborder, split_poly, split_root_images
+from util import (
+    dense_table, matrix_of_rows, product_order, scalar_suborder, split_poly, split_root_images)
 
 BASES = {
     "Z[i]": [1, 0, 1],
@@ -82,7 +83,7 @@ def test_change_of_basis_keeps_torsion_idempotents_and_dlogs(name, data):
     A = _order(name)
     facs, idems, gens = _answers(name)
     u, w = data.draw(unimodular(A.rank))
-    assert IntMatrix.from_rows(u).mul(IntMatrix.from_rows(w)) == IntMatrix.identity(A.rank)
+    assert matrix_of_rows(u).mul(matrix_of_rows(w)) == IntMatrix.identity(A.rank)
     B = _rebased(A, u, w)
 
     assert mu_a_presentation(B).invariant_factors == facs

@@ -24,6 +24,7 @@ from util import (
     dense_table,
     group_ring,
     incremental_minimal_polynomial,
+    matrix_of_rows,
     product_order,
     run_python,
     split_projections,
@@ -538,7 +539,7 @@ def test_decompose_rejects_a_section_with_two_idempotents_swapped(monkeypatch):
             perm[i:i + 2], perm[j:j + 2] = perm[j:j + 2], perm[i:i + 2]
             s, rows = self.section, self.projection.num.to_rows()
             self.section = RatMatrix.over(IntMatrix(s.nrows, [s.num.cols[k] for k in perm]), s.den)
-            self.projection = RatMatrix.over(IntMatrix.from_rows([rows[k] for k in perm]),
+            self.projection = RatMatrix.over(matrix_of_rows([rows[k] for k in perm]),
                                              self.projection.den)
             assert self.section.mul(self.projection) == pi1
 

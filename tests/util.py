@@ -25,6 +25,11 @@ from ordroots.qalgebra import AlgebraError, cell_coords
 from ordroots.polyfactor import qp, qp_add, qp_divmod, qp_monic, qp_mul, qp_scale, qp_xgcd
 
 
+def matrix_of_rows(rows):
+    """The IntMatrix with the given rows, all of one length."""
+    return IntMatrix(len(rows), zip(*rows))
+
+
 # ---------------------------------------------------------------------------
 # determinants and resultants, the slow classical way
 
@@ -44,7 +49,7 @@ def cofactor_det(rows):
 
 def bareiss_det_int(m):
     """Determinant of a square IntMatrix by its own fraction-free (Bareiss)
-    forward elimination, apart from the Gauss-Jordan one of linalg."""
+    forward elimination, apart from the one of linalg."""
     if m.nrows != m.ncols:
         raise ValueError("not square")
     n = m.nrows
@@ -158,7 +163,7 @@ def lagrange_norm_poly(f, K):
         if not big_p:
             ys.append(0)
             continue
-        det = bareiss_det_int(IntMatrix.from_rows(sylvester_rows(big_m, big_p)))
+        det = bareiss_det_int(matrix_of_rows(sylvester_rows(big_m, big_p)))
         ys.append(Fraction(det, mu ** (len(big_p) - 1) * pi ** d))
     out = []
     for i, (xi, yi) in enumerate(zip(xs, ys)):
@@ -322,6 +327,26 @@ def fraction_gauss_jordan(rows, ncols):
         if r == nr:
             break
     return a, piv_cols
+
+
+def fraction_echelon(rows, ncols):
+    """Forward elimination over Q on the first ``ncols`` columns, with the
+    pivots of ``fraction_gauss_jordan``: each pivot row is subtracted
+    from the rows below it only, and no row is scaled."""
+    a = [[Fraction(e) for e in r] for r in rows]
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        for i in range(r + 1, len(a)):
+            f = a[i][c] / a[r][c]
+            a[i] = [e - f * g for e, g in zip(a[i], a[r])]
+        r += 1
+        if r == len(a):
+            break
+    return a
 
 
 def fraction_solve(rows, vec):
