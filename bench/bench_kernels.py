@@ -12,9 +12,10 @@ split order Z[X]/((X + 5)(X + 4) ... (X - 5)) of rank 11, on the group
 ring Z[C_3^3] of rank 27 and, without ``--quick``, on Z[C_2^5] of rank
 32: its one ``RatMatrix.inverse``, its two ``RatMatrix.mul`` (the
 section and the check of the inverse), the ``NumberField.inv`` of each
-component's Chinese-remainder idempotent, its ``solve_rat`` calls, the
-Krylov powers of its candidates (``_krylov_powers``) and their
-``minimal_polynomial`` eliminations, and times each kind per
+component's Chinese-remainder idempotent, its ``solve_rat`` calls
+together with the one that finds the algebra's identity while the order
+is built, the Krylov powers of its candidates (``_krylov_powers``) and
+their ``minimal_polynomial`` eliminations, and times each kind per
 decomposition; a ``minimal_polynomial`` row includes the solves that it
 makes itself.
 It replays the ``order_graph``, ``qlat_index``, ``group_order`` and
@@ -43,7 +44,7 @@ table's size after the block and the time per order.  It replays the
 ``roots_in_field`` calls that the first 100 cyclotomic-mix orders (20
 with ``--quick``) make on an empty field table and reports the time per
 call and the counts of norms (``_norm_poly``), gcds over the field
-(``nfp_gcd``) and ``NumberField.inv`` calls, the inverses of 1 apart.  It
+(``nfp_gcd``) and ``NumberField.inv`` calls.  It
 replays the point norms (the ``resultant`` of the minimal polynomial with
 each interpolation value) of the norms that the torsion climb of
 Q(zeta_11) (Q(zeta_7) with ``--quick``) takes in ``roots_in_field``, and
@@ -191,14 +192,14 @@ def recorded_calls(targets, run):
     return calls
 
 
-def decompose_calls(algebra):
+def decompose_calls(build):
     """name -> arguments of the RatMatrix.inverse, RatMatrix.mul,
     NumberField.inv, solve_rat, _krylov_powers and minimal_polynomial
-    calls that decompose makes on the algebra."""
+    calls that building the order and decomposing its algebra make."""
     targets = [("inverse", linalg.RatMatrix), ("mul", linalg.RatMatrix), ("inv", NumberField),
                ("solve_rat", qalgebra), ("_krylov_powers", qalgebra),
                ("minimal_polynomial", qalgebra)]
-    return recorded_calls(targets, lambda: decompose(algebra))
+    return recorded_calls(targets, lambda: decompose(build().algebra))
 
 
 def split11():
@@ -218,7 +219,7 @@ def bench_rational(quick):
         orders.append(("Z[C_2^5]", LADDER["Z[C_2^5]"][0]))
     print(f"\n{'decompose calls':<34} {'calls':>6} {'ms/decomposition':>17}")
     for name, build in orders:
-        calls = decompose_calls(build().algebra)
+        calls = decompose_calls(build)
         for label, fn in (("inverse", linalg.RatMatrix.inverse),
                           ("mul", linalg.RatMatrix.mul),
                           ("inv", NumberField.inv),
@@ -392,17 +393,14 @@ def bench_roots(quick):
         [("roots_in_field", numfield)],
         lambda: [serve_ops.order_op(None, item.text) for item in sample])["roots_in_field"]
     t = time_fn(numfield.roots_in_field, calls, repeat) / len(calls)
-    # norms, gcds over K and field inverses, the inverses of 1 apart
+    # norms, gcds over K and field inverses
     codes = {numfield._norm_poly.__code__: 0, numfield.nfp_gcd.__code__: 1,
              numfield.NumberField.inv.__code__: 2}
-    counts = [0] * 4
+    counts = [0] * 3
 
     def count(frame, event, arg):
         if event == "call" and frame.f_code in codes:
-            k = codes[frame.f_code]
-            counts[k] += 1
-            if k == 2 and frame.f_locals["x"] == frame.f_locals["self"].one():
-                counts[3] += 1
+            counts[codes[frame.f_code]] += 1
 
     sys.setprofile(count)
     try:
@@ -410,11 +408,11 @@ def bench_roots(quick):
             numfield.roots_in_field(*args)
     finally:
         sys.setprofile(None)
-    norms, gcds, inverses, of_one = counts
+    norms, gcds, inverses = counts
     print(f"\n{'cyclotomic-mix root searches':<30} {'orders':>6} {'calls':>6} {'ms/call':>8} "
-          f"{'norms':>6} {'gcds':>6} {'inverses':>9} {'of 1':>6}")
+          f"{'norms':>6} {'gcds':>6} {'inverses':>9}")
     print(f"{'roots_in_field':<30} {len(sample):>6} {len(calls):>6} {t * 1e3:>8.2f} "
-          f"{norms:>6} {gcds:>6} {inverses:>9} {of_one:>6}")
+          f"{norms:>6} {gcds:>6} {inverses:>9}")
 
 
 def bench_point_norms(quick):

@@ -29,10 +29,13 @@ since its unshifted norm is f^deg K; a squarefree norm proves f
 separable, so gcd(f, f') runs only after a norm that is not squarefree;
 the norm factors are pairwise coprime, so each but the last is pulled
 back by a gcd with the cofactor the earlier pieces leave, and the last
-piece is that cofactor; and the pieces are monic, so dividing by them
-takes no field inverse.  The norm is interpolated from its values at
-integer points on integer numerators over one common denominator, each
-value the determinant of the multiplication matrix of f at that point.
+piece is that cofactor.  Every division over K is by a monic
+polynomial and takes no field inverse: the gcds run Euclid on monic
+remainders, each made monic with one inverse (``nfp_monic``, the one
+place a leading coefficient is inverted), so the pieces are monic.
+The norm is interpolated from its values at integer points on integer
+numerators over one common denominator, each value the determinant of
+the multiplication matrix of f at that point.
 A shift is accepted when the norm's radical (``squarefree_part``, one
 modular gcd with the derivative) keeps its degree, an exact test, so
 the chosen shift is the least squarefree one.  Field inverses solve
@@ -451,38 +454,17 @@ def nfp_from_qp(f, K: NumberField):
     return [K.from_rational(c) for c in f]
 
 
-def nfp_add(f, g, K):
-    n = max(len(f), len(g))
-    out = [K.zero()] * n
-    for i, c in enumerate(f):
-        out[i] = K.add(out[i], c)
-    for i, c in enumerate(g):
-        out[i] = K.add(out[i], c)
-    return nfp_strip(out)
-
-
-def nfp_mul(f, g, K):
-    if not f or not g:
-        return []
-    out = [K.zero()] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if any(a):
-            for j, b in enumerate(g):
-                if any(b):
-                    out[i + j] = K.add(out[i + j], K.mul(a, b))
-    return nfp_strip(out)
-
-
 def nfp_divmod(f, g, K):
-    """(q, r) with f = q*g + r and deg r < deg g; a monic g needs no
-    field inverse."""
+    """(q, r) with f = q*g + r and deg r < deg g, for monic g: the
+    division takes no field inverse."""
     if not g:
         raise ZeroDivisionError
-    inv = None if g[-1] == K.one() else K.inv(g[-1])
+    if g[-1] != K.one():
+        raise ValueError("divisor is not monic")
     f = list(f)
     q = [K.zero()] * max(0, len(f) - len(g) + 1)
     while len(f) >= len(g) and f:
-        c = f[-1] if inv is None else K.mul(f[-1], inv)
+        c = f[-1]
         k = len(f) - len(g)
         q[k] = c
         for i, b in enumerate(g):
@@ -492,6 +474,8 @@ def nfp_divmod(f, g, K):
 
 
 def nfp_monic(f, K):
+    """f over its leading coefficient: the one place in K[X] where a
+    field inverse is taken, and none when the lead is already 1."""
     if not f:
         return []
     if f[-1] == K.one():
@@ -501,8 +485,11 @@ def nfp_monic(f, K):
 
 
 def nfp_gcd(f, g, K):
+    """The monic gcd: Euclid on monic remainders, each made monic with
+    one field inverse, so every division is by a monic polynomial."""
+    g = nfp_monic(g, K)
     while g:
-        f, g = g, nfp_divmod(f, g, K)[1]
+        f, g = g, nfp_monic(nfp_divmod(f, g, K)[1], K)
     return nfp_monic(f, K)
 
 
@@ -518,12 +505,14 @@ def nfp_eval(f, x, K):
 
 
 def nfp_compose_shift(f, s, K):
-    """f(X - s*gen) by Horner."""
-    shift = [K.neg(K.mul(K.gen(), K.from_rational(s))), K.one()]
+    """f(X - s*gen) by Horner: acc <- acc * (X - c) + coeff, c = s*gen."""
+    c = K.mul(K.gen(), K.from_rational(s))
     acc = []
-    for c in reversed(f):
-        acc = nfp_add(nfp_mul(acc, shift, K), [c], K)
-    return acc
+    for coeff in reversed(f):
+        acc = [coeff] + acc
+        for i in range(len(acc) - 1):
+            acc[i] = K.sub(acc[i], K.mul(c, acc[i + 1]))
+    return nfp_strip(acc)
 
 
 def _norm_poly(f, K):
@@ -596,8 +585,10 @@ def roots_in_field(f, K: NumberField):
        the gcd with the cofactor g / (p_1 ... p_(i-1)): each factor but
        the last is pulled back by a gcd with the cofactor, which is then
        divided by it exactly, and the last piece is the cofactor itself.
-    4. The pieces are monic, so every division by them needs no field
-       inverse (``nfp_divmod``, ``nfp_monic``).
+    4. Every division over K is by a monic polynomial and takes no
+       field inverse (``nfp_divmod``): each gcd remainder is made monic
+       with one inverse (``nfp_monic``), so the gcds, and the pieces,
+       are monic.
 
     A linear piece X - r gives the root r - s*a of f.  One path serves
     every degree: over a field of degree 1 the norm of g is g itself.

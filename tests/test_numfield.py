@@ -1,6 +1,7 @@
 import itertools
 import os
 import random
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -15,13 +16,13 @@ from ordroots.numfield import (
     ProductRing,
     _norm_poly,
     _residue_gcd,
+    nfp_compose_shift,
     nfp_degree,
     nfp_divmod,
     nfp_eval,
     nfp_from_qp,
     nfp_gcd,
     nfp_monic,
-    nfp_mul,
     roots_in_field,
 )
 from ordroots.ordercore import build_context, order_from_poly, primitive_idempotents_ctx
@@ -42,6 +43,7 @@ from ordroots.qalgebra import QAlgebra, decompose, minimal_polynomial
 from ordroots.rou import mu_a_presentation
 
 from util import (
+    _inverting_gcd,
     coordinate_forms,
     cyclic_dlog,
     full_trager_roots,
@@ -49,8 +51,10 @@ from util import (
     inverting_monic,
     is_canonical,
     lagrange_norm_poly,
+    nfp_mul,
     product_inv,
     product_power,
+    product_sum_shift,
     run_python,
     schoolbook_field_mul,
     sweep_torsion_generator,
@@ -383,6 +387,64 @@ def test_monic_division_takes_no_inverse(name, data):
         assert calls
     finally:
         NumberField.inv = inv
+
+
+_NONZERO = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+
+
+def _poly(data, K, degree):
+    """A polynomial of the given degree over K with small coordinates; its
+    lead has a nonzero rational part, so it is nonzero and rarely 1."""
+    coeffs = [tuple(data.draw(_SMALL) for _ in range(K.deg)) for _ in range(degree + 1)]
+    coeffs[-1] = (data.draw(_NONZERO),) + coeffs[-1][1:]
+    return coeffs
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(ROOT_FIELDS)), data=st.data())
+def test_nfp_gcd_matches_the_inverting_euclid(name, data):
+    # a planted common factor c, and non-monic inputs f = c*a, g = c*b
+    K = NumberField(ROOT_FIELDS[name])
+    c, a, b = (_poly(data, K, data.draw(st.integers(0, 3))) for _ in range(3))
+    f, g = nfp_mul(c, a, K), nfp_mul(c, b, K)
+    callers = []
+    inv = NumberField.inv
+
+    def recording_inv(self, x):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return inv(self, x)
+
+    NumberField.inv = recording_inv
+    try:
+        d = nfp_gcd(f, g, K)
+    finally:
+        NumberField.inv = inv
+    # a monic gcd over a field is unique
+    assert d == _inverting_gcd(f, g, K)
+    assert d[-1] == K.one()
+    assert nfp_divmod(d, nfp_monic(c, K), K)[1] == []
+    assert set(callers) <= {"nfp_monic"}
+
+
+def test_nfp_divmod_refuses_a_non_monic_divisor():
+    K = gaussian()
+    f = nfp_from_qp([1, 0, 1], K)
+    with pytest.raises(ValueError, match="not monic"):
+        nfp_divmod(f, [K.neg(K.gen()), K.from_rational(2)], K)
+    with pytest.raises(ValueError, match="not monic"):
+        nfp_divmod(f, [K.one(), K.gen()], K)
+    with pytest.raises(ZeroDivisionError):
+        nfp_divmod(f, [], K)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(ROOT_FIELDS)), data=st.data(),
+       s=st.integers(-3, 40))
+def test_compose_shift_matches_the_product_and_sum_horner(name, data, s):
+    K = NumberField(ROOT_FIELDS[name])
+    f = _poly(data, K, data.draw(st.integers(0, 5)))
+    assert nfp_compose_shift(f, s, K) == product_sum_shift(f, s, K)
+    assert nfp_compose_shift([], s, K) == []
 
 
 # products of small fields, each with the component lists of its cyclic

@@ -8,8 +8,10 @@ breadth-first kernel generators, and plain brute-force enumeration.
 Some are the library's own earlier algorithms: eliminations that the
 library now reads off one it has already done, graph weights from sums of
 component kernels, a conductor folded by intersections, Zassenhaus
-factoring with no rational-root step, Yun's squarefree decomposition and
-Euclid's gcd on Fraction remainders.
+factoring with no rational-root step, Yun's squarefree decomposition,
+Euclid's gcd on Fraction remainders, Euclid over a number field that
+inverts the divisor's lead at every division, and shifts over a number
+field by whole-polynomial products and sums.
 """
 
 import os
@@ -191,6 +193,39 @@ def xgcd_field_inverse(K, x):
 # ---------------------------------------------------------------------------
 # roots over a number field, every Trager step in full
 
+def nfp_add(f, g, K):
+    from ordroots.numfield import nfp_strip
+
+    out = [K.zero()] * max(len(f), len(g))
+    for h in (f, g):
+        for i, c in enumerate(h):
+            out[i] = K.add(out[i], c)
+    return nfp_strip(out)
+
+
+def nfp_mul(f, g, K):
+    """Schoolbook product in K[X]."""
+    from ordroots.numfield import nfp_strip
+
+    if not f or not g:
+        return []
+    out = [K.zero()] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = K.add(out[i + j], K.mul(a, b))
+    return nfp_strip(out)
+
+
+def product_sum_shift(f, s, K):
+    """f(X - s*gen) by Horner on whole polynomials: acc <- acc * shift +
+    coeff, one product and one sum in K[X] per coefficient."""
+    shift = [K.neg(K.mul(K.gen(), K.from_rational(s))), K.one()]
+    acc = []
+    for c in reversed(f):
+        acc = nfp_add(nfp_mul(acc, shift, K), [c], K)
+    return acc
+
+
 def inverting_divmod(f, g, K):
     """Long division in K[X] that multiplies by the inverse of lc(g),
     even when lc(g) is 1."""
@@ -226,8 +261,7 @@ def full_trager_roots(f, K):
     part is squarefree, and each norm factor pulled back by its own gcd
     with the whole shifted polynomial."""
     from ordroots.numfield import (
-        _norm_poly, nfp_compose_shift, nfp_degree, nfp_deriv, nfp_eval,
-        nfp_from_qp, nfp_strip)
+        _norm_poly, nfp_degree, nfp_deriv, nfp_eval, nfp_from_qp, nfp_strip)
     from ordroots.polyfactor import factor_q, qp_degree, qp_deriv
 
     f = nfp_strip(list(f))
@@ -238,7 +272,7 @@ def full_trager_roots(f, K):
     fs = inverting_monic(inverting_divmod(fm, g0, K)[0], K)
     s = 0
     while True:
-        g = nfp_compose_shift(fs, s, K)
+        g = product_sum_shift(fs, s, K)
         norm = _norm_poly(g, K)
         if qp_degree(fraction_gcd(norm, qp_deriv(norm))) == 0:
             break
