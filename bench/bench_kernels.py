@@ -43,8 +43,10 @@ of ``_climb``, ``roots_in_field`` and ``residue_bound`` calls, the
 table's size after the block and the time per order.  It replays the
 ``roots_in_field`` calls that the first 100 cyclotomic-mix orders (20
 with ``--quick``) make on an empty field table and reports the time per
-call and the counts of norms (``_norm_poly``), gcds over the field
-(``nfp_gcd``) and ``NumberField.inv`` calls.  It
+call, the searches that found a root and the counts of norms
+(``_norm_poly``), gcds over the field (``nfp_gcd``) and
+``NumberField.inv`` calls; a search makes at most one pullback gcd, and
+a separability gcd only after a norm that is not squarefree.  It
 replays the point norms (the ``resultant`` of the minimal polynomial with
 each interpolation value) of the norms that the torsion climb of
 Q(zeta_11) (Q(zeta_7) with ``--quick``) takes in ``roots_in_field``, and
@@ -404,15 +406,14 @@ def bench_roots(quick):
 
     sys.setprofile(count)
     try:
-        for args in calls:
-            numfield.roots_in_field(*args)
+        found = sum(numfield.roots_in_field(*args) is not None for args in calls)
     finally:
         sys.setprofile(None)
     norms, gcds, inverses = counts
-    print(f"\n{'cyclotomic-mix root searches':<30} {'orders':>6} {'calls':>6} {'ms/call':>8} "
-          f"{'norms':>6} {'gcds':>6} {'inverses':>9}")
-    print(f"{'roots_in_field':<30} {len(sample):>6} {len(calls):>6} {t * 1e3:>8.2f} "
-          f"{norms:>6} {gcds:>6} {inverses:>9}")
+    print(f"\n{'cyclotomic-mix root searches':<30} {'orders':>6} {'calls':>6} {'found':>6} "
+          f"{'ms/call':>8} {'norms':>6} {'gcds':>6} {'inverses':>9}")
+    print(f"{'roots_in_field':<30} {len(sample):>6} {len(calls):>6} {found:>6} "
+          f"{t * 1e3:>8.2f} {norms:>6} {gcds:>6} {inverses:>9}")
 
 
 def bench_point_norms(quick):

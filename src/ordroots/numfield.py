@@ -23,16 +23,16 @@ modulo w, with no field product; a non-member has no power there.
 Root finding over K goes through the classical norm trick (Trager
 1976): shift the argument by an integer multiple of the generator until
 the norm (a resultant with the minimal polynomial) is squarefree, factor
-the norm over Q, and pull each factor back with a gcd over K.  Each step
+the norm over Q, and pull a factor back with a gcd over K.  Each step
 runs once (``roots_in_field``): the shifts of a rational f start at 1,
 since its unshifted norm is f^deg K; a squarefree norm proves f
 separable, so gcd(f, f') runs only after a norm that is not squarefree;
-the norm factors are pairwise coprime, so each but the last is pulled
-back by a gcd with the cofactor the earlier pieces leave, and the last
-piece is that cofactor.  Every division over K is by a monic
-polynomial and takes no field inverse: the gcds run Euclid on monic
-remainders, each made monic with one inverse (``nfp_monic``, the one
-place a leading coefficient is inverted), so the pieces are monic.
+a search wants one root, and the norm factors of degree deg K are its
+linear factors, so only the first factor is pulled back, by one gcd,
+and the others are checked on their degrees alone.  Every division over
+K is by a monic polynomial and takes no field inverse: the gcds run
+Euclid on monic remainders, each made monic with one inverse
+(``nfp_monic``, the one place a leading coefficient is inverted).
 The norm is interpolated from its values at integer points on integer
 numerators over one common denominator, each value the determinant of
 the multiplication matrix of f at that point.
@@ -426,14 +426,14 @@ def _climb(K, ell, bound):
         if K.deg % euler_phi(ell ** (k + 1)):
             return z, k, "degree"
         if k == 0 and ell == 2:
-            roots = [K.from_rational(-1)]
+            root = K.from_rational(-1)
         elif k == 0:
-            roots = roots_in_field(nfp_from_qp(cyclotomic(ell), K), K)
+            root = roots_in_field(nfp_from_qp(cyclotomic(ell), K), K)
         else:
-            roots = roots_in_field([K.neg(z)] + [K.zero()] * (ell - 1) + [K.one()], K)
-        if not roots:
+            root = roots_in_field([K.neg(z)] + [K.zero()] * (ell - 1) + [K.one()], K)
+        if root is None:
             return z, k, "no root"
-        z, k = roots[0], k + 1
+        z, k = root, k + 1
     return z, k, "bound"
 
 
@@ -567,7 +567,7 @@ def _norm_poly(f, K):
 
 
 def roots_in_field(f, K: NumberField):
-    """All roots in K of a nonzero f in K[X], sorted by coordinates.
+    """One root in K of a nonzero f in K[X], or None when f has none.
 
     Trager's method, each step once.  With f monic and a the generator:
 
@@ -580,27 +580,29 @@ def roots_in_field(f, K: NumberField):
        search goes on with f / gcd(f, f'), which has the same roots.
     3. Pullback: for N(g) squarefree, its monic irreducible factors h_i
        over Q and the irreducible factors p_i of g over K correspond one
-       to one, p_i = gcd(g, h_i) with N(p_i) = h_i, so deg p_i * deg K =
-       deg h_i.  The h_i are pairwise coprime, so gcd(g, h_i) is also
-       the gcd with the cofactor g / (p_1 ... p_(i-1)): each factor but
-       the last is pulled back by a gcd with the cofactor, which is then
-       divided by it exactly, and the last piece is the cofactor itself.
+       to one, p_i = gcd(g, h_i) with N(p_i) = h_i, so deg h_i =
+       deg K * deg p_i.  The roots of g are the linear p_i, whose h_i
+       have degree deg K, the least possible; ``factor_q`` sorts by
+       degree, so g has a root exactly when h_1 has degree deg K, and
+       only h_1 is pulled back, by one gcd.  The other h_i are checked on
+       the norm alone: each degree is a multiple of deg K, and at most
+       deg g of them have degree deg K.
     4. Every division over K is by a monic polynomial and takes no
        field inverse (``nfp_divmod``): each gcd remainder is made monic
-       with one inverse (``nfp_monic``), so the gcds, and the pieces,
-       are monic.
+       with one inverse (``nfp_monic``).
 
-    A linear piece X - r gives the root r - s*a of f.  One path serves
-    every degree: over a field of degree 1 the norm of g is g itself.
-    Every returned root is re-evaluated exactly, every piece must have
-    the degree its norm factor predicts, and for separable f the root
-    count is checked against deg f.
+    The linear piece X - r gives the root r - s*a of f, which is
+    re-evaluated exactly.  One path serves every degree: over a field of
+    degree 1 the norm of g is g itself.  Which root is returned is fixed
+    by the factorization; the torsion climb needs one root per search
+    and is indifferent to the choice.  The name is kept for the callers
+    that look the function up by name.
     """
     f = nfp_strip(list(f))
     if not f:
         raise ValueError("zero polynomial has no well-defined root set")
     if nfp_degree(f) == 0:
-        return []
+        return None
     fm = nfp_monic(f, K)
     rational = not any(any(c[1:]) for c in fm)
     start = 1 if rational and K.deg > 1 else 0
@@ -617,26 +619,18 @@ def roots_in_field(f, K: NumberField):
                 fs = nfp_divmod(fm, g0, K)[0]
     else:
         raise AssertionError("no squarefree shift found")
-    shift = K.mul(K.gen(), K.from_rational(s))
-    _, factors = factor_q(norm)
-    pieces = []
-    rest = g
-    for fac, _ in factors[:-1]:
-        piece = nfp_gcd(rest, nfp_from_qp(fac, K), K)
-        rest, rem = nfp_divmod(rest, piece, K)
-        if rem:
-            raise AssertionError("pulled-back piece does not divide the cofactor")
-        pieces.append(piece)
-    pieces.append(rest)
-    roots = []
-    for (fac, _), piece in zip(factors, pieces):
-        if nfp_degree(piece) * K.deg != qp_degree(fac):
-            raise AssertionError("norm factor does not pull back")
-        if nfp_degree(piece) == 1:
-            roots.append(K.sub(K.neg(piece[0]), shift))
-    for r in roots:
-        if any(nfp_eval(f, r, K)):
-            raise AssertionError("root does not verify")
-    if separable is not False and len(roots) > nfp_degree(f):
+    factors = [fac for fac, _ in factor_q(norm)[1]]
+    degrees = [qp_degree(fac) for fac in factors]
+    if any(d % K.deg for d in degrees):
+        raise AssertionError("norm factor does not pull back")
+    if degrees.count(K.deg) > nfp_degree(g):
         raise AssertionError("more roots than the degree")
-    return sorted(roots)
+    if degrees[0] != K.deg:
+        return None
+    piece = nfp_gcd(g, nfp_from_qp(factors[0], K), K)
+    if nfp_degree(piece) != 1:
+        raise AssertionError("norm factor does not pull back")
+    root = K.sub(K.neg(piece[0]), K.mul(K.gen(), K.from_rational(s)))
+    if any(nfp_eval(f, root, K)):
+        raise AssertionError("root does not verify")
+    return root

@@ -5,7 +5,8 @@ the same torsion group, the same primitive idempotents carried along the
 change of basis, and the same discrete logs, and a split order's
 component graph must keep its weights, each pair of components named by
 the images of X in them; a product of two orders must give the product
-group and the union of the idempotents.
+group and the union of the idempotents.  A field's torsion table must
+not depend on which root of unity each root search returns.
 """
 
 from functools import lru_cache
@@ -13,11 +14,15 @@ from functools import lru_cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordroots import numfield
 from ordroots.linalg import IntMatrix, invariant_factors
+from ordroots.numfield import NumberField
 from ordroots.ordercore import Order, build_context, order_from_poly, primitive_idempotents
+from ordroots.polyfactor import cyclotomic
 from ordroots.rou import mu_a_presentation, mu_e_subgroup_dlog
 from util import (
-    dense_table, matrix_of_rows, product_order, scalar_suborder, split_poly, split_root_images)
+    dense_table, full_trager_roots, matrix_of_rows, product_order, scalar_suborder, split_poly,
+    split_root_images)
 
 BASES = {
     "Z[i]": [1, 0, 1],
@@ -139,3 +144,22 @@ def test_product_order_gives_the_product_group_and_both_idempotent_sets(a, b):
     zero_a, zero_b = (0,) * A.rank, (0,) * B.rank
     want = sorted([tuple(e) + zero_b for e in ia] + [zero_a + tuple(e) for e in ib])
     assert sorted(tuple(e) for e in primitive_idempotents(P)) == want
+
+
+def test_the_climbed_table_does_not_depend_on_the_root_a_search_returns(monkeypatch):
+    # the climb multiplies out the powers of whatever root it is given,
+    # and the generator is the least primitive power of the group
+    fields = (7, 9, 12, 15)
+    want = [repr(NumberField(cyclotomic(n)).torsion_powers()) for n in fields]
+    search = numfield.roots_in_field
+    other = []  # per search: the largest root differs from the library's
+
+    def largest_root(f, K):
+        roots = full_trager_roots(f, K)
+        root = roots[-1] if roots else None
+        other.append(root != search(f, K))
+        return root
+
+    monkeypatch.setattr(numfield, "roots_in_field", largest_root)
+    assert [repr(NumberField(cyclotomic(n)).torsion_powers()) for n in fields] == want
+    assert any(other)

@@ -92,17 +92,24 @@ def test_arithmetic_in_gaussian_field():
     assert K.pow(i, -1) == K.neg(i)
 
 
+def _every_root(f, K):
+    """All roots of f in K by the full reference, after checking that
+    ``roots_in_field`` finds one of them, or None when there are none."""
+    every = full_trager_roots(f, K)
+    root = roots_in_field(f, K)
+    assert root in every if every else root is None
+    return every
+
+
 def test_roots_examples():
     K = gaussian()
-    r = roots_in_field(nfp_from_qp([1, 0, 1], K), K)
-    assert len(r) == 2
-    assert set(r) == {K.gen(), K.neg(K.gen())}
-    assert roots_in_field(nfp_from_qp([1, 0, 1], QQ()), QQ()) == []
+    assert _every_root(nfp_from_qp([1, 0, 1], K), K) == sorted([K.gen(), K.neg(K.gen())])
+    assert _every_root(nfp_from_qp([1, 0, 1], QQ()), QQ()) == []
 
 
 def test_roots_phi12_over_z12_field():
     K = NumberField(cyclotomic(12))
-    roots = roots_in_field(nfp_from_qp(cyclotomic(12), K), K)
+    roots = _every_root(nfp_from_qp(cyclotomic(12), K), K)
     assert len(roots) == 4
     # oracle: the powers zeta^k, k coprime to 12, are exactly the roots
     zeta = K.gen()
@@ -116,14 +123,14 @@ def test_roots_phi12_over_z12_field():
 def test_roots_root_count_bound():
     K = gaussian()
     f = nfp_mul(nfp_from_qp([1, 0, 1], K), nfp_from_qp([-1, 1], K), K)
-    roots = roots_in_field(f, K)
+    roots = _every_root(f, K)
     assert len(roots) == 3 <= nfp_degree(f)
 
 
 def test_roots_with_multiplicity_input():
     K = QQ()
     f = nfp_mul(nfp_from_qp([0, 1], K), nfp_from_qp([0, 1], K), K)  # x^2
-    assert roots_in_field(f, K) == [K.zero()]
+    assert roots_in_field(f, K) == K.zero()
 
 
 @pytest.mark.parametrize("f", [
@@ -135,7 +142,7 @@ def test_roots_over_degree_one_fields_are_the_rational_roots(f):
     # the norm of g down from a degree-1 field is g itself
     want = sorted((-fac[0],) for fac, _ in factor_q(f)[1] if qp_degree(fac) == 1)
     for K in (QQ(), NumberField([-5, 1])):
-        assert roots_in_field(nfp_from_qp(f, K), K) == want
+        assert _every_root(nfp_from_qp(f, K), K) == want
 
 
 def test_roots_rejects_zero():
@@ -276,16 +283,19 @@ def _linear(K, r):
 def test_roots_match_the_full_trager_reference(name, data):
     K = NumberField(ROOT_FIELDS[name])
     roots = [tuple(data.draw(_SMALL) for _ in range(K.deg))
-             for _ in range(data.draw(st.integers(1, 3)))]
+             for _ in range(data.draw(st.integers(0, 3)))]
     f = [K.from_rational(data.draw(st.sampled_from([1, 2, Fraction(-1, 3)])))]
     for r in roots:
         f = nfp_mul(f, _linear(K, r), K)
+    # X^3 - c, c = 2, 3 or 5, has no root in any of these fields
     f = nfp_mul(f, nfp_from_qp([-data.draw(st.sampled_from([2, 3, 5])), 0, 0, 1], K), K)
-    if data.draw(st.booleans()):
+    if roots and data.draw(st.booleans()):
         f = nfp_mul(f, _linear(K, roots[0]), K)
+    every = full_trager_roots(f, K)
+    assert set(every) == set(roots)
     got = roots_in_field(f, K)
-    assert got == full_trager_roots(f, K)
-    assert set(got) == set(roots)
+    assert (got is None) == (not every)
+    assert got is None or got in every
 
 
 def _record_shifts(monkeypatch):
@@ -310,12 +320,12 @@ def test_rational_polynomial_skips_the_unshifted_norm(monkeypatch):
     K = gaussian()
     f = nfp_from_qp(qp_mul(qp_mul([-2, 1], [-3, 1]), [-2, 0, 1]), K)
     events = _record_shifts(monkeypatch)
-    roots = roots_in_field(f, K)
+    root = roots_in_field(f, K)
     # at s = 1 the norm, (X^2 - 4X + 5)(X^2 - 6X + 10) times the quartic
     # norm of (X - i)^2 - 2, is squarefree: no separability gcd, and one
-    # pullback gcd for each norm factor but the last
-    assert events == [("shift", 1), ("gcd",), ("gcd",)]
-    assert roots == [K.from_rational(2), K.from_rational(3)] == full_trager_roots(f, K)
+    # pullback gcd for the first norm factor
+    assert events == [("shift", 1), ("gcd",)]
+    assert root in [K.from_rational(2), K.from_rational(3)] == full_trager_roots(f, K)
 
 
 def test_repeated_root_runs_the_gcd_after_the_first_norm(monkeypatch):
@@ -323,30 +333,64 @@ def test_repeated_root_runs_the_gcd_after_the_first_norm(monkeypatch):
     i = K.gen()
     f = nfp_mul(nfp_mul(_linear(K, i), _linear(K, i), K), _linear(K, K.add(K.one(), i)), K)
     events = _record_shifts(monkeypatch)
-    roots = roots_in_field(f, K)
+    root = roots_in_field(f, K)
     # s = 0: the norm of (X - i)^2 (X - 1 - i) is not squarefree, so
     # gcd(f, f') runs and the search goes on with the squarefree part
-    assert events[:3] == [("shift", 0), ("gcd",), ("shift", 1)]
-    assert roots == sorted([i, K.add(K.one(), i)]) == full_trager_roots(f, K)
+    assert events == [("shift", 0), ("gcd",), ("shift", 1), ("gcd",)]
+    assert root in sorted([i, K.add(K.one(), i)]) == full_trager_roots(f, K)
 
 
-def test_last_norm_factor_pulls_back_to_a_nonlinear_cofactor(monkeypatch):
-    K = gaussian()
-    f = nfp_from_qp(qp_mul(qp_mul([-1, 1], [1, 1]), [-5, 0, 0, 1]), K)
+def _record_factors(monkeypatch, rewrite=lambda facs: facs):
+    """The norm factor lists that ``roots_in_field`` reads, each passed
+    through rewrite first."""
     seen = []
     factor = numfield.factor_q
 
     def factor_q_(norm):
-        out = factor(norm)
-        seen.append([fac for fac, _ in out[1]])
-        return out
+        c, facs = factor(norm)
+        facs = rewrite(facs)
+        seen.append([fac for fac, _ in facs])
+        return c, facs
 
     monkeypatch.setattr(numfield, "factor_q", factor_q_)
-    roots = roots_in_field(f, K)
-    facs, = seen
-    # two linear pieces, then the cubic (X - s*i)^3 - 5 as the cofactor
-    assert [qp_degree(h) for h in facs] == [2, 2, 6]
-    assert roots == [K.from_rational(-1), K.from_rational(1)] == full_trager_roots(f, K)
+    return seen
+
+
+def test_nonlinear_norm_factors_take_one_pullback_gcd(monkeypatch):
+    K = gaussian()
+    f = nfp_from_qp(qp_mul(qp_mul([-1, 1], [1, 1]), [-5, 0, 0, 1]), K)
+    events = _record_shifts(monkeypatch)
+    seen = _record_factors(monkeypatch)
+    root = roots_in_field(f, K)
+    # two linear factors, then the cubic (X - s*i)^3 - 5: only the first
+    # is pulled back
+    assert [[qp_degree(h) for h in facs] for facs in seen] == [[2, 2, 6]]
+    assert events == [("shift", 1), ("gcd",)]
+    assert root in [K.from_rational(-1), K.from_rational(1)] == full_trager_roots(f, K)
+    # with no norm factor of degree [K:Q] there is no root and no pullback
+    events.clear()
+    assert roots_in_field(nfp_from_qp([-5, 0, 0, 1], K), K) is None
+    assert [[qp_degree(h) for h in facs] for facs in seen[1:]] == [[6]]
+    assert events == [("shift", 1)]
+
+
+def test_a_repeated_linear_norm_factor_is_more_roots_than_the_degree(monkeypatch):
+    # (X - 2)(X - 3) over Q(i) has two norm factors of degree 2; a third
+    # would be a third root of a quadratic
+    K = gaussian()
+    f = nfp_from_qp(qp_mul([-2, 1], [-3, 1]), K)
+    _record_factors(monkeypatch, lambda facs: facs[:1] + facs)
+    with pytest.raises(AssertionError, match="more roots than the degree"):
+        roots_in_field(f, K)
+
+
+def test_a_norm_factor_of_degree_prime_to_the_field_is_refused(monkeypatch):
+    # every norm factor down from Q(i) has even degree
+    K = gaussian()
+    f = nfp_from_qp(qp_mul([-2, 1], [-3, 1]), K)
+    _record_factors(monkeypatch, lambda facs: facs + [([1, 0, 0, 1], 1)])
+    with pytest.raises(AssertionError, match="does not pull back"):
+        roots_in_field(f, K)
 
 
 def test_a_piece_of_the_wrong_degree_is_refused(monkeypatch):

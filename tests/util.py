@@ -959,7 +959,7 @@ def sweep_torsion_generator(K):
     """(zeta, w) by the cyclotomic sweep: search K for roots of Phi_d for
     every d <= 2 deg^2 with phi(d) <= deg.  w is the largest d with a root
     and zeta the least root of Phi_w.  Slow beyond degree 4."""
-    from ordroots.numfield import nfp_from_qp, roots_in_field
+    from ordroots.numfield import nfp_from_qp
     from ordroots.polyfactor import cyclotomic, euler_phi
 
     n = K.deg
@@ -967,7 +967,7 @@ def sweep_torsion_generator(K):
     for d in range(2, 2 * n * n + 1):
         if euler_phi(d) > n:
             continue
-        roots = roots_in_field(nfp_from_qp(cyclotomic(d), K), K)
+        roots = full_trager_roots(nfp_from_qp(cyclotomic(d), K), K)
         if roots:
             found[d] = roots
     w = max(found)
